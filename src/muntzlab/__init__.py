@@ -18,11 +18,10 @@ from .bounds import (envelope_check, jlambda_upper, lemma31_bound,
                      point_eval_norm, r_epsilon)
 from .lpnorm import (MuntzPolynomial, amgm_probe, eval_poly, gm_ratio_sample,
                      l2_norm_gram, lp_norm, pairing_integral)
-from .hilbert import (ConditioningError, FrameBounds, GramPair, SpectralResult,
+from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
                       build_t_mu_matrix, embedding_spectrum,
                       essential_norm_estimate, frame_bounds, hs_criteria,
-                      point_eval_kernel, prop511_value, symmetric_eigen,
-                      t_mu_spectrum)
+                      point_eval_kernel, prop511_value, t_mu_spectrum)
 from .examples import ExampleInstance, build_example, check_example_claims
 
 __version__ = "0.1.0"

@@ -2,8 +2,10 @@
 
 D_n(p)**p integrates w_n**(-1/p) t**lam_n times the (p-1) power of the full
 weighted monomial series against the measure.  Everything is accumulated in
-the log domain; the inner series is truncated with a guarded rule (a floor
-below which no cutoff is accepted, then a decreasing-term relative test).
+the log domain.  The exact p = 2 moment route truncates its inner series
+with a guarded rule (a floor below which no cutoff is accepted, then a
+decreasing-term relative test); the general route sums the whole prefix at
+every node of the measure in one log-sum-exp.
 """
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogValue, log_sum
-from .measures import AtomicMeasure, Lebesgue, Measure, measure_nodes, moment
+from .logdomain import LogValue, log_sum, logsumexp
+from .measures import (AtomicMeasure, Lebesgue, Measure, log_powers, measure_nodes,
+                       moment)
 from .sequences import ExponentSequence
 
 _CUTOFF_FLOOR = 5  # no inner-series cutoff before this many terms past the peak guard
@@ -47,9 +50,9 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class TruncationInfo:
-    cutoff: int          # last inner-series index actually summed
-    tail_ratio: float    # (first omitted term) / sum, 0.0 when the prefix ran out
-    safe: bool           # False when the prefix ended before the cutoff rule fired
+    cutoff: int          # last inner index summed; general route: last any node needs at tol
+    tail_ratio: float    # (first omitted term) / sum, or (last term) / sum when unsafe
+    safe: bool           # False when the prefix ended before the series settled
 
 
 @dataclass(frozen=True)
@@ -145,29 +148,26 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
             infos.append(info)
         return DnProfile(tuple(values), weight, tuple(infos))
 
-    # general route: inner series per measure node, then integrate
-    sharp = p * lams[min(n_count, len(lams)) - 1]
-    log_t, node_w = measure_nodes(mu, sharpness=sharp)
-    inner_logs = np.empty(len(log_t))
-    inner_safe = np.ones(len(log_t), dtype=bool)
-    inner_cut = np.zeros(len(log_t), dtype=int)
-    for j, lt in enumerate(log_t):
-        val, info = _log_series_with_cutoff(
-            lambda k: inv_root[k] + lams[k] * lt, len(lams), tol, _CUTOFF_FLOOR)
-        inner_logs[j] = val
-        inner_safe[j] = info.safe
-        inner_cut[j] = info.cutoff
-    log_node_w = np.where(node_w > 0.0, np.log(np.maximum(node_w, 1e-320)), -math.inf)
-
-    for n in range(n_count):
-        term_logs = inv_root[n] + lams[n] * log_t + (p - 1.0) * inner_logs + log_node_w
-        log_dp = log_sum(term_logs.tolist())
-        values.append(math.exp(log_dp / p) if log_dp > -math.inf else 0.0)
-        infos.append(TruncationInfo(
-            cutoff=int(inner_cut.max(initial=0)),
-            tail_ratio=0.0,
-            safe=bool(inner_safe.all())))
-    return DnProfile(tuple(values), weight, tuple(infos))
+    # general route: the inner series at every node of mu, then the outer sum
+    log_t, node_w = measure_nodes(mu, sharpness=p * lams[n_count - 1])
+    terms = log_powers(log_t, np.array(lams))  # nodes x prefix, updated in place
+    terms += np.array(inv_root)
+    inner = logsumexp(terms, axis=1)
+    # a node at t = 0 with every lam > 0 has only -inf terms; 0 keeps it out of the sums
+    inner[inner == -math.inf] = 0.0
+    log_tol = math.log(tol)
+    last = terms[:, -1] - inner
+    safe = bool(np.all(last < log_tol))
+    needed = (terms >= (inner + log_tol)[:, None]).any(axis=0)
+    info = TruncationInfo(
+        cutoff=int(np.flatnonzero(needed).max(initial=0)),
+        tail_ratio=0.0 if safe else float(np.exp(last.max())),
+        safe=safe)
+    head = terms[:, :n_count]
+    head += ((p - 1.0) * inner + np.log(node_w))[:, None]
+    log_dp = logsumexp(head, axis=0)
+    values = [math.exp(v / p) if v > -math.inf else 0.0 for v in log_dp.tolist()]
+    return DnProfile(tuple(values), weight, (info,) * n_count)
 
 
 def decreasing_rearrangement(values) -> tuple[float, ...]:

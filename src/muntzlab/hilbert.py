@@ -1,11 +1,13 @@
 """Exact p = 2 spectral computations on truncated operators.
 
-Gram matrices of monomial systems are Cauchy-like and catastrophically
-ill-conditioned for dense exponent sets, but stay tractable for lacunary
-ones (normalized off-diagonals decay geometrically).  The pipeline is
-Cholesky followed by a cyclic Jacobi eigensolver: a failed Cholesky pivot
-surfaces as a ConditioningError naming the index instead of being masked,
-and Jacobi sweeps are deterministic for reproducible spectra.
+Every p = 2 quantity comes from one node factor V[k, j] = sqrt(w_k) *
+t_k**lam_j over the quadrature nodes of the measure (``measure_nodes``),
+formed in the log domain, so V^T V is the measure Gram of the monomials.
+Singular values are those of V times a small matrix, computed by an SVD:
+an eigensolve of the squared Gram would put a noise floor of about
+sqrt(eps * cond) under them.  The Cauchy Gram 1/(lam_i + lam_j + 1) of
+Lebesgue measure enters through its Cholesky factor; a failed pivot
+surfaces as a ConditioningError naming the index instead of being masked.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.
@@ -13,14 +15,13 @@ rather than claiming a value for the underlying infinite operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .logdomain import LOG_HUGE
-from .measures import (AtomicMeasure, Measure, moment, poisson_integral,
-                       poisson_kernel_integral, restrict, total_mass)
-from .measures import integrate_to_one
+from .measures import (AtomicMeasure, Measure, integrate_to_one, log_powers,
+                       measure_nodes, poisson_integral, poisson_kernel_integral,
+                       restrict)
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
@@ -39,20 +40,6 @@ class ConditioningError(RuntimeError):
             f"singular at this truncation (exponents too dense or N too large)")
 
 
-class ConvergenceError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class GramPair:
-    """Reference (Lebesgue) and measure Gram matrices of the monomials."""
-
-    n: int
-    g_ref: np.ndarray  # 1 / (lam_n + lam_k + 1)
-    g_mu: np.ndarray   # moment(mu, lam_n + lam_k)
-    flushed: int       # entries below the materialization floor set to 0
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     operator: str
@@ -66,9 +53,6 @@ class SpectralResult:
     def sigma_max(self) -> float:
         return self.singular_values[0]
 
-    def schatten_norm(self, r: float) -> float:
-        return math.fsum(s ** r for s in self.singular_values) ** (1.0 / r)
-
 
 def _check_truncation(seq: ExponentSequence, n: int) -> None:
     if not 1 <= n <= len(seq):
@@ -77,112 +61,41 @@ def _check_truncation(seq: ExponentSequence, n: int) -> None:
         raise ValueError(f"truncation {n} exceeds the supported maximum {MAX_TRUNCATION}")
 
 
-def build_gram_pair(seq: ExponentSequence, mu: Measure, n: int) -> GramPair:
+def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
+    """Lebesgue Gram of the monomials: 1 / (lam_i + lam_j + 1)."""
+    return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
+
+
+def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
+    """V[k, j] = sqrt(w_k) * t_k**lam_j on the nodes of mu, j < n, and the
+    count of entries set to 0 below the materialization floor 1e-300."""
     _check_truncation(seq, n)
     lam = np.array(seq.exponents[:n])
-    g_ref = 1.0 / (lam[:, None] + lam[None, :] + 1.0)
-    g_mu = np.zeros((n, n))
-    flushed = 0
-    for i in range(n):
-        for j in range(i, n):
-            m = moment(mu, float(lam[i] + lam[j]))
-            if m.is_zero or m.log < _FLUSH_LOG:
-                flushed += 0 if m.is_zero else 1
-                v = 0.0
-            else:
-                v = math.exp(m.log)
-            g_mu[i, j] = g_mu[j, i] = v
-    return GramPair(n, g_ref, g_mu, flushed)
+    log_t, w = measure_nodes(mu, sharpness=2.0 * lam[-1])
+    log_v = log_powers(log_t, lam) + 0.5 * np.log(w)[:, None]
+    small = log_v < _FLUSH_LOG
+    flushed = int(np.count_nonzero(small & (log_v > -math.inf)))
+    return np.where(small, 0.0, np.exp(log_v)), flushed
+
+
+def _synthesis_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
+    """V diag(sqrt(lam)): the synthesis operator with weights 1/lam."""
+    if not seq[0] > 0.0:
+        raise ValueError("weights 1/lam need a positive first exponent")
+    v, flushed = _node_factor(seq, mu, n)
+    return v * np.sqrt(np.array(seq.exponents[:n])), flushed
 
 
 def build_t_mu_matrix(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
     """Gram of the synthesis operator against weights 1/lam.
 
-    M[n][k] = sqrt(lam_n lam_k) * moment(mu, lam_n + lam_k); its row sums
-    are the (inner-truncated) squares of the p = 2 diagonal-domination
-    values.  Requires a strictly positive first exponent.
+    M[n][k] = sqrt(lam_n lam_k) * moment(mu, lam_n + lam_k), formed as A^T A
+    over the synthesis factor; its row sums are the (inner-truncated)
+    squares of the p = 2 diagonal-domination values.  Requires a strictly
+    positive first exponent.
     """
-    _check_truncation(seq, n)
-    if not seq[0] > 0.0:
-        raise ValueError("weights 1/lam need a positive first exponent")
-    lam = np.array(seq.exponents[:n])
-    m_out = np.zeros((n, n))
-    flushed = 0
-    for i in range(n):
-        for j in range(i, n):
-            mom = moment(mu, float(lam[i] + lam[j]))
-            if mom.is_zero:
-                v = 0.0
-            else:
-                lg = 0.5 * (math.log(lam[i]) + math.log(lam[j])) + mom.log
-                if lg < _FLUSH_LOG:
-                    flushed += 1
-                    v = 0.0
-                elif lg > LOG_HUGE:  # impossible for finite measures, guarded anyway
-                    raise OverflowError("matrix entry overflow")
-                else:
-                    v = math.exp(lg)
-            m_out[i, j] = m_out[j, i] = v
-    return m_out, flushed
-
-
-def symmetric_eigen(a: np.ndarray, max_sweeps: int = 50, psd: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues nonincreasing, orthogonal eigenvectors as columns,
-    matching the eigenvalue order).  With psd=True, tiny negative
-    eigenvalues (within -1e-12 of the spectral radius) are clamped to zero
-    and anything more negative raises.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
-    n = a.shape[0]
-    m = a.copy()
-    v = np.eye(n)
-    if n == 1 or scale == 0.0:
-        vals = np.diag(m).copy()
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], v[:, order]
-    fro = float(np.linalg.norm(m))
-    for _ in range(max_sweeps):
-        off_mat = m - np.diag(np.diag(m))
-        off = float(np.linalg.norm(off_mat))
-        if off <= 1e-15 * fro:
-            break
-        for p_i in range(n - 1):
-            for q_i in range(p_i + 1, n):
-                apq = m[p_i, q_i]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (m[q_i, q_i] - m[p_i, p_i]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * m[:, p_i] - s * m[:, q_i]
-                rot_q = s * m[:, p_i] + c * m[:, q_i]
-                m[:, p_i], m[:, q_i] = rot_p, rot_q
-                rot_p = c * m[p_i, :] - s * m[q_i, :]
-                rot_q = s * m[p_i, :] + c * m[q_i, :]
-                m[p_i, :], m[q_i, :] = rot_p, rot_q
-                rot_p = c * v[:, p_i] - s * v[:, q_i]
-                rot_q = s * v[:, p_i] + c * v[:, q_i]
-                v[:, p_i], v[:, q_i] = rot_p, rot_q
-    else:
-        raise ConvergenceError(f"Jacobi sweeps did not converge in {max_sweeps} sweeps")
-    vals = np.diag(m).copy()
-    if psd:
-        floor = -1e-12 * max(float(np.max(np.abs(vals))), 1.0e-300)
-        bad = vals < floor
-        if bad.any():
-            raise ValueError(f"matrix is not PSD: eigenvalue {vals[bad].min():.3e}")
-        vals = np.maximum(vals, 0.0)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], v[:, order]
+    a, flushed = _synthesis_factor(seq, mu, n)
+    return a.T @ a, flushed
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -199,13 +112,10 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for a lower-triangular system, column-block RHS."""
-    n = low.shape[0]
-    x = np.zeros_like(b, dtype=float)
-    for i in range(n):
-        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """All a.shape[1] singular values, nonincreasing; zeros past the row count."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return np.concatenate([s, np.zeros(a.shape[1] - len(s))])
 
 
 def _schatten_map(sigma: np.ndarray, orders: tuple[float, ...]) -> dict[float, float]:
@@ -217,54 +127,53 @@ def _schatten_map(sigma: np.ndarray, orders: tuple[float, ...]) -> dict[float, f
     return out
 
 
-def embedding_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
-                       schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0),
-                       _with_drift: bool = True) -> SpectralResult:
-    """Singular values of the truncated embedding of the monomial span into L2(mu).
+def _spectral_result(operator: str, n: int, leading, schatten_r: tuple[float, ...],
+                     extras: dict) -> SpectralResult:
+    """Spectrum of leading(n), with leading(m) the operator on the first m monomials.
 
-    Solves the generalized problem G_mu v = sigma^2 G_ref v via Cholesky of
-    G_ref and a Jacobi eigensolve of L^-1 G_mu L^-T.
+    The drift compares sigma_1 and the Hilbert-Schmidt (Frobenius) norm at
+    N and N/2.
     """
-    pair = build_gram_pair(seq, mu, n)
-    low = cholesky_lower(pair.g_ref)
-    y = _solve_lower(low, pair.g_mu)
-    b = _solve_lower(low, y.T).T
-    b = 0.5 * (b + b.T)
-    vals, _ = symmetric_eigen(b)
-    # the triangular solves smear PSD-ness by roughly eps * cond(g_ref);
-    # clamp within that scale, scream beyond it
-    diag = np.diag(low)
-    cond_est = (float(diag.max()) / float(diag.min())) ** 2
-    floor = -1e-12 * cond_est * max(float(vals.max(initial=0.0)), 1e-300)
-    if float(vals.min(initial=0.0)) < floor:
-        raise ValueError(
-            f"generalized eigenvalue {vals.min():.3e} below the conditioning "
-            f"floor {floor:.3e}; the measure Gram is not PSD")
-    vals = np.maximum(vals, 0.0)
-    sigma = np.sqrt(vals)
+    full = leading(n)
+    sigma = _singular_values(full)
     drift = {}
-    if _with_drift and n >= 2:
-        half = embedding_spectrum(seq, mu, max(1, n // 2), schatten_r, _with_drift=False)
-        drift = {"sigma1_half": half.sigma_max,
+    if n >= 2:
+        half = leading(n // 2)
+        drift = {"sigma1_half": float(_singular_values(half)[0]),
                  "sigma1": float(sigma[0]),
-                 "hs_half": half.schatten[2.0],
-                 "hs": float(np.sqrt(np.sum(vals)))}
+                 "hs_half": float(np.linalg.norm(half)),
+                 "hs": float(np.linalg.norm(full))}
     return SpectralResult(
-        operator="i_mu_embedding",
+        operator=operator,
         n=n,
         singular_values=tuple(float(s) for s in sigma),
         schatten=_schatten_map(sigma, schatten_r),
         drift=drift,
-        extras={"flushed": pair.flushed},
+        extras=extras,
     )
 
 
+def embedding_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
+                       schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0)) -> SpectralResult:
+    """Singular values of the truncated embedding of the monomial span into L2(mu).
+
+    With L the Cholesky factor of the Cauchy Gram, the columns of L^-T are
+    an orthonormal basis of the span in L2(dt), so the embedding is V L^-T.
+    The leading m x m block of L factors the leading block of the Gram.
+    """
+    v, flushed = _node_factor(seq, mu, n)
+    low = cholesky_lower(_cauchy_gram(np.array(seq.exponents[:n])))
+    return _spectral_result(
+        "i_mu_embedding", n, lambda m: np.linalg.solve(low[:m, :m], v[:, :m].T).T,
+        schatten_r, {"flushed": flushed})
+
+
 def t_mu_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
-                  schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0),
-                  _with_drift: bool = True) -> SpectralResult:
+                  schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0)) -> SpectralResult:
     """Singular values of the truncated synthesis operator with weights 1/lam.
 
-    extras carries the diagonal-domination chain check: the (k+1)-st
+    extras carries the trace of its Gram (the squared Frobenius norm of the
+    factor) and the diagonal-domination chain check: the (k+1)-st
     singular value against the k-th entry of the decreasing rearrangement
     of the D_n(2) prefix.  The prefix rearrangement genuinely bounds the
     truncated operator; ``chain_tail_safe`` reports whether the inner
@@ -272,32 +181,19 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATIO
     """
     from .dnp import WeightScheme, compute_dn, decreasing_rearrangement
 
-    matrix, flushed = build_t_mu_matrix(seq, mu, n)
-    vals, _ = symmetric_eigen(matrix, psd=True)
-    sigma = np.sqrt(vals)
+    a, flushed = _synthesis_factor(seq, mu, n)
     profile = compute_dn(seq, mu, WeightScheme("inverse_lambda", 2.0), n_count=n)
     dstar = decreasing_rearrangement(profile.values)
-    margins = [dstar[k] - float(sigma[k]) for k in range(n)]
-    drift = {}
-    if _with_drift and n >= 2:
-        half = t_mu_spectrum(seq, mu, max(1, n // 2), schatten_r, _with_drift=False)
-        drift = {"sigma1_half": half.sigma_max, "sigma1": float(sigma[0]),
-                 "hs_half": half.schatten[2.0], "hs": float(np.sqrt(np.sum(vals)))}
-    return SpectralResult(
-        operator="t_mu_inverse_lambda",
-        n=n,
-        singular_values=tuple(float(s) for s in sigma),
-        schatten=_schatten_map(sigma, schatten_r),
-        drift=drift,
-        extras={
-            "flushed": flushed,
-            "trace": float(np.trace(matrix)),
-            "dn_rearranged": dstar,
-            "chain_ok": all(m >= -1e-9 for m in margins),
-            "chain_margin": min(margins),
-            "chain_tail_safe": profile.all_safe,
-        },
-    )
+    spec = _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m], schatten_r, {})
+    margins = [dstar[k] - spec.singular_values[k] for k in range(n)]
+    return replace(spec, extras={
+        "flushed": flushed,
+        "trace": float(np.sum(a * a)),
+        "dn_rearranged": dstar,
+        "chain_ok": all(m >= -1e-9 for m in margins),
+        "chain_margin": min(margins),
+        "chain_tail_safe": profile.all_safe,
+    })
 
 
 @dataclass(frozen=True)
@@ -311,12 +207,12 @@ class FrameBounds:
 
 
 def frame_bounds(seq: ExponentSequence, n: int) -> FrameBounds:
+    """Square roots of the eigenvalues of the normalized monomial Gram D G D,
+    D = diag(sqrt(2 lam + 1)): with G = L L^T, the singular values of D L."""
     _check_truncation(seq, n)
     lam = np.array(seq.exponents[:n])
-    q = 2.0 * lam + 1.0
-    gram = np.sqrt(np.outer(q, q)) / (lam[:, None] + lam[None, :] + 1.0)
-    vals, _ = symmetric_eigen(gram, psd=True)
-    sigma = np.sqrt(vals)
+    low = cholesky_lower(_cauchy_gram(lam))
+    sigma = _singular_values(np.sqrt(2.0 * lam + 1.0)[:, None] * low)
     return FrameBounds(n=n, sigma_min=float(sigma[-1]), sigma_max=float(sigma[0]),
                        singular_values=tuple(float(s) for s in sigma))
 
@@ -331,10 +227,8 @@ def point_eval_kernel(seq: ExponentSequence, n: int, delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0,1], got {delta}")
     lam = np.array(seq.exponents[:n])
-    g_ref = 1.0 / (lam[:, None] + lam[None, :] + 1.0)
     v = np.exp(lam * math.log1p(-delta))
-    low = cholesky_lower(g_ref)
-    y = _solve_lower(low, v)
+    y = np.linalg.solve(cholesky_lower(_cauchy_gram(lam)), v)
     return float(np.sqrt(np.dot(y, y)))
 
 
@@ -355,13 +249,7 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
         raise ValueError("cut grid must be nonempty and increasing")
     if any(not 0.0 <= c < 1.0 for c in cuts):
         raise ValueError("cuts must lie in [0,1)")
-    sig = []
-    for a in cuts:
-        restricted = restrict(mu, a, 1.0)
-        if isinstance(restricted, AtomicMeasure) and restricted.is_empty:
-            sig.append(0.0)
-            continue
-        sig.append(embedding_spectrum(seq, restricted, n, _with_drift=False).sigma_max)
+    sig = [embedding_spectrum(seq, restrict(mu, a, 1.0), n).sigma_max for a in cuts]
     drop = math.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
     return CutTrend(tuple(cuts), tuple(sig), limit_proxy=sig[-1], drop_factor=drop)
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # exp() overflows just above this; matrix builders flush below -LOG_HUGE.
 LOG_HUGE = 709.0
 
@@ -38,7 +40,8 @@ class NeumaierSum:
 
     @property
     def total(self) -> float:
-        return self._s + self._c
+        # an infinite term turns the compensation into inf - inf = nan
+        return self._s if math.isinf(self._s) else self._s + self._c
 
 
 def compensated_sum(values: Iterable[float]) -> float:
@@ -152,5 +155,18 @@ def log_sum(logs: Sequence[float]) -> float:
     return m + math.log(acc.total)
 
 
-def log_value_sum(values: Iterable[LogValue]) -> LogValue:
-    return LogValue.from_log(log_sum([v.log for v in values if not v.is_zero]))
+def logsumexp(logs, axis: int | None = None):
+    """log(sum(exp(logs))) along ``axis`` of an array, or over all of it.
+
+    The vectorised counterpart of ``log_sum``: the maximum of each slice is
+    factored out before numpy's (pairwise, fixed-order) sum, and a slice
+    that is empty or all -inf gives -inf.  Returns a float for axis=None.
+    """
+    a = np.asarray(logs, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+    m = np.where(m == -np.inf, 0.0, m)
+    scaled = a - m
+    np.exp(scaled, out=scaled)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(scaled, axis=axis, keepdims=True)) + m
+    return float(out.item()) if axis is None else np.squeeze(out, axis=axis)

@@ -99,10 +99,11 @@ def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
     if isinstance(mu, Lebesgue):
         val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p, sharp)
     elif isinstance(mu, DensityMeasure):
-        val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.g(t), sharp)
+        val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.g(1.0 - t),
+                               sharp)
     elif isinstance(mu, Restriction):
         if isinstance(mu.base, DensityMeasure):
-            fn = lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.base.g(t)
+            fn = lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.base.g(1.0 - t)
         else:
             fn = lambda t: np.abs(_eval_poly_array(f, t)) ** p
         val = integrate_interval(fn, mu.a, mu.b, sharp)

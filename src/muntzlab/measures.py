@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .logdomain import LogValue, NeumaierSum, log_sum
+from .logdomain import LogValue, NeumaierSum, logsumexp
 
 GL_ORDER = 24
 DEFAULT_REL_TOL = 1e-12
@@ -29,6 +29,19 @@ DEFAULT_REL_TOL = 1e-12
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+@lru_cache(maxsize=8)
+def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0,1] for the weight s**alpha, alpha > -1
+    (Golub-Welsch on the Jacobi polynomials P^(0,alpha) of x = 2s - 1)."""
+    k = np.arange(1, GL_ORDER)
+    c = 2.0 * k + alpha
+    diag = np.concatenate([[alpha / (alpha + 2.0)], alpha ** 2 / (c * (c + 2.0))])
+    off = 2.0 * k * (k + alpha) / (c * np.sqrt(c * c - 1.0))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    return 0.5 * (x + 1.0), w / (w.sum() * (alpha + 1.0))
 
 
 def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -135,10 +148,6 @@ class AtomicMeasure:
         return np.array([a.mass for a in self.atoms])
 
     @cached_property
-    def _log_masses(self) -> np.ndarray:
-        return np.log(self._masses)
-
-    @cached_property
     def _log_x(self) -> np.ndarray:
         # log(x_k) = log1p(-delta_k); -inf for an atom at 0
         with np.errstate(divide="ignore"):
@@ -155,10 +164,10 @@ _DENSITY_FAMILIES = ("uniform", "oneminus_power")
 
 @dataclass(frozen=True)
 class DensityMeasure:
-    """Built-in density g(t) dt on [0,1).
+    """Built-in density g dt on [0,1), written in u = 1 - t.
 
     uniform:         g = scale
-    oneminus_power:  g = scale * (1-t)**alpha, alpha > -1
+    oneminus_power:  g = scale * u**alpha, alpha > -1
     """
 
     name: str
@@ -173,16 +182,18 @@ class DensityMeasure:
         if self.name == "oneminus_power" and not self.alpha > -1.0:
             raise ValueError("oneminus_power needs alpha > -1 for finite mass")
 
-    def g(self, t: np.ndarray) -> np.ndarray:
-        if self.name == "uniform":
-            return np.full_like(np.asarray(t, dtype=float), self.scale)
-        return self.scale * (1.0 - np.asarray(t, dtype=float)) ** self.alpha
+    @property
+    def exponent(self) -> float:
+        """The power of u in g: alpha, or 0 for uniform."""
+        return self.alpha if self.name == "oneminus_power" else 0.0
+
+    def g(self, u: np.ndarray) -> np.ndarray:
+        """Density at u = 1 - t; taking u keeps points near t = 1 exact."""
+        return self.scale * np.asarray(u, dtype=float) ** self.exponent
 
     def tail_mass(self, eps: float) -> float:
         """mu([1-eps, 1)) in closed form."""
-        if self.name == "uniform":
-            return self.scale * eps
-        return self.scale * eps ** (self.alpha + 1.0) / (self.alpha + 1.0)
+        return self.scale * eps ** (self.exponent + 1.0) / (self.exponent + 1.0)
 
 
 @dataclass(frozen=True)
@@ -216,39 +227,26 @@ def atoms(pairs) -> AtomicMeasure:
 def moment(mu: Measure, a: float) -> LogValue:
     """Integral of t**a against mu.
 
-    Exact for Lebesgue (1/(a+1)) and for restrictions of Lebesgue; exact
-    atom sums in the log domain with fixed ascending-position order; panel
-    quadrature for densities.
+    Exact for Lebesgue (1/(a+1)) and for restrictions of Lebesgue.  Every
+    other measure is a log-sum-exp of log w + a log t over ``measure_nodes``
+    (in fixed node order), which for atoms is the exact atom sum.
     """
     if a < 0.0:
         raise ValueError(f"moment exponent must be >= 0, got {a}")
     if isinstance(mu, Lebesgue):
         return LogValue.from_log(-math.log1p(a))
-    if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return LogValue.zero()
-        if a == 0.0:
-            return LogValue.from_log(log_sum(mu._log_masses.tolist()))
-        logs = mu._log_masses + a * mu._log_x  # a * (-inf) -> -inf for an atom at 0
-        return LogValue.from_log(log_sum(logs.tolist()))
-    if isinstance(mu, DensityMeasure):
-        val = integrate_to_one(lambda t: np.power(t, a) * mu.g(t), sharpness=a)
-        return LogValue.from_float(max(val, 0.0))
-    if isinstance(mu, Restriction):
-        if isinstance(mu.base, Lebesgue):
-            # (b**(a+1) - a0**(a+1)) / (a+1), arranged for large exponents
-            e = a + 1.0
-            log_hi = e * math.log(mu.b) if mu.b < 1.0 else 0.0
-            if mu.a == 0.0:
-                diff = log_hi
-            else:
-                log_lo = e * math.log(mu.a)
-                diff = log_hi + math.log1p(-math.exp(log_lo - log_hi))
-            return LogValue.from_log(diff - math.log(e))
-        val = integrate_interval(lambda t: np.power(t, a) * mu.base.g(t),
-                                 mu.a, mu.b, sharpness=a)
-        return LogValue.from_float(max(val, 0.0))
-    raise TypeError(f"not a measure: {mu!r}")
+    if isinstance(mu, Restriction) and isinstance(mu.base, Lebesgue):
+        # (b**(a+1) - a0**(a+1)) / (a+1), arranged for large exponents
+        e = a + 1.0
+        log_hi = e * math.log(mu.b) if mu.b < 1.0 else 0.0
+        if mu.a == 0.0:
+            diff = log_hi
+        else:
+            log_lo = e * math.log(mu.a)
+            diff = log_hi + math.log1p(-math.exp(log_lo - log_hi))
+        return LogValue.from_log(diff - math.log(e))
+    log_t, w = measure_nodes(mu, sharpness=a)
+    return LogValue.from_log(logsumexp(np.log(w) + log_powers(log_t, a)))
 
 
 def total_mass(mu: Measure) -> float:
@@ -362,21 +360,18 @@ class PoissonResult:
 def poisson_integral(mu: Measure) -> PoissonResult:
     if isinstance(mu, Lebesgue):
         return PoissonResult(None, True, "exact")
-    if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return PoissonResult(LogValue.zero(), False, "exact")
-        logs = mu._log_masses - np.log(mu._deltas)
-        return PoissonResult(LogValue.from_log(log_sum(logs.tolist())), False, "exact")
-    if isinstance(mu, Restriction) and mu.b < 1.0:
-        if isinstance(mu.base, Lebesgue):
-            val = math.log((1.0 - mu.a) / (1.0 - mu.b))
-            return PoissonResult(LogValue.from_float(val), False, "exact")
-        val = integrate_interval(lambda t: mu.base.g(t) / (1.0 - t), mu.a, mu.b, sharpness=1.0)
-        return PoissonResult(LogValue.from_float(max(val, 0.0)), False, "exact")
+    if isinstance(mu, Restriction) and mu.b < 1.0 and isinstance(mu.base, Lebesgue):
+        val = math.log((1.0 - mu.a) / (1.0 - mu.b))
+        return PoissonResult(LogValue.from_float(val), False, "exact")
+    if isinstance(mu, AtomicMeasure) or (isinstance(mu, Restriction) and mu.b < 1.0):
+        # sum of w / u over the nodes, u = 1 - t bounded away from 0
+        log_t, w = measure_nodes(mu, sharpness=1.0)
+        log_val = logsumexp(np.log(w) - np.log(-np.expm1(log_t)))
+        return PoissonResult(LogValue.from_log(log_val), False, "exact")
     # density reaching t=1: dyadic panel sums decide convergence
     base = mu.base if isinstance(mu, Restriction) else mu
     lo = mu.a if isinstance(mu, Restriction) else 0.0
-    fn = lambda t: base.g(t) / (1.0 - t)
+    fn = lambda t: base.g(1.0 - t) / (1.0 - t)
     gap = 1.0 - lo
     panel_sums = []
     left = lo
@@ -397,44 +392,38 @@ def poisson_integral(mu: Measure) -> PoissonResult:
 def poisson_kernel_integral(mu: Measure, s: float, power: float) -> float:
     """Integral of (1 - s t)**(-power) against mu, for s in [0,1].
 
-    Exact for atoms (1 - s x = (1-s) + s*delta keeps precision near 1) and
-    for Lebesgue; quadrature otherwise.
+    Closed form for Lebesgue, where s = 1 and power >= 1 diverge to inf.
+    Every other measure sums over ``measure_nodes``, with 1 - s t written
+    as (1-s) + s*u, u = 1 - t, to keep precision near t = 1; for atoms
+    that sum is exact.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0,1], got {s}")
-    if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return 0.0
-        denom = (1.0 - s) + s * mu._deltas
-        logs = mu._log_masses - power * np.log(denom)
-        total = log_sum(logs.tolist())
-        return math.inf if total > 709.0 else math.exp(total)
     if isinstance(mu, Lebesgue):
         if s == 0.0:
             return 1.0
+        if s == 1.0 and power >= 1.0:
+            return math.inf
         if power == 1.0:
             return -math.log1p(-s) / s
         return ((1.0 - s) ** (1.0 - power) - 1.0) / (s * (power - 1.0))
-    if isinstance(mu, DensityMeasure):
-        fn = lambda t: mu.g(t) * (1.0 - s * t) ** (-power)
-        return integrate_to_one(fn, sharpness=1.0 / max(1.0 - s, 1e-15))
-    if isinstance(mu, Restriction):
-        fn = lambda t: mu.base.g(t) * (1.0 - s * t) ** (-power) if isinstance(mu.base, DensityMeasure) \
-            else (1.0 - s * t) ** (-power)
-        return integrate_interval(fn, mu.a, mu.b, sharpness=1.0 / max(1.0 - s, 1e-15))
-    raise TypeError(f"not a measure: {mu!r}")
+    log_t, w = measure_nodes(mu, sharpness=1.0 / max(1.0 - s, 1e-15))
+    total = logsumexp(np.log(w) - power * np.log((1.0 - s) - s * np.expm1(log_t)))
+    return math.inf if total > 709.0 else math.exp(total)
 
 
 def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     """(log t, weight) pairs so that integral f dmu ~= sum w_i f(t_i).
 
-    Atoms map to themselves (weights = masses, log t = log1p(-delta));
-    Lebesgue and densities map to dyadic Gauss-Legendre nodes sized for an
-    integrand varying on scale 1/sharpness near t = 1.
+    Atoms map to themselves (weights = masses, log t = log1p(-delta)).
+    Lebesgue, densities and their restrictions get Gauss-Legendre panels
+    in u = 1 - t, with log t = log1p(-u) and density weights taken at u,
+    so no node lands on t = 1.  Toward u = 0 the panels halve until finer
+    than 1/sharpness; the closing panel [0, eps] is a Gauss-Jacobi rule for
+    the density's factor u**alpha, exact even where that is singular.  A
+    restriction ending below t = 1 gets 16 equal panels.
     """
     if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return np.empty(0), np.empty(0)
         return mu._log_x.copy(), mu._masses.copy()
     if isinstance(mu, (Lebesgue, DensityMeasure)):
         lo, hi, base = 0.0, 1.0, mu
@@ -442,25 +431,25 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
         lo, hi, base = mu.a, mu.b, mu.base
     else:
         raise TypeError(f"not a measure: {mu!r}")
-    depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
+    density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
     xg, wg = _gl_nodes(GL_ORDER)
-    ts, ws = [], []
-    gap = 1.0 - lo
-    edges = [lo]
-    if hi == 1.0:
-        edges += [1.0 - gap * 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
+    if hi < 1.0:
+        edges = np.linspace(1.0 - hi, 1.0 - lo, 17)
     else:
-        edges += list(np.linspace(lo, hi, 17)[1:])
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * xg
-        w = half * wg
-        if isinstance(base, DensityMeasure):
-            w = w * base.g(t)
-        ts.append(t)
-        ws.append(w)
-    t_all = np.concatenate(ts)
-    w_all = np.concatenate(ws)
-    return np.log1p(t_all - 1.0), w_all
+        depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
+        edges = (1.0 - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
+    left, right = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (left + right) + 0.5 * (right - left) * xg).ravel()
+    w = (0.5 * (right - left) * wg).ravel() * density.g(u)
+    if hi == 1.0:
+        eps, alpha = edges[0], density.exponent
+        s, ws = _gauss_jacobi(alpha)
+        u = np.concatenate([eps * s, u])
+        w = np.concatenate([density.scale * eps ** (alpha + 1.0) * ws, w])
+    return np.log1p(-u), w
+
+
+def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """log(t_k**lam_j) for every node k and exponent j; t**0 = 1 also at t = 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(exponents == 0.0, 0.0, np.multiply.outer(log_t, exponents))

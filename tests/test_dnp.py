@@ -60,6 +60,26 @@ class TestComputeDn:
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-9)
 
+    def test_routes_agree_over_long_lebesgue_prefix(self):
+        seq = generate_geometric(1, 2, 60)
+        w = WeightScheme("inverse_lambda", 2.0)
+        a = compute_dn(seq, Lebesgue(), w)
+        b = compute_dn(seq, Lebesgue(), w, route="general")
+        for x, y in zip(a.values, b.values):
+            assert y == pytest.approx(x, rel=1e-12)
+
+    def test_general_route_truncation_report(self):
+        long_geo = generate_geometric(1, 2, 34)
+        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        settled = compute_dn(long_geo, mu, WeightScheme("inverse_lambda", 3.0), n_count=6)
+        info = settled.truncation[0]
+        assert info.safe and info.tail_ratio == 0.0
+        assert 6 <= info.cutoff < len(long_geo) - 1
+        short = compute_dn(GEO, Lebesgue(), WeightScheme("inverse_lambda", 3.0), n_count=6)
+        info = short.truncation[0]
+        assert not info.safe and info.tail_ratio > 0.0
+        assert info.cutoff == len(GEO) - 1
+
     def test_general_p_density(self):
         # quadrature nodes reach t ~ 1 - 2^-(depth+10); the prefix must let
         # the inner series settle there, so it extends well past the depth

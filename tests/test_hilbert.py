@@ -1,64 +1,44 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from muntzlab.hilbert import (ConditioningError, build_gram_pair,
-                              build_t_mu_matrix, cholesky_lower,
-                              embedding_spectrum, essential_norm_estimate,
-                              frame_bounds, hs_criteria, point_eval_kernel,
-                              prop511_value, symmetric_eigen, t_mu_spectrum)
-from muntzlab.measures import Lebesgue, atoms, poisson_integral, restrict
+from muntzlab.hilbert import (ConditioningError, build_t_mu_matrix,
+                              cholesky_lower, embedding_spectrum,
+                              essential_norm_estimate, frame_bounds,
+                              hs_criteria, point_eval_kernel, prop511_value,
+                              t_mu_spectrum)
+from muntzlab.measures import (DensityMeasure, Lebesgue, atoms, poisson_integral,
+                               restrict)
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 24)
 PAIR_SEQ = ExponentSequence((1.0, 2.0))
 GEOM_ATOMS = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
+TWO_ATOMS = atoms([(0.5, 1.0), (0.25, 0.5)])
 
 
-class TestSymmetricEigen:
-    def test_diagonal(self):
-        vals, vecs = symmetric_eigen(np.diag([1.0, 2.0]))
-        assert vals.tolist() == [2.0, 1.0]
-        assert np.allclose(abs(vecs), [[0, 1], [1, 0]])
+def _spectrum_cases():
+    return {
+        "embedding-atoms": lambda: embedding_spectrum(GEO, GEOM_ATOMS, 16).singular_values,
+        "embedding-lebesgue": lambda: embedding_spectrum(GEO, Lebesgue(), 16).singular_values,
+        "embedding-two-atoms": lambda: embedding_spectrum(GEO, TWO_ATOMS, 8).singular_values,
+        "synthesis-atoms": lambda: t_mu_spectrum(GEO, GEOM_ATOMS, 12).singular_values,
+        "synthesis-density": lambda: t_mu_spectrum(
+            GEO, DensityMeasure("oneminus_power", alpha=-0.5), 8).singular_values,
+        "frame": lambda: frame_bounds(GEO, 16).singular_values,
+    }
 
-    def test_rank_one(self):
-        vals, _ = symmetric_eigen(np.ones((2, 2)))
-        assert vals.tolist() == pytest.approx([2.0, 0.0], abs=1e-15)
 
-    def test_cross_oracle_psd_factor(self):
-        rng = np.random.default_rng(3)
-        b = rng.normal(size=(8, 8))
-        vals, vecs = symmetric_eigen(b @ b.T)
-        oracle = np.sort(np.linalg.svd(b, compute_uv=False))[::-1] ** 2
-        assert np.max(np.abs(vals - oracle)) < 1e-9
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(10, 10))
-        a = a + a.T
-        vals, vecs = symmetric_eigen(a)
-        err = np.linalg.norm(a - vecs @ np.diag(vals) @ vecs.T)
-        assert err <= 1e-10 * np.linalg.norm(a)
-        assert np.allclose(vecs @ vecs.T, np.eye(10), atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-    def test_psd_clamp_and_reject(self):
-        vals, _ = symmetric_eigen(np.diag([1.0, -1e-15]), psd=True)
-        assert vals[-1] == 0.0
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.diag([1.0, -0.5]), psd=True)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(6, 6))
-        a = a + a.T
-        v1, _ = symmetric_eigen(a.copy())
-        v2, _ = symmetric_eigen(a.copy())
-        assert v1.tolist() == v2.tolist()
+class TestSpectrumProperties:
+    @pytest.mark.parametrize("case", sorted(_spectrum_cases()))
+    def test_nonincreasing_nonnegative_reproducible(self, case):
+        compute = _spectrum_cases()[case]
+        sigma = compute()
+        assert all(s >= 0.0 for s in sigma)
+        assert all(a >= b for a, b in zip(sigma, sigma[1:]))
+        assert compute() == sigma
 
 
 class TestCholesky:
@@ -69,10 +49,9 @@ class TestCholesky:
         assert np.allclose(low, np.linalg.cholesky(g), atol=1e-14)
 
     def test_pivot_failure_names_index(self):
-        dense = ExponentSequence(tuple(1.0 + k * 1e-6 for k in range(24)))
-        pair = build_gram_pair(dense, Lebesgue(), 24)
+        lam = np.array([1.0 + k * 1e-6 for k in range(24)])
         with pytest.raises(ConditioningError) as err:
-            cholesky_lower(pair.g_ref)
+            cholesky_lower(1.0 / (lam[:, None] + lam[None, :] + 1.0))
         assert 0 < err.value.pivot < 24
 
 
@@ -103,10 +82,13 @@ class TestMatrices:
             build_t_mu_matrix(seq, Lebesgue(), 3)
 
     def test_gram_pair_diagonal(self):
-        pair = build_gram_pair(GEO, Lebesgue(), 5)
+        # the Lebesgue node factor reproduces the Cauchy Gram 1/(lam_i+lam_j+1)
+        m, _ = build_t_mu_matrix(GEO, Lebesgue(), 5)
+        lam = np.array(GEO.exponents[:5])
         for i in range(5):
-            assert pair.g_ref[i, i] == pytest.approx(1.0 / (2 * GEO[i] + 1))
-        assert np.allclose(pair.g_ref, pair.g_mu, atol=1e-15)
+            assert m[i, i] == pytest.approx(lam[i] / (2 * lam[i] + 1), rel=1e-14)
+        expect = np.sqrt(np.outer(lam, lam)) / (lam[:, None] + lam[None, :] + 1.0)
+        assert np.allclose(m, expect, rtol=0.0, atol=1e-15)
 
     def test_flush_counting(self):
         # 0.5**(2*lam) underflows past the materialization floor for lam ~ 2^12
@@ -125,6 +107,22 @@ class TestEmbeddingSpectrum:
         from muntzlab.measures import DensityMeasure
         spec = embedding_spectrum(GEO, DensityMeasure("uniform", scale=0.5), 8)
         assert max(abs(s - math.sqrt(0.5)) for s in spec.singular_values) < 1e-7
+
+    @pytest.mark.parametrize("spectrum", [embedding_spectrum, t_mu_spectrum])
+    def test_two_atoms_have_rank_two(self, spectrum):
+        sigma = spectrum(GEO, TWO_ATOMS, 8).singular_values
+        assert all(s <= 1e-15 * sigma[0] for s in sigma[2:])
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9])
+    def test_singular_density_gram(self, alpha):
+        # mass piles up at t = 1 like u**alpha; the closing panel must carry it
+        mu = DensityMeasure("oneminus_power", alpha=alpha)
+        m, _ = build_t_mu_matrix(GEO, mu, 8)
+        lam = GEO.exponents[:8]
+        expect = np.array([[float(mpmath.sqrt(a * b) * mpmath.beta(a + b + 1, alpha + 1))
+                            for b in lam] for a in lam])
+        assert np.max(np.abs(m / expect - 1.0)) < 1e-12
+        assert all(math.isfinite(s) for s in embedding_spectrum(GEO, mu, 8).singular_values)
 
     def test_scaling_law(self):
         mu1 = atoms([(0.5, 1.0), (0.25, 0.5)])
@@ -184,6 +182,17 @@ class TestTMuSpectrum:
 
 
 class TestFrameBounds:
+    def test_matches_eigenvalue_oracle(self):
+        n = 10
+        lam = [mpmath.mpf(v) for v in GEO.exponents[:n]]
+        with mpmath.workdps(40):
+            gram = mpmath.matrix([[mpmath.sqrt((2 * a + 1) * (2 * b + 1)) / (a + b + 1)
+                                   for b in lam] for a in lam])
+            eig = sorted(mpmath.eigsy(gram, eigvals_only=True), reverse=True)
+        got = frame_bounds(GEO, n).singular_values
+        for s, e in zip(got, eig):
+            assert s * s == pytest.approx(float(e), rel=1e-10)
+
     def test_single_vector(self):
         fb = frame_bounds(GEO, 1)
         assert fb.sigma_min == fb.sigma_max == pytest.approx(1.0)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muntzlab.logdomain import LogValue, NeumaierSum, compensated_sum, log_sum
+from muntzlab.logdomain import (LogValue, NeumaierSum, compensated_sum, log_sum,
+                                logsumexp)
 
 finite_pos = st.floats(min_value=1e-150, max_value=1e150)
 
@@ -89,3 +91,19 @@ def test_neumaier_recovers_cancellation():
         acc.add(x)
     assert acc.total == 1.0
     assert compensated_sum([0.1] * 10) == pytest.approx(1.0, abs=1e-16)
+
+
+def test_neumaier_keeps_infinity():
+    acc = NeumaierSum()
+    for x in [1.0, math.inf, 2.0]:
+        acc.add(x)
+    assert acc.total == math.inf
+
+
+def test_logsumexp_matches_log_sum_along_axes():
+    logs = np.array([[0.0, -1400.0, 3.5], [-math.inf, -math.inf, -math.inf]])
+    rows = logsumexp(logs, axis=1)
+    assert rows[0] == pytest.approx(log_sum(logs[0].tolist()), abs=1e-15)
+    assert rows[1] == -math.inf
+    assert logsumexp(logs[0]) == pytest.approx(log_sum(logs[0].tolist()), abs=1e-15)
+    assert logsumexp(np.empty((0, 3)), axis=0).tolist() == [-math.inf] * 3

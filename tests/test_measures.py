@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure,
                                GeometricGrid, Lebesgue, Restriction, atoms,
-                               moment, poisson_integral,
+                               measure_nodes, moment, poisson_integral,
                                poisson_kernel_integral, restrict,
                                sublinear_norm, tail_mass, total_mass)
 
@@ -85,6 +86,20 @@ class TestMoment:
             assert moment(mu, a).to_float() == pytest.approx(
                 2.0 * beta_moment(a, 1.5), rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 1.0])
+    def test_oneminus_power_against_mpmath_beta(self, alpha):
+        mu = DensityMeasure("oneminus_power", alpha=alpha, scale=2.0)
+        for a in (0.0, 1.0, 7.5, 300.0, 1e6, 1e12):
+            ref = 2 * mpmath.beta(a + 1, alpha + 1)
+            assert moment(mu, a).to_float() == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("lo,hi", [(0.5, 1.0), (0.25, 0.75)])
+    def test_density_restriction_against_mpmath(self, lo, hi):
+        mu = restrict(DensityMeasure("oneminus_power", alpha=-0.5), lo, hi)
+        for a in (0.0, 3.0, 40.0):
+            ref = mpmath.betainc(a + 1, 0.5, lo, hi)
+            assert moment(mu, a).to_float() == pytest.approx(float(ref), rel=1e-12)
+
     def test_restriction_of_lebesgue_exact(self):
         mu = restrict(Lebesgue(), 0.0, 0.5)
         assert total_mass(mu) == pytest.approx(0.5, rel=1e-15)
@@ -115,6 +130,22 @@ class TestMoment:
         mu = atoms(pairs)
         direct = math.fsum(m * (1.0 - d) ** a for d, m in pairs)
         assert moment(mu, a).to_float() == pytest.approx(direct, rel=1e-11, abs=1e-300)
+
+
+class TestNodes:
+    @pytest.mark.parametrize("mu,mass", [
+        (Lebesgue(), 1.0),
+        (DensityMeasure("uniform", scale=0.5), 0.5),
+        (DensityMeasure("oneminus_power", alpha=-0.5), 2.0),
+        (DensityMeasure("oneminus_power", alpha=-0.9), 10.0),
+        (DensityMeasure("oneminus_power", alpha=1.0), 0.5),
+        (restrict(Lebesgue(), 0.5, 1.0), 0.5),
+    ], ids=["lebesgue", "uniform", "alpha=-0.5", "alpha=-0.9", "alpha=1", "restricted"])
+    def test_no_node_at_one_and_exact_mass(self, mu, mass):
+        log_t, w = measure_nodes(mu, 2.0 ** 50)
+        assert not np.any(log_t == 0.0)
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+        assert math.fsum(w) == pytest.approx(mass, rel=1e-14)
 
 
 class TestSublinear:
@@ -207,6 +238,21 @@ class TestRestrictAndKernel:
     def test_kernel_integral_lebesgue_closed_form(self):
         got = poisson_kernel_integral(Lebesgue(), 0.5, 2.0)
         assert got == pytest.approx(((1 - 0.5) ** -1 - 1) / (0.5 * 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("mu,alpha,lo,hi", [
+        (DensityMeasure("oneminus_power", alpha=1.0), 1.0, 0.0, 1.0),
+        (restrict(DensityMeasure("oneminus_power", alpha=-0.5), 0.5, 1.0), -0.5, 0.5, 1.0),
+        (restrict(Lebesgue(), 0.25, 0.75), 0.0, 0.25, 0.75),
+    ], ids=["density", "density-tail", "lebesgue-interval"])
+    def test_kernel_integral_on_nodes_against_mpmath(self, mu, alpha, lo, hi):
+        for s in (0.5, 0.999):
+            with mpmath.workdps(30):
+                ref = mpmath.quad(lambda t: (1 - t) ** alpha * (1 - s * t) ** -2, [lo, hi])
+            assert poisson_kernel_integral(mu, s, 2.0) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_kernel_integral_lebesgue_diverges_at_one(self):
+        assert poisson_kernel_integral(Lebesgue(), 1.0, 2.0) == math.inf
+        assert poisson_kernel_integral(Lebesgue(), 1.0, 1.0) == math.inf
 
     def test_kernel_integral_saturates_instead_of_raising(self):
         mu = atoms([(1e-304, 1.0)])

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .measures import (AtomicMeasure, Measure, integrate_to_one, log_powers,
-                       measure_nodes, poisson_integral, poisson_kernel_integral,
-                       restrict)
+from .logdomain import LOG_HUGE, logsumexp
+from .measures import (AtomicMeasure, Lebesgue, Measure, _log_poisson_kernel,
+                       log_powers, measure_nodes, poisson_integral, restrict)
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 64
 _FLUSH_LOG = math.log(1e-300)
+_S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
 
 
 class ConditioningError(RuntimeError):
@@ -275,26 +276,33 @@ class HsReport:
     expected_divergent_note: str | None
 
 
-def prop511_value(mu: Measure, q: float, rel_tol: float = 1e-10) -> float:
+def prop511_value(mu: Measure, q: float) -> float:
     """(integral_0^1 (integral dmu(t)/(1-st)^{2/q+1})^{q/2} ds)^{1/q}.
 
-    The inner integral is exact for atomic measures; the outer one runs on
-    panels refined toward s = 1.
+    Both integrals are log-domain sums over ``measure_nodes``: the outer
+    one over the Lebesgue nodes in u_s = 1 - s, refined toward s = 1 down
+    to the smallest atom distance (2**-40 for other measures), the inner one
+    over the nodes of mu, with 1 - st formed as u_s + s u_t.  For atoms the
+    inner sum is exact, and at q = 2 the square equals the Poisson integral.
+    The value is inf when the Poisson integral diverges.
     """
     if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    power = 2.0 / q + 1.0
+    if poisson_integral(mu).divergent:
+        return math.inf
     if isinstance(mu, AtomicMeasure) and not mu.is_empty:
         sharp = 1.0 / float(np.min(mu._deltas))
     else:
         sharp = 2.0 ** 40
-
-    def outer(s_arr: np.ndarray) -> np.ndarray:
-        return np.array([poisson_kernel_integral(mu, float(s), power) ** (q / 2.0)
-                         for s in s_arr])
-
-    val = integrate_to_one(outer, sharpness=sharp, rel_tol=rel_tol)
-    return val ** (1.0 / q)
+    log_t, w = measure_nodes(mu, sharpness=sharp)
+    log_s, w_s = measure_nodes(Lebesgue(), sharpness=sharp)
+    s, u_s = np.exp(log_s), -np.expm1(log_s)
+    log_outer = np.empty_like(log_s)
+    for k in range(0, len(log_s), _S_BLOCK):
+        blk = slice(k, k + _S_BLOCK)
+        log_outer[blk] = _log_poisson_kernel(log_t, w, s[blk], u_s[blk], 2.0 / q + 1.0)
+    log_val = logsumexp(np.log(w_s) + 0.5 * q * log_outer) / q
+    return math.inf if log_val > LOG_HUGE else math.exp(log_val)
 
 
 def hs_criteria(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,

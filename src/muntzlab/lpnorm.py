@@ -1,13 +1,14 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
 Pointwise values use per-term log magnitudes with compensated signed
-summation.  Norms against atomic measures are log-domain sums over the
-atoms x terms matrix and come back as a ``LogValue`` from ``log_lp_norm``;
-``lp_norm`` is its float edge, where a norm below the smallest subnormal
-reads 0.0.  Lebesgue-type norms are not log-domain sums yet: they add
-|f|**p in floats over dyadic panels whose depth follows the largest
-exponent (a monomial t**lam keeps its mass within O(1/lam) of t = 1, so
-fixed grids silently miss everything once lam is large).
+summation.  Norms come back as a ``LogValue`` from ``log_lp_norm``:
+against atoms, densities and restrictions they are log-domain sums over
+the nodes x terms matrix on ``measures.measure_nodes``; ``lp_norm`` is the
+float edge, where a norm below the smallest subnormal reads 0.0.  Lebesgue
+norms alone add |f|**p in floats over dyadic panels.  Both quadratures
+refine toward t = 1 to a depth that follows the largest exponent (a
+monomial t**lam keeps its mass within O(1/lam) of t = 1, so fixed grids
+silently miss everything once lam is large).
 """
 from __future__ import annotations
 
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LogValue, NeumaierSum, logsumexp, signed_logsumexp
-from .measures import (AtomicMeasure, DensityMeasure, Lebesgue, Measure,
-                       Restriction, integrate_interval, integrate_to_one,
-                       log_powers, measure_nodes)
+from .measures import (AtomicMeasure, Lebesgue, Measure, integrate_to_one, log_powers,
+                       measure_nodes)
 from .sequences import ExponentSequence, classify
 
 QUADRATURE_EXPONENT_LIMIT = 1.0e12
@@ -91,43 +91,31 @@ def _log_values(f: MuntzPolynomial, log_t: np.ndarray) -> np.ndarray:
 
 
 def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
-    """L^p(mu) norm as a LogValue: log-domain sums for atoms, quadrature else.
+    """L^p(mu) norm as a LogValue: a log-domain sum over the measure's nodes.
 
-    Atomic measures stay exact at any exponent: log|f(x_k)| is a signed
-    log-sum-exp over the atoms x terms matrix of log|a_j| + lam_j log x_k,
-    and the norm is (1/p) logsumexp(log m_k + p log|f(x_k)|), so a norm far
-    below the float range (t**1e13 at x = 1/2) keeps its logarithm.
-    Lebesgue, densities and their restrictions are panel quadratures of
-    |f|**p summed in floats, not log-domain sums yet: a norm whose p-th
-    power underflows comes back zero, and exponents beyond 1e12 are
-    refused (the panel count would be useless).
+    For every measure but Lebesgue, log|f(t_k)| is a signed log-sum-exp over
+    the nodes x terms matrix of log|a_j| + lam_j log t_k on ``measure_nodes``
+    and the norm is (1/p) logsumexp(log w_k + p log|f(t_k)|), so a norm far
+    below the float range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps
+    its logarithm; for atoms the sum is exact at any exponent.  Lebesgue
+    norms are the float quadrature ``integrate_to_one`` of |f|**p, where a
+    norm whose p-th power underflows comes back zero.  Exponents beyond
+    1e12 are refused on every non-atomic measure.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if isinstance(mu, AtomicMeasure):
-        log_x, mass = measure_nodes(mu, sharpness=p * f.max_exponent)
-        with np.errstate(divide="ignore"):
-            log_pth = logsumexp(np.log(mass) + p * _log_values(f, log_x))
-        return LogValue.from_log(log_pth / p)
-    if f.max_exponent > QUADRATURE_EXPONENT_LIMIT:
+    if not isinstance(mu, AtomicMeasure) and f.max_exponent > QUADRATURE_EXPONENT_LIMIT:
         raise ValueError(
             f"max exponent {f.max_exponent:.3e} exceeds the quadrature limit "
             f"{QUADRATURE_EXPONENT_LIMIT:.0e}; use an atomic measure or closed forms")
     sharp = p * max(f.max_exponent, 1.0)
     if isinstance(mu, Lebesgue):
         val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p, sharp)
-    elif isinstance(mu, DensityMeasure):
-        val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.g(1.0 - t),
-                               sharp)
-    elif isinstance(mu, Restriction):
-        if isinstance(mu.base, DensityMeasure):
-            fn = lambda t: np.abs(_eval_poly_array(f, t)) ** p * mu.base.g(1.0 - t)
-        else:
-            fn = lambda t: np.abs(_eval_poly_array(f, t)) ** p
-        val = integrate_interval(fn, mu.a, mu.b, sharp)
-    else:
-        raise TypeError(f"not a measure: {mu!r}")
-    return LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
+        return LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
+    log_t, w = measure_nodes(mu, sharpness=sharp)
+    with np.errstate(divide="ignore"):
+        log_pth = logsumexp(np.log(w) + p * _log_values(f, log_t))
+    return LogValue.from_log(log_pth / p)
 
 
 def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:

@@ -1,10 +1,15 @@
 """Finite positive measures on [0,1) and their structural functionals.
 
-Supported variants: Lebesgue, finite atomic lists, built-in densities with
-panel quadrature, and interval restrictions of these.  Atoms are stored as
+Supported variants: Lebesgue, finite atomic lists, built-in densities and
+interval restrictions of these.  Every measure is represented by one set
+of quadrature nodes in u = 1 - t (``measure_nodes``): atoms are stored as
 delta = 1 - x, never as x, so positions like x = 1 - 1e-30 keep full
 precision (x itself would round to 1.0 and the mass would silently land on
-the forbidden point t = 1).
+the forbidden point t = 1), and the other measures get panels in u.
+Integrals against a measure are log-sum-exps over those nodes; closed
+forms (Lebesgue moments and kernels, the Poisson integral of a density
+reaching t = 1) stay as the exact special cases they are.  The one other
+quadrature is ``integrate_to_one``, float panels in t for Lebesgue norms.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from .logdomain import LogValue, NeumaierSum, logsumexp
 
 GL_ORDER = 24
 DEFAULT_REL_TOL = 1e-12
+_MAX_DEPTH = 53
 
 
 # ---------------------------------------------------------------------------
@@ -44,56 +50,38 @@ def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), w / (w.sum() * (alpha + 1.0))
 
 
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              order: int = GL_ORDER) -> float:
-    x, w = _gl_nodes(order)
+def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    x, w = _gl_nodes(GL_ORDER)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
-                     lo: float = 0.0, rel_tol: float = DEFAULT_REL_TOL,
-                     max_depth: int = 160) -> float:
-    """Integrate f over [lo, 1] on dyadic panels refined toward t = 1.
+def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
+    """Integrate f over [0, 1] on dyadic t-panels refined toward t = 1.
 
-    The integrand is evaluated only at interior Gauss nodes (never at 1),
-    so bounded integrands on [0,1) are fine.  ``sharpness`` is the scale of
-    the fastest variation near 1 (for t**a that is a); the panel depth is
-    at least log2(sharpness) + 8 and deepens until the closing panel's
-    contribution is below rel_tol of the running total.
+    The float-valued quadrature of Lebesgue L^p norms; every other integral
+    against a measure is a sum over ``measure_nodes``.  ``sharpness`` is the
+    scale of the fastest variation near 1 (for t**a that is a); the panel
+    depth is at least log2(sharpness) + 8 and deepens until the closing
+    panel's contribution is below DEFAULT_REL_TOL of the running total.  No
+    float t lies strictly between 1 - 2**-53 and 1, so the depth stops at
+    53 and the closing panel is never evaluated at t = 1.
     """
-    if not 0.0 <= lo < 1.0:
-        raise ValueError(f"lower bound must be in [0,1), got {lo}")
-    depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), max_depth)
-    gap = 1.0 - lo
+    depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
     while True:
         acc = NeumaierSum()
-        left = lo
+        left = 0.0
         for j in range(1, depth + 1):
-            right = 1.0 - gap * 2.0 ** (-j)
-            if right > left:
-                acc.add(_gl_panel(f, left, right))
-                left = right
+            right = 1.0 - 2.0 ** (-j)
+            acc.add(_gl_panel(f, left, right))
+            left = right
         closing = _gl_panel(f, left, 1.0)
         acc.add(closing)
         total = acc.total
-        if abs(closing) <= rel_tol * max(abs(total), 1e-300) or depth >= max_depth:
+        if abs(closing) <= DEFAULT_REL_TOL * max(abs(total), 1e-300) or depth >= _MAX_DEPTH:
             return total
-        depth = min(max_depth, depth + 16)
-
-
-def integrate_interval(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       sharpness: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Integrate over [lo, hi]; refines toward 1 only when hi == 1."""
-    if hi == 1.0:
-        return integrate_to_one(f, sharpness, lo=lo, rel_tol=rel_tol)
-    n_panels = 16
-    acc = NeumaierSum()
-    edges = np.linspace(lo, hi, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        acc.add(_gl_panel(f, float(a), float(b)))
-    return acc.total
+        depth = min(_MAX_DEPTH, depth + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -354,48 +342,48 @@ class PoissonResult:
 
     value: LogValue | None
     divergent: bool
-    method: str  # "exact" | "heuristic"
 
 
 def poisson_integral(mu: Measure) -> PoissonResult:
-    if isinstance(mu, Lebesgue):
-        return PoissonResult(None, True, "exact")
-    if isinstance(mu, Restriction) and mu.b < 1.0 and isinstance(mu.base, Lebesgue):
-        val = math.log((1.0 - mu.a) / (1.0 - mu.b))
-        return PoissonResult(LogValue.from_float(val), False, "exact")
-    if isinstance(mu, AtomicMeasure) or (isinstance(mu, Restriction) and mu.b < 1.0):
-        # sum of w / u over the nodes, u = 1 - t bounded away from 0
+    """Integral of 1/(1-t) against mu, exact on every branch.
+
+    A measure reaching t = 1 has density scale * u**alpha near u = 1 - t = 0
+    (alpha = 0 for Lebesgue), so the integral over [a, 1) is the closed form
+    scale * (1-a)**alpha / alpha, divergent when alpha <= 0.  Atoms and
+    restrictions ending at b < 1 sum w/u over ``measure_nodes``, where
+    u >= 1 - b is bounded away from 0.
+    """
+    if isinstance(mu, AtomicMeasure) or isinstance(mu, Restriction) and mu.b < 1.0:
         log_t, w = measure_nodes(mu, sharpness=1.0)
         log_val = logsumexp(np.log(w) - np.log(-np.expm1(log_t)))
-        return PoissonResult(LogValue.from_log(log_val), False, "exact")
-    # density reaching t=1: dyadic panel sums decide convergence
-    base = mu.base if isinstance(mu, Restriction) else mu
-    lo = mu.a if isinstance(mu, Restriction) else 0.0
-    fn = lambda t: base.g(1.0 - t) / (1.0 - t)
-    gap = 1.0 - lo
-    panel_sums = []
-    left = lo
-    for j in range(1, 51):
-        right = 1.0 - gap * 2.0 ** (-j)
-        if right > left:
-            panel_sums.append(_gl_panel(fn, left, right))
-            left = right
-    tail = panel_sums[-5:]
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
-    if not ratios or max(ratios) >= 0.95:
-        return PoissonResult(None, True, "heuristic")
-    rho = max(ratios)
-    total = math.fsum(panel_sums) + panel_sums[-1] * rho / (1.0 - rho)
-    return PoissonResult(LogValue.from_float(total), False, "heuristic")
+        return PoissonResult(LogValue.from_log(log_val), False)
+    base, lo = (mu.base, mu.a) if isinstance(mu, Restriction) else (mu, 0.0)
+    density = DensityMeasure("uniform") if isinstance(base, Lebesgue) else base
+    alpha = density.exponent
+    if alpha <= 0.0:
+        return PoissonResult(None, True)
+    log_val = math.log(density.scale) + alpha * math.log1p(-lo) - math.log(alpha)
+    return PoissonResult(LogValue.from_log(log_val), False)
+
+
+def _log_poisson_kernel(log_t: np.ndarray, w: np.ndarray, s: np.ndarray,
+                        u_s: np.ndarray, power: float) -> np.ndarray:
+    """log of sum_k w_k (1 - s t_k)**(-power) for each s, given u_s = 1 - s.
+
+    1 - s t is formed as u_s + s u_t with u_t = 1 - t, so neither factor
+    loses precision near s = 1 or t = 1.
+    """
+    base = np.asarray(u_s)[..., None] + np.multiply.outer(s, -np.expm1(log_t))
+    with np.errstate(divide="ignore"):
+        return logsumexp(np.log(w) - power * np.log(base), axis=-1)
 
 
 def poisson_kernel_integral(mu: Measure, s: float, power: float) -> float:
     """Integral of (1 - s t)**(-power) against mu, for s in [0,1].
 
     Closed form for Lebesgue, where s = 1 and power >= 1 diverge to inf.
-    Every other measure sums over ``measure_nodes``, with 1 - s t written
-    as (1-s) + s*u, u = 1 - t, to keep precision near t = 1; for atoms
-    that sum is exact.
+    Every other measure is ``_log_poisson_kernel`` over ``measure_nodes``;
+    for atoms that sum is exact.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0,1], got {s}")
@@ -408,20 +396,22 @@ def poisson_kernel_integral(mu: Measure, s: float, power: float) -> float:
             return -math.log1p(-s) / s
         return ((1.0 - s) ** (1.0 - power) - 1.0) / (s * (power - 1.0))
     log_t, w = measure_nodes(mu, sharpness=1.0 / max(1.0 - s, 1e-15))
-    total = logsumexp(np.log(w) - power * np.log((1.0 - s) - s * np.expm1(log_t)))
+    total = float(_log_poisson_kernel(log_t, w, s, 1.0 - s, power))
     return math.inf if total > 709.0 else math.exp(total)
 
 
 def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     """(log t, weight) pairs so that integral f dmu ~= sum w_i f(t_i).
 
-    Atoms map to themselves (weights = masses, log t = log1p(-delta)).
-    Lebesgue, densities and their restrictions get Gauss-Legendre panels
-    in u = 1 - t, with log t = log1p(-u) and density weights taken at u,
-    so no node lands on t = 1.  Toward u = 0 the panels halve until finer
-    than 1/sharpness; the closing panel [0, eps] is a Gauss-Jacobi rule for
-    the density's factor u**alpha, exact even where that is singular.  A
-    restriction ending below t = 1 gets 16 equal panels.
+    The one node generator behind every integral against a measure other
+    than Lebesgue's L^p norms.  Atoms map to themselves (weights = masses,
+    log t = log1p(-delta)).  Lebesgue, densities and their restrictions to
+    [a, b) get Gauss-Legendre panels in u = 1 - t, with log t = log1p(-u)
+    and density weights taken at u, so no node lands on t = 1.  The panels
+    halve toward the right end u = 1 - b until finer than 1/sharpness of
+    the support and than 1 - b itself; the closing panel is a Gauss-Jacobi
+    rule for the density's factor u**alpha where it reaches u = 0 (exact
+    even where that is singular), and a Gauss-Legendre one otherwise.
     """
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._masses.copy()
@@ -433,20 +423,22 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
         raise TypeError(f"not a measure: {mu!r}")
     density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
     xg, wg = _gl_nodes(GL_ORDER)
-    if hi < 1.0:
-        edges = np.linspace(1.0 - hi, 1.0 - lo, 17)
-    else:
-        depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
-        edges = (1.0 - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
+    u_end = 1.0 - hi
+    if u_end > 0.0:
+        # u**alpha and 1/u vary on the scale u_end near the right end
+        sharpness = max(sharpness, (hi - lo) / u_end)
+    depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
+    edges = u_end + (hi - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
     left, right = edges[:-1, None], edges[1:, None]
     u = (0.5 * (left + right) + 0.5 * (right - left) * xg).ravel()
     w = (0.5 * (right - left) * wg).ravel() * density.g(u)
-    if hi == 1.0:
-        eps, alpha = edges[0], density.exponent
-        s, ws = _gauss_jacobi(alpha)
-        u = np.concatenate([eps * s, u])
-        w = np.concatenate([density.scale * eps ** (alpha + 1.0) * ws, w])
-    return np.log1p(-u), w
+    # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre
+    alpha = density.exponent if u_end == 0.0 else 0.0
+    s, ws = _gauss_jacobi(alpha)
+    eps = edges[0] - u_end
+    u_close = u_end + eps * s
+    w_close = density.scale * u_close ** (density.exponent - alpha) * eps ** (alpha + 1.0) * ws
+    return np.log1p(-np.concatenate([u_close, u])), np.concatenate([w_close, w])
 
 
 def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:

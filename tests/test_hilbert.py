@@ -246,6 +246,17 @@ class TestHsCriteria:
         pois = poisson_integral(GEOM_ATOMS).value.to_float()
         assert got ** 2 == pytest.approx(pois, abs=1e-8)
 
+    @pytest.mark.parametrize("mu,poisson", [
+        (GEOM_ATOMS, 1.0 - 2.0 ** -30),                   # sum of m/delta = sum of 2**-k
+        (atoms([(1e-12, 1.0), (0.5, 1.0)]), 1e12 + 2.0),
+    ], ids=["geometric", "near-one"])
+    def test_fubini_identity_to_rounding(self, mu, poisson):
+        assert prop511_value(mu, 2.0) ** 2 == pytest.approx(poisson, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
+    def test_infinite_when_poisson_diverges(self, q):
+        assert prop511_value(DensityMeasure("uniform"), q) == math.inf
+
     def test_report_fields(self):
         rep = hs_criteria(GEO, GEOM_ATOMS, 12, q_values=(2.0, 4.0))
         assert not rep.poisson_divergent

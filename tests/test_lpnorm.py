@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from muntzlab.lpnorm import (MuntzPolynomial, amgm_probe, eval_poly,
                              gm_ratio_sample, l2_norm_gram, log_lp_norm,
                              lp_norm, pairing_integral)
-from muntzlab.measures import Lebesgue, atoms, restrict
+from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 16)
@@ -94,6 +94,19 @@ class TestLpNorm:
         empty = restrict(mu, 0.0, 0.1)
         assert lp_norm(f, empty, 3.0) == 0.0
         assert log_lp_norm(f, empty, 3.0).is_zero
+
+    def test_singular_density(self):
+        # integral of t**2 (1-t)**-0.5 dt = B(3, 1/2) = 16/15
+        f = MuntzPolynomial(ExponentSequence((1.0,)), (1.0,))
+        mu = DensityMeasure("oneminus_power", alpha=-0.5)
+        assert lp_norm(f, mu, 2.0) ** 2 == pytest.approx(16 / 15, rel=1e-13)
+
+    def test_restriction_norm_below_exp_underflow(self):
+        # ||t**1000||_2 on [0, 1/2): its square 0.5**2001 / 2001 underflows
+        f = MuntzPolynomial(ExponentSequence((1000.0,)), (1.0,))
+        got = log_lp_norm(f, restrict(Lebesgue(), 0.0, 0.5), 2.0)
+        assert got.log == pytest.approx(0.5 * (2001 * math.log(0.5) - math.log(2001)),
+                                        rel=1e-14)
 
     @given(st.floats(min_value=-100.0, max_value=100.0))
     @settings(max_examples=30)

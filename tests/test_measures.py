@@ -93,12 +93,17 @@ class TestMoment:
             ref = 2 * mpmath.beta(a + 1, alpha + 1)
             assert moment(mu, a).to_float() == pytest.approx(float(ref), rel=1e-12)
 
-    @pytest.mark.parametrize("lo,hi", [(0.5, 1.0), (0.25, 0.75)])
+    @pytest.mark.parametrize("lo,hi", [(0.5, 1.0), (0.25, 0.75), (0.3, 1.0 - 1e-10)])
     def test_density_restriction_against_mpmath(self, lo, hi):
         mu = restrict(DensityMeasure("oneminus_power", alpha=-0.5), lo, hi)
         for a in (0.0, 3.0, 40.0):
             ref = mpmath.betainc(a + 1, 0.5, lo, hi)
             assert moment(mu, a).to_float() == pytest.approx(float(ref), rel=1e-12)
+
+    def test_interior_restriction_at_large_exponent(self):
+        # t**1e5 on [0, 1/2) lives within 1e-5 of the right end t = 1/2
+        got = moment(restrict(DensityMeasure("uniform"), 0.0, 0.5), 1e5)
+        assert got.log == pytest.approx(100001 * math.log(0.5) - math.log(100001), rel=1e-14)
 
     def test_restriction_of_lebesgue_exact(self):
         mu = restrict(Lebesgue(), 0.0, 0.5)
@@ -196,12 +201,25 @@ class TestPoisson:
 
     def test_uniform_density_divergent_heuristic(self):
         res = poisson_integral(DensityMeasure("uniform"))
-        assert res.divergent and res.method == "heuristic"
+        assert res.divergent
 
     def test_integrable_density_converges(self):
         res = poisson_integral(DensityMeasure("oneminus_power", alpha=0.75))
         assert not res.divergent
-        assert res.value.to_float() == pytest.approx(1 / 0.75, rel=1e-3)
+        assert res.value.to_float() == pytest.approx(1 / 0.75, rel=1e-14)
+
+    def test_slowly_integrable_density_closed_form(self):
+        res = poisson_integral(DensityMeasure("oneminus_power", alpha=0.05))
+        assert not res.divergent
+        assert res.value.to_float() == pytest.approx(20.0, rel=1e-14)
+
+    def test_restricted_density_closed_form(self):
+        res = poisson_integral(restrict(DensityMeasure("oneminus_power", scale=3.0, alpha=0.5),
+                                        0.75, 1.0))
+        assert res.value.to_float() == pytest.approx(3.0, rel=1e-14)
+
+    def test_lebesgue_tail_restriction_divergent(self):
+        assert poisson_integral(restrict(Lebesgue(), 0.5, 1.0)).divergent
 
     def test_interior_restriction_exact(self):
         res = poisson_integral(restrict(Lebesgue(), 0.0, 0.5))

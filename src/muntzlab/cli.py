@@ -2,15 +2,21 @@
 
 Check statuses make the finite/infinite divide explicit: exact inequalities
 with explicit constants are PASS/FAIL; trend or constant-free equivalence
-checks are EVIDENCE (finite data can exhibit them, never prove them).
-Exit code 0 means no FAIL, 1 means some FAIL, 2 means usage error.  Output
-is deterministic for fixed inputs and seed up to the ``generated_unix``
-timestamp field.
+checks are EVIDENCE (finite data can exhibit them, never prove them); UNMET
+marks a theorem hypothesis the inputs do not satisfy, and the claims that
+rest on it are then reported as EVIDENCE.  Exit code 0 means no FAIL, 1
+means some FAIL, 2 means usage error.  For fixed inputs and seed the output
+is byte-identical; ``--timestamp`` adds a ``generated_unix`` field.
+
+``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
+their suites one store of D_n profiles (``_dn_store``), so a profile that
+several suites read is computed once per command.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -28,6 +34,7 @@ from . import measures as measures_mod
 from . import sequences as sequences_mod
 
 SCHEMA = "muntzlab-report/1"
+STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
 
 SUITE_IDS = (
     "basis",              # frame bracket + coefficient-norm equivalence sampling
@@ -42,6 +49,7 @@ SUITE_IDS = (
     "hs",                 # Hilbert-Schmidt: spectra vs integral criteria
     "ex-a", "ex-b",       # the two extremal constructions
 )
+_NO_SEQ_SUITES = ("crossterm-bound", "ex-a", "ex-b")
 
 
 class UsageError(ValueError):
@@ -168,7 +176,8 @@ def _sanitize(obj):
 
 
 def _emit(payload: dict, args, default_name: str) -> None:
-    payload = {"schema": SCHEMA, "generated_unix": time.time(), **payload}
+    stamp = {"generated_unix": time.time()} if args.timestamp else {}
+    payload = {"schema": SCHEMA, **stamp, **payload}
     text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         out_dir = Path(args.out)
@@ -203,11 +212,31 @@ def _exit_code(checks: list[dict]) -> int:
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
 
+def _dn_store(seq, tol: float):
+    """compute_dn of one command, cached per (measure, weight, n_count).
+
+    The cache belongs to the returned closure, which lives for one command:
+    a process that runs several commands recomputes each one's profiles, as
+    separate CLI runs do.
+    """
+    @functools.cache
+    def profile(mu, weight, n_count: int):
+        return dnp_mod.compute_dn(seq, mu, weight, n_count=n_count, tol=tol)
+    return profile
+
+
+def _chain_margin(sigma, rearranged) -> float:
+    """min_k (D*_k - sigma_{k+1}); the chain sigma_{k+1} <= D*_k holds when it
+    is >= -1e-9.  D* is the decreasing rearrangement of the D_n(2) prefix,
+    which bounds the truncated synthesis operator."""
+    return min(d - s for d, s in zip(rearranged, sigma))
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
-def suite_basis(seq, mu, p, n, seed, tol) -> list[dict]:
+def suite_basis(seq, p, n, seed, dn) -> list[dict]:
     checks = []
     sample = lpnorm.gm_ratio_sample(seq, p, mu=None, trials=100, seed=seed,
                                     n_count=min(n, len(seq)))
@@ -219,9 +248,8 @@ def suite_basis(seq, mu, p, n, seed, tol) -> list[dict]:
     checks.append(check("canonical-vectors-normalized", "lpnorm.gm_ratio_sample",
                         "PASS" if ok else "FAIL",
                         min_ratio=single.min_ratio, max_ratio=single.max_ratio))
-    profile = dnp_mod.compute_dn(seq, measures_mod.Lebesgue(),
-                                 dnp_mod.WeightScheme("inverse_lambda", p),
-                                 n_count=min(n, len(seq)), tol=tol)
+    profile = dn(measures_mod.Lebesgue(), dnp_mod.WeightScheme("inverse_lambda", p),
+                 min(n, len(seq)))
     ob = dnp_mod.operator_bounds(profile, measures_mod.Lebesgue(), seq)
     checks.append(check("lebesgue-diagonal-bounded", "dnp.compute_dn", "EVIDENCE",
                         sup=ob.sup_dn, trailing_max=ob.limsup_estimate,
@@ -233,14 +261,14 @@ def suite_basis(seq, mu, p, n, seed, tol) -> list[dict]:
     return checks
 
 
-def suite_isometry(seq, mu, p, n, eps) -> list[dict]:
+def suite_isometry(seq, p, n, eps) -> list[dict]:
     checks = []
     r_eps = bounds_mod.r_epsilon(p, eps)
     q_seq = [p * l + 1.0 for l in seq]
     ratios = [b / a for a, b in zip(q_seq, q_seq[1:])]
     hyp = min(ratios) >= r_eps
     checks.append(check("shifted-ratio-meets-threshold", "bounds.r_epsilon",
-                        "PASS" if hyp else "FAIL",
+                        "PASS" if hyp else "UNMET",
                         r_epsilon=r_eps, min_shifted_ratio=min(ratios)))
     if p == 2.0:
         fb = hilbert.frame_bounds(seq, min(n, len(seq)))
@@ -253,7 +281,7 @@ def suite_isometry(seq, mu, p, n, eps) -> list[dict]:
                                         n_count=min(n, len(seq)))
         ok = (1.0 - eps) <= sample.min_ratio and sample.max_ratio <= (1.0 + eps)
         checks.append(check("sampled-ratios-within-eps", "lpnorm.gm_ratio_sample",
-                            "EVIDENCE" if ok else "FAIL",
+                            "FAIL" if hyp and not ok else "EVIDENCE",
                             min_ratio=sample.min_ratio, max_ratio=sample.max_ratio, eps=eps))
     return checks
 
@@ -303,22 +331,22 @@ def suite_crossterm(p_values, alphas_mode, r_values, count) -> list[dict]:
     return checks
 
 
-def suite_diagonal(seq, mu, n, seed, tol) -> list[dict]:
+def suite_diagonal(seq, mu, n, seed, dn) -> list[dict]:
     checks = []
-    spec = hilbert.t_mu_spectrum(seq, mu, min(n, len(seq)))
+    n = min(n, len(seq))
+    spec = hilbert.t_mu_spectrum(seq, mu, n)
+    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), n)
+    ob = dnp_mod.operator_bounds(profile, mu, seq)
+    margin = _chain_margin(spec.singular_values, ob.rearranged)
     checks.append(check("singular-values-below-rearranged-profile",
                         "hilbert.t_mu_spectrum",
-                        "PASS" if spec.extras["chain_ok"] else "FAIL",
-                        margin=spec.extras["chain_margin"],
-                        tails_safe=spec.extras["chain_tail_safe"]))
+                        "PASS" if margin >= -1e-9 else "FAIL",
+                        margin=margin, tails_safe=profile.all_safe))
     hs = spec.schatten[2.0]
     trace = spec.extras["trace"]
     ok = abs(hs ** 2 - trace) <= 1e-10 * max(trace, 1e-300)
     checks.append(check("hilbert-schmidt-equals-trace", "hilbert.t_mu_spectrum",
                         "PASS" if ok else "FAIL", hs_squared=hs ** 2, trace=trace))
-    profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
-                                 n_count=min(n, len(seq)), tol=tol)
-    ob = dnp_mod.operator_bounds(profile, mu, seq)
     for r in (1.0, 2.0, 4.0):
         ok = spec.schatten[r] <= ob.schatten[r] + 1e-9
         checks.append(check(f"schatten-bound-r={r:g}", "dnp.operator_bounds",
@@ -358,7 +386,7 @@ def suite_blocksum(seq, p) -> list[dict]:
     return checks
 
 
-def suite_carleson(seq, mu, p, q_list, n, tol) -> list[dict]:
+def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
     checks = []
     cls = sequences_mod.classify(seq)
     m_vals = [l * measures_mod.moment(mu, p * l).to_float() for l in seq]
@@ -378,15 +406,13 @@ def suite_carleson(seq, mu, p, q_list, n, tol) -> list[dict]:
     for q in q_list:
         if q <= p:
             continue
-        profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", q),
-                                     n_count=len(seq), tol=tol)
+        profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", q), len(seq))
         checks.append(check(f"diagonal-profile-finite-q={q:g}", "dnp.compute_dn",
                             "EVIDENCE", sup=max(profile.values),
                             tails_safe=profile.all_safe))
     if p == 2.0 or 2.0 in q_list:
         spec = hilbert.t_mu_spectrum(seq, mu, min(n, len(seq)))
-        profile2 = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
-                                      n_count=min(n, len(seq)), tol=tol)
+        profile2 = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), min(n, len(seq)))
         ok = spec.sigma_max <= max(profile2.values) + 1e-9
         checks.append(check("synthesis-norm-below-sup-profile", "hilbert.t_mu_spectrum",
                             "PASS" if ok else "FAIL",
@@ -398,10 +424,9 @@ def suite_carleson(seq, mu, p, q_list, n, tol) -> list[dict]:
     return checks
 
 
-def suite_compact(seq, mu, n, tol) -> list[dict]:
+def suite_compact(seq, mu, n, dn) -> list[dict]:
     checks = []
-    profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 1.0),
-                                 n_count=len(seq), tol=tol)
+    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 1.0), len(seq))
     vals = profile.values
     half = vals[len(vals) // 2:]
     decaying = all(b <= a * 1.001 for a, b in zip(half, half[1:])) and half[-1] < half[0]
@@ -426,7 +451,7 @@ def suite_compact(seq, mu, n, tol) -> list[dict]:
     return checks
 
 
-def suite_hs(seq, mu, n, q_list) -> list[dict]:
+def suite_hs(seq, mu, n, q_list, dn) -> list[dict]:
     checks = []
     report = hilbert.hs_criteria(seq, mu, min(n, len(seq)),
                                  q_values=tuple(q_list) or (2.0,))
@@ -442,8 +467,7 @@ def suite_hs(seq, mu, n, q_list) -> list[dict]:
                                 "hilbert.prop511_value", "EVIDENCE",
                                 kernel_sq=kernel_sq, poisson=report.poisson_value,
                                 note="value beyond float range at this scale"))
-    profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
-                                 n_count=len(seq))
+    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq))
     bound_sq = math.fsum(v ** 2 for v in profile.values)
     ok = report.hs_synthesis ** 2 <= bound_sq + 1e-9
     checks.append(check("synthesis-hs-below-profile-l2", "hilbert.hs_criteria",
@@ -609,7 +633,10 @@ def _cmd_spectrum(args) -> int:
                    "schatten": {f"{r:g}": v for r, v in spec.schatten.items()},
                    "drift": spec.drift}
         if args.operator == "synthesis":
-            payload["chain_ok"] = spec.extras["chain_ok"]
+            profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
+                                         n_count=n, tol=args.tol)
+            rearranged = dnp_mod.decreasing_rearrangement(profile.values)
+            payload["chain_ok"] = _chain_margin(spec.singular_values, rearranged) >= -1e-9
     _emit({"command": "spectrum", "inputs": {"seq": args.seq, "N": args.N}, **payload},
           args, "spectrum")
     return 0
@@ -640,14 +667,21 @@ def _cmd_example(args) -> int:
     return 1 if any(c.status == "FAIL" for c in report.checks) else 0
 
 
-def _run_suite(suite: str, args) -> list[dict]:
-    need_seq = suite not in ("crossterm-bound", "ex-a", "ex-b")
+def _command_inputs(args, suites):
+    """The sequence (None when no suite reads one), the measure and the D_n
+    store that every suite of one command shares."""
+    need_seq = any(s not in _NO_SEQ_SUITES for s in suites)
     seq = parse_sequence(args.seq) if need_seq else None
     mu = parse_measure(args.measure) if args.measure else measures_mod.Lebesgue()
+    return seq, mu, _dn_store(seq, args.tol)
+
+
+def _run_suite(suite: str, args, inputs) -> list[dict]:
+    seq, mu, dn = inputs
     if suite == "basis":
-        return suite_basis(seq, mu, args.p, args.N, args.seed, args.tol)
+        return suite_basis(seq, args.p, args.N, args.seed, dn)
     if suite == "isometry-threshold":
-        return suite_isometry(seq, mu, args.p, args.N, args.eps)
+        return suite_isometry(seq, args.p, args.N, args.eps)
     if suite == "pairing-dichotomy":
         return suite_pairing(seq, args.p)
     if suite == "envelope":
@@ -655,15 +689,15 @@ def _run_suite(suite: str, args) -> list[dict]:
     if suite == "crossterm-bound":
         return suite_crossterm([1.5, 2.0, 3.0, 5.0], "auto", [2.0, 4.0, 16.0], 30)
     if suite == "diagonal-domination":
-        return suite_diagonal(seq, mu, args.N, args.seed, args.tol)
+        return suite_diagonal(seq, mu, args.N, args.seed, dn)
     if suite == "blocksum-probe":
         return suite_blocksum(seq, args.p)
     if suite == "carleson":
-        return suite_carleson(seq, mu, args.p, args.q, args.N, args.tol)
+        return suite_carleson(seq, mu, args.p, args.q, args.N, dn)
     if suite == "compact":
-        return suite_compact(seq, mu, args.N, args.tol)
+        return suite_compact(seq, mu, args.N, dn)
     if suite == "hs":
-        return suite_hs(seq, mu, args.N, args.q)
+        return suite_hs(seq, mu, args.N, args.q, dn)
     if suite == "ex-a":
         return suite_example("A", args.p, args.count, args.q or [args.p, args.p + 1.0])
     if suite == "ex-b":
@@ -672,14 +706,14 @@ def _run_suite(suite: str, args) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    checks = _run_suite(args.suite, args)
+    checks = _run_suite(args.suite, args, _command_inputs(args, [args.suite]))
     payload = {"command": "verify", "suite": args.suite,
                "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
                           "q": list(args.q), "N": args.N, "eps": args.eps,
                           "count": args.count, "seed": args.seed, "tol": args.tol},
                "checks": checks,
                "summary": {s: sum(1 for c in checks if c["status"] == s)
-                           for s in ("PASS", "FAIL", "EVIDENCE")}}
+                           for s in STATUSES}}
     _emit(payload, args, f"verify-{args.suite}")
     return _exit_code(checks)
 
@@ -687,10 +721,11 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     if not args.out:
         raise UsageError("report needs --out DIRECTORY")
+    inputs = _command_inputs(args, args.suites)
     all_checks = []
     index = []
     for suite in args.suites:
-        checks = _run_suite(suite, args)
+        checks = _run_suite(suite, args, inputs)
         all_checks.extend(checks)
         payload = {"command": "verify", "suite": suite, "checks": checks}
         _emit(payload, args, f"verify-{suite}")
@@ -721,6 +756,8 @@ def _add_common(sp, seq=True, measure=True):
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--out", default=None, help="directory for report files")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--timestamp", action="store_true",
+                    help="add a generated_unix field to JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:

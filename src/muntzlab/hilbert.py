@@ -11,11 +11,16 @@ surfaces as a ConditioningError naming the index instead of being masked.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.
+
+This module computes spectra only.  Comparisons with the diagonal-domination
+profile D_n(2) of ``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten and
+Hilbert-Schmidt bounds) are made by the callers that report them, from a
+profile they compute once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,28 +178,16 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATIO
                   schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0)) -> SpectralResult:
     """Singular values of the truncated synthesis operator with weights 1/lam.
 
-    extras carries the trace of its Gram (the squared Frobenius norm of the
-    factor) and the diagonal-domination chain check: the (k+1)-st
-    singular value against the k-th entry of the decreasing rearrangement
-    of the D_n(2) prefix.  The prefix rearrangement genuinely bounds the
-    truncated operator; ``chain_tail_safe`` reports whether the inner
-    series cutoffs were trustworthy.
+    The operator is the synthesis factor sqrt(w) t**lam_j sqrt(lam_j) on the
+    nodes of mu, so its Gram is ``build_t_mu_matrix``.  extras carries the
+    count of flushed factor entries and the trace of the Gram (the squared
+    Frobenius norm of the factor), which the Hilbert-Schmidt norm must equal.
+    The D_n(2) profile that bounds these singular values is not computed
+    here; see ``dnp.compute_dn`` and ``dnp.operator_bounds``.
     """
-    from .dnp import WeightScheme, compute_dn, decreasing_rearrangement
-
     a, flushed = _synthesis_factor(seq, mu, n)
-    profile = compute_dn(seq, mu, WeightScheme("inverse_lambda", 2.0), n_count=n)
-    dstar = decreasing_rearrangement(profile.values)
-    spec = _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m], schatten_r, {})
-    margins = [dstar[k] - spec.singular_values[k] for k in range(n)]
-    return replace(spec, extras={
-        "flushed": flushed,
-        "trace": float(np.sum(a * a)),
-        "dn_rearranged": dstar,
-        "chain_ok": all(m >= -1e-9 for m in margins),
-        "chain_margin": min(margins),
-        "chain_tail_safe": profile.all_safe,
-    })
+    return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m], schatten_r,
+                            {"flushed": flushed, "trace": float(np.sum(a * a))})
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
-from muntzlab.cli import run
+import pytest
+
+import muntzlab
+from muntzlab import dnp as dnp_mod
+from muntzlab.cli import SUITE_IDS, run
 
 
 def test_conditioning_error_exits_2_with_pivot(capsys):
@@ -45,7 +50,146 @@ def test_compact_suite_on_lebesgue_tail_file(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    out = subprocess.run([sys.executable, "-m", "muntzlab", "--help"], env=dict(os.environ),
+    # the child imports the same package as this test, wherever pytest found it
+    src = str(Path(muntzlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "muntzlab", "--help"],
+                         env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert "usage: muntzlab" in out.stdout
+
+
+# small inputs shared by the per-suite tests: each suite runs in well under a second
+SMALL_ATOMS = "atoms:0.5:1,0.1:0.5,0.001:0.25"
+SMALL = ["--seq", "geometric:1,2,8", "--N", "8", "--measure", SMALL_ATOMS, "--count", "12"]
+_CROSSTERM = [f"crossterm-p={p}-alpha={a}-r={r}"
+              for p, alphas in (("1.5", ("2", "1")), ("2", ("1", "1")),
+                                ("3", ("0.5", "1")), ("5", ("0.25", "1")))
+              for a in alphas for r in ("2", "4", "16")]
+SUITE_CHECKS = {
+    "basis": ["ratio-sample-bracket", "canonical-vectors-normalized",
+              "lebesgue-diagonal-bounded", "frame-bracket"],
+    "isometry-threshold": ["shifted-ratio-meets-threshold", "frame-within-eps"],
+    "pairing-dichotomy": ["pairing-above-lower-bound", "pairing-trend"],
+    "envelope": [f"envelope-{kind}-alpha={a}" for a in ("0.5", "1", "2")
+                 for kind in ("positive-finite", "bracket")],
+    "crossterm-bound": _CROSSTERM,
+    "diagonal-domination": ["singular-values-below-rearranged-profile",
+                            "hilbert-schmidt-equals-trace", "schatten-bound-r=1",
+                            "schatten-bound-r=2", "schatten-bound-r=4",
+                            "random-vector-domination"],
+    "blocksum-probe": ["block-lower-bound-growth"],
+    "carleson": ["monomial-test-constant", "sublinear-norm", "sublinear-vs-monomial-test",
+                 "synthesis-norm-below-sup-profile", "embedding-norm"],
+    "compact": ["monomial-test-decay", "vanishing-profile", "restriction-spectrum-trend",
+                "order-boundedness-integral"],
+    "hs": ["kernel-double-integral-matches-poisson", "synthesis-hs-below-profile-l2",
+           "hs-three-way"],
+    "ex-a": ["atom-power-approaches-1-over-n", "monomial-test-at-p-grows-like-log",
+             "monomial-test-decays-at-q=3"],
+    "ex-b": ["atom-power-approaches-1-over-n", "monomial-test-grows-at-q=1",
+             "diagonal-domination-decays-at-p"],
+}
+DN_SUITES = ("basis", "diagonal-domination", "carleson", "compact", "hs")
+
+
+def _verify(capsys, suite, *extra):
+    code = run(["verify", "--suite", suite, *SMALL, *extra])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_every_suite_has_a_cli_test():
+    assert set(SUITE_CHECKS) == set(SUITE_IDS)
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_suite_exit_code_and_check_names(suite, capsys):
+    code, report = _verify(capsys, suite)
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == SUITE_CHECKS[suite]
+    assert sum(report["summary"].values()) == len(report["checks"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--p", "3", "--seq", "geometric:1,2,8", "--N", "8"]],
+                         ids=["defaults", "p=3"])
+def test_unmet_isometry_hypothesis_is_not_a_failure(extra, capsys):
+    # the minimum shifted ratio (5/3 at the defaults) is far below r_eps (289)
+    code = run(["verify", "--suite", "isometry-threshold", *extra])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["shifted-ratio-meets-threshold"] == "UNMET"
+    assert report["summary"]["UNMET"] == 1 and report["summary"]["FAIL"] == 0
+
+
+def test_every_suite_passes_tol_to_compute_dn(monkeypatch, capsys):
+    real = dnp_mod.compute_dn
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dnp_mod, "compute_dn", recording)
+    for suite in DN_SUITES:
+        seen.clear()
+        code, _ = _verify(capsys, suite, "--tol", "1e-6")
+        assert code == 0
+        assert seen and all(t == 1e-6 for t in seen), (suite, seen)
+
+
+def test_report_reads_each_profile_once(monkeypatch, capsys, tmp_path):
+    real = dnp_mod.compute_dn
+    keys = []
+
+    def recording(seq, mu, weight, n_count=None, tol=1e-12, route="auto"):
+        keys.append((mu, weight, n_count, tol))
+        return real(seq, mu, weight, n_count=n_count, tol=tol, route=route)
+
+    monkeypatch.setattr(dnp_mod, "compute_dn", recording)
+    code = run(["report", *SMALL, "--suites", ",".join(DN_SUITES), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    # Lebesgue p = 2 for basis, p = 1 for compact, one atomic p = 2 profile
+    assert len(keys) == len(set(keys)) == 3
+
+
+def _report(tmp_path, name, *extra):
+    out = tmp_path / name
+    code = run(["report", *SMALL, "--suites", ",".join(SUITE_IDS), "--out", str(out), *extra])
+    return code, out
+
+
+def test_report_output_is_byte_identical(tmp_path, capsys):
+    code1, first = _report(tmp_path, "first")
+    code2, second = _report(tmp_path, "second")
+    capsys.readouterr()
+    assert code1 == code2 == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert len(names) == len(SUITE_IDS) + 1
+    for name in names:
+        text = (first / name).read_bytes()
+        assert text == (second / name).read_bytes(), name
+        assert b"generated_unix" not in text
+
+
+def test_timestamp_is_opt_in(tmp_path, capsys):
+    code, out = _report(tmp_path, "stamped", "--timestamp")
+    capsys.readouterr()
+    assert code == 0
+    assert all("generated_unix" in json.loads(p.read_text()) for p in out.iterdir())
+
+
+@pytest.mark.parametrize("measure", [SMALL_ATOMS, "lebesgue"])
+def test_report_suite_files_match_verify(measure, tmp_path, capsys):
+    args = ["--measure", measure]
+    code = run(["report", *SMALL, *args, "--suites", ",".join(SUITE_IDS),
+                "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    for suite in SUITE_IDS:
+        from_report = json.loads((tmp_path / f"verify-{suite}.json").read_text())
+        _, alone = _verify(capsys, suite, *args)
+        assert from_report["checks"] == alone["checks"], suite

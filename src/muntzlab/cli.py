@@ -6,7 +6,7 @@ checks are EVIDENCE (finite data can exhibit them, never prove them); UNMET
 marks a theorem hypothesis the inputs do not satisfy, and the claims that
 rest on it are then reported as EVIDENCE.  Exit code 0 means no FAIL, 1
 means some FAIL, 2 means usage error.  For fixed inputs and seed the output
-is byte-identical; ``--timestamp`` adds a ``generated_unix`` field.
+is byte-identical.
 
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
 their suites one store of D_n profiles (``_dn_store``), so a profile that
@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -176,8 +175,7 @@ def _sanitize(obj):
 
 
 def _emit(payload: dict, args, default_name: str) -> None:
-    stamp = {"generated_unix": time.time()} if args.timestamp else {}
-    payload = {"schema": SCHEMA, **stamp, **payload}
+    payload = {"schema": SCHEMA, **payload}
     text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         out_dir = Path(args.out)
@@ -225,11 +223,14 @@ def _dn_store(seq, tol: float):
     return profile
 
 
-def _chain_margin(sigma, rearranged) -> float:
-    """min_k (D*_k - sigma_{k+1}); the chain sigma_{k+1} <= D*_k holds when it
-    is >= -1e-9.  D* is the decreasing rearrangement of the D_n(2) prefix,
-    which bounds the truncated synthesis operator."""
-    return min(d - s for d, s in zip(rearranged, sigma))
+def _chain_check(spec, profile) -> tuple[float, bool]:
+    """The chain sigma_{k+1} <= D*_k of a synthesis spectrum against its D_n(2)
+    profile: returns min_k (D*_k - sigma_{k+1}) and whether it is >= -1e-9.
+    D* is the decreasing rearrangement of the D_n(2) prefix, which bounds the
+    truncated synthesis operator."""
+    dstar = dnp_mod.decreasing_rearrangement(profile.values)
+    margin = min(d - s for d, s in zip(dstar, spec.singular_values))
+    return margin, margin >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +338,10 @@ def suite_diagonal(seq, mu, n, seed, dn) -> list[dict]:
     spec = hilbert.t_mu_spectrum(seq, mu, n)
     profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), n)
     ob = dnp_mod.operator_bounds(profile, mu, seq)
-    margin = _chain_margin(spec.singular_values, ob.rearranged)
+    margin, chain_ok = _chain_check(spec, profile)
     checks.append(check("singular-values-below-rearranged-profile",
                         "hilbert.t_mu_spectrum",
-                        "PASS" if margin >= -1e-9 else "FAIL",
+                        "PASS" if chain_ok else "FAIL",
                         margin=margin, tails_safe=profile.all_safe))
     hs = spec.schatten[2.0]
     trace = spec.extras["trace"]
@@ -635,8 +636,7 @@ def _cmd_spectrum(args) -> int:
         if args.operator == "synthesis":
             profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
                                          n_count=n, tol=args.tol)
-            rearranged = dnp_mod.decreasing_rearrangement(profile.values)
-            payload["chain_ok"] = _chain_margin(spec.singular_values, rearranged) >= -1e-9
+            payload["chain_ok"] = _chain_check(spec, profile)[1]
     _emit({"command": "spectrum", "inputs": {"seq": args.seq, "N": args.N}, **payload},
           args, "spectrum")
     return 0
@@ -756,8 +756,6 @@ def _add_common(sp, seq=True, measure=True):
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--out", default=None, help="directory for report files")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--timestamp", action="store_true",
-                    help="add a generated_unix field to JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,9 +60,14 @@ def test_python_dash_m_runs_the_cli():
     assert "usage: muntzlab" in out.stdout
 
 
-# small inputs shared by the per-suite tests: each suite runs in well under a second
+# small inputs shared by the per-suite tests: each suite runs in well under a second.
+# --count is 12, not fewer, because ex-a at --count 6 reads FAIL on a too-short
+# instance (known defect, CHANGES.md FOUND line on `verify --suite ex-a --count 6`;
+# see test_ex_a_short_instance_is_not_a_failure).
 SMALL_ATOMS = "atoms:0.5:1,0.1:0.5,0.001:0.25"
 SMALL = ["--seq", "geometric:1,2,8", "--N", "8", "--measure", SMALL_ATOMS, "--count", "12"]
+# p = 2 lists alpha = 1 twice because 1/(p-1) = 1 there, so its three names appear
+# twice (known defect, CHANGES.md FOUND line on duplicate crossterm check names).
 _CROSSTERM = [f"crossterm-p={p}-alpha={a}-r={r}"
               for p, alphas in (("1.5", ("2", "1")), ("2", ("1", "1")),
                                 ("3", ("0.5", "1")), ("5", ("0.25", "1")))
@@ -123,6 +128,21 @@ def test_unmet_isometry_hypothesis_is_not_a_failure(extra, capsys):
     assert report["summary"]["UNMET"] == 1 and report["summary"]["FAIL"] == 0
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: too-short ex-a instance reads FAIL")
+def test_ex_a_short_instance_is_not_a_failure(capsys):
+    code = run(["verify", "--suite", "ex-a", "--count", "6"])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_spectrum_synthesis_reports_chain(capsys):
+    code = run(["spectrum", "--operator", "synthesis", "--seq", "geometric:1,2,8",
+                "--N", "8", "--measure", SMALL_ATOMS])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["operator"] == "t_mu_inverse_lambda" and out["chain_ok"] is True
+
+
 def test_every_suite_passes_tol_to_compute_dn(monkeypatch, capsys):
     real = dnp_mod.compute_dn
     seen = []
@@ -173,13 +193,6 @@ def test_report_output_is_byte_identical(tmp_path, capsys):
         text = (first / name).read_bytes()
         assert text == (second / name).read_bytes(), name
         assert b"generated_unix" not in text
-
-
-def test_timestamp_is_opt_in(tmp_path, capsys):
-    code, out = _report(tmp_path, "stamped", "--timestamp")
-    capsys.readouterr()
-    assert code == 0
-    assert all("generated_unix" in json.loads(p.read_text()) for p in out.iterdir())
 
 
 @pytest.mark.parametrize("measure", [SMALL_ATOMS, "lebesgue"])

@@ -10,8 +10,8 @@ from .sequences import (Classification, ExponentSequence, classify,
                         decompose_quasi_lacunary, generate_geometric,
                         generate_recursive_power)
 from .measures import (Atom, AtomicMeasure, DensityMeasure, GeometricGrid,
-                       Lebesgue, Restriction, atoms, moment, poisson_integral,
-                       restrict, sublinear_norm, total_mass)
+                       Lebesgue, Restriction, atoms, moment, moments,
+                       poisson_integral, restrict, sublinear_norm, total_mass)
 from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
                   operator_bounds)
 from .bounds import (envelope_check, jlambda_upper, lemma31_bound,

@@ -157,27 +157,3 @@ def point_eval_norm(seq: ExponentSequence, p: float, t: float,
     pp = conjugate(p)
     term_logs = [(pp / p) * math.log(l) + pp * l * log_t for l in lams]
     return math.exp(log_sum(term_logs) / pp)
-
-
-class NuclearTailCheck(NamedTuple):
-    partial_sum: float
-    last_term: float
-    converged: bool  # trailing terms decay geometrically
-
-
-def nuclear_tail_sum(seq: ExponentSequence, delta: float, eps: float) -> NuclearTailCheck:
-    """Finiteness probe for sum_k ((1+eps)*delta)^lam_k on the prefix.
-
-    Meaningful for measures supported in [0, delta]; requires
-    (1+eps)*delta < 1 so the summand decays.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    if not eps > 0.0 or (1.0 + eps) * delta >= 1.0:
-        raise ValueError("need eps > 0 with (1+eps)*delta < 1")
-    base = math.log((1.0 + eps) * delta)
-    term_logs = [l * base for l in seq]
-    partial = math.exp(log_sum(term_logs))
-    last = math.exp(term_logs[-1])
-    converged = len(term_logs) < 2 or term_logs[-1] - term_logs[-2] < math.log(0.5)
-    return NuclearTailCheck(partial, last, converged)

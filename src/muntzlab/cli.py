@@ -24,6 +24,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import dnp as dnp_mod
 from . import examples as examples_mod
@@ -31,6 +33,7 @@ from . import hilbert
 from . import lpnorm
 from . import measures as measures_mod
 from . import sequences as sequences_mod
+from .logdomain import LogValue
 
 SCHEMA = "muntzlab-report/1"
 STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
@@ -353,7 +356,6 @@ def suite_diagonal(seq, mu, n, seed, dn) -> list[dict]:
         checks.append(check(f"schatten-bound-r={r:g}", "dnp.operator_bounds",
                             "PASS" if ok else "FAIL",
                             spectrum=spec.schatten[r], bound=ob.schatten[r]))
-    import numpy as np
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(100):
@@ -390,7 +392,8 @@ def suite_blocksum(seq, p) -> list[dict]:
 def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
     checks = []
     cls = sequences_mod.classify(seq)
-    m_vals = [l * measures_mod.moment(mu, p * l).to_float() for l in seq]
+    logs = measures_mod.moments(mu, p * np.array(seq.exponents)).tolist()
+    m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
     checks.append(check("monomial-test-constant", "measures.moment", "EVIDENCE",
                         sup=sup_m, last=m_vals[-1]))
@@ -485,9 +488,9 @@ def suite_hs(seq, mu, n, q_list, dn) -> list[dict]:
     return checks
 
 
-def suite_example(label, p, count, q_list) -> list[dict]:
+def suite_example(label, p, count, q_list, tol) -> list[dict]:
     inst = examples_mod.build_example(label, p, count)
-    report = examples_mod.check_example_claims(inst, q_list)
+    report = examples_mod.check_example_claims(inst, q_list, tol=tol)
     return [check(c.name, "examples.check_example_claims", c.status, **c.data)
             for c in report.checks]
 
@@ -512,9 +515,10 @@ def _cmd_classify(args) -> int:
 def _cmd_moments(args) -> int:
     seq = parse_sequence(args.seq)
     mu = parse_measure(args.measure)
+    logs = measures_mod.moments(mu, args.p * np.array(seq.exponents)).tolist()
     rows = []
-    for i, lam in enumerate(seq):
-        m = measures_mod.moment(mu, args.p * lam)
+    for i, (lam, log_m) in enumerate(zip(seq, logs)):
+        m = LogValue.from_log(log_m)
         rows.append({"n": i, "lambda_n": lam,
                      "moment_p_lambda": m.to_float(),
                      "log_moment": None if m.is_zero else m.log,
@@ -644,7 +648,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_example(args) -> int:
     inst = examples_mod.build_example(args.label, args.p, args.count)
-    report = examples_mod.check_example_claims(inst, args.q)
+    report = examples_mod.check_example_claims(inst, args.q, tol=args.tol)
     rows = []
     for i, n in enumerate(inst.n_range):
         row = {"n": n, "lambda_n": inst.seq[i]}
@@ -699,9 +703,10 @@ def _run_suite(suite: str, args, inputs) -> list[dict]:
     if suite == "hs":
         return suite_hs(seq, mu, args.N, args.q, dn)
     if suite == "ex-a":
-        return suite_example("A", args.p, args.count, args.q or [args.p, args.p + 1.0])
+        return suite_example("A", args.p, args.count, args.q or [args.p, args.p + 1.0],
+                             args.tol)
     if suite == "ex-b":
-        return suite_example("B", args.p, args.count, args.q or [1.0])
+        return suite_example("B", args.p, args.count, args.q or [1.0], args.tol)
     raise UsageError(f"unknown suite {suite!r}; have {', '.join(SUITE_IDS)}")
 
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dnp import WeightScheme, compute_dn
 from .logdomain import LogValue
-from .measures import Atom, AtomicMeasure, moment
+from .measures import Atom, AtomicMeasure, moments
 from .sequences import ExponentSequence
 
 _FIRST_INDEX = 2
@@ -89,11 +91,9 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
 
 def monomial_test_values(inst: ExampleInstance, q: float) -> tuple[float, ...]:
     """M_n(q) = lam_n * integral t**(q lam_n) dmu over the instance range."""
-    out = []
-    for i, lam in enumerate(inst.seq):
-        m = moment(inst.mu, q * lam)
-        out.append((LogValue.from_log(inst.log_lambdas[i]) * m).to_float())
-    return tuple(out)
+    logs = moments(inst.mu, q * np.array(inst.seq.exponents)).tolist()
+    return tuple(LogValue.from_log(log_lam + m).to_float()
+                 for log_lam, m in zip(inst.log_lambdas, logs))
 
 
 def atom_power_products(inst: ExampleInstance) -> tuple[float, ...]:
@@ -107,7 +107,7 @@ def atom_power_products(inst: ExampleInstance) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ClaimCheck:
     name: str
-    status: str  # PASS | FAIL | EVIDENCE
+    status: str  # PASS | FAIL | EVIDENCE | UNMET
     data: dict
 
 
@@ -125,9 +125,23 @@ class ClaimReport:
         return all(c.status != "FAIL" for c in self.checks)
 
 
-def _window_ok(values, lo: float, hi: float, window: int) -> bool:
-    tail = values[-window:]
-    return all(lo <= v <= hi for v in tail)
+def _band_check(name: str, key: str, values, band: tuple[float, float],
+                window: int) -> ClaimCheck:
+    """EVIDENCE when the last ``window`` values lie in ``band``, else FAIL.
+
+    The window must lie in the later half of the instance, the half that
+    ``_decreasing_tail`` reads: an instance with fewer than 2 * window
+    indices is too short to show the trend, so the check is UNMET (missing
+    data), whatever its values.
+    """
+    data = {key: values[-window:], "band": band}
+    if len(values) < 2 * window:
+        return ClaimCheck(name, "UNMET", {**data, "note": (
+            f"instance too short: a window of {window} needs {2 * window} indices, "
+            f"have {len(values)}")})
+    lo, hi = band
+    ok = all(lo <= v <= hi for v in values[-window:])
+    return ClaimCheck(name, "EVIDENCE" if ok else "FAIL", data)
 
 
 def _decreasing_tail(values, frac: float = 0.5) -> bool:
@@ -139,11 +153,14 @@ def _decreasing_tail(values, frac: float = 0.5) -> bool:
 def check_example_claims(inst: ExampleInstance, q_list,
                          window: int = 5,
                          ratio_band: tuple[float, float] = (0.8, 1.2),
-                         growth_band: tuple[float, float] = (0.5, 2.0)) -> ClaimReport:
+                         growth_band: tuple[float, float] = (0.5, 2.0),
+                         tol: float = 1e-12) -> ClaimReport:
     """Trend checks for the construction's claimed monomial-test behavior.
 
     Trend statuses are EVIDENCE when they pass (finite data cannot prove a
-    limit) and FAIL when the configured window breaks.
+    limit) and FAIL when the configured window breaks; a band check on an
+    instance too short for its window is UNMET.  ``tol`` goes to
+    ``compute_dn`` for construction B's D_n(p) profile.
     """
     q_values = tuple(float(q) for q in q_list)
     ns = inst.n_range
@@ -162,11 +179,8 @@ def check_example_claims(inst: ExampleInstance, q_list,
     if inst.label == "A":
         if inst.p in q_values:
             ratios = tuple(v / math.log(n) for n, v in zip(ns, tests[inst.p]))
-            ok = _window_ok(ratios, *ratio_band, window)
-            checks.append(ClaimCheck(
-                name="monomial-test-at-p-grows-like-log",
-                status="EVIDENCE" if ok else "FAIL",
-                data={"window_ratios": ratios[-window:], "band": ratio_band}))
+            checks.append(_band_check("monomial-test-at-p-grows-like-log", "window_ratios",
+                                      ratios, ratio_band, window))
         for q in q_values:
             if q > inst.p:
                 vals = tests[q]
@@ -181,16 +195,13 @@ def check_example_claims(inst: ExampleInstance, q_list,
                 vals = tests[q]
                 scale = tuple(v * math.log(n) / n ** (inst.p - q)
                               for n, v in zip(ns, vals))
-                ok = _window_ok(scale, *growth_band, window)
-                checks.append(ClaimCheck(
-                    name=f"monomial-test-grows-at-q={q:g}",
-                    status="EVIDENCE" if ok else "FAIL",
-                    data={"window_scaled": scale[-window:], "band": growth_band}))
+                checks.append(_band_check(f"monomial-test-grows-at-q={q:g}", "window_scaled",
+                                          scale, growth_band, window))
 
     dn_values: tuple[float, ...] | None = None
     if inst.label == "B":
         profile = compute_dn(inst.seq, inst.mu,
-                             WeightScheme("inverse_lambda", inst.p))
+                             WeightScheme("inverse_lambda", inst.p), tol=tol)
         dn_values = profile.values
         ok = _decreasing_tail(dn_values)
         checks.append(ClaimCheck(

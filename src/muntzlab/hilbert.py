@@ -25,14 +25,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logdomain import LOG_HUGE, logsumexp
-from .measures import (AtomicMeasure, Lebesgue, Measure, _log_poisson_kernel,
-                       log_powers, measure_nodes, poisson_integral, restrict)
+from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction,
+                       _log_poisson_kernel, log_powers, measure_nodes, poisson_integral,
+                       restrict)
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 64
 _FLUSH_LOG = math.log(1e-300)
 _S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
+# prop511_value's inner nodes for a non-atomic measure halve 16 more times than
+# its outer s-nodes, so they resolve the kernel's scale u_s at every outer node
+_INNER_REFINE = 2.0 ** 16
 
 
 class ConditioningError(RuntimeError):
@@ -273,28 +277,41 @@ def prop511_value(mu: Measure, q: float) -> float:
     """(integral_0^1 (integral dmu(t)/(1-st)^{2/q+1})^{q/2} ds)^{1/q}.
 
     Both integrals are log-domain sums over ``measure_nodes``: the outer
-    one over the Lebesgue nodes in u_s = 1 - s, refined toward s = 1 down
-    to the smallest atom distance (2**-40 for other measures), the inner one
-    over the nodes of mu, with 1 - st formed as u_s + s u_t.  For atoms the
-    inner sum is exact, and at q = 2 the square equals the Poisson integral.
-    The value is inf when the Poisson integral diverges.
+    one over nodes in u_s = 1 - s, refined toward s = 1 down to the smallest
+    atom distance (2**-40 for other measures), the inner one over the nodes
+    of mu, with 1 - st formed as u_s + s u_t.  For atoms the inner sum is
+    exact, and at q = 2 the square equals the Poisson integral.  A density
+    reaching t = 1 as u**alpha makes the outer integrand behave like
+    u_s**beta, beta = q*alpha/2 - 1, near s = 1: the outer nodes are those of
+    the measure u**beta ds, whose closing panel is the Gauss-Jacobi rule for
+    that power, and the integrand is divided by u_s**beta.  The inner nodes
+    of a non-atomic mu go 16 halvings deeper than the outer ones, since the
+    kernel varies on the scale u_s.  The value is inf when the Poisson
+    integral diverges.
     """
     if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
     if poisson_integral(mu).divergent:
         return math.inf
-    if isinstance(mu, AtomicMeasure) and not mu.is_empty:
-        sharp = 1.0 / float(np.min(mu._deltas))
+    beta = 0.0
+    if isinstance(mu, AtomicMeasure):
+        sharp = 1.0 / float(np.min(mu._deltas)) if not mu.is_empty else 2.0 ** 40
+        log_t, w = measure_nodes(mu, sharpness=sharp)
     else:
         sharp = 2.0 ** 40
-    log_t, w = measure_nodes(mu, sharpness=sharp)
-    log_s, w_s = measure_nodes(Lebesgue(), sharpness=sharp)
+        log_t, w = measure_nodes(mu, sharpness=sharp * _INNER_REFINE)
+        if not (isinstance(mu, Restriction) and mu.b < 1.0):
+            # a convergent Poisson integral up to t = 1 means a density u**alpha, alpha > 0
+            base = mu.base if isinstance(mu, Restriction) else mu
+            beta = 0.5 * q * base.exponent - 1.0
+    # the nodes of u**beta ds; beta = 0 gives Lebesgue's
+    log_s, w_s = measure_nodes(DensityMeasure("oneminus_power", alpha=beta), sharpness=sharp)
     s, u_s = np.exp(log_s), -np.expm1(log_s)
     log_outer = np.empty_like(log_s)
     for k in range(0, len(log_s), _S_BLOCK):
         blk = slice(k, k + _S_BLOCK)
         log_outer[blk] = _log_poisson_kernel(log_t, w, s[blk], u_s[blk], 2.0 / q + 1.0)
-    log_val = logsumexp(np.log(w_s) + 0.5 * q * log_outer) / q
+    log_val = logsumexp(np.log(w_s) + 0.5 * q * log_outer - beta * np.log(u_s)) / q
     return math.inf if log_val > LOG_HUGE else math.exp(log_val)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,13 +42,6 @@ class NeumaierSum:
     def total(self) -> float:
         # an infinite term turns the compensation into inf - inf = nan
         return self._s if math.isinf(self._s) else self._s + self._c
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    acc = NeumaierSum()
-    for v in values:
-        acc.add(v)
-    return acc.total
 
 
 @dataclass(frozen=True, slots=True)

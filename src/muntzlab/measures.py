@@ -212,29 +212,41 @@ def atoms(pairs) -> AtomicMeasure:
 # operations
 # ---------------------------------------------------------------------------
 
-def moment(mu: Measure, a: float) -> LogValue:
-    """Integral of t**a against mu.
+def moments(mu: Measure, exponents) -> np.ndarray:
+    """log of the integral of t**a against mu, for every a in ``exponents``.
 
-    Exact for Lebesgue (1/(a+1)) and for restrictions of Lebesgue.  Every
-    other measure is a log-sum-exp of log w + a log t over ``measure_nodes``
-    (in fixed node order), which for atoms is the exact atom sum.
+    The one moment kernel.  Lebesgue measure and its restrictions take their
+    closed forms, -log1p(a) and log((b**(a+1) - a0**(a+1)) / (a+1)) for
+    [a0, b).  Every other measure is one log-sum-exp of log w + a log t over
+    ``measure_nodes`` sized by the largest exponent: an exponents x nodes
+    matrix summed along the nodes, the exact atom sum for atoms.  A zero
+    moment (an empty restriction) is -inf.
     """
-    if a < 0.0:
-        raise ValueError(f"moment exponent must be >= 0, got {a}")
+    a = np.asarray(exponents, dtype=float)
+    if not np.all(a >= 0.0):
+        raise ValueError(f"moment exponents must be >= 0, got min {a.min()}")
     if isinstance(mu, Lebesgue):
-        return LogValue.from_log(-math.log1p(a))
+        return -np.log1p(a)
     if isinstance(mu, Restriction) and isinstance(mu.base, Lebesgue):
         # (b**(a+1) - a0**(a+1)) / (a+1), arranged for large exponents
         e = a + 1.0
-        log_hi = e * math.log(mu.b) if mu.b < 1.0 else 0.0
+        log_hi = e * math.log(mu.b) if mu.b < 1.0 else np.zeros_like(e)
         if mu.a == 0.0:
             diff = log_hi
         else:
             log_lo = e * math.log(mu.a)
-            diff = log_hi + math.log1p(-math.exp(log_lo - log_hi))
-        return LogValue.from_log(diff - math.log(e))
-    log_t, w = measure_nodes(mu, sharpness=a)
-    return LogValue.from_log(logsumexp(np.log(w) + log_powers(log_t, a)))
+            diff = log_hi + np.log1p(-np.exp(log_lo - log_hi))
+        return diff - np.log(e)
+    log_t, w = measure_nodes(mu, sharpness=float(a.max(initial=0.0)))
+    # exponents x nodes, contiguous along the nodes it is summed over
+    terms = np.ascontiguousarray(log_powers(log_t, a).T)
+    terms += np.log(w)
+    return logsumexp(terms, axis=1)
+
+
+def moment(mu: Measure, a: float) -> LogValue:
+    """Integral of t**a against mu: ``moments`` at the one exponent a."""
+    return LogValue.from_log(float(moments(mu, [a])[0]))
 
 
 def total_mass(mu: Measure) -> float:
@@ -409,9 +421,10 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     [a, b) get Gauss-Legendre panels in u = 1 - t, with log t = log1p(-u)
     and density weights taken at u, so no node lands on t = 1.  The panels
     halve toward the right end u = 1 - b until finer than 1/sharpness of
-    the support and than 1 - b itself; the closing panel is a Gauss-Jacobi
-    rule for the density's factor u**alpha where it reaches u = 0 (exact
-    even where that is singular), and a Gauss-Legendre one otherwise.
+    the support and than 1 - b itself, but no finer than the float spacing
+    at u = 1 - b; the closing panel is a Gauss-Jacobi rule for the
+    density's factor u**alpha where it reaches u = 0 (exact even where that
+    is singular), and a Gauss-Legendre one otherwise.
     """
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._masses.copy()
@@ -428,6 +441,9 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
         # u**alpha and 1/u vary on the scale u_end near the right end
         sharpness = max(sharpness, (hi - lo) / u_end)
     depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
+    if u_end > 0.0:
+        # a deeper panel would be narrower than the float spacing at u_end: zero weight
+        depth = min(depth, max(1, int(math.log2((hi - lo) / u_end)) + 52))
     edges = u_end + (hi - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
     left, right = edges[:-1, None], edges[1:, None]
     u = (0.5 * (left + right) + 0.5 * (right - left) * xg).ravel()

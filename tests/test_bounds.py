@@ -3,8 +3,7 @@ import math
 import pytest
 
 from muntzlab.bounds import (conjugate, envelope_check, jlambda_upper,
-                             lemma31_bound, nuclear_tail_sum, point_eval_norm,
-                             r_epsilon)
+                             lemma31_bound, point_eval_norm, r_epsilon)
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO50 = generate_geometric(1, 2, 50)
@@ -146,15 +145,3 @@ class TestPointEval:
     def test_rejects_t_one(self):
         with pytest.raises(ValueError):
             point_eval_norm(GEO50, 2.0, 1.0)
-
-
-class TestNuclearTail:
-    def test_compact_support_series(self):
-        res = nuclear_tail_sum(GEO50, delta=0.5, eps=0.1)
-        direct = math.fsum((0.55) ** l for l in GEO50)
-        assert res.partial_sum == pytest.approx(direct, rel=1e-12)
-        assert res.converged
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            nuclear_tail_sum(GEO50, delta=0.9, eps=0.2)

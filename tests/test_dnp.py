@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,32 @@ from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 24)
 HALF_ATOM = atoms([(0.5, 1.0)])
+# measured tail estimates of test_general_p_density's profile, D_n(3) on u dt
+DENSITY_TAILS = (4.0408e-12, 4.9566e-12, 6.8108e-12, 1.0627e-11, 1.8681e-11, 3.6177e-11)
+
+
+def lebesgue_moment(a):
+    return 1 / (a + 1)
+
+
+def density_moment(a):
+    # integral of t**a (1 - t) dt
+    return 1 / ((a + 1) * (a + 2))
+
+
+def closed_dp(lams, n, p, moment):
+    """D_n(p)**p over the prefix as the closed (p - 1)-fold sum of moments,
+    in mpmath (p = 2 or 3, weights 1/lam)."""
+    lam = [mp.mpf(l) for l in lams]
+    c = [mp.root(l, p) for l in lam]
+    if p == 2:
+        return mp.fsum(c[n] * c[k] * moment(lam[n] + lam[k]) for k in range(len(lam)))
+    total = mp.mpf(0)
+    for k in range(len(lam)):
+        total += c[n] * c[k] * c[k] * moment(lam[n] + 2 * lam[k])
+        for j in range(k + 1, len(lam)):
+            total += 2 * c[n] * c[k] * c[j] * moment(lam[n] + lam[k] + lam[j])
+    return total
 
 
 class TestWeightScheme:
@@ -66,28 +93,38 @@ class TestComputeDn:
         a = compute_dn(seq, Lebesgue(), w)
         b = compute_dn(seq, Lebesgue(), w, route="general")
         for x, y in zip(a.values, b.values):
-            assert y == pytest.approx(x, rel=1e-12)
+            assert y == pytest.approx(x, rel=1e-13)
 
     def test_general_route_truncation_report(self):
-        long_geo = generate_geometric(1, 2, 34)
-        mu = DensityMeasure("oneminus_power", alpha=1.0)
-        settled = compute_dn(long_geo, mu, WeightScheme("inverse_lambda", 3.0), n_count=6)
+        w = WeightScheme("inverse_lambda", 3.0)
+        settled = compute_dn(GEO, HALF_ATOM, w, n_count=6)
         info = settled.truncation[0]
         assert info.safe and info.tail_ratio == 0.0
-        assert 6 <= info.cutoff < len(long_geo) - 1
-        short = compute_dn(GEO, Lebesgue(), WeightScheme("inverse_lambda", 3.0), n_count=6)
+        assert 0 < info.cutoff < len(GEO) - 1
+        # the density's estimates lie between 4e-12 and 4e-11 (DENSITY_TAILS):
+        # settled at tol 1e-10, not at 1e-12
+        long_geo = generate_geometric(1, 2, 34)
+        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        assert compute_dn(long_geo, mu, w, n_count=6, tol=1e-10).all_safe
+        tight = compute_dn(long_geo, mu, w, n_count=6)
+        assert not any(t.safe for t in tight.truncation)
+        # nodes reach u ~ 2**-8 / (p lam_last), where the last term still counts
+        assert tight.truncation[0].cutoff == len(long_geo) - 1
+        short = compute_dn(GEO, Lebesgue(), w, n_count=6)
         info = short.truncation[0]
         assert not info.safe and info.tail_ratio > 0.0
         assert info.cutoff == len(GEO) - 1
 
     def test_general_p_density(self):
-        # quadrature nodes reach t ~ 1 - 2^-(depth+10); the prefix must let
-        # the inner series settle there, so it extends well past the depth
+        # nodes reach u ~ 2**-8 / (3 lam_last), so the prefix does not settle
+        # there to 1e-12: the tail estimates are asserted as measured, and
+        # test_tail_estimate_against_longer_prefix checks them with mpmath
         long_geo = generate_geometric(1, 2, 34)
         mu = DensityMeasure("oneminus_power", alpha=1.0)
         prof = compute_dn(long_geo, mu, WeightScheme("inverse_lambda", 3.0), n_count=6)
         assert all(v > 0.0 for v in prof.values)
-        assert prof.all_safe
+        assert [t.tail_ratio for t in prof.truncation] == pytest.approx(DENSITY_TAILS, rel=1e-4)
+        assert not prof.all_safe
 
     def test_restriction_monotonicity(self):
         mu = atoms([(0.6, 0.5), (0.2, 1.0), (0.04, 0.8)])
@@ -117,6 +154,59 @@ class TestComputeDn:
             compute_dn(GEO, HALF_ATOM, w, n_count=4, tol=0.0)
         with pytest.raises(ValueError):
             compute_dn(GEO, HALF_ATOM, w, route="fancy")
+
+
+class TestOracle:
+    """compute_dn against 40-digit mpmath sums."""
+
+    def test_atomic_p2_node_route_against_double_series(self):
+        pairs = [(0.5, 0.3), (1e-3, 1.0), (1e-6, 0.7), (1e-9, 0.2), (1e-12, 0.5)]
+        seq = generate_geometric(1, 2, 64)
+        prof = compute_dn(seq, atoms(pairs), WeightScheme("inverse_lambda", 2.0))
+        with mp.workdps(40):
+            lam = [mp.mpf(l) for l in seq.exponents]
+            log_x = [mp.log1p(-mp.mpf(d)) for d, _ in pairs]
+            refs = [float(mp.sqrt(mp.fsum(
+                mp.sqrt(lam[n] * lam[k]) * mp.fsum(m * mp.exp((lam[n] + lam[k]) * lx)
+                                                   for (_, m), lx in zip(pairs, log_x))
+                for k in range(len(lam))))) for n in range(len(lam))]
+        compared = 0
+        for n, ref in enumerate(refs):
+            if ref == 0.0:  # below the float range; so is the profile
+                assert prof.values[n] == 0.0
+                continue
+            assert prof.values[n] == pytest.approx(ref, rel=1e-13)
+            compared += 1
+        assert compared >= 40
+        assert prof.all_safe
+
+    def test_lebesgue_p3_against_closed_sum(self):
+        # nodes sized by the last n instead of the last prefix entry left this 3.4e-3 off
+        seq = generate_geometric(1, 2, 60)
+        prof = compute_dn(seq, Lebesgue(), WeightScheme("inverse_lambda", 3.0), n_count=24)
+        with mp.workdps(30):
+            refs = [float(mp.cbrt(closed_dp(seq.exponents, n, 3, lebesgue_moment)))
+                    for n in range(24)]
+        assert list(prof.values) == pytest.approx(refs, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, moment, p, count, n_count", [
+        (Lebesgue(), lebesgue_moment, 3, 24, 6),
+        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6),
+        (Lebesgue(), lebesgue_moment, 2, 16, 16),
+    ], ids=["lebesgue-p3", "density-p3", "lebesgue-p2"])
+    def test_tail_estimate_against_longer_prefix(self, mu, moment, p, count, n_count):
+        # the estimate is at least the change of D_n**p when the prefix runs on
+        # (here 40 more terms, enough to converge) and at most 10 times it
+        seq = generate_geometric(1, 2, count)
+        longer = generate_geometric(1, 2, count + 40).exponents
+        prof = compute_dn(seq, mu, WeightScheme("inverse_lambda", float(p)),
+                          n_count=n_count, route="general")
+        for n in sorted({0, n_count // 2, n_count - 1}):
+            with mp.workdps(40):
+                prefix = closed_dp(seq.exponents, n, p, moment)
+                change = float(closed_dp(longer, n, p, moment) / prefix - 1)
+            assert prof.values[n] ** p == pytest.approx(float(prefix), rel=1e-13)
+            assert change <= prof.truncation[n].tail_ratio <= 10.0 * change
 
 
 class TestRearrangement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muntzlab.logdomain import (LogValue, NeumaierSum, compensated_sum, log_sum,
+from muntzlab.logdomain import (LogValue, NeumaierSum, log_sum,
                                 logsumexp, signed_logsumexp)
 
 finite_pos = st.floats(min_value=1e-150, max_value=1e150)
@@ -90,7 +90,6 @@ def test_neumaier_recovers_cancellation():
     for x in [1e16, 1.0, -1e16]:
         acc.add(x)
     assert acc.total == 1.0
-    assert compensated_sum([0.1] * 10) == pytest.approx(1.0, abs=1e-16)
 
 
 def test_neumaier_keeps_infinity():

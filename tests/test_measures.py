@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from muntzlab.logdomain import logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure,
                                GeometricGrid, Lebesgue, Restriction, atoms,
-                               measure_nodes, moment, poisson_integral,
+                               log_powers, measure_nodes, moment, moments,
+                               poisson_integral,
                                poisson_kernel_integral, restrict,
                                sublinear_norm, tail_mass, total_mass)
 
@@ -50,6 +52,43 @@ class TestConstruction:
             DensityMeasure("oneminus_power", alpha=-1.0)
         with pytest.raises(ValueError):
             DensityMeasure("uniform", scale=0.0)
+
+
+class TestMoments:
+    EXPONENTS = [0.0, 0.5, 3.0, 2.0 ** 10, 2.0 ** 40, 1e30]
+
+    @pytest.mark.parametrize("mu", [
+        GEOM30, DensityMeasure("oneminus_power", scale=2.0, alpha=-0.5),
+        restrict(DensityMeasure("oneminus_power", alpha=1.5), 0.25, 0.75),
+    ], ids=["atoms", "density", "density-restriction"])
+    def test_node_measures_match_one_exponent_at_a_time(self, mu):
+        # reference: the scalar path, with nodes sized by each exponent alone
+        got = moments(mu, self.EXPONENTS)
+        for a, g in zip(self.EXPONENTS, got):
+            log_t, w = measure_nodes(mu, sharpness=a)
+            ref = logsumexp(np.log(w) + log_powers(log_t, a))
+            assert g == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("mu, lo, hi", [
+        (Lebesgue(), 0.0, 1.0), (Restriction(Lebesgue(), 0.0, 0.5), 0.0, 0.5),
+        (Restriction(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
+        (Restriction(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
+    ], ids=["lebesgue", "head", "interior", "tail"])
+    def test_lebesgue_closed_forms_against_mpmath(self, mu, lo, hi):
+        got = moments(mu, self.EXPONENTS)
+        with mpmath.workdps(30):
+            for a, g in zip(self.EXPONENTS, got):
+                e = mpmath.mpf(a) + 1
+                ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
+                assert g == pytest.approx(float(ref), rel=1e-14, abs=1e-15)
+
+    def test_empty_measure_and_bad_exponents(self):
+        empty = restrict(atoms([(0.5, 1.0)]), 0.6, 1.0)
+        assert moments(empty, [0.0, 2.0]).tolist() == [-math.inf, -math.inf]
+        with pytest.raises(ValueError):
+            moments(Lebesgue(), [1.0, -0.5])
+        with pytest.raises(ValueError):
+            moments(GEOM30, [math.nan])
 
 
 class TestMoment:

@@ -9,7 +9,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .logdomain import log_sum
+import numpy as np
+
+from .logdomain import logsumexp
 from .sequences import ExponentSequence, is_r_lacunary
 
 
@@ -122,15 +124,13 @@ def envelope_check(seq: ExponentSequence, alpha: float,
     j_lo, j_hi = j_range
     if not 1 <= j_lo <= j_hi:
         raise ValueError(f"bad j range {j_range}")
-    profile = []
-    for j in range(j_lo, j_hi + 1):
-        eps = 2.0 ** (-j)
-        log_t = math.log1p(-eps)
-        term_logs = [alpha * math.log(l) + l * log_t for l in seq if l > 0.0]
-        ratio = math.exp(log_sum(term_logs) + alpha * math.log(eps))
-        profile.append((1.0 - eps, ratio))
-    ratios = [r for _, r in profile]
-    return EnvelopeBracket(min(ratios), max(ratios), tuple(profile))
+    eps = 2.0 ** -np.arange(j_lo, j_hi + 1.0)
+    lams = np.array([l for l in seq if l > 0.0])
+    # j x prefix: log(lam**alpha t**lam) at t = 1 - eps_j
+    term_logs = alpha * np.log(lams) + np.multiply.outer(np.log1p(-eps), lams)
+    ratios = np.exp(logsumexp(term_logs, axis=1) + alpha * np.log(eps)).tolist()
+    profile = tuple(zip((1.0 - eps).tolist(), ratios))
+    return EnvelopeBracket(min(ratios), max(ratios), profile)
 
 
 def point_eval_norm(seq: ExponentSequence, p: float, t: float,
@@ -156,4 +156,4 @@ def point_eval_norm(seq: ExponentSequence, p: float, t: float,
         return math.exp(max(math.log(l) + l * log_t for l in lams))
     pp = conjugate(p)
     term_logs = [(pp / p) * math.log(l) + pp * l * log_t for l in lams]
-    return math.exp(log_sum(term_logs) / pp)
+    return math.exp(logsumexp(term_logs) / pp)

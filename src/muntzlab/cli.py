@@ -392,7 +392,9 @@ def suite_blocksum(seq, p) -> list[dict]:
 def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
     checks = []
     cls = sequences_mod.classify(seq)
-    logs = measures_mod.moments(mu, p * np.array(seq.exponents)).tolist()
+    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
+        exponents = p * np.array(seq.exponents)
+    logs = measures_mod.moments(mu, exponents).tolist()
     m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
     checks.append(check("monomial-test-constant", "measures.moment", "EVIDENCE",
@@ -515,7 +517,9 @@ def _cmd_classify(args) -> int:
 def _cmd_moments(args) -> int:
     seq = parse_sequence(args.seq)
     mu = parse_measure(args.measure)
-    logs = measures_mod.moments(mu, args.p * np.array(seq.exponents)).tolist()
+    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
+        exponents = args.p * np.array(seq.exponents)
+    logs = measures_mod.moments(mu, exponents).tolist()
     rows = []
     for i, (lam, log_m) in enumerate(zip(seq, logs)):
         m = LogValue.from_log(log_m)

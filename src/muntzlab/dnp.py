@@ -8,22 +8,20 @@ in the log domain, on one of three routes:
 - p = 1: s does not enter, and D_n(1) = w_n**(-1) times one moment.  Every
   n comes from one ``measures.moments`` call.
 - p = 2 on Lebesgue measure: the exact double series
-  sum_k w_n**(-1/2) w_k**(-1/2) / (lam_n + lam_k + 1), one row of
-  closed-form moments per n, cut off by a guarded rule (a floor below which
-  no cutoff is accepted, then a decreasing-term relative test).
-- every other case, atoms at p = 2 included: the node route.  s is summed
-  at every node of ``measure_nodes`` in one nodes x prefix log-sum-exp, and
-  the outer integral is one more log-sum-exp over the nodes.  For atoms the
-  nodes are the atoms themselves, so at p = 2 this is the exact double
-  series, reordered.  The nodes are sized by p * lam of the last prefix
-  entry, not of the last n asked for, because the late terms of s live
-  that close to t = 1.
+  sum_k w_n**(-1/2) w_k**(-1/2) / (lam_n + lam_k + 1) as one n x prefix
+  matrix of logs and one log-sum-exp along its rows.  The denominator's log
+  is log(lam_n + (1 + lam_k)), formed by logaddexp, so no exponent sum
+  overflows.  This is the closed-form special case of the node route.
+- every other case (atoms, densities and restrictions at any p, Lebesgue
+  at p != 2): the node route.  s is summed at every node of
+  ``measure_nodes`` in one nodes x prefix log-sum-exp, and the outer
+  integral is one more log-sum-exp over the nodes.  For atoms the nodes are
+  the atoms themselves, so at p = 2 this is the exact double series,
+  reordered.  The nodes are sized by p * lam of the last prefix entry, not
+  of the last n asked for, because the late terms of s live that close to
+  t = 1.
 
-The Lebesgue p = 2 series keeps its own route for now.  Moving it onto one
-N x K log-sum-exp as well made the benchmark's stress battery 2.5x faster
-in a prototype, but the benchmark keeps every battery's outputs, so its
-peak-memory metric grows with the number of batteries a faster run fits
-and the speedup reads as a 10.8 % memory regression (ROADMAP item 1).
+Both series routes report their truncation the same way (``TruncationInfo``).
 """
 from __future__ import annotations
 
@@ -32,11 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogValue, log_sum, logsumexp
+from .logdomain import LogValue, logsumexp
 from .measures import Lebesgue, Measure, log_powers, measure_nodes, moments
 from .sequences import ExponentSequence
-
-_CUTOFF_FLOOR = 5  # no inner-series cutoff before this many terms past the peak guard
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,9 @@ class WeightScheme:
             if not lam > 0.0:
                 raise ValueError("inverse_lambda weights need positive exponents")
             return math.log(lam)
-        return math.log(self.p * lam + 1.0)
+        inv = self.p * lam + 1.0
+        # past the float range the + 1 is far below rounding
+        return math.log(inv) if math.isfinite(inv) else math.log(self.p) + math.log(lam)
 
     def log_inv_weight_root(self, lam: float) -> float:
         """log of w**(-1/p)."""
@@ -67,9 +65,10 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class TruncationInfo:
-    """How much of D_n**p the finite prefix may leave out.
+    """How much of D_n**p the finite prefix may leave out, and how much of
+    the prefix it needed.
 
-    Node route:
+    On both series routes (the node route and the Lebesgue p = 2 rows):
       tail_ratio  the estimated relative change of D_n**p if the inner
                   series s ran on past the prefix: (p - 1) times the sum
                   over nodes of the node's share of D_n**p times tau, the
@@ -77,16 +76,16 @@ class TruncationInfo:
                   last two terms as a geometric series,
                   last * rho / (1 - rho) / s with rho = last / second-to-last,
                   and is 1 where s still grows at the end of the prefix
-                  (rho >= 1).  Against mpmath sums over longer prefixes it
-                  lies between 1 and 10 times the true change (tests).
-      cutoff      the last inner index that any node needs at tol.
+                  (rho >= 1).  The Lebesgue p = 2 rows apply the same rule
+                  to row n of the double series.  Against mpmath sums over
+                  longer prefixes it lies between 1 and 10 times the true
+                  change (tests).
+      cutoff      the last inner index k whose first-order share of D_n**p,
+                  (p - 1) * sum over nodes of the node's share of D_n**p
+                  times term_k / s, is at least tol (term_nk / row sum on
+                  the Lebesgue p = 2 rows); 0 if no term reaches tol.  The
+                  terms past it change D_n**p by less than tol each.
       safe        tail_ratio < tol.
-    Lebesgue p = 2 series:
-      tail_ratio  first omitted term / sum when the cutoff fired; when the
-                  prefix ran out, last term / sum if that is not below tol,
-                  else 0.
-      cutoff      the last inner index summed.
-      safe        the cutoff fired, or the last term is below tol * sum.
     p = 1 has no inner series: tail_ratio 0, cutoff n, safe.
     """
 
@@ -109,32 +108,10 @@ class DnProfile:
         return all(t.safe for t in self.truncation)
 
 
-def _log_series_with_cutoff(logs: list[float], tol: float, floor: int) -> tuple[float, TruncationInfo]:
-    """Sum exp(logs[k]) for k = 0.. with the guarded cutoff rule.
-
-    Stops after index K (>= floor) as soon as the next term is both below
-    tol * partial_sum and smaller than the current term.  Runs of the full
-    available range mark the result unsafe unless the last term is already
-    below tol * sum.
-    """
-    partial = -math.inf
-    prev = math.inf
-    for k, cur in enumerate(logs):
-        if k >= 1 and k - 1 >= floor:
-            if cur < math.log(tol) + partial and cur < prev:
-                tail_ratio = math.exp(cur - partial) if partial > -math.inf else 0.0
-                return partial, TruncationInfo(cutoff=k - 1, tail_ratio=tail_ratio, safe=True)
-        partial = log_sum(logs[:k + 1])
-        prev = cur
-    safe = partial == -math.inf or (prev < math.log(tol) + partial)
-    tail = 0.0 if partial == -math.inf else math.exp(min(prev - partial, 0.0))
-    return partial, TruncationInfo(cutoff=len(logs) - 1, tail_ratio=tail if not safe else 0.0,
-                                   safe=safe)
-
-
 def _log_tail_over_sum(terms: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """log tau per node: the omitted tail of the inner series over its sum,
-    by a geometric extension of the last two terms (see TruncationInfo)."""
+    """log tau per row of ``terms`` (a node, or n on the Lebesgue p = 2 rows):
+    the omitted tail of the row's series over its sum, by a geometric
+    extension of the last two terms (see TruncationInfo)."""
     last = terms[:, -1]
     prev = terms[:, -2] if terms.shape[1] > 1 else np.full_like(last, -math.inf)
     with np.errstate(invalid="ignore"):
@@ -146,28 +123,48 @@ def _log_tail_over_sum(terms: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return log_tau
 
 
+def _values_and_truncation(log_dp: np.ndarray, tail: np.ndarray, share: np.ndarray, p: float,
+                           tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
+    """D_n and TruncationInfo per n from log D_n**p, the tail estimates and
+    the first-order share of D_n**p of every inner term (n x prefix)."""
+    needed = share >= tol
+    last = needed.shape[1] - 1 - np.argmax(needed[:, ::-1], axis=1)
+    cutoffs = np.where(needed.any(axis=1), last, 0)
+    values = tuple(math.exp(v / p) if v > -math.inf else 0.0 for v in log_dp.tolist())
+    infos = tuple(TruncationInfo(cutoff=c, tail_ratio=t, safe=t < tol)
+                  for c, t in zip(cutoffs.tolist(), tail.tolist()))
+    return values, infos
+
+
+def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
+                       tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
+    """The exact double series: row n holds the logs of
+    w_n**(-1/2) w_k**(-1/2) / (lam_n + lam_k + 1) over the prefix."""
+    with np.errstate(divide="ignore"):  # log(0) = -inf at lam_n = 0 drops out of logaddexp
+        log_den = np.logaddexp.outer(np.log(lams[:n_count]), np.log1p(lams))
+    terms = inv_root[:n_count, None] + inv_root - log_den
+    log_d2, share = logsumexp(terms, axis=1, return_shares=True)
+    tail = np.exp(_log_tail_over_sum(terms, log_d2))
+    return _values_and_truncation(log_d2, tail, share, 2.0, tol)
+
+
 def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
                 n_count: int, tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
-    log_t, node_w = measure_nodes(mu, sharpness=p * lams[-1])
+    # a float product: p * lam beyond the float range is inf, which measure_nodes refuses
+    log_t, node_w = measure_nodes(mu, sharpness=p * float(lams[-1]))
     terms = log_powers(log_t, lams)  # nodes x prefix, updated in place
     terms += inv_root
-    inner = logsumexp(terms, axis=1)
+    inner, ratio = logsumexp(terms, axis=1, return_shares=True)  # ratio: term_k / s per node
     # a node at t = 0 with every lam > 0 has only -inf terms; 0 keeps it out of the sums
     inner[inner == -math.inf] = 0.0
-    needed = (terms >= (inner + math.log(tol))[:, None]).any(axis=0)
-    cutoff = int(np.flatnonzero(needed).max(initial=0))
-    log_tau = _log_tail_over_sum(terms, inner)
+    tau = np.exp(_log_tail_over_sum(terms, inner))
     head = terms[:, :n_count]
     head += ((p - 1.0) * inner + np.log(node_w))[:, None]
-    log_dp = logsumexp(head, axis=0)
-    head += log_tau[:, None]
-    log_tail = logsumexp(head, axis=0)
-    tail = np.zeros(n_count)
-    carried = log_dp > -math.inf
-    tail[carried] = (p - 1.0) * np.exp(log_tail[carried] - log_dp[carried])
-    values = tuple(math.exp(v / p) if v > -math.inf else 0.0 for v in log_dp.tolist())
-    infos = tuple(TruncationInfo(cutoff=cutoff, tail_ratio=t, safe=t < tol) for t in tail.tolist())
-    return values, infos
+    log_dp, node_share = logsumexp(head, axis=0, return_shares=True)  # nodes x n
+    node_share = node_share.T
+    tail = (p - 1.0) * (node_share @ tau)
+    share = (p - 1.0) * (node_share @ ratio)
+    return _values_and_truncation(log_dp, tail, share, p, tol)
 
 
 def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
@@ -176,13 +173,14 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
     """D_n(p) for n = 0..n_count-1, the inner series over the whole prefix.
 
     route="auto" takes the module's three routes: p = 1 is one vector of
-    moments; p = 2 on Lebesgue measure is the exact double series with its
-    guarded cutoff; every other measure and p, atoms at p = 2 included,
-    takes the node route (the inner series at every node of the measure,
-    then the outer sum).  route="general" forces the node route, which the
-    tests cross-check against the other two.  The prefix must extend beyond
-    n_count for the tails to settle; ``TruncationInfo`` says how far they
-    did.
+    moments; p = 2 on Lebesgue measure is the exact double series as one
+    n x prefix log-sum-exp; every other measure and p, atoms at p = 2
+    included, takes the node route (the inner series at every node of the
+    measure, then the outer sum).  route="general" forces the node route,
+    which the tests cross-check against the other two.  The prefix must
+    extend beyond n_count for the tails to settle; ``TruncationInfo`` says
+    how far they did, by one tail rule on both series routes, and which
+    inner terms mattered at tol.
     """
     if route not in ("auto", "general"):
         raise ValueError(f"route must be 'auto' or 'general', got {route!r}")
@@ -202,14 +200,7 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
         infos = tuple(TruncationInfo(cutoff=n, tail_ratio=0.0, safe=True)
                       for n in range(n_count))
     elif p == 2.0 and route == "auto" and isinstance(mu, Lebesgue):
-        vals: list[float] = []
-        info_list: list[TruncationInfo] = []
-        for n in range(n_count):
-            row = (inv_root[n] + inv_root + moments(mu, lams[n] + lams)).tolist()
-            log_d2, info = _log_series_with_cutoff(row, tol, n + _CUTOFF_FLOOR)
-            vals.append(math.exp(0.5 * log_d2) if log_d2 > -math.inf else 0.0)
-            info_list.append(info)
-        values, infos = tuple(vals), tuple(info_list)
+        values, infos = _lebesgue_p2_route(lams, inv_root, n_count, tol)
     else:
         values, infos = _node_route(lams, inv_root, mu, p, n_count, tol)
     return DnProfile(values, weight, infos)
@@ -249,7 +240,9 @@ def operator_bounds(profile: DnProfile, mu: Measure, seq: ExponentSequence,
     p = profile.weight.p
 
     lams = seq.exponents[:len(vals)]
-    logs = moments(mu, p * np.array(lams)).tolist()
+    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
+        exponents = p * np.array(lams)
+    logs = moments(mu, exponents).tolist()
     nuclear = math.fsum(math.exp(profile.weight.log_inv_weight_root(l) + m / p)
                         if m > -math.inf else 0.0 for l, m in zip(lams, logs))
 

@@ -81,7 +81,8 @@ def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray
     count of entries set to 0 below the materialization floor 1e-300."""
     _check_truncation(seq, n)
     lam = np.array(seq.exponents[:n])
-    log_t, w = measure_nodes(mu, sharpness=2.0 * lam[-1])
+    # a float product: 2 lam beyond the float range is inf, which measure_nodes refuses
+    log_t, w = measure_nodes(mu, sharpness=2.0 * float(lam[-1]))
     log_v = log_powers(log_t, lam) + 0.5 * np.log(w)[:, None]
     small = log_v < _FLUSH_LOG
     flushed = int(np.count_nonzero(small & (log_v > -math.inf)))

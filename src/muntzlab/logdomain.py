@@ -1,15 +1,15 @@
-"""Log-domain scalars and reproducible compensated summation.
+"""Log-domain scalars, log-sum-exp kernels and compensated summation.
 
 Quantities of the form t**lam appear throughout the package with lam as
-large as 1e38 and positions t exponentially close to 1.  Any fixed-exponent
+large as 1e306 and positions t exponentially close to 1.  Any fixed-exponent
 float representation of such a term underflows, so every series in the
-package is accumulated on logarithms and materialized only at the end.
+package is accumulated on logarithms (``logsumexp``, ``signed_logsumexp``)
+and materialized only at the end.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -48,9 +48,8 @@ class NeumaierSum:
 class LogValue:
     """A nonnegative real stored as its natural logarithm plus a zero flag.
 
-    ``log`` is ignored when ``is_zero`` is set.  Multiplication adds logs,
-    addition goes through a stable log-sum-exp, so chains of operations on
-    terms like t**lam never leave the representable range.
+    ``log`` is ignored when ``is_zero`` is set.  A value far outside the
+    float range keeps its logarithm until ``to_float`` materializes it.
     """
 
     log: float = 0.0
@@ -59,10 +58,6 @@ class LogValue:
     @staticmethod
     def zero() -> "LogValue":
         return LogValue(0.0, True)
-
-    @staticmethod
-    def one() -> "LogValue":
-        return LogValue(0.0)
 
     @staticmethod
     def from_float(x: float) -> "LogValue":
@@ -91,26 +86,6 @@ class LogValue:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log - other.log)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = (self.log, other.log) if self.log >= other.log else (other.log, self.log)
-        return LogValue(hi + math.log1p(math.exp(lo - hi)))
-
     def powf(self, exponent: float) -> "LogValue":
         if self.is_zero:
             if exponent <= 0.0:
@@ -118,51 +93,30 @@ class LogValue:
             return LogValue.zero()
         return LogValue(self.log * exponent)
 
-    def _key(self) -> float:
-        return -math.inf if self.is_zero else self.log
 
-    def __lt__(self, other: "LogValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self._key() <= other._key()
-
-
-def log_sum(logs: Sequence[float]) -> float:
-    """log(sum(exp(l) for l in logs)), stable, in the given order.
-
-    Entries equal to -inf are allowed (they contribute nothing); the sum of
-    an empty or all-(-inf) sequence is -inf.  The maximum is factored out
-    and the mantissa sum is compensated, so the result is reproducible for
-    a fixed input order.
-    """
-    m = -math.inf
-    for l in logs:
-        if l > m:
-            m = l
-    if m == -math.inf:
-        return -math.inf
-    acc = NeumaierSum()
-    for l in logs:
-        acc.add(math.exp(l - m))
-    return m + math.log(acc.total)
-
-
-def logsumexp(logs, axis: int | None = None):
+def logsumexp(logs, axis: int | None = None, return_shares: bool = False):
     """log(sum(exp(logs))) along ``axis`` of an array, or over all of it.
 
-    The vectorised counterpart of ``log_sum``: the maximum of each slice is
-    factored out before numpy's (pairwise, fixed-order) sum, and a slice
-    that is empty or all -inf gives -inf.  Returns a float for axis=None.
+    The maximum of each slice is factored out before numpy's (pairwise,
+    fixed-order) sum, so terms far outside the float range keep their
+    logarithm; a slice that is empty or all -inf gives -inf.  Returns a
+    float for axis=None.  With ``return_shares`` it also returns
+    exp(logs - result), each term's share of its slice's sum (0 throughout
+    a slice that sums to 0), from the same exponentials.
     """
     a = np.asarray(logs, dtype=float)
     m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
     m = np.where(m == -np.inf, 0.0, m)
     scaled = a - m
     np.exp(scaled, out=scaled)
+    total = np.sum(scaled, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(scaled, axis=axis, keepdims=True)) + m
-    return float(out.item()) if axis is None else np.squeeze(out, axis=axis)
+        out = np.log(total) + m
+    out = float(out.item()) if axis is None else np.squeeze(out, axis=axis)
+    if not return_shares:
+        return out
+    np.divide(scaled, total, out=scaled, where=total > 0.0)
+    return out, scaled
 
 
 def signed_logsumexp(logs, signs, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

@@ -223,6 +223,8 @@ def moments(mu: Measure, exponents) -> np.ndarray:
     moment (an empty restriction) is -inf.
     """
     a = np.asarray(exponents, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
     if not np.all(a >= 0.0):
         raise ValueError(f"moment exponents must be >= 0, got min {a.min()}")
     if isinstance(mu, Lebesgue):
@@ -426,6 +428,9 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     density's factor u**alpha where it reaches u = 0 (exact even where that
     is singular), and a Gauss-Legendre one otherwise.
     """
+    if not math.isfinite(sharpness):
+        raise ValueError(f"node sharpness must be finite, got {sharpness} "
+                         "(p * lam beyond the float range?)")
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._masses.copy()
     if isinstance(mu, (Lebesgue, DensityMeasure)):

@@ -50,13 +50,17 @@ def test_compact_suite_on_lebesgue_tail_file(tmp_path, capsys):
     assert order["divergent"]
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*argv):
     # the child imports the same package as this test, wherever pytest found it
     src = str(Path(muntzlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "muntzlab", "--help"],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "muntzlab", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _python_dash_m("--help")
     assert out.returncode == 0
     assert "usage: muntzlab" in out.stdout
 
@@ -221,3 +225,24 @@ def test_hs_kernel_matches_poisson_on_density(alpha, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     check = {c["name"]: c for c in report["checks"]}["kernel-double-integral-matches-poisson"]
     assert code == 0 and check["status"] == "PASS", check["data"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dnp", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "lebesgue"],
+    ["moments", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "DENSITY"],
+    ["spectrum", "--seq", "explicit:1,1e308", "--N", "2", "--measure", "DENSITY"],
+    ["dnp", "--seq", "explicit:1,1e308", "--measure", "lebesgue"],
+    ["verify", "--suite", "carleson", "--seq", "explicit:1,1e308", "--N", "2",
+     "--measure", "atoms:0.5:1"],
+], ids=["dnp-node-sharpness", "moments-exponent", "spectrum-node-sharpness",
+        "dnp-bounds-exponent", "carleson-exponent"])
+def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
+    # p * lam (or 2 lam) overflows to inf: exit 2 with a message, no traceback
+    # and no overflow warning from the product
+    spec = tmp_path / "density.json"
+    spec.write_text(json.dumps({"kind": "density", "name": "oneminus_power",
+                                "params": {"alpha": 0.5}}))
+    out = _python_dash_m(*(f"file:{spec}" if a == "DENSITY" else a for a in argv))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr

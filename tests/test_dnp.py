@@ -1,12 +1,15 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from muntzlab.dnp import (WeightScheme, compute_dn, decreasing_rearrangement,
                           operator_bounds)
-from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
+from muntzlab.logdomain import logsumexp
+from muntzlab.measures import (DensityMeasure, Lebesgue, atoms, log_powers, measure_nodes,
+                               restrict)
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 24)
@@ -108,12 +111,51 @@ class TestComputeDn:
         assert compute_dn(long_geo, mu, w, n_count=6, tol=1e-10).all_safe
         tight = compute_dn(long_geo, mu, w, n_count=6)
         assert not any(t.safe for t in tight.truncation)
-        # nodes reach u ~ 2**-8 / (p lam_last), where the last term still counts
-        assert tight.truncation[0].cutoff == len(long_geo) - 1
+        # nodes reach u ~ 2**-8 / (p lam_last), but the terms there carry almost
+        # none of D_0**3: the first-order share of the last term is below 1e-12
+        assert tight.truncation[0].cutoff == 32
         short = compute_dn(GEO, Lebesgue(), w, n_count=6)
         info = short.truncation[0]
         assert not info.safe and info.tail_ratio > 0.0
         assert info.cutoff == len(GEO) - 1
+
+    def test_cutoff_bounds_the_truncated_series(self):
+        # cutoff is the last inner term with a first-order share of at least tol;
+        # the inner series summed only that far, on the same nodes, moves D_n**p
+        # by less than tol per omitted term
+        seq = generate_geometric(1, 2, 34)
+        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        p, tol = 3.0, 1e-10
+        prof = compute_dn(seq, mu, WeightScheme("inverse_lambda", p), n_count=6, tol=tol)
+        cutoffs = [t.cutoff for t in prof.truncation]
+        assert max(cutoffs) < len(seq) - 1
+        lams = np.array(seq.exponents)
+        log_t, w = measure_nodes(mu, sharpness=p * lams[-1])
+        terms = log_powers(log_t, lams) + np.log(lams) / p
+
+        def log_dp(n, k_end):
+            inner = logsumexp(terms[:, :k_end], axis=1)
+            return float(logsumexp(terms[:, n] + (p - 1.0) * inner + np.log(w)))
+
+        for n, cut in enumerate(cutoffs):
+            full = log_dp(n, len(seq))
+            assert math.exp(full / p) == pytest.approx(prof.values[n], rel=1e-14)
+            change = -math.expm1(log_dp(n, cut + 1) - full)
+            assert 0.0 < change < (len(seq) - 1 - cut) * tol
+
+    def test_lebesgue_p2_past_the_float_range(self):
+        # lam_n + lam_k overflows at 1e308; it read as a zero moment, D_1 = 1e-77
+        w_inv = WeightScheme("inverse_lambda", 2.0)
+        w_cls = WeightScheme("classical", 2.0)
+        cases = [(w_inv, (1.0, 1e308), lambda l: l),
+                 (w_cls, (0.0, 1e308), lambda l: 2 * l + 1)]
+        for weight, lams, inv_w in cases:
+            prof = compute_dn(ExponentSequence(lams), Lebesgue(), weight)
+            with mp.workdps(40):
+                lam = [mp.mpf(l) for l in lams]
+                refs = [float(mp.sqrt(mp.fsum(mp.sqrt(inv_w(lam[n]) * inv_w(k)) / (lam[n] + k + 1)
+                                              for k in lam))) for n in range(2)]
+            assert list(prof.values) == pytest.approx(refs, rel=1e-13)
 
     def test_general_p_density(self):
         # nodes reach u ~ 2**-8 / (3 lam_last), so the prefix does not settle
@@ -180,6 +222,14 @@ class TestOracle:
         assert compared >= 40
         assert prof.all_safe
 
+    def test_lebesgue_p2_against_closed_sum(self):
+        seq = generate_geometric(1, 2, 60)
+        prof = compute_dn(seq, Lebesgue(), WeightScheme("inverse_lambda", 2.0))
+        with mp.workdps(40):
+            refs = [float(mp.sqrt(closed_dp(seq.exponents, n, 2, lebesgue_moment)))
+                    for n in range(len(seq))]
+        assert list(prof.values) == pytest.approx(refs, rel=1e-13)
+
     def test_lebesgue_p3_against_closed_sum(self):
         # nodes sized by the last n instead of the last prefix entry left this 3.4e-3 off
         seq = generate_geometric(1, 2, 60)
@@ -189,18 +239,21 @@ class TestOracle:
                     for n in range(24)]
         assert list(prof.values) == pytest.approx(refs, rel=1e-12)
 
-    @pytest.mark.parametrize("mu, moment, p, count, n_count", [
-        (Lebesgue(), lebesgue_moment, 3, 24, 6),
-        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6),
-        (Lebesgue(), lebesgue_moment, 2, 16, 16),
-    ], ids=["lebesgue-p3", "density-p3", "lebesgue-p2"])
-    def test_tail_estimate_against_longer_prefix(self, mu, moment, p, count, n_count):
+    @pytest.mark.parametrize("mu, moment, p, count, n_count, route", [
+        (Lebesgue(), lebesgue_moment, 3, 24, 6, "general"),
+        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6, "general"),
+        (Lebesgue(), lebesgue_moment, 2, 16, 16, "general"),
+        (Lebesgue(), lebesgue_moment, 2, 16, 16, "auto"),
+        (Lebesgue(), lebesgue_moment, 2, 40, 24, "auto"),
+    ], ids=["lebesgue-p3", "density-p3", "lebesgue-p2", "lebesgue-p2-auto",
+            "lebesgue-p2-auto-long"])
+    def test_tail_estimate_against_longer_prefix(self, mu, moment, p, count, n_count, route):
         # the estimate is at least the change of D_n**p when the prefix runs on
         # (here 40 more terms, enough to converge) and at most 10 times it
         seq = generate_geometric(1, 2, count)
         longer = generate_geometric(1, 2, count + 40).exponents
         prof = compute_dn(seq, mu, WeightScheme("inverse_lambda", float(p)),
-                          n_count=n_count, route="general")
+                          n_count=n_count, route=route)
         for n in sorted({0, n_count // 2, n_count - 1}):
             with mp.workdps(40):
                 prefix = closed_dp(seq.exponents, n, p, moment)

@@ -89,6 +89,10 @@ class TestMoments:
             moments(Lebesgue(), [1.0, -0.5])
         with pytest.raises(ValueError):
             moments(GEOM30, [math.nan])
+        # an exponent p * lam past the float range: the closed form read it as 0
+        for mu in (Lebesgue(), GEOM30, DensityMeasure("oneminus_power", alpha=0.5)):
+            with pytest.raises(ValueError):
+                moments(mu, [1.0, math.inf])
 
 
 class TestMoment:
@@ -190,6 +194,12 @@ class TestNodes:
         assert not np.any(log_t == 0.0)
         assert np.all(np.isfinite(w)) and np.all(w > 0.0)
         assert math.fsum(w) == pytest.approx(mass, rel=1e-14)
+
+    @pytest.mark.parametrize("sharpness", [math.inf, math.nan])
+    def test_non_finite_sharpness_refused(self, sharpness):
+        for mu in (Lebesgue(), GEOM30):
+            with pytest.raises(ValueError):
+                measure_nodes(mu, sharpness)
 
 
 class TestSublinear:

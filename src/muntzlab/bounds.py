@@ -133,9 +133,9 @@ def envelope_check(seq: ExponentSequence, alpha: float,
     return EnvelopeBracket(min(ratios), max(ratios), profile)
 
 
-def point_eval_norm(seq: ExponentSequence, p: float, t: float,
-                    n_count: int | None = None) -> float:
-    """Dual-norm surrogate for evaluation at t: (sum lam^{p'/p} t^{p' lam})^{1/p'}.
+def point_eval_norm(seq: ExponentSequence, p: float, t: float) -> float:
+    """Dual-norm surrogate for evaluation at t: (sum lam^{p'/p} t^{p' lam})^{1/p'}
+    over the prefix (``seq.prefix(n)`` for the first n terms).
 
     At p = 1 the p' -> inf limit is the sup of lam * t^lam.  This is the
     basis-side surrogate; the hilbert module has the exact truncated kernel
@@ -145,11 +145,8 @@ def point_eval_norm(seq: ExponentSequence, p: float, t: float,
         raise ValueError(f"t must be in [0,1), got {t}")
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    n_count = len(seq) if n_count is None else n_count
-    if not 1 <= n_count <= len(seq):
-        raise ValueError(f"n_count {n_count} out of range")
     log_t = math.log1p(t - 1.0) if t > 0.0 else -math.inf
-    lams = [l for l in seq.exponents[:n_count] if l > 0.0]  # lam = 0 contributes 0
+    lams = [l for l in seq.exponents if l > 0.0]  # lam = 0 contributes 0
     if t == 0.0 or not lams:
         return 0.0
     if p == 1.0:

@@ -8,6 +8,11 @@ rest on it are then reported as EVIDENCE.  Exit code 0 means no FAIL, 1
 means some FAIL, 2 means usage error.  For fixed inputs and seed the output
 is byte-identical.
 
+Each subcommand takes only the options its handler reads (``_COMMANDS``); an
+option of another subcommand is a usage error.  ``verify`` and ``report``
+take the union of what their suites read, and ``--format csv`` exists on
+moments, dnp and example.
+
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
 their suites one store of D_n profiles (``_dn_store``), so a profile that
 several suites read is computed once per command.
@@ -177,36 +182,29 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(payload: dict, args, default_name: str) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
+def _emit(payload: dict, args, name: str, as_csv: bool = False) -> None:
+    """Print the payload and, with --out, write it there: as JSON, or as a CSV
+    table of its rows when ``as_csv``."""
+    if as_csv:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(payload["rows"][0]))
+        writer.writeheader()
+        writer.writerows(payload["rows"])
+        text, name = buf.getvalue(), f"{name}.csv"
+    else:
+        payload = {"schema": SCHEMA, **payload}
+        text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        name = f"{name}.json"
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{default_name}.json").write_text(text + "\n")
-    print(text)
-
-
-def _emit_csv(rows: list[dict], args, default_name: str) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{default_name}.csv").write_text(text)
+        (out_dir / name).write_text(text)
     print(text, end="")
 
 
 def check(name: str, op: str, status: str, **data) -> dict:
-    cleaned = {}
-    for key, value in data.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            value = repr(value)
-        cleaned[key] = value
-    return {"name": name, "op": op, "status": status, "data": cleaned}
+    """One check record; ``_emit`` makes its non-finite floats strings."""
+    return {"name": name, "op": op, "status": status, "data": data}
 
 
 def _exit_code(checks: list[dict]) -> int:
@@ -351,7 +349,7 @@ def suite_diagonal(seq, mu, n, seed, dn) -> list[dict]:
     ok = abs(hs ** 2 - trace) <= 1e-10 * max(trace, 1e-300)
     checks.append(check("hilbert-schmidt-equals-trace", "hilbert.t_mu_spectrum",
                         "PASS" if ok else "FAIL", hs_squared=hs ** 2, trace=trace))
-    for r in (1.0, 2.0, 4.0):
+    for r in hilbert.SCHATTEN_ORDERS:
         ok = spec.schatten[r] <= ob.schatten[r] + 1e-9
         checks.append(check(f"schatten-bound-r={r:g}", "dnp.operator_bounds",
                             "PASS" if ok else "FAIL",
@@ -392,9 +390,7 @@ def suite_blocksum(seq, p) -> list[dict]:
 def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
     checks = []
     cls = sequences_mod.classify(seq)
-    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
-        exponents = p * np.array(seq.exponents)
-    logs = measures_mod.moments(mu, exponents).tolist()
+    logs = measures_mod.moments(mu, seq.exponents, p).tolist()
     m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
     checks.append(check("monomial-test-constant", "measures.moment", "EVIDENCE",
@@ -517,9 +513,7 @@ def _cmd_classify(args) -> int:
 def _cmd_moments(args) -> int:
     seq = parse_sequence(args.seq)
     mu = parse_measure(args.measure)
-    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
-        exponents = args.p * np.array(seq.exponents)
-    logs = measures_mod.moments(mu, exponents).tolist()
+    logs = measures_mod.moments(mu, seq.exponents, args.p).tolist()
     rows = []
     for i, (lam, log_m) in enumerate(zip(seq, logs)):
         m = LogValue.from_log(log_m)
@@ -527,11 +521,9 @@ def _cmd_moments(args) -> int:
                      "moment_p_lambda": m.to_float(),
                      "log_moment": None if m.is_zero else m.log,
                      "monomial_test": lam * m.to_float()})
-    if args.format == "csv":
-        _emit_csv(rows, args, "moments")
-    else:
-        _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
-                                                "p": args.p}, "rows": rows}, args, "moments")
+    _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
+                                            "p": args.p}, "rows": rows},
+          args, "moments", as_csv=args.format == "csv")
     return 0
 
 
@@ -546,9 +538,6 @@ def _cmd_dnp(args) -> int:
              "cutoff_K": profile.truncation[i].cutoff,
              "tail_flag": "ok" if profile.truncation[i].safe else "unsafe"}
             for i in range(n_count)]
-    if args.format == "csv":
-        _emit_csv(rows, args, "dnp")
-        return 0
     payload = {"command": "dnp",
                "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
                           "weight": args.weight, "n": n_count, "tol": args.tol},
@@ -558,7 +547,7 @@ def _cmd_dnp(args) -> int:
                           "nuclear": ob.nuclear_bound,
                           "schatten": None if ob.schatten is None
                           else {f"{r:g}": v for r, v in ob.schatten.items()}}}
-    _emit(payload, args, "dnp")
+    _emit(payload, args, "dnp", as_csv=args.format == "csv")
     return 0
 
 
@@ -661,15 +650,13 @@ def _cmd_example(args) -> int:
         if report.dn_values is not None:
             row["D_n(p)"] = report.dn_values[i]
         rows.append(row)
-    if args.format == "csv":
-        _emit_csv(rows, args, f"example-{args.label}")
-    else:
-        _emit({"command": "example",
-               "inputs": {"label": args.label, "p": args.p, "count": args.count,
-                          "q": list(args.q)},
-               "rows": rows,
-               "checks": [asdict(c) for c in report.checks],
-               "truncated": inst.truncated}, args, f"example-{args.label}")
+    _emit({"command": "example",
+           "inputs": {"label": args.label, "p": args.p, "count": args.count,
+                      "q": list(args.q)},
+           "rows": rows,
+           "checks": [asdict(c) for c in report.checks],
+           "truncated": inst.truncated},
+          args, f"example-{args.label}", as_csv=args.format == "csv")
     for c in report.checks:
         print(f"[{c.status}] {c.name}", file=sys.stderr)
     return 1 if any(c.status == "FAIL" for c in report.checks) else 0
@@ -748,23 +735,71 @@ def _cmd_report(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, seq=True, measure=True):
-    if seq:
-        sp.add_argument("--seq", default="geometric:1,2,16",
-                        help="geometric:l0,r,count | recursive:l,start,gamma,count | "
-                             "explicit:v1,v2,... | file:path.json")
-    if measure:
-        sp.add_argument("--measure", default="lebesgue",
-                        help="lebesgue | atoms:delta:mass,... | file:path.json")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=lambda s: _floats(s), default=[])
-    sp.add_argument("--N", type=int, default=hilbert.DEFAULT_TRUNCATION)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--out", default=None, help="directory for report files")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+# Every option of every subcommand.  Each subcommand takes exactly the options
+# its handler reads (_COMMANDS), so an option it would ignore is a usage error.
+_OPTIONS = {
+    "--seq": dict(default="geometric:1,2,16",
+                  help="geometric:l0,r,count | recursive:l,start,gamma,count | "
+                       "explicit:v1,v2,... | file:path.json"),
+    "--measure": dict(default="lebesgue",
+                      help="lebesgue | atoms:delta:mass,... | file:path.json"),
+    "--p": dict(type=float, default=2.0),
+    "--q": dict(type=_floats, default=()),
+    "--N": dict(type=int, default=hilbert.DEFAULT_TRUNCATION),
+    "--tol": dict(type=float, default=1e-12),
+    "--seed": dict(type=int, default=0),
+    "--eps": dict(type=float, default=0.5),
+    "--count": dict(type=int, default=20),
+    "--out": dict(default=None, help="directory for report files"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--decompose": dict(type=float, default=None,
+                        help="also greedily split into r-lacunary parts"),
+    "--weight": dict(choices=("inverse_lambda", "classical"), default="inverse_lambda"),
+    "--formula": dict(required=True,
+                      choices=("jlambda", "lemma31", "r_epsilon", "envelope", "point_eval")),
+    "--r": dict(type=float, default=2.0),
+    "--alpha": dict(type=float, default=1.0),
+    "--t": dict(type=float, default=0.5),
+    "--coeffs": dict(default="1"),
+    "--coeffs-file": dict(default=None),
+    "--kind": dict(choices=("gm", "amgm"), default="gm"),
+    "--trials": dict(type=int, default=100),
+    "--block-start": dict(type=int, default=0),
+    "--block-len": dict(type=int, default=4),
+    "--operator": dict(choices=("embedding", "synthesis", "frame"), default="embedding"),
+    "--label": dict(choices=("A", "B"), required=True),
+    "--suite": dict(required=True, choices=SUITE_IDS),
+    "--suites": dict(type=lambda s: s.split(","),
+                     default=("basis", "pairing-dichotomy", "envelope",
+                              "crossterm-bound", "diagonal-domination")),
+    "--alpha-list": dict(type=_floats, default=(0.5, 1.0, 2.0)),
+}
+
+# the union of what the suites read, for verify and report
+_SUITE_OPTIONS = ("--seq", "--measure", "--p", "--q", "--N", "--tol", "--seed", "--eps",
+                  "--count", "--out", "--alpha-list")
+
+_COMMANDS = (
+    ("classify", "prefix growth classification", _cmd_classify,
+     ("--seq", "--decompose", "--out")),
+    ("moments", "monomial moments against a measure", _cmd_moments,
+     ("--seq", "--measure", "--p", "--out", "--format")),
+    ("dnp", "diagonal-domination profile and bounds", _cmd_dnp,
+     ("--seq", "--measure", "--p", "--N", "--tol", "--out", "--format", "--weight")),
+    ("bounds", "closed-form constants and brackets", _cmd_bounds,
+     ("--seq", "--p", "--eps", "--count", "--out", "--formula", "--r", "--alpha", "--t")),
+    ("norm", "L^p(mu) norm of a coefficient vector", _cmd_norm,
+     ("--seq", "--measure", "--p", "--out", "--coeffs", "--coeffs-file")),
+    ("probe", "ratio sampling and block probes", _cmd_probe,
+     ("--seq", "--p", "--seed", "--out", "--kind", "--trials", "--block-start", "--block-len")),
+    ("spectrum", "truncated operator spectra (p=2)", _cmd_spectrum,
+     ("--seq", "--measure", "--N", "--tol", "--out", "--operator")),
+    ("example", "extremal constructions A and B", _cmd_example,
+     ("--p", "--q", "--tol", "--count", "--out", "--format", "--label")),
+    ("verify", "named verification suites", _cmd_verify, _SUITE_OPTIONS + ("--suite",)),
+    ("report", "run a battery of suites into a directory", _cmd_report,
+     _SUITE_OPTIONS + ("--suites",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -772,71 +807,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="muntzlab",
         description="numerics for weighted monomial systems on [0,1)")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("classify", help="prefix growth classification")
-    _add_common(sp, measure=False)
-    sp.add_argument("--decompose", type=float, default=None,
-                    help="also greedily split into r-lacunary parts")
-    sp.set_defaults(fn=_cmd_classify)
-
-    sp = sub.add_parser("moments", help="monomial moments against a measure")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_moments)
-
-    sp = sub.add_parser("dnp", help="diagonal-domination profile and bounds")
-    _add_common(sp)
-    sp.add_argument("--weight", choices=("inverse_lambda", "classical"),
-                    default="inverse_lambda")
-    sp.set_defaults(fn=_cmd_dnp)
-
-    sp = sub.add_parser("bounds", help="closed-form constants and brackets")
-    _add_common(sp)
-    sp.add_argument("--formula", required=True,
-                    choices=("jlambda", "lemma31", "r_epsilon", "envelope", "point_eval"))
-    sp.add_argument("--r", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--t", type=float, default=0.5)
-    sp.set_defaults(fn=_cmd_bounds)
-
-    sp = sub.add_parser("norm", help="L^p(mu) norm of a coefficient vector")
-    _add_common(sp)
-    sp.add_argument("--coeffs", default="1")
-    sp.add_argument("--coeffs-file", default=None)
-    sp.set_defaults(fn=_cmd_norm)
-
-    sp = sub.add_parser("probe", help="ratio sampling and block probes")
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("gm", "amgm"), default="gm")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--block-start", type=int, default=0)
-    sp.add_argument("--block-len", type=int, default=4)
-    sp.set_defaults(fn=_cmd_probe)
-
-    sp = sub.add_parser("spectrum", help="truncated operator spectra (p=2)")
-    _add_common(sp)
-    sp.add_argument("--operator", choices=("embedding", "synthesis", "frame"),
-                    default="embedding")
-    sp.set_defaults(fn=_cmd_spectrum)
-
-    sp = sub.add_parser("example", help="extremal constructions A and B")
-    _add_common(sp, seq=False, measure=False)
-    sp.add_argument("--label", choices=("A", "B"), required=True)
-    sp.set_defaults(fn=_cmd_example)
-
-    sp = sub.add_parser("verify", help="named verification suites")
-    _add_common(sp)
-    sp.add_argument("--suite", required=True, choices=SUITE_IDS)
-    sp.add_argument("--alpha-list", type=lambda s: _floats(s), default=[0.5, 1.0, 2.0])
-    sp.set_defaults(fn=_cmd_verify)
-
-    sp = sub.add_parser("report", help="run a battery of suites into a directory")
-    _add_common(sp)
-    sp.add_argument("--suites", type=lambda s: s.split(","),
-                    default=["basis", "pairing-dichotomy", "envelope",
-                             "crossterm-bound", "diagonal-domination"])
-    sp.add_argument("--alpha-list", type=lambda s: _floats(s), default=[0.5, 1.0, 2.0])
-    sp.set_defaults(fn=_cmd_report)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
+        sp.set_defaults(fn=handler)
     return parser
 
 

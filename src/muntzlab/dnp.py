@@ -30,9 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import SCHATTEN_ORDERS
 from .logdomain import LogValue, logsumexp
 from .measures import Lebesgue, Measure, log_powers, measure_nodes, moments
 from .sequences import ExponentSequence
+
+_WINDOW_FRAC = 0.25  # operator_bounds' limsup proxy: the trailing quarter of the profile
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,8 @@ class OperatorBounds:
     """Bounds on the weighted synthesis operator derived from a D profile.
 
     rearranged[k] upper-bounds the (k+2)-nd approximation number on the
-    prefix; the limsup proxy is a trailing-window maximum and is an
-    estimate, not an asymptotic claim.
+    prefix; the limsup proxy is the maximum over the trailing quarter of the
+    profile and is an estimate, not an asymptotic claim.
     """
 
     sup_dn: float
@@ -231,28 +234,20 @@ class OperatorBounds:
     schatten: dict[float, float] | None  # only for p == 2
 
 
-def operator_bounds(profile: DnProfile, mu: Measure, seq: ExponentSequence,
-                    schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0),
-                    window_frac: float = 0.25) -> OperatorBounds:
+def operator_bounds(profile: DnProfile, mu: Measure, seq: ExponentSequence) -> OperatorBounds:
     vals = profile.values
-    window = max(1, int(round(window_frac * len(vals))))
+    window = max(1, int(round(_WINDOW_FRAC * len(vals))))
     rearranged = decreasing_rearrangement(vals)
     p = profile.weight.p
 
     lams = seq.exponents[:len(vals)]
-    with np.errstate(over="ignore"):  # moments refuses a p * lam beyond the float range
-        exponents = p * np.array(lams)
-    logs = moments(mu, exponents).tolist()
+    logs = moments(mu, lams, p).tolist()
     nuclear = math.fsum(math.exp(profile.weight.log_inv_weight_root(l) + m / p)
                         if m > -math.inf else 0.0 for l, m in zip(lams, logs))
 
     schatten = None
     if p == 2.0:
-        schatten = {}
-        for r in schatten_r:
-            if not r > 0.0:
-                raise ValueError("Schatten order must be positive")
-            schatten[r] = math.fsum(v ** r for v in vals) ** (1.0 / r)
+        schatten = {r: math.fsum(v ** r for v in vals) ** (1.0 / r) for r in SCHATTEN_ORDERS}
 
     return OperatorBounds(
         sup_dn=max(vals),

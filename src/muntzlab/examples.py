@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dnp import WeightScheme, compute_dn
 from .logdomain import LogValue
 from .measures import Atom, AtomicMeasure, moments
@@ -27,6 +25,10 @@ from .sequences import ExponentSequence
 
 _FIRST_INDEX = 2
 _MIN_LOG10 = -290.0  # atoms keep plain-float deltas and masses above this
+# check_example_claims judges a trend on the last _WINDOW values of an instance
+_WINDOW = 5
+_RATIO_BAND = (0.8, 1.2)   # construction A: M_n(p) / log n
+_GROWTH_BAND = (0.5, 2.0)  # construction B: M_n(q) log n / n**(p - q)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
 
 def monomial_test_values(inst: ExampleInstance, q: float) -> tuple[float, ...]:
     """M_n(q) = lam_n * integral t**(q lam_n) dmu over the instance range."""
-    logs = moments(inst.mu, q * np.array(inst.seq.exponents)).tolist()
+    logs = moments(inst.mu, inst.seq.exponents, q).tolist()
     return tuple(LogValue.from_log(log_lam + m).to_float()
                  for log_lam, m in zip(inst.log_lambdas, logs))
 
@@ -125,40 +127,35 @@ class ClaimReport:
         return all(c.status != "FAIL" for c in self.checks)
 
 
-def _band_check(name: str, key: str, values, band: tuple[float, float],
-                window: int) -> ClaimCheck:
-    """EVIDENCE when the last ``window`` values lie in ``band``, else FAIL.
+def _band_check(name: str, key: str, values, band: tuple[float, float]) -> ClaimCheck:
+    """EVIDENCE when the last _WINDOW values lie in ``band``, else FAIL.
 
     The window must lie in the later half of the instance, the half that
-    ``_decreasing_tail`` reads: an instance with fewer than 2 * window
+    ``_decreasing_tail`` reads: an instance with fewer than 2 * _WINDOW
     indices is too short to show the trend, so the check is UNMET (missing
     data), whatever its values.
     """
-    data = {key: values[-window:], "band": band}
-    if len(values) < 2 * window:
+    data = {key: values[-_WINDOW:], "band": band}
+    if len(values) < 2 * _WINDOW:
         return ClaimCheck(name, "UNMET", {**data, "note": (
-            f"instance too short: a window of {window} needs {2 * window} indices, "
+            f"instance too short: a window of {_WINDOW} needs {2 * _WINDOW} indices, "
             f"have {len(values)}")})
     lo, hi = band
-    ok = all(lo <= v <= hi for v in values[-window:])
+    ok = all(lo <= v <= hi for v in values[-_WINDOW:])
     return ClaimCheck(name, "EVIDENCE" if ok else "FAIL", data)
 
 
-def _decreasing_tail(values, frac: float = 0.5) -> bool:
-    k = max(2, int(len(values) * frac))
+def _decreasing_tail(values) -> bool:
+    k = max(2, len(values) // 2)
     tail = values[-k:]
     return all(b < a for a, b in zip(tail, tail[1:]))
 
 
-def check_example_claims(inst: ExampleInstance, q_list,
-                         window: int = 5,
-                         ratio_band: tuple[float, float] = (0.8, 1.2),
-                         growth_band: tuple[float, float] = (0.5, 2.0),
-                         tol: float = 1e-12) -> ClaimReport:
+def check_example_claims(inst: ExampleInstance, q_list, tol: float = 1e-12) -> ClaimReport:
     """Trend checks for the construction's claimed monomial-test behavior.
 
     Trend statuses are EVIDENCE when they pass (finite data cannot prove a
-    limit) and FAIL when the configured window breaks; a band check on an
+    limit) and FAIL when the window breaks; a band check on an
     instance too short for its window is UNMET.  ``tol`` goes to
     ``compute_dn`` for construction B's D_n(p) profile.
     """
@@ -180,7 +177,7 @@ def check_example_claims(inst: ExampleInstance, q_list,
         if inst.p in q_values:
             ratios = tuple(v / math.log(n) for n, v in zip(ns, tests[inst.p]))
             checks.append(_band_check("monomial-test-at-p-grows-like-log", "window_ratios",
-                                      ratios, ratio_band, window))
+                                      ratios, _RATIO_BAND))
         for q in q_values:
             if q > inst.p:
                 vals = tests[q]
@@ -188,7 +185,7 @@ def check_example_claims(inst: ExampleInstance, q_list,
                 checks.append(ClaimCheck(
                     name=f"monomial-test-decays-at-q={q:g}",
                     status="EVIDENCE" if ok else "FAIL",
-                    data={"last_values": vals[-window:], "final": vals[-1]}))
+                    data={"last_values": vals[-_WINDOW:], "final": vals[-1]}))
     else:
         for q in q_values:
             if q < inst.p:
@@ -196,7 +193,7 @@ def check_example_claims(inst: ExampleInstance, q_list,
                 scale = tuple(v * math.log(n) / n ** (inst.p - q)
                               for n, v in zip(ns, vals))
                 checks.append(_band_check(f"monomial-test-grows-at-q={q:g}", "window_scaled",
-                                          scale, growth_band, window))
+                                          scale, _GROWTH_BAND))
 
     dn_values: tuple[float, ...] | None = None
     if inst.label == "B":
@@ -207,7 +204,7 @@ def check_example_claims(inst: ExampleInstance, q_list,
         checks.append(ClaimCheck(
             name="diagonal-domination-decays-at-p",
             status="EVIDENCE" if ok else "FAIL",
-            data={"last_values": dn_values[-window:], "final": dn_values[-1],
+            data={"last_values": dn_values[-_WINDOW:], "final": dn_values[-1],
                   "tails_safe": profile.all_safe}))
 
     return ClaimReport(

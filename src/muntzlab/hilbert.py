@@ -31,6 +31,7 @@ from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction,
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
+SCHATTEN_ORDERS = (1.0, 2.0, 4.0)  # every reported Schatten norm, spectra and D_n bounds alike
 MAX_TRUNCATION = 64
 _FLUSH_LOG = math.log(1e-300)
 _S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
@@ -129,17 +130,7 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.concatenate([s, np.zeros(a.shape[1] - len(s))])
 
 
-def _schatten_map(sigma: np.ndarray, orders: tuple[float, ...]) -> dict[float, float]:
-    out = {}
-    for r in orders:
-        if not r > 0.0:
-            raise ValueError("Schatten order must be positive")
-        out[float(r)] = float(np.sum(sigma ** r) ** (1.0 / r))
-    return out
-
-
-def _spectral_result(operator: str, n: int, leading, schatten_r: tuple[float, ...],
-                     extras: dict) -> SpectralResult:
+def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralResult:
     """Spectrum of leading(n), with leading(m) the operator on the first m monomials.
 
     The drift compares sigma_1 and the Hilbert-Schmidt (Frobenius) norm at
@@ -158,14 +149,14 @@ def _spectral_result(operator: str, n: int, leading, schatten_r: tuple[float, ..
         operator=operator,
         n=n,
         singular_values=tuple(float(s) for s in sigma),
-        schatten=_schatten_map(sigma, schatten_r),
+        schatten={r: float(np.sum(sigma ** r) ** (1.0 / r)) for r in SCHATTEN_ORDERS},
         drift=drift,
         extras=extras,
     )
 
 
-def embedding_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
-                       schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0)) -> SpectralResult:
+def embedding_spectrum(seq: ExponentSequence, mu: Measure,
+                       n: int = DEFAULT_TRUNCATION) -> SpectralResult:
     """Singular values of the truncated embedding of the monomial span into L2(mu).
 
     With L the Cholesky factor of the Cauchy Gram, the columns of L^-T are
@@ -176,11 +167,11 @@ def embedding_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUN
     low = cholesky_lower(_cauchy_gram(np.array(seq.exponents[:n])))
     return _spectral_result(
         "i_mu_embedding", n, lambda m: np.linalg.solve(low[:m, :m], v[:, :m].T).T,
-        schatten_r, {"flushed": flushed})
+        {"flushed": flushed})
 
 
-def t_mu_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
-                  schatten_r: tuple[float, ...] = (1.0, 2.0, 4.0)) -> SpectralResult:
+def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
+                  n: int = DEFAULT_TRUNCATION) -> SpectralResult:
     """Singular values of the truncated synthesis operator with weights 1/lam.
 
     The operator is the synthesis factor sqrt(w) t**lam_j sqrt(lam_j) on the
@@ -191,7 +182,7 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATIO
     here; see ``dnp.compute_dn`` and ``dnp.operator_bounds``.
     """
     a, flushed = _synthesis_factor(seq, mu, n)
-    return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m], schatten_r,
+    return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m],
                             {"flushed": flushed, "trace": float(np.sum(a * a))})
 
 

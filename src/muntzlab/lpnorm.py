@@ -164,6 +164,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
         warnings.warn("ratio sampling on a non-lacunary prefix; the bracket "
                       "may degenerate", stacklevel=2)
     rng = np.random.default_rng(seed)
+    # a float product: p * lam beyond the float range is inf, no warning
+    if not math.isfinite(p * seq[n_count - 1]):
+        raise ValueError(f"p * lam = {p:g} * {seq[n_count - 1]:g} is beyond the float range")
     lam = np.array(seq.exponents[:n_count])
     q = p * lam + 1.0
     exact_gram = p == 2.0 and isinstance(mu, Lebesgue)

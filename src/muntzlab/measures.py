@@ -212,33 +212,49 @@ def atoms(pairs) -> AtomicMeasure:
 # operations
 # ---------------------------------------------------------------------------
 
-def moments(mu: Measure, exponents) -> np.ndarray:
-    """log of the integral of t**a against mu, for every a in ``exponents``.
+def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
+    """log of the integral of t**(p * a) against mu, for every a in ``exponents``.
 
     The one moment kernel.  Lebesgue measure and its restrictions take their
-    closed forms, -log1p(a) and log((b**(a+1) - a0**(a+1)) / (a+1)) for
-    [a0, b).  Every other measure is one log-sum-exp of log w + a log t over
-    ``measure_nodes`` sized by the largest exponent: an exponents x nodes
-    matrix summed along the nodes, the exact atom sum for atoms.  A zero
-    moment (an empty restriction) is -inf.
+    closed forms, -log(e) and log((b**e - a0**e) / e) for [a0, b) with
+    e = p * a + 1; where p * a overflows, log e is log p + log a, since the
+    + 1 is then far below rounding.  Every other measure is one log-sum-exp
+    of log w + p * a * log t over ``measure_nodes`` sized by the largest
+    exponent: an exponents x nodes matrix summed along the nodes, the exact
+    atom sum for atoms.  Those nodes need p * a in the float range, so a
+    larger one is refused.  A zero moment (an empty restriction) is -inf.
     """
-    a = np.asarray(exponents, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
-    if not np.all(a >= 0.0):
-        raise ValueError(f"moment exponents must be >= 0, got min {a.min()}")
+    lam = np.asarray(exponents, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("moment exponents must be finite")
+    if not np.all(lam >= 0.0):
+        raise ValueError(f"moment exponents must be >= 0, got min {lam.min()}")
+    with np.errstate(over="ignore"):
+        a = p * lam
+    big = np.isinf(a)
+    log_big = math.log(p) + np.log(lam[big]) if big.any() else 0.0  # log e where p * a overflows
     if isinstance(mu, Lebesgue):
-        return -np.log1p(a)
+        log_e = np.log1p(a)
+        log_e[big] = log_big
+        return -log_e
     if isinstance(mu, Restriction) and isinstance(mu.base, Lebesgue):
-        # (b**(a+1) - a0**(a+1)) / (a+1), arranged for large exponents
+        # (b**e - a0**e) / e, arranged for large exponents
         e = a + 1.0
         log_hi = e * math.log(mu.b) if mu.b < 1.0 else np.zeros_like(e)
         if mu.a == 0.0:
             diff = log_hi
         else:
-            log_lo = e * math.log(mu.a)
-            diff = log_hi + np.log1p(-np.exp(log_lo - log_hi))
-        return diff - np.log(e)
+            with np.errstate(invalid="ignore"):  # inf - inf where e is inf, set below
+                diff = log_hi + np.log1p(-np.exp(e * math.log(mu.a) - log_hi))
+        if mu.b < 1.0:
+            # e * log b without e; a0**e is then far below b**e
+            with np.errstate(over="ignore"):
+                diff[big] = p * (lam[big] * math.log(mu.b))
+        log_e = np.log(e)
+        log_e[big] = log_big
+        return diff - log_e
+    if big.any():
+        raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
     log_t, w = measure_nodes(mu, sharpness=float(a.max(initial=0.0)))
     # exponents x nodes, contiguous along the nodes it is summed over
     terms = np.ascontiguousarray(log_powers(log_t, a).T)

@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import muntzlab
 from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
-from muntzlab.cli import SUITE_IDS, run
+from muntzlab.cli import SUITE_IDS, build_parser, run
 
 
 def test_conditioning_error_exits_2_with_pivot(capsys):
@@ -63,6 +64,85 @@ def test_python_dash_m_runs_the_cli():
     out = _python_dash_m("--help")
     assert out.returncode == 0
     assert "usage: muntzlab" in out.stdout
+
+
+# the options each subcommand's handler reads, and so the ones it accepts
+_SUITE_OPTIONS = {"seq", "measure", "p", "q", "N", "tol", "seed", "eps", "count", "out",
+                  "alpha_list"}
+OPTIONS = {
+    "classify": {"seq", "decompose", "out"},
+    "moments": {"seq", "measure", "p", "out", "format"},
+    "dnp": {"seq", "measure", "p", "N", "tol", "out", "format", "weight"},
+    "bounds": {"seq", "p", "eps", "count", "out", "formula", "r", "alpha", "t"},
+    "norm": {"seq", "measure", "p", "out", "coeffs", "coeffs_file"},
+    "probe": {"seq", "p", "seed", "out", "kind", "trials", "block_start", "block_len"},
+    "spectrum": {"seq", "measure", "N", "tol", "out", "operator"},
+    "example": {"p", "q", "tol", "count", "out", "format", "label"},
+    "verify": _SUITE_OPTIONS | {"suite"},
+    "report": _SUITE_OPTIONS | {"suites"},
+}
+# command lines that together take every branch of a handler that reads an option
+_READERS = {
+    "classify": [["--decompose", "2"]],
+    "moments": [[]],
+    "dnp": [["--N", "4"]],
+    "bounds": [["--formula", f] for f in ("jlambda", "lemma31", "r_epsilon", "envelope",
+                                          "point_eval")],
+    "norm": [[]],
+    "probe": [["--trials", "3"], ["--kind", "amgm"]],
+    "spectrum": [["--operator", "synthesis", "--N", "4"]],
+    "example": [["--label", "A", "--count", "12"]],
+    "verify": [["--suite", "envelope"]],
+    "report": [["--seq", "geometric:1,2,8", "--N", "8", "--count", "12",
+                "--suites", "basis,isometry-threshold,envelope,ex-a"]],
+}
+
+
+class _Recording:
+    """Parsed options that remember which of them a handler reads."""
+
+    def __init__(self, values):
+        self._values, self.read = values, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
+
+
+def test_each_subcommand_accepts_exactly_the_options_its_handler_reads(tmp_path, capsys):
+    parser = build_parser()
+    assert set(OPTIONS) == set(_READERS)
+    for cmd, argvs in _READERS.items():
+        read = set()
+        for argv in argvs:
+            ns = parser.parse_args([cmd, *argv])
+            rec = _Recording(dict(vars(ns), out=str(tmp_path) if cmd == "report" else None))
+            assert ns.fn(rec) in (0, 1), (cmd, argv)
+            read |= rec.read
+        assert set(vars(ns)) - {"cmd", "fn"} == OPTIONS[cmd] == read, cmd
+    capsys.readouterr()
+    assert sum(len(v) for v in OPTIONS.values()) == 76
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--measure", "atoms:0.5:1"],  # probe samples Lebesgue norms only
+    ["spectrum", "--p", "3"],               # spectra are p = 2
+    ["classify", "--format", "csv"],        # classify writes JSON only
+], ids=["probe-measure", "spectrum-p", "classify-format"])
+def test_option_the_handler_would_ignore_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", sorted(OPTIONS))
+def test_subcommand_help_lists_its_options(cmd):
+    out = _python_dash_m(cmd, "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith(f"usage: muntzlab {cmd}")
+    for option in OPTIONS[cmd]:
+        assert f"--{option.replace('_', '-')} " in out.stdout, option
 
 
 # small inputs shared by the per-suite tests: each suite runs in well under a second.
@@ -231,11 +311,11 @@ def test_hs_kernel_matches_poisson_on_density(alpha, tmp_path, capsys):
     ["dnp", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "lebesgue"],
     ["moments", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "DENSITY"],
     ["spectrum", "--seq", "explicit:1,1e308", "--N", "2", "--measure", "DENSITY"],
-    ["dnp", "--seq", "explicit:1,1e308", "--measure", "lebesgue"],
     ["verify", "--suite", "carleson", "--seq", "explicit:1,1e308", "--N", "2",
      "--measure", "atoms:0.5:1"],
+    ["verify", "--suite", "basis", "--seq", "explicit:1,1e308", "--N", "2"],
 ], ids=["dnp-node-sharpness", "moments-exponent", "spectrum-node-sharpness",
-        "dnp-bounds-exponent", "carleson-exponent"])
+        "carleson-exponent", "basis-exponent"])
 def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
     # p * lam (or 2 lam) overflows to inf: exit 2 with a message, no traceback
     # and no overflow warning from the product
@@ -246,3 +326,14 @@ def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+
+
+def test_dnp_bounds_past_the_float_range():
+    # 2 lam overflows at lam = 1e308; the Lebesgue moment 1 / (2 lam + 1) does not
+    out = _python_dash_m("dnp", "--seq", "explicit:1,1e308", "--measure", "lebesgue")
+    assert out.returncode == 0 and out.stderr == ""
+    bounds = json.loads(out.stdout)["bounds"]
+    with mpmath.workdps(40):
+        want = mpmath.fsum(mpmath.sqrt(mpmath.mpf(l) / (1 + 2 * mpmath.mpf(l)))
+                           for l in (1, 1e308))
+    assert bounds["nuclear"] == pytest.approx(float(want), rel=1e-13)

@@ -292,6 +292,17 @@ class TestOperatorBounds:
         ob = operator_bounds(prof, HALF_ATOM, GEO)
         assert ob.nuclear_bound == pytest.approx(1.2814941480755806, rel=1e-12)
 
+    @pytest.mark.parametrize("exps", [(1.0, 1e308), (0.5, 3.0, 1e300, 1e308), GEO.exponents],
+                             ids=["past-float-range", "mixed", "geometric"])
+    def test_lebesgue_nuclear_bound_against_mpmath(self, exps):
+        # sum_n (lam_n / (1 + 2 lam_n))**(1/2); 2 lam overflows at lam = 1e308
+        seq = ExponentSequence(exps)
+        prof = compute_dn(seq, Lebesgue(), WeightScheme("inverse_lambda", 2.0))
+        ob = operator_bounds(prof, Lebesgue(), seq)
+        with mp.workdps(40):
+            want = mp.fsum(mp.sqrt(mp.mpf(l) / (1 + 2 * mp.mpf(l))) for l in exps)
+        assert ob.nuclear_bound == pytest.approx(float(want), rel=1e-13)
+
     def test_schatten_only_for_p2(self):
         prof1 = compute_dn(GEO, HALF_ATOM, WeightScheme("inverse_lambda", 1.0), n_count=6)
         assert operator_bounds(prof1, HALF_ATOM, GEO).schatten is None

@@ -82,6 +82,25 @@ class TestMoments:
                 ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
                 assert g == pytest.approx(float(ref), rel=1e-14, abs=1e-15)
 
+    @pytest.mark.parametrize("mu, lo, hi", [
+        (Lebesgue(), 0.0, 1.0), (Restriction(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
+        (Restriction(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
+    ], ids=["lebesgue", "tail", "interior"])
+    def test_lebesgue_closed_forms_past_the_float_range(self, mu, lo, hi):
+        # p * lam overflows at p = 400, lam = 1e306: log e from log p + log lam
+        lams, p = [1.0, 1e300, 1e306], 400.0
+        got = moments(mu, lams, p)
+        with mpmath.workdps(30):
+            for lam, g in zip(lams, got):
+                e = p * mpmath.mpf(lam) + 1
+                ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
+                assert g == pytest.approx(float(ref), rel=1e-14)
+
+    def test_node_measures_refuse_past_the_float_range(self):
+        for mu in (GEOM30, DensityMeasure("oneminus_power", alpha=0.5)):
+            with pytest.raises(ValueError, match="float range"):
+                moments(mu, [1.0, 1e306], 400.0)
+
     def test_empty_measure_and_bad_exponents(self):
         empty = restrict(atoms([(0.5, 1.0)]), 0.6, 1.0)
         assert moments(empty, [0.0, 2.0]).tolist() == [-math.inf, -math.inf]
@@ -89,7 +108,7 @@ class TestMoments:
             moments(Lebesgue(), [1.0, -0.5])
         with pytest.raises(ValueError):
             moments(GEOM30, [math.nan])
-        # an exponent p * lam past the float range: the closed form read it as 0
+        # a non-finite exponent: the closed form read it as 0
         for mu in (Lebesgue(), GEOM30, DensityMeasure("oneminus_power", alpha=0.5)):
             with pytest.raises(ValueError):
                 moments(mu, [1.0, math.inf])

@@ -9,13 +9,18 @@ means some FAIL, 2 means usage error.  For fixed inputs and seed the output
 is byte-identical.
 
 Each subcommand takes only the options its handler reads (``_COMMANDS``); an
-option of another subcommand is a usage error.  ``verify`` and ``report``
+option of another subcommand is a usage error, and so is one that only
+another branch of the handler reads (``_BRANCHES``: the formula of
+``bounds``, the kind of ``probe``, the operator of ``spectrum``).  ``norm``
+takes ``--coeffs`` or ``--coeffs-file``, not both.  ``verify`` and ``report``
 take the union of what their suites read, and ``--format csv`` exists on
 moments, dnp and example.
 
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
-their suites one store of D_n profiles (``_dn_store``), so a profile that
-several suites read is computed once per command.
+their suites one store (``_Store``) of the results that several of them
+read: the D_n profiles of ``dnp.compute_dn``, and the synthesis
+(``hilbert.t_mu_spectrum``) and embedding (``hilbert.embedding_spectrum``)
+spectra.  Each is computed once per command.
 """
 from __future__ import annotations
 
@@ -211,17 +216,23 @@ def _exit_code(checks: list[dict]) -> int:
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
 
-def _dn_store(seq, tol: float):
-    """compute_dn of one command, cached per (measure, weight, n_count).
+class _Store:
+    """The results of one command that several suites read, each computed once.
 
-    The cache belongs to the returned closure, which lives for one command:
-    a process that runs several commands recomputes each one's profiles, as
-    separate CLI runs do.
+    ``dn`` is compute_dn per (measure, weight, n_count); ``synthesis`` and
+    ``embedding`` are t_mu_spectrum and embedding_spectrum per (measure, n).
+    The caches belong to the store, which lives for one command: a process
+    that runs several commands recomputes each one's results, as separate
+    CLI runs do.  Every suite that asks gets the same result object, which
+    suites only read.  Each library function is looked up when it is
+    called, so a patched or traced one is the one that runs.
     """
-    @functools.cache
-    def profile(mu, weight, n_count: int):
-        return dnp_mod.compute_dn(seq, mu, weight, n_count=n_count, tol=tol)
-    return profile
+
+    def __init__(self, seq, tol: float):
+        self.dn = functools.cache(lambda mu, weight, n_count: dnp_mod.compute_dn(
+            seq, mu, weight, n_count=n_count, tol=tol))
+        self.synthesis = functools.cache(lambda mu, n: hilbert.t_mu_spectrum(seq, mu, n))
+        self.embedding = functools.cache(lambda mu, n: hilbert.embedding_spectrum(seq, mu, n))
 
 
 def _chain_check(spec, profile) -> tuple[float, bool]:
@@ -238,7 +249,7 @@ def _chain_check(spec, profile) -> tuple[float, bool]:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def suite_basis(seq, p, n, seed, dn) -> list[dict]:
+def suite_basis(seq, p, n, seed, store) -> list[dict]:
     checks = []
     sample = lpnorm.gm_ratio_sample(seq, p, mu=None, trials=100, seed=seed,
                                     n_count=min(n, len(seq)))
@@ -250,8 +261,8 @@ def suite_basis(seq, p, n, seed, dn) -> list[dict]:
     checks.append(check("canonical-vectors-normalized", "lpnorm.gm_ratio_sample",
                         "PASS" if ok else "FAIL",
                         min_ratio=single.min_ratio, max_ratio=single.max_ratio))
-    profile = dn(measures_mod.Lebesgue(), dnp_mod.WeightScheme("inverse_lambda", p),
-                 min(n, len(seq)))
+    profile = store.dn(measures_mod.Lebesgue(), dnp_mod.WeightScheme("inverse_lambda", p),
+                       min(n, len(seq)))
     ob = dnp_mod.operator_bounds(profile, measures_mod.Lebesgue(), seq)
     checks.append(check("lebesgue-diagonal-bounded", "dnp.compute_dn", "EVIDENCE",
                         sup=ob.sup_dn, trailing_max=ob.limsup_estimate,
@@ -333,11 +344,11 @@ def suite_crossterm(p_values, alphas_mode, r_values, count) -> list[dict]:
     return checks
 
 
-def suite_diagonal(seq, mu, n, seed, dn) -> list[dict]:
+def suite_diagonal(seq, mu, n, seed, store) -> list[dict]:
     checks = []
     n = min(n, len(seq))
-    spec = hilbert.t_mu_spectrum(seq, mu, n)
-    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), n)
+    spec = store.synthesis(mu, n)
+    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), n)
     ob = dnp_mod.operator_bounds(profile, mu, seq)
     margin, chain_ok = _chain_check(spec, profile)
     checks.append(check("singular-values-below-rearranged-profile",
@@ -387,7 +398,7 @@ def suite_blocksum(seq, p) -> list[dict]:
     return checks
 
 
-def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
+def suite_carleson(seq, mu, p, q_list, n, store) -> list[dict]:
     checks = []
     cls = sequences_mod.classify(seq)
     logs = measures_mod.moments(mu, seq.exponents, p).tolist()
@@ -408,27 +419,27 @@ def suite_carleson(seq, mu, p, q_list, n, dn) -> list[dict]:
     for q in q_list:
         if q <= p:
             continue
-        profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", q), len(seq))
+        profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", q), len(seq))
         checks.append(check(f"diagonal-profile-finite-q={q:g}", "dnp.compute_dn",
                             "EVIDENCE", sup=max(profile.values),
                             tails_safe=profile.all_safe))
     if p == 2.0 or 2.0 in q_list:
-        spec = hilbert.t_mu_spectrum(seq, mu, min(n, len(seq)))
-        profile2 = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), min(n, len(seq)))
+        spec = store.synthesis(mu, min(n, len(seq)))
+        profile2 = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), min(n, len(seq)))
         ok = spec.sigma_max <= max(profile2.values) + 1e-9
         checks.append(check("synthesis-norm-below-sup-profile", "hilbert.t_mu_spectrum",
                             "PASS" if ok else "FAIL",
                             sigma_max=spec.sigma_max, sup_profile=max(profile2.values)))
-        emb = hilbert.embedding_spectrum(seq, mu, min(n, len(seq)))
+        emb = store.embedding(mu, min(n, len(seq)))
         checks.append(check("embedding-norm", "hilbert.embedding_spectrum", "EVIDENCE",
                             sigma_max=emb.sigma_max,
                             ratio_to_sup_profile=emb.sigma_max / max(profile2.values)))
     return checks
 
 
-def suite_compact(seq, mu, n, dn) -> list[dict]:
+def suite_compact(seq, mu, n, store) -> list[dict]:
     checks = []
-    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 1.0), len(seq))
+    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 1.0), len(seq))
     vals = profile.values
     half = vals[len(vals) // 2:]
     decaying = all(b <= a * 1.001 for a, b in zip(half, half[1:])) and half[-1] < half[0]
@@ -453,9 +464,10 @@ def suite_compact(seq, mu, n, dn) -> list[dict]:
     return checks
 
 
-def suite_hs(seq, mu, n, q_list, dn) -> list[dict]:
+def suite_hs(seq, mu, n, q_list, store) -> list[dict]:
     checks = []
-    report = hilbert.hs_criteria(seq, mu, min(n, len(seq)),
+    n = min(n, len(seq))
+    report = hilbert.hs_criteria(store.embedding(mu, n), store.synthesis(mu, n), mu,
                                  q_values=tuple(q_list) or (2.0,))
     if not report.poisson_divergent and 2.0 in report.kernel_values:
         kernel_sq = report.kernel_values[2.0] ** 2
@@ -469,7 +481,7 @@ def suite_hs(seq, mu, n, q_list, dn) -> list[dict]:
                                 "hilbert.prop511_value", "EVIDENCE",
                                 kernel_sq=kernel_sq, poisson=report.poisson_value,
                                 note="value beyond float range at this scale"))
-    profile = dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq))
+    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq))
     bound_sq = math.fsum(v ** 2 for v in profile.values)
     ok = report.hs_synthesis ** 2 <= bound_sq + 1e-9
     checks.append(check("synthesis-hs-below-profile-l2", "hilbert.hs_criteria",
@@ -663,18 +675,18 @@ def _cmd_example(args) -> int:
 
 
 def _command_inputs(args, suites):
-    """The sequence (None when no suite reads one), the measure and the D_n
+    """The sequence (None when no suite reads one), the measure and the
     store that every suite of one command shares."""
     need_seq = any(s not in _NO_SEQ_SUITES for s in suites)
     seq = parse_sequence(args.seq) if need_seq else None
     mu = parse_measure(args.measure) if args.measure else measures_mod.Lebesgue()
-    return seq, mu, _dn_store(seq, args.tol)
+    return seq, mu, _Store(seq, args.tol)
 
 
 def _run_suite(suite: str, args, inputs) -> list[dict]:
-    seq, mu, dn = inputs
+    seq, mu, store = inputs
     if suite == "basis":
-        return suite_basis(seq, args.p, args.N, args.seed, dn)
+        return suite_basis(seq, args.p, args.N, args.seed, store)
     if suite == "isometry-threshold":
         return suite_isometry(seq, args.p, args.N, args.eps)
     if suite == "pairing-dichotomy":
@@ -684,15 +696,15 @@ def _run_suite(suite: str, args, inputs) -> list[dict]:
     if suite == "crossterm-bound":
         return suite_crossterm([1.5, 2.0, 3.0, 5.0], "auto", [2.0, 4.0, 16.0], 30)
     if suite == "diagonal-domination":
-        return suite_diagonal(seq, mu, args.N, args.seed, dn)
+        return suite_diagonal(seq, mu, args.N, args.seed, store)
     if suite == "blocksum-probe":
         return suite_blocksum(seq, args.p)
     if suite == "carleson":
-        return suite_carleson(seq, mu, args.p, args.q, args.N, dn)
+        return suite_carleson(seq, mu, args.p, args.q, args.N, store)
     if suite == "compact":
-        return suite_compact(seq, mu, args.N, dn)
+        return suite_compact(seq, mu, args.N, store)
     if suite == "hs":
-        return suite_hs(seq, mu, args.N, args.q, dn)
+        return suite_hs(seq, mu, args.N, args.q, store)
     if suite == "ex-a":
         return suite_example("A", args.p, args.count, args.q or [args.p, args.p + 1.0],
                              args.tol)
@@ -779,6 +791,8 @@ _OPTIONS = {
 _SUITE_OPTIONS = ("--seq", "--measure", "--p", "--q", "--N", "--tol", "--seed", "--eps",
                   "--count", "--out", "--alpha-list")
 
+# name, help, handler and the options the handler reads; an inner tuple of
+# options is a mutually exclusive group
 _COMMANDS = (
     ("classify", "prefix growth classification", _cmd_classify,
      ("--seq", "--decompose", "--out")),
@@ -789,7 +803,7 @@ _COMMANDS = (
     ("bounds", "closed-form constants and brackets", _cmd_bounds,
      ("--seq", "--p", "--eps", "--count", "--out", "--formula", "--r", "--alpha", "--t")),
     ("norm", "L^p(mu) norm of a coefficient vector", _cmd_norm,
-     ("--seq", "--measure", "--p", "--out", "--coeffs", "--coeffs-file")),
+     ("--seq", "--measure", "--p", "--out", ("--coeffs", "--coeffs-file"))),
     ("probe", "ratio sampling and block probes", _cmd_probe,
      ("--seq", "--p", "--seed", "--out", "--kind", "--trials", "--block-start", "--block-len")),
     ("spectrum", "truncated operator spectra (p=2)", _cmd_spectrum,
@@ -801,16 +815,65 @@ _COMMANDS = (
      _SUITE_OPTIONS + ("--suites",)),
 )
 
+# A handler that branches on one option reads some options on some branches
+# only.  On that subcommand such an option defaults to None, so the parser
+# sees whether it was given: on a branch that does not read it that is a
+# usage error, and an option not given takes its default from _OPTIONS.
+_BRANCHES = {
+    "bounds": ("--formula", {"jlambda": ("--p", "--r"),
+                             "lemma31": ("--p", "--alpha", "--r", "--count"),
+                             "r_epsilon": ("--p", "--eps"),
+                             "envelope": ("--seq", "--alpha"),
+                             "point_eval": ("--seq", "--p", "--t")}),
+    "probe": ("--kind", {"gm": ("--seed", "--trials"),
+                         "amgm": ("--block-start", "--block-len")}),
+    "spectrum": ("--operator", {"frame": (),
+                                "embedding": ("--measure",),
+                                "synthesis": ("--measure", "--tol")}),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which enforces its entry of ``_BRANCHES``."""
+
+    branches = None
+
+    def branch_options(self) -> tuple[str, ...]:
+        """The options that only some branches read, in table order."""
+        if self.branches is None:
+            return ()
+        return tuple(dict.fromkeys(o for opts in self.branches[1].values() for o in opts))
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        if self.branches is not None:
+            key, reads = self.branches
+            chosen = getattr(ns, _dest(key))
+            for option in self.branch_options():
+                if getattr(ns, _dest(option)) is None:
+                    setattr(ns, _dest(option), _OPTIONS[option]["default"])
+                elif option not in reads[chosen]:
+                    self.error(f"{option} is not read with {key} {chosen}")
+        return ns, rest
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muntzlab",
         description="numerics for weighted monomial systems on [0,1)")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
     for name, help_text, handler, options in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
+        sp.branches = _BRANCHES.get(name)
+        unset = {o: {**_OPTIONS[o], "default": None} for o in sp.branch_options()}
         for option in options:
-            sp.add_argument(option, **_OPTIONS[option])
+            group = sp.add_mutually_exclusive_group() if isinstance(option, tuple) else sp
+            for o in option if isinstance(option, tuple) else (option,):
+                group.add_argument(o, **unset.get(o, _OPTIONS[o]))
         sp.set_defaults(fn=handler)
     return parser
 

@@ -6,8 +6,10 @@ formed in the log domain, so V^T V is the measure Gram of the monomials.
 Singular values are those of V times a small matrix, computed by an SVD:
 an eigensolve of the squared Gram would put a noise floor of about
 sqrt(eps * cond) under them.  The Cauchy Gram 1/(lam_i + lam_j + 1) of
-Lebesgue measure enters through its Cholesky factor; a failed pivot
-surfaces as a ConditioningError naming the index instead of being masked.
+Lebesgue measure enters through its Cholesky factor (``_cauchy_factor``),
+factored once per call: ``essential_norm_estimate`` solves every cut's node
+factor against the same one.  A failed pivot surfaces as a
+ConditioningError naming the index instead of being masked.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.
@@ -77,6 +79,11 @@ def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
     return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
 
 
+def _cauchy_factor(lam: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of the Cauchy Gram, G = L L^T."""
+    return cholesky_lower(_cauchy_gram(lam))
+
+
 def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
     """V[k, j] = sqrt(w_k) * t_k**lam_j on the nodes of mu, j < n, and the
     count of entries set to 0 below the materialization floor 1e-300."""
@@ -124,6 +131,12 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return low
 
 
+def _embedding(low: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """The embedding V L^-T on the first m monomials, from the node factor V
+    and the Cauchy factor L of at least m monomials."""
+    return np.linalg.solve(low[:m, :m], v[:, :m].T).T
+
+
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """All a.shape[1] singular values, nonincreasing; zeros past the row count."""
     s = np.linalg.svd(a, compute_uv=False)
@@ -164,10 +177,9 @@ def embedding_spectrum(seq: ExponentSequence, mu: Measure,
     The leading m x m block of L factors the leading block of the Gram.
     """
     v, flushed = _node_factor(seq, mu, n)
-    low = cholesky_lower(_cauchy_gram(np.array(seq.exponents[:n])))
-    return _spectral_result(
-        "i_mu_embedding", n, lambda m: np.linalg.solve(low[:m, :m], v[:, :m].T).T,
-        {"flushed": flushed})
+    low = _cauchy_factor(np.array(seq.exponents[:n]))
+    return _spectral_result("i_mu_embedding", n, lambda m: _embedding(low, v, m),
+                            {"flushed": flushed})
 
 
 def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
@@ -201,7 +213,7 @@ def frame_bounds(seq: ExponentSequence, n: int) -> FrameBounds:
     D = diag(sqrt(2 lam + 1)): with G = L L^T, the singular values of D L."""
     _check_truncation(seq, n)
     lam = np.array(seq.exponents[:n])
-    low = cholesky_lower(_cauchy_gram(lam))
+    low = _cauchy_factor(lam)
     sigma = _singular_values(np.sqrt(2.0 * lam + 1.0)[:, None] * low)
     return FrameBounds(n=n, sigma_min=float(sigma[-1]), sigma_max=float(sigma[0]),
                        singular_values=tuple(float(s) for s in sigma))
@@ -218,7 +230,7 @@ def point_eval_kernel(seq: ExponentSequence, n: int, delta: float) -> float:
         raise ValueError(f"delta must be in (0,1], got {delta}")
     lam = np.array(seq.exponents[:n])
     v = np.exp(lam * math.log1p(-delta))
-    y = np.linalg.solve(cholesky_lower(_cauchy_gram(lam)), v)
+    y = np.linalg.solve(_cauchy_factor(lam), v)
     return float(np.sqrt(np.dot(y, y)))
 
 
@@ -234,12 +246,27 @@ class CutTrend:
 
 def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
                             cut_grid) -> CutTrend:
+    """sigma_1 of the embedding of the first n monomials into L2 of each
+    restriction of mu to [a, 1), a in ``cut_grid``.
+
+    The Cauchy Gram is factored once for all cuts, and each cut's node
+    factor is solved against it.  Only sigma_max is formed, with no N/2
+    drift or Schatten norms; it equals
+    ``embedding_spectrum(seq, restrict(mu, a, 1), n).sigma_max`` exactly.
+    """
     cuts = [float(a) for a in cut_grid]
     if any(b <= a for a, b in zip(cuts, cuts[1:])) or not cuts:
         raise ValueError("cut grid must be nonempty and increasing")
     if any(not 0.0 <= c < 1.0 for c in cuts):
         raise ValueError("cuts must lie in [0,1)")
-    sig = [embedding_spectrum(seq, restrict(mu, a, 1.0), n).sigma_max for a in cuts]
+    low, sig = None, []
+    for a in cuts:
+        v, _ = _node_factor(seq, restrict(mu, a, 1.0), n)
+        if low is None:
+            # factored after the first node factor, as in embedding_spectrum, so an
+            # exponent the nodes refuse is reported before a pivot it breaks
+            low = _cauchy_factor(np.array(seq.exponents[:n]))
+        sig.append(float(_singular_values(_embedding(low, v, n))[0]))
     drop = math.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
     return CutTrend(tuple(cuts), tuple(sig), limit_proxy=sig[-1], drop_factor=drop)
 
@@ -307,10 +334,18 @@ def prop511_value(mu: Measure, q: float) -> float:
     return math.inf if log_val > LOG_HUGE else math.exp(log_val)
 
 
-def hs_criteria(seq: ExponentSequence, mu: Measure, n: int = DEFAULT_TRUNCATION,
+def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
                 q_values: tuple[float, ...] = (2.0,)) -> HsReport:
-    spec = embedding_spectrum(seq, mu, n)
-    tmu = t_mu_spectrum(seq, mu, n)
+    """The Hilbert-Schmidt criteria of mu beside its truncated spectra.
+
+    ``spec`` and ``tmu`` are ``embedding_spectrum`` and ``t_mu_spectrum`` of
+    mu at one truncation N, computed by the caller, which may read them
+    elsewhere too.
+    """
+    if (spec.operator, tmu.operator) != ("i_mu_embedding", "t_mu_inverse_lambda") \
+            or spec.n != tmu.n:
+        raise ValueError("hs_criteria needs the embedding and synthesis spectra of one N")
+    n = spec.n
     pois = poisson_integral(mu)
     kernel = {float(q): prop511_value(mu, q) for q in q_values}
     pois_val = None if pois.divergent else pois.value.to_float()

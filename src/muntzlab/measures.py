@@ -9,10 +9,12 @@ the forbidden point t = 1), and the other measures get panels in u.
 Integrals against a measure are log-sum-exps over those nodes; closed
 forms (Lebesgue moments and kernels, the Poisson integral of a density
 reaching t = 1) stay as the exact special cases they are.  The one other
-quadrature is ``integrate_to_one``, float panels in t for Lebesgue norms.
+quadrature is ``integrate_to_one``, float panels in t for Lebesgue norms,
+deepened until the closing panel is negligible; each panel is summed once.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,24 +63,33 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) ->
     """Integrate f over [0, 1] on dyadic t-panels refined toward t = 1.
 
     The float-valued quadrature of Lebesgue L^p norms; every other integral
-    against a measure is a sum over ``measure_nodes``.  ``sharpness`` is the
-    scale of the fastest variation near 1 (for t**a that is a); the panel
-    depth is at least log2(sharpness) + 8 and deepens until the closing
-    panel's contribution is below DEFAULT_REL_TOL of the running total.  No
-    float t lies strictly between 1 - 2**-53 and 1, so the depth stops at
-    53 and the closing panel is never evaluated at t = 1.
+    against a measure is a sum over ``measure_nodes``.  Panel j covers
+    [1 - 2**(1-j), 1 - 2**-j], and a closing panel covers the rest of [0, 1]
+    after the last of them.  ``sharpness`` is the scale of the fastest
+    variation near 1 (for t**a that is a); the first depth is
+    log2(sharpness) + 8, at least 12.  While the closing panel's
+    contribution is above DEFAULT_REL_TOL of the total, a pass deepens by 16
+    panels: it adds only the new panels to the running compensated sum of
+    the ones before, so no panel is evaluated or summed twice, and takes the
+    new closing panel into a copy of that sum.  The summation order is that
+    of a pass summing from panel 1, so the result is bit for bit the same.
+    No float t
+    lies strictly between 1 - 2**-53 and 1, so the depth stops at 53; the
+    nodes of that closing panel round to t = 1 itself, where f must be
+    finite (|g|**p of a Muntz polynomial g is).
     """
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
+    acc, left, summed = NeumaierSum(), 0.0, 0
     while True:
-        acc = NeumaierSum()
-        left = 0.0
-        for j in range(1, depth + 1):
+        for j in range(summed + 1, depth + 1):
             right = 1.0 - 2.0 ** (-j)
             acc.add(_gl_panel(f, left, right))
             left = right
+        summed = depth
         closing = _gl_panel(f, left, 1.0)
-        acc.add(closing)
-        total = acc.total
+        trial = copy.copy(acc)
+        trial.add(closing)
+        total = trial.total
         if abs(closing) <= DEFAULT_REL_TOL * max(abs(total), 1e-300) or depth >= _MAX_DEPTH:
             return total
         depth = min(_MAX_DEPTH, depth + 16)

@@ -10,6 +10,7 @@ import pytest
 import muntzlab
 from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
+from muntzlab import hilbert
 from muntzlab.cli import SUITE_IDS, build_parser, run
 
 
@@ -136,6 +137,40 @@ def test_option_the_handler_would_ignore_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--operator", "frame", "--measure", "atoms:0.5:1"],
+    ["spectrum", "--operator", "embedding", "--tol", "1e-6"],
+    ["bounds", "--formula", "jlambda", "--seq", "explicit:1,2"],
+    ["bounds", "--formula", "envelope", "--p", "3"],
+    ["probe", "--kind", "amgm", "--seed", "3"],
+    ["probe", "--kind", "amgm", "--trials", "3"],
+    ["probe", "--block-len", "8"],
+    ["norm", "--coeffs", "5,5,5", "--coeffs-file", "coeffs.txt"],
+], ids=["spectrum-frame-measure", "spectrum-embedding-tol", "bounds-jlambda-seq",
+        "bounds-envelope-p", "probe-amgm-seed", "probe-amgm-trials", "probe-gm-block-len",
+        "norm-coeffs-and-file"])
+def test_option_another_branch_reads_is_a_usage_error(argv, capsys):
+    # each used to print what the command prints without the option
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"muntzlab {argv[0]}: error:" in err and argv[-2] in err
+
+
+@pytest.mark.parametrize("argv,key,want", [
+    (["bounds", "--formula", "envelope", "--seq", "explicit:1,2"], "seq", "explicit:1,2"),
+    (["bounds", "--formula", "jlambda", "--r", "4"], "r", 4.0),
+    (["bounds", "--formula", "jlambda"], "r", 2.0),
+    (["probe", "--trials", "3"], "trials", 3 + 16),  # the 16 canonical vectors count too
+    (["probe"], "trials", 100 + 16),
+], ids=["given-seq", "given-r", "default-r", "given-trials", "default-trials"])
+def test_option_its_branch_reads_is_given_or_defaulted(argv, key, want, capsys):
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out.get("inputs", {}).get(key, out.get(key)) == want
+
+
 @pytest.mark.parametrize("cmd", sorted(OPTIONS))
 def test_subcommand_help_lists_its_options(cmd):
     out = _python_dash_m(cmd, "--help")
@@ -260,6 +295,29 @@ def test_report_reads_each_profile_once(monkeypatch, capsys, tmp_path):
     assert code == 0
     # Lebesgue p = 2 for basis, p = 1 for compact, one atomic p = 2 profile
     assert len(keys) == len(set(keys)) == 3
+
+
+def test_report_computes_each_spectrum_once(monkeypatch, capsys, tmp_path):
+    # one atomic report over the suites that read D_n profiles and spectra
+    calls = {"cholesky_lower": [], "embedding_spectrum": [], "t_mu_spectrum": []}
+    for name, keys in calls.items():
+        real = getattr(hilbert, name)
+
+        def recording(*args, _real=real, _keys=keys):
+            _keys.append(args[1:])  # (measure, n) of a spectrum
+            return _real(*args)
+
+        monkeypatch.setattr(hilbert, name, recording)
+    code = run(["report", *SMALL, "--suites", ",".join(DN_SUITES), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    # frame_bounds (basis), the embedding spectrum (carleson and hs) and
+    # essential_norm_estimate (compact: one factor for all ten cuts)
+    assert len(calls["cholesky_lower"]) == 3
+    # diagonal-domination, carleson and hs read one synthesis spectrum, carleson
+    # and hs one embedding spectrum
+    for name in ("embedding_spectrum", "t_mu_spectrum"):
+        assert len(calls[name]) == len(set(calls[name])) == 1, name
 
 
 def _report(tmp_path, name, *extra):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from muntzlab import hilbert
 from muntzlab.dnp import WeightScheme, compute_dn, decreasing_rearrangement
 from muntzlab.hilbert import (ConditioningError, build_t_mu_matrix,
                               cholesky_lower, embedding_spectrum,
@@ -242,6 +243,23 @@ class TestEssentialNorm:
             GEO, atoms([(2.0 ** -k, 2.0 ** -k) for k in range(1, 31)]), 12, cuts)
         assert van.drop_factor > steady.drop_factor
 
+    @pytest.mark.parametrize("mu", [GEOM_ATOMS, DensityMeasure("oneminus_power", alpha=0.5),
+                                    Lebesgue()], ids=["atoms", "density", "lebesgue"])
+    def test_sigma1_is_the_restricted_embedding_norm(self, mu):
+        # one Cauchy factor serves every cut, and sigma_1 is bit for bit the
+        # leading singular value of the embedding of each restriction
+        cuts = [0.0, 0.5, 0.9, 1.0 - 2.0 ** -20]
+        trend = essential_norm_estimate(GEO, mu, 12, cuts)
+        assert trend.sigma1 == tuple(
+            embedding_spectrum(GEO, restrict(mu, a, 1.0), 12).sigma_max for a in cuts)
+
+    def test_factors_the_cauchy_gram_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hilbert, "cholesky_lower",
+                            lambda a: calls.append(len(a)) or cholesky_lower(a))
+        essential_norm_estimate(GEO, GEOM_ATOMS, 12, [0.2, 0.6, 0.9])
+        assert calls == [12]
+
 
 class TestHsCriteria:
     def test_fubini_identity(self):
@@ -260,17 +278,28 @@ class TestHsCriteria:
     def test_infinite_when_poisson_diverges(self, q):
         assert prop511_value(DensityMeasure("uniform"), q) == math.inf
 
+    @staticmethod
+    def _criteria(mu, n, **kwargs):
+        return hs_criteria(embedding_spectrum(GEO, mu, n), t_mu_spectrum(GEO, mu, n), mu,
+                           **kwargs)
+
     def test_report_fields(self):
-        rep = hs_criteria(GEO, GEOM_ATOMS, 12, q_values=(2.0, 4.0))
+        rep = self._criteria(GEOM_ATOMS, 12, q_values=(2.0, 4.0))
         assert not rep.poisson_divergent
         assert rep.poisson_value == pytest.approx(1.0, abs=1e-6)
         assert rep.hs_embedding > rep.hs_synthesis > 0.0
         assert rep.ratios["kernel2_sq_over_poisson"] == pytest.approx(1.0, abs=1e-6)
 
     def test_divergent_note_for_lebesgue(self):
-        rep = hs_criteria(GEO, Lebesgue(), 8)
+        rep = self._criteria(Lebesgue(), 8)
         assert rep.poisson_divergent
         assert rep.expected_divergent_note is not None
+
+    def test_refuses_spectra_that_do_not_pair(self):
+        emb, tmu = embedding_spectrum(GEO, GEOM_ATOMS, 8), t_mu_spectrum(GEO, GEOM_ATOMS, 8)
+        for pair in [(tmu, emb), (emb, t_mu_spectrum(GEO, GEOM_ATOMS, 12))]:  # swapped, other N
+            with pytest.raises(ValueError):
+                hs_criteria(*pair, GEOM_ATOMS)
 
     def test_lebesgue_hs_grows_with_truncation(self):
         h1 = embedding_spectrum(GEO, Lebesgue(), 4).schatten[2.0]

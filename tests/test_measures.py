@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntzlab.logdomain import logsumexp
+from muntzlab.logdomain import NeumaierSum, logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure,
-                               GeometricGrid, Lebesgue, Restriction, atoms,
-                               log_powers, measure_nodes, moment, moments,
+                               GeometricGrid, Lebesgue, Restriction, _gl_panel, atoms,
+                               integrate_to_one, log_powers, measure_nodes, moment, moments,
                                poisson_integral,
                                poisson_kernel_integral, restrict,
                                sublinear_norm, tail_mass, total_mass)
@@ -219,6 +219,54 @@ class TestNodes:
         for mu in (Lebesgue(), GEOM30):
             with pytest.raises(ValueError):
                 measure_nodes(mu, sharpness)
+
+
+def _resumming_integrate_to_one(f, sharpness):
+    """integrate_to_one with every pass summing from panel 1 again: the same
+    panels, closing rule and summation order."""
+    depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53)
+    while True:
+        acc, left = NeumaierSum(), 0.0
+        for j in range(1, depth + 1):
+            right = 1.0 - 2.0 ** (-j)
+            acc.add(_gl_panel(f, left, right))
+            left = right
+        closing = _gl_panel(f, left, 1.0)
+        acc.add(closing)
+        if abs(closing) <= 1e-12 * max(abs(acc.total), 1e-300) or depth >= 53:
+            return acc.total
+        depth = min(53, depth + 16)
+
+
+class TestIntegrateToOne:
+    # (integrand, sharpness, the depth of each pass); the closing panel's share
+    # of the total is about 2**-depth times f(1) / integral, against 1e-12
+    CASES = {
+        "one-pass": (lambda t: (1.0 - t) ** 4, 1.0, (12,)),
+        "two-passes": (lambda t: 1.0 - t, 1.0, (12, 28)),
+        "three-passes": (lambda t: t * t, 1.0, (12, 28, 44)),
+        "sharp-to-53": (lambda t: t ** 32768.0, 65536.0, (24, 40, 53)),
+        "never-settles": (lambda t: t ** 100.0, 1.0, (12, 28, 44, 53)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_panel_evaluated_once_and_sum_unchanged(self, case):
+        f, sharpness, depths = self.CASES[case]
+        nodes = []
+
+        def recording(t):
+            nodes.append(tuple(t))
+            return f(t)
+
+        got = integrate_to_one(recording, sharpness)
+        resummed = []
+        assert got == _resumming_integrate_to_one(lambda t: resummed.append(t) or f(t),
+                                                  sharpness)
+        # re-summing evaluates every panel of every pass; now each pass adds its
+        # new panels and one closing panel, and no interval is evaluated twice
+        assert len(resummed) == sum(d + 1 for d in depths)
+        assert len(nodes) == depths[-1] + len(depths)
+        assert len(set(nodes)) == len(nodes)
 
 
 class TestSublinear:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import SCHATTEN_ORDERS
-from .logdomain import LogValue, logsumexp
+from .logdomain import LogValue, _log_shares, logsumexp
 from .measures import Lebesgue, Measure, log_powers, measure_nodes, moments
 from .sequences import ExponentSequence
 
@@ -157,16 +157,15 @@ def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
     log_t, node_w = measure_nodes(mu, sharpness=p * float(lams[-1]))
     terms = log_powers(log_t, lams)  # nodes x prefix, updated in place
     terms += inv_root
-    inner, ratio = logsumexp(terms, axis=1, return_shares=True)  # ratio: term_k / s per node
+    head, last = terms[:, :n_count].copy(), terms[:, -2:].copy()
+    inner = _log_shares(terms, axis=1)  # terms now holds term_k / s per node
     # a node at t = 0 with every lam > 0 has only -inf terms; 0 keeps it out of the sums
     inner[inner == -math.inf] = 0.0
-    tau = np.exp(_log_tail_over_sum(terms, inner))
-    head = terms[:, :n_count]
+    tau = np.exp(_log_tail_over_sum(last, inner))
     head += ((p - 1.0) * inner + np.log(node_w))[:, None]
-    log_dp, node_share = logsumexp(head, axis=0, return_shares=True)  # nodes x n
-    node_share = node_share.T
-    tail = (p - 1.0) * (node_share @ tau)
-    share = (p - 1.0) * (node_share @ ratio)
+    log_dp = _log_shares(head, axis=0)  # head now holds each node's share of D_n**p
+    tail = (p - 1.0) * (head.T @ tau)
+    share = (p - 1.0) * (head.T @ terms)
     return _values_and_truncation(log_dp, tail, share, p, tol)
 
 

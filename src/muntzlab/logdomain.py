@@ -104,19 +104,32 @@ def logsumexp(logs, axis: int | None = None, return_shares: bool = False):
     exp(logs - result), each term's share of its slice's sum (0 throughout
     a slice that sums to 0), from the same exponentials.
     """
-    a = np.asarray(logs, dtype=float)
+    scaled = np.array(logs, dtype=float)
+    if return_shares:
+        return _log_shares(scaled, axis), scaled
+    return _exp_shifted(scaled, axis)[0]
+
+
+def _exp_shifted(a: np.ndarray, axis: int | None) -> tuple:
+    """Overwrite ``a`` with exp(a - m), m the maximum of each slice (0 for an
+    all -inf one); return the log-sum-exp and the slice sums of the result."""
     m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
     m = np.where(m == -np.inf, 0.0, m)
-    scaled = a - m
-    np.exp(scaled, out=scaled)
-    total = np.sum(scaled, axis=axis, keepdims=True)
+    a -= m
+    np.exp(a, out=a)
+    total = np.sum(a, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         out = np.log(total) + m
-    out = float(out.item()) if axis is None else np.squeeze(out, axis=axis)
-    if not return_shares:
-        return out
-    np.divide(scaled, total, out=scaled, where=total > 0.0)
-    return out, scaled
+    return (float(out.item()) if axis is None else np.squeeze(out, axis=axis)), total
+
+
+def _log_shares(a: np.ndarray, axis: int | None):
+    """``logsumexp(a, axis, return_shares=True)`` that leaves the shares in
+    ``a`` itself (a float array or a view of one) instead of in a copy;
+    returns the log-sums."""
+    out, total = _exp_shifted(a, axis)
+    np.divide(a, total, out=a, where=total > 0.0)
+    return out
 
 
 def signed_logsumexp(logs, signs, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

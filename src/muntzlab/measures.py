@@ -9,8 +9,10 @@ the forbidden point t = 1), and the other measures get panels in u.
 Integrals against a measure are log-sum-exps over those nodes; closed
 forms (Lebesgue moments and kernels, the Poisson integral of a density
 reaching t = 1) stay as the exact special cases they are.  The one other
-quadrature is ``integrate_to_one``, float panels in t for Lebesgue norms,
-deepened until the closing panel is negligible; each panel is summed once.
+quadrature is ``integrate_to_one``, float dyadic panels in u for single
+Lebesgue L^p norms (``lpnorm.log_lp_norm``), deepened until the closing
+panel is negligible; each panel is summed once.  The Lebesgue norms of
+``lpnorm.gm_ratio_sample`` run on ``measure_nodes``.
 """
 from __future__ import annotations
 
@@ -53,40 +55,40 @@ def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Gauss-Legendre rule for f(log t) over the panel [lo, hi] in u = 1 - t."""
     x, w = _gl_nodes(GL_ORDER)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(np.dot(w, f(mid + half * x)))
+    return half * float(np.dot(w, f(np.log1p(-(mid + half * x)))))
 
 
 def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
-    """Integrate f over [0, 1] on dyadic t-panels refined toward t = 1.
+    """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float-valued quadrature of Lebesgue L^p norms; every other integral
-    against a measure is a sum over ``measure_nodes``.  Panel j covers
-    [1 - 2**(1-j), 1 - 2**-j], and a closing panel covers the rest of [0, 1]
-    after the last of them.  ``sharpness`` is the scale of the fastest
-    variation near 1 (for t**a that is a); the first depth is
+    The float-valued quadrature of single Lebesgue L^p norms (the docstring
+    of ``lpnorm.log_lp_norm`` says why they stay off the nodes); every other
+    integral against a measure is a sum over ``measure_nodes``.  f receives
+    log t = log1p(-u) at the nodes and returns g there.  Panel j covers u in
+    [2**-j, 2**(1-j)], and a closing panel covers [0, 2**-depth] after the
+    last of them, so no node is t = 1.  ``sharpness`` is the scale of the
+    fastest variation near t = 1 (for t**a that is a); the first depth is
     log2(sharpness) + 8, at least 12.  While the closing panel's
     contribution is above DEFAULT_REL_TOL of the total, a pass deepens by 16
-    panels: it adds only the new panels to the running compensated sum of
-    the ones before, so no panel is evaluated or summed twice, and takes the
-    new closing panel into a copy of that sum.  The summation order is that
-    of a pass summing from panel 1, so the result is bit for bit the same.
-    No float t
-    lies strictly between 1 - 2**-53 and 1, so the depth stops at 53; the
-    nodes of that closing panel round to t = 1 itself, where f must be
-    finite (|g|**p of a Muntz polynomial g is).
+    panels, up to depth 53: it adds only the new panels to the running
+    compensated sum of the ones before, so no panel is evaluated or summed
+    twice, and takes the new closing panel into a copy of that sum.  The
+    summation order is that of a pass summing from panel 1, so the result
+    is bit for bit the same.
     """
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
-    acc, left, summed = NeumaierSum(), 0.0, 0
+    acc, right, summed = NeumaierSum(), 1.0, 0
     while True:
         for j in range(summed + 1, depth + 1):
-            right = 1.0 - 2.0 ** (-j)
+            left = 2.0 ** (-j)
             acc.add(_gl_panel(f, left, right))
-            left = right
+            right = left
         summed = depth
-        closing = _gl_panel(f, left, 1.0)
+        closing = _gl_panel(f, 0.0, right)
         trial = copy.copy(acc)
         trial.add(closing)
         total = trial.total
@@ -445,8 +447,8 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     """(log t, weight) pairs so that integral f dmu ~= sum w_i f(t_i).
 
     The one node generator behind every integral against a measure other
-    than Lebesgue's L^p norms.  Atoms map to themselves (weights = masses,
-    log t = log1p(-delta)).  Lebesgue, densities and their restrictions to
+    than single Lebesgue L^p norms.  Atoms map to themselves (weights =
+    masses, log t = log1p(-delta)).  Lebesgue, densities and their restrictions to
     [a, b) get Gauss-Legendre panels in u = 1 - t, with log t = log1p(-u)
     and density weights taken at u, so no node lands on t = 1.  The panels
     halve toward the right end u = 1 - b until finer than 1/sharpness of
@@ -491,5 +493,7 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
 
 def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """log(t_k**lam_j) for every node k and exponent j; t**0 = 1 also at t = 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where(exponents == 0.0, 0.0, np.multiply.outer(log_t, exponents))
+    with np.errstate(invalid="ignore"):  # 0 * -inf at t = 0, zeroed below
+        out = np.multiply.outer(log_t, exponents)
+    out[..., exponents == 0.0] = 0.0
+    return out

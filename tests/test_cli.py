@@ -386,6 +386,15 @@ def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
     assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
 
 
+def test_basis_past_the_quadrature_limit_is_refused(capsys):
+    # gm_ratio_sample's node route keeps the refusal lp_norm makes
+    code = run(["verify", "--suite", "basis", "--p", "3", "--seq", "explicit:1,1e13",
+                "--N", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: max exponent 1.000e+13 exceeds the quadrature limit")
+
+
 def test_dnp_bounds_past_the_float_range():
     # 2 lam overflows at lam = 1e308; the Lebesgue moment 1 / (2 lam + 1) does not
     out = _python_dash_m("dnp", "--seq", "explicit:1,1e308", "--measure", "lebesgue")

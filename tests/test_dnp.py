@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from muntzlab import dnp, measures
 from muntzlab.dnp import (WeightScheme, compute_dn, decreasing_rearrangement,
                           operator_bounds)
 from muntzlab.logdomain import logsumexp
@@ -260,6 +261,64 @@ class TestOracle:
                 change = float(closed_dp(longer, n, p, moment) / prefix - 1)
             assert prof.values[n] ** p == pytest.approx(float(prefix), rel=1e-13)
             assert change <= prof.truncation[n].tail_ratio <= 10.0 * change
+
+
+def _where_log_powers(log_t, exponents):
+    """log_powers as an np.where over a second nodes x terms array."""
+    with np.errstate(invalid="ignore"):
+        return np.where(exponents == 0.0, 0.0, np.multiply.outer(log_t, exponents))
+
+
+def _copying_node_route(lams, inv_root, mu, p, n_count, tol):
+    """dnp._node_route with the per-node shares of D_n**p in logsumexp's copy."""
+    log_t, node_w = measure_nodes(mu, sharpness=p * float(lams[-1]))
+    terms = _where_log_powers(log_t, lams) + inv_root
+    inner, ratio = logsumexp(terms, axis=1, return_shares=True)
+    inner[inner == -math.inf] = 0.0
+    tau = np.exp(dnp._log_tail_over_sum(terms, inner))
+    head = terms[:, :n_count] + ((p - 1.0) * inner + np.log(node_w))[:, None]
+    log_dp, node_share = logsumexp(head, axis=0, return_shares=True)
+    tail = (p - 1.0) * (node_share.T @ tau)
+    share = (p - 1.0) * (node_share.T @ ratio)
+    return dnp._values_and_truncation(log_dp, tail, share, p, tol)
+
+
+class TestWorkingSet:
+    """The node route forms its shares in place and log_powers zeroes the
+    lam = 0 columns in place; both give the same bits as the copying forms."""
+
+    SEQS = {
+        "geometric": (GEO, "inverse_lambda"),
+        "ratio-3": (generate_geometric(0.5, 3, 14), "inverse_lambda"),
+        "leading-zero": (ExponentSequence((0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0,
+                                           255.0, 511.0)), "classical"),
+    }
+    MEASURES = {
+        "lebesgue": Lebesgue(),
+        "atoms-with-t0": atoms([(1.0, 0.5), (0.5, 1.0), (1e-3, 2.0), (1e-9, 0.25)]),
+        "density": DensityMeasure("oneminus_power", alpha=1.0),
+        "restriction": restrict(Lebesgue(), 0.25, 0.75),
+    }
+
+    def _profiles_and_moments(self):
+        out = []
+        for seq, kind in self.SEQS.values():
+            lams = np.array(seq.exponents)
+            for mu in self.MEASURES.values():
+                for p in (1.5, 2.0, 3.0, 4.0):
+                    prof = compute_dn(seq, mu, WeightScheme(kind, p), n_count=len(seq) - 4)
+                    out.append((prof, measures.moments(mu, lams, p)))
+        return out
+
+    def test_profiles_and_moments_bit_identical(self, monkeypatch):
+        got = self._profiles_and_moments()
+        monkeypatch.setattr(measures, "log_powers", _where_log_powers)
+        monkeypatch.setattr(dnp, "_node_route", _copying_node_route)
+        want = self._profiles_and_moments()
+        assert len(got) == 48
+        for (prof, mom), (ref_prof, ref_mom) in zip(got, want):
+            assert prof == ref_prof
+            assert np.array_equal(mom, ref_mom)
 
 
 class TestRearrangement:

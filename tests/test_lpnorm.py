@@ -1,12 +1,15 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntzlab.lpnorm import (MuntzPolynomial, amgm_probe, eval_poly,
-                             gm_ratio_sample, l2_norm_gram, log_lp_norm,
+from muntzlab import lpnorm
+from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_logs, amgm_probe,
+                             eval_poly, gm_ratio_sample, l2_norm_gram, log_lp_norm,
                              lp_norm, pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
@@ -166,6 +169,78 @@ class TestRatioSample:
         a = gm_ratio_sample(GEO, 2.0, trials=25, seed=7)
         b = gm_ratio_sample(GEO, 2.0, trials=25, seed=7)
         assert (a.min_ratio, a.max_ratio) == (b.min_ratio, b.max_ratio)
+
+
+class TestRatioSampleNodeRoute:
+    P3 = generate_geometric(1, 2, 60)  # report-p3's sequence, n_count 24
+
+    def test_node_norm_against_exact_fourth_power(self):
+        # ||f||_4**4 on dt is the sum of a_i a_j a_k a_l / (lam_i + ... + lam_l + 1)
+        seq = generate_geometric(1, 2, 8)
+        lam = np.array(seq.exponents)
+        log_pow, log_w = _node_logs(Lebesgue(), lam, 4.0)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            a = rng.uniform(-1.0, 1.0, len(lam))
+            exact = math.fsum(
+                a[i] * a[j] * a[k] * a[m] / (lam[i] + lam[j] + lam[k] + lam[m] + 1.0)
+                for i, j, k, m in itertools.product(range(len(lam)), repeat=4))
+            got = math.exp(_log_pth_power(log_pow, log_w, a, 4.0))
+            assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("mu", [Lebesgue(), DensityMeasure("oneminus_power", alpha=1.0),
+                                    atoms([(0.5, 1.0), (1e-3, 2.0)])],
+                             ids=["lebesgue", "density", "atoms"])
+    def test_bracket_matches_lp_norm(self, mu):
+        # the same seeded vectors in the same order, each norm from lp_norm
+        n_count, trials, seed = 24, 30, 5
+        lam = np.array(self.P3.exponents[:n_count])
+        rng = np.random.default_rng(seed)
+        vectors = [np.eye(n_count)[k] for k in range(n_count)]
+        vectors += [rng.uniform(-1.0, 1.0, n_count) for _ in range(trials)]
+        ratios = [lp_norm(MuntzPolynomial(self.P3, tuple(a)), mu, 3.0)
+                  / math.fsum(np.abs(a) ** 3 / (3.0 * lam + 1.0)) ** (1 / 3) for a in vectors]
+        res = gm_ratio_sample(self.P3, 3.0, mu=mu, trials=trials, seed=seed, n_count=n_count)
+        assert res.trials == len(ratios)
+        assert res.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert res.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+
+    def test_canonical_ratios_at_p3(self):
+        res = gm_ratio_sample(self.P3, 3.0, trials=0, n_count=24)
+        assert abs(res.min_ratio - 1.0) <= 1e-14
+        assert abs(res.max_ratio - 1.0) <= 1e-14
+
+    def test_one_node_set_and_no_panel_quadrature(self, monkeypatch):
+        calls = {"measure_nodes": 0, "integrate_to_one": 0}
+
+        def counting(name):
+            inner = getattr(lpnorm, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lpnorm, name, counting(name))
+        gm_ratio_sample(self.P3, 3.0, trials=100, n_count=24)
+        assert calls == {"measure_nodes": 1, "integrate_to_one": 0}
+
+    def test_working_set_is_one_nodes_by_terms_matrix(self):
+        gm_ratio_sample(self.P3, 3.0, trials=1, n_count=24)  # warm caches
+        tracemalloc.start()
+        try:
+            gm_ratio_sample(self.P3, 3.0, trials=100, n_count=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_quadrature_limit_still_refused(self):
+        with pytest.raises(ValueError, match="quadrature limit"):
+            gm_ratio_sample(ExponentSequence((1.0, 1e13)), 3.0, trials=1)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            gm_ratio_sample(GEO, 0.5, trials=1)
 
 
 class TestAmgmProbe:

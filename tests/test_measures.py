@@ -223,15 +223,15 @@ class TestNodes:
 
 def _resumming_integrate_to_one(f, sharpness):
     """integrate_to_one with every pass summing from panel 1 again: the same
-    panels, closing rule and summation order."""
+    panels in u = 1 - t, closing rule and summation order."""
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53)
     while True:
-        acc, left = NeumaierSum(), 0.0
+        acc, right = NeumaierSum(), 1.0
         for j in range(1, depth + 1):
-            right = 1.0 - 2.0 ** (-j)
+            left = 2.0 ** (-j)
             acc.add(_gl_panel(f, left, right))
-            left = right
-        closing = _gl_panel(f, left, 1.0)
+            right = left
+        closing = _gl_panel(f, 0.0, right)
         acc.add(closing)
         if abs(closing) <= 1e-12 * max(abs(acc.total), 1e-300) or depth >= 53:
             return acc.total
@@ -239,14 +239,15 @@ def _resumming_integrate_to_one(f, sharpness):
 
 
 class TestIntegrateToOne:
-    # (integrand, sharpness, the depth of each pass); the closing panel's share
-    # of the total is about 2**-depth times f(1) / integral, against 1e-12
+    # (integrand of log t, sharpness, the depth of each pass); the closing
+    # panel's share of the total is about 2**-depth times g(1) / integral,
+    # against 1e-12
     CASES = {
-        "one-pass": (lambda t: (1.0 - t) ** 4, 1.0, (12,)),
-        "two-passes": (lambda t: 1.0 - t, 1.0, (12, 28)),
-        "three-passes": (lambda t: t * t, 1.0, (12, 28, 44)),
-        "sharp-to-53": (lambda t: t ** 32768.0, 65536.0, (24, 40, 53)),
-        "never-settles": (lambda t: t ** 100.0, 1.0, (12, 28, 44, 53)),
+        "one-pass": (lambda log_t: (-np.expm1(log_t)) ** 4, 1.0, (12,)),
+        "two-passes": (lambda log_t: -np.expm1(log_t), 1.0, (12, 28)),
+        "three-passes": (lambda log_t: np.exp(2.0 * log_t), 1.0, (12, 28, 44)),
+        "sharp-to-53": (lambda log_t: np.exp(32768.0 * log_t), 65536.0, (24, 40, 53)),
+        "never-settles": (lambda log_t: np.exp(100.0 * log_t), 1.0, (12, 28, 44, 53)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -254,19 +255,26 @@ class TestIntegrateToOne:
         f, sharpness, depths = self.CASES[case]
         nodes = []
 
-        def recording(t):
-            nodes.append(tuple(t))
-            return f(t)
+        def recording(log_t):
+            nodes.append(tuple(log_t))
+            return f(log_t)
 
         got = integrate_to_one(recording, sharpness)
         resummed = []
-        assert got == _resumming_integrate_to_one(lambda t: resummed.append(t) or f(t),
-                                                  sharpness)
+        assert got == _resumming_integrate_to_one(
+            lambda log_t: resummed.append(log_t) or f(log_t), sharpness)
         # re-summing evaluates every panel of every pass; now each pass adds its
         # new panels and one closing panel, and no interval is evaluated twice
         assert len(resummed) == sum(d + 1 for d in depths)
         assert len(nodes) == depths[-1] + len(depths)
         assert len(set(nodes)) == len(nodes)
+
+    def test_no_node_at_t_equal_one(self):
+        # the depth-53 closing panel is [0, 2**-53] in u: its nodes keep u > 0
+        nodes = []
+        integrate_to_one(lambda log_t: nodes.append(log_t) or np.exp(100.0 * log_t), 1.0)
+        assert len(nodes) == 53 + 4
+        assert max(float(v.max()) for v in nodes) < 0.0
 
 
 class TestSublinear:

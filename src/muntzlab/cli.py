@@ -251,16 +251,14 @@ def _chain_check(spec, profile) -> tuple[float, bool]:
 
 def suite_basis(seq, p, n, seed, store) -> list[dict]:
     checks = []
-    sample = lpnorm.gm_ratio_sample(seq, p, mu=None, trials=100, seed=seed,
-                                    n_count=min(n, len(seq)))
+    sample = lpnorm.gm_ratio_sample(seq, p, trials=100, seed=seed, n_count=min(n, len(seq)))
     checks.append(check("ratio-sample-bracket", "lpnorm.gm_ratio_sample", "EVIDENCE",
                         min_ratio=sample.min_ratio, max_ratio=sample.max_ratio,
                         trials=sample.trials))
-    single = lpnorm.gm_ratio_sample(seq, p, trials=0, seed=seed, n_count=min(n, len(seq)))
-    ok = abs(single.min_ratio - 1.0) <= 1e-9 and abs(single.max_ratio - 1.0) <= 1e-9
+    low, high = sample.canonical
+    ok = abs(low - 1.0) <= 1e-9 and abs(high - 1.0) <= 1e-9
     checks.append(check("canonical-vectors-normalized", "lpnorm.gm_ratio_sample",
-                        "PASS" if ok else "FAIL",
-                        min_ratio=single.min_ratio, max_ratio=single.max_ratio))
+                        "PASS" if ok else "FAIL", min_ratio=low, max_ratio=high))
     profile = store.dn(measures_mod.Lebesgue(), dnp_mod.WeightScheme("inverse_lambda", p),
                        min(n, len(seq)))
     ob = dnp_mod.operator_bounds(profile, measures_mod.Lebesgue(), seq)
@@ -274,7 +272,7 @@ def suite_basis(seq, p, n, seed, store) -> list[dict]:
     return checks
 
 
-def suite_isometry(seq, p, n, eps) -> list[dict]:
+def suite_isometry(seq, p, n, eps, seed) -> list[dict]:
     checks = []
     r_eps = bounds_mod.r_epsilon(p, eps)
     q_seq = [p * l + 1.0 for l in seq]
@@ -290,7 +288,7 @@ def suite_isometry(seq, p, n, eps) -> list[dict]:
                             ("PASS" if ok else "FAIL") if hyp else "EVIDENCE",
                             sigma_min=fb.sigma_min, sigma_max=fb.sigma_max, eps=eps))
     else:
-        sample = lpnorm.gm_ratio_sample(seq, p, trials=200, seed=0,
+        sample = lpnorm.gm_ratio_sample(seq, p, trials=200, seed=seed,
                                         n_count=min(n, len(seq)))
         ok = (1.0 - eps) <= sample.min_ratio and sample.max_ratio <= (1.0 + eps)
         checks.append(check("sampled-ratios-within-eps", "lpnorm.gm_ratio_sample",
@@ -688,7 +686,7 @@ def _run_suite(suite: str, args, inputs) -> list[dict]:
     if suite == "basis":
         return suite_basis(seq, args.p, args.N, args.seed, store)
     if suite == "isometry-threshold":
-        return suite_isometry(seq, args.p, args.N, args.eps)
+        return suite_isometry(seq, args.p, args.N, args.eps, args.seed)
     if suite == "pairing-dichotomy":
         return suite_pairing(seq, args.p)
     if suite == "envelope":

@@ -1,14 +1,16 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
-Pointwise values use per-term log magnitudes with compensated signed
-summation.  Norms come back as a ``LogValue`` from ``log_lp_norm``:
-against atoms, densities and restrictions they are log-domain sums over
-the nodes x terms matrix on ``measures.measure_nodes``; ``lp_norm`` is the
-float edge, where a norm below the smallest subnormal reads 0.0.
-``gm_ratio_sample`` takes its Lebesgue norms on those nodes too, one node
-set per sample.  Single Lebesgue norms alone add |f|**p in floats over the
-dyadic panels of ``measures.integrate_to_one`` (``log_lp_norm`` says why
-they stay there).  Both quadratures refine toward t = 1 to a depth that
+Norms come back as a ``LogValue`` from ``log_lp_norm``: against atoms,
+densities and restrictions they are log-domain sums over the nodes x terms
+matrix on ``measures.measure_nodes``, with a signed log-sum-exp for the
+value at each node; ``lp_norm`` is the float edge, where a norm below the
+smallest subnormal reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue
+norms on those nodes too, one node set for its whole coefficient matrix.
+Single Lebesgue norms alone add |f|**p in floats over the dyadic panels of
+``measures.integrate_to_one``: on the nodes they run several times faster,
+but the benchmark harness keeps every battery's outputs, so faster
+batteries read as more peak memory (ROADMAP.md item 1; ``log_lp_norm``
+gives the figures).  Both quadratures refine toward t = 1 to a depth that
 follows the largest exponent (a monomial t**lam keeps its mass within
 O(1/lam) of t = 1, so fixed grids silently miss everything once lam is
 large).
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogValue, NeumaierSum, logsumexp, signed_logsumexp
+from .logdomain import LogValue, logsumexp, signed_logsumexp
 from .measures import (AtomicMeasure, Lebesgue, Measure, integrate_to_one, log_powers,
                        measure_nodes)
 from .sequences import ExponentSequence, classify
@@ -49,28 +51,6 @@ class MuntzPolynomial:
     @property
     def max_exponent(self) -> float:
         return self.seq[len(self.coefficients) - 1]
-
-
-def eval_poly_logt(f: MuntzPolynomial, log_t: float) -> float:
-    """Value at t = exp(log_t); log_t = -inf means t = 0."""
-    acc = NeumaierSum()
-    for a, lam in zip(f.coefficients, f.seq):
-        if a == 0.0:
-            continue
-        if lam == 0.0:
-            acc.add(a)
-            continue
-        if log_t == -math.inf:
-            continue
-        mag = lam * log_t + math.log(abs(a))
-        acc.add(math.copysign(math.exp(mag), a) if mag > -745.0 else 0.0)
-    return acc.total
-
-
-def eval_poly(f: MuntzPolynomial, t: float) -> float:
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0,1), got {t}")
-    return eval_poly_logt(f, math.log1p(t - 1.0) if t > 0.0 else -math.inf)
 
 
 def _eval_poly_array(f: MuntzPolynomial, log_t: np.ndarray) -> np.ndarray:
@@ -123,10 +103,13 @@ def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     vectors, the ``norm`` command) is still the float quadrature
     ``integrate_to_one`` of |f|**p, where a norm whose p-th power
     underflows comes back zero.  On the nodes it runs several times faster,
-    but perfbench keeps the outputs of every battery it runs, so the extra
-    batteries read as +37 % peak memory on the default report; this branch
-    moves to the nodes once perfbench stops keeping them.  Exponents beyond
-    1e12 are refused on every non-atomic measure.
+    but perfbench keeps the outputs of every battery it runs, so more
+    batteries in its 35 s read as more peak memory: a batched node kernel
+    for ``gm_ratio_sample`` read +18.6 % ``peak_rss_mb`` on report-p3 (548 ->
+    1,372 batteries), and batching ``suite_diagonal`` +24.8 % on
+    report-atoms64 (384 -> 855), both past the 10 % bound.  This branch
+    moves to the nodes once perfbench stops keeping them (ROADMAP.md item 1).
+    Exponents beyond 1e12 are refused on every non-atomic measure.
     """
     _check_quadrature(f.max_exponent, mu, p)
     if isinstance(mu, Lebesgue):
@@ -147,35 +130,49 @@ def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
     return log_lp_norm(f, mu, p).to_float()
 
 
+def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
+    """Lebesgue Gram of the monomials t**lam_j: 1 / (lam_i + lam_j + 1)."""
+    return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
+
+
 def l2_norm_gram(f: MuntzPolynomial) -> float:
     """Exact L2(dt) norm through the monomial Gram: sqrt(a^T G a)."""
-    n = len(f.coefficients)
-    lam = np.array(f.seq.exponents[:n])
-    g = 1.0 / (lam[:, None] + lam[None, :] + 1.0)
     a = np.array(f.coefficients)
+    g = _cauchy_gram(np.array(f.seq.exponents[:len(a)]))
     return float(math.sqrt(max(a @ g @ a, 0.0)))
 
 
 @dataclass(frozen=True)
 class RatioBracket:
+    """min and max of the sampled ratios and how many there were (``trials``,
+    canonical rows included); ``canonical`` is (min, max) over the canonical
+    rows alone."""
+
     min_ratio: float
     max_ratio: float
     trials: int
+    canonical: tuple[float, float]
 
 
 def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
                     trials: int = 100, seed: int = 0,
                     n_count: int | None = None) -> RatioBracket:
-    """Observed bracket of norm / weighted-coefficient-norm over random vectors.
+    """Observed bracket of norm / weighted-coefficient-norm over one coefficient matrix.
 
-    Coefficients are uniform on [-1,1], seeded; one extra trial per
-    canonical basis vector (those have ratio exactly 1 by normalization).
-    For p = 2 against Lebesgue the numerator is the exact Gram form.  Every
-    other numerator, Lebesgue measure included, is the node route of
-    ``log_lp_norm``: the sample builds one ``measure_nodes`` set, sized by
-    p * lam_{n_count-1}, and the nodes x terms matrix lam_j log t_k once,
-    and each vector takes one ``_log_pth_power`` over them, so the working
-    set is one nodes x terms matrix.
+    The ratio of a = (a_j) is ||sum_j a_j t**lam_j||_p / (sum_j |a_j|**p / q_j)**(1/p)
+    with q_j = p lam_j + 1.  The matrix has n = n_count columns: its first n
+    rows are the canonical basis vectors (ratio exactly 1 by normalization),
+    the other ``trials`` rows are ``rng.uniform(-1, 1, (trials, n))`` with
+    ``rng = np.random.default_rng(seed)``, the same numbers as one draw of n
+    per trial.  The bracket spans all rows; ``canonical`` spans the first n.
+    For p = 2 against Lebesgue the numerators are the exact Gram form
+    sqrt(a^T G a), one stacked matmul over the rows.  Every other numerator,
+    Lebesgue measure included, is the node route of ``log_lp_norm``: the
+    sample builds one ``measure_nodes`` set, sized by p * lam_{n-1}, and the
+    nodes x terms matrix lam_j log t_k once, and each row takes one
+    ``_log_pth_power`` over them, so the working set is one nodes x terms
+    matrix.  The denominators are one array expression up to the 1/p root,
+    which each row takes as a float.
     Warns when ``classify`` flags the prefix's ratio trend as non-lacunary,
     where the isomorphism with l^p is not expected and the bracket may
     degenerate.
@@ -188,33 +185,27 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
     if len(seq) >= (3 if seq[0] == 0.0 else 2) and classify(seq).trend_non_lacunary:
         warnings.warn("ratio sampling on a non-lacunary prefix; the bracket "
                       "may degenerate", stacklevel=2)
-    rng = np.random.default_rng(seed)
     # a float product: p * lam beyond the float range is inf, no warning
     if not math.isfinite(p * seq[n_count - 1]):
         raise ValueError(f"p * lam = {p:g} * {seq[n_count - 1]:g} is beyond the float range")
     lam = np.array(seq.exponents[:n_count])
-    q = p * lam + 1.0
+    rng = np.random.default_rng(seed)
+    coeffs = np.vstack([np.eye(n_count), rng.uniform(-1.0, 1.0, (trials, n_count))])
     if p == 2.0 and isinstance(mu, Lebesgue):
-        def norm(coeffs: np.ndarray) -> float:
-            return l2_norm_gram(MuntzPolynomial(seq, tuple(coeffs)))
+        # (1 x n) @ (n x n) @ (n x 1) per row: the vector-matrix and dot
+        # products of l2_norm_gram, so each form equals its a @ g @ a
+        forms = (coeffs[:, None, :] @ _cauchy_gram(lam) @ coeffs[:, :, None])[:, 0, 0]
+        norms = np.sqrt(np.maximum(forms, 0.0))
     else:
         _check_quadrature(seq[n_count - 1], mu, p)
         log_pow, log_w = _node_logs(mu, lam, p)
-
-        def norm(coeffs: np.ndarray) -> float:
-            return LogValue.from_log(_log_pth_power(log_pow, log_w, coeffs, p) / p).to_float()
-
-    def ratio(coeffs: np.ndarray) -> float:
-        return norm(coeffs) / float(np.sum(np.abs(coeffs) ** p / q) ** (1.0 / p))
-
-    ratios = []
-    for k in range(n_count):
-        e = np.zeros(n_count)
-        e[k] = 1.0
-        ratios.append(ratio(e))
-    for _ in range(trials):
-        ratios.append(ratio(rng.uniform(-1.0, 1.0, n_count)))
-    return RatioBracket(min(ratios), max(ratios), len(ratios))
+        norms = np.array([LogValue.from_log(_log_pth_power(log_pow, log_w, a, p) / p).to_float()
+                          for a in coeffs])
+    sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
+    # a float root: numpy's vectorised power can differ from it in the last bit
+    ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])
+    return RatioBracket(float(ratios.min()), float(ratios.max()), len(ratios),
+                        (float(ratios[:n_count].min()), float(ratios[:n_count].max())))
 
 
 @dataclass(frozen=True)

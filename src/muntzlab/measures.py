@@ -11,8 +11,9 @@ forms (Lebesgue moments and kernels, the Poisson integral of a density
 reaching t = 1) stay as the exact special cases they are.  The one other
 quadrature is ``integrate_to_one``, float dyadic panels in u for single
 Lebesgue L^p norms (``lpnorm.log_lp_norm``), deepened until the closing
-panel is negligible; each panel is summed once.  The Lebesgue norms of
-``lpnorm.gm_ratio_sample`` run on ``measure_nodes``.
+panel is negligible; each panel is summed once.  ``lpnorm.gm_ratio_sample``
+builds one coefficient matrix, canonical rows first, and takes the Lebesgue
+norms of its rows (at p != 2) on one ``measure_nodes`` set.
 """
 from __future__ import annotations
 

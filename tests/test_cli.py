@@ -11,6 +11,7 @@ import muntzlab
 from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
 from muntzlab import hilbert
+from muntzlab import lpnorm
 from muntzlab.cli import SUITE_IDS, build_parser, run
 
 
@@ -248,6 +249,42 @@ def test_unmet_isometry_hypothesis_is_not_a_failure(extra, capsys):
     assert report["summary"]["UNMET"] == 1 and report["summary"]["FAIL"] == 0
 
 
+def _isometry_sample(capsys, *extra):
+    code = run(["verify", "--suite", "isometry-threshold", "--p", "3",
+                "--seq", "geometric:1,4,8", *extra])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(out)
+    data = {c["name"]: c["data"] for c in report["checks"]}["sampled-ratios-within-eps"]
+    return out, (data["min_ratio"], data["max_ratio"])
+
+
+def test_isometry_sample_reads_seed(capsys):
+    out0, bracket0 = _isometry_sample(capsys)
+    out5, bracket5 = _isometry_sample(capsys, "--seed", "5")
+    assert bracket0 != bracket5
+    assert _isometry_sample(capsys, "--seed", "5")[0] == out5
+    assert _isometry_sample(capsys, "--seed", "0")[0] == out0
+
+
+def test_basis_samples_once(monkeypatch, capsys):
+    # one ratio sample, one node set: the canonical bracket comes with it
+    calls = {"gm_ratio_sample": 0, "_node_logs": 0}
+    for name in calls:
+        real = getattr(lpnorm, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lpnorm, name, counting)
+    code, report = _verify(capsys, "basis", "--p", "3")
+    assert code == 0
+    assert calls == {"gm_ratio_sample": 1, "_node_logs": 1}
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["canonical-vectors-normalized"] == "PASS"
+
+
 def test_ex_a_short_instance_is_not_a_failure(capsys):
     code = run(["verify", "--suite", "ex-a", "--count", "6"])
     report = json.loads(capsys.readouterr().out)
@@ -338,6 +375,22 @@ def test_report_output_is_byte_identical(tmp_path, capsys):
         text = (first / name).read_bytes()
         assert text == (second / name).read_bytes(), name
         assert b"generated_unix" not in text
+
+
+def test_p3_report_output_is_byte_identical(tmp_path, capsys):
+    # the node route of the ratio sample, end to end, as the benchmark compares batteries
+    outs = []
+    for name in ("first", "second"):
+        outs.append(tmp_path / name)
+        code = run(["report", "--seq", "geometric:1,2,12", "--N", "8", "--p", "3", "--q", "4",
+                    "--suites", "basis,carleson", "--out", str(outs[-1])])
+        capsys.readouterr()
+        assert code == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) == [
+        "index.json", "verify-basis.json", "verify-carleson.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("measure", [SMALL_ATOMS, "lebesgue"])

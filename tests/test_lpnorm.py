@@ -8,13 +8,37 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muntzlab import lpnorm
+from muntzlab.logdomain import NeumaierSum
 from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_logs, amgm_probe,
-                             eval_poly, gm_ratio_sample, l2_norm_gram, log_lp_norm,
-                             lp_norm, pairing_integral)
+                             gm_ratio_sample, l2_norm_gram, log_lp_norm, lp_norm,
+                             pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 16)
+
+
+# pointwise oracle: per-term magnitudes, compensated signed summation
+def eval_poly_logt(f: MuntzPolynomial, log_t: float) -> float:
+    """Value at t = exp(log_t); log_t = -inf means t = 0."""
+    acc = NeumaierSum()
+    for a, lam in zip(f.coefficients, f.seq):
+        if a == 0.0:
+            continue
+        if lam == 0.0:
+            acc.add(a)
+            continue
+        if log_t == -math.inf:
+            continue
+        mag = lam * log_t + math.log(abs(a))
+        acc.add(math.copysign(math.exp(mag), a) if mag > -745.0 else 0.0)
+    return acc.total
+
+
+def eval_poly(f: MuntzPolynomial, t: float) -> float:
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"t must be in [0,1), got {t}")
+    return eval_poly_logt(f, math.log1p(t - 1.0) if t > 0.0 else -math.inf)
 
 
 class TestEval:
@@ -60,6 +84,18 @@ class TestLpNorm:
         f = MuntzPolynomial(ExponentSequence((1.0, 2.0)), (1.0, -1.0))
         direct = (2.0 * abs(0.5 - 0.25) ** 3 + 1.0 * abs(0.75 - 0.5625) ** 3) ** (1 / 3)
         assert lp_norm(f, mu, 3.0) == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_atomic_matches_pointwise_oracle(self, p):
+        # atoms at t = 1 - delta; the oracle takes log t = log1p(-delta)
+        points = [(0.5, 2.0), (0.1, 1.0), (1e-3, 0.25), (0.99, 3.0)]
+        mu = atoms(points)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            f = MuntzPolynomial(GEO, tuple(rng.uniform(-1.0, 1.0, len(GEO))))
+            direct = math.fsum(w * abs(eval_poly_logt(f, math.log1p(-delta))) ** p
+                               for delta, w in points) ** (1 / p)
+            assert lp_norm(f, mu, p) == pytest.approx(direct, rel=1e-12)
 
     def test_gram_route_agrees(self):
         rng = np.random.default_rng(9)
@@ -169,6 +205,80 @@ class TestRatioSample:
         a = gm_ratio_sample(GEO, 2.0, trials=25, seed=7)
         b = gm_ratio_sample(GEO, 2.0, trials=25, seed=7)
         assert (a.min_ratio, a.max_ratio) == (b.min_ratio, b.max_ratio)
+
+
+def _per_row_ratios(seq, p, mu, trials, seed, n_count):
+    """The sample's ratios by one vector at a time: the n canonical vectors,
+    then one ``rng.uniform(-1, 1, n)`` draw per trial, each norm computed alone."""
+    lam = np.array(seq.exponents[:n_count])
+    rng = np.random.default_rng(seed)
+    vectors = [np.eye(n_count)[k] for k in range(n_count)]
+    vectors += [rng.uniform(-1.0, 1.0, n_count) for _ in range(trials)]
+    if p == 2.0 and isinstance(mu, Lebesgue):
+        def norm(a):
+            return l2_norm_gram(MuntzPolynomial(seq, tuple(a)))
+    else:
+        log_pow, log_w = _node_logs(mu, lam, p)
+
+        def norm(a):
+            return math.exp(_log_pth_power(log_pow, log_w, a, p) / p)
+    return [norm(a) / float(np.sum(np.abs(a) ** p / (p * lam + 1.0)) ** (1.0 / p))
+            for a in vectors]
+
+
+class TestRatioSampleMatrix:
+    """One coefficient matrix per sample: canonical rows, then the random rows."""
+
+    @pytest.mark.parametrize("mu", [Lebesgue(), atoms([(0.5, 1.0), (1e-3, 2.0)])],
+                             ids=["lebesgue", "atoms"])
+    @pytest.mark.parametrize("trials, seed", [(0, 0), (1, 4), (100, 0), (37, 11)])
+    def test_rows_match_per_row_draws_bit_for_bit(self, mu, trials, seed):
+        seq, n_count = generate_geometric(1, 2, 60), 24
+        ratios = _per_row_ratios(seq, 3.0, mu, trials, seed, n_count)
+        res = gm_ratio_sample(seq, 3.0, mu=mu, trials=trials, seed=seed, n_count=n_count)
+        assert (res.min_ratio, res.max_ratio, res.trials) == (min(ratios), max(ratios),
+                                                               len(ratios))
+        assert res.canonical == (min(ratios[:n_count]), max(ratios[:n_count]))
+
+    @pytest.mark.parametrize("seq", [GEO, generate_geometric(1, 2, 64),
+                                     generate_geometric(1000, 300, 8)],
+                             ids=["geometric:1,2,16", "geometric:1,2,64", "geometric:1000,300,8"])
+    def test_gram_ratios_match_per_row_l2_norm_gram(self, seq):
+        # geometric:1,2,64 reaches lam = 9.2e18, past the 1e12 node limit
+        ratios = _per_row_ratios(seq, 2.0, Lebesgue(), 100, 3, len(seq))
+        res = gm_ratio_sample(seq, 2.0, trials=100, seed=3)
+        assert res.trials == len(ratios)
+        assert res.min_ratio == pytest.approx(min(ratios), rel=1e-14)
+        assert res.max_ratio == pytest.approx(max(ratios), rel=1e-14)
+        assert res.canonical == pytest.approx((min(ratios[:len(seq)]), max(ratios[:len(seq)])),
+                                              rel=1e-14)
+
+    def test_canonical_bracket_is_the_trials_zero_bracket_at_p3(self):
+        seq = generate_geometric(1, 2, 60)
+        alone = gm_ratio_sample(seq, 3.0, trials=0, n_count=24)
+        res = gm_ratio_sample(seq, 3.0, trials=100, n_count=24)
+        assert res.canonical == (alone.min_ratio, alone.max_ratio) == alone.canonical
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_no_trials_is_the_canonical_bracket(self, p):
+        res = gm_ratio_sample(GEO, p, trials=0, n_count=6)
+        assert res.trials == 6
+        assert res.canonical == (res.min_ratio, res.max_ratio)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_leading_zero_pair_canonical_bracket(self, p):
+        res = gm_ratio_sample(ExponentSequence((0.0, 1.0)), p, trials=3, seed=0)
+        assert res.trials == 5
+        assert res.canonical == pytest.approx((1.0, 1.0), abs=1e-14)
+        assert res.min_ratio <= min(res.canonical) <= max(res.canonical) <= res.max_ratio
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_term(self, p):
+        # a one-term polynomial is a monomial: every row has ratio 1
+        res = gm_ratio_sample(GEO, p, trials=5, seed=2, n_count=1)
+        assert res.trials == 6
+        assert (res.min_ratio, res.max_ratio) == pytest.approx((1.0, 1.0), abs=1e-14)
+        assert res.canonical == pytest.approx((1.0, 1.0), abs=1e-14)
 
 
 class TestRatioSampleNodeRoute:

@@ -11,10 +11,13 @@ is byte-identical.
 Each subcommand takes only the options its handler reads (``_COMMANDS``); an
 option of another subcommand is a usage error, and so is one that only
 another branch of the handler reads (``_BRANCHES``: the formula of
-``bounds``, the kind of ``probe``, the operator of ``spectrum``).  ``norm``
-takes ``--coeffs`` or ``--coeffs-file``, not both.  ``verify`` and ``report``
-take the union of what their suites read, and ``--format csv`` exists on
-moments, dnp and example.
+``bounds``, the kind of ``probe``, the operator of ``spectrum``, the suite
+of ``verify``, the suites of ``report``).  The suite table ``_SUITES`` is
+the one list of the options each suite reads: ``verify`` records exactly
+those, with the values the suite ran on, and ``report`` takes those of the
+suites it runs and refuses an unknown suite before running any.  ``norm``
+takes ``--coeffs`` or ``--coeffs-file``, not both; ``--format csv`` exists
+on moments, dnp and example.
 
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
 their suites one store (``_Store``) of the results that several of them
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -47,21 +51,6 @@ from .logdomain import LogValue
 
 SCHEMA = "muntzlab-report/1"
 STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
-
-SUITE_IDS = (
-    "basis",              # frame bracket + coefficient-norm equivalence sampling
-    "isometry-threshold", # near-isometry above the explicit lacunarity threshold
-    "pairing-dichotomy",  # adjacent-monomial pairing: decay vs bounded below
-    "envelope",           # weighted series vs (1-t)^-alpha bracket
-    "crossterm-bound",    # cross-term sum vs closed-form majorant
-    "diagonal-domination",# singular values vs rearranged D profile (p=2)
-    "blocksum-probe",     # block-indicator lower-bound growth trend
-    "carleson",           # monomial test, sublinear norm, embedding norms
-    "compact",            # decay of the monomial test and restriction spectra
-    "hs",                 # Hilbert-Schmidt: spectra vs integral criteria
-    "ex-a", "ex-b",       # the two extremal constructions
-)
-_NO_SEQ_SUITES = ("crossterm-bound", "ex-a", "ex-b")
 
 
 class UsageError(ValueError):
@@ -219,17 +208,15 @@ def _exit_code(checks: list[dict]) -> int:
 class _Store:
     """The results of one command that several suites read, each computed once.
 
-    ``dn`` is compute_dn per (measure, weight, n_count); ``synthesis`` and
-    ``embedding`` are t_mu_spectrum and embedding_spectrum per (measure, n).
-    The caches belong to the store, which lives for one command: a process
-    that runs several commands recomputes each one's results, as separate
-    CLI runs do.  Every suite that asks gets the same result object, which
-    suites only read.  Each library function is looked up when it is
-    called, so a patched or traced one is the one that runs.
+    ``dn`` is compute_dn per (measure, weight, n_count, tol); ``synthesis``
+    and ``embedding`` are t_mu_spectrum and embedding_spectrum per (measure,
+    n).  The store lives for one command, as a separate CLI run would; the
+    suites share its results and only read them.  Each library function is
+    looked up when called, so a patched or traced one is the one that runs.
     """
 
-    def __init__(self, seq, tol: float):
-        self.dn = functools.cache(lambda mu, weight, n_count: dnp_mod.compute_dn(
+    def __init__(self, seq):
+        self.dn = functools.cache(lambda mu, weight, n_count, tol: dnp_mod.compute_dn(
             seq, mu, weight, n_count=n_count, tol=tol))
         self.synthesis = functools.cache(lambda mu, n: hilbert.t_mu_spectrum(seq, mu, n))
         self.embedding = functools.cache(lambda mu, n: hilbert.embedding_spectrum(seq, mu, n))
@@ -249,9 +236,10 @@ def _chain_check(spec, profile) -> tuple[float, bool]:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def suite_basis(seq, p, n, seed, store) -> list[dict]:
+def suite_basis(seq, p, N, seed, tol, store) -> list[dict]:
     checks = []
-    sample = lpnorm.gm_ratio_sample(seq, p, trials=100, seed=seed, n_count=min(n, len(seq)))
+    n = min(N, len(seq))
+    sample = lpnorm.gm_ratio_sample(seq, p, trials=100, seed=seed, n_count=n)
     checks.append(check("ratio-sample-bracket", "lpnorm.gm_ratio_sample", "EVIDENCE",
                         min_ratio=sample.min_ratio, max_ratio=sample.max_ratio,
                         trials=sample.trials))
@@ -260,20 +248,21 @@ def suite_basis(seq, p, n, seed, store) -> list[dict]:
     checks.append(check("canonical-vectors-normalized", "lpnorm.gm_ratio_sample",
                         "PASS" if ok else "FAIL", min_ratio=low, max_ratio=high))
     profile = store.dn(measures_mod.Lebesgue(), dnp_mod.WeightScheme("inverse_lambda", p),
-                       min(n, len(seq)))
+                       n, tol)
     ob = dnp_mod.operator_bounds(profile, measures_mod.Lebesgue(), seq)
     checks.append(check("lebesgue-diagonal-bounded", "dnp.compute_dn", "EVIDENCE",
                         sup=ob.sup_dn, trailing_max=ob.limsup_estimate,
                         tails_safe=profile.all_safe))
     if p == 2.0:
-        fb = hilbert.frame_bounds(seq, min(n, len(seq)))
+        fb = hilbert.frame_bounds(seq, n)
         checks.append(check("frame-bracket", "hilbert.frame_bounds", "EVIDENCE",
                             sigma_min=fb.sigma_min, sigma_max=fb.sigma_max))
     return checks
 
 
-def suite_isometry(seq, p, n, eps, seed) -> list[dict]:
+def suite_isometry(seq, p, N, eps, seed) -> list[dict]:
     checks = []
+    n = min(N, len(seq))
     r_eps = bounds_mod.r_epsilon(p, eps)
     q_seq = [p * l + 1.0 for l in seq]
     ratios = [b / a for a, b in zip(q_seq, q_seq[1:])]
@@ -282,14 +271,13 @@ def suite_isometry(seq, p, n, eps, seed) -> list[dict]:
                         "PASS" if hyp else "UNMET",
                         r_epsilon=r_eps, min_shifted_ratio=min(ratios)))
     if p == 2.0:
-        fb = hilbert.frame_bounds(seq, min(n, len(seq)))
+        fb = hilbert.frame_bounds(seq, n)
         ok = (1.0 - eps) <= fb.sigma_min and fb.sigma_max <= (1.0 + eps)
         checks.append(check("frame-within-eps", "hilbert.frame_bounds",
                             ("PASS" if ok else "FAIL") if hyp else "EVIDENCE",
                             sigma_min=fb.sigma_min, sigma_max=fb.sigma_max, eps=eps))
     else:
-        sample = lpnorm.gm_ratio_sample(seq, p, trials=200, seed=seed,
-                                        n_count=min(n, len(seq)))
+        sample = lpnorm.gm_ratio_sample(seq, p, trials=200, seed=seed, n_count=n)
         ok = (1.0 - eps) <= sample.min_ratio and sample.max_ratio <= (1.0 + eps)
         checks.append(check("sampled-ratios-within-eps", "lpnorm.gm_ratio_sample",
                             "FAIL" if hyp and not ok else "EVIDENCE",
@@ -311,9 +299,9 @@ def suite_pairing(seq, p) -> list[dict]:
     return checks
 
 
-def suite_envelope(seq, alphas) -> list[dict]:
+def suite_envelope(seq, alpha_list) -> list[dict]:
     checks = []
-    for alpha in alphas:
+    for alpha in alpha_list:
         br = bounds_mod.envelope_check(seq, alpha)
         ok = br.ratio_min > 0.0 and math.isfinite(br.ratio_max)
         checks.append(check(f"envelope-positive-finite-alpha={alpha:g}",
@@ -326,11 +314,10 @@ def suite_envelope(seq, alphas) -> list[dict]:
     return checks
 
 
-def suite_crossterm(p_values, alphas_mode, r_values, count) -> list[dict]:
+def suite_crossterm(p_values, r_values, count) -> list[dict]:
     checks = []
     for p in p_values:
-        alphas = [1.0 / (p - 1.0), 1.0] if alphas_mode == "auto" else alphas_mode
-        for alpha in alphas:
+        for alpha in (1.0 / (p - 1.0), 1.0):
             for r in r_values:
                 q = [r ** k for k in range(count)]
                 res = bounds_mod.lemma31_bound(p, alpha, q, r)
@@ -342,12 +329,12 @@ def suite_crossterm(p_values, alphas_mode, r_values, count) -> list[dict]:
     return checks
 
 
-def suite_diagonal(seq, mu, n, seed, store) -> list[dict]:
+def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
     checks = []
-    n = min(n, len(seq))
-    spec = store.synthesis(mu, n)
-    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), n)
-    ob = dnp_mod.operator_bounds(profile, mu, seq)
+    n = min(N, len(seq))
+    spec = store.synthesis(measure, n)
+    profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 2.0), n, tol)
+    ob = dnp_mod.operator_bounds(profile, measure, seq)
     margin, chain_ok = _chain_check(spec, profile)
     checks.append(check("singular-values-below-rearranged-profile",
                         "hilbert.t_mu_spectrum",
@@ -368,7 +355,7 @@ def suite_diagonal(seq, mu, n, seed, store) -> list[dict]:
     for _ in range(100):
         b = rng.uniform(-1.0, 1.0, len(profile.values))
         fpoly = lpnorm.MuntzPolynomial(seq, tuple(b))
-        lhs = lpnorm.lp_norm(fpoly, mu, 2.0)
+        lhs = lpnorm.lp_norm(fpoly, measure, 2.0)
         rhs = math.sqrt(sum(
             abs(bv) ** 2 * math.exp(-profile.weight.log_inv_weight(seq[i])) * dv ** 2
             for i, (bv, dv) in enumerate(zip(b, profile.values))))
@@ -380,15 +367,8 @@ def suite_diagonal(seq, mu, n, seed, store) -> list[dict]:
 
 def suite_blocksum(seq, p) -> list[dict]:
     checks = []
-    ratios = []
-    lengths = []
-    max_len = len(seq)
-    length = 1
-    while length <= max_len:
-        probe = lpnorm.amgm_probe(seq, p, 0, length)
-        ratios.append(probe.ratio)
-        lengths.append(length)
-        length *= 2
+    lengths = [2 ** k for k in range(len(seq).bit_length())]  # 1, 2, 4, ... <= len(seq)
+    ratios = [lpnorm.amgm_probe(seq, p, 0, length).ratio for length in lengths]
     growing = all(b >= a * 0.99 for a, b in zip(ratios, ratios[1:])) and ratios[-1] > ratios[0] * 2
     checks.append(check("block-lower-bound-growth", "lpnorm.amgm_probe", "EVIDENCE",
                         lengths=lengths, ratios=ratios,
@@ -396,15 +376,16 @@ def suite_blocksum(seq, p) -> list[dict]:
     return checks
 
 
-def suite_carleson(seq, mu, p, q_list, n, store) -> list[dict]:
+def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     checks = []
+    n = min(N, len(seq))
     cls = sequences_mod.classify(seq)
-    logs = measures_mod.moments(mu, seq.exponents, p).tolist()
+    logs = measures_mod.moments(measure, seq.exponents, p).tolist()
     m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
     checks.append(check("monomial-test-constant", "measures.moment", "EVIDENCE",
                         sup=sup_m, last=m_vals[-1]))
-    sub = measures_mod.sublinear_norm(mu)
+    sub = measures_mod.sublinear_norm(measure)
     checks.append(check("sublinear-norm", "measures.sublinear_norm", "EVIDENCE",
                         norm_s=sub.norm_s, attained_at=sub.attaining_epsilon,
                         exact=sub.exact))
@@ -414,72 +395,69 @@ def suite_carleson(seq, mu, p, q_list, n, store) -> list[dict]:
         checks.append(check("sublinear-vs-monomial-test", "measures.sublinear_norm",
                             "PASS" if ok else "FAIL",
                             norm_s=sub.norm_s, bound=bound, big_r=cls.r_sup))
-    for q in q_list:
-        if q <= p:
+    for qv in q:
+        if qv <= p:
             continue
-        profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", q), len(seq))
-        checks.append(check(f"diagonal-profile-finite-q={q:g}", "dnp.compute_dn",
+        profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", qv), len(seq), tol)
+        checks.append(check(f"diagonal-profile-finite-q={qv:g}", "dnp.compute_dn",
                             "EVIDENCE", sup=max(profile.values),
                             tails_safe=profile.all_safe))
-    if p == 2.0 or 2.0 in q_list:
-        spec = store.synthesis(mu, min(n, len(seq)))
-        profile2 = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), min(n, len(seq)))
+    if p == 2.0 or 2.0 in q:
+        spec = store.synthesis(measure, n)
+        profile2 = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 2.0), n, tol)
         ok = spec.sigma_max <= max(profile2.values) + 1e-9
         checks.append(check("synthesis-norm-below-sup-profile", "hilbert.t_mu_spectrum",
                             "PASS" if ok else "FAIL",
                             sigma_max=spec.sigma_max, sup_profile=max(profile2.values)))
-        emb = store.embedding(mu, min(n, len(seq)))
+        emb = store.embedding(measure, n)
         checks.append(check("embedding-norm", "hilbert.embedding_spectrum", "EVIDENCE",
                             sigma_max=emb.sigma_max,
                             ratio_to_sup_profile=emb.sigma_max / max(profile2.values)))
     return checks
 
 
-def suite_compact(seq, mu, n, store) -> list[dict]:
+def suite_compact(seq, measure, N, tol, store) -> list[dict]:
     checks = []
-    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 1.0), len(seq))
+    profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 1.0), len(seq), tol)
     vals = profile.values
     half = vals[len(vals) // 2:]
     decaying = all(b <= a * 1.001 for a, b in zip(half, half[1:])) and half[-1] < half[0]
     checks.append(check("monomial-test-decay", "dnp.compute_dn", "EVIDENCE",
                         trend="decaying" if decaying else "flat",
                         first=half[0], last=half[-1]))
-    sub = measures_mod.sublinear_norm(mu)
+    sub = measures_mod.sublinear_norm(measure)
     prof = sub.vanishing_profile
     tail_ratio = prof[-1][1]
     head_ratio = max(r for _, r in prof)
     checks.append(check("vanishing-profile", "measures.sublinear_norm", "EVIDENCE",
                         smallest_eps_ratio=tail_ratio, max_ratio=head_ratio))
     cuts = [1.0 - 2.0 ** (-j) for j in range(1, 11)]
-    trend = hilbert.essential_norm_estimate(seq, mu, min(n, len(seq)), cuts)
+    trend = hilbert.essential_norm_estimate(seq, measure, min(N, len(seq)), cuts)
     checks.append(check("restriction-spectrum-trend", "hilbert.essential_norm_estimate",
                         "EVIDENCE", sigma1=trend.sigma1, drop_factor=trend.drop_factor,
                         limit_proxy=trend.limit_proxy))
-    pois = measures_mod.poisson_integral(mu)
+    pois = measures_mod.poisson_integral(measure)
     checks.append(check("order-boundedness-integral", "measures.poisson_integral",
                         "EVIDENCE", divergent=pois.divergent,
                         value=None if pois.divergent else pois.value.to_float()))
     return checks
 
 
-def suite_hs(seq, mu, n, q_list, store) -> list[dict]:
+def suite_hs(seq, measure, N, q, tol, store) -> list[dict]:
     checks = []
-    n = min(n, len(seq))
-    report = hilbert.hs_criteria(store.embedding(mu, n), store.synthesis(mu, n), mu,
-                                 q_values=tuple(q_list) or (2.0,))
+    n = min(N, len(seq))
+    report = hilbert.hs_criteria(store.embedding(measure, n), store.synthesis(measure, n),
+                                 measure, q_values=tuple(q))
     if not report.poisson_divergent and 2.0 in report.kernel_values:
-        kernel_sq = report.kernel_values[2.0] ** 2
-        if math.isfinite(kernel_sq) and math.isfinite(report.poisson_value):
-            ok = abs(kernel_sq - report.poisson_value) <= 1e-9 * report.poisson_value
-            checks.append(check("kernel-double-integral-matches-poisson",
-                                "hilbert.prop511_value", "PASS" if ok else "FAIL",
-                                kernel_sq=kernel_sq, poisson=report.poisson_value))
+        kernel_sq, poisson = report.kernel_values[2.0] ** 2, report.poisson_value
+        if math.isfinite(kernel_sq) and math.isfinite(poisson):
+            status = "PASS" if abs(kernel_sq - poisson) <= 1e-9 * poisson else "FAIL"
+            note = {}
         else:
-            checks.append(check("kernel-double-integral-matches-poisson",
-                                "hilbert.prop511_value", "EVIDENCE",
-                                kernel_sq=kernel_sq, poisson=report.poisson_value,
-                                note="value beyond float range at this scale"))
-    profile = store.dn(mu, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq))
+            status, note = "EVIDENCE", {"note": "value beyond float range at this scale"}
+        checks.append(check("kernel-double-integral-matches-poisson", "hilbert.prop511_value",
+                            status, kernel_sq=kernel_sq, poisson=poisson, **note))
+    profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq), tol)
     bound_sq = math.fsum(v ** 2 for v in profile.values)
     ok = report.hs_synthesis ** 2 <= bound_sq + 1e-9
     checks.append(check("synthesis-hs-below-profile-l2", "hilbert.hs_criteria",
@@ -490,17 +468,57 @@ def suite_hs(seq, mu, n, q_list, store) -> list[dict]:
                         hs_synthesis=report.hs_synthesis,
                         poisson_divergent=report.poisson_divergent,
                         poisson=report.poisson_value,
-                        kernel={f"{q:g}": v for q, v in report.kernel_values.items()},
+                        kernel={f"{qv:g}": v for qv, v in report.kernel_values.items()},
                         ratios=report.ratios,
                         note=report.expected_divergent_note))
     return checks
 
 
-def suite_example(label, p, count, q_list, tol) -> list[dict]:
+def suite_example(label, p, q, count, tol) -> list[dict]:
     inst = examples_mod.build_example(label, p, count)
-    report = examples_mod.check_example_claims(inst, q_list, tol=tol)
+    report = examples_mod.check_example_claims(inst, q, tol=tol)
     return [check(c.name, "examples.check_example_claims", c.status, **c.data)
             for c in report.checks]
+
+
+def _reads(*options, q=None) -> dict:
+    """A suite's options, each mapped to None but --q, which maps to the q the
+    suite runs on when --q gives none, a function of the values read before."""
+    return {o: q if o == "--q" else None for o in options}
+
+
+# The suites in order: id -> (function, the options it reads).  The function
+# takes each option by dest name, --seq and --measure parsed, and the
+# command's _Store if it has a ``store`` parameter.  A suite accepts and
+# records exactly these options; a comment notes a read that depends on p.
+_SUITES = {
+    # frame bracket + coefficient-norm equivalence sampling
+    "basis": (suite_basis, _reads("--seq", "--p", "--N", "--seed", "--tol")),
+    # near-isometry above the explicit lacunarity threshold; --seed only when p != 2
+    "isometry-threshold": (suite_isometry, _reads("--seq", "--p", "--N", "--eps", "--seed")),
+    "pairing-dichotomy": (suite_pairing, _reads("--seq", "--p")),  # decay vs bounded below
+    "envelope": (suite_envelope, _reads("--seq", "--alpha-list")),  # series vs (1-t)^-alpha
+    # cross-term sum vs closed-form majorant, at fixed p values, r values and count
+    "crossterm-bound": (functools.partial(suite_crossterm, (1.5, 2.0, 3.0, 5.0),
+                                          (2.0, 4.0, 16.0), 30), _reads()),
+    # singular values vs rearranged D profile (p = 2)
+    "diagonal-domination": (suite_diagonal,
+                            _reads("--seq", "--measure", "--N", "--seed", "--tol")),
+    "blocksum-probe": (suite_blocksum, _reads("--seq", "--p")),  # block lower-bound growth
+    # monomial test, sublinear norm, embedding norms; the spectra (and --N)
+    # only when 2 is among p or q
+    "carleson": (suite_carleson, _reads("--seq", "--measure", "--p", "--q", "--N", "--tol")),
+    # decay of the monomial test and restriction spectra
+    "compact": (suite_compact, _reads("--seq", "--measure", "--N", "--tol")),
+    # Hilbert-Schmidt: spectra vs integral criteria
+    "hs": (suite_hs, _reads("--seq", "--measure", "--N", "--q", "--tol", q=lambda v: [2.0])),
+    # the two extremal constructions
+    "ex-a": (functools.partial(suite_example, "A"),
+             _reads("--p", "--q", "--count", "--tol", q=lambda v: [v["p"], v["p"] + 1.0])),
+    "ex-b": (functools.partial(suite_example, "B"),
+             _reads("--p", "--q", "--count", "--tol", q=lambda v: [1.0])),
+}
+SUITE_IDS = tuple(_SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -562,31 +580,25 @@ def _cmd_dnp(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.formula == "jlambda":
+    formula = args.formula
+    if formula == "jlambda":
         report = bounds_mod.jlambda_upper(args.p, args.r)
-        payload = {"formula": report.formula_id,
-                   "inputs": {"p": args.p, "r": args.r},
-                   "value": report.upper_bound}
-    elif args.formula == "r_epsilon":
-        payload = {"formula": "r_epsilon", "inputs": {"p": args.p, "eps": args.eps},
-                   "value": bounds_mod.r_epsilon(args.p, args.eps)}
-    elif args.formula == "lemma31":
+        formula, value = report.formula_id, report.upper_bound
+    elif formula == "r_epsilon":
+        value = bounds_mod.r_epsilon(args.p, args.eps)
+    elif formula == "lemma31":
         q = [args.r ** k for k in range(args.count)]
         res = bounds_mod.lemma31_bound(args.p, args.alpha, q, args.r)
-        payload = {"formula": "crossterm", "inputs": {"p": args.p, "alpha": args.alpha,
-                                                      "r": args.r, "count": args.count},
-                   "value": {"lhs": res.lhs, "rhs": res.rhs}}
-    elif args.formula == "envelope":
-        seq = parse_sequence(args.seq)
-        br = bounds_mod.envelope_check(seq, args.alpha)
-        payload = {"formula": "envelope", "inputs": {"seq": args.seq, "alpha": args.alpha},
-                   "value": {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max}}
+        formula, value = "crossterm", {"lhs": res.lhs, "rhs": res.rhs}
+    elif formula == "envelope":
+        br = bounds_mod.envelope_check(parse_sequence(args.seq), args.alpha)
+        value = {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max}
     else:  # point_eval
-        seq = parse_sequence(args.seq)
-        payload = {"formula": "point_eval",
-                   "inputs": {"seq": args.seq, "p": args.p, "t": args.t},
-                   "value": bounds_mod.point_eval_norm(seq, args.p, args.t)}
-    _emit({"command": "bounds", **payload}, args, "bounds")
+        value = bounds_mod.point_eval_norm(parse_sequence(args.seq), args.p, args.t)
+    # the inputs are the options this formula reads
+    inputs = {_dest(o): getattr(args, _dest(o)) for o in _BRANCHES["bounds"][1][args.formula]}
+    _emit({"command": "bounds", "formula": formula, "inputs": inputs, "value": value},
+          args, "bounds")
     return 0
 
 
@@ -672,51 +684,35 @@ def _cmd_example(args) -> int:
     return 1 if any(c.status == "FAIL" for c in report.checks) else 0
 
 
+def _suite_inputs(suite: str, args) -> dict:
+    """The options a suite reads, by dest name, with the values it runs on."""
+    values = {}
+    for option, q_default in _SUITES[suite][1].items():
+        value = getattr(args, _dest(option))
+        values[_dest(option)] = q_default(values) if q_default and not value else value
+    return values
+
+
 def _command_inputs(args, suites):
-    """The sequence (None when no suite reads one), the measure and the
-    store that every suite of one command shares."""
-    need_seq = any(s not in _NO_SEQ_SUITES for s in suites)
-    seq = parse_sequence(args.seq) if need_seq else None
-    mu = parse_measure(args.measure) if args.measure else measures_mod.Lebesgue()
-    return seq, mu, _Store(seq, args.tol)
+    """The parsed sequence and measure (None where no suite reads it) and
+    the store that every suite of one command shares, by suite parameter."""
+    reads = {o for s in suites for o in _SUITES[s][1]}
+    seq = parse_sequence(args.seq) if "--seq" in reads else None
+    mu = parse_measure(args.measure) if "--measure" in reads else None
+    return {"seq": seq, "measure": mu, "store": _Store(seq)}
 
 
 def _run_suite(suite: str, args, inputs) -> list[dict]:
-    seq, mu, store = inputs
-    if suite == "basis":
-        return suite_basis(seq, args.p, args.N, args.seed, store)
-    if suite == "isometry-threshold":
-        return suite_isometry(seq, args.p, args.N, args.eps, args.seed)
-    if suite == "pairing-dichotomy":
-        return suite_pairing(seq, args.p)
-    if suite == "envelope":
-        return suite_envelope(seq, args.alpha_list)
-    if suite == "crossterm-bound":
-        return suite_crossterm([1.5, 2.0, 3.0, 5.0], "auto", [2.0, 4.0, 16.0], 30)
-    if suite == "diagonal-domination":
-        return suite_diagonal(seq, mu, args.N, args.seed, store)
-    if suite == "blocksum-probe":
-        return suite_blocksum(seq, args.p)
-    if suite == "carleson":
-        return suite_carleson(seq, mu, args.p, args.q, args.N, store)
-    if suite == "compact":
-        return suite_compact(seq, mu, args.N, store)
-    if suite == "hs":
-        return suite_hs(seq, mu, args.N, args.q, store)
-    if suite == "ex-a":
-        return suite_example("A", args.p, args.count, args.q or [args.p, args.p + 1.0],
-                             args.tol)
-    if suite == "ex-b":
-        return suite_example("B", args.p, args.count, args.q or [1.0], args.tol)
-    raise UsageError(f"unknown suite {suite!r}; have {', '.join(SUITE_IDS)}")
+    function = _SUITES[suite][0]
+    kwargs = {d: inputs.get(d, v) for d, v in _suite_inputs(suite, args).items()}
+    if "store" in inspect.signature(function).parameters:
+        kwargs["store"] = inputs["store"]
+    return function(**kwargs)
 
 
 def _cmd_verify(args) -> int:
     checks = _run_suite(args.suite, args, _command_inputs(args, [args.suite]))
-    payload = {"command": "verify", "suite": args.suite,
-               "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
-                          "q": list(args.q), "N": args.N, "eps": args.eps,
-                          "count": args.count, "seed": args.seed, "tol": args.tol},
+    payload = {"command": "verify", "suite": args.suite, "inputs": _suite_inputs(args.suite, args),
                "checks": checks,
                "summary": {s: sum(1 for c in checks if c["status"] == s)
                            for s in STATUSES}}
@@ -785,12 +781,9 @@ _OPTIONS = {
     "--alpha-list": dict(type=_floats, default=(0.5, 1.0, 2.0)),
 }
 
-# the union of what the suites read, for verify and report
-_SUITE_OPTIONS = ("--seq", "--measure", "--p", "--q", "--N", "--tol", "--seed", "--eps",
-                  "--count", "--out", "--alpha-list")
-
-# name, help, handler and the options the handler reads; an inner tuple of
-# options is a mutually exclusive group
+# name, help, handler and the options the handler reads on every branch
+# (_BRANCHES adds the others); an inner tuple of options is a mutually
+# exclusive group
 _COMMANDS = (
     ("classify", "prefix growth classification", _cmd_classify,
      ("--seq", "--decompose", "--out")),
@@ -798,25 +791,24 @@ _COMMANDS = (
      ("--seq", "--measure", "--p", "--out", "--format")),
     ("dnp", "diagonal-domination profile and bounds", _cmd_dnp,
      ("--seq", "--measure", "--p", "--N", "--tol", "--out", "--format", "--weight")),
-    ("bounds", "closed-form constants and brackets", _cmd_bounds,
-     ("--seq", "--p", "--eps", "--count", "--out", "--formula", "--r", "--alpha", "--t")),
+    ("bounds", "closed-form constants and brackets", _cmd_bounds, ("--out", "--formula")),
     ("norm", "L^p(mu) norm of a coefficient vector", _cmd_norm,
      ("--seq", "--measure", "--p", "--out", ("--coeffs", "--coeffs-file"))),
-    ("probe", "ratio sampling and block probes", _cmd_probe,
-     ("--seq", "--p", "--seed", "--out", "--kind", "--trials", "--block-start", "--block-len")),
+    ("probe", "ratio sampling and block probes", _cmd_probe, ("--seq", "--p", "--out", "--kind")),
     ("spectrum", "truncated operator spectra (p=2)", _cmd_spectrum,
-     ("--seq", "--measure", "--N", "--tol", "--out", "--operator")),
+     ("--seq", "--N", "--out", "--operator")),
     ("example", "extremal constructions A and B", _cmd_example,
      ("--p", "--q", "--tol", "--count", "--out", "--format", "--label")),
-    ("verify", "named verification suites", _cmd_verify, _SUITE_OPTIONS + ("--suite",)),
-    ("report", "run a battery of suites into a directory", _cmd_report,
-     _SUITE_OPTIONS + ("--suites",)),
+    ("verify", "named verification suites", _cmd_verify, ("--out", "--suite")),
+    ("report", "run a battery of suites into a directory", _cmd_report, ("--out", "--suites")),
 )
 
 # A handler that branches on one option reads some options on some branches
 # only.  On that subcommand such an option defaults to None, so the parser
-# sees whether it was given: on a branch that does not read it that is a
+# sees whether it was given: where no chosen branch reads it that is a
 # usage error, and an option not given takes its default from _OPTIONS.
+# report's key --suites chooses several branches: the suites it runs.
+_SUITE_READS = {suite: options for suite, (_, options) in _SUITES.items()}
 _BRANCHES = {
     "bounds": ("--formula", {"jlambda": ("--p", "--r"),
                              "lemma31": ("--p", "--alpha", "--r", "--count"),
@@ -828,6 +820,8 @@ _BRANCHES = {
     "spectrum": ("--operator", {"frame": (),
                                 "embedding": ("--measure",),
                                 "synthesis": ("--measure", "--tol")}),
+    "verify": ("--suite", _SUITE_READS),
+    "report": ("--suites", _SUITE_READS),
 }
 
 
@@ -836,26 +830,26 @@ def _dest(option: str) -> str:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which enforces its entry of ``_BRANCHES``."""
+    """A subcommand's parser, which enforces its entry of ``_BRANCHES``: the
+    key option, the options each of its choices reads, and all of those."""
 
-    branches = None
-
-    def branch_options(self) -> tuple[str, ...]:
-        """The options that only some branches read, in table order."""
-        if self.branches is None:
-            return ()
-        return tuple(dict.fromkeys(o for opts in self.branches[1].values() for o in opts))
+    key, reads, branch_options = None, {}, ()
 
     def parse_known_args(self, args=None, namespace=None):
         ns, rest = super().parse_known_args(args, namespace)
-        if self.branches is not None:
-            key, reads = self.branches
+        if self.key is not None:
+            key, reads = self.key, self.reads
             chosen = getattr(ns, _dest(key))
-            for option in self.branch_options():
+            chosen = [chosen] if isinstance(chosen, str) else chosen
+            for c in chosen:
+                if c not in reads:
+                    self.error(f"{key}: unknown {c!r}; have {', '.join(reads)}")
+            read = {o for c in chosen for o in reads[c]}
+            for option in self.branch_options:
                 if getattr(ns, _dest(option)) is None:
                     setattr(ns, _dest(option), _OPTIONS[option]["default"])
-                elif option not in reads[chosen]:
-                    self.error(f"{option} is not read with {key} {chosen}")
+                elif option not in read:
+                    self.error(f"{option} is not read with {key} {','.join(chosen)}")
         return ns, rest
 
 
@@ -866,12 +860,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
     for name, help_text, handler, options in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
-        sp.branches = _BRANCHES.get(name)
-        unset = {o: {**_OPTIONS[o], "default": None} for o in sp.branch_options()}
+        if name in _BRANCHES:
+            sp.key, sp.reads = _BRANCHES[name]
+            sp.branch_options = tuple(dict.fromkeys(o for r in sp.reads.values() for o in r))
         for option in options:
             group = sp.add_mutually_exclusive_group() if isinstance(option, tuple) else sp
             for o in option if isinstance(option, tuple) else (option,):
-                group.add_argument(o, **unset.get(o, _OPTIONS[o]))
+                group.add_argument(o, **_OPTIONS[o])
+        for o in sp.branch_options:
+            sp.add_argument(o, **{**_OPTIONS[o], "default": None})
         sp.set_defaults(fn=handler)
     return parser
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logdomain import LOG_HUGE, logsumexp
-from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction,
+from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _cauchy_gram,
                        _log_poisson_kernel, log_powers, measure_nodes, poisson_integral,
                        restrict)
 from .sequences import ExponentSequence
@@ -72,11 +72,6 @@ def _check_truncation(seq: ExponentSequence, n: int) -> None:
         raise ValueError(f"truncation {n} out of range 1..{len(seq)}")
     if n > MAX_TRUNCATION:
         raise ValueError(f"truncation {n} exceeds the supported maximum {MAX_TRUNCATION}")
-
-
-def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
-    """Lebesgue Gram of the monomials: 1 / (lam_i + lam_j + 1)."""
-    return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
 
 
 def _cauchy_factor(lam: np.ndarray) -> np.ndarray:

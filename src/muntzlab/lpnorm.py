@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LogValue, logsumexp, signed_logsumexp
-from .measures import (AtomicMeasure, Lebesgue, Measure, integrate_to_one, log_powers,
-                       measure_nodes)
+from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, integrate_to_one,
+                       log_powers, measure_nodes)
 from .sequences import ExponentSequence, classify
 
 QUADRATURE_EXPONENT_LIMIT = 1.0e12
@@ -128,11 +128,6 @@ def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
     logarithm is exact for atomic measures; ask ``log_lp_norm`` for it.
     """
     return log_lp_norm(f, mu, p).to_float()
-
-
-def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
-    """Lebesgue Gram of the monomials t**lam_j: 1 / (lam_i + lam_j + 1)."""
-    return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
 
 
 def l2_norm_gram(f: MuntzPolynomial) -> float:

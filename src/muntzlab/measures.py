@@ -276,6 +276,12 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     return logsumexp(terms, axis=1)
 
 
+def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
+    """Lebesgue Gram of the monomials t**lam_j: 1 / (lam_i + lam_j + 1), the
+    moments of their products."""
+    return 1.0 / (lam[:, None] + lam[None, :] + 1.0)
+
+
 def moment(mu: Measure, a: float) -> LogValue:
     """Integral of t**a against mu: ``moments`` at the one exponent a."""
     return LogValue.from_log(float(moments(mu, [a])[0]))

@@ -1,13 +1,19 @@
+import ast
+import functools
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
 import pytest
 
 import muntzlab
+from muntzlab import cli
 from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
 from muntzlab import hilbert
@@ -68,9 +74,23 @@ def test_python_dash_m_runs_the_cli():
     assert "usage: muntzlab" in out.stdout
 
 
-# the options each subcommand's handler reads, and so the ones it accepts
-_SUITE_OPTIONS = {"seq", "measure", "p", "q", "N", "tol", "seed", "eps", "count", "out",
-                  "alpha_list"}
+# the options each suite reads, and so the ones verify accepts and records with it
+SUITE_READS = {
+    "basis": {"seq", "p", "N", "seed", "tol"},
+    "isometry-threshold": {"seq", "p", "N", "eps", "seed"},
+    "pairing-dichotomy": {"seq", "p"},
+    "envelope": {"seq", "alpha_list"},
+    "crossterm-bound": set(),
+    "diagonal-domination": {"seq", "measure", "N", "seed", "tol"},
+    "blocksum-probe": {"seq", "p"},
+    "carleson": {"seq", "measure", "p", "q", "N", "tol"},
+    "compact": {"seq", "measure", "N", "tol"},
+    "hs": {"seq", "measure", "N", "q", "tol"},
+    "ex-a": {"p", "q", "count", "tol"},
+    "ex-b": {"p", "q", "count", "tol"},
+}
+# the options each subcommand accepts: for verify and report, those of some suite
+_SUITE_OPTIONS = set().union(*SUITE_READS.values()) | {"out"}
 OPTIONS = {
     "classify": {"seq", "decompose", "out"},
     "moments": {"seq", "measure", "p", "out", "format"},
@@ -94,9 +114,9 @@ _READERS = {
     "probe": [["--trials", "3"], ["--kind", "amgm"]],
     "spectrum": [["--operator", "synthesis", "--N", "4"]],
     "example": [["--label", "A", "--count", "12"]],
-    "verify": [["--suite", "envelope"]],
+    "verify": [["--suite", suite] for suite in SUITE_IDS],
     "report": [["--seq", "geometric:1,2,8", "--N", "8", "--count", "12",
-                "--suites", "basis,isometry-threshold,envelope,ex-a"]],
+                "--suites", "basis,isometry-threshold,envelope,compact,ex-a"]],
 }
 
 
@@ -181,12 +201,21 @@ def test_subcommand_help_lists_its_options(cmd):
         assert f"--{option.replace('_', '-')} " in out.stdout, option
 
 
-# small inputs shared by the per-suite tests: each suite runs in well under a second.
-# --count 12 keeps the example instances short but long enough for their window
-# checks (the last 5 of at least 10 indices) to be judged; below 10 they read
-# UNMET (test_ex_a_short_instance_is_not_a_failure).
+# small inputs shared by the per-suite tests, by dest name: each suite runs in well
+# under a second.  count 12 keeps the example instances short but long enough for
+# their window checks (the last 5 of at least 10 indices) to be judged; below 10
+# they read UNMET (test_ex_a_short_instance_is_not_a_failure).
 SMALL_ATOMS = "atoms:0.5:1,0.1:0.5,0.001:0.25"
-SMALL = ["--seq", "geometric:1,2,8", "--N", "8", "--measure", SMALL_ATOMS, "--count", "12"]
+SMALL = {"seq": "geometric:1,2,8", "N": "8", "measure": SMALL_ATOMS, "count": "12"}
+
+
+def _small(suites, **values):
+    """The options of SMALL, with ``values`` by dest name, that one of the suites reads."""
+    reads = set().union(*(SUITE_READS[s] for s in suites))
+    return [a for d, v in {**SMALL, **values}.items() if d in reads
+            for a in (f"--{d.replace('_', '-')}", v)]
+
+
 # p = 2 lists alpha = 1 twice because 1/(p-1) = 1 there, so its three names appear
 # twice (known defect, CHANGES.md FOUND line on duplicate crossterm check names).
 _CROSSTERM = [f"crossterm-p={p}-alpha={a}-r={r}"
@@ -220,13 +249,102 @@ SUITE_CHECKS = {
 DN_SUITES = ("basis", "diagonal-domination", "carleson", "compact", "hs")
 
 
-def _verify(capsys, suite, *extra):
-    code = run(["verify", "--suite", suite, *SMALL, *extra])
+def _verify(capsys, suite, *extra, **values):
+    code = run(["verify", "--suite", suite, *_small([suite], **values), *extra])
     return code, json.loads(capsys.readouterr().out)
 
 
 def test_every_suite_has_a_cli_test():
-    assert set(SUITE_CHECKS) == set(SUITE_IDS)
+    assert set(SUITE_CHECKS) == set(SUITE_READS) == set(SUITE_IDS)
+
+
+# a value for each suite option, for the usage-error tests
+_VALUES = {"seq": "geometric:1,2,8", "measure": "lebesgue", "p": "3", "q": "4", "N": "4",
+           "tol": "1e-6", "seed": "1", "eps": "0.1", "count": "12", "alpha_list": "1"}
+
+
+@pytest.mark.parametrize("suite,dest", [(s, d) for s in SUITE_IDS
+                                        for d in sorted(set(_VALUES) - SUITE_READS[s])])
+def test_option_the_suite_does_not_read_is_a_usage_error(suite, dest, capsys):
+    option = f"--{dest.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", suite, option, _VALUES[dest]])
+    assert exc.value.code == 2
+    assert f"error: {option} is not read with --suite {suite}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_every_option_a_suite_lists_reaches_its_function(suite, monkeypatch, capsys):
+    function, options = cli._SUITES[suite]
+    seen = {}
+
+    @functools.wraps(function)  # so the spy takes the store when the function does
+    def spy(**kwargs):
+        seen.update(kwargs)
+        return function(**kwargs)
+
+    monkeypatch.setitem(cli._SUITES, suite, (spy, options))
+    code, report = _verify(capsys, suite)
+    assert code == 0
+    assert set(report["inputs"]) == set(seen) - {"store"} == SUITE_READS[suite]
+    # and the function's body reads each of them
+    source = textwrap.dedent(inspect.getsource(getattr(function, "func", function)))
+    body = ast.parse(source).body[0].body
+    loaded = {n.id for stmt in body for n in ast.walk(stmt)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert set(seen) <= loaded
+
+
+@pytest.mark.parametrize("suite,extra,dest,want", [
+    ("envelope", [], "alpha_list", [0.5, 1.0, 2.0]),
+    ("envelope", ["--alpha-list", "1,3"], "alpha_list", [1.0, 3.0]),
+    ("hs", [], "q", [2.0]),
+    ("ex-a", [], "q", [2.0, 3.0]),
+    ("ex-a", ["--p", "3"], "q", [3.0, 4.0]),
+    ("ex-a", ["--q", "5"], "q", [5.0]),
+    ("ex-b", [], "q", [1.0]),
+    ("carleson", [], "q", []),
+], ids=["envelope-default", "envelope-given", "hs-default", "ex-a-default", "ex-a-p=3",
+        "ex-a-given", "ex-b-default", "carleson-default"])
+def test_verify_records_the_values_its_suite_ran_on(suite, extra, dest, want, capsys):
+    code, report = _verify(capsys, suite, *extra)
+    assert code == 0
+    assert report["inputs"][dest] == want
+
+
+def test_report_refuses_an_unknown_suite_before_running_any(tmp_path, capsys):
+    out = tmp_path / "D"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        run(["report", "--suites", "basis,nonesuch", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "'nonesuch'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_report_refuses_an_option_none_of_its_suites_reads(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["report", "--suites", "basis,envelope", "--measure", "lebesgue",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--measure is not read with --suites basis,envelope" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # a benchmark report line the parser refuses would only show as a failed run;
+    # perfbench/workloads.py is imported from the checkout, not changed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    workloads = module.WORKLOADS
+    assert set(workloads) == {"report-default", "report-atoms64", "report-p3"}
+    for name, workload in workloads.items():
+        ns = build_parser().parse_args(workload.argv(0, str(tmp_path)))
+        assert ns.cmd == "report" and ns.out == str(tmp_path), name
+        assert set(ns.suites) == set(workload.check_names), name
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -327,7 +445,8 @@ def test_report_reads_each_profile_once(monkeypatch, capsys, tmp_path):
         return real(seq, mu, weight, n_count=n_count, tol=tol, route=route)
 
     monkeypatch.setattr(dnp_mod, "compute_dn", recording)
-    code = run(["report", *SMALL, "--suites", ",".join(DN_SUITES), "--out", str(tmp_path)])
+    code = run(["report", *_small(DN_SUITES), "--suites", ",".join(DN_SUITES),
+                "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     # Lebesgue p = 2 for basis, p = 1 for compact, one atomic p = 2 profile
@@ -345,7 +464,8 @@ def test_report_computes_each_spectrum_once(monkeypatch, capsys, tmp_path):
             return _real(*args)
 
         monkeypatch.setattr(hilbert, name, recording)
-    code = run(["report", *SMALL, "--suites", ",".join(DN_SUITES), "--out", str(tmp_path)])
+    code = run(["report", *_small(DN_SUITES), "--suites", ",".join(DN_SUITES),
+                "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     # frame_bounds (basis), the embedding spectrum (carleson and hs) and
@@ -359,7 +479,8 @@ def test_report_computes_each_spectrum_once(monkeypatch, capsys, tmp_path):
 
 def _report(tmp_path, name, *extra):
     out = tmp_path / name
-    code = run(["report", *SMALL, "--suites", ",".join(SUITE_IDS), "--out", str(out), *extra])
+    code = run(["report", *_small(SUITE_IDS), "--suites", ",".join(SUITE_IDS), "--out", str(out),
+                *extra])
     return code, out
 
 
@@ -395,14 +516,13 @@ def test_p3_report_output_is_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("measure", [SMALL_ATOMS, "lebesgue"])
 def test_report_suite_files_match_verify(measure, tmp_path, capsys):
-    args = ["--measure", measure]
-    code = run(["report", *SMALL, *args, "--suites", ",".join(SUITE_IDS),
+    code = run(["report", *_small(SUITE_IDS, measure=measure), "--suites", ",".join(SUITE_IDS),
                 "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     for suite in SUITE_IDS:
         from_report = json.loads((tmp_path / f"verify-{suite}.json").read_text())
-        _, alone = _verify(capsys, suite, *args)
+        _, alone = _verify(capsys, suite, measure=measure)
         assert from_report["checks"] == alone["checks"], suite
 
 

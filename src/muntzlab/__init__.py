@@ -9,9 +9,8 @@ from .logdomain import LogValue
 from .sequences import (Classification, ExponentSequence, classify,
                         decompose_quasi_lacunary, generate_geometric,
                         generate_recursive_power)
-from .measures import (Atom, AtomicMeasure, DensityMeasure, GeometricGrid,
-                       Lebesgue, Restriction, atoms, moment, moments,
-                       poisson_integral, restrict, sublinear_norm, total_mass)
+from .measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, Restriction,
+                       atoms, moments, poisson_integral, restrict, sublinear_norm)
 from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
                   operator_bounds)
 from .bounds import (envelope_check, jlambda_upper, lemma31_bound,
@@ -19,9 +18,8 @@ from .bounds import (envelope_check, jlambda_upper, lemma31_bound,
 from .lpnorm import (MuntzPolynomial, amgm_probe, gm_ratio_sample, l2_norm_gram,
                      log_lp_norm, lp_norm, pairing_integral)
 from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
-                      build_t_mu_matrix, embedding_spectrum,
-                      essential_norm_estimate, frame_bounds, hs_criteria,
-                      point_eval_kernel, prop511_value, t_mu_spectrum)
+                      embedding_spectrum, essential_norm_estimate, frame_bounds,
+                      hs_criteria, prop511_value, t_mu_spectrum)
 from .examples import ExampleInstance, build_example, check_example_claims
 
 __version__ = "0.1.0"

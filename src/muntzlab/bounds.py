@@ -110,21 +110,17 @@ class EnvelopeBracket(NamedTuple):
     profile: tuple[tuple[float, float], ...]  # (t, ratio) pairs
 
 
-def envelope_check(seq: ExponentSequence, alpha: float,
-                   j_range: tuple[int, int] = (1, 40)) -> EnvelopeBracket:
-    """Bracket of (sum_n lam_n^alpha t^lam_n) * (1-t)^alpha on t = 1 - 2^-j.
+def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
+    """Bracket of (sum_n lam_n^alpha t^lam_n) * (1-t)^alpha on t = 1 - 2^-j, j = 1..40.
 
     For quasi-geometric prefixes both edges of the bracket should stay away
     from 0 and infinity; for merely lacunary ones only the upper edge is
     meaningful.  The series is summed in the log domain over the whole
-    stored prefix, so the prefix must reach past lam ~ 2^j_max.
+    stored prefix, so the prefix must reach past lam ~ 2^40.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    j_lo, j_hi = j_range
-    if not 1 <= j_lo <= j_hi:
-        raise ValueError(f"bad j range {j_range}")
-    eps = 2.0 ** -np.arange(j_lo, j_hi + 1.0)
+    eps = 2.0 ** -np.arange(1, 41.0)
     lams = np.array([l for l in seq if l > 0.0])
     # j x prefix: log(lam**alpha t**lam) at t = 1 - eps_j
     term_logs = alpha * np.log(lams) + np.multiply.outer(np.log1p(-eps), lams)
@@ -135,11 +131,11 @@ def envelope_check(seq: ExponentSequence, alpha: float,
 
 def point_eval_norm(seq: ExponentSequence, p: float, t: float) -> float:
     """Dual-norm surrogate for evaluation at t: (sum lam^{p'/p} t^{p' lam})^{1/p'}
-    over the prefix (``seq.prefix(n)`` for the first n terms).
+    over the whole stored prefix.
 
     At p = 1 the p' -> inf limit is the sup of lam * t^lam.  This is the
-    basis-side surrogate; the hilbert module has the exact truncated kernel
-    for p = 2 cross-checks.
+    basis-side surrogate, not the exact reproducing-kernel norm of a
+    truncation.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must be in [0,1), got {t}")

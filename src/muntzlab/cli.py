@@ -383,7 +383,7 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     logs = measures_mod.moments(measure, seq.exponents, p).tolist()
     m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
-    checks.append(check("monomial-test-constant", "measures.moment", "EVIDENCE",
+    checks.append(check("monomial-test-constant", "measures.moments", "EVIDENCE",
                         sup=sup_m, last=m_vals[-1]))
     sub = measures_mod.sublinear_norm(measure)
     checks.append(check("sublinear-norm", "measures.sublinear_norm", "EVIDENCE",
@@ -491,6 +491,7 @@ def _reads(*options, q=None) -> dict:
 # takes each option by dest name, --seq and --measure parsed, and the
 # command's _Store if it has a ``store`` parameter.  A suite accepts and
 # records exactly these options; a comment notes a read that depends on p.
+# ``example`` runs at the q default of ex-a or ex-b too.
 _SUITES = {
     # frame bracket + coefficient-norm equivalence sampling
     "basis": (suite_basis, _reads("--seq", "--p", "--N", "--seed", "--tol")),
@@ -662,8 +663,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    # with no --q, the q that verify's suite of this construction runs on
+    q_list = _suite_inputs(f"ex-{args.label.lower()}", args)["q"]
     inst = examples_mod.build_example(args.label, args.p, args.count)
-    report = examples_mod.check_example_claims(inst, args.q, tol=args.tol)
+    report = examples_mod.check_example_claims(inst, q_list, tol=args.tol)
     rows = []
     for i, n in enumerate(inst.n_range):
         row = {"n": n, "lambda_n": inst.seq[i]}
@@ -673,8 +676,7 @@ def _cmd_example(args) -> int:
             row["D_n(p)"] = report.dn_values[i]
         rows.append(row)
     _emit({"command": "example",
-           "inputs": {"label": args.label, "p": args.p, "count": args.count,
-                      "q": list(args.q)},
+           "inputs": {"label": args.label, "p": args.p, "count": args.count, "q": list(q_list)},
            "rows": rows,
            "checks": [asdict(c) for c in report.checks],
            "truncated": inst.truncated},

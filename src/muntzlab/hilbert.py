@@ -100,18 +100,6 @@ def _synthesis_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.nd
     return v * np.sqrt(np.array(seq.exponents[:n])), flushed
 
 
-def build_t_mu_matrix(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
-    """Gram of the synthesis operator against weights 1/lam.
-
-    M[n][k] = sqrt(lam_n lam_k) * moment(mu, lam_n + lam_k), formed as A^T A
-    over the synthesis factor; its row sums are the (inner-truncated)
-    squares of the p = 2 diagonal-domination values.  Requires a strictly
-    positive first exponent.
-    """
-    a, flushed = _synthesis_factor(seq, mu, n)
-    return a.T @ a, flushed
-
-
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -181,8 +169,9 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
                   n: int = DEFAULT_TRUNCATION) -> SpectralResult:
     """Singular values of the truncated synthesis operator with weights 1/lam.
 
-    The operator is the synthesis factor sqrt(w) t**lam_j sqrt(lam_j) on the
-    nodes of mu, so its Gram is ``build_t_mu_matrix``.  extras carries the
+    The operator is the synthesis factor A = sqrt(w) t**lam_j sqrt(lam_j) on
+    the nodes of mu, so its Gram A^T A has the entries sqrt(lam_j lam_k)
+    times the integral of t**(lam_j + lam_k) against mu.  extras carries the
     count of flushed factor entries and the trace of the Gram (the squared
     Frobenius norm of the factor), which the Hilbert-Schmidt norm must equal.
     The D_n(2) profile that bounds these singular values is not computed
@@ -212,21 +201,6 @@ def frame_bounds(seq: ExponentSequence, n: int) -> FrameBounds:
     sigma = _singular_values(np.sqrt(2.0 * lam + 1.0)[:, None] * low)
     return FrameBounds(n=n, sigma_min=float(sigma[-1]), sigma_max=float(sigma[0]),
                        singular_values=tuple(float(s) for s in sigma))
-
-
-def point_eval_kernel(seq: ExponentSequence, n: int, delta: float) -> float:
-    """Exact truncated reproducing-kernel norm at x = 1 - delta.
-
-    sqrt(v^T G_ref^{-1} v) with v_n = x**lam_n; the p = 2 cross-check for
-    the basis-side point-evaluation surrogate.
-    """
-    _check_truncation(seq, n)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0,1], got {delta}")
-    lam = np.array(seq.exponents[:n])
-    v = np.exp(lam * math.log1p(-delta))
-    y = np.linalg.solve(_cauchy_factor(lam), v)
-    return float(np.sqrt(np.dot(y, y)))
 
 
 @dataclass(frozen=True)

@@ -149,30 +149,27 @@ class RatioBracket:
     canonical: tuple[float, float]
 
 
-def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
-                    trials: int = 100, seed: int = 0,
+def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: int = 0,
                     n_count: int | None = None) -> RatioBracket:
     """Observed bracket of norm / weighted-coefficient-norm over one coefficient matrix.
 
     The ratio of a = (a_j) is ||sum_j a_j t**lam_j||_p / (sum_j |a_j|**p / q_j)**(1/p)
-    with q_j = p lam_j + 1.  The matrix has n = n_count columns: its first n
-    rows are the canonical basis vectors (ratio exactly 1 by normalization),
-    the other ``trials`` rows are ``rng.uniform(-1, 1, (trials, n))`` with
-    ``rng = np.random.default_rng(seed)``, the same numbers as one draw of n
-    per trial.  The bracket spans all rows; ``canonical`` spans the first n.
-    For p = 2 against Lebesgue the numerators are the exact Gram form
-    sqrt(a^T G a), one stacked matmul over the rows.  Every other numerator,
-    Lebesgue measure included, is the node route of ``log_lp_norm``: the
-    sample builds one ``measure_nodes`` set, sized by p * lam_{n-1}, and the
-    nodes x terms matrix lam_j log t_k once, and each row takes one
-    ``_log_pth_power`` over them, so the working set is one nodes x terms
-    matrix.  The denominators are one array expression up to the 1/p root,
-    which each row takes as a float.
+    with q_j = p lam_j + 1, the norm taken against Lebesgue measure dt.  The
+    matrix has n = n_count columns: its first n rows are the canonical basis
+    vectors (ratio exactly 1 by normalization), the other ``trials`` rows are
+    ``rng.uniform(-1, 1, (trials, n))`` with ``rng = np.random.default_rng(seed)``,
+    the same numbers as one draw of n per trial.  The bracket spans all rows;
+    ``canonical`` spans the first n.  For p = 2 the numerators are the exact
+    Gram form sqrt(a^T G a), one stacked matmul over the rows.  At every other
+    p they take the node route of ``log_lp_norm``: the sample builds one
+    ``measure_nodes`` set, sized by p * lam_{n-1}, and the nodes x terms matrix
+    lam_j log t_k once, and each row takes one ``_log_pth_power`` over them, so
+    the working set is one nodes x terms matrix.  The denominators are one
+    array expression up to the 1/p root, which each row takes as a float.
     Warns when ``classify`` flags the prefix's ratio trend as non-lacunary,
     where the isomorphism with l^p is not expected and the bracket may
     degenerate.
     """
-    mu = mu if mu is not None else Lebesgue()
     n_count = len(seq) if n_count is None else n_count
     if not 1 <= n_count <= len(seq):
         raise ValueError("n_count out of range")
@@ -186,14 +183,14 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, mu: Measure | None = None,
     lam = np.array(seq.exponents[:n_count])
     rng = np.random.default_rng(seed)
     coeffs = np.vstack([np.eye(n_count), rng.uniform(-1.0, 1.0, (trials, n_count))])
-    if p == 2.0 and isinstance(mu, Lebesgue):
+    if p == 2.0:
         # (1 x n) @ (n x n) @ (n x 1) per row: the vector-matrix and dot
         # products of l2_norm_gram, so each form equals its a @ g @ a
         forms = (coeffs[:, None, :] @ _cauchy_gram(lam) @ coeffs[:, :, None])[:, 0, 0]
         norms = np.sqrt(np.maximum(forms, 0.0))
     else:
-        _check_quadrature(seq[n_count - 1], mu, p)
-        log_pow, log_w = _node_logs(mu, lam, p)
+        _check_quadrature(seq[n_count - 1], Lebesgue(), p)
+        log_pow, log_w = _node_logs(Lebesgue(), lam, p)
         norms = np.array([LogValue.from_log(_log_pth_power(log_pow, log_w, a, p) / p).to_float()
                           for a in coeffs])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)

@@ -7,11 +7,11 @@ delta = 1 - x, never as x, so positions like x = 1 - 1e-30 keep full
 precision (x itself would round to 1.0 and the mass would silently land on
 the forbidden point t = 1), and the other measures get panels in u.
 Integrals against a measure are log-sum-exps over those nodes; closed
-forms (Lebesgue moments and kernels, the Poisson integral of a density
-reaching t = 1) stay as the exact special cases they are.  The one other
-quadrature is ``integrate_to_one``, float dyadic panels in u for single
-Lebesgue L^p norms (``lpnorm.log_lp_norm``), deepened until the closing
-panel is negligible; each panel is summed once.  ``lpnorm.gm_ratio_sample``
+forms (Lebesgue moments, the Poisson integral of a density reaching t = 1)
+stay as the exact special cases they are.  The one other quadrature is
+``integrate_to_one``, float dyadic panels in u for single Lebesgue L^p
+norms (``lpnorm.log_lp_norm``), deepened until the closing panel is
+negligible; each panel is summed once.  ``lpnorm.gm_ratio_sample``
 builds one coefficient matrix, canonical rows first, and takes the Lebesgue
 norms of its rows (at p != 2) on one ``measure_nodes`` set.
 """
@@ -283,12 +283,12 @@ def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
 
 
 def moment(mu: Measure, a: float) -> LogValue:
-    """Integral of t**a against mu: ``moments`` at the one exponent a."""
+    """Integral of t**a against mu: ``moments`` at the one exponent a.
+
+    No library code calls it; perfbench's self-tests and its repeat-keyed
+    tracing read it (ROADMAP.md item 1 moves them to ``moments``).
+    """
     return LogValue.from_log(float(moments(mu, [a])[0]))
-
-
-def total_mass(mu: Measure) -> float:
-    return moment(mu, 0.0).to_float()
 
 
 def restrict(mu: Measure, a: float, b: float) -> Measure:
@@ -329,36 +329,19 @@ def tail_mass(mu: Measure, eps: float) -> float:
     raise TypeError(f"not a measure: {mu!r}")
 
 
-@dataclass(frozen=True)
-class GeometricGrid:
-    """eps_max, eps_max*factor, ... down to eps_min."""
-
-    eps_min: float = 2.0 ** -40
-    eps_max: float = 1.0
-    factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_min <= self.eps_max <= 1.0:
-            raise ValueError("grid needs 0 < eps_min <= eps_max <= 1")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError("grid factor must be in (0,1)")
-
-    def points(self) -> list[float]:
-        pts = []
-        e = self.eps_max
-        while e >= self.eps_min * (1.0 - 1e-12):
-            pts.append(e)
-            e *= self.factor
-        return pts
+# the eps of every vanishing profile: 1, 1/2, ..., 2**-40
+_EPS_GRID = tuple(2.0 ** -k for k in range(41))
 
 
 @dataclass(frozen=True)
 class SublinearReport:
     """sup over eps of mu([1-eps,1)) / eps, with the profile behind it.
 
-    ``exact`` is True for atomic measures, where the supremum is attained
-    at an atom's delta and enumerated exactly; otherwise the reported norm
-    is a grid maximum, a lower bound for the true supremum.
+    ``vanishing_profile`` holds (eps, mu([1-eps,1)) / eps) at eps = 2**-k,
+    k = 0..40.  ``exact`` is True for atomic measures, where the supremum is
+    attained at an atom's delta and enumerated exactly; otherwise the
+    reported norm is the maximum over that grid, a lower bound for the true
+    supremum.
     """
 
     norm_s: float
@@ -367,9 +350,9 @@ class SublinearReport:
     exact: bool
 
 
-def sublinear_norm(mu: Measure, grid: GeometricGrid | None = None) -> SublinearReport:
-    grid = grid or GeometricGrid()
-    profile = tuple((e, tail_mass(mu, e) / e) for e in grid.points())
+def sublinear_norm(mu: Measure) -> SublinearReport:
+    """The sublinear norm of mu and its vanishing profile (``SublinearReport``)."""
+    profile = tuple((e, tail_mass(mu, e) / e) for e in _EPS_GRID)
     if isinstance(mu, AtomicMeasure):
         if mu.is_empty:
             return SublinearReport(0.0, 1.0, profile, True)
@@ -418,7 +401,8 @@ def poisson_integral(mu: Measure) -> PoissonResult:
 
 def _log_poisson_kernel(log_t: np.ndarray, w: np.ndarray, s: np.ndarray,
                         u_s: np.ndarray, power: float) -> np.ndarray:
-    """log of sum_k w_k (1 - s t_k)**(-power) for each s, given u_s = 1 - s.
+    """log of sum_k w_k (1 - s t_k)**(-power) for each s, given u_s = 1 - s:
+    the inner integral of ``hilbert.prop511_value`` on the nodes of mu.
 
     1 - s t is formed as u_s + s u_t with u_t = 1 - t, so neither factor
     loses precision near s = 1 or t = 1.
@@ -426,28 +410,6 @@ def _log_poisson_kernel(log_t: np.ndarray, w: np.ndarray, s: np.ndarray,
     base = np.asarray(u_s)[..., None] + np.multiply.outer(s, -np.expm1(log_t))
     with np.errstate(divide="ignore"):
         return logsumexp(np.log(w) - power * np.log(base), axis=-1)
-
-
-def poisson_kernel_integral(mu: Measure, s: float, power: float) -> float:
-    """Integral of (1 - s t)**(-power) against mu, for s in [0,1].
-
-    Closed form for Lebesgue, where s = 1 and power >= 1 diverge to inf.
-    Every other measure is ``_log_poisson_kernel`` over ``measure_nodes``;
-    for atoms that sum is exact.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must be in [0,1], got {s}")
-    if isinstance(mu, Lebesgue):
-        if s == 0.0:
-            return 1.0
-        if s == 1.0 and power >= 1.0:
-            return math.inf
-        if power == 1.0:
-            return -math.log1p(-s) / s
-        return ((1.0 - s) ** (1.0 - power) - 1.0) / (s * (power - 1.0))
-    log_t, w = measure_nodes(mu, sharpness=1.0 / max(1.0 - s, 1e-15))
-    total = float(_log_poisson_kernel(log_t, w, s, 1.0 - s, power))
-    return math.inf if total > 709.0 else math.exp(total)
 
 
 def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray]:

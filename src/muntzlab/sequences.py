@@ -8,7 +8,7 @@ claims anything about the underlying infinite sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ class ExponentSequence:
     @property
     def truncated(self) -> bool:
         return self.requested_count is not None and self.requested_count > len(self.exponents)
-
-    def prefix(self, n: int) -> "ExponentSequence":
-        if not 1 <= n <= len(self.exponents):
-            raise ValueError(f"prefix length {n} out of range 1..{len(self.exponents)}")
-        return ExponentSequence(self.exponents[:n])
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,9 @@ class TestREpsilon:
 class TestEnvelope:
     def test_known_point(self):
         # sum 2^n t^{2^n} at t = 1/2 equals 1.2814941...; ratio scales by (1-t)
-        br = envelope_check(GEO50, 1.0, j_range=(1, 1))
-        assert br.ratio_max == pytest.approx(1.2814941480755806 * 0.5, rel=1e-12)
+        t, ratio = envelope_check(GEO50, 1.0).profile[0]  # j = 1
+        assert t == 0.5
+        assert ratio == pytest.approx(1.2814941480755806 * 0.5, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_bracket_positive_finite(self, alpha):
@@ -106,7 +107,7 @@ class TestEnvelope:
     def test_upper_edge_for_merely_lacunary(self):
         # super-lacunary growth keeps the majorization but loses the lower edge
         seq = ExponentSequence(tuple(2.0 ** (n * n) for n in range(7)))
-        br = envelope_check(seq, 1.0, j_range=(1, 30))
+        br = envelope_check(seq, 1.0)
         assert math.isfinite(br.ratio_max)
         assert br.ratio_min < 0.1  # lower edge collapses
 

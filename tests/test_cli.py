@@ -104,9 +104,11 @@ OPTIONS = {
     "report": _SUITE_OPTIONS | {"suites"},
 }
 # command lines that together take every branch of a handler that reads an option
+# and reach every function the package exports (the recursive sequence and the
+# atoms spec reach their builders; test_public_surface_is_reached_from_the_command_lines)
 _READERS = {
-    "classify": [["--decompose", "2"]],
-    "moments": [[]],
+    "classify": [["--decompose", "2"], ["--seq", "recursive:1,2,1,8"]],
+    "moments": [[], ["--measure", "atoms:0.5:1,0.1:0.5,0.001:0.25"]],
     "dnp": [["--N", "4"]],
     "bounds": [["--formula", f] for f in ("jlambda", "lemma31", "r_epsilon", "envelope",
                                           "point_eval")],
@@ -577,3 +579,90 @@ def test_dnp_bounds_past_the_float_range():
         want = mpmath.fsum(mpmath.sqrt(mpmath.mpf(l) / (1 + 2 * mpmath.mpf(l)))
                            for l in (1, 1e308))
     assert bounds["nuclear"] == pytest.approx(float(want), rel=1e-13)
+
+
+def test_public_surface_is_reached_from_the_command_lines(tmp_path, capsys):
+    # every function the package exports runs under some _READERS line, and every
+    # check a verify line emits names as its op a function that ran on that line
+    called = set()
+    for cmd, argvs in _READERS.items():
+        for argv in argvs:
+            codes = set()
+            sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code)
+                           if event == "call" else None)
+            try:
+                code = run([cmd, *argv, *(["--out", str(tmp_path)] if cmd == "report" else [])])
+            finally:
+                sys.setprofile(None)
+            out = capsys.readouterr().out
+            assert code in (0, 1), (cmd, argv)
+            called |= codes
+            if cmd != "verify":
+                continue
+            for c in json.loads(out)["checks"]:
+                module, name = c["op"].split(".")
+                ran = getattr(getattr(muntzlab, module), name).__code__ in codes
+                assert ran, (argv, c["name"], c["op"])
+    unreached = {name for name, obj in vars(muntzlab).items()
+                 if inspect.isfunction(obj) and obj.__code__ not in called}
+    assert unreached == set()
+
+
+@pytest.mark.parametrize("label", ["A", "B"])
+def test_example_checks_the_claims_verify_checks(label, capsys):
+    # with no --q, example runs at the q of verify --suite ex-a / ex-b
+    run(["example", "--label", label, "--count", "12"])
+    example = json.loads(capsys.readouterr().out)
+    code, verify = _verify(capsys, f"ex-{label.lower()}")
+    assert code == 0
+    assert example["inputs"]["q"] == verify["inputs"]["q"]
+    assert [(c["name"], c["status"]) for c in example["checks"]] == \
+        [(c["name"], c["status"]) for c in verify["checks"]]
+
+
+# verify on the SMALL inputs, one file per suite: regenerate one with
+#   PYTHONPATH=src python -m muntzlab verify --suite S <the options _small([S]) gives> \
+#       > tests/golden/verify-S.json
+# and say in the change why its content moved
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_REL = 1e-12
+
+
+def _assert_matches(got, want, where="$"):
+    """got equals want with numbers within GOLDEN_REL relative and everything
+    else (keys, names, statuses, strings, bools, None, lengths) exact."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _assert_matches(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=GOLDEN_REL, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_verify_matches_golden(suite, capsys):
+    code, report = _verify(capsys, suite)
+    assert code == 0
+    _assert_matches(report, json.loads((GOLDEN / f"verify-{suite}.json").read_text()))
+
+
+@pytest.mark.parametrize("what", ["name", "status", "number"])
+def test_golden_comparison_refuses_a_changed_check(what):
+    text = (GOLDEN / "verify-carleson.json").read_text()
+    got, want = json.loads(text), json.loads(text)
+    check = got["checks"][0]  # monomial-test-constant, EVIDENCE, data {last, sup}
+    if what == "name":
+        check["name"] += "x"
+    elif what == "status":
+        check["status"] = "PASS"
+    else:
+        check["data"]["sup"] *= 1.0 + 10.0 * GOLDEN_REL
+    with pytest.raises(AssertionError):
+        _assert_matches(got, want)

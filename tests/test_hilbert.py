@@ -6,11 +6,9 @@ import pytest
 
 from muntzlab import hilbert
 from muntzlab.dnp import WeightScheme, compute_dn, decreasing_rearrangement
-from muntzlab.hilbert import (ConditioningError, build_t_mu_matrix,
-                              cholesky_lower, embedding_spectrum,
-                              essential_norm_estimate, frame_bounds,
-                              hs_criteria, point_eval_kernel, prop511_value,
-                              t_mu_spectrum)
+from muntzlab.hilbert import (ConditioningError, cholesky_lower, embedding_spectrum,
+                              essential_norm_estimate, frame_bounds, hs_criteria,
+                              prop511_value, t_mu_spectrum)
 from muntzlab.measures import (DensityMeasure, Lebesgue, atoms, poisson_integral,
                                restrict)
 from muntzlab.sequences import ExponentSequence, generate_geometric
@@ -19,6 +17,23 @@ GEO = generate_geometric(1, 2, 24)
 PAIR_SEQ = ExponentSequence((1.0, 2.0))
 GEOM_ATOMS = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 TWO_ATOMS = atoms([(0.5, 1.0), (0.25, 0.5)])
+
+
+def build_t_mu_matrix(seq, mu, n):
+    """Gram of the synthesis operator with weights 1/lam, A^T A of its factor A,
+    and the count of factor entries flushed to 0."""
+    a, flushed = hilbert._synthesis_factor(seq, mu, n)
+    return a.T @ a, flushed
+
+
+def point_eval_kernel(seq, n, delta):
+    """Truncated reproducing-kernel norm of L2(dt) at x = 1 - delta:
+    sqrt(v^T G^-1 v) with v_j = x**lam_j and G the Cauchy Gram of the first
+    n exponents, through numpy's Cholesky factor of G."""
+    lam = np.array(seq.exponents[:n])
+    v = np.exp(lam * math.log1p(-delta))
+    y = np.linalg.solve(np.linalg.cholesky(1.0 / (lam[:, None] + lam[None, :] + 1.0)), v)
+    return float(np.sqrt(y @ y))
 
 
 def _spectrum_cases():
@@ -70,7 +85,8 @@ class TestMatrices:
         n = 10
         m, _ = build_t_mu_matrix(GEO, mu, n)
         # profile restricted to the same inner range as the matrix
-        prof = compute_dn(GEO.prefix(n), mu, WeightScheme("inverse_lambda", 2.0))
+        prof = compute_dn(ExponentSequence(GEO.exponents[:n]), mu,
+                          WeightScheme("inverse_lambda", 2.0))
         for i in range(n):
             assert m[i].sum() == pytest.approx(prof.values[i] ** 2, rel=1e-10)
 

@@ -25,12 +25,6 @@ class TestExponentSequence:
         assert ExponentSequence((1.0, 3.0, 4.0)).gap == 1.0
         assert ExponentSequence((5.0,)).gap == math.inf
 
-    def test_prefix(self):
-        seq = generate_geometric(1, 2, 8)
-        assert seq.prefix(3).exponents == (1.0, 2.0, 4.0)
-        with pytest.raises(ValueError):
-            seq.prefix(0)
-
 
 class TestGenerators:
     def test_geometric_direct_powers(self):

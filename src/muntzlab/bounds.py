@@ -42,19 +42,15 @@ def lemma31_bound(p: float, alpha: float, q_seq, r: float) -> Lemma31Bound:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not r > 1.0:
         raise ValueError(f"r must exceed 1, got {r}")
-    q = [float(v) for v in q_seq]
+    q = np.fromiter(q_seq, dtype=float)
     if not is_r_lacunary(q, r, rel_slack=1e-12):
         raise ValueError("q sequence is not r-lacunary for the given r")
     pp = conjugate(p)
-    lhs = 0.0
-    for n, qn in enumerate(q):
-        s = 0.0
-        for k, qk in enumerate(q):
-            if k == n:
-                continue
-            num = qn ** (1.0 / p) * qk ** (1.0 / pp)
-            s += (num / (qn / p + qk / pp)) ** alpha
-        lhs = max(lhs, s)
+    # row n, column k: the (n, k) term; the diagonal k = n is left out
+    terms = (np.multiply.outer(q ** (1.0 / p), q ** (1.0 / pp))
+             / np.add.outer(q / p, q / pp)) ** alpha
+    np.fill_diagonal(terms, 0.0)
+    lhs = float(terms.sum(axis=1).max(initial=0.0))
     rhs = pp ** alpha / (r ** (alpha / p) - 1.0) + p ** alpha / (r ** (alpha / pp) - 1.0)
     return Lemma31Bound(lhs, rhs)
 
@@ -111,17 +107,19 @@ class EnvelopeBracket(NamedTuple):
 
 
 def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
-    """Bracket of (sum_n lam_n^alpha t^lam_n) * (1-t)^alpha on t = 1 - 2^-j, j = 1..40.
+    """Bracket of (sum_n lam_n^alpha t^lam_n) * (1-t)^alpha on t = 1 - 2^-j.
 
     For quasi-geometric prefixes both edges of the bracket should stay away
     from 0 and infinity; for merely lacunary ones only the upper edge is
     meaningful.  The series is summed in the log domain over the whole
-    stored prefix, so the prefix must reach past lam ~ 2^40.
+    stored prefix; past 2^j ~ lam_max the ratio falls like 2^(-alpha j), so
+    j runs over 1..min(40, max(1, floor(log2 lam_max))).
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    eps = 2.0 ** -np.arange(1, 41.0)
     lams = np.array([l for l in seq if l > 0.0])
+    j_max = min(40, max(1, math.floor(math.log2(lams.max(initial=1.0)))))
+    eps = 2.0 ** -np.arange(1, j_max + 1.0)
     # j x prefix: log(lam**alpha t**lam) at t = 1 - eps_j
     term_logs = alpha * np.log(lams) + np.multiply.outer(np.log1p(-eps), lams)
     ratios = np.exp(logsumexp(term_logs, axis=1) + alpha * np.log(eps)).tolist()

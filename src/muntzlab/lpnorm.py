@@ -10,7 +10,7 @@ Single Lebesgue norms alone add |f|**p in floats over the dyadic panels of
 ``measures.integrate_to_one``: on the nodes they run several times faster,
 but the benchmark harness keeps every battery's outputs, so faster
 batteries read as more peak memory (ROADMAP.md item 1; ``log_lp_norm``
-gives the figures).  Both quadratures refine toward t = 1 to a depth that
+gives three prototypes' figures).  Both quadratures refine toward t = 1 to a depth that
 follows the largest exponent (a monomial t**lam keeps its mass within
 O(1/lam) of t = 1, so fixed grids silently miss everything once lam is
 large).
@@ -104,11 +104,14 @@ def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     ``integrate_to_one`` of |f|**p, where a norm whose p-th power
     underflows comes back zero.  On the nodes it runs several times faster,
     but perfbench keeps the outputs of every battery it runs, so more
-    batteries in its 35 s read as more peak memory: a batched node kernel
-    for ``gm_ratio_sample`` read +18.6 % ``peak_rss_mb`` on report-p3 (548 ->
-    1,372 batteries), and batching ``suite_diagonal`` +24.8 % on
-    report-atoms64 (384 -> 855), both past the 10 % bound.  This branch
-    moves to the nodes once perfbench stops keeping them (ROADMAP.md item 1).
+    batteries in its 35 s read as more peak memory.  Three prototypes, one
+    35 s run each (``battery_s``; ``peak_rss_mb``, past the 10 % bound in
+    each): batched ``gm_ratio_sample`` norms on report-p3 0.029 -> 0.011 s,
+    48.3 -> 55.5 MiB; a matrix integrand in ``integrate_to_one`` on
+    report-default 0.238 -> 0.075 s, 44.6 -> 50.6 MiB; one node set for
+    ``suite_diagonal``'s 100 norms on report-atoms64 0.044 -> 0.034 s,
+    53.3 -> 59.7 MiB.  This branch moves to the nodes once perfbench stops
+    keeping them (ROADMAP.md item 1).
     Exponents beyond 1e12 are refused on every non-atomic measure.
     """
     _check_quadrature(f.max_exponent, mu, p)

@@ -45,6 +45,39 @@ class TestLemma31:
             assert res.lhs <= res.rhs
 
 
+def _lemma31_lhs_by_loop(p, alpha, q):
+    """max_n sum_{k != n} (q_n^{1/p} q_k^{1/p'} / (q_n/p + q_k/p'))^alpha term by
+    term: the oracle for lemma31_bound's array form."""
+    pp = conjugate(p)
+    lhs = 0.0
+    for n, qn in enumerate(q):
+        s = 0.0
+        for k, qk in enumerate(q):
+            if k == n:
+                continue
+            num = qn ** (1.0 / p) * qk ** (1.0 / pp)
+            s += (num / (qn / p + qk / pp)) ** alpha
+        lhs = max(lhs, s)
+    return lhs
+
+
+# the 24 cases of the crossterm-bound suite: p, alpha in (1/(p-1), 1), r, 30 terms
+_CROSSTERM_CASES = [(p, alpha, r) for p in (1.5, 2.0, 3.0, 5.0)
+                    for alpha in (1.0 / (p - 1.0), 1.0) for r in (2.0, 4.0, 16.0)]
+
+
+class TestLemma31Loop:
+    @pytest.mark.parametrize("p,alpha,r", _CROSSTERM_CASES,
+                             ids=[f"{i}-p={p:g}-alpha={a:g}-r={r:g}"
+                                  for i, (p, a, r) in enumerate(_CROSSTERM_CASES)])
+    def test_matches_the_double_loop(self, p, alpha, r):
+        q = [r ** k for k in range(30)]
+        res = lemma31_bound(p, alpha, q, r)
+        want = _lemma31_lhs_by_loop(p, alpha, q)
+        assert res.lhs == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert (res.lhs <= res.rhs) == (want <= res.rhs)
+
+
 class TestJlambdaUpper:
     def test_p2_value(self):
         rep = jlambda_upper(2.0, 4.0)
@@ -103,6 +136,18 @@ class TestEnvelope:
     def test_bracket_positive_finite(self, alpha):
         br = envelope_check(GEO50, alpha)
         assert 0.0 < br.ratio_min <= br.ratio_max < math.inf
+
+    def test_j_range_follows_the_largest_exponent(self):
+        # j = 1..min(40, max(1, floor(log2 lam_max)))
+        for seq, count in ((GEO50, 40), (generate_geometric(1, 2, 16), 15),
+                           (ExponentSequence((0.5,)), 1)):
+            assert len(envelope_check(seq, 1.0).profile) == count
+
+    def test_default_prefix_bracket_stays_bounded(self):
+        # the CLI default geometric:1,2,16 (lam up to 2^15) is quasi-geometric
+        for alpha in (0.5, 1.0, 2.0):
+            br = envelope_check(generate_geometric(1, 2, 16), alpha)
+            assert br.ratio_max / br.ratio_min < 10.0
 
     def test_upper_edge_for_merely_lacunary(self):
         # super-lacunary growth keeps the majorization but loses the lower edge

@@ -8,8 +8,9 @@ an eigensolve of the squared Gram would put a noise floor of about
 sqrt(eps * cond) under them.  The Cauchy Gram 1/(lam_i + lam_j + 1) of
 Lebesgue measure enters through its Cholesky factor (``_cauchy_factor``),
 factored once per call: ``essential_norm_estimate`` solves every cut's node
-factor against the same one.  A failed pivot surfaces as a
-ConditioningError naming the index instead of being masked.
+factor against the same one (on atoms, one node factor serves every cut).
+A failed pivot surfaces as a ConditioningError naming the index instead of
+being masked.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logdomain import LOG_HUGE, logsumexp
-from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _cauchy_gram,
-                       _log_poisson_kernel, log_powers, measure_nodes, poisson_integral,
-                       restrict)
+from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
+                       _cauchy_gram, _log_poisson_kernel, log_powers, measure_nodes,
+                       poisson_integral, restrict)
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
@@ -218,8 +219,14 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
     """sigma_1 of the embedding of the first n monomials into L2 of each
     restriction of mu to [a, 1), a in ``cut_grid``.
 
-    The Cauchy Gram is factored once for all cuts, and each cut's node
-    factor is solved against it.  Only sigma_max is formed, with no N/2
+    The Cauchy Gram is factored once for all cuts.  On atoms the nodes of
+    every restriction are a subset of mu's own, one row of the node factor
+    per atom, so the node factor and the embedding are formed once for the
+    whole measure and each cut's sigma_1 is that of the rows of the atoms in
+    [a, 1), chosen by the mask ``restrict`` uses.  Every other measure takes
+    one node factor per cut, solved against the one Cauchy factor: the
+    panels of a restriction are refined toward its own end, so they are not
+    a subset of the parent's nodes.  Only sigma_max is formed, with no N/2
     drift or Schatten norms; it equals
     ``embedding_spectrum(seq, restrict(mu, a, 1), n).sigma_max`` exactly.
     """
@@ -228,14 +235,19 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
         raise ValueError("cut grid must be nonempty and increasing")
     if any(not 0.0 <= c < 1.0 for c in cuts):
         raise ValueError("cuts must lie in [0,1)")
-    low, sig = None, []
-    for a in cuts:
-        v, _ = _node_factor(seq, restrict(mu, a, 1.0), n)
-        if low is None:
-            # factored after the first node factor, as in embedding_spectrum, so an
-            # exponent the nodes refuse is reported before a pivot it breaks
-            low = _cauchy_factor(np.array(seq.exponents[:n]))
-        sig.append(float(_singular_values(_embedding(low, v, n))[0]))
+    if isinstance(mu, AtomicMeasure):
+        v, _ = _node_factor(seq, mu, n)
+        emb = _embedding(_cauchy_factor(np.array(seq.exponents[:n])), v, n)
+        sig = [float(_singular_values(emb[_atoms_within(mu, a, 1.0)])[0]) for a in cuts]
+    else:
+        low, sig = None, []
+        for a in cuts:
+            v, _ = _node_factor(seq, restrict(mu, a, 1.0), n)
+            if low is None:
+                # factored after the first node factor, as in embedding_spectrum, so an
+                # exponent the nodes refuse is reported before a pivot it breaks
+                low = _cauchy_factor(np.array(seq.exponents[:n]))
+            sig.append(float(_singular_values(_embedding(low, v, n))[0]))
     drop = math.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
     return CutTrend(tuple(cuts), tuple(sig), limit_proxy=sig[-1], drop_factor=drop)
 

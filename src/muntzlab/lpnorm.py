@@ -1,19 +1,21 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
-Norms come back as a ``LogValue`` from ``log_lp_norm``: against atoms,
-densities and restrictions they are log-domain sums over the nodes x terms
-matrix on ``measures.measure_nodes``, with a signed log-sum-exp for the
-value at each node; ``lp_norm`` is the float edge, where a norm below the
-smallest subnormal reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue
-norms on those nodes too, one node set for its whole coefficient matrix.
-Single Lebesgue norms alone add |f|**p in floats over the dyadic panels of
-``measures.integrate_to_one``: on the nodes they run several times faster,
-but the benchmark harness keeps every battery's outputs, so faster
-batteries read as more peak memory (ROADMAP.md item 1; ``log_lp_norm``
-gives three prototypes' figures).  Both quadratures refine toward t = 1 to a depth that
-follows the largest exponent (a monomial t**lam keeps its mass within
-O(1/lam) of t = 1, so fixed grids silently miss everything once lam is
-large).
+``log_lp_norms`` is the entry point for many vectors: it takes the norms of
+all the rows of one coefficient matrix, validated once, on one node set.
+Against atoms, densities and restrictions each norm is a log-domain sum
+over the nodes x terms matrix on ``measures.measure_nodes``, with a signed
+log-sum-exp for the value at each node.  ``log_lp_norm`` is its one-row
+view and comes back as a ``LogValue``; ``lp_norm`` is the float edge, where
+a norm below the smallest subnormal reads 0.0.  ``gm_ratio_sample`` takes
+its Lebesgue norms on those nodes too, through the same per-row loop.
+Lebesgue rows alone add |f|**p in floats over the dyadic panels of
+``measures.integrate_to_one``: a nodes x vectors matmul over all rows runs
+several times faster, but the benchmark harness keeps every battery's
+outputs, so faster batteries read as more peak memory (ROADMAP.md item 1;
+``log_lp_norm`` gives the figures).  Both quadratures refine toward t = 1
+to a depth that follows the largest exponent (a monomial t**lam keeps its
+mass within O(1/lam) of t = 1, so fixed grids silently miss everything
+once lam is large).
 """
 from __future__ import annotations
 
@@ -48,17 +50,13 @@ class MuntzPolynomial:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def max_exponent(self) -> float:
-        return self.seq[len(self.coefficients) - 1]
 
-
-def _eval_poly_array(f: MuntzPolynomial, log_t: np.ndarray) -> np.ndarray:
+def _eval_poly_array(a: list[float], lam: list[float], log_t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(log_t, dtype=float)
-    for a, lam in zip(f.coefficients, f.seq):
-        if a == 0.0:
+    for aj, lj in zip(a, lam):
+        if aj == 0.0:
             continue
-        out += a * (np.exp(lam * log_t) if lam > 0.0 else np.ones_like(log_t))
+        out += aj * (np.exp(lj * log_t) if lj > 0.0 else np.ones_like(log_t))
     return out
 
 
@@ -91,37 +89,70 @@ def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: flo
     return logsumexp(log_w + p * signed_logsumexp(logs, a, axis=1)[0])
 
 
+def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
+                    p: float) -> list[float]:
+    """log ||f||_p of each row of coeffs on the nodes of ``_node_logs``: one
+    ``_log_pth_power`` per row, over the one nodes x terms matrix."""
+    return [_log_pth_power(log_pow, log_w, a, p) / p for a in coeffs]
+
+
+def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.ndarray:
+    """log ||sum_j a_j t**lam_j||_{L^p(mu)} for every row a of ``coeffs``.
+
+    The entry point for many vectors.  The vectors x terms matrix is checked
+    once as ``MuntzPolynomial`` checks one vector, and the p >= 1 and
+    quadrature-limit refusals of ``_check_quadrature`` are made once.  Every
+    measure but Lebesgue builds one node set and one nodes x terms matrix
+    (``_node_logs``, which refuses p * lam past the float range) and takes
+    each row's norm from it; for atoms the sum is exact at any exponent.
+    Lebesgue rows each take the float quadrature ``integrate_to_one`` of
+    |f|**p (see ``log_lp_norm``).  A zero norm (an all-zero row, an empty
+    restriction) is -inf.
+    """
+    a = np.array(coeffs, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("coefficients must be a vectors x terms matrix")
+    if a.shape[1] == 0:
+        raise ValueError("polynomial needs at least one coefficient")
+    if a.shape[1] > len(seq):
+        raise ValueError("more coefficients than exponents")
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    lam = seq.exponents[:a.shape[1]]
+    _check_quadrature(lam[-1], mu, p)
+    if not isinstance(mu, Lebesgue):
+        return np.array(_node_log_norms(*_node_logs(mu, np.array(lam), p), a, p))
+    logs, sharpness = [], p * max(lam[-1], 1.0)
+    for row in a.tolist():
+        val = integrate_to_one(
+            lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness)
+        norm = LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
+        logs.append(-math.inf if norm.is_zero else norm.log)
+    return np.array(logs)
+
+
 def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
-    """L^p(mu) norm as a LogValue: a log-domain sum over the measure's nodes.
+    """L^p(mu) norm as a LogValue: the one-row view of ``log_lp_norms``, the
+    entry point for many vectors.
 
     For every measure but Lebesgue the norm is (1/p) ``_log_pth_power`` on
     the nodes of ``_node_logs``, so a norm far below the float range
     (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm; for
     atoms the sum is exact at any exponent.  ``gm_ratio_sample`` runs the
-    same kernel, on Lebesgue measure too, with one node set for all its
-    vectors.  A single Lebesgue norm here (``suite_diagonal``'s random
-    vectors, the ``norm`` command) is still the float quadrature
-    ``integrate_to_one`` of |f|**p, where a norm whose p-th power
-    underflows comes back zero.  On the nodes it runs several times faster,
-    but perfbench keeps the outputs of every battery it runs, so more
-    batteries in its 35 s read as more peak memory.  Three prototypes, one
-    35 s run each (``battery_s``; ``peak_rss_mb``, past the 10 % bound in
-    each): batched ``gm_ratio_sample`` norms on report-p3 0.029 -> 0.011 s,
-    48.3 -> 55.5 MiB; a matrix integrand in ``integrate_to_one`` on
-    report-default 0.238 -> 0.075 s, 44.6 -> 50.6 MiB; one node set for
-    ``suite_diagonal``'s 100 norms on report-atoms64 0.044 -> 0.034 s,
-    53.3 -> 59.7 MiB.  This branch moves to the nodes once perfbench stops
-    keeping them (ROADMAP.md item 1).
+    same per-row loop, on Lebesgue measure too, with one node set for all
+    its vectors.  A Lebesgue norm here (``suite_diagonal``'s random vectors,
+    the ``norm`` command) is still the float quadrature ``integrate_to_one``
+    of |f|**p, where a norm whose p-th power underflows comes back zero.  A
+    nodes x vectors matmul over all rows would be faster still, but
+    perfbench keeps the outputs of every battery it runs, so more batteries
+    in its 35 s read as more peak memory.  Measured with that kernel in
+    ``log_lp_norms`` (2 pairs each): report-atoms64 ``battery_s`` 0.037 ->
+    0.020 s and report-p3 0.030 -> 0.010 s, with ``peak_rss_mb`` up 19 %
+    and 17 %, past the 10 % bound.  It lands once perfbench stops keeping
+    the outputs (ROADMAP.md item 1), as a change inside ``_node_log_norms``.
     Exponents beyond 1e12 are refused on every non-atomic measure.
     """
-    _check_quadrature(f.max_exponent, mu, p)
-    if isinstance(mu, Lebesgue):
-        val = integrate_to_one(lambda log_t: np.abs(_eval_poly_array(f, log_t)) ** p,
-                               p * max(f.max_exponent, 1.0))
-        return LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
-    a = np.array(f.coefficients)
-    log_pow, log_w = _node_logs(mu, np.array(f.seq.exponents[:len(a)]), p)
-    return LogValue.from_log(_log_pth_power(log_pow, log_w, a, p) / p)
+    return LogValue.from_log(float(log_lp_norms(f.seq, [f.coefficients], mu, p)[0]))
 
 
 def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
@@ -164,7 +195,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     the same numbers as one draw of n per trial.  The bracket spans all rows;
     ``canonical`` spans the first n.  For p = 2 the numerators are the exact
     Gram form sqrt(a^T G a), one stacked matmul over the rows.  At every other
-    p they take the node route of ``log_lp_norm``: the sample builds one
+    p they take the node route of ``log_lp_norms``: the sample builds one
     ``measure_nodes`` set, sized by p * lam_{n-1}, and the nodes x terms matrix
     lam_j log t_k once, and each row takes one ``_log_pth_power`` over them, so
     the working set is one nodes x terms matrix.  The denominators are one
@@ -193,9 +224,8 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
         norms = np.sqrt(np.maximum(forms, 0.0))
     else:
         _check_quadrature(seq[n_count - 1], Lebesgue(), p)
-        log_pow, log_w = _node_logs(Lebesgue(), lam, p)
-        norms = np.array([LogValue.from_log(_log_pth_power(log_pow, log_w, a, p) / p).to_float()
-                          for a in coeffs])
+        norms = np.array([LogValue.from_log(v).to_float()
+                          for v in _node_log_norms(*_node_logs(Lebesgue(), lam, p), coeffs, p)])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit
     ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])

@@ -9,8 +9,8 @@ the forbidden point t = 1), and the other measures get panels in u.
 Integrals against a measure are log-sum-exps over those nodes; closed
 forms (Lebesgue moments, the Poisson integral of a density reaching t = 1)
 stay as the exact special cases they are.  The one other quadrature is
-``integrate_to_one``, float dyadic panels in u for single Lebesgue L^p
-norms (``lpnorm.log_lp_norm``), deepened until the closing panel is
+``integrate_to_one``, float dyadic panels in u for Lebesgue L^p norms, one
+per row of ``lpnorm.log_lp_norms``, deepened until the closing panel is
 negligible; each panel is summed once.  ``lpnorm.gm_ratio_sample``
 builds one coefficient matrix, canonical rows first, and takes the Lebesgue
 norms of its rows (at p != 2) on one ``measure_nodes`` set.
@@ -63,6 +63,12 @@ def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> fl
     return half * float(np.dot(w, f(np.log1p(-(mid + half * x)))))
 
 
+def _check_sharpness(sharpness: float) -> None:
+    if not math.isfinite(sharpness):
+        raise ValueError(f"node sharpness must be finite, got {sharpness} "
+                         "(p * lam beyond the float range?)")
+
+
 def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
@@ -81,6 +87,7 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) ->
     summation order is that of a pass summing from panel 1, so the result
     is bit for bit the same.
     """
+    _check_sharpness(sharpness)
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
     acc, right, summed = NeumaierSum(), 1.0, 0
     while True:
@@ -114,10 +121,6 @@ class Atom:
             raise ValueError(f"atom delta must be in (0,1], got {self.delta}")
         if not self.mass > 0.0:
             raise ValueError(f"atom mass must be positive, got {self.mass}")
-
-    @property
-    def x(self) -> float:
-        return 1.0 - self.delta
 
 
 @dataclass(frozen=True)
@@ -291,13 +294,21 @@ def moment(mu: Measure, a: float) -> LogValue:
     return LogValue.from_log(float(moments(mu, [a])[0]))
 
 
+def _atoms_within(mu: AtomicMeasure, a: float, b: float) -> np.ndarray:
+    """Mask of the atoms of mu in [a, b), in the order of ``mu.atoms`` (and of
+    its ``measure_nodes``), decided on delta: 1 - b < delta <= 1 - a.  The
+    position 1 - delta rounds to 1.0 for delta < 2**-53, so a test on it
+    would drop such an atom from every restriction."""
+    return (1.0 - b < mu._deltas) & (mu._deltas <= 1.0 - a)
+
+
 def restrict(mu: Measure, a: float, b: float) -> Measure:
     """Restriction mu|[a,b).  Atomic restrictions may come back empty."""
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"restriction needs 0 <= a < b <= 1, got [{a},{b})")
     if isinstance(mu, AtomicMeasure):
-        kept = tuple(at for at in mu.atoms if a <= at.x < b)
-        return AtomicMeasure(kept)
+        kept = _atoms_within(mu, a, b)
+        return AtomicMeasure(tuple(at for at, keep in zip(mu.atoms, kept) if keep))
     if isinstance(mu, Restriction):
         lo, hi = max(a, mu.a), min(b, mu.b)
         if lo >= hi:
@@ -426,9 +437,7 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     density's factor u**alpha where it reaches u = 0 (exact even where that
     is singular), and a Gauss-Legendre one otherwise.
     """
-    if not math.isfinite(sharpness):
-        raise ValueError(f"node sharpness must be finite, got {sharpness} "
-                         "(p * lam beyond the float range?)")
+    _check_sharpness(sharpness)
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._masses.copy()
     if isinstance(mu, (Lebesgue, DensityMeasure)):

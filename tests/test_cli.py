@@ -582,13 +582,13 @@ def test_domination_excess_matches_the_per_vector_sums(measure):
 def test_domination_vectors_are_the_per_row_draws(seed, monkeypatch):
     # the suite's (100, n) draw gives the vectors 100 draws of n give, bit for bit
     norms = []
-    real = lpnorm.lp_norm
+    real = lpnorm.log_lp_norms
 
-    def recording(f, mu, p):
-        norms.append(f.coefficients)
-        return real(f, mu, p)
+    def recording(seq, coeffs, mu, p):
+        norms.extend(tuple(row) for row in coeffs)
+        return real(seq, coeffs, mu, p)
 
-    monkeypatch.setattr(lpnorm, "lp_norm", recording)
+    monkeypatch.setattr(lpnorm, "log_lp_norms", recording)
     _domination_run("atoms", seed)
     rng = np.random.default_rng(seed)
     assert norms == [tuple(rng.uniform(-1.0, 1.0, int(SMALL["N"]))) for _ in range(100)]
@@ -674,6 +674,48 @@ def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--seq", "explicit:1,1e13"], "max exponent 1.000e+13 exceeds the quadrature limit"),
+    (["--p", "0.5"], "p must be >= 1, got 0.5"),
+    (["--seq", "explicit:1,1e308", "--measure", "atoms:0.5:1"], "node sharpness must be finite"),
+    (["--p", "1e308"], "node sharpness must be finite"),
+], ids=["quadrature-limit", "p-below-1", "overflow-atoms", "overflow-lebesgue"])
+def test_norm_refusals_exit_2(extra, message, capsys):
+    code = run(["norm", "--coeffs", "1,1", "--seq", "explicit:1,2", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
+def test_domination_takes_one_node_set_and_no_polynomial(monkeypatch, capsys):
+    calls = {"_node_logs": 0, "MuntzPolynomial": 0}
+    real_nodes, real_post = lpnorm._node_logs, lpnorm.MuntzPolynomial.__post_init__
+
+    def nodes(*args):
+        calls["_node_logs"] += 1
+        return real_nodes(*args)
+
+    def post(self):
+        calls["MuntzPolynomial"] += 1
+        real_post(self)
+
+    monkeypatch.setattr(lpnorm, "_node_logs", nodes)
+    monkeypatch.setattr(lpnorm.MuntzPolynomial, "__post_init__", post)
+    code, report = _verify(capsys, "diagonal-domination")
+    assert code == 0 and report["inputs"]["measure"] == SMALL_ATOMS
+    assert calls == {"_node_logs": 1, "MuntzPolynomial": 0}
+
+
+def test_compact_keeps_an_atom_next_to_one(capsys):
+    # x = 1 - 1e-20 rounds to 1.0; every cut [a, 1) still holds that atom
+    code = run(["verify", "--suite", "compact", "--measure", "atoms:1e-20:1,0.25:1",
+                "--seq", "geometric:1,2,8", "--N", "8"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    trend = next(c["data"] for c in checks if c["name"] == "restriction-spectrum-trend")
+    assert code == 0
+    assert trend["limit_proxy"] > 0.0 and 0.0 not in trend["sigma1"]
 
 
 def test_basis_past_the_quadrature_limit_is_refused(capsys):

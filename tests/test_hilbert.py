@@ -17,6 +17,11 @@ GEO = generate_geometric(1, 2, 24)
 PAIR_SEQ = ExponentSequence((1.0, 2.0))
 GEOM_ATOMS = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 TWO_ATOMS = atoms([(0.5, 1.0), (0.25, 0.5)])
+# x = 1 - 1e-20 rounds to 1.0: restrictions decide membership on delta
+NEAR_ONE_ATOMS = atoms([(1e-20, 1.0), (2.0 ** -30, 0.5), (0.25, 1.0), (0.75, 0.25)])
+# 200 atoms, delta log-uniform on [1e-12, 1): more nodes than exponents
+MANY_ATOMS = atoms(zip(np.exp(np.random.default_rng(0).uniform(math.log(1e-12), 0.0, 200)),
+                       np.full(200, 1.0 / 200)))
 
 
 def build_t_mu_matrix(seq, mu, n):
@@ -259,8 +264,9 @@ class TestEssentialNorm:
             GEO, atoms([(2.0 ** -k, 2.0 ** -k) for k in range(1, 31)]), 12, cuts)
         assert van.drop_factor > steady.drop_factor
 
-    @pytest.mark.parametrize("mu", [GEOM_ATOMS, DensityMeasure("oneminus_power", alpha=0.5),
-                                    Lebesgue()], ids=["atoms", "density", "lebesgue"])
+    @pytest.mark.parametrize("mu", [GEOM_ATOMS, NEAR_ONE_ATOMS, MANY_ATOMS,
+                                    DensityMeasure("oneminus_power", alpha=0.5), Lebesgue()],
+                             ids=["atoms", "atoms-near-one", "atoms-200", "density", "lebesgue"])
     def test_sigma1_is_the_restricted_embedding_norm(self, mu):
         # one Cauchy factor serves every cut, and sigma_1 is bit for bit the
         # leading singular value of the embedding of each restriction
@@ -268,6 +274,22 @@ class TestEssentialNorm:
         trend = essential_norm_estimate(GEO, mu, 12, cuts)
         assert trend.sigma1 == tuple(
             embedding_spectrum(GEO, restrict(mu, a, 1.0), 12).sigma_max for a in cuts)
+
+    def test_atoms_take_row_slices_of_one_embedding(self, monkeypatch):
+        calls = {"_node_factor": 0, "_embedding": 0, "restrict": 0}
+        for name in calls:
+            real = getattr(hilbert, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(hilbert, name, counting)
+        cuts = [1.0 - 2.0 ** -j for j in range(1, 11)]
+        trend = essential_norm_estimate(GEO, NEAR_ONE_ATOMS, 12, cuts)
+        assert calls == {"_node_factor": 1, "_embedding": 1, "restrict": 0}
+        # the atom at delta = 1e-20 lies in every cut
+        assert trend.limit_proxy > 0.0
 
     def test_factors_the_cauchy_gram_once(self, monkeypatch):
         calls = []

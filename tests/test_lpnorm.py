@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from muntzlab import lpnorm
 from muntzlab.logdomain import NeumaierSum
 from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_logs, amgm_probe,
-                             gm_ratio_sample, l2_norm_gram, log_lp_norm, lp_norm,
-                             pairing_integral)
+                             gm_ratio_sample, l2_norm_gram, log_lp_norm, log_lp_norms,
+                             lp_norm, pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
@@ -160,6 +160,75 @@ class TestLpNorm:
         mu = atoms([(0.7, 1.0), (0.2, 2.0)])
         f = MuntzPolynomial(ExponentSequence((1.0, 2.0)), (1.0, 1.0))
         assert lp_norm(f, restrict(mu, 0.5, 1.0), 2.0) <= lp_norm(f, mu, 2.0)
+
+
+class TestLogLpNorms:
+    """All the rows of one coefficient matrix: one check, one node set."""
+
+    MEASURES = {
+        "atoms": atoms([(0.5, 1.0), (0.1, 2.0), (1e-6, 0.25), (1e-20, 0.5)]),
+        "density": DensityMeasure("oneminus_power", alpha=0.5),
+        "restriction": restrict(Lebesgue(), 0.25, 0.75),
+        "lebesgue": Lebesgue(),
+    }
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_rows_are_the_one_row_norms_bit_for_bit(self, name, p):
+        mu, seq = self.MEASURES[name], generate_geometric(1, 2, 8)
+        coeffs = np.vstack([np.random.default_rng(5).uniform(-1.0, 1.0, (5, 8)),
+                            np.zeros(8), np.eye(8)[3]])
+        got = log_lp_norms(seq, coeffs, mu, p)
+        want = [log_lp_norm(MuntzPolynomial(seq, tuple(a)), mu, p) for a in coeffs]
+        assert got.tolist() == [-math.inf if v.is_zero else v.log for v in want]
+        assert got[5] == -math.inf and np.isfinite(got[[0, 1, 2, 3, 4, 6]]).all()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_zero_row_and_empty_restriction_are_minus_inf_silently(self, p):
+        seq, mu = ExponentSequence((1.0, 2.0)), atoms([(0.5, 1.0), (0.1, 2.0)])
+        coeffs = np.array([[0.0, 0.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_atoms = log_lp_norms(seq, coeffs, mu, p)
+            empty = log_lp_norms(seq, coeffs, restrict(mu, 0.0, 0.1), p)
+            on_lebesgue = log_lp_norms(seq, coeffs, Lebesgue(), p)
+        assert on_atoms[0] == on_lebesgue[0] == -math.inf
+        assert np.isfinite([on_atoms[1], on_lebesgue[1]]).all()
+        assert empty.tolist() == [-math.inf, -math.inf]
+
+    def test_one_node_set_for_all_rows(self, monkeypatch):
+        calls = []
+        real = lpnorm._node_logs
+        monkeypatch.setattr(lpnorm, "_node_logs", lambda *a: calls.append(1) or real(*a))
+        got = log_lp_norms(GEO, np.ones((40, 16)), self.MEASURES["atoms"], 2.0)
+        assert len(got) == 40 and len(calls) == 1
+
+    @pytest.mark.parametrize("exps, mu, p, match", [
+        ((1.0, 1e13), Lebesgue(), 2.0, "quadrature limit"),
+        ((1.0, 1e13), DensityMeasure("uniform"), 3.0, "quadrature limit"),
+        ((1.0, 2.0), atoms([(0.5, 1.0)]), 0.5, "p must be >= 1"),
+        ((1.0, 2.0), Lebesgue(), 0.5, "p must be >= 1"),
+        ((1.0, 1e308), atoms([(0.5, 1.0)]), 2.0, "beyond the float range"),
+        ((1.0, 2.0), Lebesgue(), 1e308, "beyond the float range"),
+    ], ids=["limit-lebesgue", "limit-density", "p-atoms", "p-lebesgue", "overflow-atoms",
+            "overflow-lebesgue"])
+    def test_refusals_are_made_once_per_call(self, exps, mu, p, match, monkeypatch):
+        checks = []
+        real = lpnorm._check_quadrature
+        monkeypatch.setattr(lpnorm, "_check_quadrature", lambda *a: checks.append(1) or real(*a))
+        with pytest.raises(ValueError, match=match):
+            log_lp_norms(ExponentSequence(exps), np.ones((50, 2)), mu, p)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("coeffs, match", [
+        ([1.0, 2.0], "vectors x terms matrix"),
+        (np.zeros((2, 0)), "at least one coefficient"),
+        (np.ones((2, 17)), "more coefficients than exponents"),
+        ([[1.0, math.inf]], "finite"),
+    ])
+    def test_matrix_is_checked_like_a_polynomial(self, coeffs, match):
+        with pytest.raises(ValueError, match=match):
+            log_lp_norms(GEO, coeffs, Lebesgue(), 2.0)
 
 
 class TestRatioSample:

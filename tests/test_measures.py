@@ -361,6 +361,18 @@ class TestRestrictAndKernel:
         out = restrict(mu, 0.8, 1.0)
         assert [a.delta for a in out.atoms] == [0.1]
 
+    def test_atom_next_to_one_is_kept(self):
+        # x = 1 - 1e-20 rounds to 1.0; membership is decided on delta
+        mu = atoms([(1e-20, 1.0), (0.25, 1.0)])
+        assert [a.delta for a in restrict(mu, 0.0, 1.0).atoms] == [0.25, 1e-20]
+        assert [a.delta for a in restrict(mu, 0.9, 1.0).atoms] == [1e-20]
+        assert [a.delta for a in restrict(mu, 0.0, 0.9).atoms] == [0.25]
+
+    def test_atom_interval_is_half_open(self):
+        mu = atoms([(0.5, 1.0)])
+        assert [a.delta for a in restrict(mu, 0.5, 1.0).atoms] == [0.5]
+        assert restrict(mu, 0.0, 0.5).is_empty
+
     def test_restriction_of_restriction_intersects(self):
         out = restrict(restrict(Lebesgue(), 0.2, 0.9), 0.5, 1.0)
         assert isinstance(out, Restriction)

@@ -6,6 +6,7 @@ only the series that involve t**lam go through the log domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,6 +14,8 @@ import numpy as np
 
 from .logdomain import logsumexp
 from .sequences import ExponentSequence, is_r_lacunary
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def conjugate(p: float) -> float:
@@ -90,14 +93,20 @@ def jlambda_upper(p: float, r: float) -> NormBoundReport:
 def r_epsilon(p: float, eps: float) -> float:
     """Lacunarity threshold that forces the frame bracket [1-eps, 1+eps].
 
-    Symmetric in p <-> p' through q = max(p, p').
+    Symmetric in p <-> p' through q = max(p, p').  The threshold
+    (1 + 4 q**(1/(q-1)) / eps)**(q(q-1)) is compared with the float range in
+    logs and is inf past it (already at p = 50 or p = 1.0001), where no
+    ratio of floats meets it.
     """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     q = max(p, conjugate(p))
-    return (1.0 + 4.0 * q ** (1.0 / (q - 1.0)) / eps) ** (q * (q - 1.0))
+    base, power = 1.0 + 4.0 * q ** (1.0 / (q - 1.0)) / eps, q * (q - 1.0)
+    if power * math.log(base) >= _LOG_FLOAT_MAX:
+        return math.inf
+    return base ** power
 
 
 class EnvelopeBracket(NamedTuple):

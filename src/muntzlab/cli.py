@@ -310,7 +310,8 @@ def suite_envelope(seq, alpha_list) -> list[dict]:
         checks.append(check(f"envelope-bracket-alpha={alpha:g}",
                             "bounds.envelope_check", "EVIDENCE",
                             ratio_min=br.ratio_min, ratio_max=br.ratio_max,
-                            width=br.ratio_max / br.ratio_min))
+                            width=br.ratio_max / br.ratio_min if br.ratio_min > 0.0
+                            else math.inf))
     return checks
 
 
@@ -351,7 +352,7 @@ def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
                             "PASS" if ok else "FAIL",
                             spectrum=spec.schatten[r], bound=ob.schatten[r]))
     # ||sum_j b_j t^lam_j||_{L^2(mu)} vs (sum_j |b_j|^2 D_j^2 / lam_j)^(1/2), rows b
-    b = np.random.default_rng(seed).uniform(-1.0, 1.0, (100, len(profile.values)))
+    b = lpnorm._uniform_rows(seed, 100, len(profile.values))
     weights = [math.exp(-profile.weight.log_inv_weight(lam)) for lam in seq.exponents[:b.shape[1]]]
     rhs = np.sqrt((b ** 2 * weights * np.square(profile.values)).sum(axis=1))
     lhs = lpnorm.log_lp_norms(seq, b, measure, 2.0).tolist()

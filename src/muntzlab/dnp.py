@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SCHATTEN_ORDERS
+from .hilbert import _schatten_norms
 from .logdomain import LogValue, _log_shares, logsumexp
 from .measures import Lebesgue, Measure, log_powers, measure_nodes, moments
 from .sequences import ExponentSequence
@@ -246,7 +246,7 @@ def operator_bounds(profile: DnProfile, mu: Measure, seq: ExponentSequence) -> O
 
     schatten = None
     if p == 2.0:
-        schatten = {r: math.fsum(v ** r for v in vals) ** (1.0 / r) for r in SCHATTEN_ORDERS}
+        schatten = _schatten_norms(vals)
 
     return OperatorBounds(
         sup_dn=max(vals),

@@ -25,6 +25,7 @@ from .sequences import ExponentSequence
 
 _FIRST_INDEX = 2
 _MIN_LOG10 = -290.0  # atoms keep plain-float deltas and masses above this
+_LOG_MAX_LAMBDA = math.log(1e306)  # the construction stops before lam passes 1e306
 # check_example_claims judges a trend on the last _WINDOW values of an instance
 _WINDOW = 5
 _RATIO_BAND = (0.8, 1.2)   # construction A: M_n(p) / log n
@@ -65,6 +66,10 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
     truncated = False
     for n in range(_FIRST_INDEX, _FIRST_INDEX + count):
         if n > _FIRST_INDEX:
+            # in logs: n**gamma alone overflows at p = 50 and p = 1.0001
+            if math.log(lam) + gamma * math.log(n) > _LOG_MAX_LAMBDA:
+                truncated = True
+                break
             lam = lam * float(n) ** gamma
         log_lam = math.log(lam)
         log_n = math.log(n)
@@ -73,8 +78,7 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
             log_c = p * math.log(n) + math.log(log_n) - log_lam
         else:
             log_c = p * math.log(n) - math.log(log_n) - log_lam
-        if (lam > 1e306 or
-                min(log_delta, log_c) < _MIN_LOG10 * math.log(10.0)):
+        if min(log_delta, log_c) < _MIN_LOG10 * math.log(10.0):
             truncated = True
             break
         indices.append(n)

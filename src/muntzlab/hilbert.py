@@ -127,6 +127,16 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.concatenate([s, np.zeros(a.shape[1] - len(s))])
 
 
+def _schatten_norms(values) -> dict[float, float]:
+    """(sum_k s_k**r)**(1/r) of nonnegative values for every r in ``SCHATTEN_ORDERS``,
+    formed as c (sum_k (s_k / c)**r)**(1/r) with c the power of two just above
+    max_k s_k, so no power overflows while the norm is finite; dividing by a
+    power of two is exact, so the scaling moves no bit where nothing overflows."""
+    s = np.asarray(values, dtype=float)
+    scale = math.ldexp(1.0, math.frexp(float(s.max(initial=0.0)))[1])
+    return {r: scale * float(np.sum((s / scale) ** r)) ** (1.0 / r) for r in SCHATTEN_ORDERS}
+
+
 def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralResult:
     """Spectrum of leading(n), with leading(m) the operator on the first m monomials.
 
@@ -146,7 +156,7 @@ def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralRe
         operator=operator,
         n=n,
         singular_values=tuple(float(s) for s in sigma),
-        schatten={r: float(np.sum(sigma ** r) ** (1.0 / r)) for r in SCHATTEN_ORDERS},
+        schatten=_schatten_norms(sigma),
         drift=drift,
         extras=extras,
     )

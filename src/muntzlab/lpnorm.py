@@ -12,7 +12,10 @@ Lebesgue rows alone add |f|**p in floats over the dyadic panels of
 ``measures.integrate_to_one``: a nodes x vectors matmul over all rows runs
 several times faster, but the benchmark harness keeps every battery's
 outputs, so faster batteries read as more peak memory (ROADMAP.md item 1;
-``log_lp_norm`` gives the figures).  Both quadratures refine toward t = 1
+``log_lp_norm`` gives the figures).  The random coefficient rows of
+``gm_ratio_sample`` and of the diagonal-domination suite come from
+``_uniform_rows``, which takes the standard library's generator: no module
+of the package imports ``numpy.random``.  Both quadratures refine toward t = 1
 to a depth that follows the largest exponent (a monomial t**lam keeps its
 mass within O(1/lam) of t = 1, so fixed grids silently miss everything
 once lam is large).
@@ -20,6 +23,7 @@ once lam is large).
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -146,10 +150,14 @@ def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     nodes x vectors matmul over all rows would be faster still, but
     perfbench keeps the outputs of every battery it runs, so more batteries
     in its 35 s read as more peak memory.  Measured with that kernel in
-    ``log_lp_norms`` (2 pairs each): report-atoms64 ``battery_s`` 0.037 ->
-    0.020 s and report-p3 0.030 -> 0.010 s, with ``peak_rss_mb`` up 19 %
-    and 17 %, past the 10 % bound.  It lands once perfbench stops keeping
-    the outputs (ROADMAP.md item 1), as a change inside ``_node_log_norms``.
+    ``log_lp_norms`` (2 pairs each, while the coefficient draws still
+    imported ``numpy.random``): report-atoms64 ``battery_s`` 0.037 -> 0.020 s
+    and report-p3 0.030 -> 0.010 s, with ``peak_rss_mb`` up 19 % and 17 %,
+    past the 10 % bound.  Dropping ``numpy.random`` took report-p3's
+    two-battery peak from 42.1 to 36.9 MiB; report-atoms64's stays at
+    41.6 MiB, because the benchmark's own atom draw imports ``numpy.random``.
+    It lands once perfbench stops keeping the outputs (ROADMAP.md item 1), as
+    a change inside ``_node_log_norms``.
     Exponents beyond 1e12 are refused on every non-atomic measure.
     """
     return LogValue.from_log(float(log_lp_norms(f.seq, [f.coefficients], mu, p)[0]))
@@ -169,6 +177,27 @@ def l2_norm_gram(f: MuntzPolynomial) -> float:
     a = np.array(f.coefficients)
     g = _cauchy_gram(np.array(f.seq.exponents[:len(a)]))
     return float(math.sqrt(max(a @ g @ a, 0.0)))
+
+
+def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
+    """rows x n doubles in [-1, 1) on the 2**-52 grid, drawn from ``random.Random(seed)``.
+
+    ``randbytes(8 * rows * n)`` read as little-endian uint64 words w gives
+    (w >> 11) * 2**-52 - 1, row after row.  The draw is deterministic per
+    seed and prefix-stable: the first r rows of an R-row draw are the r-row
+    draw.  The standard library's generator is used because importing
+    ``numpy.random`` also loads ``secrets``, ``hashlib`` and OpenSSL's
+    libcrypto: 6.1 MiB of resident memory on top of ``import numpy``, and
+    5.4 MiB of the 40.8 MiB two-battery peak of the default ``report``.  The
+    one array expression takes 0.12 ms for report-p3's 2,400 values and
+    0.36 ms for report-atoms64's 12,800 (2-vCPU Intel Xeon VM, CPython 3.11,
+    numpy 2.4); a Python loop over ``Random.uniform`` would cost milliseconds.
+    A negative seed is refused, since ``random.Random`` would take -s as s.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * rows * n), dtype="<u8")
+    return ((bits >> 11) * 2.0 ** -52 - 1.0).reshape(rows, n)
 
 
 @dataclass(frozen=True)
@@ -191,8 +220,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     with q_j = p lam_j + 1, the norm taken against Lebesgue measure dt.  The
     matrix has n = n_count columns: its first n rows are the canonical basis
     vectors (ratio exactly 1 by normalization), the other ``trials`` rows are
-    ``rng.uniform(-1, 1, (trials, n))`` with ``rng = np.random.default_rng(seed)``,
-    the same numbers as one draw of n per trial.  The bracket spans all rows;
+    ``_uniform_rows(seed, trials, n)``: uniform on [-1, 1) from the standard
+    library's generator seeded with ``seed``, and the first r trials are the
+    same whatever ``trials`` is.  The bracket spans all rows;
     ``canonical`` spans the first n.  For p = 2 the numerators are the exact
     Gram form sqrt(a^T G a), one stacked matmul over the rows.  At every other
     p they take the node route of ``log_lp_norms``: the sample builds one
@@ -215,8 +245,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     if not math.isfinite(p * seq[n_count - 1]):
         raise ValueError(f"p * lam = {p:g} * {seq[n_count - 1]:g} is beyond the float range")
     lam = np.array(seq.exponents[:n_count])
-    rng = np.random.default_rng(seed)
-    coeffs = np.vstack([np.eye(n_count), rng.uniform(-1.0, 1.0, (trials, n_count))])
+    coeffs = np.vstack([np.eye(n_count), _uniform_rows(seed, trials, n_count)])
     if p == 2.0:
         # (1 x n) @ (n x n) @ (n x 1) per row: the vector-matrix and dot
         # products of l2_norm_gram, so each form equals its a @ g @ a

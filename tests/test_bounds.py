@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from muntzlab.bounds import (conjugate, envelope_check, jlambda_upper,
@@ -117,6 +118,16 @@ class TestREpsilon:
     def test_decreasing_in_eps(self):
         vals = [r_epsilon(2.0, e) for e in (0.1, 0.3, 0.5, 0.9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("p", [18.0, 50.0, 1.0001, 1e200])
+    def test_inf_past_the_float_range(self, p):
+        assert r_epsilon(p, 0.5) == math.inf
+
+    def test_float_power_just_inside_the_range(self):
+        # p = 17: (1 + 8 * 17**(1/16))**272 is about e**641, the largest finite p
+        got = r_epsilon(17.0, 0.5)
+        want = mpmath.power(1 + 8 * mpmath.root(17, 16), 272)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

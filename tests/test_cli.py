@@ -8,10 +8,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 import muntzlab
@@ -21,6 +21,7 @@ from muntzlab import examples as examples_mod
 from muntzlab import hilbert
 from muntzlab import lpnorm
 from muntzlab.cli import SUITE_IDS, build_parser, run
+from test_lpnorm import uniform_draws
 
 
 def test_conditioning_error_exits_2_with_pivot(capsys):
@@ -61,13 +62,17 @@ def test_compact_suite_on_lebesgue_tail_file(tmp_path, capsys):
     assert order["divergent"]
 
 
-def _python_dash_m(*argv):
+def _python(*args, stdin=None):
     # the child imports the same package as this test, wherever pytest found it
     src = str(Path(muntzlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "muntzlab", *argv],
+    return subprocess.run([sys.executable, *args], input=stdin,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
+
+
+def _python_dash_m(*argv):
+    return _python("-m", "muntzlab", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -335,15 +340,19 @@ def test_report_refuses_an_option_none_of_its_suites_reads(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
-    # a benchmark report line the parser refuses would only show as a failed run;
-    # perfbench/workloads.py is imported from the checkout, not changed
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py's WORKLOADS, imported from the checkout, not changed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    workloads = module.WORKLOADS
+    return module.WORKLOADS
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # a benchmark report line the parser refuses would only show as a failed run
+    workloads = _benchmark_workloads(monkeypatch)
     assert set(workloads) == {"report-default", "report-atoms64", "report-p3"}
     for name, workload in workloads.items():
         ns = build_parser().parse_args(workload.argv(0, str(tmp_path)))
@@ -359,12 +368,7 @@ def _refuse_constant(name):
 def test_benchmark_battery_runs_and_validates(name, monkeypatch, tmp_path, capsys):
     # one battery of each workload, judged as perfbench/run.py judges it, so a
     # benchmark run that would fail or give wrong outputs shows here too
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    workload = module.WORKLOADS[name]
+    workload = _benchmark_workloads(monkeypatch)[name]
     code = run(workload.argv(0, str(tmp_path)))
     capsys.readouterr()
     assert code in (0, 1)
@@ -374,6 +378,83 @@ def test_benchmark_battery_runs_and_validates(name, monkeypatch, tmp_path, capsy
                             parse_constant=_refuse_constant)
         assert tuple(c["name"] for c in report["checks"]) == workload.check_names[suite], suite
         assert [c["name"] for c in report["checks"] if c["status"] == "FAIL"] == [], suite
+
+
+def test_cli_processes_never_load_numpy_random(monkeypatch, tmp_path):
+    # importing numpy.random also loads secrets, hashlib and OpenSSL's libcrypto
+    # (5.1 MiB of resident memory); the coefficient draws come from the standard
+    # library, so a fresh interpreter running every battery and every other
+    # sampling command never loads them
+    argvs = [w.argv(0, str(tmp_path / name))
+             for name, w in _benchmark_workloads(monkeypatch).items()]
+    argvs += [["probe", "--p", "3"], ["verify", "--suite", "isometry-threshold", "--p", "3"]]
+    child = textwrap.dedent("""
+        import json, sys
+        from muntzlab import cli
+        codes = [cli.run(argv) for argv in json.load(sys.stdin)]
+        print(json.dumps([codes, [m for m in ("numpy.random", "secrets", "hashlib")
+                                  if m in sys.modules]]))
+    """)
+    out = _python("-W", "error", "-c", child, stdin=json.dumps(argvs))
+    assert out.returncode == 0, out.stderr
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "basis", "--seed", "-1"],
+    ["verify", "--suite", "diagonal-domination", "--seed", "-1"],
+    ["verify", "--suite", "isometry-threshold", "--p", "3", "--seed", "-1"],
+    ["probe", "--seed", "-1"],
+], ids=["basis", "diagonal-domination", "isometry-threshold", "probe"])
+def test_negative_seed_exits_2(argv, capsys):
+    # random.Random would draw the same vectors for -s as for s
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
+# Inputs past the float range: r_epsilon and construction B's exponents overflow
+# at p = 50 and p = 1.0001, the envelope's ratio_min underflows to 0, and the
+# Schatten powers of values near 1e150 overflow.  Each exits 0, 1 or 2, never
+# with a traceback or a warning: argv, exit code, {check name: expected data}.
+_EXTREME_INPUTS = {
+    "isometry-p=50": (["verify", "--suite", "isometry-threshold", "--p", "50"], 0,
+                      {"shifted-ratio-meets-threshold": {"r_epsilon": "inf"}}),
+    "isometry-p=1.0001": (["verify", "--suite", "isometry-threshold", "--p", "1.0001"], 0,
+                          {"shifted-ratio-meets-threshold": {"r_epsilon": "inf"}}),
+    "r_epsilon-p=50": (["bounds", "--formula", "r_epsilon", "--p", "50"], 0, {}),
+    "ex-b-p=50": (["verify", "--suite", "ex-b", "--p", "50"], 2, {}),
+    "ex-b-p=1.0001": (["verify", "--suite", "ex-b", "--p", "1.0001"], 2, {}),
+    # the alpha = 2 ratios lie below the smallest float, so ratio_min reads 0 and
+    # envelope-positive-finite-alpha=2 FAILs: exit 1 with a width of inf
+    "envelope-lam0=1e-300": (["verify", "--suite", "envelope", "--seq", "geometric:1e-300,2,16"],
+                             1, {"envelope-bracket-alpha=2": {"ratio_min": 0.0, "width": "inf"}}),
+    "domination-ratio=1e20": (["verify", "--suite", "diagonal-domination",
+                               "--seq", "geometric:1,1e20,16",
+                               "--measure", "atoms:1e-300:1,0.5:1"], 0, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME_INPUTS))
+def test_extreme_inputs_exit_with_a_message(case, capsys):
+    argv, want, data = _EXTREME_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == want
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        return
+    assert err == ""
+    report = json.loads(out, parse_constant=_refuse_constant)
+    if argv[0] == "bounds":
+        assert report["value"] == "inf"
+    checks = {c["name"]: c["data"] for c in report["checks"]} if "checks" in report else {}
+    for name, fields in data.items():
+        assert {k: checks[name][k] for k in fields} == fields, name
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -539,12 +620,10 @@ def test_a_usage_error_leaves_the_next_parse_unaffected(capsys):
 
 
 def _domination_excess_by_vector(seq, measure, profile, seed):
-    """random-vector-domination's worst excess, one draw and one summed
+    """random-vector-domination's worst excess, one drawn row and one summed
     generator per vector: the oracle for the suite's array form."""
-    rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(100):
-        b = rng.uniform(-1.0, 1.0, len(profile.values))
+    for b in uniform_draws(seed, 100, len(profile.values)):
         lhs = lpnorm.lp_norm(lpnorm.MuntzPolynomial(seq, tuple(b)), measure, 2.0)
         rhs = math.sqrt(sum(
             abs(bv) ** 2 * math.exp(-profile.weight.log_inv_weight(seq[i])) * dv ** 2
@@ -580,7 +659,7 @@ def test_domination_excess_matches_the_per_vector_sums(measure):
 
 @pytest.mark.parametrize("seed", [0, 3, 51])
 def test_domination_vectors_are_the_per_row_draws(seed, monkeypatch):
-    # the suite's (100, n) draw gives the vectors 100 draws of n give, bit for bit
+    # the suite's (100, n) draw gives the rows drawn one value at a time, bit for bit
     norms = []
     real = lpnorm.log_lp_norms
 
@@ -590,8 +669,7 @@ def test_domination_vectors_are_the_per_row_draws(seed, monkeypatch):
 
     monkeypatch.setattr(lpnorm, "log_lp_norms", recording)
     _domination_run("atoms", seed)
-    rng = np.random.default_rng(seed)
-    assert norms == [tuple(rng.uniform(-1.0, 1.0, int(SMALL["N"]))) for _ in range(100)]
+    assert norms == [tuple(b) for b in uniform_draws(seed, 100, int(SMALL["N"]))]
 
 
 def _report(tmp_path, name, *extra):

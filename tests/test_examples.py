@@ -43,6 +43,19 @@ class TestBuild:
         assert len(inst.seq) >= 3
         assert inst.seq[-1] <= 1e306
 
+    @pytest.mark.parametrize("p", [50.0, 1.0001])
+    def test_b_exponent_past_the_float_range_collapses(self, p):
+        # gamma = 2500 or 10002: 3**gamma alone is past the float range
+        with pytest.raises(ValueError, match="collapses below 3 usable indices"):
+            build_example("B", p, 20)
+
+    def test_b_truncates_before_1e306(self):
+        # gamma = 100: lam_6 is about 4e255 and lam_7 = 7**100 lam_6 about 1e340
+        inst = build_example("B", 10.0, 20)
+        assert inst.truncated and inst.n_range == (2, 3, 4, 5, 6)
+        assert inst.seq[-1] <= 1e306
+        assert math.log(inst.seq[-1]) + inst.gamma * math.log(7.0) > math.log(1e306)
+
     def test_exponents_reach_extreme_scale(self):
         inst = build_example("A", 1.0, 20)
         assert inst.seq[-1] > 1e38

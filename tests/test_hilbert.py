@@ -63,6 +63,25 @@ class TestSpectrumProperties:
         assert compute() == sigma
 
 
+class TestSchattenNorms:
+    def test_bits_of_the_plain_sums_where_nothing_overflows(self):
+        s = np.array([3.7, 1.2, 0.5, 1e-3, 0.0])
+        assert hilbert._schatten_norms(s) == {
+            r: float(np.sum(s ** r) ** (1.0 / r)) for r in hilbert.SCHATTEN_ORDERS}
+
+    def test_no_overflow_near_the_float_range(self):
+        got = hilbert._schatten_norms([1e300, 1e300, 0.0])
+        assert got == pytest.approx({1.0: 2e300, 2.0: 2 ** 0.5 * 1e300, 4.0: 2 ** 0.25 * 1e300},
+                                    rel=1e-15)
+
+    def test_no_underflow_near_the_smallest_float(self):
+        got = hilbert._schatten_norms([1e-300, 1e-300])
+        assert got[4.0] == pytest.approx(2 ** 0.25 * 1e-300, rel=1e-15)
+
+    def test_zero_values(self):
+        assert hilbert._schatten_norms(np.zeros(3)) == dict.fromkeys(hilbert.SCHATTEN_ORDERS, 0.0)
+
+
 class TestCholesky:
     def test_matches_numpy(self):
         lam = np.array(GEO.exponents[:8])

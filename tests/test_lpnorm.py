@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -276,13 +277,21 @@ class TestRatioSample:
         assert (a.min_ratio, a.max_ratio) == (b.min_ratio, b.max_ratio)
 
 
+def uniform_draws(seed, rows, n):
+    """The coefficient rows of a seeded sample, one value at a time: each is
+    the next 64-bit word of ``random.Random(seed)`` (lower 32 bits first),
+    its top 53 bits over 2**52, minus 1."""
+    rng = random.Random(seed)
+    return [np.array([(rng.getrandbits(64) >> 11) / 2.0 ** 52 - 1.0 for _ in range(n)])
+            for _ in range(rows)]
+
+
 def _per_row_ratios(seq, p, mu, trials, seed, n_count):
     """The sample's ratios by one vector at a time: the n canonical vectors,
-    then one ``rng.uniform(-1, 1, n)`` draw per trial, each norm computed alone."""
+    then the ``uniform_draws`` rows, each norm computed alone."""
     lam = np.array(seq.exponents[:n_count])
-    rng = np.random.default_rng(seed)
     vectors = [np.eye(n_count)[k] for k in range(n_count)]
-    vectors += [rng.uniform(-1.0, 1.0, n_count) for _ in range(trials)]
+    vectors += uniform_draws(seed, trials, n_count)
     if p == 2.0 and isinstance(mu, Lebesgue):
         def norm(a):
             return l2_norm_gram(MuntzPolynomial(seq, tuple(a)))
@@ -293,6 +302,40 @@ def _per_row_ratios(seq, p, mu, trials, seed, n_count):
             return math.exp(_log_pth_power(log_pow, log_w, a, p) / p)
     return [norm(a) / float(np.sum(np.abs(a) ** p / (p * lam + 1.0)) ** (1.0 / p))
             for a in vectors]
+
+
+class TestUniformRows:
+    """The seeded coefficient draw of gm_ratio_sample and suite_diagonal."""
+
+    @pytest.mark.parametrize("seed, rows, n", [(0, 100, 8), (7, 3, 24), (2 ** 70, 5, 1)])
+    def test_rows_are_the_per_value_draws_bit_for_bit(self, seed, rows, n):
+        got = lpnorm._uniform_rows(seed, rows, n)
+        assert got.shape == (rows, n) and got.dtype == np.float64
+        assert got.tolist() == [b.tolist() for b in uniform_draws(seed, rows, n)]
+
+    def test_deterministic_per_seed(self):
+        a = lpnorm._uniform_rows(5, 40, 16)
+        assert np.array_equal(a, lpnorm._uniform_rows(5, 40, 16))
+        assert not np.array_equal(a, lpnorm._uniform_rows(6, 40, 16))
+
+    @pytest.mark.parametrize("rows", [0, 1, 17, 99])
+    def test_prefix_stable(self, rows):
+        # the first r rows of a 100-row draw are the r-row draw
+        assert np.array_equal(lpnorm._uniform_rows(3, rows, 12),
+                              lpnorm._uniform_rows(3, 100, 12)[:rows])
+
+    def test_values_on_the_grid_in_minus_one_to_one(self):
+        a = lpnorm._uniform_rows(11, 200, 64)
+        assert a.min() >= -1.0 and a.max() < 1.0
+        assert np.array_equal((a + 1.0) * 2.0 ** 52, np.floor((a + 1.0) * 2.0 ** 52))
+        # 12,800 uniforms: both halves and the extremes of the range are reached
+        assert a.min() < -0.999 and a.max() > 0.999 and abs(a.mean()) < 0.02
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            lpnorm._uniform_rows(-1, 1, 1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            gm_ratio_sample(GEO, 3.0, trials=1, seed=-3)
 
 
 class TestRatioSampleMatrix:
@@ -371,9 +414,8 @@ class TestRatioSampleNodeRoute:
         # the same seeded vectors in the same order, each norm from lp_norm
         n_count, trials, seed = 24, 30, 5
         lam = np.array(self.P3.exponents[:n_count])
-        rng = np.random.default_rng(seed)
         vectors = [np.eye(n_count)[k] for k in range(n_count)]
-        vectors += [rng.uniform(-1.0, 1.0, n_count) for _ in range(trials)]
+        vectors += uniform_draws(seed, trials, n_count)
         ratios = [lp_norm(MuntzPolynomial(self.P3, tuple(a)), mu, 3.0)
                   / math.fsum(np.abs(a) ** 3 / (3.0 * lam + 1.0)) ** (1 / 3) for a in vectors]
         res = gm_ratio_sample(self.P3, 3.0, trials=trials, seed=seed, n_count=n_count)

@@ -113,6 +113,8 @@ class EnvelopeBracket(NamedTuple):
     ratio_min: float
     ratio_max: float
     profile: tuple[tuple[float, float], ...]  # (t, ratio) pairs
+    log_ratio_min: float  # the logs of the edges, kept where a ratio leaves the float range
+    log_ratio_max: float
 
 
 def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
@@ -122,7 +124,9 @@ def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
     from 0 and infinity; for merely lacunary ones only the upper edge is
     meaningful.  The series is summed in the log domain over the whole
     stored prefix; past 2^j ~ lam_max the ratio falls like 2^(-alpha j), so
-    j runs over 1..min(40, max(1, floor(log2 lam_max))).
+    j runs over 1..min(40, max(1, floor(log2 lam_max))).  The bracket keeps
+    the log of each edge beside its float, which underflows to 0 where the
+    ratios lie below the smallest float (lam_0 = 1e-300 at alpha = 2).
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -131,9 +135,11 @@ def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
     eps = 2.0 ** -np.arange(1, j_max + 1.0)
     # j x prefix: log(lam**alpha t**lam) at t = 1 - eps_j
     term_logs = alpha * np.log(lams) + np.multiply.outer(np.log1p(-eps), lams)
-    ratios = np.exp(logsumexp(term_logs, axis=1) + alpha * np.log(eps)).tolist()
+    logs = logsumexp(term_logs, axis=1) + alpha * np.log(eps)
+    ratios = np.exp(logs).tolist()
     profile = tuple(zip((1.0 - eps).tolist(), ratios))
-    return EnvelopeBracket(min(ratios), max(ratios), profile)
+    return EnvelopeBracket(min(ratios), max(ratios), profile,
+                           float(logs.min()), float(logs.max()))
 
 
 def point_eval_norm(seq: ExponentSequence, p: float, t: float) -> float:

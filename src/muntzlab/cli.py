@@ -303,15 +303,16 @@ def suite_envelope(seq, alpha_list) -> list[dict]:
     checks = []
     for alpha in alpha_list:
         br = bounds_mod.envelope_check(seq, alpha)
-        ok = br.ratio_min > 0.0 and math.isfinite(br.ratio_max)
+        edges = {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max,
+                 "log_ratio_min": br.log_ratio_min, "log_ratio_max": br.log_ratio_max}
+        # decided on the logs: a ratio below the smallest float is still positive
+        ok = br.log_ratio_min > -math.inf and br.log_ratio_max < math.inf
         checks.append(check(f"envelope-positive-finite-alpha={alpha:g}",
-                            "bounds.envelope_check", "PASS" if ok else "FAIL",
-                            ratio_min=br.ratio_min, ratio_max=br.ratio_max))
+                            "bounds.envelope_check", "PASS" if ok else "FAIL", **edges))
+        width = (br.ratio_max / br.ratio_min if br.ratio_min > 0.0 else
+                 LogValue.from_log(br.log_ratio_max - br.log_ratio_min).to_float())
         checks.append(check(f"envelope-bracket-alpha={alpha:g}",
-                            "bounds.envelope_check", "EVIDENCE",
-                            ratio_min=br.ratio_min, ratio_max=br.ratio_max,
-                            width=br.ratio_max / br.ratio_min if br.ratio_min > 0.0
-                            else math.inf))
+                            "bounds.envelope_check", "EVIDENCE", **edges, width=width))
     return checks
 
 

@@ -110,13 +110,20 @@ def logsumexp(logs, axis: int | None = None, return_shares: bool = False):
     return _exp_shifted(scaled, axis)[0]
 
 
-def _exp_shifted(a: np.ndarray, axis: int | None) -> tuple:
+def _shift_exp(a: np.ndarray, axis: int | None) -> np.ndarray:
     """Overwrite ``a`` with exp(a - m), m the maximum of each slice (0 for an
-    all -inf one); return the log-sum-exp and the slice sums of the result."""
+    all -inf one); return m, kept as a length-1 axis."""
     m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
     m = np.where(m == -np.inf, 0.0, m)
     a -= m
     np.exp(a, out=a)
+    return m
+
+
+def _exp_shifted(a: np.ndarray, axis: int | None) -> tuple:
+    """Overwrite ``a`` with exp(a - m) (``_shift_exp``); return the
+    log-sum-exp and the slice sums of the result."""
+    m = _shift_exp(a, axis)
     total = np.sum(a, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         out = np.log(total) + m
@@ -138,12 +145,20 @@ def signed_logsumexp(logs, signs, axis: int = -1) -> tuple[np.ndarray, np.ndarra
     The signed counterpart of ``logsumexp``: each slice is shifted by its
     largest log before the signed terms are summed, so a sum far below the
     float range keeps its logarithm.  A slice that is empty, all -inf or
-    cancels exactly gives (-inf, 0).
+    cancels exactly gives (-inf, 0).  ``logs`` is left as it is: the kernel
+    ``_signed_log_sum`` works on a copy.
     """
-    a = np.asarray(logs, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
-    m = np.where(m == -np.inf, 0.0, m)
-    s = np.sum(np.sign(signs) * np.exp(a - m), axis=axis, keepdims=True)
+    return _signed_log_sum(np.array(logs, dtype=float), signs, axis)
+
+
+def _signed_log_sum(a: np.ndarray, signs, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``signed_logsumexp(a, signs, axis)`` that overwrites ``a`` (a float
+    array; ``signs`` broadcasts against it) with the signed terms
+    sign * exp(a - m) instead of allocating them: the same operations in the
+    same order, so the same bits."""
+    m = _shift_exp(a, axis)
+    a *= np.sign(signs)
+    s = np.sum(a, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(s)) + m
     return np.squeeze(log_abs, axis=axis), np.squeeze(np.sign(s), axis=axis)

@@ -4,10 +4,15 @@
 all the rows of one coefficient matrix, validated once, on one node set.
 Against atoms, densities and restrictions each norm is a log-domain sum
 over the nodes x terms matrix on ``measures.measure_nodes``, with a signed
-log-sum-exp for the value at each node.  ``log_lp_norm`` is its one-row
-view and comes back as a ``LogValue``; ``lp_norm`` is the float edge, where
-a norm below the smallest subnormal reads 0.0.  ``gm_ratio_sample`` takes
-its Lebesgue norms on those nodes too, through the same per-row loop.
+log-sum-exp for the value at each node, computed in place in the one
+nodes x terms array a row allocates.  Rows with one nonzero coefficient are
+monomials, where that signed sum is the identity: they take one
+log-sum-exp over the nodes together, bit for bit the per-row result.
+``log_lp_norm`` is its one-row view and comes back as a ``LogValue``;
+``lp_norm`` is the float edge, where a norm below the smallest subnormal
+reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue norms on those nodes too,
+through the same rows (``_node_log_norms``).  The nodes are graded toward
+t = 0 when p * lam_0 is not an integer, where |f|**p is not smooth there.
 Lebesgue rows alone add |f|**p in floats over the dyadic panels of
 ``measures.integrate_to_one``: a nodes x vectors matmul over all rows runs
 several times faster, but the benchmark harness keeps every battery's
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogValue, logsumexp, signed_logsumexp
+from .logdomain import LogValue, _exp_shifted, _signed_log_sum, logsumexp
 from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, integrate_to_one,
                        log_powers, measure_nodes)
 from .sequences import ExponentSequence, classify
@@ -75,8 +80,10 @@ def _check_quadrature(max_exponent: float, mu: Measure, p: float) -> None:
 
 def _node_logs(mu: Measure, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The nodes x terms matrix lam_j log t_k and log w_k on ``measure_nodes``
-    sized by p * lam_max, for any number of ``_log_pth_power`` calls."""
-    log_t, w = measure_nodes(mu, sharpness=p * max(float(lam[-1]), 1.0))
+    sized by p * lam_max toward t = 1 and graded by p * lam_0 toward t = 0,
+    for any number of ``_log_pth_power`` calls."""
+    log_t, w = measure_nodes(mu, sharpness=p * max(float(lam[-1]), 1.0),
+                             low_power=p * float(lam[0]))
     with np.errstate(divide="ignore"):
         return log_powers(log_t, lam), np.log(w)
 
@@ -86,18 +93,39 @@ def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: flo
     terms matrix log_pow of lam_j log t_k and the log weights log_w.
 
     log|f(t_k)| is a signed log-sum-exp along each row of log|a_j| + log_pow,
-    then one log-sum-exp over the nodes; no step leaves the log domain.
+    then one log-sum-exp over the nodes; no step leaves the log domain.  The
+    one nodes x terms array it allocates, log|a_j| + log_pow, is overwritten
+    in place by the signed kernel (``signed_logsumexp`` on a copy).
     """
     with np.errstate(divide="ignore"):
         logs = log_pow + np.log(np.abs(a))
-    return logsumexp(log_w + p * signed_logsumexp(logs, a, axis=1)[0])
+    return logsumexp(log_w + p * _signed_log_sum(logs, a, axis=1)[0])
 
 
 def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
-                    p: float) -> list[float]:
-    """log ||f||_p of each row of coeffs on the nodes of ``_node_logs``: one
-    ``_log_pth_power`` per row, over the one nodes x terms matrix."""
-    return [_log_pth_power(log_pow, log_w, a, p) / p for a in coeffs]
+                    p: float) -> np.ndarray:
+    """log ||f||_p of each row of coeffs on the nodes of ``_node_logs``.
+
+    A row with one nonzero coefficient a_j is a monomial, on which the signed
+    log-sum-exp of ``_log_pth_power`` is the identity, so all such rows take
+    one log-sum-exp along the nodes of the contiguous rows x nodes matrix
+    p (lam_j log t_k + log|a_j|) + log w_k: the per-row result bit for bit.
+    Every other row takes one ``_log_pth_power`` over the one nodes x terms
+    matrix; an all-zero row is -inf.
+    """
+    nonzero = np.count_nonzero(coeffs, axis=1)
+    out = np.full(len(coeffs), -math.inf)
+    mono = np.flatnonzero(nonzero == 1)
+    if mono.size:
+        cols = np.argmax(coeffs[mono] != 0.0, axis=1)
+        terms = np.ascontiguousarray(log_pow.T[cols])
+        terms += np.log(np.abs(coeffs[mono, cols]))[:, None]
+        terms *= p
+        terms += log_w
+        out[mono] = _exp_shifted(terms, 1)[0] / p
+    for i in np.flatnonzero(nonzero > 1).tolist():
+        out[i] = _log_pth_power(log_pow, log_w, coeffs[i], p) / p
+    return out
 
 
 def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.ndarray:
@@ -125,11 +153,12 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     lam = seq.exponents[:a.shape[1]]
     _check_quadrature(lam[-1], mu, p)
     if not isinstance(mu, Lebesgue):
-        return np.array(_node_log_norms(*_node_logs(mu, np.array(lam), p), a, p))
+        return _node_log_norms(*_node_logs(mu, np.array(lam), p), a, p)
     logs, sharpness = [], p * max(lam[-1], 1.0)
     for row in a.tolist():
         val = integrate_to_one(
-            lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness)
+            lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness,
+            low_power=p * lam[0])
         norm = LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
         logs.append(-math.inf if norm.is_zero else norm.log)
     return np.array(logs)
@@ -142,12 +171,15 @@ def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     For every measure but Lebesgue the norm is (1/p) ``_log_pth_power`` on
     the nodes of ``_node_logs``, so a norm far below the float range
     (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm; for
-    atoms the sum is exact at any exponent.  ``gm_ratio_sample`` runs the
-    same per-row loop, on Lebesgue measure too, with one node set for all
-    its vectors.  A Lebesgue norm here (``suite_diagonal``'s random vectors,
-    the ``norm`` command) is still the float quadrature ``integrate_to_one``
-    of |f|**p, where a norm whose p-th power underflows comes back zero.  A
-    nodes x vectors matmul over all rows would be faster still, but
+    atoms the sum is exact at any exponent.  ``_log_pth_power`` overwrites
+    its one nodes x terms array in place; a monomial row skips it for the
+    log-sum-exp over the nodes that it reduces to, with the same bits.
+    ``gm_ratio_sample`` takes the same rows (``_node_log_norms``), on
+    Lebesgue measure too, with one node set for all its vectors.  A Lebesgue
+    norm here (``suite_diagonal``'s random vectors, the ``norm`` command) is
+    still the float quadrature ``integrate_to_one`` of |f|**p, where a norm
+    whose p-th power underflows comes back zero.  A nodes x vectors matmul
+    over the rows with two nonzero terms or more would be faster still, but
     perfbench keeps the outputs of every battery it runs, so more batteries
     in its 35 s read as more peak memory.  Measured with that kernel in
     ``log_lp_norms`` (2 pairs each, while the coefficient draws still
@@ -226,10 +258,13 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     ``canonical`` spans the first n.  For p = 2 the numerators are the exact
     Gram form sqrt(a^T G a), one stacked matmul over the rows.  At every other
     p they take the node route of ``log_lp_norms``: the sample builds one
-    ``measure_nodes`` set, sized by p * lam_{n-1}, and the nodes x terms matrix
-    lam_j log t_k once, and each row takes one ``_log_pth_power`` over them, so
-    the working set is one nodes x terms matrix.  The denominators are one
-    array expression up to the 1/p root, which each row takes as a float.
+    ``measure_nodes`` set, sized by p * lam_{n-1} toward t = 1 and graded by
+    p * lam_0 toward t = 0, and the nodes x terms matrix lam_j log t_k once.
+    The n canonical rows are monomials and take one log-sum-exp over the
+    nodes together; each other row takes one ``_log_pth_power``, which
+    works in place in one nodes x terms array, so the working set is two
+    such matrices.  The denominators are one array expression up to the 1/p
+    root, which each row takes as a float.
     Warns when ``classify`` flags the prefix's ratio trend as non-lacunary,
     where the isomorphism with l^p is not expected and the bracket may
     degenerate.
@@ -253,8 +288,8 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
         norms = np.sqrt(np.maximum(forms, 0.0))
     else:
         _check_quadrature(seq[n_count - 1], Lebesgue(), p)
-        norms = np.array([LogValue.from_log(v).to_float()
-                          for v in _node_log_norms(*_node_logs(Lebesgue(), lam, p), coeffs, p)])
+        logs = _node_log_norms(*_node_logs(Lebesgue(), lam, p), coeffs, p)
+        norms = np.array([LogValue.from_log(v).to_float() for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit
     ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])

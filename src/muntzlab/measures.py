@@ -63,13 +63,39 @@ def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> fl
     return half * float(np.dot(w, f(np.log1p(-(mid + half * x)))))
 
 
+def _graded_edges(low_power: float | None, hi: float) -> np.ndarray | None:
+    """Panel edges in t that grade [0, hi / 2] toward t = 0, or None.
+
+    t**s with s not an integer is not smooth at t = 0, where one
+    Gauss-Legendre panel on [0, hi / 2] misses up to 5e-5 of its integral
+    (Schwab, Computing 53, 1994).  For such an s, the smallest power the
+    integrand holds near t = 0, the panel is split into K = ceil(40 / (1 + s))
+    panels on t in hi * [2**-(k+1), 2**-k], k = 1..K, and a closing panel on
+    [0, hi * 2**-(K+1)], which holds about 2**-40 of the integral.  An integer
+    s (or none) keeps the one panel.
+    """
+    if low_power is None or float(low_power).is_integer():
+        return None
+    count = math.ceil(40.0 / (1.0 + low_power))
+    return hi * np.concatenate([[0.0], 2.0 ** -np.arange(count + 1, 0.0, -1.0)])
+
+
+def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between ``edges``, one
+    row per panel."""
+    x, w = _gl_nodes(GL_ORDER)
+    left, right = edges[:-1, None], edges[1:, None]
+    return (0.5 * (left + right) + 0.5 * (right - left) * x), 0.5 * (right - left) * w
+
+
 def _check_sharpness(sharpness: float) -> None:
     if not math.isfinite(sharpness):
         raise ValueError(f"node sharpness must be finite, got {sharpness} "
                          "(p * lam beyond the float range?)")
 
 
-def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
+def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
+                     low_power: float | None = None) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
     The float-valued quadrature of single Lebesgue L^p norms (the docstring
@@ -85,15 +111,24 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) ->
     compensated sum of the ones before, so no panel is evaluated or summed
     twice, and takes the new closing panel into a copy of that sum.  The
     summation order is that of a pass summing from panel 1, so the result
-    is bit for bit the same.
+    is bit for bit the same.  ``low_power`` is the smallest power of t that
+    g holds near t = 0; when it is not an integer, panel 1 (t in [0, 1/2])
+    is graded toward t = 0 as in ``measure_nodes`` (``_graded_edges``), its
+    panels summed from t = 0 up, with log t taken of t itself.
     """
     _check_sharpness(sharpness)
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
     acc, right, summed = NeumaierSum(), 1.0, 0
+    graded = _graded_edges(low_power, 1.0)
     while True:
         for j in range(summed + 1, depth + 1):
             left = 2.0 ** (-j)
-            acc.add(_gl_panel(f, left, right))
+            if j == 1 and graded is not None:
+                t, w = _gl_panels(graded)
+                for t_k, w_k in zip(t, w):
+                    acc.add(float(np.dot(w_k, f(np.log(t_k)))))
+            else:
+                acc.add(_gl_panel(f, left, right))
             right = left
         summed = depth
         closing = _gl_panel(f, 0.0, right)
@@ -423,7 +458,8 @@ def _log_poisson_kernel(log_t: np.ndarray, w: np.ndarray, s: np.ndarray,
         return logsumexp(np.log(w) - power * np.log(base), axis=-1)
 
 
-def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
+def measure_nodes(mu: Measure, sharpness: float,
+                  low_power: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(log t, weight) pairs so that integral f dmu ~= sum w_i f(t_i).
 
     The one node generator behind every integral against a measure other
@@ -435,7 +471,10 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     the support and than 1 - b itself, but no finer than the float spacing
     at u = 1 - b; the closing panel is a Gauss-Jacobi rule for the
     density's factor u**alpha where it reaches u = 0 (exact even where that
-    is singular), and a Gauss-Legendre one otherwise.
+    is singular), and a Gauss-Legendre one otherwise.  ``low_power`` is the
+    smallest power of t the integrand holds near t = 0 (p * lam_0 for an L^p
+    norm); when it is not an integer and the support starts at t = 0, the
+    panel next to t = 0 is graded toward it (``_graded_edges``), in t.
     """
     _check_sharpness(sharpness)
     if isinstance(mu, AtomicMeasure):
@@ -447,7 +486,6 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
     else:
         raise TypeError(f"not a measure: {mu!r}")
     density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
-    xg, wg = _gl_nodes(GL_ORDER)
     u_end = 1.0 - hi
     if u_end > 0.0:
         # u**alpha and 1/u vary on the scale u_end near the right end
@@ -457,16 +495,23 @@ def measure_nodes(mu: Measure, sharpness: float) -> tuple[np.ndarray, np.ndarray
         # a deeper panel would be narrower than the float spacing at u_end: zero weight
         depth = min(depth, max(1, int(math.log2((hi - lo) / u_end)) + 52))
     edges = u_end + (hi - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
-    left, right = edges[:-1, None], edges[1:, None]
-    u = (0.5 * (left + right) + 0.5 * (right - left) * xg).ravel()
-    w = (0.5 * (right - left) * wg).ravel() * density.g(u)
+    graded = _graded_edges(low_power, hi) if lo == 0.0 else None
+    if graded is not None:
+        edges = edges[:-1]  # the panel t in [0, hi / 2] is graded below
+    u, w = (v.ravel() for v in _gl_panels(edges))
+    w = w * density.g(u)
     # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre
     alpha = density.exponent if u_end == 0.0 else 0.0
     s, ws = _gauss_jacobi(alpha)
     eps = edges[0] - u_end
     u_close = u_end + eps * s
     w_close = density.scale * u_close ** (density.exponent - alpha) * eps ** (alpha + 1.0) * ws
-    return np.log1p(-np.concatenate([u_close, u])), np.concatenate([w_close, w])
+    log_t, weights = np.log1p(-np.concatenate([u_close, u])), np.concatenate([w_close, w])
+    if graded is None:
+        return log_t, weights
+    # built in t: near t = 0, 1 - u has lost the digits of t
+    t, wt = (v.ravel() for v in _gl_panels(graded))
+    return np.concatenate([log_t, np.log(t)]), np.concatenate([weights, wt * density.g(1.0 - t)])
 
 
 def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:

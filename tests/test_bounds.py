@@ -171,6 +171,23 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope_check(GEO50, 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_log_edges_are_the_logs_of_the_ratios(self, alpha):
+        br = envelope_check(GEO50, alpha)
+        ratios = [r for _, r in br.profile]
+        assert math.exp(br.log_ratio_min) == pytest.approx(min(ratios), rel=1e-14)
+        assert math.exp(br.log_ratio_max) == pytest.approx(max(ratios), rel=1e-14)
+
+    def test_log_edges_below_the_float_range(self):
+        # lam_n = 1e-300 2**n: the one ratio (j = 1) at alpha = 2 is
+        # (sum_n lam_n**2 2**-lam_n) / 4 = 1e-600 (sum_n 4**n 2**-lam_n) / 4,
+        # about e**-1361.9
+        br = envelope_check(generate_geometric(1e-300, 2, 16), 2.0)
+        assert br.ratio_min == br.ratio_max == 0.0
+        want = 2.0 * math.log(1e-300) + math.log(
+            math.fsum(4.0 ** n * 0.5 ** (1e-300 * 2.0 ** n) for n in range(16)) / 4.0)
+        assert br.log_ratio_min == br.log_ratio_max == pytest.approx(want, rel=1e-14)
+
 
 class TestPointEval:
     def test_series_value(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muntzlab.logdomain import LogValue, NeumaierSum, logsumexp, signed_logsumexp
+from muntzlab.logdomain import (LogValue, NeumaierSum, _signed_log_sum, logsumexp,
+                                signed_logsumexp)
 
 
 def log_sum(logs):
@@ -99,3 +100,30 @@ def test_signed_logsumexp_below_float_range():
     assert log_abs[1] == -math.inf and log_abs[3] == -math.inf
     assert log_abs[2] == pytest.approx(math.log(2.0), rel=1e-15)
     assert sign.tolist() == [1.0, 0.0, -1.0, 0.0]
+
+
+def test_signed_logsumexp_leaves_its_input_unchanged():
+    logs = np.array([[-1000.0, 2.0, -math.inf], [0.5, 0.5, 0.0]])
+    kept = logs.copy()
+    signed_logsumexp(logs, np.array([1.0, -1.0, 1.0]), axis=1)
+    assert np.array_equal(logs, kept)
+
+
+def test_signed_kernel_in_place_is_the_allocating_formula_bit_for_bit():
+    # sign * exp(a - m) summed along the axis, each temporary a new array
+    rng = np.random.default_rng(3)
+    logs = rng.uniform(-800.0, 5.0, (300, 24))
+    logs[:, 5] = -math.inf
+    logs[7] = -math.inf
+    signs = rng.choice([-1.0, 0.0, 1.0], 24)
+    m = np.max(logs, axis=1, keepdims=True, initial=-np.inf)
+    m = np.where(m == -np.inf, 0.0, m)
+    s = np.sum(np.sign(signs) * np.exp(logs - m), axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        want = (np.log(np.abs(s)) + m)[:, 0], np.sign(s)[:, 0]
+    scratch = logs.copy()
+    got = _signed_log_sum(scratch, signs, axis=1)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert not np.array_equal(scratch, logs)  # its terms were overwritten
+    assert [v.tolist() for v in signed_logsumexp(logs, signs, axis=1)] == \
+        [v.tolist() for v in want]

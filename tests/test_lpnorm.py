@@ -4,15 +4,16 @@ import random
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from muntzlab import lpnorm
-from muntzlab.logdomain import NeumaierSum
-from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_logs, amgm_probe,
-                             gm_ratio_sample, l2_norm_gram, log_lp_norm, log_lp_norms,
-                             lp_norm, pairing_integral)
+from muntzlab.logdomain import NeumaierSum, logsumexp, signed_logsumexp
+from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_log_norms, _node_logs,
+                             amgm_probe, gm_ratio_sample, l2_norm_gram, log_lp_norm,
+                             log_lp_norms, lp_norm, pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
@@ -230,6 +231,113 @@ class TestLogLpNorms:
     def test_matrix_is_checked_like_a_polynomial(self, coeffs, match):
         with pytest.raises(ValueError, match=match):
             log_lp_norms(GEO, coeffs, Lebesgue(), 2.0)
+
+
+def per_row_log_norm(log_pow, log_w, a, p):
+    """log ||f||_p on the nodes, one row alone, through the public kernels:
+    a signed log-sum-exp over the terms at each node, then one over the nodes."""
+    with np.errstate(divide="ignore"):
+        logs = log_pow + np.log(np.abs(a))
+    return logsumexp(log_w + p * signed_logsumexp(logs, a, axis=1)[0]) / p
+
+
+class TestNodeLogNorms:
+    """Monomial rows as one log-sum-exp over the nodes, the others row by row."""
+
+    MEASURES = {
+        "lebesgue": Lebesgue(),
+        "atoms-at-t=0": atoms([(1.0, 0.5), (0.5, 1.0), (0.1, 2.0), (1e-6, 0.25)]),
+        "density": DensityMeasure("oneminus_power", alpha=0.5),
+    }
+    SEQS = {
+        "geometric:1,2,8": generate_geometric(1, 2, 8),
+        "lam0=0": ExponentSequence((0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
+        "geometric:0.3,2,8": generate_geometric(0.3, 2, 8),  # graded toward t = 0
+    }
+
+    @staticmethod
+    def rows(n):
+        eye = np.eye(n)
+        return np.vstack([
+            eye,                                     # canonical rows
+            -3.0 * eye[1], 1e-300 * eye[2], -1e-300 * eye[n - 1], 0.7 * eye[0],
+            np.zeros(n),                             # all zero
+            np.where(np.arange(n) % 3 == 0, 0.0, 1.0) * np.linspace(-1.0, 1.0, n),
+            eye[0] - 2.0 * eye[n - 1],               # two nonzero, the rest zero
+            1e-300 * eye[1] + eye[3],
+            np.random.default_rng(8).uniform(-1.0, 1.0, (4, n)),
+        ])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("seq", list(SEQS))
+    @pytest.mark.parametrize("mu", list(MEASURES))
+    def test_rows_are_the_per_row_route_bit_for_bit(self, mu, seq, p):
+        exps = self.SEQS[seq]
+        log_pow, log_w = _node_logs(self.MEASURES[mu], np.array(exps.exponents), p)
+        coeffs = self.rows(len(exps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _node_log_norms(log_pow, log_w, coeffs, p)
+        want = [per_row_log_norm(log_pow, log_w, a, p) for a in coeffs]
+        assert got.tolist() == want
+        zero = len(exps) + 4
+        assert got[zero] == -math.inf and np.isfinite(np.delete(got, zero)).all()
+
+    def test_monomial_rows_below_the_float_range(self):
+        # log ||1e-300 t**1000||_2 on [0, 1/2) = log 1e-300 + log ||t**1000||_2
+        seq, mu = ExponentSequence((1.0, 1000.0)), restrict(Lebesgue(), 0.0, 0.5)
+        got = log_lp_norms(seq, [[0.0, 1e-300], [0.0, -1.0]], mu, 2.0)
+        assert got[0] == pytest.approx(math.log(1e-300) + got[1], rel=1e-14)
+        assert got[1] == pytest.approx(0.5 * (2001 * math.log(0.5) - math.log(2001)),
+                                       rel=1e-14)
+
+    def test_per_row_kernel_only_for_rows_with_two_nonzero_terms(self, monkeypatch):
+        # report-p3's basis sample: 24 canonical rows and 100 random ones
+        seen = []
+        real = lpnorm._log_pth_power
+        monkeypatch.setattr(lpnorm, "_log_pth_power",
+                            lambda *a: seen.append(np.count_nonzero(a[2])) or real(*a))
+        gm_ratio_sample(generate_geometric(1, 2, 60), 3.0, trials=100, n_count=24)
+        assert len(seen) == 100 and min(seen) >= 2
+        seen.clear()
+        log_pow, log_w = _node_logs(Lebesgue(), np.array(GEO.exponents), 3.0)
+        _node_log_norms(log_pow, log_w, self.rows(len(GEO)), 3.0)
+        assert len(seen) == 7 and min(seen) >= 2  # the last 7 of ``rows``
+
+
+def mp_log_norm(exps, coeffs, p, alpha=None):
+    """log of (integral_0^1 |f|**p g dt)**(1/p), f = sum_j a_j t**lam_j with
+    positive a_j, g = 1 or (1 - t)**alpha: mpmath, 30 digits, tanh-sinh with
+    the endpoint t = 0 where t**(p lam_0) is not smooth."""
+    with mpmath.workdps(30):
+        def g(t):
+            f = mpmath.fsum(mpmath.mpf(a) * t ** mpmath.mpf(l) for a, l in zip(coeffs, exps))
+            return f ** p * ((1 - t) ** mpmath.mpf(alpha) if alpha is not None else 1)
+        return float(mpmath.log(mpmath.quad(g, [0, 0.25, 1])) / p)
+
+
+class TestNormsNearTZero:
+    """t**(p lam_0) with p lam_0 not an integer: graded panels toward t = 0."""
+
+    COEFFS = [[1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.25, 0.125]]  # no sign change on [0, 1]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("lam0", [0.01, 0.3, 0.5])
+    @pytest.mark.parametrize("mu, alpha", [(Lebesgue(), None),
+                                           (DensityMeasure("uniform"), None),
+                                           (DensityMeasure("oneminus_power", alpha=0.5), 0.5)],
+                             ids=["lebesgue", "uniform-density", "oneminus_power"])
+    def test_norms_against_mpmath(self, lam0, p, mu, alpha):
+        seq = generate_geometric(lam0, 3, 4)
+        got = log_lp_norms(seq, self.COEFFS, mu, p)
+        want = [mp_log_norm(seq.exponents, a, p, alpha) for a in self.COEFFS]
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("lam0", [0.01, 0.3, 0.5])
+    def test_canonical_ratios_are_one(self, lam0, p):
+        res = gm_ratio_sample(generate_geometric(lam0, 2, 16), p, trials=0)
+        assert res.canonical == pytest.approx((1.0, 1.0), abs=1e-13)
 
 
 class TestRatioSample:

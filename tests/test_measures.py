@@ -219,6 +219,50 @@ class TestNodes:
                 measure_nodes(mu, sharpness)
 
 
+class TestGradedTowardZero:
+    """A non-integer smallest power s near t = 0 grades the panel [0, hi/2]."""
+
+    @pytest.mark.parametrize("mu", [Lebesgue(), DensityMeasure("oneminus_power", alpha=0.5),
+                                    restrict(Lebesgue(), 0.0, 0.5),
+                                    restrict(Lebesgue(), 0.25, 1.0), GEOM30],
+                             ids=["lebesgue", "density", "restricted-at-0",
+                                  "restricted-past-0", "atoms"])
+    @pytest.mark.parametrize("low_power", [None, 0.0, 1.0, 3.0, 12.0])
+    def test_integer_power_keeps_the_nodes_bit_for_bit(self, mu, low_power):
+        log_t, w = measure_nodes(mu, 96.0, low_power=low_power)
+        want_t, want_w = measure_nodes(mu, 96.0)
+        assert log_t.tolist() == want_t.tolist() and w.tolist() == want_w.tolist()
+
+    @pytest.mark.parametrize("s, count", [(0.01, 40), (0.3, 31), (1.5, 16), (20.5, 2)])
+    def test_panel_count_and_exact_power(self, s, count):
+        log_t, w = measure_nodes(Lebesgue(), 96.0, low_power=s)
+        assert len(log_t) == len(measure_nodes(Lebesgue(), 96.0)[0]) + 24 * count
+        assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
+        assert float(np.dot(w, np.exp(s * log_t))) == pytest.approx(1.0 / (1.0 + s), rel=1e-15)
+        assert integrate_to_one(lambda lt: np.exp(s * lt), 96.0, low_power=s) == \
+            pytest.approx(1.0 / (1.0 + s), rel=1e-15)
+
+    def test_nodes_near_zero_keep_their_digits(self):
+        # the closing panel reaches t ~ 2**-45; log t from 1 - u would read
+        # log(1 - (1 - t)) with t's low digits gone
+        log_t, _ = measure_nodes(Lebesgue(), 8.0, low_power=0.01)
+        assert log_t.min() < -45.0 * math.log(2.0)
+        assert np.unique(log_t).size == log_t.size
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 2.4])
+    def test_restriction_at_zero_is_graded_in_its_own_scale(self, s):
+        # integral of t**s over [0, 1/2) = 2**-(1+s) / (1+s)
+        log_t, w = measure_nodes(restrict(Lebesgue(), 0.0, 0.5), 8.0, low_power=s)
+        assert float(np.dot(w, np.exp(s * log_t))) == pytest.approx(
+            0.5 ** (1.0 + s) / (1.0 + s), rel=1e-15)
+
+    def test_integer_power_keeps_integrate_to_one_bit_for_bit(self):
+        def f(lt):
+            return np.abs(np.exp(lt) - 0.5 * np.exp(3.0 * lt)) ** 3.0
+
+        assert integrate_to_one(f, 9.0, low_power=3.0) == integrate_to_one(f, 9.0)
+
+
 def _resumming_integrate_to_one(f, sharpness):
     """integrate_to_one with every pass summing from panel 1 again: the same
     panels in u = 1 - t, closing rule and summation order."""

@@ -547,7 +547,9 @@ def _cmd_moments(args) -> int:
         rows.append({"n": i, "lambda_n": lam,
                      "moment_p_lambda": m.to_float(),
                      "log_moment": None if m.is_zero else m.log,
-                     "monomial_test": lam * m.to_float()})
+                     # lam * moment formed in logs: the moment alone may underflow
+                     "monomial_test": LogValue.from_log(math.log(lam) + log_m).to_float()
+                     if lam > 0.0 else 0.0})
     _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
                                             "p": args.p}, "rows": rows},
           args, "moments", as_csv=args.format == "csv")
@@ -591,7 +593,8 @@ def _cmd_bounds(args) -> int:
         formula, value = "crossterm", {"lhs": res.lhs, "rhs": res.rhs}
     elif formula == "envelope":
         br = bounds_mod.envelope_check(parse_sequence(args.seq), args.alpha)
-        value = {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max}
+        value = {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max,
+                 "log_ratio_min": br.log_ratio_min, "log_ratio_max": br.log_ratio_max}
     else:  # point_eval
         value = bounds_mod.point_eval_norm(parse_sequence(args.seq), args.p, args.t)
     # the inputs are the options this formula reads

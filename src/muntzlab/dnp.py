@@ -14,12 +14,14 @@ in the log domain, on one of three routes:
   overflows.  This is the closed-form special case of the node route.
 - every other case (atoms, densities and restrictions at any p, Lebesgue
   at p != 2): the node route.  s is summed at every node of
-  ``measure_nodes`` in one nodes x prefix log-sum-exp, and the outer
-  integral is one more log-sum-exp over the nodes.  For atoms the nodes are
-  the atoms themselves, so at p = 2 this is the exact double series,
-  reordered.  The nodes are sized by p * lam of the last prefix entry, not
-  of the last n asked for, because the late terms of s live that close to
-  t = 1.
+  ``measures.node_log_powers``, the one builder of node integrals, in one
+  nodes x prefix log-sum-exp, and the outer integral is one more
+  log-sum-exp over the nodes.  For atoms the nodes are the atoms
+  themselves, so at p = 2 this is the exact double series, reordered.  The
+  nodes are sized by p * lam of the last prefix entry, not of the last n
+  asked for, because the late terms of s live that close to t = 1, and
+  graded toward t = 0 by the builder's one rule (the smallest non-integer
+  among p * lam_k and lam_k - lam_0).
 
 Both series routes report their truncation the same way (``TruncationInfo``).
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .hilbert import _schatten_norms
 from .logdomain import LogValue, _log_shares, logsumexp
-from .measures import Lebesgue, Measure, log_powers, measure_nodes, moments
+from .measures import Lebesgue, Measure, moments, node_log_powers
 from .sequences import ExponentSequence
 
 _WINDOW_FRAC = 0.25  # operator_bounds' limsup proxy: the trailing quarter of the profile
@@ -69,25 +71,22 @@ class WeightScheme:
 @dataclass(frozen=True)
 class TruncationInfo:
     """How much of D_n**p the finite prefix may leave out, and how much of
-    the prefix it needed.
-
-    On both series routes (the node route and the Lebesgue p = 2 rows):
+    the prefix it needed, by one rule on both series routes (the node route
+    and the Lebesgue p = 2 rows, where row n of the double series plays the
+    node):
       tail_ratio  the estimated relative change of D_n**p if the inner
                   series s ran on past the prefix: (p - 1) times the sum
                   over nodes of the node's share of D_n**p times tau, the
-                  node's omitted tail of s over s.  tau extends the node's
-                  last two terms as a geometric series,
-                  last * rho / (1 - rho) / s with rho = last / second-to-last,
-                  and is 1 where s still grows at the end of the prefix
-                  (rho >= 1).  The Lebesgue p = 2 rows apply the same rule
-                  to row n of the double series.  Against mpmath sums over
-                  longer prefixes it lies between 1 and 10 times the true
-                  change (tests).
+                  node's omitted tail of s over s.  tau extends the last two
+                  terms as a geometric series, last * rho / (1 - rho) / s
+                  with rho = last / second-to-last, and is 1 where s still
+                  grows at the end of the prefix (rho >= 1).  Against mpmath
+                  sums over longer prefixes it lies between 1 and 10 times
+                  the true change (tests).
       cutoff      the last inner index k whose first-order share of D_n**p,
-                  (p - 1) * sum over nodes of the node's share of D_n**p
-                  times term_k / s, is at least tol (term_nk / row sum on
-                  the Lebesgue p = 2 rows); 0 if no term reaches tol.  The
-                  terms past it change D_n**p by less than tol each.
+                  (p - 1) * sum over nodes of the node's share times
+                  term_k / s, is at least tol; 0 if none.  The terms past
+                  it change D_n**p by less than tol each.
       safe        tail_ratio < tol.
     p = 1 has no inner series: tail_ratio 0, cutoff n, safe.
     """
@@ -153,16 +152,14 @@ def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
 
 def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
                 n_count: int, tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
-    # a float product: p * lam beyond the float range is inf, which measure_nodes refuses
-    log_t, node_w = measure_nodes(mu, sharpness=p * float(lams[-1]))
-    terms = log_powers(log_t, lams)  # nodes x prefix, updated in place
+    terms, log_w = node_log_powers(mu, lams, p)  # nodes x prefix, updated in place
     terms += inv_root
     head, last = terms[:, :n_count].copy(), terms[:, -2:].copy()
     inner = _log_shares(terms, axis=1)  # terms now holds term_k / s per node
     # a node at t = 0 with every lam > 0 has only -inf terms; 0 keeps it out of the sums
     inner[inner == -math.inf] = 0.0
     tau = np.exp(_log_tail_over_sum(last, inner))
-    head += ((p - 1.0) * inner + np.log(node_w))[:, None]
+    head += ((p - 1.0) * inner + log_w)[:, None]
     log_dp = _log_shares(head, axis=0)  # head now holds each node's share of D_n**p
     tail = (p - 1.0) * (head.T @ tau)
     share = (p - 1.0) * (head.T @ terms)

@@ -1,24 +1,23 @@
 """Exact p = 2 spectral computations on truncated operators.
 
 Every p = 2 quantity comes from one node factor V[k, j] = sqrt(w_k) *
-t_k**lam_j over the quadrature nodes of the measure (``measure_nodes``),
-formed in the log domain, so V^T V is the measure Gram of the monomials.
-Singular values are those of V times a small matrix, computed by an SVD:
-an eigensolve of the squared Gram would put a noise floor of about
-sqrt(eps * cond) under them.  The Cauchy Gram 1/(lam_i + lam_j + 1) of
-Lebesgue measure enters through its Cholesky factor (``_cauchy_factor``),
-factored once per call: ``essential_norm_estimate`` solves every cut's node
-factor against the same one (on atoms, one node factor serves every cut).
-A failed pivot surfaces as a ConditioningError naming the index instead of
-being masked.
+t_k**lam_j, formed in the log domain from ``measures.node_log_powers`` (the
+one builder of node integrals, with its one grading rule, at p = 2), so
+V^T V is the measure Gram of the monomials.  Singular values are those of
+V times a small matrix, computed by an SVD: an eigensolve of the squared
+Gram would put a noise floor of about sqrt(eps * cond) under them.  The
+Cauchy Gram 1/(lam_i + lam_j + 1) of Lebesgue measure enters through its
+Cholesky factor (``_cauchy_factor``), factored once per call:
+``essential_norm_estimate`` solves every cut's node factor against the same
+one (on atoms, one node factor serves every cut).  A failed pivot surfaces
+as a ConditioningError naming the index instead of being masked.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
-rather than claiming a value for the underlying infinite operator.
-
-This module computes spectra only.  Comparisons with the diagonal-domination
-profile D_n(2) of ``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten and
-Hilbert-Schmidt bounds) are made by the callers that report them, from a
-profile they compute once.
+rather than claiming a value for the underlying infinite operator.  This
+module computes spectra only; comparisons with the D_n(2) profile of
+``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten and Hilbert-Schmidt
+bounds) are made by the callers that report them, from a profile they
+compute once.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .logdomain import LOG_HUGE, logsumexp
 from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
-                       _cauchy_gram, _log_poisson_kernel, log_powers, measure_nodes,
+                       _cauchy_gram, _log_poisson_kernel, measure_nodes, node_log_powers,
                        poisson_integral, restrict)
 from .sequences import ExponentSequence
 
@@ -84,10 +83,8 @@ def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray
     """V[k, j] = sqrt(w_k) * t_k**lam_j on the nodes of mu, j < n, and the
     count of entries set to 0 below the materialization floor 1e-300."""
     _check_truncation(seq, n)
-    lam = np.array(seq.exponents[:n])
-    # a float product: 2 lam beyond the float range is inf, which measure_nodes refuses
-    log_t, w = measure_nodes(mu, sharpness=2.0 * float(lam[-1]))
-    log_v = log_powers(log_t, lam) + 0.5 * np.log(w)[:, None]
+    log_pow, log_w = node_log_powers(mu, seq.exponents[:n], 2.0)
+    log_v = log_pow + 0.5 * log_w[:, None]
     small = log_v < _FLUSH_LOG
     flushed = int(np.count_nonzero(small & (log_v > -math.inf)))
     return np.where(small, 0.0, np.exp(log_v)), flushed
@@ -230,14 +227,11 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
     restriction of mu to [a, 1), a in ``cut_grid``.
 
     The Cauchy Gram is factored once for all cuts.  On atoms the nodes of
-    every restriction are a subset of mu's own, one row of the node factor
-    per atom, so the node factor and the embedding are formed once for the
-    whole measure and each cut's sigma_1 is that of the rows of the atoms in
-    [a, 1), chosen by the mask ``restrict`` uses.  Every other measure takes
-    one node factor per cut, solved against the one Cauchy factor: the
-    panels of a restriction are refined toward its own end, so they are not
-    a subset of the parent's nodes.  Only sigma_max is formed, with no N/2
-    drift or Schatten norms; it equals
+    every restriction are a subset of mu's own, so the embedding is formed
+    once and each cut's sigma_1 is that of the rows of the atoms in [a, 1)
+    (the mask ``restrict`` uses).  Every other measure takes one node factor
+    per cut, since a restriction's panels are refined toward its own end.
+    Only sigma_max is formed, with no N/2 drift or Schatten norms; it equals
     ``embedding_spectrum(seq, restrict(mu, a, 1), n).sigma_max`` exactly.
     """
     cuts = [float(a) for a in cut_grid]
@@ -306,22 +300,22 @@ def prop511_value(mu: Measure, q: float) -> float:
     beta = 0.0
     if isinstance(mu, AtomicMeasure):
         sharp = 1.0 / float(np.min(mu._deltas)) if not mu.is_empty else 2.0 ** 40
-        log_t, w = measure_nodes(mu, sharpness=sharp)
+        log_t, log_w = measure_nodes(mu, sharpness=sharp)
     else:
         sharp = 2.0 ** 40
-        log_t, w = measure_nodes(mu, sharpness=sharp * _INNER_REFINE)
+        log_t, log_w = measure_nodes(mu, sharpness=sharp * _INNER_REFINE)
         if not (isinstance(mu, Restriction) and mu.b < 1.0):
             # a convergent Poisson integral up to t = 1 means a density u**alpha, alpha > 0
             base = mu.base if isinstance(mu, Restriction) else mu
             beta = 0.5 * q * base.exponent - 1.0
     # the nodes of u**beta ds; beta = 0 gives Lebesgue's
-    log_s, w_s = measure_nodes(DensityMeasure("oneminus_power", alpha=beta), sharpness=sharp)
+    log_s, log_w_s = measure_nodes(DensityMeasure("oneminus_power", alpha=beta), sharpness=sharp)
     s, u_s = np.exp(log_s), -np.expm1(log_s)
     log_outer = np.empty_like(log_s)
     for k in range(0, len(log_s), _S_BLOCK):
         blk = slice(k, k + _S_BLOCK)
-        log_outer[blk] = _log_poisson_kernel(log_t, w, s[blk], u_s[blk], 2.0 / q + 1.0)
-    log_val = logsumexp(np.log(w_s) + 0.5 * q * log_outer - beta * np.log(u_s)) / q
+        log_outer[blk] = _log_poisson_kernel(log_t, log_w, s[blk], u_s[blk], 2.0 / q + 1.0)
+    log_val = logsumexp(log_w_s + 0.5 * q * log_outer - beta * np.log(u_s)) / q
     return math.inf if log_val > LOG_HUGE else math.exp(log_val)
 
 

@@ -3,16 +3,18 @@
 ``log_lp_norms`` is the entry point for many vectors: it takes the norms of
 all the rows of one coefficient matrix, validated once, on one node set.
 Against atoms, densities and restrictions each norm is a log-domain sum
-over the nodes x terms matrix on ``measures.measure_nodes``, with a signed
-log-sum-exp for the value at each node, computed in place in the one
-nodes x terms array a row allocates.  Rows with one nonzero coefficient are
-monomials, where that signed sum is the identity: they take one
-log-sum-exp over the nodes together, bit for bit the per-row result.
+over the nodes x terms matrix of ``measures.node_log_powers``, the one
+builder of node integrals, with a signed log-sum-exp for the value at each
+node, computed in place in the one nodes x terms array a row allocates.
+Rows with one nonzero coefficient are monomials, where that signed sum is
+the identity: they take one log-sum-exp over the nodes together, bit for
+bit the per-row result.
 ``log_lp_norm`` is its one-row view and comes back as a ``LogValue``;
 ``lp_norm`` is the float edge, where a norm below the smallest subnormal
 reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue norms on those nodes too,
-through the same rows (``_node_log_norms``).  The nodes are graded toward
-t = 0 when p * lam_0 is not an integer, where |f|**p is not smooth there.
+through the same rows (``_node_log_norms``).  Both quadratures are graded
+toward t = 0 by the one rule of ``measures._grading_power``: |f|**p is not
+smooth there when some p * lam_j or lam_j - lam_0 is not an integer.
 Lebesgue rows alone add |f|**p in floats over the dyadic panels of
 ``measures.integrate_to_one``: a nodes x vectors matmul over all rows runs
 several times faster, but the benchmark harness keeps every battery's
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LogValue, _exp_shifted, _signed_log_sum, logsumexp
-from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, integrate_to_one,
-                       log_powers, measure_nodes)
+from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, _grading_power,
+                       integrate_to_one, node_log_powers)
 from .sequences import ExponentSequence, classify
 
 QUADRATURE_EXPONENT_LIMIT = 1.0e12
@@ -78,16 +80,6 @@ def _check_quadrature(max_exponent: float, mu: Measure, p: float) -> None:
             f"{QUADRATURE_EXPONENT_LIMIT:.0e}; use an atomic measure or closed forms")
 
 
-def _node_logs(mu: Measure, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes x terms matrix lam_j log t_k and log w_k on ``measure_nodes``
-    sized by p * lam_max toward t = 1 and graded by p * lam_0 toward t = 0,
-    for any number of ``_log_pth_power`` calls."""
-    log_t, w = measure_nodes(mu, sharpness=p * max(float(lam[-1]), 1.0),
-                             low_power=p * float(lam[0]))
-    with np.errstate(divide="ignore"):
-        return log_powers(log_t, lam), np.log(w)
-
-
 def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: float) -> float:
     """log sum_k w_k |f(t_k)|**p for f = sum_j a_j t**lam_j, given the nodes x
     terms matrix log_pow of lam_j log t_k and the log weights log_w.
@@ -104,7 +96,7 @@ def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: flo
 
 def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
                     p: float) -> np.ndarray:
-    """log ||f||_p of each row of coeffs on the nodes of ``_node_logs``.
+    """log ||f||_p of each row of coeffs on the nodes of ``node_log_powers``.
 
     A row with one nonzero coefficient a_j is a monomial, on which the signed
     log-sum-exp of ``_log_pth_power`` is the identity, so all such rows take
@@ -135,11 +127,12 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     once as ``MuntzPolynomial`` checks one vector, and the p >= 1 and
     quadrature-limit refusals of ``_check_quadrature`` are made once.  Every
     measure but Lebesgue builds one node set and one nodes x terms matrix
-    (``_node_logs``, which refuses p * lam past the float range) and takes
-    each row's norm from it; for atoms the sum is exact at any exponent.
-    Lebesgue rows each take the float quadrature ``integrate_to_one`` of
-    |f|**p (see ``log_lp_norm``).  A zero norm (an all-zero row, an empty
-    restriction) is -inf.
+    (``measures.node_log_powers``, which refuses p * lam past the float
+    range) and takes each row's norm from it; for atoms the sum is exact at
+    any exponent.  Lebesgue rows each take the float quadrature
+    ``integrate_to_one`` of |f|**p (see ``log_lp_norm``), graded toward
+    t = 0 by the same power (``measures._grading_power``).  A zero norm (an
+    all-zero row, an empty restriction) is -inf.
     """
     a = np.array(coeffs, dtype=float)
     if a.ndim != 2:
@@ -153,44 +146,36 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     lam = seq.exponents[:a.shape[1]]
     _check_quadrature(lam[-1], mu, p)
     if not isinstance(mu, Lebesgue):
-        return _node_log_norms(*_node_logs(mu, np.array(lam), p), a, p)
+        return _node_log_norms(*node_log_powers(mu, lam, p), a, p)
     logs, sharpness = [], p * max(lam[-1], 1.0)
+    low_power = _grading_power(np.array(lam), p)
     for row in a.tolist():
         val = integrate_to_one(
             lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness,
-            low_power=p * lam[0])
+            low_power=low_power)
         norm = LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
         logs.append(-math.inf if norm.is_zero else norm.log)
     return np.array(logs)
 
 
 def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
-    """L^p(mu) norm as a LogValue: the one-row view of ``log_lp_norms``, the
-    entry point for many vectors.
+    """L^p(mu) norm as a LogValue: the one-row view of ``log_lp_norms``.
 
-    For every measure but Lebesgue the norm is (1/p) ``_log_pth_power`` on
-    the nodes of ``_node_logs``, so a norm far below the float range
-    (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm; for
-    atoms the sum is exact at any exponent.  ``_log_pth_power`` overwrites
-    its one nodes x terms array in place; a monomial row skips it for the
-    log-sum-exp over the nodes that it reduces to, with the same bits.
-    ``gm_ratio_sample`` takes the same rows (``_node_log_norms``), on
-    Lebesgue measure too, with one node set for all its vectors.  A Lebesgue
-    norm here (``suite_diagonal``'s random vectors, the ``norm`` command) is
-    still the float quadrature ``integrate_to_one`` of |f|**p, where a norm
-    whose p-th power underflows comes back zero.  A nodes x vectors matmul
-    over the rows with two nonzero terms or more would be faster still, but
-    perfbench keeps the outputs of every battery it runs, so more batteries
-    in its 35 s read as more peak memory.  Measured with that kernel in
-    ``log_lp_norms`` (2 pairs each, while the coefficient draws still
-    imported ``numpy.random``): report-atoms64 ``battery_s`` 0.037 -> 0.020 s
-    and report-p3 0.030 -> 0.010 s, with ``peak_rss_mb`` up 19 % and 17 %,
-    past the 10 % bound.  Dropping ``numpy.random`` took report-p3's
-    two-battery peak from 42.1 to 36.9 MiB; report-atoms64's stays at
-    41.6 MiB, because the benchmark's own atom draw imports ``numpy.random``.
-    It lands once perfbench stops keeping the outputs (ROADMAP.md item 1), as
-    a change inside ``_node_log_norms``.
-    Exponents beyond 1e12 are refused on every non-atomic measure.
+    On every measure but Lebesgue a norm far below the float range
+    (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm, exactly
+    so on atoms at any exponent.  A Lebesgue norm (``suite_diagonal``'s
+    random vectors, the ``norm`` command) is the float quadrature
+    ``integrate_to_one`` of |f|**p, where a norm whose p-th power underflows
+    comes back zero.  A nodes x vectors matmul over the rows with two
+    nonzero terms or more would be faster, but perfbench keeps the outputs
+    of every battery it runs, so more batteries in its 35 s read as more
+    peak memory.  With that kernel in ``log_lp_norms`` (2 pairs each, while
+    the coefficient draws still imported ``numpy.random``) report-atoms64
+    ``battery_s`` went 0.037 -> 0.020 s and report-p3 0.030 -> 0.010 s, with
+    ``peak_rss_mb`` up 19 % and 17 %, past the 10 % bound.  It lands once
+    perfbench stops keeping the outputs (ROADMAP.md item 1), as a change
+    inside ``_node_log_norms``.  Exponents beyond 1e12 are refused on every
+    non-atomic measure.
     """
     return LogValue.from_log(float(log_lp_norms(f.seq, [f.coefficients], mu, p)[0]))
 
@@ -215,16 +200,13 @@ def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
     """rows x n doubles in [-1, 1) on the 2**-52 grid, drawn from ``random.Random(seed)``.
 
     ``randbytes(8 * rows * n)`` read as little-endian uint64 words w gives
-    (w >> 11) * 2**-52 - 1, row after row.  The draw is deterministic per
-    seed and prefix-stable: the first r rows of an R-row draw are the r-row
-    draw.  The standard library's generator is used because importing
-    ``numpy.random`` also loads ``secrets``, ``hashlib`` and OpenSSL's
-    libcrypto: 6.1 MiB of resident memory on top of ``import numpy``, and
-    5.4 MiB of the 40.8 MiB two-battery peak of the default ``report``.  The
-    one array expression takes 0.12 ms for report-p3's 2,400 values and
-    0.36 ms for report-atoms64's 12,800 (2-vCPU Intel Xeon VM, CPython 3.11,
-    numpy 2.4); a Python loop over ``Random.uniform`` would cost milliseconds.
-    A negative seed is refused, since ``random.Random`` would take -s as s.
+    (w >> 11) * 2**-52 - 1, row after row: deterministic per seed and
+    prefix-stable (the first r rows of an R-row draw are the r-row draw).
+    Importing ``numpy.random`` would also load ``secrets``, ``hashlib`` and
+    OpenSSL's libcrypto, 6.1 MiB of resident memory on top of ``import
+    numpy``; the one array expression takes 0.12 ms for report-p3's 2,400
+    values (2-vCPU Intel Xeon VM, CPython 3.11, numpy 2.4).  A negative seed
+    is refused, since ``random.Random`` would take -s as s.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -252,22 +234,17 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     with q_j = p lam_j + 1, the norm taken against Lebesgue measure dt.  The
     matrix has n = n_count columns: its first n rows are the canonical basis
     vectors (ratio exactly 1 by normalization), the other ``trials`` rows are
-    ``_uniform_rows(seed, trials, n)``: uniform on [-1, 1) from the standard
-    library's generator seeded with ``seed``, and the first r trials are the
-    same whatever ``trials`` is.  The bracket spans all rows;
-    ``canonical`` spans the first n.  For p = 2 the numerators are the exact
-    Gram form sqrt(a^T G a), one stacked matmul over the rows.  At every other
-    p they take the node route of ``log_lp_norms``: the sample builds one
-    ``measure_nodes`` set, sized by p * lam_{n-1} toward t = 1 and graded by
-    p * lam_0 toward t = 0, and the nodes x terms matrix lam_j log t_k once.
-    The n canonical rows are monomials and take one log-sum-exp over the
-    nodes together; each other row takes one ``_log_pth_power``, which
-    works in place in one nodes x terms array, so the working set is two
-    such matrices.  The denominators are one array expression up to the 1/p
-    root, which each row takes as a float.
-    Warns when ``classify`` flags the prefix's ratio trend as non-lacunary,
-    where the isomorphism with l^p is not expected and the bracket may
-    degenerate.
+    ``_uniform_rows(seed, trials, n)``, prefix-stable in ``trials``.  The
+    bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
+    numerators are the exact Gram forms sqrt(a^T G a), one stacked matmul.
+    At every other p they take the node route of ``log_lp_norms`` on one
+    ``measures.node_log_powers`` matrix: the canonical rows are monomials
+    and take one log-sum-exp over the nodes together; each other row takes
+    one ``_log_pth_power``, in place in one nodes x terms array, so the
+    working set is two such matrices.  The denominators are one array
+    expression up to the 1/p root, which each row takes as a float.  Warns
+    when ``classify`` flags the prefix's ratio trend as non-lacunary, where
+    the isomorphism with l^p is not expected and the bracket may degenerate.
     """
     n_count = len(seq) if n_count is None else n_count
     if not 1 <= n_count <= len(seq):
@@ -288,7 +265,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
         norms = np.sqrt(np.maximum(forms, 0.0))
     else:
         _check_quadrature(seq[n_count - 1], Lebesgue(), p)
-        logs = _node_log_norms(*_node_logs(Lebesgue(), lam, p), coeffs, p)
+        logs = _node_log_norms(*node_log_powers(Lebesgue(), lam, p), coeffs, p)
         norms = np.array([LogValue.from_log(v).to_float() for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit

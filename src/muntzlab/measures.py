@@ -2,18 +2,20 @@
 
 Supported variants: Lebesgue, finite atomic lists, built-in densities and
 interval restrictions of these.  Every measure is represented by one set
-of quadrature nodes in u = 1 - t (``measure_nodes``): atoms are stored as
-delta = 1 - x, never as x, so positions like x = 1 - 1e-30 keep full
-precision (x itself would round to 1.0 and the mass would silently land on
-the forbidden point t = 1), and the other measures get panels in u.
-Integrals against a measure are log-sum-exps over those nodes; closed
-forms (Lebesgue moments, the Poisson integral of a density reaching t = 1)
-stay as the exact special cases they are.  The one other quadrature is
-``integrate_to_one``, float dyadic panels in u for Lebesgue L^p norms, one
-per row of ``lpnorm.log_lp_norms``, deepened until the closing panel is
-negligible; each panel is summed once.  ``lpnorm.gm_ratio_sample``
-builds one coefficient matrix, canonical rows first, and takes the Lebesgue
-norms of its rows (at p != 2) on one ``measure_nodes`` set.
+of quadrature nodes in u = 1 - t with log weights (``measure_nodes``):
+atoms are stored as delta = 1 - x, never as x, so x = 1 - 1e-30 keeps full
+precision (x itself would round to 1.0, the forbidden point t = 1), and the
+other measures get panels in u.  Each weight is formed as a log where it is
+made, so none underflows while its log is representable.  Integrals of the
+monomials t**lam_j (moments, L^p norms, D_n, the p = 2 node factor) take
+the nodes x terms matrix lam_j log t_k and the log weights from one builder,
+``node_log_powers``: nodes sized by p * lam_max toward t = 1 and graded
+toward t = 0 by one rule (``_grading_power``): the smallest non-integer s
+among p * lam_j and lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none
+are added when all of them are integers.  Closed forms (Lebesgue moments,
+the Poisson integral of a density reaching t = 1) stay as the exact special
+cases they are.  The one other quadrature is ``integrate_to_one``, float
+dyadic panels in u for Lebesgue L^p norms, graded by the same rule.
 """
 from __future__ import annotations
 
@@ -37,30 +39,46 @@ _MAX_DEPTH = 53
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=8)
-def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on [0,1] for the weight s**alpha, alpha > -1
-    (Golub-Welsch on the Jacobi polynomials P^(0,alpha) of x = 2s - 1)."""
+def _gauss_jacobi(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes on [0,1] for the weight s**alpha, alpha > -1, their
+    weights and the logs of those weights (Golub-Welsch on the Jacobi
+    polynomials P^(0,alpha) of x = 2s - 1; alpha = 0 is Gauss-Legendre)."""
     k = np.arange(1, GL_ORDER)
     c = 2.0 * k + alpha
     diag = np.concatenate([[alpha / (alpha + 2.0)], alpha ** 2 / (c * (c + 2.0))])
     off = 2.0 * k * (k + alpha) / (c * np.sqrt(c * c - 1.0))
     x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = vecs[0] ** 2
-    return 0.5 * (x + 1.0), w / (w.sum() * (alpha + 1.0))
+    head = vecs[0]
+    norm = float(np.sum(head ** 2)) * (alpha + 1.0)
+    return 0.5 * (x + 1.0), head ** 2 / norm, 2.0 * np.log(np.abs(head)) - math.log(norm)
+
+
+@lru_cache(maxsize=1)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The GL_ORDER-point Gauss-Legendre rule on [-1, 1], weights and log
+    weights: ``_gauss_jacobi(0.0)`` mapped from [0, 1]."""
+    s, w, log_w = _gauss_jacobi(0.0)
+    return 2.0 * s - 1.0, 2.0 * w, log_w + math.log(2.0)
 
 
 def _gl_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Gauss-Legendre rule for f(log t) over the panel [lo, hi] in u = 1 - t."""
-    x, w = _gl_nodes(GL_ORDER)
+    x, w, _ = _gl_nodes()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return half * float(np.dot(w, f(np.log1p(-(mid + half * x)))))
+
+
+def _grading_power(lam: np.ndarray, p: float) -> float | None:
+    """The grading power toward t = 0 of integrands built from t**lam_j at
+    power p: the smallest non-integer among p * lam_j and lam_j - lam_0
+    (lam_0 the smallest), None when all are integers."""
+    if not lam.size:
+        return None
+    with np.errstate(over="ignore"):  # p * lam past the float range is inf, refused later
+        powers = np.concatenate([p * lam, lam - lam.min()])
+    frac = powers[powers != np.floor(powers)]
+    return float(frac.min()) if frac.size else None
 
 
 def _graded_edges(low_power: float | None, hi: float) -> np.ndarray | None:
@@ -68,9 +86,9 @@ def _graded_edges(low_power: float | None, hi: float) -> np.ndarray | None:
 
     t**s with s not an integer is not smooth at t = 0, where one
     Gauss-Legendre panel on [0, hi / 2] misses up to 5e-5 of its integral
-    (Schwab, Computing 53, 1994).  For such an s, the smallest power the
-    integrand holds near t = 0, the panel is split into K = ceil(40 / (1 + s))
-    panels on t in hi * [2**-(k+1), 2**-k], k = 1..K, and a closing panel on
+    (Schwab, Computing 53, 1994).  For such an s (``_grading_power``), the
+    panel is split into K = ceil(40 / (1 + s)) panels on t in
+    hi * [2**-(k+1), 2**-k], k = 1..K, and a closing panel on
     [0, hi * 2**-(K+1)], which holds about 2**-40 of the integral.  An integer
     s (or none) keeps the one panel.
     """
@@ -81,11 +99,12 @@ def _graded_edges(low_power: float | None, hi: float) -> np.ndarray | None:
 
 
 def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the panels between ``edges``, one
-    row per panel."""
-    x, w = _gl_nodes(GL_ORDER)
+    """Gauss-Legendre nodes and log weights on the panels between ``edges``,
+    one row per panel: the log half-width plus the rule's log weight."""
+    x, _, log_w = _gl_nodes()
     left, right = edges[:-1, None], edges[1:, None]
-    return (0.5 * (left + right) + 0.5 * (right - left) * x), 0.5 * (right - left) * w
+    half = 0.5 * (right - left)
+    return 0.5 * (left + right) + half * x, np.log(half) + log_w
 
 
 def _check_sharpness(sharpness: float) -> None:
@@ -98,23 +117,17 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
                      low_power: float | None = None) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float-valued quadrature of single Lebesgue L^p norms (the docstring
-    of ``lpnorm.log_lp_norm`` says why they stay off the nodes); every other
-    integral against a measure is a sum over ``measure_nodes``.  f receives
-    log t = log1p(-u) at the nodes and returns g there.  Panel j covers u in
-    [2**-j, 2**(1-j)], and a closing panel covers [0, 2**-depth] after the
-    last of them, so no node is t = 1.  ``sharpness`` is the scale of the
-    fastest variation near t = 1 (for t**a that is a); the first depth is
-    log2(sharpness) + 8, at least 12.  While the closing panel's
-    contribution is above DEFAULT_REL_TOL of the total, a pass deepens by 16
-    panels, up to depth 53: it adds only the new panels to the running
-    compensated sum of the ones before, so no panel is evaluated or summed
-    twice, and takes the new closing panel into a copy of that sum.  The
-    summation order is that of a pass summing from panel 1, so the result
-    is bit for bit the same.  ``low_power`` is the smallest power of t that
-    g holds near t = 0; when it is not an integer, panel 1 (t in [0, 1/2])
-    is graded toward t = 0 as in ``measure_nodes`` (``_graded_edges``), its
-    panels summed from t = 0 up, with log t taken of t itself.
+    The float quadrature of Lebesgue L^p norms (``lpnorm.log_lp_norm`` says
+    why they stay off the nodes).  f receives log t = log1p(-u) at the nodes
+    and returns g there.  Panel j covers u in [2**-j, 2**(1-j)] and a
+    closing panel [0, 2**-depth], so no node is t = 1.  The first depth is
+    log2(sharpness) + 8, at least 12 (``sharpness`` is the scale of the
+    fastest variation near t = 1, a for t**a).  While the closing panel
+    holds more than DEFAULT_REL_TOL of the total, a pass adds 16 panels, up
+    to depth 53, to the running compensated sum, so no panel is evaluated
+    twice and the sum is bit for bit that of passes from panel 1.  A
+    non-integer ``low_power`` (``_grading_power``) grades panel 1 toward
+    t = 0 as in ``measure_nodes``, with log t taken of t itself.
     """
     _check_sharpness(sharpness)
     depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
@@ -124,9 +137,9 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
         for j in range(summed + 1, depth + 1):
             left = 2.0 ** (-j)
             if j == 1 and graded is not None:
-                t, w = _gl_panels(graded)
-                for t_k, w_k in zip(t, w):
-                    acc.add(float(np.dot(w_k, f(np.log(t_k)))))
+                t, log_w = _gl_panels(graded)
+                for t_k, log_w_k in zip(t, log_w):
+                    acc.add(float(np.dot(np.exp(log_w_k), f(np.log(t_k)))))
             else:
                 acc.add(_gl_panel(f, left, right))
             right = left
@@ -188,6 +201,10 @@ class AtomicMeasure:
         return np.array([a.mass for a in self.atoms])
 
     @cached_property
+    def _log_masses(self) -> np.ndarray:
+        return np.log(self._masses)
+
+    @cached_property
     def _log_x(self) -> np.ndarray:
         # log(x_k) = log1p(-delta_k); -inf for an atom at 0
         with np.errstate(divide="ignore"):
@@ -227,9 +244,11 @@ class DensityMeasure:
         """The power of u in g: alpha, or 0 for uniform."""
         return self.alpha if self.name == "oneminus_power" else 0.0
 
-    def g(self, u: np.ndarray) -> np.ndarray:
-        """Density at u = 1 - t; taking u keeps points near t = 1 exact."""
-        return self.scale * np.asarray(u, dtype=float) ** self.exponent
+    def log_g(self, u: np.ndarray) -> np.ndarray:
+        """log of the density at u = 1 - t, log scale + alpha log u; taking u
+        keeps points near t = 1 exact, and the log keeps tiny u from
+        underflowing."""
+        return math.log(self.scale) + self.exponent * np.log(u)
 
     def tail_mass(self, eps: float) -> float:
         """mu([1-eps, 1)) in closed form."""
@@ -271,10 +290,10 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     closed forms, -log(e) and log((b**e - a0**e) / e) for [a0, b) with
     e = p * a + 1; where p * a overflows, log e is log p + log a, since the
     + 1 is then far below rounding.  Every other measure is one log-sum-exp
-    of log w + p * a * log t over ``measure_nodes`` sized by the largest
-    exponent: an exponents x nodes matrix summed along the nodes, the exact
-    atom sum for atoms.  Those nodes need p * a in the float range, so a
-    larger one is refused.  A zero moment (an empty restriction) is -inf.
+    of log w + p * a * log t over the nodes of ``node_log_powers`` for the
+    exponents p * a: an exponents x nodes matrix summed along the nodes, the
+    exact atom sum for atoms.  Those nodes need p * a in the float range, so
+    a larger one is refused.  A zero moment (an empty restriction) is -inf.
     """
     lam = np.asarray(exponents, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -285,32 +304,27 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
         a = p * lam
     big = np.isinf(a)
     log_big = math.log(p) + np.log(lam[big]) if big.any() else 0.0  # log e where p * a overflows
-    if isinstance(mu, Lebesgue):
+    if isinstance(getattr(mu, "base", mu), Lebesgue):
+        # log((b**e - a0**e) / e) on [a0, b), arranged for large exponents
+        a0, b = (mu.a, mu.b) if isinstance(mu, Restriction) else (0.0, 1.0)
+        e = a + 1.0
         log_e = np.log1p(a)
         log_e[big] = log_big
-        return -log_e
-    if isinstance(mu, Restriction) and isinstance(mu.base, Lebesgue):
-        # (b**e - a0**e) / e, arranged for large exponents
-        e = a + 1.0
-        log_hi = e * math.log(mu.b) if mu.b < 1.0 else np.zeros_like(e)
-        if mu.a == 0.0:
-            diff = log_hi
-        else:
+        diff = e * math.log(b) if b < 1.0 else np.zeros_like(e)
+        if a0 > 0.0:
             with np.errstate(invalid="ignore"):  # inf - inf where e is inf, set below
-                diff = log_hi + np.log1p(-np.exp(e * math.log(mu.a) - log_hi))
-        if mu.b < 1.0:
+                diff += np.log1p(-np.exp(e * math.log(a0) - diff))
+        if b < 1.0:
             # e * log b without e; a0**e is then far below b**e
             with np.errstate(over="ignore"):
-                diff[big] = p * (lam[big] * math.log(mu.b))
-        log_e = np.log(e)
-        log_e[big] = log_big
-        return diff - log_e
+                diff[big] = p * (lam[big] * math.log(b))
+        return -(log_e - diff)  # -log e on [0, 1), with its sign of zero
     if big.any():
         raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
-    log_t, w = measure_nodes(mu, sharpness=float(a.max(initial=0.0)))
+    log_pow, log_w = node_log_powers(mu, a)
     # exponents x nodes, contiguous along the nodes it is summed over
-    terms = np.ascontiguousarray(log_powers(log_t, a).T)
-    terms += np.log(w)
+    terms = np.ascontiguousarray(log_pow.T)
+    terms += log_w
     return logsumexp(terms, axis=1)
 
 
@@ -433,8 +447,8 @@ def poisson_integral(mu: Measure) -> PoissonResult:
     u >= 1 - b is bounded away from 0.
     """
     if isinstance(mu, AtomicMeasure) or isinstance(mu, Restriction) and mu.b < 1.0:
-        log_t, w = measure_nodes(mu, sharpness=1.0)
-        log_val = logsumexp(np.log(w) - np.log(-np.expm1(log_t)))
+        log_t, log_w = measure_nodes(mu, sharpness=1.0)
+        log_val = logsumexp(log_w - np.log(-np.expm1(log_t)))
         return PoissonResult(LogValue.from_log(log_val), False)
     base, lo = (mu.base, mu.a) if isinstance(mu, Restriction) else (mu, 0.0)
     density = DensityMeasure("uniform") if isinstance(base, Lebesgue) else base
@@ -445,40 +459,38 @@ def poisson_integral(mu: Measure) -> PoissonResult:
     return PoissonResult(LogValue.from_log(log_val), False)
 
 
-def _log_poisson_kernel(log_t: np.ndarray, w: np.ndarray, s: np.ndarray,
+def _log_poisson_kernel(log_t: np.ndarray, log_w: np.ndarray, s: np.ndarray,
                         u_s: np.ndarray, power: float) -> np.ndarray:
-    """log of sum_k w_k (1 - s t_k)**(-power) for each s, given u_s = 1 - s:
-    the inner integral of ``hilbert.prop511_value`` on the nodes of mu.
+    """log of sum_k w_k (1 - s t_k)**(-power) for each s, from the log
+    weights and u_s = 1 - s: the inner integral of ``hilbert.prop511_value``
+    on the nodes of mu.
 
     1 - s t is formed as u_s + s u_t with u_t = 1 - t, so neither factor
     loses precision near s = 1 or t = 1.
     """
     base = np.asarray(u_s)[..., None] + np.multiply.outer(s, -np.expm1(log_t))
-    with np.errstate(divide="ignore"):
-        return logsumexp(np.log(w) - power * np.log(base), axis=-1)
+    return logsumexp(log_w - power * np.log(base), axis=-1)
 
 
 def measure_nodes(mu: Measure, sharpness: float,
                   low_power: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(log t, weight) pairs so that integral f dmu ~= sum w_i f(t_i).
+    """(log t, log w) pairs so that integral f dmu ~= sum exp(log w_i) f(t_i).
 
-    The one node generator behind every integral against a measure other
-    than single Lebesgue L^p norms.  Atoms map to themselves (weights =
-    masses, log t = log1p(-delta)).  Lebesgue, densities and their restrictions to
-    [a, b) get Gauss-Legendre panels in u = 1 - t, with log t = log1p(-u)
-    and density weights taken at u, so no node lands on t = 1.  The panels
-    halve toward the right end u = 1 - b until finer than 1/sharpness of
-    the support and than 1 - b itself, but no finer than the float spacing
-    at u = 1 - b; the closing panel is a Gauss-Jacobi rule for the
-    density's factor u**alpha where it reaches u = 0 (exact even where that
-    is singular), and a Gauss-Legendre one otherwise.  ``low_power`` is the
-    smallest power of t the integrand holds near t = 0 (p * lam_0 for an L^p
-    norm); when it is not an integer and the support starts at t = 0, the
-    panel next to t = 0 is graded toward it (``_graded_edges``), in t.
+    The one node generator; each log weight is formed where it is made.
+    Atoms map to themselves (log t = log1p(-delta), the cached log masses).
+    Lebesgue, densities and their restrictions to [a, b) get Gauss-Legendre
+    panels in u = 1 - t: log t = log1p(-u), log w = log half-width + the
+    rule's log weight + log scale + alpha log u, and no node is t = 1.  The
+    panels halve toward u = 1 - b until finer than 1/sharpness of the
+    support and than 1 - b, but no finer than the float spacing at 1 - b;
+    the closing panel is Gauss-Jacobi for the density's u**alpha where it
+    reaches u = 0 (exact where that is singular), Gauss-Legendre otherwise.
+    A non-integer ``low_power`` (``_grading_power``) grades the panel next
+    to t = 0 toward it, in t, when the support starts there.
     """
     _check_sharpness(sharpness)
     if isinstance(mu, AtomicMeasure):
-        return mu._log_x.copy(), mu._masses.copy()
+        return mu._log_x.copy(), mu._log_masses.copy()
     if isinstance(mu, (Lebesgue, DensityMeasure)):
         lo, hi, base = 0.0, 1.0, mu
     elif isinstance(mu, Restriction):
@@ -487,31 +499,47 @@ def measure_nodes(mu: Measure, sharpness: float,
         raise TypeError(f"not a measure: {mu!r}")
     density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
     u_end = 1.0 - hi
-    if u_end > 0.0:
-        # u**alpha and 1/u vary on the scale u_end near the right end
-        sharpness = max(sharpness, (hi - lo) / u_end)
     depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
     if u_end > 0.0:
-        # a deeper panel would be narrower than the float spacing at u_end: zero weight
-        depth = min(depth, max(1, int(math.log2((hi - lo) / u_end)) + 52))
+        # u**alpha and 1/u vary on the scale u_end near the right end, and a panel
+        # narrower than the float spacing at u_end would have zero weight
+        scale = int(math.log2((hi - lo) / u_end))
+        depth = min(max(depth, scale + 8), max(1, scale + 52))
     edges = u_end + (hi - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
     graded = _graded_edges(low_power, hi) if lo == 0.0 else None
     if graded is not None:
         edges = edges[:-1]  # the panel t in [0, hi / 2] is graded below
-    u, w = (v.ravel() for v in _gl_panels(edges))
-    w = w * density.g(u)
-    # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre
+    u, log_w = (v.ravel() for v in _gl_panels(edges))
+    log_w += density.log_g(u)
+    # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre; a
+    # Gauss-Jacobi(alpha) rule holds the factor u**alpha in its weights
     alpha = density.exponent if u_end == 0.0 else 0.0
-    s, ws = _gauss_jacobi(alpha)
+    s, _, log_ws = _gauss_jacobi(alpha)
     eps = edges[0] - u_end
     u_close = u_end + eps * s
-    w_close = density.scale * u_close ** (density.exponent - alpha) * eps ** (alpha + 1.0) * ws
-    log_t, weights = np.log1p(-np.concatenate([u_close, u])), np.concatenate([w_close, w])
+    log_w_close = (log_ws + (alpha + 1.0) * math.log(eps) + math.log(density.scale)
+                   + (density.exponent - alpha) * np.log(u_close))
+    log_t, log_w = np.log1p(-np.concatenate([u_close, u])), np.concatenate([log_w_close, log_w])
     if graded is None:
-        return log_t, weights
+        return log_t, log_w
     # built in t: near t = 0, 1 - u has lost the digits of t
-    t, wt = (v.ravel() for v in _gl_panels(graded))
-    return np.concatenate([log_t, np.log(t)]), np.concatenate([weights, wt * density.g(1.0 - t)])
+    t, log_wt = (v.ravel() for v in _gl_panels(graded))
+    log_wt += density.log_g(1.0 - t)
+    return np.concatenate([log_t, np.log(t)]), np.concatenate([log_w, log_wt])
+
+
+def node_log_powers(mu: Measure, lam, p: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes x terms matrix lam_j log t_k and the log weights log w_k of
+    mu for integrands built from the monomials t**lam_j at power p: the one
+    builder behind ``moments``, ``lpnorm``, the D_n node route and the p = 2
+    node factor.  The nodes of ``measure_nodes`` are sized by p * lam_max
+    and graded toward t = 0 by ``_grading_power``; p * lam past the float
+    range is refused.
+    """
+    lam = np.asarray(lam, dtype=float)
+    log_t, log_w = measure_nodes(mu, sharpness=p * float(lam.max(initial=0.0)),
+                                 low_power=_grading_power(lam, p))
+    return log_powers(log_t, lam), log_w
 
 
 def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -498,7 +498,7 @@ def test_isometry_sample_reads_seed(capsys):
 
 def test_basis_samples_once(monkeypatch, capsys):
     # one ratio sample, one node set: the canonical bracket comes with it
-    calls = {"gm_ratio_sample": 0, "_node_logs": 0}
+    calls = {"gm_ratio_sample": 0, "node_log_powers": 0}
     for name in calls:
         real = getattr(lpnorm, name)
 
@@ -509,7 +509,7 @@ def test_basis_samples_once(monkeypatch, capsys):
         monkeypatch.setattr(lpnorm, name, counting)
     code, report = _verify(capsys, "basis", "--p", "3")
     assert code == 0
-    assert calls == {"gm_ratio_sample": 1, "_node_logs": 1}
+    assert calls == {"gm_ratio_sample": 1, "node_log_powers": 1}
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["canonical-vectors-normalized"] == "PASS"
 
@@ -769,22 +769,22 @@ def test_norm_refusals_exit_2(extra, message, capsys):
 
 
 def test_domination_takes_one_node_set_and_no_polynomial(monkeypatch, capsys):
-    calls = {"_node_logs": 0, "MuntzPolynomial": 0}
-    real_nodes, real_post = lpnorm._node_logs, lpnorm.MuntzPolynomial.__post_init__
+    calls = {"node_log_powers": 0, "MuntzPolynomial": 0}
+    real_nodes, real_post = lpnorm.node_log_powers, lpnorm.MuntzPolynomial.__post_init__
 
     def nodes(*args):
-        calls["_node_logs"] += 1
+        calls["node_log_powers"] += 1
         return real_nodes(*args)
 
     def post(self):
         calls["MuntzPolynomial"] += 1
         real_post(self)
 
-    monkeypatch.setattr(lpnorm, "_node_logs", nodes)
+    monkeypatch.setattr(lpnorm, "node_log_powers", nodes)
     monkeypatch.setattr(lpnorm.MuntzPolynomial, "__post_init__", post)
     code, report = _verify(capsys, "diagonal-domination")
     assert code == 0 and report["inputs"]["measure"] == SMALL_ATOMS
-    assert calls == {"_node_logs": 1, "MuntzPolynomial": 0}
+    assert calls == {"node_log_powers": 1, "MuntzPolynomial": 0}
 
 
 def test_compact_keeps_an_atom_next_to_one(capsys):
@@ -804,6 +804,42 @@ def test_basis_past_the_quadrature_limit_is_refused(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: max exponent 1.000e+13 exceeds the quadrature limit")
+
+
+def test_bounds_envelope_writes_the_logs_of_the_edges(capsys):
+    # the alpha = 2 ratios lie below the smallest float, their logs do not
+    code = run(["bounds", "--formula", "envelope", "--seq", "geometric:1e-300,2,16",
+                "--alpha", "2"])
+    assert code == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    with mpmath.workdps(30):
+        lams = [mpmath.mpf(1e-300) * 2 ** k for k in range(16)]
+        want = mpmath.log(mpmath.fsum(l ** 2 * mpmath.mpf(0.5) ** l for l in lams) / 4)
+    assert value["ratio_min"] == value["ratio_max"] == 0.0
+    assert value["log_ratio_min"] == pytest.approx(float(want), rel=1e-14)
+    assert value["log_ratio_max"] == pytest.approx(float(want), rel=1e-14)
+
+
+def test_moments_with_node_weights_below_the_float_range(tmp_path, capsys):
+    # the nodes of lam = 1e300 reach u ~ 1e-300, where a float weight of u**0.5 du
+    # underflows; the moment B(lam + 1, 1.5) and lam times it keep their logs
+    spec = tmp_path / "density.json"
+    spec.write_text(json.dumps({"kind": "density", "name": "oneminus_power",
+                                "params": {"alpha": 0.5}}))
+    lams = (1e100, 1e200, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["moments", "--seq", "explicit:1e100,1e200,1e300", "--p", "1",
+                    "--measure", f"file:{spec}"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rows = json.loads(out, parse_constant=_refuse_constant)["rows"]
+    for row, lam in zip(rows, lams):
+        log_moment = math.lgamma(1.5) - 1.5 * math.log(lam)
+        assert row["log_moment"] == pytest.approx(log_moment, rel=1e-14)
+        assert row["monomial_test"] == pytest.approx(
+            math.exp(log_moment + math.log(lam)), rel=1e-12)
+    assert rows[2]["moment_p_lambda"] == 0.0 and rows[2]["monomial_test"] > 0.0
 
 
 def test_dnp_bounds_past_the_float_range():

@@ -91,6 +91,16 @@ class TestComputeDn:
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["inverse_lambda", "classical"])
+    def test_node_route_graded_at_non_integer_exponents(self, kind):
+        # 2 lam_0 = 0.02 and lam_1 - lam_0 = 0.01: the nodes are graded toward t = 0
+        seq = generate_geometric(0.01, 2, 20)
+        w = WeightScheme(kind, 2.0)
+        a = compute_dn(seq, Lebesgue(), w)
+        b = compute_dn(seq, Lebesgue(), w, route="general")
+        for x, y in zip(a.values, b.values):
+            assert y == pytest.approx(x, rel=1e-12)
+
     def test_routes_agree_over_long_lebesgue_prefix(self):
         seq = generate_geometric(1, 2, 60)
         w = WeightScheme("inverse_lambda", 2.0)
@@ -131,12 +141,12 @@ class TestComputeDn:
         cutoffs = [t.cutoff for t in prof.truncation]
         assert max(cutoffs) < len(seq) - 1
         lams = np.array(seq.exponents)
-        log_t, w = measure_nodes(mu, sharpness=p * lams[-1])
+        log_t, log_w = measure_nodes(mu, sharpness=p * lams[-1])
         terms = log_powers(log_t, lams) + np.log(lams) / p
 
         def log_dp(n, k_end):
             inner = logsumexp(terms[:, :k_end], axis=1)
-            return float(logsumexp(terms[:, n] + (p - 1.0) * inner + np.log(w)))
+            return float(logsumexp(terms[:, n] + (p - 1.0) * inner + log_w))
 
         for n, cut in enumerate(cutoffs):
             full = log_dp(n, len(seq))
@@ -270,13 +280,15 @@ def _where_log_powers(log_t, exponents):
 
 
 def _copying_node_route(lams, inv_root, mu, p, n_count, tol):
-    """dnp._node_route with the per-node shares of D_n**p in logsumexp's copy."""
-    log_t, node_w = measure_nodes(mu, sharpness=p * float(lams[-1]))
-    terms = _where_log_powers(log_t, lams) + inv_root
+    """dnp._node_route with the per-node shares of D_n**p in logsumexp's copy,
+    on the nodes of measures.node_log_powers (with its log_powers patched to
+    the np.where form)."""
+    log_pow, log_w = measures.node_log_powers(mu, lams, p)
+    terms = log_pow + inv_root
     inner, ratio = logsumexp(terms, axis=1, return_shares=True)
     inner[inner == -math.inf] = 0.0
     tau = np.exp(dnp._log_tail_over_sum(terms, inner))
-    head = terms[:, :n_count] + ((p - 1.0) * inner + np.log(node_w))[:, None]
+    head = terms[:, :n_count] + ((p - 1.0) * inner + log_w)[:, None]
     log_dp, node_share = logsumexp(head, axis=0, return_shares=True)
     tail = (p - 1.0) * (node_share.T @ tau)
     share = (p - 1.0) * (node_share.T @ ratio)

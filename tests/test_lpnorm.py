@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab import lpnorm
 from muntzlab.logdomain import NeumaierSum, logsumexp, signed_logsumexp
-from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_log_norms, _node_logs,
-                             amgm_probe, gm_ratio_sample, l2_norm_gram, log_lp_norm,
-                             log_lp_norms, lp_norm, pairing_integral)
-from muntzlab.measures import DensityMeasure, Lebesgue, atoms, restrict
+from muntzlab.lpnorm import (MuntzPolynomial, _log_pth_power, _node_log_norms, amgm_probe,
+                             gm_ratio_sample, l2_norm_gram, log_lp_norm, log_lp_norms, lp_norm,
+                             pairing_integral)
+from muntzlab.measures import DensityMeasure, Lebesgue, atoms, node_log_powers, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO = generate_geometric(1, 2, 16)
@@ -200,8 +200,8 @@ class TestLogLpNorms:
 
     def test_one_node_set_for_all_rows(self, monkeypatch):
         calls = []
-        real = lpnorm._node_logs
-        monkeypatch.setattr(lpnorm, "_node_logs", lambda *a: calls.append(1) or real(*a))
+        real = lpnorm.node_log_powers
+        monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
         got = log_lp_norms(GEO, np.ones((40, 16)), self.MEASURES["atoms"], 2.0)
         assert len(got) == 40 and len(calls) == 1
 
@@ -273,7 +273,7 @@ class TestNodeLogNorms:
     @pytest.mark.parametrize("mu", list(MEASURES))
     def test_rows_are_the_per_row_route_bit_for_bit(self, mu, seq, p):
         exps = self.SEQS[seq]
-        log_pow, log_w = _node_logs(self.MEASURES[mu], np.array(exps.exponents), p)
+        log_pow, log_w = node_log_powers(self.MEASURES[mu], np.array(exps.exponents), p)
         coeffs = self.rows(len(exps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -300,7 +300,7 @@ class TestNodeLogNorms:
         gm_ratio_sample(generate_geometric(1, 2, 60), 3.0, trials=100, n_count=24)
         assert len(seen) == 100 and min(seen) >= 2
         seen.clear()
-        log_pow, log_w = _node_logs(Lebesgue(), np.array(GEO.exponents), 3.0)
+        log_pow, log_w = node_log_powers(Lebesgue(), np.array(GEO.exponents), 3.0)
         _node_log_norms(log_pow, log_w, self.rows(len(GEO)), 3.0)
         assert len(seen) == 7 and min(seen) >= 2  # the last 7 of ``rows``
 
@@ -317,9 +317,12 @@ def mp_log_norm(exps, coeffs, p, alpha=None):
 
 
 class TestNormsNearTZero:
-    """t**(p lam_0) with p lam_0 not an integer: graded panels toward t = 0."""
+    """|f|**p not smooth at t = 0: graded panels toward t = 0."""
 
     COEFFS = [[1.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.25, 0.125]]  # no sign change on [0, 1]
+    # p * lam_0 = 0 is an integer, but t**0.5 is not smooth at t = 0: graded by
+    # lam_1 - lam_0 = 0.5
+    LEADING_ZERO = ExponentSequence((0.0, 0.5, 2.0, 8.0))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("lam0", [0.01, 0.3, 0.5])
@@ -332,6 +335,14 @@ class TestNormsNearTZero:
         got = log_lp_norms(seq, self.COEFFS, mu, p)
         want = [mp_log_norm(seq.exponents, a, p, alpha) for a in self.COEFFS]
         assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+    def test_leading_zero_lebesgue_norm(self):
+        got = log_lp_norms(self.LEADING_ZERO, [[0.0, 1.0, 0.0, 0.0]], Lebesgue(), 1.0)[0]
+        assert got == pytest.approx(math.log(2.0 / 3.0), rel=1e-13, abs=1e-13)
+
+    def test_leading_zero_canonical_ratios(self):
+        res = gm_ratio_sample(self.LEADING_ZERO, 1.0)
+        assert res.canonical == pytest.approx((1.0, 1.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("lam0", [0.01, 0.3, 0.5])
@@ -404,7 +415,7 @@ def _per_row_ratios(seq, p, mu, trials, seed, n_count):
         def norm(a):
             return l2_norm_gram(MuntzPolynomial(seq, tuple(a)))
     else:
-        log_pow, log_w = _node_logs(mu, lam, p)
+        log_pow, log_w = node_log_powers(mu, lam, p)
 
         def norm(a):
             return math.exp(_log_pth_power(log_pow, log_w, a, p) / p)
@@ -507,7 +518,7 @@ class TestRatioSampleNodeRoute:
         # ||f||_4**4 on dt is the sum of a_i a_j a_k a_l / (lam_i + ... + lam_l + 1)
         seq = generate_geometric(1, 2, 8)
         lam = np.array(seq.exponents)
-        log_pow, log_w = _node_logs(Lebesgue(), lam, 4.0)
+        log_pow, log_w = node_log_powers(Lebesgue(), lam, 4.0)
         rng = np.random.default_rng(4)
         for _ in range(5):
             a = rng.uniform(-1.0, 1.0, len(lam))
@@ -537,7 +548,7 @@ class TestRatioSampleNodeRoute:
         assert abs(res.max_ratio - 1.0) <= 1e-14
 
     def test_one_node_set_and_no_panel_quadrature(self, monkeypatch):
-        calls = {"measure_nodes": 0, "integrate_to_one": 0}
+        calls = {"node_log_powers": 0, "integrate_to_one": 0}
 
         def counting(name):
             inner = getattr(lpnorm, name)
@@ -550,7 +561,7 @@ class TestRatioSampleNodeRoute:
         for name in calls:
             monkeypatch.setattr(lpnorm, name, counting(name))
         gm_ratio_sample(self.P3, 3.0, trials=100, n_count=24)
-        assert calls == {"measure_nodes": 1, "integrate_to_one": 0}
+        assert calls == {"node_log_powers": 1, "integrate_to_one": 0}
 
     def test_working_set_is_one_nodes_by_terms_matrix(self):
         gm_ratio_sample(self.P3, 3.0, trials=1, n_count=24)  # warm caches

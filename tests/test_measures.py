@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from muntzlab.logdomain import NeumaierSum, logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, Restriction,
                                _gl_panel, _log_poisson_kernel, atoms, integrate_to_one,
-                               log_powers, measure_nodes, moment, moments, poisson_integral,
-                               restrict, sublinear_norm, tail_mass)
+                               log_powers, measure_nodes, moment, moments, node_log_powers,
+                               poisson_integral, restrict, sublinear_norm, tail_mass)
 
 GEOM30 = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 
@@ -60,11 +61,11 @@ class TestMoments:
         restrict(DensityMeasure("oneminus_power", alpha=1.5), 0.25, 0.75),
     ], ids=["atoms", "density", "density-restriction"])
     def test_node_measures_match_one_exponent_at_a_time(self, mu):
-        # reference: the scalar path, with nodes sized by each exponent alone
+        # reference: the scalar path, with nodes sized and graded by each exponent alone
         got = moments(mu, self.EXPONENTS)
         for a, g in zip(self.EXPONENTS, got):
-            log_t, w = measure_nodes(mu, sharpness=a)
-            ref = logsumexp(np.log(w) + log_powers(log_t, a))
+            log_pow, log_w = node_log_powers(mu, [a])
+            ref = logsumexp(log_w + log_pow[:, 0])
             assert g == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
     @pytest.mark.parametrize("mu, lo, hi", [
@@ -93,6 +94,23 @@ class TestMoments:
                 e = p * mpmath.mpf(lam) + 1
                 ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
                 assert g == pytest.approx(float(ref), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 0.5])
+    def test_density_moments_below_one_against_mpmath(self, a):
+        # t**a (1 - t)**0.5 is not smooth at t = 0: the nodes are graded by a
+        got = moments(DensityMeasure("oneminus_power", alpha=0.5), [a])[0]
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.beta(mpmath.mpf(a) + 1, 1.5)))
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("a", [1e100, 1e200, 1e300])
+    def test_density_moments_with_weights_below_the_float_range(self, a):
+        # nodes sized by a reach u ~ 1 / a, where the weight of u**0.5 du is far
+        # below the float range; its log is not.  The moment is B(a + 1, 1.5).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = moments(DensityMeasure("oneminus_power", alpha=0.5), [a])[0]
+        assert got == pytest.approx(math.lgamma(1.5) - 1.5 * math.log(a), rel=1e-14)
 
     def test_node_measures_refuse_past_the_float_range(self):
         for mu in (GEOM30, DensityMeasure("oneminus_power", alpha=0.5)):
@@ -207,10 +225,10 @@ class TestNodes:
         (restrict(Lebesgue(), 0.5, 1.0), 0.5),
     ], ids=["lebesgue", "uniform", "alpha=-0.5", "alpha=-0.9", "alpha=1", "restricted"])
     def test_no_node_at_one_and_exact_mass(self, mu, mass):
-        log_t, w = measure_nodes(mu, 2.0 ** 50)
+        log_t, log_w = measure_nodes(mu, 2.0 ** 50)
         assert not np.any(log_t == 0.0)
-        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
-        assert math.fsum(w) == pytest.approx(mass, rel=1e-14)
+        assert np.all(np.isfinite(log_w))
+        assert math.fsum(np.exp(log_w)) == pytest.approx(mass, rel=1e-14)
 
     @pytest.mark.parametrize("sharpness", [math.inf, math.nan])
     def test_non_finite_sharpness_refused(self, sharpness):
@@ -222,6 +240,18 @@ class TestNodes:
 class TestGradedTowardZero:
     """A non-integer smallest power s near t = 0 grades the panel [0, hi/2]."""
 
+    @pytest.mark.parametrize("lam, p, count", [
+        ([1.0, 2.0, 4.0], 3.0, 0), ([0.0, 1.0, 8.0], 1.0, 0), ([1.0, 2.5], 2.0, 16),
+        ([0.25, 1.0], 2.0, 27), ([0.0, 0.5, 2.0, 8.0], 1.0, 27),
+        ([1.0, 1.0 + 2.0 ** -40], 1.0, 40),
+    ], ids=["integers", "leading-zero", "gap-1.5", "p-lam-0.5", "lam-0.5", "tiny-gap"])
+    def test_one_rule_for_the_builder(self, lam, p, count):
+        # s is the smallest non-integer among p * lam_j and lam_j - lam_0, and
+        # K = ceil(40 / (1 + s)) panels of 24 nodes are added; none for integers
+        log_pow, log_w = node_log_powers(Lebesgue(), lam, p)
+        plain = measure_nodes(Lebesgue(), p * max(lam))[0]
+        assert log_pow.shape == (len(plain) + 24 * count, len(lam)) == (len(log_w), len(lam))
+
     @pytest.mark.parametrize("mu", [Lebesgue(), DensityMeasure("oneminus_power", alpha=0.5),
                                     restrict(Lebesgue(), 0.0, 0.5),
                                     restrict(Lebesgue(), 0.25, 1.0), GEOM30],
@@ -229,14 +259,15 @@ class TestGradedTowardZero:
                                   "restricted-past-0", "atoms"])
     @pytest.mark.parametrize("low_power", [None, 0.0, 1.0, 3.0, 12.0])
     def test_integer_power_keeps_the_nodes_bit_for_bit(self, mu, low_power):
-        log_t, w = measure_nodes(mu, 96.0, low_power=low_power)
+        log_t, log_w = measure_nodes(mu, 96.0, low_power=low_power)
         want_t, want_w = measure_nodes(mu, 96.0)
-        assert log_t.tolist() == want_t.tolist() and w.tolist() == want_w.tolist()
+        assert log_t.tolist() == want_t.tolist() and log_w.tolist() == want_w.tolist()
 
     @pytest.mark.parametrize("s, count", [(0.01, 40), (0.3, 31), (1.5, 16), (20.5, 2)])
     def test_panel_count_and_exact_power(self, s, count):
-        log_t, w = measure_nodes(Lebesgue(), 96.0, low_power=s)
+        log_t, log_w = measure_nodes(Lebesgue(), 96.0, low_power=s)
         assert len(log_t) == len(measure_nodes(Lebesgue(), 96.0)[0]) + 24 * count
+        w = np.exp(log_w)
         assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
         assert float(np.dot(w, np.exp(s * log_t))) == pytest.approx(1.0 / (1.0 + s), rel=1e-15)
         assert integrate_to_one(lambda lt: np.exp(s * lt), 96.0, low_power=s) == \
@@ -252,8 +283,8 @@ class TestGradedTowardZero:
     @pytest.mark.parametrize("s", [0.2, 0.5, 2.4])
     def test_restriction_at_zero_is_graded_in_its_own_scale(self, s):
         # integral of t**s over [0, 1/2) = 2**-(1+s) / (1+s)
-        log_t, w = measure_nodes(restrict(Lebesgue(), 0.0, 0.5), 8.0, low_power=s)
-        assert float(np.dot(w, np.exp(s * log_t))) == pytest.approx(
+        log_t, log_w = measure_nodes(restrict(Lebesgue(), 0.0, 0.5), 8.0, low_power=s)
+        assert float(np.dot(np.exp(log_w), np.exp(s * log_t))) == pytest.approx(
             0.5 ** (1.0 + s) / (1.0 + s), rel=1e-15)
 
     def test_integer_power_keeps_integrate_to_one_bit_for_bit(self):
@@ -395,8 +426,8 @@ class TestPoisson:
 def _log_kernel(mu, s, power):
     """log of the integral of (1 - s t)**(-power) against mu, on the nodes of mu
     refined to the scale 1 - s of the kernel, as prop511_value takes it."""
-    log_t, w = measure_nodes(mu, sharpness=1.0 / max(1.0 - s, 1e-15))
-    return float(_log_poisson_kernel(log_t, w, s, 1.0 - s, power))
+    log_t, log_w = measure_nodes(mu, sharpness=1.0 / max(1.0 - s, 1e-15))
+    return float(_log_poisson_kernel(log_t, log_w, s, 1.0 - s, power))
 
 
 class TestRestrictAndKernel:

@@ -201,6 +201,11 @@ def check(name: str, op: str, status: str, **data) -> dict:
     return {"name": name, "op": op, "status": status, "data": data}
 
 
+def _monomial_test(lam: float, log_moment: float) -> float:
+    """lam * moment as exp(log lam + log moment): the moment may underflow."""
+    return LogValue.from_log(math.log(lam) + log_moment).to_float() if lam > 0.0 else 0.0
+
+
 def _exit_code(checks: list[dict]) -> int:
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
@@ -379,7 +384,7 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     n = min(N, len(seq))
     cls = sequences_mod.classify(seq)
     logs = measures_mod.moments(measure, seq.exponents, p).tolist()
-    m_vals = [l * LogValue.from_log(m).to_float() for l, m in zip(seq, logs)]
+    m_vals = [_monomial_test(l, m) for l, m in zip(seq, logs)]
     sup_m = max(m_vals)
     checks.append(check("monomial-test-constant", "measures.moments", "EVIDENCE",
                         sup=sup_m, last=m_vals[-1]))
@@ -547,9 +552,7 @@ def _cmd_moments(args) -> int:
         rows.append({"n": i, "lambda_n": lam,
                      "moment_p_lambda": m.to_float(),
                      "log_moment": None if m.is_zero else m.log,
-                     # lam * moment formed in logs: the moment alone may underflow
-                     "monomial_test": LogValue.from_log(math.log(lam) + log_m).to_float()
-                     if lam > 0.0 else 0.0})
+                     "monomial_test": _monomial_test(lam, log_m)})
     _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
                                             "p": args.p}, "rows": rows},
           args, "moments", as_csv=args.format == "csv")

@@ -13,15 +13,15 @@ in the log domain, on one of three routes:
   is log(lam_n + (1 + lam_k)), formed by logaddexp, so no exponent sum
   overflows.  This is the closed-form special case of the node route.
 - every other case (atoms, densities and restrictions at any p, Lebesgue
-  at p != 2): the node route.  s is summed at every node of
-  ``measures.node_log_powers``, the one builder of node integrals, in one
-  nodes x prefix log-sum-exp, and the outer integral is one more
-  log-sum-exp over the nodes.  For atoms the nodes are the atoms
-  themselves, so at p = 2 this is the exact double series, reordered.  The
-  nodes are sized by p * lam of the last prefix entry, not of the last n
-  asked for, because the late terms of s live that close to t = 1, and
-  graded toward t = 0 by the builder's one rule (the smallest non-integer
-  among p * lam_k and lam_k - lam_0).
+  at p != 2): the node route, on the prefix x nodes matrix of
+  ``measures.node_log_powers``, the one builder of node integrals.  s at
+  every node is one log-sum-exp down its column (whole rows at a time),
+  the outer integral one along the nodes, the contiguous axis.  For atoms
+  the nodes are the atoms themselves, so at p = 2 this is the exact
+  double series, reordered.  The nodes are sized by p * lam of the last
+  prefix entry, not of the last n asked for, because the late terms of s
+  live that close to t = 1, and graded toward t = 0 by the builder's one
+  rule (the smallest non-integer among p * lam_k and lam_k - lam_0).
 
 Both series routes report their truncation the same way (``TruncationInfo``).
 """
@@ -152,17 +152,17 @@ def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
 
 def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
                 n_count: int, tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
-    terms, log_w = node_log_powers(mu, lams, p)  # nodes x prefix, updated in place
-    terms += inv_root
-    head, last = terms[:, :n_count].copy(), terms[:, -2:].copy()
-    inner = _log_shares(terms, axis=1)  # terms now holds term_k / s per node
+    terms, log_w = node_log_powers(mu, lams, p)  # prefix x nodes, updated in place
+    terms += inv_root[:, None]
+    head, last = terms[:n_count].copy(), terms[-2:].T.copy()
+    inner = _log_shares(terms, axis=0)  # terms now holds term_k / s per node
     # a node at t = 0 with every lam > 0 has only -inf terms; 0 keeps it out of the sums
     inner[inner == -math.inf] = 0.0
     tau = np.exp(_log_tail_over_sum(last, inner))
-    head += ((p - 1.0) * inner + log_w)[:, None]
-    log_dp = _log_shares(head, axis=0)  # head now holds each node's share of D_n**p
-    tail = (p - 1.0) * (head.T @ tau)
-    share = (p - 1.0) * (head.T @ terms)
+    head += (p - 1.0) * inner + log_w
+    log_dp = _log_shares(head, axis=1)  # head now holds each node's share of D_n**p
+    tail = (p - 1.0) * (head @ tau)
+    share = (p - 1.0) * (head @ terms.T)
     return _values_and_truncation(log_dp, tail, share, p, tol)
 
 

@@ -84,7 +84,7 @@ def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray
     count of entries set to 0 below the materialization floor 1e-300."""
     _check_truncation(seq, n)
     log_pow, log_w = node_log_powers(mu, seq.exponents[:n], 2.0)
-    log_v = log_pow + 0.5 * log_w[:, None]
+    log_v = log_pow.T + 0.5 * log_w[:, None]
     small = log_v < _FLUSH_LOG
     flushed = int(np.count_nonzero(small & (log_v > -math.inf)))
     return np.where(small, 0.0, np.exp(log_v)), flushed

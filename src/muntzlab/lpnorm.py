@@ -3,12 +3,11 @@
 ``log_lp_norms`` is the entry point for many vectors: it takes the norms of
 all the rows of one coefficient matrix, validated once, on one node set.
 Against atoms, densities and restrictions each norm is a log-domain sum
-over the nodes x terms matrix of ``measures.node_log_powers``, the one
-builder of node integrals, with a signed log-sum-exp for the value at each
-node, computed in place in the one nodes x terms array a row allocates.
-Rows with one nonzero coefficient are monomials, where that signed sum is
-the identity: they take one log-sum-exp over the nodes together, bit for
-bit the per-row result.
+over the terms x nodes matrix of ``measures.node_log_powers``, with a
+signed log-sum-exp for the value at each node, in place in the one array a
+row allocates, as whole-row operations along the nodes.  On monomial rows
+(one nonzero coefficient) that signed sum is the identity: they take one
+log-sum-exp over the nodes together, bit for bit the per-row result.
 ``log_lp_norm`` is its one-row view and comes back as a ``LogValue``;
 ``lp_norm`` is the float edge, where a norm below the smallest subnormal
 reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue norms on those nodes too,
@@ -16,10 +15,8 @@ through the same rows (``_node_log_norms``).  Both quadratures are graded
 toward t = 0 by the one rule of ``measures._grading_power``: |f|**p is not
 smooth there when some p * lam_j or lam_j - lam_0 is not an integer.
 Lebesgue rows alone add |f|**p in floats over the dyadic panels of
-``measures.integrate_to_one``: a nodes x vectors matmul over all rows runs
-several times faster, but the benchmark harness keeps every battery's
-outputs, so faster batteries read as more peak memory (ROADMAP.md item 1;
-``log_lp_norm`` gives the figures).  The random coefficient rows of
+``measures.integrate_to_one``; two faster forms stay parked on peak
+memory (``log_lp_norm``).  The random coefficient rows of
 ``gm_ratio_sample`` and of the diagonal-domination suite come from
 ``_uniform_rows``, which takes the standard library's generator: no module
 of the package imports ``numpy.random``.  Both quadratures refine toward t = 1
@@ -81,17 +78,18 @@ def _check_quadrature(max_exponent: float, mu: Measure, p: float) -> None:
 
 
 def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: float) -> float:
-    """log sum_k w_k |f(t_k)|**p for f = sum_j a_j t**lam_j, given the nodes x
-    terms matrix log_pow of lam_j log t_k and the log weights log_w.
+    """log sum_k w_k |f(t_k)|**p for f = sum_j a_j t**lam_j, given the terms x
+    nodes matrix log_pow of lam_j log t_k and the log weights log_w.
 
-    log|f(t_k)| is a signed log-sum-exp along each row of log|a_j| + log_pow,
-    then one log-sum-exp over the nodes; no step leaves the log domain.  The
-    one nodes x terms array it allocates, log|a_j| + log_pow, is overwritten
-    in place by the signed kernel (``signed_logsumexp`` on a copy).
+    log|f(t_k)| is a signed log-sum-exp down each node's column of
+    log|a_j| + log_pow (whole-row operations along the nodes), then one
+    log-sum-exp over the nodes; no step leaves the log domain.  The one
+    array it allocates, log|a_j| + log_pow, is overwritten in place by the
+    signed kernel (``signed_logsumexp`` on a copy).
     """
     with np.errstate(divide="ignore"):
-        logs = log_pow + np.log(np.abs(a))
-    return logsumexp(log_w + p * _signed_log_sum(logs, a, axis=1)[0])
+        logs = log_pow + np.log(np.abs(a))[:, None]
+    return logsumexp(log_w + p * _signed_log_sum(logs, a[:, None], axis=0)[0])
 
 
 def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
@@ -100,17 +98,16 @@ def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
 
     A row with one nonzero coefficient a_j is a monomial, on which the signed
     log-sum-exp of ``_log_pth_power`` is the identity, so all such rows take
-    one log-sum-exp along the nodes of the contiguous rows x nodes matrix
+    one log-sum-exp along the nodes of their rows log_pow[j], made
     p (lam_j log t_k + log|a_j|) + log w_k: the per-row result bit for bit.
-    Every other row takes one ``_log_pth_power`` over the one nodes x terms
-    matrix; an all-zero row is -inf.
+    Every other row takes one ``_log_pth_power``; an all-zero row is -inf.
     """
     nonzero = np.count_nonzero(coeffs, axis=1)
     out = np.full(len(coeffs), -math.inf)
     mono = np.flatnonzero(nonzero == 1)
     if mono.size:
         cols = np.argmax(coeffs[mono] != 0.0, axis=1)
-        terms = np.ascontiguousarray(log_pow.T[cols])
+        terms = log_pow[cols]
         terms += np.log(np.abs(coeffs[mono, cols]))[:, None]
         terms *= p
         terms += log_w
@@ -126,7 +123,7 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     The entry point for many vectors.  The vectors x terms matrix is checked
     once as ``MuntzPolynomial`` checks one vector, and the p >= 1 and
     quadrature-limit refusals of ``_check_quadrature`` are made once.  Every
-    measure but Lebesgue builds one node set and one nodes x terms matrix
+    measure but Lebesgue builds one node set and one terms x nodes matrix
     (``measures.node_log_powers``, which refuses p * lam past the float
     range) and takes each row's norm from it; for atoms the sum is exact at
     any exponent.  Lebesgue rows each take the float quadrature
@@ -166,16 +163,16 @@ def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
     so on atoms at any exponent.  A Lebesgue norm (``suite_diagonal``'s
     random vectors, the ``norm`` command) is the float quadrature
     ``integrate_to_one`` of |f|**p, where a norm whose p-th power underflows
-    comes back zero.  A nodes x vectors matmul over the rows with two
-    nonzero terms or more would be faster, but perfbench keeps the outputs
-    of every battery it runs, so more batteries in its 35 s read as more
-    peak memory.  With that kernel in ``log_lp_norms`` (2 pairs each, while
-    the coefficient draws still imported ``numpy.random``) report-atoms64
-    ``battery_s`` went 0.037 -> 0.020 s and report-p3 0.030 -> 0.010 s, with
-    ``peak_rss_mb`` up 19 % and 17 %, past the 10 % bound.  It lands once
-    perfbench stops keeping the outputs (ROADMAP.md item 1), as a change
-    inside ``_node_log_norms``.  Exponents beyond 1e12 are refused on every
-    non-atomic measure.
+    comes back zero.  In alternated 35 s perfbench pairs (2-vCPU Intel Xeon
+    VM), the terms x nodes layout took report-p3 ``battery_s`` from
+    0.022-0.025 to 0.016-0.017 s at +3 to +8 % ``peak_rss_mb``.  Two faster
+    forms stay parked while perfbench keeps every battery's outputs, so
+    more batteries read as more peak memory, past its 10 % bound: the rows
+    as one matmul over the nodes (report-p3 0.0228 -> 0.0092 s at +24 %,
+    +25 % on report-atoms64) and a one-pass ``integrate_to_one``
+    (report-default twice as fast at +8.0 to +11.4 %, median +10.2 %, 4
+    pairs).  They land once it stops (ROADMAP.md item 1).  Exponents beyond
+    1e12 are refused on every non-atomic measure.
     """
     return LogValue.from_log(float(log_lp_norms(f.seq, [f.coefficients], mu, p)[0]))
 
@@ -240,7 +237,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     At every other p they take the node route of ``log_lp_norms`` on one
     ``measures.node_log_powers`` matrix: the canonical rows are monomials
     and take one log-sum-exp over the nodes together; each other row takes
-    one ``_log_pth_power``, in place in one nodes x terms array, so the
+    one ``_log_pth_power``, in place in one terms x nodes array, so the
     working set is two such matrices.  The denominators are one array
     expression up to the 1/p root, which each row takes as a float.  Warns
     when ``classify`` flags the prefix's ratio trend as non-lacunary, where

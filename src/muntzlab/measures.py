@@ -8,14 +8,15 @@ precision (x itself would round to 1.0, the forbidden point t = 1), and the
 other measures get panels in u.  Each weight is formed as a log where it is
 made, so none underflows while its log is representable.  Integrals of the
 monomials t**lam_j (moments, L^p norms, D_n, the p = 2 node factor) take
-the nodes x terms matrix lam_j log t_k and the log weights from one builder,
-``node_log_powers``: nodes sized by p * lam_max toward t = 1 and graded
-toward t = 0 by one rule (``_grading_power``): the smallest non-integer s
-among p * lam_j and lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none
-are added when all of them are integers.  Closed forms (Lebesgue moments,
-the Poisson integral of a density reaching t = 1) stay as the exact special
-cases they are.  The one other quadrature is ``integrate_to_one``, float
-dyadic panels in u for Lebesgue L^p norms, graded by the same rule.
+the terms x nodes matrix lam_j log t_k, contiguous along the nodes, and
+the log weights from one builder, ``node_log_powers``: nodes sized by
+p * lam_max toward t = 1 and graded toward t = 0 by one rule
+(``_grading_power``): the smallest non-integer s among p * lam_j and
+lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
+all of them are integers.  Closed forms (Lebesgue moments, the Poisson
+integral of a density reaching t = 1) stay as the exact special cases they
+are.  The one other quadrature is ``integrate_to_one``, float dyadic panels
+in u for Lebesgue L^p norms, graded by the same rule.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .logdomain import LogValue, NeumaierSum, logsumexp
+from .logdomain import LogValue, NeumaierSum, _exp_shifted, logsumexp
 
 GL_ORDER = 24
 DEFAULT_REL_TOL = 1e-12
@@ -291,9 +292,10 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     e = p * a + 1; where p * a overflows, log e is log p + log a, since the
     + 1 is then far below rounding.  Every other measure is one log-sum-exp
     of log w + p * a * log t over the nodes of ``node_log_powers`` for the
-    exponents p * a: an exponents x nodes matrix summed along the nodes, the
-    exact atom sum for atoms.  Those nodes need p * a in the float range, so
-    a larger one is refused.  A zero moment (an empty restriction) is -inf.
+    exponents p * a: its exponents x nodes matrix summed in place along the
+    nodes, the exact atom sum for atoms.  Those nodes need p * a in the
+    float range, so a larger one is refused.  A zero moment (an empty
+    restriction) is -inf.
     """
     lam = np.asarray(exponents, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -321,11 +323,9 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
         return -(log_e - diff)  # -log e on [0, 1), with its sign of zero
     if big.any():
         raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
-    log_pow, log_w = node_log_powers(mu, a)
-    # exponents x nodes, contiguous along the nodes it is summed over
-    terms = np.ascontiguousarray(log_pow.T)
+    terms, log_w = node_log_powers(mu, a)
     terms += log_w
-    return logsumexp(terms, axis=1)
+    return _exp_shifted(terms, 1)[0]
 
 
 def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
@@ -529,12 +529,12 @@ def measure_nodes(mu: Measure, sharpness: float,
 
 
 def node_log_powers(mu: Measure, lam, p: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes x terms matrix lam_j log t_k and the log weights log w_k of
+    """The terms x nodes matrix lam_j log t_k and the log weights log w_k of
     mu for integrands built from the monomials t**lam_j at power p: the one
     builder behind ``moments``, ``lpnorm``, the D_n node route and the p = 2
-    node factor.  The nodes of ``measure_nodes`` are sized by p * lam_max
-    and graded toward t = 0 by ``_grading_power``; p * lam past the float
-    range is refused.
+    node factor, C-contiguous along the nodes.  The nodes of
+    ``measure_nodes`` are sized by p * lam_max and graded toward t = 0 by
+    ``_grading_power``; p * lam past the float range is refused.
     """
     lam = np.asarray(lam, dtype=float)
     log_t, log_w = measure_nodes(mu, sharpness=p * float(lam.max(initial=0.0)),
@@ -543,8 +543,8 @@ def node_log_powers(mu: Measure, lam, p: float = 1.0) -> tuple[np.ndarray, np.nd
 
 
 def log_powers(log_t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """log(t_k**lam_j) for every node k and exponent j; t**0 = 1 also at t = 0."""
+    """log(t_k**lam_j), row j and column k; t**0 = 1 also at t = 0."""
     with np.errstate(invalid="ignore"):  # 0 * -inf at t = 0, zeroed below
-        out = np.multiply.outer(log_t, exponents)
-    out[..., exponents == 0.0] = 0.0
+        out = np.multiply.outer(exponents, log_t)
+    out[exponents == 0.0] = 0.0
     return out

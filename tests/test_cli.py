@@ -842,6 +842,20 @@ def test_moments_with_node_weights_below_the_float_range(tmp_path, capsys):
     assert rows[2]["moment_p_lambda"] == 0.0 and rows[2]["monomial_test"] > 0.0
 
 
+def test_carleson_monomial_test_below_the_float_range(tmp_path, capsys):
+    # lam times the moment of u**0.5 dt is Gamma(3/2) lam**-0.5, 8.9e-151 at
+    # lam = 1e300, although the moment alone (8.9e-451) underflows
+    spec = tmp_path / "density.json"
+    spec.write_text(json.dumps({"kind": "density", "name": "oneminus_power",
+                                "params": {"alpha": 0.5}}))
+    code, report = _verify(capsys, "carleson", "--seq", "explicit:1e100,1e200,1e300",
+                           "--measure", f"file:{spec}", "--p", "1")
+    data = report["checks"][0]["data"]
+    assert code == 0 and report["checks"][0]["name"] == "monomial-test-constant"
+    assert data["last"] == pytest.approx(math.gamma(1.5) * 1e-150, rel=1e-12)
+    assert data["sup"] == pytest.approx(math.gamma(1.5) * 1e-50, rel=1e-12)
+
+
 def test_dnp_bounds_past_the_float_range():
     # 2 lam overflows at lam = 1e308; the Lebesgue moment 1 / (2 lam + 1) does not
     out = _python_dash_m("dnp", "--seq", "explicit:1,1e308", "--measure", "lebesgue")

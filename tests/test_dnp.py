@@ -142,11 +142,11 @@ class TestComputeDn:
         assert max(cutoffs) < len(seq) - 1
         lams = np.array(seq.exponents)
         log_t, log_w = measure_nodes(mu, sharpness=p * lams[-1])
-        terms = log_powers(log_t, lams) + np.log(lams) / p
+        terms = log_powers(log_t, lams) + (np.log(lams) / p)[:, None]
 
         def log_dp(n, k_end):
-            inner = logsumexp(terms[:, :k_end], axis=1)
-            return float(logsumexp(terms[:, n] + (p - 1.0) * inner + log_w))
+            inner = logsumexp(terms[:k_end], axis=0)
+            return float(logsumexp(terms[n] + (p - 1.0) * inner + log_w))
 
         for n, cut in enumerate(cutoffs):
             full = log_dp(n, len(seq))
@@ -274,24 +274,24 @@ class TestOracle:
 
 
 def _where_log_powers(log_t, exponents):
-    """log_powers as an np.where over a second nodes x terms array."""
+    """log_powers as an np.where over a second terms x nodes array."""
     with np.errstate(invalid="ignore"):
-        return np.where(exponents == 0.0, 0.0, np.multiply.outer(log_t, exponents))
+        return np.where((exponents == 0.0)[:, None], 0.0, np.multiply.outer(exponents, log_t))
 
 
 def _copying_node_route(lams, inv_root, mu, p, n_count, tol):
     """dnp._node_route with the per-node shares of D_n**p in logsumexp's copy,
-    on the nodes of measures.node_log_powers (with its log_powers patched to
-    the np.where form)."""
+    on the terms x nodes matrix of measures.node_log_powers (with its
+    log_powers patched to the np.where form)."""
     log_pow, log_w = measures.node_log_powers(mu, lams, p)
-    terms = log_pow + inv_root
-    inner, ratio = logsumexp(terms, axis=1, return_shares=True)
+    terms = log_pow + inv_root[:, None]
+    inner, ratio = logsumexp(terms, axis=0, return_shares=True)
     inner[inner == -math.inf] = 0.0
-    tau = np.exp(dnp._log_tail_over_sum(terms, inner))
-    head = terms[:, :n_count] + ((p - 1.0) * inner + log_w)[:, None]
-    log_dp, node_share = logsumexp(head, axis=0, return_shares=True)
-    tail = (p - 1.0) * (node_share.T @ tau)
-    share = (p - 1.0) * (node_share.T @ ratio)
+    tau = np.exp(dnp._log_tail_over_sum(terms.T, inner))
+    head = terms[:n_count] + ((p - 1.0) * inner + log_w)
+    log_dp, node_share = logsumexp(head, axis=1, return_shares=True)
+    tail = (p - 1.0) * (node_share @ tau)
+    share = (p - 1.0) * (node_share @ ratio.T)
     return dnp._values_and_truncation(log_dp, tail, share, p, tol)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -235,10 +236,11 @@ class TestLogLpNorms:
 
 def per_row_log_norm(log_pow, log_w, a, p):
     """log ||f||_p on the nodes, one row alone, through the public kernels:
-    a signed log-sum-exp over the terms at each node, then one over the nodes."""
+    a signed log-sum-exp over the terms at each node (down each column of
+    the terms x nodes matrix), then one over the nodes."""
     with np.errstate(divide="ignore"):
-        logs = log_pow + np.log(np.abs(a))
-    return logsumexp(log_w + p * signed_logsumexp(logs, a, axis=1)[0]) / p
+        logs = log_pow + np.log(np.abs(a))[:, None]
+    return logsumexp(log_w + p * signed_logsumexp(logs, a[:, None], axis=0)[0]) / p
 
 
 class TestNodeLogNorms:
@@ -303,6 +305,50 @@ class TestNodeLogNorms:
         log_pow, log_w = node_log_powers(Lebesgue(), np.array(GEO.exponents), 3.0)
         _node_log_norms(log_pow, log_w, self.rows(len(GEO)), 3.0)
         assert len(seen) == 7 and min(seen) >= 2  # the last 7 of ``rows``
+
+
+class TestNodeNormsAgainstExactSums:
+    """References that fix no summation order: mpmath at 40 digits and exact
+    rational sums, so they hold in any layout of the node matrix."""
+
+    SEQ = generate_geometric(1, 2, 6)  # 1, 2, 4, ..., 32
+    ATOMS = [(0.9, 0.3), (0.7, 1.0), (0.45, 0.5), (0.3, 2.0), (0.1, 0.25), (1e-3, 1.5),
+             (1e-8, 0.75)]
+    SIGNED_ROWS = [
+        [1.0, -2.0, 0.0, 0.0, 0.0, 0.0],   # t - 2t**2, root at t = 1/2
+        [-1.0, 0.0, 3.0, 0.0, 0.0, -1.5],
+        [0.3, -1.2, 0.0, 2.0, -0.7, -0.4],
+    ]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_signed_rows_on_atoms_against_mpmath(self, p):
+        got = log_lp_norms(self.SEQ, self.SIGNED_ROWS, atoms(self.ATOMS), p)
+        t = np.linspace(0.01, 0.99, 99)
+        with mpmath.workdps(40):
+            for row, log_norm in zip(self.SIGNED_ROWS, got.tolist()):
+                values = sum(a * t ** lam for a, lam in zip(row, self.SEQ))
+                assert values.min() < 0.0 < values.max()  # a sign change inside (0, 1)
+                total = mpmath.fsum(
+                    mpmath.mpf(m) * abs(mpmath.fsum(mpmath.mpf(a) * (1 - mpmath.mpf(d)) ** int(lam)
+                                                    for a, lam in zip(row, self.SEQ))) ** p
+                    for d, m in self.ATOMS)
+                assert math.exp(log_norm) == pytest.approx(float(total ** (1 / mpmath.mpf(p))),
+                                                           rel=1e-13)
+
+    def test_coefficients_from_1e_minus_300_to_1_at_p4_on_lebesgue(self):
+        # ||f||_4**4 on dt is the sum of a_i a_j a_k a_l / (lam_i + ... + lam_l + 1),
+        # exact in rationals; the terms of 1e-300 underflow as floats.  Both
+        # routes: the node kernel of gm_ratio_sample and the float quadrature
+        seq = generate_geometric(1, 2, 8)
+        row = [1e-300, 0.0, -1e-200, 0.5, 1e-100, 0.0, -1.0, 0.25]
+        coeffs = [(Fraction(a), int(lam)) for a, lam in zip(row, seq) if a != 0.0]
+        exact = sum(a * b * c * d / (la + lb + lc + ld + 1)
+                    for (a, la), (b, lb), (c, lc), (d, ld) in itertools.product(coeffs, repeat=4))
+        on_nodes = _node_log_norms(*node_log_powers(Lebesgue(), np.array(seq.exponents), 4.0),
+                                   np.array([row]), 4.0)[0]
+        for got in (on_nodes, log_lp_norms(seq, [row], Lebesgue(), 4.0)[0]):
+            assert math.isfinite(got)
+            assert math.exp(4.0 * got) == pytest.approx(float(exact), rel=1e-13)
 
 
 def mp_log_norm(exps, coeffs, p, alpha=None):

@@ -65,7 +65,7 @@ class TestMoments:
         got = moments(mu, self.EXPONENTS)
         for a, g in zip(self.EXPONENTS, got):
             log_pow, log_w = node_log_powers(mu, [a])
-            ref = logsumexp(log_w + log_pow[:, 0])
+            ref = logsumexp(log_w + log_pow[0])
             assert g == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
     @pytest.mark.parametrize("mu, lo, hi", [
@@ -236,6 +236,24 @@ class TestNodes:
             with pytest.raises(ValueError):
                 measure_nodes(mu, sharpness)
 
+    @pytest.mark.parametrize("mu", [Lebesgue(), GEOM30,
+                                    DensityMeasure("oneminus_power", alpha=0.5),
+                                    restrict(Lebesgue(), 0.25, 0.75)],
+                             ids=["lebesgue", "atoms", "density", "restriction"])
+    def test_node_log_powers_are_terms_by_nodes(self, mu):
+        # one row per exponent, C-contiguous along the nodes
+        lam = np.array([0.0, 1.0, 2.5, 8.0])
+        log_pow, log_w = node_log_powers(mu, lam, 2.0)
+        assert log_pow.shape == (len(lam), len(log_w)) and log_pow.flags.c_contiguous
+        assert np.array_equal(log_pow[0], np.zeros(len(log_w)))
+        assert np.array_equal(log_pow[3], 8.0 * log_pow[1])
+
+    def test_log_powers_rows_are_exponents(self):
+        # t**0 = 1 also at t = 0, where 0 * log t would be nan
+        got = log_powers(np.array([-math.inf, -1.0, -0.5]), np.array([0.0, 2.0]))
+        assert got.flags.c_contiguous
+        assert got.tolist() == [[0.0, 0.0, 0.0], [-math.inf, -2.0, -1.0]]
+
 
 class TestGradedTowardZero:
     """A non-integer smallest power s near t = 0 grades the panel [0, hi/2]."""
@@ -250,7 +268,8 @@ class TestGradedTowardZero:
         # K = ceil(40 / (1 + s)) panels of 24 nodes are added; none for integers
         log_pow, log_w = node_log_powers(Lebesgue(), lam, p)
         plain = measure_nodes(Lebesgue(), p * max(lam))[0]
-        assert log_pow.shape == (len(plain) + 24 * count, len(lam)) == (len(log_w), len(lam))
+        assert log_pow.shape == (len(lam), len(plain) + 24 * count) == (len(lam), len(log_w))
+        assert log_pow.flags.c_contiguous
 
     @pytest.mark.parametrize("mu", [Lebesgue(), DensityMeasure("oneminus_power", alpha=0.5),
                                     restrict(Lebesgue(), 0.0, 0.5),

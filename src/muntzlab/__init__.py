@@ -15,8 +15,8 @@ from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
                   operator_bounds)
 from .bounds import (envelope_check, jlambda_upper, lemma31_bound,
                      point_eval_norm, r_epsilon)
-from .lpnorm import (MuntzPolynomial, amgm_probe, gm_ratio_sample, l2_norm_gram,
-                     log_lp_norm, log_lp_norms, lp_norm, pairing_integral)
+from .lpnorm import (amgm_probe, gm_ratio_sample, l2_norm_gram, log_lp_norms,
+                     pairing_integral)
 from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
                       embedding_spectrum, essential_norm_estimate, frame_bounds,
                       hs_criteria, prop511_value, t_mu_spectrum)

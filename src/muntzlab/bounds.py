@@ -6,16 +6,13 @@ only the series that involve t**lam go through the log domain.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import logsumexp
+from .logdomain import LOG_FLOAT_MAX, logsumexp
 from .sequences import ExponentSequence, is_r_lacunary
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def conjugate(p: float) -> float:
@@ -104,7 +101,7 @@ def r_epsilon(p: float, eps: float) -> float:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     q = max(p, conjugate(p))
     base, power = 1.0 + 4.0 * q ** (1.0 / (q - 1.0)) / eps, q * (q - 1.0)
-    if power * math.log(base) >= _LOG_FLOAT_MAX:
+    if power * math.log(base) >= LOG_FLOAT_MAX:
         return math.inf
     return base ** power
 

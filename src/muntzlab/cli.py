@@ -47,7 +47,7 @@ from . import hilbert
 from . import lpnorm
 from . import measures as measures_mod
 from . import sequences as sequences_mod
-from .logdomain import LogValue
+from .logdomain import materialize
 
 SCHEMA = "muntzlab-report/1"
 STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
@@ -117,7 +117,7 @@ def measure_from_obj(obj) -> measures_mod.Measure:
         for entry in obj.get("atoms", []):
             if isinstance(entry, dict):
                 if "log_delta" in entry:
-                    delta = math.exp(entry["log_delta"])
+                    delta = materialize(entry["log_delta"])
                 else:
                     delta = float(entry["delta"])
                 pairs.append((delta, float(entry["mass"])))
@@ -203,7 +203,7 @@ def check(name: str, op: str, status: str, **data) -> dict:
 
 def _monomial_test(lam: float, log_moment: float) -> float:
     """lam * moment as exp(log lam + log moment): the moment may underflow."""
-    return LogValue.from_log(math.log(lam) + log_moment).to_float() if lam > 0.0 else 0.0
+    return materialize(math.log(lam) + log_moment) if lam > 0.0 else 0.0
 
 
 def _exit_code(checks: list[dict]) -> int:
@@ -315,7 +315,7 @@ def suite_envelope(seq, alpha_list) -> list[dict]:
         checks.append(check(f"envelope-positive-finite-alpha={alpha:g}",
                             "bounds.envelope_check", "PASS" if ok else "FAIL", **edges))
         width = (br.ratio_max / br.ratio_min if br.ratio_min > 0.0 else
-                 LogValue.from_log(br.log_ratio_max - br.log_ratio_min).to_float())
+                 materialize(br.log_ratio_max - br.log_ratio_min))
         checks.append(check(f"envelope-bracket-alpha={alpha:g}",
                             "bounds.envelope_check", "EVIDENCE", **edges, width=width))
     return checks
@@ -359,10 +359,12 @@ def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
                             spectrum=spec.schatten[r], bound=ob.schatten[r]))
     # ||sum_j b_j t^lam_j||_{L^2(mu)} vs (sum_j |b_j|^2 D_j^2 / lam_j)^(1/2), rows b
     b = lpnorm._uniform_rows(seed, 100, len(profile.values))
-    weights = [math.exp(-profile.weight.log_inv_weight(lam)) for lam in seq.exponents[:b.shape[1]]]
-    rhs = np.sqrt((b ** 2 * weights * np.square(profile.values)).sum(axis=1))
+    # w_j D_j^2 in logs: w_j = 1/lam_j alone may overflow (lam_0 = 5e-324)
+    weighted = [materialize(2.0 * math.log(d) - profile.weight.log_inv_weight(lam))
+                if d > 0.0 else 0.0 for d, lam in zip(profile.values, seq.exponents)]
+    rhs = np.sqrt((b ** 2 * weighted).sum(axis=1))
     lhs = lpnorm.log_lp_norms(seq, b, measure, 2.0).tolist()
-    worst = max(LogValue.from_log(l).to_float() - r for l, r in zip(lhs, rhs.tolist()))
+    worst = max(materialize(l) - r for l, r in zip(lhs, rhs.tolist()))
     checks.append(check("random-vector-domination", "dnp.compute_dn",
                         "PASS" if worst <= 1e-9 else "FAIL", worst_excess=worst))
     return checks
@@ -548,10 +550,9 @@ def _cmd_moments(args) -> int:
     logs = measures_mod.moments(mu, seq.exponents, args.p).tolist()
     rows = []
     for i, (lam, log_m) in enumerate(zip(seq, logs)):
-        m = LogValue.from_log(log_m)
         rows.append({"n": i, "lambda_n": lam,
-                     "moment_p_lambda": m.to_float(),
-                     "log_moment": None if m.is_zero else m.log,
+                     "moment_p_lambda": materialize(log_m),
+                     "log_moment": None if log_m == -math.inf else log_m,
                      "monomial_test": _monomial_test(lam, log_m)})
     _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
                                             "p": args.p}, "rows": rows},
@@ -612,14 +613,13 @@ def _cmd_norm(args) -> int:
     mu = parse_measure(args.measure)
     coeffs = _floats(Path(args.coeffs_file).read_text()) if args.coeffs_file \
         else _floats(args.coeffs)
-    fpoly = lpnorm.MuntzPolynomial(seq, tuple(coeffs))
-    value = lpnorm.lp_norm(fpoly, mu, args.p)
+    value = materialize(lpnorm.log_lp_norms(seq, [coeffs], mu, args.p)[0])
     payload = {"command": "norm",
                "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
                           "coefficients": coeffs},
                "value": value}
     if args.p == 2.0 and isinstance(mu, measures_mod.Lebesgue):
-        payload["gram_value"] = lpnorm.l2_norm_gram(fpoly)
+        payload["gram_value"] = lpnorm.l2_norm_gram(seq, coeffs)
     _emit(payload, args, "norm")
     return 0
 

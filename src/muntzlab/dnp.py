@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import _schatten_norms
-from .logdomain import LogValue, _log_shares, logsumexp
+from .logdomain import _log_shares, logsumexp, materialize
 from .measures import Lebesgue, Measure, moments, node_log_powers
 from .sequences import ExponentSequence
 
@@ -132,7 +132,7 @@ def _values_and_truncation(log_dp: np.ndarray, tail: np.ndarray, share: np.ndarr
     needed = share >= tol
     last = needed.shape[1] - 1 - np.argmax(needed[:, ::-1], axis=1)
     cutoffs = np.where(needed.any(axis=1), last, 0)
-    values = tuple(math.exp(v / p) if v > -math.inf else 0.0 for v in log_dp.tolist())
+    values = tuple(materialize(v / p) for v in log_dp.tolist())
     infos = tuple(TruncationInfo(cutoff=c, tail_ratio=t, safe=t < tol)
                   for c, t in zip(cutoffs.tolist(), tail.tolist()))
     return values, infos
@@ -194,7 +194,7 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
 
     if p == 1.0 and route == "auto":
         logs = moments(mu, lams[:n_count]).tolist()
-        values = tuple(LogValue.from_log(weight.log_inv_weight(l) + m).to_float()
+        values = tuple(materialize(weight.log_inv_weight(l) + m)
                        for l, m in zip(seq.exponents, logs))
         infos = tuple(TruncationInfo(cutoff=n, tail_ratio=0.0, safe=True)
                       for n in range(n_count))
@@ -238,8 +238,8 @@ def operator_bounds(profile: DnProfile, mu: Measure, seq: ExponentSequence) -> O
 
     lams = seq.exponents[:len(vals)]
     logs = moments(mu, lams, p).tolist()
-    nuclear = math.fsum(math.exp(profile.weight.log_inv_weight_root(l) + m / p)
-                        if m > -math.inf else 0.0 for l, m in zip(lams, logs))
+    nuclear = materialize(logsumexp([profile.weight.log_inv_weight_root(l) + m / p
+                                     for l, m in zip(lams, logs)]))
 
     schatten = None
     if p == 2.0:

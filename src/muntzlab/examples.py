@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .dnp import WeightScheme, compute_dn
-from .logdomain import LogValue
+from .logdomain import materialize
 from .measures import Atom, AtomicMeasure, moments
 from .sequences import ExponentSequence
 
@@ -98,8 +98,7 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
 def monomial_test_values(inst: ExampleInstance, q: float) -> tuple[float, ...]:
     """M_n(q) = lam_n * integral t**(q lam_n) dmu over the instance range."""
     logs = moments(inst.mu, inst.seq.exponents, q).tolist()
-    return tuple(LogValue.from_log(log_lam + m).to_float()
-                 for log_lam, m in zip(inst.log_lambdas, logs))
+    return tuple(materialize(log_lam + m) for log_lam, m in zip(inst.log_lambdas, logs))
 
 
 def atom_power_products(inst: ExampleInstance) -> tuple[float, ...]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logdomain import LOG_HUGE, logsumexp
+from .logdomain import logsumexp, materialize
 from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
                        _cauchy_gram, _log_poisson_kernel, measure_nodes, node_log_powers,
                        poisson_integral, restrict)
@@ -138,22 +138,23 @@ def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralRe
     """Spectrum of leading(n), with leading(m) the operator on the first m monomials.
 
     The drift compares sigma_1 and the Hilbert-Schmidt (Frobenius) norm at
-    N and N/2.
+    N and N/2, each norm the Schatten 2-norm of singular values already
+    taken, so no square of an entry overflows.
     """
-    full = leading(n)
-    sigma = _singular_values(full)
+    sigma = _singular_values(leading(n))
+    schatten = _schatten_norms(sigma)
     drift = {}
     if n >= 2:
-        half = leading(n // 2)
-        drift = {"sigma1_half": float(_singular_values(half)[0]),
+        sigma_half = _singular_values(leading(n // 2))
+        drift = {"sigma1_half": float(sigma_half[0]),
                  "sigma1": float(sigma[0]),
-                 "hs_half": float(np.linalg.norm(half)),
-                 "hs": float(np.linalg.norm(full))}
+                 "hs_half": _schatten_norms(sigma_half)[2.0],
+                 "hs": schatten[2.0]}
     return SpectralResult(
         operator=operator,
         n=n,
         singular_values=tuple(float(s) for s in sigma),
-        schatten=_schatten_norms(sigma),
+        schatten=schatten,
         drift=drift,
         extras=extras,
     )
@@ -316,7 +317,7 @@ def prop511_value(mu: Measure, q: float) -> float:
         blk = slice(k, k + _S_BLOCK)
         log_outer[blk] = _log_poisson_kernel(log_t, log_w, s[blk], u_s[blk], 2.0 / q + 1.0)
     log_val = logsumexp(log_w_s + 0.5 * q * log_outer - beta * np.log(u_s)) / q
-    return math.inf if log_val > LOG_HUGE else math.exp(log_val)
+    return materialize(log_val)
 
 
 def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,

@@ -4,17 +4,28 @@ Quantities of the form t**lam appear throughout the package with lam as
 large as 1e306 and positions t exponentially close to 1.  Any fixed-exponent
 float representation of such a term underflows, so every series in the
 package is accumulated on logarithms (``logsumexp``, ``signed_logsumexp``)
-and materialized only at the end.
+and materialized only at the end, by ``materialize``: the one place a log
+becomes a float.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# exp() overflows just above this; matrix builders flush below -LOG_HUGE.
-LOG_HUGE = 709.0
+# the log of the largest float: exp() overflows past it and nowhere below
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def materialize(log: float) -> float:
+    """exp(log) as a float: ``math.exp`` itself wherever it is finite, so no
+    bit moves; 0.0 at -inf and wherever exp underflows; inf only past
+    ``LOG_FLOAT_MAX``, where exp would raise.  A NaN log is refused."""
+    if math.isnan(log):
+        raise ValueError("log magnitude is NaN")
+    return math.inf if log > LOG_FLOAT_MAX else math.exp(log)
 
 
 class NeumaierSum:
@@ -48,50 +59,22 @@ class NeumaierSum:
 class LogValue:
     """A nonnegative real stored as its natural logarithm plus a zero flag.
 
-    ``log`` is ignored when ``is_zero`` is set.  A value far outside the
-    float range keeps its logarithm until ``to_float`` materializes it.
+    ``log`` is ignored when ``is_zero`` is set.  Only ``measures.moment``
+    and ``PoissonResult.value`` still return one; everything else keeps a
+    plain log and calls ``materialize``.
     """
 
     log: float = 0.0
     is_zero: bool = False
 
     @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(0.0, True)
-
-    @staticmethod
-    def from_float(x: float) -> "LogValue":
-        if math.isnan(x) or x < 0.0:
-            raise ValueError(f"LogValue requires a nonnegative real, got {x!r}")
-        if x == 0.0:
-            return LogValue.zero()
-        return LogValue(math.log(x))
-
-    @staticmethod
     def from_log(log: float) -> "LogValue":
         if math.isnan(log):
             raise ValueError("LogValue log magnitude is NaN")
-        if log == -math.inf:
-            return LogValue.zero()
-        return LogValue(log)
+        return LogValue(0.0, True) if log == -math.inf else LogValue(log)
 
     def to_float(self) -> float:
-        """Materialize; overflows to inf and underflows to 0.0 like exp."""
-        if self.is_zero:
-            return 0.0
-        if self.log > LOG_HUGE:
-            return math.inf
-        return math.exp(self.log)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def powf(self, exponent: float) -> "LogValue":
-        if self.is_zero:
-            if exponent <= 0.0:
-                raise ValueError("0 raised to a nonpositive power")
-            return LogValue.zero()
-        return LogValue(self.log * exponent)
+        return 0.0 if self.is_zero else materialize(self.log)
 
 
 def logsumexp(logs, axis: int | None = None, return_shares: bool = False):

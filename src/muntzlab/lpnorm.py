@@ -1,22 +1,23 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
-``log_lp_norms`` is the entry point for many vectors: it takes the norms of
-all the rows of one coefficient matrix, validated once, on one node set.
+``log_lp_norms`` is the one entry point for norms: it takes the logs of the
+norms of all the rows of one coefficient matrix (one vector is a one-row
+matrix), validated once, on one node set.
 Against atoms, densities and restrictions each norm is a log-domain sum
 over the terms x nodes matrix of ``measures.node_log_powers``, with a
 signed log-sum-exp for the value at each node, in place in the one array a
 row allocates, as whole-row operations along the nodes.  On monomial rows
 (one nonzero coefficient) that signed sum is the identity: they take one
-log-sum-exp over the nodes together, bit for bit the per-row result.
-``log_lp_norm`` is its one-row view and comes back as a ``LogValue``;
-``lp_norm`` is the float edge, where a norm below the smallest subnormal
-reads 0.0.  ``gm_ratio_sample`` takes its Lebesgue norms on those nodes too,
-through the same rows (``_node_log_norms``).  Both quadratures are graded
-toward t = 0 by the one rule of ``measures._grading_power``: |f|**p is not
-smooth there when some p * lam_j or lam_j - lam_0 is not an integer.
+log-sum-exp over the nodes together, bit for bit the per-row result.  A
+caller that wants a float norm materializes the log
+(``logdomain.materialize``).  ``gm_ratio_sample`` takes its Lebesgue norms
+on those nodes too, through the same rows (``_node_log_norms``).  Both
+quadratures are graded toward t = 0 by the one rule of
+``measures._grading_power``: |f|**p is not smooth there when some
+p * lam_j or lam_j - lam_0 is not an integer.
 Lebesgue rows alone add |f|**p in floats over the dyadic panels of
 ``measures.integrate_to_one``; two faster forms stay parked on peak
-memory (``log_lp_norm``).  The random coefficient rows of
+memory (``log_lp_norms``).  The random coefficient rows of
 ``gm_ratio_sample`` and of the diagonal-domination suite come from
 ``_uniform_rows``, which takes the standard library's generator: no module
 of the package imports ``numpy.random``.  Both quadratures refine toward t = 1
@@ -33,30 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LogValue, _exp_shifted, _signed_log_sum, logsumexp
+from .logdomain import _exp_shifted, _signed_log_sum, logsumexp, materialize
 from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, _grading_power,
                        integrate_to_one, node_log_powers)
 from .sequences import ExponentSequence, classify
 
 QUADRATURE_EXPONENT_LIMIT = 1.0e12
-
-
-@dataclass(frozen=True)
-class MuntzPolynomial:
-    """Finite coefficient vector against the monomials of a sequence prefix."""
-
-    seq: ExponentSequence
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        if len(coeffs) > len(self.seq):
-            raise ValueError("more coefficients than exponents")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 def _eval_poly_array(a: list[float], lam: list[float], log_t: np.ndarray) -> np.ndarray:
@@ -120,16 +103,30 @@ def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
 def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.ndarray:
     """log ||sum_j a_j t**lam_j||_{L^p(mu)} for every row a of ``coeffs``.
 
-    The entry point for many vectors.  The vectors x terms matrix is checked
-    once as ``MuntzPolynomial`` checks one vector, and the p >= 1 and
-    quadrature-limit refusals of ``_check_quadrature`` are made once.  Every
-    measure but Lebesgue builds one node set and one terms x nodes matrix
+    The one entry point for norms, one vector being a one-row matrix.  The
+    vectors x terms matrix is checked once (nonempty rows, no more terms
+    than exponents, finite entries), and the p >= 1 and quadrature-limit
+    refusals of ``_check_quadrature`` are made once.  Every measure but
+    Lebesgue builds one node set and one terms x nodes matrix
     (``measures.node_log_powers``, which refuses p * lam past the float
-    range) and takes each row's norm from it; for atoms the sum is exact at
-    any exponent.  Lebesgue rows each take the float quadrature
-    ``integrate_to_one`` of |f|**p (see ``log_lp_norm``), graded toward
-    t = 0 by the same power (``measures._grading_power``).  A zero norm (an
-    all-zero row, an empty restriction) is -inf.
+    range) and takes each row's norm from it, so a norm far below the float
+    range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm,
+    exactly so on atoms at any exponent.  Lebesgue rows (``suite_diagonal``'s
+    random vectors, the ``norm`` command) each take the float quadrature
+    ``integrate_to_one`` of |f|**p, graded toward t = 0 by the same power
+    (``measures._grading_power``), where a norm whose p-th power underflows
+    comes back zero; exponents beyond 1e12 are refused on every non-atomic
+    measure.  A zero norm (an all-zero row, an empty restriction) is -inf.
+
+    In alternated 35 s perfbench pairs (2-vCPU Intel Xeon VM), the terms x
+    nodes layout took report-p3 ``battery_s`` from 0.022-0.025 to
+    0.016-0.017 s at +3 to +8 % ``peak_rss_mb``.  Two faster forms stay
+    parked while perfbench keeps every battery's outputs, so more batteries
+    read as more peak memory, past its 10 % bound: the rows as one matmul
+    over the nodes (report-p3 0.0228 -> 0.0092 s at +24 %, +25 % on
+    report-atoms64) and a one-pass ``integrate_to_one`` (report-default
+    twice as fast at +8.0 to +11.4 %, median +10.2 %, 4 pairs).  They land
+    once it stops (ROADMAP.md item 1).
     """
     a = np.array(coeffs, dtype=float)
     if a.ndim != 2:
@@ -150,46 +147,17 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
         val = integrate_to_one(
             lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness,
             low_power=low_power)
-        norm = LogValue.from_float(max(val, 0.0)).powf(1.0 / p)
-        logs.append(-math.inf if norm.is_zero else norm.log)
+        if math.isnan(val):
+            raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
+        logs.append(math.log(val) * (1.0 / p) if val > 0.0 else -math.inf)
     return np.array(logs)
 
 
-def log_lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> LogValue:
-    """L^p(mu) norm as a LogValue: the one-row view of ``log_lp_norms``.
-
-    On every measure but Lebesgue a norm far below the float range
-    (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm, exactly
-    so on atoms at any exponent.  A Lebesgue norm (``suite_diagonal``'s
-    random vectors, the ``norm`` command) is the float quadrature
-    ``integrate_to_one`` of |f|**p, where a norm whose p-th power underflows
-    comes back zero.  In alternated 35 s perfbench pairs (2-vCPU Intel Xeon
-    VM), the terms x nodes layout took report-p3 ``battery_s`` from
-    0.022-0.025 to 0.016-0.017 s at +3 to +8 % ``peak_rss_mb``.  Two faster
-    forms stay parked while perfbench keeps every battery's outputs, so
-    more batteries read as more peak memory, past its 10 % bound: the rows
-    as one matmul over the nodes (report-p3 0.0228 -> 0.0092 s at +24 %,
-    +25 % on report-atoms64) and a one-pass ``integrate_to_one``
-    (report-default twice as fast at +8.0 to +11.4 %, median +10.2 %, 4
-    pairs).  They land once it stops (ROADMAP.md item 1).  Exponents beyond
-    1e12 are refused on every non-atomic measure.
-    """
-    return LogValue.from_log(float(log_lp_norms(f.seq, [f.coefficients], mu, p)[0]))
-
-
-def lp_norm(f: MuntzPolynomial, mu: Measure, p: float) -> float:
-    """L^p(mu) norm as a float: ``log_lp_norm(f, mu, p).to_float()``.
-
-    The float edge: a norm below about 5e-324 reads 0.0 here although its
-    logarithm is exact for atomic measures; ask ``log_lp_norm`` for it.
-    """
-    return log_lp_norm(f, mu, p).to_float()
-
-
-def l2_norm_gram(f: MuntzPolynomial) -> float:
-    """Exact L2(dt) norm through the monomial Gram: sqrt(a^T G a)."""
-    a = np.array(f.coefficients)
-    g = _cauchy_gram(np.array(f.seq.exponents[:len(a)]))
+def l2_norm_gram(seq: ExponentSequence, coeffs) -> float:
+    """Exact L2(dt) norm of sum_j a_j t**lam_j through the monomial Gram:
+    sqrt(a^T G a)."""
+    a = np.array(coeffs, dtype=float)
+    g = _cauchy_gram(np.array(seq.exponents[:len(a)]))
     return float(math.sqrt(max(a @ g @ a, 0.0)))
 
 
@@ -263,7 +231,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     else:
         _check_quadrature(seq[n_count - 1], Lebesgue(), p)
         logs = _node_log_norms(*node_log_powers(Lebesgue(), lam, p), coeffs, p)
-        norms = np.array([LogValue.from_log(v).to_float() for v in logs.tolist()])
+        norms = np.array([materialize(v) for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit
     ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])

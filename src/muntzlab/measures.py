@@ -118,7 +118,7 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
                      low_power: float | None = None) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float quadrature of Lebesgue L^p norms (``lpnorm.log_lp_norm`` says
+    The float quadrature of Lebesgue L^p norms (``lpnorm.log_lp_norms`` says
     why they stay off the nodes).  f receives log t = log1p(-u) at the nodes
     and returns g there.  Panel j covers u in [2**-j, 2**(1-j)] and a
     closing panel [0, 2**-depth], so no node is t = 1.  The first depth is

@@ -21,7 +21,7 @@ from muntzlab import examples as examples_mod
 from muntzlab import hilbert
 from muntzlab import lpnorm
 from muntzlab.cli import SUITE_IDS, build_parser, run
-from test_lpnorm import uniform_draws
+from test_lpnorm import lp_norm, uniform_draws
 
 
 def test_conditioning_error_exits_2_with_pivot(capsys):
@@ -435,7 +435,37 @@ _EXTREME_INPUTS = {
     "domination-ratio=1e20": (["verify", "--suite", "diagonal-domination",
                                "--seq", "geometric:1,1e20,16",
                                "--measure", "atoms:1e-300:1,0.5:1"], 0, {}),
+    # D_1 is about 1e409 on the node route: past the float range, refused as on p = 1
+    "dnp-p=1.5-past-the-float-range": (["dnp", "--seq", "explicit:1,1e306",
+                                        "--measure", "atoms:1e-307:1e308", "--p", "1.5"], 2, {}),
+    # D_1 = 1.6e308 lies between the old 709.0 cut and the float edge; their sum does not
+    "dnp-p=1-at-the-float-edge": (["dnp", "--seq", "explicit:1e300,2e300",
+                                   "--measure", "atoms:1e-310:8e7", "--p", "1"], 0,
+                                  {"rows": {"D_n": pytest.approx([8.0e307, 1.6e308], rel=1e-9)},
+                                   "bounds": {"nuclear": "inf", "sup": pytest.approx(1.6e308,
+                                                                                      rel=1e-9)}}),
+    # w_0 = 1/lam_0 overflows, w_0 D_0^2 = e^372 does not
+    "domination-lam0=5e-324": (["verify", "--suite", "diagonal-domination",
+                                "--seq", "explicit:5e-324,1,2", "--N", "3"], 0,
+                               {"random-vector-domination": {
+                                   "worst_excess": pytest.approx(-7.29e78, rel=1e-3)}}),
+    # the squared entries of the embedding overflow; its singular values do not
+    "spectrum-entries-past-1e154": (["spectrum", "--seq", "explicit:1,1e306",
+                                     "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
+                                    {"drift": {"hs_half": pytest.approx(3 ** 0.5 * 1e154,
+                                                                        rel=1e-12)}}),
 }
+
+
+def _fields(report: dict) -> dict:
+    """The checks of a verify report by name; any other report's top-level
+    fields, its ``rows`` read column by column."""
+    if "checks" in report:
+        return {c["name"]: c["data"] for c in report["checks"]}
+    fields = dict(report)
+    if "rows" in report:
+        fields["rows"] = {f: [row[f] for row in report["rows"]] for f in report["rows"][0]}
+    return fields
 
 
 @pytest.mark.parametrize("case", list(_EXTREME_INPUTS))
@@ -453,9 +483,9 @@ def test_extreme_inputs_exit_with_a_message(case, capsys):
     report = json.loads(out, parse_constant=_refuse_constant)
     if argv[0] == "bounds":
         assert report["value"] == "inf"
-    checks = {c["name"]: c["data"] for c in report["checks"]} if "checks" in report else {}
+    sections = _fields(report)
     for name, fields in data.items():
-        assert {k: checks[name][k] for k in fields} == fields, name
+        assert {k: sections[name][k] for k in fields} == fields, name
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -625,7 +655,7 @@ def _domination_excess_by_vector(seq, measure, profile, seed):
     generator per vector: the oracle for the suite's array form."""
     worst = -math.inf
     for b in uniform_draws(seed, 100, len(profile.values)):
-        lhs = lpnorm.lp_norm(lpnorm.MuntzPolynomial(seq, tuple(b)), measure, 2.0)
+        lhs = lp_norm(seq, b, measure, 2.0)
         rhs = math.sqrt(sum(
             abs(bv) ** 2 * math.exp(-profile.weight.log_inv_weight(seq[i])) * dv ** 2
             for i, (bv, dv) in enumerate(zip(b, profile.values))))
@@ -769,22 +799,12 @@ def test_norm_refusals_exit_2(extra, message, capsys):
 
 
 def test_domination_takes_one_node_set_and_no_polynomial(monkeypatch, capsys):
-    calls = {"node_log_powers": 0, "MuntzPolynomial": 0}
-    real_nodes, real_post = lpnorm.node_log_powers, lpnorm.MuntzPolynomial.__post_init__
-
-    def nodes(*args):
-        calls["node_log_powers"] += 1
-        return real_nodes(*args)
-
-    def post(self):
-        calls["MuntzPolynomial"] += 1
-        real_post(self)
-
-    monkeypatch.setattr(lpnorm, "node_log_powers", nodes)
-    monkeypatch.setattr(lpnorm.MuntzPolynomial, "__post_init__", post)
+    calls = []
+    real_nodes = lpnorm.node_log_powers
+    monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real_nodes(*a))
     code, report = _verify(capsys, "diagonal-domination")
     assert code == 0 and report["inputs"]["measure"] == SMALL_ATOMS
-    assert calls == {"node_log_powers": 1, "MuntzPolynomial": 0}
+    assert len(calls) == 1
 
 
 def test_compact_keeps_an_atom_next_to_one(capsys):
@@ -797,8 +817,17 @@ def test_compact_keeps_an_atom_next_to_one(capsys):
     assert trend["limit_proxy"] > 0.0 and 0.0 not in trend["sigma1"]
 
 
+def test_atom_log_delta_past_the_float_range_is_refused(tmp_path, capsys):
+    # exp(800) is no float: the delta reads inf and the atom is refused
+    spec = tmp_path / "atoms.json"
+    spec.write_text(json.dumps({"kind": "atoms", "atoms": [{"log_delta": 800.0, "mass": 1.0}]}))
+    code = run(["moments", "--seq", "explicit:1,2", "--measure", f"file:{spec}"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: atom delta must be in (0,1], got inf\n"
+
+
 def test_basis_past_the_quadrature_limit_is_refused(capsys):
-    # gm_ratio_sample's node route keeps the refusal lp_norm makes
+    # gm_ratio_sample's node route keeps the refusal log_lp_norms makes
     code = run(["verify", "--suite", "basis", "--p", "3", "--seq", "explicit:1,1e13",
                 "--N", "2"])
     err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from muntzlab.logdomain import logsumexp
 from muntzlab.measures import (DensityMeasure, Lebesgue, atoms, log_powers, measure_nodes,
                                restrict)
 from muntzlab.sequences import ExponentSequence, generate_geometric
+from test_lpnorm import lp_norm
 
 GEO = generate_geometric(1, 2, 24)
 HALF_ATOM = atoms([(0.5, 1.0)])
@@ -388,8 +389,6 @@ class TestDomination:
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
     def test_random_vectors_dominated(self, p):
         # the weighted D profile bounds the measure norm of every finite sum
-        import numpy as np
-        from muntzlab.lpnorm import MuntzPolynomial, lp_norm
         mu = atoms([(0.7, 0.4), (0.3, 1.2), (0.05, 0.6)])
         w = WeightScheme("inverse_lambda", p)
         n = 10
@@ -397,7 +396,7 @@ class TestDomination:
         rng = np.random.default_rng(42)
         for _ in range(100):
             b = rng.uniform(-1.0, 1.0, n)
-            lhs = lp_norm(MuntzPolynomial(GEO, tuple(b)), mu, p)
+            lhs = lp_norm(GEO, b, mu, p)
             rhs = math.fsum(
                 abs(bv) ** p * math.exp(-w.log_inv_weight(GEO[i])) * prof.values[i] ** p
                 for i, bv in enumerate(b)) ** (1.0 / p)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muntzlab.logdomain import (LogValue, NeumaierSum, _signed_log_sum, logsumexp,
-                                signed_logsumexp)
+from muntzlab.logdomain import (LOG_FLOAT_MAX, LogValue, NeumaierSum, _signed_log_sum,
+                                logsumexp, materialize, signed_logsumexp)
 
 
 def log_sum(logs):
@@ -18,22 +18,35 @@ def log_sum(logs):
 
 
 def test_zero_flag():
-    z = LogValue.zero()
+    z = LogValue.from_log(-math.inf)
     assert z.is_zero and z.to_float() == 0.0
-    assert LogValue.from_float(0.0).is_zero
-    assert not LogValue.from_float(2.0).is_zero
+    assert not LogValue.from_log(math.log(2.0)).is_zero
 
 
-def test_from_float_rejects_negative():
-    with pytest.raises(ValueError):
-        LogValue.from_float(-1.0)
+class TestMaterialize:
+    """The one float edge: exp itself up to the largest float, inf only past it."""
 
+    def test_zero_at_minus_inf(self):
+        assert materialize(-math.inf) == 0.0
 
-def test_powf():
-    v = LogValue.from_float(9.0)
-    assert v.powf(0.5).to_float() == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        LogValue.zero().powf(-1.0)
+    def test_finite_between_709_and_the_float_edge(self):
+        # the old cut at 709.0 read this 1.35e308 as inf
+        assert materialize(709.5) == pytest.approx(1.3549863193146328e308, rel=1e-15)
+        assert math.isfinite(materialize(LOG_FLOAT_MAX))
+        assert LogValue.from_log(709.5).to_float() == materialize(709.5)
+
+    def test_inf_past_the_float_edge(self):
+        assert materialize(710.0) == math.inf
+        assert materialize(math.nextafter(LOG_FLOAT_MAX, math.inf)) == math.inf
+        assert materialize(math.inf) == math.inf
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            materialize(math.nan)
+
+    def test_exactly_exp_from_underflow_to_the_float_edge(self):
+        grid = np.linspace(-745.0, 709.78, 20001).tolist() + [LOG_FLOAT_MAX]
+        assert [materialize(x) for x in grid] == [math.exp(x) for x in grid]
 
 
 def test_log_sum_empty_and_neg_inf():

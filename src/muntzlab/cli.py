@@ -206,6 +206,13 @@ def _monomial_test(lam: float, log_moment: float) -> float:
     return materialize(math.log(lam) + log_moment) if lam > 0.0 else 0.0
 
 
+def _verdict(ok: bool | None) -> tuple[str, dict]:
+    """PASS or FAIL; EVIDENCE with a note where ok is None, undecided past the float range."""
+    if ok is None:
+        return "EVIDENCE", {"note": "value beyond float range at this scale"}
+    return ("PASS" if ok else "FAIL"), {}
+
+
 def _exit_code(checks: list[dict]) -> int:
     return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
@@ -347,11 +354,11 @@ def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
                         "hilbert.t_mu_spectrum",
                         "PASS" if chain_ok else "FAIL",
                         margin=margin, tails_safe=profile.all_safe))
-    hs = spec.schatten[2.0]
-    trace = spec.extras["trace"]
-    ok = abs(hs ** 2 - trace) <= 1e-10 * max(trace, 1e-300)
-    checks.append(check("hilbert-schmidt-equals-trace", "hilbert.t_mu_spectrum",
-                        "PASS" if ok else "FAIL", hs_squared=hs ** 2, trace=trace))
+    hs_sq, trace = hilbert.square(spec.schatten[2.0]), spec.extras["trace"]
+    status, note = _verdict(abs(hs_sq - trace) <= 1e-10 * max(trace, 1e-300)
+                            if max(hs_sq, trace) < math.inf else None)
+    checks.append(check("hilbert-schmidt-equals-trace", "hilbert.t_mu_spectrum", status,
+                        hs_squared=hs_sq, trace=trace, **note))
     for r in hilbert.SCHATTEN_ORDERS:
         ok = spec.schatten[r] <= ob.schatten[r] + 1e-9
         checks.append(check(f"schatten-bound-r={r:g}", "dnp.operator_bounds",
@@ -454,20 +461,21 @@ def suite_hs(seq, measure, N, q, tol, store) -> list[dict]:
     report = hilbert.hs_criteria(store.embedding(measure, n), store.synthesis(measure, n),
                                  measure, q_values=tuple(q))
     if not report.poisson_divergent and 2.0 in report.kernel_values:
-        kernel_sq, poisson = report.kernel_values[2.0] ** 2, report.poisson_value
-        if math.isfinite(kernel_sq) and math.isfinite(poisson):
-            status = "PASS" if abs(kernel_sq - poisson) <= 1e-9 * poisson else "FAIL"
-            note = {}
-        else:
-            status, note = "EVIDENCE", {"note": "value beyond float range at this scale"}
+        kernel, poisson = report.kernel_values[2.0], report.poisson_value
+        # kernel**2 / poisson, from logs past the float range; None at 0 / 0
+        ratio = report.ratios["kernel2_sq_over_poisson"]
+        status, note = _verdict(abs(ratio - 1.0) <= 1e-9 if ratio is not None
+                                else kernel == 0.0 if poisson == 0.0 else None)
         checks.append(check("kernel-double-integral-matches-poisson", "hilbert.prop511_value",
-                            status, kernel_sq=kernel_sq, poisson=poisson, **note))
+                            status, kernel_sq=hilbert.square(kernel), poisson=poisson, **note))
     profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq), tol)
-    bound_sq = math.fsum(v ** 2 for v in profile.values)
-    ok = report.hs_synthesis ** 2 <= bound_sq + 1e-9
+    # hs**2 <= sum v**2 + 1e-9 on values divided by a power of two (exactly)
+    hs = report.hs_synthesis
+    c = hilbert._pow2_scale(max(hs, *profile.values))
+    ok = (hs / c) ** 2 <= math.fsum((v / c) ** 2 for v in profile.values) + 1e-9 / c / c
     checks.append(check("synthesis-hs-below-profile-l2", "hilbert.hs_criteria",
-                        "PASS" if ok else "FAIL",
-                        hs_squared=report.hs_synthesis ** 2, bound=bound_sq))
+                        "PASS" if ok else "FAIL", hs_squared=hilbert.square(hs),
+                        bound=math.fsum(hilbert.square(v) for v in profile.values)))
     checks.append(check("hs-three-way", "hilbert.hs_criteria", "EVIDENCE",
                         hs_embedding=report.hs_embedding,
                         hs_synthesis=report.hs_synthesis,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logdomain import logsumexp, materialize
+from .logdomain import LogValue, logsumexp, materialize
 from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
                        _cauchy_gram, _log_poisson_kernel, measure_nodes, node_log_powers,
                        poisson_integral, restrict)
@@ -126,12 +126,26 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 def _schatten_norms(values) -> dict[float, float]:
     """(sum_k s_k**r)**(1/r) of nonnegative values for every r in ``SCHATTEN_ORDERS``,
-    formed as c (sum_k (s_k / c)**r)**(1/r) with c the power of two just above
-    max_k s_k, so no power overflows while the norm is finite; dividing by a
-    power of two is exact, so the scaling moves no bit where nothing overflows."""
+    formed as c (sum_k (s_k / c)**r)**(1/r), c the power of two just above max_k
+    s_k but at most 2**1023, so no power overflows while the norm is finite;
+    dividing by a power of two is exact, so no bit moves where nothing overflows."""
     s = np.asarray(values, dtype=float)
-    scale = math.ldexp(1.0, math.frexp(float(s.max(initial=0.0)))[1])
+    scale = math.ldexp(1.0, min(math.frexp(float(s.max(initial=0.0)))[1], 1023))
     return {r: scale * float(np.sum((s / scale) ** r)) ** (1.0 / r) for r in SCHATTEN_ORDERS}
+
+
+def _pow2_scale(x: float) -> float:
+    """The power of two in (x / 2, x] (0.5 at 0 and inf): dividing by it is
+    exact, and no square of a value up to x so divided overflows."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
+def square(x: float) -> float:
+    """x ** 2, inf where the float power raises OverflowError (past 1.34e154)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralResult:
@@ -183,12 +197,15 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
     times the integral of t**(lam_j + lam_k) against mu.  extras carries the
     count of flushed factor entries and the trace of the Gram (the squared
     Frobenius norm of the factor), which the Hilbert-Schmidt norm must equal.
+    The trace is c * c * sum (a / c)**2, c = ``_pow2_scale`` of the largest
+    entry: bit for bit the plain sum wherever that is finite, inf past it.
     The D_n(2) profile that bounds these singular values is not computed
     here; see ``dnp.compute_dn`` and ``dnp.operator_bounds``.
     """
     a, flushed = _synthesis_factor(seq, mu, n)
+    c = _pow2_scale(float(np.abs(a).max(initial=0.0)))
     return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m],
-                            {"flushed": flushed, "trace": float(np.sum(a * a))})
+                            {"flushed": flushed, "trace": c * (c * float(np.sum((a / c) ** 2)))})
 
 
 @dataclass(frozen=True)
@@ -320,6 +337,15 @@ def prop511_value(mu: Measure, q: float) -> float:
     return materialize(log_val)
 
 
+def _square_ratio(x: float, den: LogValue) -> float | None:
+    """x**2 / den for x >= 0, None where den is 0 or x is inf; from the logs
+    where x**2 or den is past the float range, so such a pair keeps its ratio."""
+    sq, d = square(x), den.to_float()
+    if d == 0.0 or x == math.inf:
+        return None
+    return sq / d if x == 0.0 or max(sq, d) < math.inf else materialize(2 * math.log(x) - den.log)
+
+
 def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
                 q_values: tuple[float, ...] = (2.0,)) -> HsReport:
     """The Hilbert-Schmidt criteria of mu beside its truncated spectra.
@@ -345,8 +371,8 @@ def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
         "embedding_over_synthesis": _ratio(spec.schatten[2.0], tmu.schatten[2.0]),
         "embedding_over_sqrt_poisson": _ratio(
             spec.schatten[2.0], None if pois_val is None else math.sqrt(pois_val)),
-        "kernel2_sq_over_poisson": None if 2.0 not in kernel
-        else _ratio(kernel[2.0] ** 2, pois_val),
+        "kernel2_sq_over_poisson": None if 2.0 not in kernel or pois.divergent
+        else _square_ratio(kernel[2.0], pois.value),
     }
     note = None
     if pois.divergent:

@@ -1,29 +1,19 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
-``log_lp_norms`` is the one entry point for norms: it takes the logs of the
-norms of all the rows of one coefficient matrix (one vector is a one-row
-matrix), validated once, on one node set.
-Against atoms, densities and restrictions each norm is a log-domain sum
-over the terms x nodes matrix of ``measures.node_log_powers``, with a
-signed log-sum-exp for the value at each node, in place in the one array a
-row allocates, as whole-row operations along the nodes.  On monomial rows
-(one nonzero coefficient) that signed sum is the identity: they take one
-log-sum-exp over the nodes together, bit for bit the per-row result.  A
-caller that wants a float norm materializes the log
-(``logdomain.materialize``).  ``gm_ratio_sample`` takes its Lebesgue norms
-on those nodes too, through the same rows (``_node_log_norms``).  Both
-quadratures are graded toward t = 0 by the one rule of
-``measures._grading_power``: |f|**p is not smooth there when some
-p * lam_j or lam_j - lam_0 is not an integer.
-Lebesgue rows alone add |f|**p in floats over the dyadic panels of
-``measures.integrate_to_one``; two faster forms stay parked on peak
-memory (``log_lp_norms``).  The random coefficient rows of
-``gm_ratio_sample`` and of the diagonal-domination suite come from
-``_uniform_rows``, which takes the standard library's generator: no module
-of the package imports ``numpy.random``.  Both quadratures refine toward t = 1
-to a depth that follows the largest exponent (a monomial t**lam keeps its
-mass within O(1/lam) of t = 1, so fixed grids silently miss everything
-once lam is large).
+``log_lp_norms`` is the one entry point for norms, validated once per
+coefficient matrix.  Its rows, and those of ``gm_ratio_sample`` on
+Lebesgue measure, are log-domain sums over the terms x nodes matrix of
+``measures.node_log_powers`` (``_node_log_norms``), except the Lebesgue
+rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
+of ``measures.integrate_to_one``.  Both quadratures are graded toward t = 0
+by ``measures._grading_power`` and refined toward t = 1 as far as
+p * lam_max asks.  Every norm refuses p < 1 (``_check_p``); beyond that each
+route refuses only what it cannot represent: the nodes, in u = 1 - t and in
+logs, p * lam past the float range, and the float panels, which stop at
+u = 2**-53, p * lam from about 2**46 = 7.0e13 on.  No refusal is keyed on
+lam alone.  The random rows of ``gm_ratio_sample`` and of the
+diagonal-domination suite come from ``_uniform_rows``, on the standard
+library's generator: no module of the package imports ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -35,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import _exp_shifted, _signed_log_sum, logsumexp, materialize
-from .measures import (AtomicMeasure, Lebesgue, Measure, _cauchy_gram, _grading_power,
-                       integrate_to_one, node_log_powers)
+from .measures import (Lebesgue, Measure, _cauchy_gram, _grading_power, integrate_to_one,
+                       node_log_powers)
 from .sequences import ExponentSequence, classify
-
-QUADRATURE_EXPONENT_LIMIT = 1.0e12
 
 
 def _eval_poly_array(a: list[float], lam: list[float], log_t: np.ndarray) -> np.ndarray:
@@ -51,13 +39,9 @@ def _eval_poly_array(a: list[float], lam: list[float], log_t: np.ndarray) -> np.
     return out
 
 
-def _check_quadrature(max_exponent: float, mu: Measure, p: float) -> None:
+def _check_p(p: float) -> None:
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not isinstance(mu, AtomicMeasure) and max_exponent > QUADRATURE_EXPONENT_LIMIT:
-        raise ValueError(
-            f"max exponent {max_exponent:.3e} exceeds the quadrature limit "
-            f"{QUADRATURE_EXPONENT_LIMIT:.0e}; use an atomic measure or closed forms")
 
 
 def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: float) -> float:
@@ -105,28 +89,16 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
 
     The one entry point for norms, one vector being a one-row matrix.  The
     vectors x terms matrix is checked once (nonempty rows, no more terms
-    than exponents, finite entries), and the p >= 1 and quadrature-limit
-    refusals of ``_check_quadrature`` are made once.  Every measure but
+    than exponents, finite entries), and so is p >= 1.  Every measure but
     Lebesgue builds one node set and one terms x nodes matrix
     (``measures.node_log_powers``, which refuses p * lam past the float
     range) and takes each row's norm from it, so a norm far below the float
-    range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm,
-    exactly so on atoms at any exponent.  Lebesgue rows (``suite_diagonal``'s
-    random vectors, the ``norm`` command) each take the float quadrature
-    ``integrate_to_one`` of |f|**p, graded toward t = 0 by the same power
-    (``measures._grading_power``), where a norm whose p-th power underflows
-    comes back zero; exponents beyond 1e12 are refused on every non-atomic
-    measure.  A zero norm (an all-zero row, an empty restriction) is -inf.
-
-    In alternated 35 s perfbench pairs (2-vCPU Intel Xeon VM), the terms x
-    nodes layout took report-p3 ``battery_s`` from 0.022-0.025 to
-    0.016-0.017 s at +3 to +8 % ``peak_rss_mb``.  Two faster forms stay
-    parked while perfbench keeps every battery's outputs, so more batteries
-    read as more peak memory, past its 10 % bound: the rows as one matmul
-    over the nodes (report-p3 0.0228 -> 0.0092 s at +24 %, +25 % on
-    report-atoms64) and a one-pass ``integrate_to_one`` (report-default
-    twice as fast at +8.0 to +11.4 %, median +10.2 %, 4 pairs).  They land
-    once it stops (ROADMAP.md item 1).
+    range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm.
+    Lebesgue rows each take the float quadrature ``integrate_to_one`` of
+    |f|**p, where a norm whose p-th power underflows comes back zero; its
+    refusal past u = 2**-53 comes on the first row, so once per call.  Two
+    faster forms of that route, with identical outputs, stay parked on peak
+    memory (ROADMAP.md items 1 and 2).  A zero norm is -inf.
     """
     a = np.array(coeffs, dtype=float)
     if a.ndim != 2:
@@ -138,7 +110,7 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     lam = seq.exponents[:a.shape[1]]
-    _check_quadrature(lam[-1], mu, p)
+    _check_p(p)
     if not isinstance(mu, Lebesgue):
         return _node_log_norms(*node_log_powers(mu, lam, p), a, p)
     logs, sharpness = [], p * max(lam[-1], 1.0)
@@ -167,11 +139,8 @@ def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
     ``randbytes(8 * rows * n)`` read as little-endian uint64 words w gives
     (w >> 11) * 2**-52 - 1, row after row: deterministic per seed and
     prefix-stable (the first r rows of an R-row draw are the r-row draw).
-    Importing ``numpy.random`` would also load ``secrets``, ``hashlib`` and
-    OpenSSL's libcrypto, 6.1 MiB of resident memory on top of ``import
-    numpy``; the one array expression takes 0.12 ms for report-p3's 2,400
-    values (2-vCPU Intel Xeon VM, CPython 3.11, numpy 2.4).  A negative seed
-    is refused, since ``random.Random`` would take -s as s.
+    ``numpy.random`` would also load OpenSSL's libcrypto, 6.1 MiB resident.
+    A negative seed is refused, since ``random.Random`` would take -s as s.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -201,16 +170,14 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     vectors (ratio exactly 1 by normalization), the other ``trials`` rows are
     ``_uniform_rows(seed, trials, n)``, prefix-stable in ``trials``.  The
     bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
-    numerators are the exact Gram forms sqrt(a^T G a), one stacked matmul.
-    At every other p they take the node route of ``log_lp_norms`` on one
-    ``measures.node_log_powers`` matrix: the canonical rows are monomials
-    and take one log-sum-exp over the nodes together; each other row takes
-    one ``_log_pth_power``, in place in one terms x nodes array, so the
-    working set is two such matrices.  The denominators are one array
-    expression up to the 1/p root, which each row takes as a float.  Warns
-    when ``classify`` flags the prefix's ratio trend as non-lacunary, where
-    the isomorphism with l^p is not expected and the bracket may degenerate.
+    numerators are the exact Gram forms sqrt(a^T G a), one stacked matmul;
+    at every other p, ``_node_log_norms`` on one terms x nodes matrix, so
+    only p < 1 and p * lam past the float range are refused.  The
+    denominators are one array expression up to the 1/p root, which each
+    row takes as a float.  Warns when ``classify`` flags the prefix's ratio
+    trend as non-lacunary, where the bracket may degenerate.
     """
+    _check_p(p)
     n_count = len(seq) if n_count is None else n_count
     if not 1 <= n_count <= len(seq):
         raise ValueError("n_count out of range")
@@ -229,7 +196,6 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
         forms = (coeffs[:, None, :] @ _cauchy_gram(lam) @ coeffs[:, :, None])[:, 0, 0]
         norms = np.sqrt(np.maximum(forms, 0.0))
     else:
-        _check_quadrature(seq[n_count - 1], Lebesgue(), p)
         logs = _node_log_norms(*node_log_powers(Lebesgue(), lam, p), coeffs, p)
         norms = np.array([materialize(v) for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
@@ -256,8 +222,7 @@ class AmgmProbe:
 
 
 def amgm_probe(seq: ExponentSequence, p: float, block_start: int, block_len: int) -> AmgmProbe:
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if block_len < 1 or block_start < 0 or block_start + block_len > len(seq):
         raise ValueError("block out of range")
     q = [p * seq[j] + 1.0 for j in range(block_start, block_start + block_len)]
@@ -279,8 +244,7 @@ def pairing_integral(seq: ExponentSequence, p: float, n: int) -> tuple[float, fl
     q = p lam + 1; lower bound q_n / q_{n+1}.  The value tends to 0
     exactly along super-lacunary growth and stays bounded below otherwise.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if not 0 <= n < len(seq) - 1:
         raise ValueError(f"need n and n+1 within the prefix, got n={n}")
     qn = p * seq[n] + 1.0

@@ -15,8 +15,8 @@ p * lam_max toward t = 1 and graded toward t = 0 by one rule
 lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (Lebesgue moments, the Poisson
 integral of a density reaching t = 1) stay as the exact special cases they
-are.  The one other quadrature is ``integrate_to_one``, float dyadic panels
-in u for Lebesgue L^p norms, graded by the same rule.
+are.  The one other quadrature, ``integrate_to_one`` for Lebesgue L^p
+norms, refuses exponents past its float panels' edge u = 2**-53 itself.
 """
 from __future__ import annotations
 
@@ -108,30 +108,35 @@ def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (left + right) + half * x, np.log(half) + log_w
 
 
-def _check_sharpness(sharpness: float) -> None:
+def _first_depth(sharpness: float) -> int:
+    """The depth in halvings of u to which panels first refine toward t = 1
+    for ``sharpness``: log2(sharpness) + 8, at least 12."""
     if not math.isfinite(sharpness):
         raise ValueError(f"node sharpness must be finite, got {sharpness} "
                          "(p * lam beyond the float range?)")
+    return max(12, int(math.log2(max(sharpness, 1.0))) + 8)
 
 
 def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
                      low_power: float | None = None) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float quadrature of Lebesgue L^p norms (``lpnorm.log_lp_norms`` says
-    why they stay off the nodes).  f receives log t = log1p(-u) at the nodes
-    and returns g there.  Panel j covers u in [2**-j, 2**(1-j)] and a
-    closing panel [0, 2**-depth], so no node is t = 1.  The first depth is
-    log2(sharpness) + 8, at least 12 (``sharpness`` is the scale of the
-    fastest variation near t = 1, a for t**a).  While the closing panel
-    holds more than DEFAULT_REL_TOL of the total, a pass adds 16 panels, up
-    to depth 53, to the running compensated sum, so no panel is evaluated
-    twice and the sum is bit for bit that of passes from panel 1.  A
-    non-integer ``low_power`` (``_grading_power``) grades panel 1 toward
-    t = 0 as in ``measure_nodes``, with log t taken of t itself.
+    The float quadrature of Lebesgue L^p norms; f receives log t = log1p(-u)
+    at the nodes and returns g there.  Panel j covers u in [2**-j, 2**(1-j)]
+    and a closing panel [0, 2**-depth], so no node is t = 1.  The first
+    depth is ``_first_depth`` of ``sharpness`` (a for t**a).  While the
+    closing panel holds more than DEFAULT_REL_TOL of the total, a pass adds
+    16 panels, up to depth _MAX_DEPTH = 53, to the running compensated sum,
+    so no panel is evaluated twice.  A first depth past _MAX_DEPTH
+    (sharpness 2**46 = 7.0e13 or more) is refused before any panel: the
+    package's one exponent edge.  A non-integer ``low_power``
+    (``_grading_power``) grades panel 1 toward t = 0, with log t of t itself.
     """
-    _check_sharpness(sharpness)
-    depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), _MAX_DEPTH)
+    depth = _first_depth(sharpness)
+    if depth > _MAX_DEPTH:
+        raise ValueError(
+            f"p * lam = {sharpness:.3e} needs Lebesgue panels below u = 2**-{_MAX_DEPTH}, the "
+            "edge of the float quadrature (a uniform density takes the node route)")
     acc, right, summed = NeumaierSum(), 1.0, 0
     graded = _graded_edges(low_power, 1.0)
     while True:
@@ -335,11 +340,8 @@ def _cauchy_gram(lam: np.ndarray) -> np.ndarray:
 
 
 def moment(mu: Measure, a: float) -> LogValue:
-    """Integral of t**a against mu: ``moments`` at the one exponent a.
-
-    No library code calls it; perfbench's self-tests and its repeat-keyed
-    tracing read it (ROADMAP.md item 1 moves them to ``moments``).
-    """
+    """Integral of t**a against mu: ``moments`` at the one exponent a.  Only
+    perfbench reads it (ROADMAP.md item 1 moves it to ``moments``)."""
     return LogValue.from_log(float(moments(mu, [a])[0]))
 
 
@@ -488,7 +490,7 @@ def measure_nodes(mu: Measure, sharpness: float,
     A non-integer ``low_power`` (``_grading_power``) grades the panel next
     to t = 0 toward it, in t, when the support starts there.
     """
-    _check_sharpness(sharpness)
+    depth = _first_depth(sharpness)
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._log_masses.copy()
     if isinstance(mu, (Lebesgue, DensityMeasure)):
@@ -499,7 +501,6 @@ def measure_nodes(mu: Measure, sharpness: float,
         raise TypeError(f"not a measure: {mu!r}")
     density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
     u_end = 1.0 - hi
-    depth = max(12, int(math.log2(max(sharpness, 1.0))) + 8)
     if u_end > 0.0:
         # u**alpha and 1/u vary on the scale u_end near the right end, and a panel
         # narrower than the float spacing at u_end would have zero weight

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -454,6 +455,35 @@ _EXTREME_INPUTS = {
                                      "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
                                     {"drift": {"hs_half": pytest.approx(3 ** 0.5 * 1e154,
                                                                         rel=1e-12)}}),
+    # sigma_1 = 1.17e308 lies above 2**1023, the largest power of two to scale by
+    "spectrum-sigma-past-2**1023": (["spectrum", "--operator", "synthesis",
+                                     "--seq", "explicit:1,8e307",
+                                     "--measure", "atoms:1e-320:1.7e308", "--N", "2"], 0,
+                                    {"schatten": {"2": pytest.approx(1.1661903789681139e308,
+                                                                     rel=1e-12)}}),
+    # the Gram trace, kernel**2, the Poisson value and hs**2 pass the float range;
+    # kernel**2 / poisson is taken from logs and hs**2 against sum D_n**2 scaled
+    "hs-squares-past-1e154": (["verify", "--suite", "hs", "--seq", "explicit:1,1e306",
+                               "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
+                              {"kernel-double-integral-matches-poisson": {"kernel_sq": "inf",
+                                                                          "poisson": "inf"},
+                               "synthesis-hs-below-profile-l2": {"hs_squared": "inf",
+                                                                 "bound": "inf"},
+                               "hs-three-way": {"ratios": {
+                                   "embedding_over_sqrt_poisson": None,
+                                   "embedding_over_synthesis": pytest.approx(2 ** 0.5, rel=1e-12),
+                                   "kernel2_sq_over_poisson": pytest.approx(1.0, rel=1e-9)}}}),
+    "carleson-trace-past-1e154": (["verify", "--suite", "carleson", "--seq", "explicit:1,1e306",
+                                   "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
+                                  {"synthesis-norm-below-sup-profile": {
+                                      "sigma_max": pytest.approx(9.048374180359451e306,
+                                                                 rel=1e-12)}}),
+    "domination-trace-past-1e154": (["verify", "--suite", "diagonal-domination",
+                                     "--seq", "explicit:1,1e306",
+                                     "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
+                                    {"hilbert-schmidt-equals-trace": {
+                                        "hs_squared": "inf", "trace": "inf",
+                                        "note": "value beyond float range at this scale"}}),
 }
 
 
@@ -486,6 +516,31 @@ def test_extreme_inputs_exit_with_a_message(case, capsys):
     sections = _fields(report)
     for name, fields in data.items():
         assert {k: sections[name][k] for k in fields} == fields, name
+
+
+_PAST_1E154 = ["--seq", "explicit:1,1e306", "--measure", "atoms:1e-307:1e308", "--N", "2"]
+
+
+@pytest.mark.parametrize("patch, failing", [
+    (None, None),
+    ("prop511_value", "kernel-double-integral-matches-poisson"),
+    ("_schatten_norms", "synthesis-hs-below-profile-l2"),
+], ids=["as-is", "kernel-off-by-1e-4", "hs-doubled"])
+def test_hs_squares_past_the_float_range_are_decided(patch, failing, monkeypatch, capsys):
+    # kernel**2, the Poisson value, hs**2 and sum D_n**2 are all past the float
+    # range, yet both checks read PASS, and FAIL once either side is moved
+    if patch is not None:
+        real = getattr(hilbert, patch)
+        scale = {"prop511_value": 1.0001, "_schatten_norms": 2.0}[patch]
+        moved = (lambda *a: real(*a) * scale) if patch == "prop511_value" else (
+            lambda *a: {r: v * scale for r, v in real(*a).items()})
+        monkeypatch.setattr(hilbert, patch, moved)
+    code = run(["verify", "--suite", "hs", *_PAST_1E154])
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    decided = ("kernel-double-integral-matches-poisson", "synthesis-hs-below-profile-l2")
+    assert {n: statuses[n] for n in decided} == {n: "FAIL" if n == failing else "PASS"
+                                                 for n in decided}
+    assert code == (0 if failing is None else 1)
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -786,7 +841,9 @@ def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--seq", "explicit:1,1e13"], "max exponent 1.000e+13 exceeds the quadrature limit"),
+    # p * lam = 7.04e13 just past 2**46: the float panels would pass u = 2**-53
+    (["--seq", "explicit:1,3.52e13"],
+     "p * lam = 7.040e+13 needs Lebesgue panels below u = 2**-53"),
     (["--p", "0.5"], "p must be >= 1, got 0.5"),
     (["--seq", "explicit:1,1e308", "--measure", "atoms:0.5:1"], "node sharpness must be finite"),
     (["--p", "1e308"], "node sharpness must be finite"),
@@ -826,13 +883,43 @@ def test_atom_log_delta_past_the_float_range_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: atom delta must be in (0,1], got inf\n"
 
 
-def test_basis_past_the_quadrature_limit_is_refused(capsys):
-    # gm_ratio_sample's node route keeps the refusal log_lp_norms makes
-    code = run(["verify", "--suite", "basis", "--p", "3", "--seq", "explicit:1,1e13",
-                "--N", "2"])
-    err = capsys.readouterr().err
+def test_basis_past_the_old_cap_runs_on_the_nodes(capsys):
+    # lam = 1e13 was refused by a cap on lam; gm_ratio_sample's nodes have none
+    code, report = _verify(capsys, "basis", "--p", "3", "--seq", "explicit:1,1e13", "--N", "2")
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["canonical-vectors-normalized"]["status"] == "PASS"
+    data = checks["ratio-sample-bracket"]["data"]
+    assert 0.5 <= data["min_ratio"] <= data["max_ratio"] <= 1.5
+
+
+@pytest.mark.parametrize("p, seq", [("3", "geometric:1,1.61e7,16"), ("1.5", "geometric:1,2e7,16")])
+def test_isometry_threshold_at_its_own_scale(p, seq, capsys):
+    # a ratio of 1.5 r_eps(p, 0.5) puts lam_2 past 1e12 and lam_15 near 1e108
+    start = time.perf_counter()
+    code = run(["verify", "--suite", "isometry-threshold", "--p", p, "--seq", seq])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and elapsed < 1.0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["shifted-ratio-meets-threshold"]["status"] == "PASS"
+    data = checks["sampled-ratios-within-eps"]["data"]
+    assert 0.5 <= data["min_ratio"] <= data["max_ratio"] <= 1.5
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "3"])
+def test_norm_at_the_lebesgue_panel_edge(p, capsys):
+    # the float panels take p * lam below 2**46 and refuse it above
+    below, above = (2.0 ** 46 / float(p) * (1.0 + s * 1e-12) for s in (-1, 1))
+    code = run(["norm", "--coeffs", "1", "--p", p, "--seq", f"explicit:{below!r}"])
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert code == 0
+    assert value == pytest.approx((float(p) * below + 1.0) ** (-1.0 / float(p)), rel=1e-14)
+    code = run(["norm", "--coeffs", "1", "--p", p, "--seq", f"explicit:{above!r}"])
     assert code == 2
-    assert err.startswith("error: max exponent 1.000e+13 exceeds the quadrature limit")
+    assert capsys.readouterr().err == (
+        "error: p * lam = 7.037e+13 needs Lebesgue panels below u = 2**-53, the edge of the "
+        "float quadrature (a uniform density takes the node route)\n")
 
 
 def test_bounds_envelope_writes_the_logs_of_the_edges(capsys):

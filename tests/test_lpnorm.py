@@ -113,13 +113,14 @@ class TestLpNorm:
             assert quad == pytest.approx(gram, rel=1e-10)
 
     def test_refuses_monster_exponents_on_lebesgue(self):
-        seq = ExponentSequence((1e13,))
-        with pytest.raises(ValueError):
+        # p * lam = 2e14 needs float panels below u = 2**-53
+        seq = ExponentSequence((1e14,))
+        with pytest.raises(ValueError, match=r"below u = 2\*\*-53"):
             lp_norm(seq, (1.0,), Lebesgue(), 2.0)
-        # the same polynomial against atoms stays exact; its norm 2**-1e13
+        # the same polynomial against atoms stays exact; its norm 2**-1e14
         # is below every float, so the check is on the logarithm
         assert log_norm(seq, (1.0,), atoms([(0.5, 1.0)]), 2.0) == pytest.approx(
-            1e13 * math.log(0.5), rel=1e-15)
+            1e14 * math.log(0.5), rel=1e-15)
 
     @pytest.mark.parametrize("exps, coeffs, expected", [
         ((1000.0,), (1.0,), 0.5 ** 1000),
@@ -206,21 +207,40 @@ class TestLogLpNorms:
         assert len(got) == 40 and len(calls) == 1
 
     @pytest.mark.parametrize("exps, mu, p, match", [
-        ((1.0, 1e13), Lebesgue(), 2.0, "quadrature limit"),
-        ((1.0, 1e13), DensityMeasure("uniform"), 3.0, "quadrature limit"),
+        # p * lam just past 2**46: the first panel depth would pass 53
+        ((1.0, 2.0 ** 46 / 3.0 * (1.0 + 1e-12)), Lebesgue(), 3.0, r"below u = 2\*\*-53"),
         ((1.0, 2.0), atoms([(0.5, 1.0)]), 0.5, "p must be >= 1"),
         ((1.0, 2.0), Lebesgue(), 0.5, "p must be >= 1"),
         ((1.0, 1e308), atoms([(0.5, 1.0)]), 2.0, "beyond the float range"),
         ((1.0, 2.0), Lebesgue(), 1e308, "beyond the float range"),
-    ], ids=["limit-lebesgue", "limit-density", "p-atoms", "p-lebesgue", "overflow-atoms",
-            "overflow-lebesgue"])
+    ], ids=["limit-lebesgue", "p-atoms", "p-lebesgue", "overflow-atoms", "overflow-lebesgue"])
     def test_refusals_are_made_once_per_call(self, exps, mu, p, match, monkeypatch):
-        checks = []
-        real = lpnorm._check_quadrature
-        monkeypatch.setattr(lpnorm, "_check_quadrature", lambda *a: checks.append(1) or real(*a))
+        # p is checked once, and the route that refuses is entered at most once:
+        # the first Lebesgue row's quadrature refuses before any panel
+        calls = {"_check_p": 0, "integrate_to_one": 0, "node_log_powers": 0}
+        for name in calls:
+            real = getattr(lpnorm, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lpnorm, name, counting)
         with pytest.raises(ValueError, match=match):
             log_lp_norms(ExponentSequence(exps), np.ones((50, 2)), mu, p)
-        assert len(checks) == 1
+        assert calls["_check_p"] == 1
+        assert calls["integrate_to_one"] + calls["node_log_powers"] <= 1
+
+    def test_density_past_the_old_cap_takes_one_node_set(self, monkeypatch):
+        # lam = 1e13 was refused on every non-atomic measure; the nodes have no such edge
+        calls = []
+        real = lpnorm.node_log_powers
+        monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
+        got = log_lp_norms(ExponentSequence((1.0, 1e13)), np.eye(2), DensityMeasure("uniform"),
+                           3.0)
+        assert len(calls) == 1
+        want = [-math.log(3.0 * lam + 1.0) / 3.0 for lam in (1.0, 1e13)]
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("coeffs, match", [
         ([1.0, 2.0], "vectors x terms matrix"),
@@ -348,6 +368,45 @@ class TestNodeNormsAgainstExactSums:
         for got in (on_nodes, log_lp_norms(seq, [row], Lebesgue(), 4.0)[0]):
             assert math.isfinite(got)
             assert math.exp(4.0 * got) == pytest.approx(float(exact), rel=1e-13)
+
+
+class TestMonomialNormsPastTheOldCap:
+    """t**lam past lam = 1e12, on the nodes, against closed forms in mpmath."""
+
+    @staticmethod
+    def _log_beta(lam, p):
+        # log of the p-th power of the norm on (1 - t)**0.5 dt: log B(p lam + 1, 1.5),
+        # equal to lgamma(1.5) - 1.5 log(p lam + 1) to float precision at these lam;
+        # the digits cover log Gamma(3e300)
+        with mpmath.workdps(340):
+            e = mpmath.mpf(p) * mpmath.mpf(lam) + 1
+            return mpmath.loggamma(e) + mpmath.loggamma(1.5) - mpmath.loggamma(e + 1.5)
+
+    @staticmethod
+    def _log_window(lam, p):
+        # log of the integral of t**(p lam) over [0.2, 0.7): log((b**e - a**e) / e)
+        with mpmath.workdps(30):
+            e = mpmath.mpf(p) * mpmath.mpf(lam) + 1
+            a, b = mpmath.mpf(0.2), mpmath.mpf(0.7)
+            return mpmath.log((b ** e - a ** e) / e)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("lam", [1e14, 1e50, 1e300])
+    @pytest.mark.parametrize("mu, closed_form", [
+        (DensityMeasure("oneminus_power", alpha=0.5), "_log_beta"),
+        (restrict(Lebesgue(), 0.2, 0.7), "_log_window"),
+    ], ids=["oneminus_power", "restriction"])
+    def test_log_norm_within_two_ulp(self, lam, p, mu, closed_form):
+        want = float(getattr(self, closed_form)(lam, p) / p)
+        got = log_norm(ExponentSequence((lam,)), (1.0,), mu, p)
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_lebesgue_just_below_the_panel_edge(self, p):
+        # the float panels take p * lam up to 2**46, the first depth then 53
+        lam = 2.0 ** 46 / p * (1.0 - 1e-12)
+        got = lp_norm(ExponentSequence((lam,)), (1.0,), Lebesgue(), p)
+        assert got == pytest.approx((p * lam + 1.0) ** (-1.0 / p), rel=1e-14)
 
 
 def mp_log_norm(exps, coeffs, p, alpha=None):
@@ -618,11 +677,23 @@ class TestRatioSampleNodeRoute:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
-    def test_quadrature_limit_still_refused(self):
-        with pytest.raises(ValueError, match="quadrature limit"):
-            gm_ratio_sample(ExponentSequence((1.0, 1e13)), 3.0, trials=1)
+    @pytest.mark.parametrize("p, ratio", [(3.0, 1.61e7), (1.5, 2e7)])
+    def test_threshold_prefix_past_the_old_cap(self, p, ratio, monkeypatch):
+        # the ratio is 1.5 r_eps(p, 0.5), so lam_2 passes 1e12 and lam_15 is about
+        # 1e108; every norm runs on one node set
+        calls = []
+        real = lpnorm.node_log_powers
+        monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
+        res = gm_ratio_sample(generate_geometric(1, ratio, 16), p, trials=200)
+        assert len(calls) == 1 and res.trials == 216
+        assert 0.5 <= res.min_ratio <= res.max_ratio <= 1.5
+        assert max(abs(v - 1.0) for v in res.canonical) <= 1e-13
+
+    def test_refusals_left(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
             gm_ratio_sample(GEO, 0.5, trials=1)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            gm_ratio_sample(ExponentSequence((1.0, 1e308)), 3.0, trials=1)
 
 
 class TestAmgmProbe:

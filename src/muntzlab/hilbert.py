@@ -7,10 +7,11 @@ V^T V is the measure Gram of the monomials.  Singular values are those of
 V times a small matrix, computed by an SVD: an eigensolve of the squared
 Gram would put a noise floor of about sqrt(eps * cond) under them.  The
 Cauchy Gram 1/(lam_i + lam_j + 1) of Lebesgue measure enters through its
-Cholesky factor (``_cauchy_factor``), factored once per call:
+Cholesky factor (``_cauchy_factor``, numpy's), factored once per call:
 ``essential_norm_estimate`` solves every cut's node factor against the same
-one (on atoms, one node factor serves every cut).  A failed pivot surfaces
-as a ConditioningError naming the index instead of being masked.
+one (on atoms, one node factor serves every cut).  A Gram that numpy cannot
+factor is refused as a ConditioningError naming N.  N has no other cap: the
+error follows the ratio of the exponents, not N.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.  This
@@ -34,7 +35,6 @@ from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
 SCHATTEN_ORDERS = (1.0, 2.0, 4.0)  # every reported Schatten norm, spectra and D_n bounds alike
-MAX_TRUNCATION = 64
 _FLUSH_LOG = math.log(1e-300)
 _S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
 # prop511_value's inner nodes for a non-atomic measure halve 16 more times than
@@ -42,15 +42,14 @@ _S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
 _INNER_REFINE = 2.0 ** 16
 
 
-class ConditioningError(RuntimeError):
-    """Cholesky pivot failure; carries the offending index."""
+class ConditioningError(ValueError):
+    """The Cauchy Gram of the first n exponents does not factor; carries n."""
 
-    def __init__(self, pivot: int, value: float):
-        self.pivot = pivot
-        self.value = value
+    def __init__(self, n: int):
+        self.n = n
         super().__init__(
-            f"Cholesky pivot {pivot} is {value:.3e}; the monomial Gram is numerically "
-            f"singular at this truncation (exponents too dense or N too large)")
+            f"the Cauchy Gram of the first N = {n} exponents is not numerically "
+            f"positive definite (exponents too dense for this truncation)")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,6 @@ class SpectralResult:
 def _check_truncation(seq: ExponentSequence, n: int) -> None:
     if not 1 <= n <= len(seq):
         raise ValueError(f"truncation {n} out of range 1..{len(seq)}")
-    if n > MAX_TRUNCATION:
-        raise ValueError(f"truncation {n} exceeds the supported maximum {MAX_TRUNCATION}")
 
 
 def _cauchy_factor(lam: np.ndarray) -> np.ndarray:
@@ -99,17 +96,11 @@ def _synthesis_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.nd
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - float(low[j, :j] @ low[j, :j])
-        if not d > 0.0 or not math.isfinite(d):
-            raise ConditioningError(pivot=j, value=d)
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    """numpy's lower Cholesky factor of a; ConditioningError where it fails."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(len(a)) from None
 
 
 def _embedding(low: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
@@ -198,14 +189,18 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
     count of flushed factor entries and the trace of the Gram (the squared
     Frobenius norm of the factor), which the Hilbert-Schmidt norm must equal.
     The trace is c * c * sum (a / c)**2, c = ``_pow2_scale`` of the largest
-    entry: bit for bit the plain sum wherever that is finite, inf past it.
+    entry: bit for bit the plain sum wherever that is finite, inf past it,
+    where its log (``log_trace``, -inf at 0) still decides.
     The D_n(2) profile that bounds these singular values is not computed
     here; see ``dnp.compute_dn`` and ``dnp.operator_bounds``.
     """
     a, flushed = _synthesis_factor(seq, mu, n)
     c = _pow2_scale(float(np.abs(a).max(initial=0.0)))
+    scaled = float(np.sum((a / c) ** 2))
+    log_trace = 2.0 * math.log(c) + math.log(scaled) if scaled > 0.0 else -math.inf
     return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m],
-                            {"flushed": flushed, "trace": c * (c * float(np.sum((a / c) ** 2)))})
+                            {"flushed": flushed, "trace": c * (c * scaled),
+                             "log_trace": log_trace})
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,7 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
             v, _ = _node_factor(seq, restrict(mu, a, 1.0), n)
             if low is None:
                 # factored after the first node factor, as in embedding_spectrum, so an
-                # exponent the nodes refuse is reported before a pivot it breaks
+                # exponent the nodes refuse is reported before a Gram it breaks
                 low = _cauchy_factor(np.array(seq.exponents[:n]))
             sig.append(float(_singular_values(_embedding(low, v, n))[0]))
     drop = math.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
@@ -309,7 +304,7 @@ def prop511_value(mu: Measure, q: float) -> float:
     that power, and the integrand is divided by u_s**beta.  The inner nodes
     of a non-atomic mu go 16 halvings deeper than the outer ones, since the
     kernel varies on the scale u_s.  The value is inf when the Poisson
-    integral diverges.
+    integral diverges; an atom distance whose reciprocal overflows is refused.
     """
     if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
@@ -318,6 +313,9 @@ def prop511_value(mu: Measure, q: float) -> float:
     beta = 0.0
     if isinstance(mu, AtomicMeasure):
         sharp = 1.0 / float(np.min(mu._deltas)) if not mu.is_empty else 2.0 ** 40
+        if sharp == math.inf:
+            raise ValueError(f"atom delta {float(np.min(mu._deltas)):.3g} is too small: the "
+                             "kernel integral's nodes refine to 1/delta, past the float range")
         log_t, log_w = measure_nodes(mu, sharpness=sharp)
     else:
         sharp = 2.0 ** 40
@@ -337,13 +335,15 @@ def prop511_value(mu: Measure, q: float) -> float:
     return materialize(log_val)
 
 
-def _square_ratio(x: float, den: LogValue) -> float | None:
-    """x**2 / den for x >= 0, None where den is 0 or x is inf; from the logs
-    where x**2 or den is past the float range, so such a pair keeps its ratio."""
-    sq, d = square(x), den.to_float()
+def _root_ratio(x: float, den: LogValue, k: int) -> float | None:
+    """(x / sqrt(den))**k for x >= 0 and k = 1 or 2, as x / sqrt(den) or x**2 / den;
+    None where den is 0 or x is inf; from the logs where a float side is past
+    the float range, so such a pair keeps its ratio."""
+    num, d = (x, math.sqrt(den.to_float())) if k == 1 else (square(x), den.to_float())
     if d == 0.0 or x == math.inf:
         return None
-    return sq / d if x == 0.0 or max(sq, d) < math.inf else materialize(2 * math.log(x) - den.log)
+    return num / d if x == 0.0 or max(num, d) < math.inf \
+        else materialize(k * (math.log(x) - 0.5 * den.log))
 
 
 def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
@@ -361,18 +361,14 @@ def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
     pois = poisson_integral(mu)
     kernel = {float(q): prop511_value(mu, q) for q in q_values}
     pois_val = None if pois.divergent else pois.value.to_float()
-
-    def _ratio(num: float, den: float | None) -> float | None:
-        if den is None or den == 0.0 or not (math.isfinite(num) and math.isfinite(den)):
-            return None
-        return num / den
-
+    hs_e, hs_s = spec.schatten[2.0], tmu.schatten[2.0]
     ratios: dict[str, float | None] = {
-        "embedding_over_synthesis": _ratio(spec.schatten[2.0], tmu.schatten[2.0]),
-        "embedding_over_sqrt_poisson": _ratio(
-            spec.schatten[2.0], None if pois_val is None else math.sqrt(pois_val)),
+        "embedding_over_synthesis": hs_e / hs_s if 0.0 < hs_s and max(hs_e, hs_s) < math.inf
+        else None,
+        "embedding_over_sqrt_poisson": None if pois.divergent
+        else _root_ratio(hs_e, pois.value, 1),
         "kernel2_sq_over_poisson": None if 2.0 not in kernel or pois.divergent
-        else _square_ratio(kernel[2.0], pois.value),
+        else _root_ratio(kernel[2.0], pois.value, 2),
     }
     note = None
     if pois.divergent:
@@ -380,8 +376,8 @@ def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
                 "grow with the truncation instead of converging")
     return HsReport(
         n=n,
-        hs_embedding=spec.schatten[2.0],
-        hs_synthesis=tmu.schatten[2.0],
+        hs_embedding=hs_e,
+        hs_synthesis=hs_s,
         poisson_divergent=pois.divergent,
         poisson_value=pois_val,
         kernel_values=kernel,

@@ -25,11 +25,25 @@ from muntzlab.cli import SUITE_IDS, build_parser, run
 from test_lpnorm import lp_norm, uniform_draws
 
 
-def test_conditioning_error_exits_2_with_pivot(capsys):
-    code = run(["spectrum", "--seq", "geometric:1,1.1,40", "--N", "40"])
+@pytest.mark.parametrize("ratio", ["1.1", "1.2"])
+def test_conditioning_error_exits_2_naming_n(ratio, capsys):
+    # the Cauchy Gram of exponents this dense does not factor at N = 40
+    code = run(["spectrum", "--seq", f"geometric:1,{ratio},40", "--N", "40"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "pivot" in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the Cauchy Gram of the first N = 40 exponents")
+
+
+@pytest.mark.parametrize("operator", ["frame", "embedding", "synthesis"])
+def test_spectrum_runs_past_n_64(operator, capsys):
+    # N has no cap: on geometric:1,2,N the Gram factors at every N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", "--operator", operator, "--seq", "geometric:1,2,256",
+                    "--N", "256"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["sigma"]) == 256
 
 
 def test_hs_suite_on_lebesgue_emits_json(capsys):
@@ -419,7 +433,8 @@ def test_negative_seed_exits_2(argv, capsys):
 # Inputs past the float range: r_epsilon and construction B's exponents overflow
 # at p = 50 and p = 1.0001, the envelope's ratios underflow to 0 (their logs do
 # not), and the Schatten powers of values near 1e150 overflow.  Each exits 0, 1 or 2, never
-# with a traceback or a warning: argv, exit code, {check name: expected data}.
+# with a traceback or a warning: argv, exit code, {check name: expected data and
+# status} (at exit 2, the phrases the one error line names).
 _EXTREME_INPUTS = {
     "isometry-p=50": (["verify", "--suite", "isometry-threshold", "--p", "50"], 0,
                       {"shifted-ratio-meets-threshold": {"r_epsilon": "inf"}}),
@@ -470,7 +485,9 @@ _EXTREME_INPUTS = {
                                "synthesis-hs-below-profile-l2": {"hs_squared": "inf",
                                                                  "bound": "inf"},
                                "hs-three-way": {"ratios": {
-                                   "embedding_over_sqrt_poisson": None,
+                                   # 1.2796e307 / sqrt(1e615), from logs
+                                   "embedding_over_sqrt_poisson": pytest.approx(0.40465559506,
+                                                                                rel=1e-9),
                                    "embedding_over_synthesis": pytest.approx(2 ** 0.5, rel=1e-12),
                                    "kernel2_sq_over_poisson": pytest.approx(1.0, rel=1e-9)}}}),
     "carleson-trace-past-1e154": (["verify", "--suite", "carleson", "--seq", "explicit:1,1e306",
@@ -482,16 +499,19 @@ _EXTREME_INPUTS = {
                                      "--seq", "explicit:1,1e306",
                                      "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
                                     {"hilbert-schmidt-equals-trace": {
-                                        "hs_squared": "inf", "trace": "inf",
-                                        "note": "value beyond float range at this scale"}}),
+                                        "status": "PASS", "hs_squared": "inf", "trace": "inf"}}),
+    # 1 / delta overflows, so the kernel integral's nodes cannot reach the atom
+    "hs-subnormal-atom-delta": (["verify", "--suite", "hs", "--measure", "atoms:1e-320:1",
+                                 "--seq", "geometric:1,2,8", "--N", "4"], 2,
+                                ("atom delta 1e-320",)),
 }
 
 
 def _fields(report: dict) -> dict:
-    """The checks of a verify report by name; any other report's top-level
-    fields, its ``rows`` read column by column."""
+    """The checks of a verify report by name, each its data and status; any
+    other report's top-level fields, its ``rows`` read column by column."""
     if "checks" in report:
-        return {c["name"]: c["data"] for c in report["checks"]}
+        return {c["name"]: {"status": c["status"], **c["data"]} for c in report["checks"]}
     fields = dict(report)
     if "rows" in report:
         fields["rows"] = {f: [row[f] for row in report["rows"]] for f in report["rows"][0]}
@@ -508,6 +528,7 @@ def test_extreme_inputs_exit_with_a_message(case, capsys):
     assert code == want
     if code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert all(text in err for text in data)  # the phrases the message names
         return
     assert err == ""
     report = json.loads(out, parse_constant=_refuse_constant)
@@ -541,6 +562,17 @@ def test_hs_squares_past_the_float_range_are_decided(patch, failing, monkeypatch
     assert {n: statuses[n] for n in decided} == {n: "FAIL" if n == failing else "PASS"
                                                  for n in decided}
     assert code == (0 if failing is None else 1)
+
+
+def test_trace_past_the_float_range_is_decided(monkeypatch, capsys):
+    # hs**2 and the Gram trace are both inf as floats (the table row above reads
+    # PASS on their logs); moving hs by 1e-9 relative moves hs**2 by 2e-9
+    real = hilbert._schatten_norms
+    monkeypatch.setattr(hilbert, "_schatten_norms",
+                        lambda s: {r: v * (1.0 + 1e-9) for r, v in real(s).items()})
+    code = run(["verify", "--suite", "diagonal-domination", *_PAST_1E154])
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert statuses["hilbert-schmidt-equals-trace"] == "FAIL" and code == 1
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)

@@ -83,17 +83,11 @@ class TestSchattenNorms:
 
 
 class TestCholesky:
-    def test_matches_numpy(self):
-        lam = np.array(GEO.exponents[:8])
-        g = 1.0 / (lam[:, None] + lam[None, :] + 1.0)
-        low = cholesky_lower(g)
-        assert np.allclose(low, np.linalg.cholesky(g), atol=1e-14)
-
-    def test_pivot_failure_names_index(self):
+    def test_failure_names_n(self):
         lam = np.array([1.0 + k * 1e-6 for k in range(24)])
         with pytest.raises(ConditioningError) as err:
             cholesky_lower(1.0 / (lam[:, None] + lam[None, :] + 1.0))
-        assert 0 < err.value.pivot < 24
+        assert err.value.n == 24 and "first N = 24 exponents" in str(err.value)
 
 
 class TestMatrices:
@@ -144,6 +138,10 @@ class TestEmbeddingSpectrum:
     def test_identity_for_lebesgue(self):
         spec = embedding_spectrum(GEO, Lebesgue(), 16)
         assert max(abs(s - 1.0) for s in spec.singular_values) < 1e-8
+
+    def test_identity_for_lebesgue_past_n_64(self):
+        spec = embedding_spectrum(generate_geometric(1, 2, 256), Lebesgue(), 256)
+        assert max(abs(s - 1.0) for s in spec.singular_values) < 1e-10
 
     def test_scaled_lebesgue_scales_sigmas(self):
         from muntzlab.measures import DensityMeasure
@@ -226,14 +224,15 @@ class TestTMuSpectrum:
 
 
 class TestFrameBounds:
-    def test_matches_eigenvalue_oracle(self):
-        n = 10
-        lam = [mpmath.mpf(v) for v in GEO.exponents[:n]]
+    @pytest.mark.parametrize("n", [10, 65])
+    def test_matches_eigenvalue_oracle(self, n):
+        seq = generate_geometric(1, 2, n)
+        lam = [mpmath.mpf(v) for v in seq.exponents]
         with mpmath.workdps(40):
             gram = mpmath.matrix([[mpmath.sqrt((2 * a + 1) * (2 * b + 1)) / (a + b + 1)
                                    for b in lam] for a in lam])
             eig = sorted(mpmath.eigsy(gram, eigvals_only=True), reverse=True)
-        got = frame_bounds(GEO, n).singular_values
+        got = frame_bounds(seq, n).singular_values
         for s, e in zip(got, eig):
             assert s * s == pytest.approx(float(e), rel=1e-10)
 

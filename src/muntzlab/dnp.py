@@ -28,7 +28,7 @@ Both series routes report their truncation the same way (``TruncationInfo``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,12 +98,16 @@ class TruncationInfo:
 
 @dataclass(frozen=True)
 class DnProfile:
-    values: tuple[float, ...]
+    """D_n(p) per n: ``log_values`` as the routes compute them, finite where
+    D_n underflows (D_n(1) on far atoms), and ``values``, their floats."""
+
+    log_values: tuple[float, ...]
     weight: WeightScheme
     truncation: tuple[TruncationInfo, ...]
+    values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        assert all(v >= 0.0 for v in self.values)
+        object.__setattr__(self, "values", tuple(materialize(v) for v in self.log_values))
 
     @property
     def all_safe(self) -> bool:
@@ -125,17 +129,18 @@ def _log_tail_over_sum(terms: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return log_tau
 
 
-def _values_and_truncation(log_dp: np.ndarray, tail: np.ndarray, share: np.ndarray, p: float,
-                           tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
-    """D_n and TruncationInfo per n from log D_n**p, the tail estimates and
-    the first-order share of D_n**p of every inner term (n x prefix)."""
+def _log_values_and_truncation(log_dp: np.ndarray, tail: np.ndarray, share: np.ndarray,
+                               p: float, tol: float
+                               ) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
+    """log D_n and TruncationInfo per n from log D_n**p, the tail estimates
+    and the first-order share of D_n**p of every inner term (n x prefix)."""
     needed = share >= tol
     last = needed.shape[1] - 1 - np.argmax(needed[:, ::-1], axis=1)
     cutoffs = np.where(needed.any(axis=1), last, 0)
-    values = tuple(materialize(v / p) for v in log_dp.tolist())
+    logs = tuple(v / p for v in log_dp.tolist())
     infos = tuple(TruncationInfo(cutoff=c, tail_ratio=t, safe=t < tol)
                   for c, t in zip(cutoffs.tolist(), tail.tolist()))
-    return values, infos
+    return logs, infos
 
 
 def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
@@ -147,7 +152,7 @@ def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
     terms = inv_root[:n_count, None] + inv_root - log_den
     log_d2, share = logsumexp(terms, axis=1, return_shares=True)
     tail = np.exp(_log_tail_over_sum(terms, log_d2))
-    return _values_and_truncation(log_d2, tail, share, 2.0, tol)
+    return _log_values_and_truncation(log_d2, tail, share, 2.0, tol)
 
 
 def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
@@ -163,7 +168,7 @@ def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
     log_dp = _log_shares(head, axis=1)  # head now holds each node's share of D_n**p
     tail = (p - 1.0) * (head @ tau)
     share = (p - 1.0) * (head @ terms.T)
-    return _values_and_truncation(log_dp, tail, share, p, tol)
+    return _log_values_and_truncation(log_dp, tail, share, p, tol)
 
 
 def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
@@ -193,16 +198,15 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
     inv_root = np.array([weight.log_inv_weight_root(l) for l in seq.exponents])
 
     if p == 1.0 and route == "auto":
-        logs = moments(mu, lams[:n_count]).tolist()
-        values = tuple(materialize(weight.log_inv_weight(l) + m)
-                       for l, m in zip(seq.exponents, logs))
+        logs = tuple(weight.log_inv_weight(l) + m
+                     for l, m in zip(seq.exponents, moments(mu, lams[:n_count]).tolist()))
         infos = tuple(TruncationInfo(cutoff=n, tail_ratio=0.0, safe=True)
                       for n in range(n_count))
     elif p == 2.0 and route == "auto" and isinstance(mu, Lebesgue):
-        values, infos = _lebesgue_p2_route(lams, inv_root, n_count, tol)
+        logs, infos = _lebesgue_p2_route(lams, inv_root, n_count, tol)
     else:
-        values, infos = _node_route(lams, inv_root, mu, p, n_count, tol)
-    return DnProfile(values, weight, infos)
+        logs, infos = _node_route(lams, inv_root, mu, p, n_count, tol)
+    return DnProfile(logs, weight, infos)
 
 
 def decreasing_rearrangement(values) -> tuple[float, ...]:

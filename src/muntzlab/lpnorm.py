@@ -5,15 +5,18 @@ coefficient matrix.  Its rows, and those of ``gm_ratio_sample`` on
 Lebesgue measure, are log-domain sums over the terms x nodes matrix of
 ``measures.node_log_powers`` (``_node_log_norms``), except the Lebesgue
 rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
-of ``measures.integrate_to_one``.  Both quadratures are graded toward t = 0
-by ``measures._grading_power`` and refined toward t = 1 as far as
-p * lam_max asks.  Every norm refuses p < 1 (``_check_p``); beyond that each
-route refuses only what it cannot represent: the nodes, in u = 1 - t and in
-logs, p * lam past the float range, and the float panels, which stop at
-u = 2**-53, p * lam from about 2**46 = 7.0e13 on.  No refusal is keyed on
-lam alone.  The random rows of ``gm_ratio_sample`` and of the
-diagonal-domination suite come from ``_uniform_rows``, on the standard
-library's generator: no module of the package imports ``numpy.random``.
+of ``measures.integrate_to_one``, which deepens toward t = 1 until its
+closing panel is negligible or two passes agree.  Both quadratures are
+graded toward t = 0 by ``measures._grading_power`` and refined toward t = 1
+at least as far as p * lam_max asks.  Neither sees the kink of |f|**p at a
+sign change of f when p is not an even integer (ROADMAP.md item 7).  Every
+norm refuses p < 1 (``_check_p``); beyond that each route refuses only what
+it cannot represent: the nodes, in u = 1 - t and in logs, p * lam past the
+float range, and the float panels, which stop at u = 2**-53, p * lam from
+about 2**46 = 7.0e13 on.  No refusal is keyed on lam alone.  The random
+rows of ``gm_ratio_sample`` and of the diagonal-domination suite come from
+``_uniform_rows``, on the standard library's generator: no module of the
+package imports ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -95,10 +98,12 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     range) and takes each row's norm from it, so a norm far below the float
     range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm.
     Lebesgue rows each take the float quadrature ``integrate_to_one`` of
-    |f|**p, where a norm whose p-th power underflows comes back zero; its
-    refusal past u = 2**-53 comes on the first row, so once per call.  Two
-    faster forms of that route, with identical outputs, stay parked on peak
-    memory (ROADMAP.md items 1 and 2).  A zero norm is -inf.
+    |f|**p, where a norm whose p-th power underflows comes back zero; a row
+    stops once two passes of its panels agree, 42 panels for a row of
+    geometric:1,2,16 at p = 2, and the refusal past u = 2**-53 comes on the
+    first row, so once per call.  Faster forms of that route with identical
+    outputs stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero
+    norm is -inf.
     """
     a = np.array(coeffs, dtype=float)
     if a.ndim != 2:

@@ -16,7 +16,9 @@ lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (Lebesgue moments, the Poisson
 integral of a density reaching t = 1) stay as the exact special cases they
 are.  The one other quadrature, ``integrate_to_one`` for Lebesgue L^p
-norms, refuses exponents past its float panels' edge u = 2**-53 itself.
+norms, deepens its dyadic panels toward t = 1 pass by pass until the
+closing panel is negligible or two passes agree, and refuses exponents past
+its float panels' edge u = 2**-53 itself.
 """
 from __future__ import annotations
 
@@ -124,10 +126,17 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
     The float quadrature of Lebesgue L^p norms; f receives log t = log1p(-u)
     at the nodes and returns g there.  Panel j covers u in [2**-j, 2**(1-j)]
     and a closing panel [0, 2**-depth], so no node is t = 1.  The first
-    depth is ``_first_depth`` of ``sharpness`` (a for t**a).  While the
-    closing panel holds more than DEFAULT_REL_TOL of the total, a pass adds
-    16 panels, up to depth _MAX_DEPTH = 53, to the running compensated sum,
-    so no panel is evaluated twice.  A first depth past _MAX_DEPTH
+    depth is ``_first_depth`` of ``sharpness`` (a for t**a).  A pass ends
+    with the total of the running compensated sum and its closing panel; it
+    is the last when the closing panel holds at most DEFAULT_REL_TOL of that
+    total, or when the total agrees with the previous pass's to
+    DEFAULT_REL_TOL relative, so a closing panel that its rule already
+    takes exactly is not split again.  Otherwise the next pass adds 16
+    panels, up to depth _MAX_DEPTH = 53, to the running sum, so no panel is
+    evaluated twice; a smooth integrand ends after its second pass.  One
+    whose scale in u is finer than ``sharpness`` says deepens until two
+    passes agree, as long as the first pass's nodes see it (t**(2**40) at
+    sharpness 1 reads 0 after one pass).  A first depth past _MAX_DEPTH
     (sharpness 2**46 = 7.0e13 or more) is refused before any panel: the
     package's one exponent edge.  A non-integer ``low_power``
     (``_grading_power``) grades panel 1 toward t = 0, with log t of t itself.
@@ -137,7 +146,8 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
         raise ValueError(
             f"p * lam = {sharpness:.3e} needs Lebesgue panels below u = 2**-{_MAX_DEPTH}, the "
             "edge of the float quadrature (a uniform density takes the node route)")
-    acc, right, summed = NeumaierSum(), 1.0, 0
+    # previous is the last pass's total; the first pass agrees with no NaN
+    acc, right, summed, previous = NeumaierSum(), 1.0, 0, math.nan
     graded = _graded_edges(low_power, 1.0)
     while True:
         for j in range(summed + 1, depth + 1):
@@ -154,8 +164,10 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
         trial = copy.copy(acc)
         trial.add(closing)
         total = trial.total
-        if abs(closing) <= DEFAULT_REL_TOL * max(abs(total), 1e-300) or depth >= _MAX_DEPTH:
+        scale = DEFAULT_REL_TOL * max(abs(total), 1e-300)
+        if abs(closing) <= scale or abs(total - previous) <= scale or depth >= _MAX_DEPTH:
             return total
+        previous = total
         depth = min(_MAX_DEPTH, depth + 16)
 
 
@@ -429,6 +441,29 @@ def sublinear_norm(mu: Measure) -> SublinearReport:
         return SublinearReport(best, best_eps, profile, True)
     best_eps, best = max(profile, key=lambda p: p[1])
     return SublinearReport(best, best_eps, profile, False)
+
+
+def windowed_sublinear_sup(mu: Measure, lo: float, hi: float) -> float:
+    """sup of mu([1-eps,1)) / eps over eps in [lo, hi], 0 <= lo <= hi <= 1.
+
+    Taken at lo (when positive), hi and the ``_EPS_GRID`` points in the
+    window, and for atoms at the deltas in it too: exact for atoms, where
+    the ratio falls between deltas, and for Lebesgue measure and the
+    densities, where it is monotone in eps; for a restriction it is a lower
+    bound, as ``sublinear_norm``'s grid maximum is.
+    """
+    if not 0.0 <= lo <= hi <= 1.0 or hi == 0.0:
+        raise ValueError(f"window needs 0 <= lo <= hi <= 1 and hi > 0, got [{lo}, {hi}]")
+    eps = [e for e in _EPS_GRID if lo <= e <= hi] + [hi] + ([lo] if lo > 0.0 else [])
+    if isinstance(mu, AtomicMeasure) and not mu.is_empty:
+        # every tail at once: the masses summed in order of delta
+        order = np.argsort(mu._deltas)
+        deltas, tails = mu._deltas[order], np.cumsum(mu._masses[order])
+        eps = np.concatenate([eps, deltas[(deltas >= lo) & (deltas <= hi)]])
+        k = np.searchsorted(deltas, eps, side="right")
+        with np.errstate(over="ignore"):  # a mass near 1e308 over a delta below 1
+            return float(np.max(np.where(k > 0, tails[k - 1], 0.0) / eps))
+    return max(tail_mass(mu, e) / e for e in eps)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
 from muntzlab import hilbert
 from muntzlab import lpnorm
+from muntzlab import measures as measures_mod
 from muntzlab.cli import SUITE_IDS, build_parser, run
 from test_lpnorm import lp_norm, uniform_draws
 
@@ -500,6 +501,13 @@ _EXTREME_INPUTS = {
                                      "--measure", "atoms:1e-307:1e308", "--N", "2"], 0,
                                     {"hilbert-schmidt-equals-trace": {
                                         "status": "PASS", "hs_squared": "inf", "trace": "inf"}}),
+    # norm_s = 1e300 comes from the atom at 1e-300, which no t**(2 lam), lam <= 2**15,
+    # sees; in the window eps in [2**-16, 1/2] the sup is 2**16, below the bound
+    "carleson-atom-past-the-prefix": (["verify", "--suite", "carleson", "--seq",
+                                       "geometric:1,2,16", "--measure", "atoms:1e-300:1,0.5:1"],
+                                      0, {"sublinear-vs-monomial-test": {
+                                          "status": "EVIDENCE", "window": [2.0 ** -16, 0.5],
+                                          "window_sup": 65536.0}}),
     # 1 / delta overflows, so the kernel integral's nodes cannot reach the atom
     "hs-subnormal-atom-delta": (["verify", "--suite", "hs", "--measure", "atoms:1e-320:1",
                                  "--seq", "geometric:1,2,8", "--N", "4"], 2,
@@ -573,6 +581,38 @@ def test_trace_past_the_float_range_is_decided(monkeypatch, capsys):
     code = run(["verify", "--suite", "diagonal-domination", *_PAST_1E154])
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert statuses["hilbert-schmidt-equals-trace"] == "FAIL" and code == 1
+
+
+@pytest.mark.parametrize("measure, seen, want", [
+    ("atoms:0.001:1,0.5:1", None, "PASS"),
+    ("atoms:1e-300:1,0.5:1", None, "EVIDENCE"),
+    ("atoms:1e-300:1,0.5:1", 1e300, "FAIL"),
+], ids=["within-the-bound", "attained-outside-the-window", "window-sup-above-the-bound"])
+def test_sublinear_check_fails_only_on_the_window(measure, seen, want, monkeypatch, capsys):
+    # FAIL needs the sup over the window's eps above the bound (forced here)
+    if seen is not None:
+        monkeypatch.setattr(measures_mod, "windowed_sublinear_sup", lambda *a: seen)
+    code = run(["verify", "--suite", "carleson", "--seq", "geometric:1,2,16",
+                "--measure", measure])
+    check = _fields(json.loads(capsys.readouterr().out))["sublinear-vs-monomial-test"]
+    assert check["status"] == want and code == (1 if want == "FAIL" else 0)
+    assert check["window"] == [2.0 ** -16, 0.5]
+    assert ("note" in check) == (want == "EVIDENCE")
+    if want == "EVIDENCE":
+        assert "[1.52588e-05, 0.5]" in check["note"]
+
+
+@pytest.mark.parametrize("suite, check_name, p", [
+    ("carleson", "monomial-test-constant", 2.0), ("compact", "monomial-test-decay", 1.0)])
+def test_last_keeps_its_log_where_it_underflows(suite, check_name, p, capsys):
+    # lam (1 - 1e-12)**(p lam) at lam = 2**63 is exp(-9.2e6 p): 0.0 as a float
+    code = run(["verify", "--suite", suite, "--seq", "geometric:1,2,64",
+                "--measure", "atoms:1e-12:1", "--N", "4"])
+    data = _fields(json.loads(capsys.readouterr().out))[check_name]
+    lam = 2.0 ** 63
+    assert code == 0 and data["last"] == 0.0
+    assert data["log_last"] == pytest.approx(math.log(lam) + p * lam * math.log1p(-1e-12),
+                                             rel=1e-14)
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)

@@ -67,6 +67,24 @@ class TestComputeDn:
         # D_2(1) = lam_2 * (1/2)**lam_2 = 4/16
         assert prof.values[2] == pytest.approx(0.25, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_logs_stay_finite_where_the_values_underflow(self, p):
+        # D_n(p) of an atom at delta = 1e-12 from lam = 2**50 on is below the float
+        # range: its log, about log(lam) / p - lam * 1e-12, is not
+        seq = generate_geometric(1, 2, 64)
+        prof = compute_dn(seq, atoms([(1e-12, 1.0)]), WeightScheme("inverse_lambda", p))
+        assert prof.values == tuple(math.exp(v) for v in prof.log_values)
+        assert prof.values[-1] == 0.0 and math.isfinite(prof.log_values[-1])
+        if p == 1.0:  # one moment: D_n(1) = lam_n (1 - 1e-12)**lam_n
+            lam = seq.exponents[-1]
+            assert prof.log_values[-1] == pytest.approx(
+                math.log(lam) + lam * math.log1p(-1e-12), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_values_are_the_logs_materialized(self, p):
+        prof = compute_dn(GEO, Lebesgue(), WeightScheme("inverse_lambda", p), n_count=12)
+        assert prof.values == tuple(math.exp(v) for v in prof.log_values)
+
     def test_p2_single_atom_series(self):
         prof = compute_dn(GEO, HALF_ATOM, WeightScheme("inverse_lambda", 2.0), n_count=4)
         assert prof.values[0] == pytest.approx(0.7034425955693373, rel=1e-10)
@@ -293,7 +311,7 @@ def _copying_node_route(lams, inv_root, mu, p, n_count, tol):
     log_dp, node_share = logsumexp(head, axis=1, return_shares=True)
     tail = (p - 1.0) * (node_share @ tau)
     share = (p - 1.0) * (node_share @ ratio.T)
-    return dnp._values_and_truncation(log_dp, tail, share, p, tol)
+    return dnp._log_values_and_truncation(log_dp, tail, share, p, tol)
 
 
 class TestWorkingSet:

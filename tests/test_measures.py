@@ -10,7 +10,8 @@ from muntzlab.logdomain import NeumaierSum, logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, Restriction,
                                _gl_panel, _log_poisson_kernel, atoms, integrate_to_one,
                                log_powers, measure_nodes, moment, moments, node_log_powers,
-                               poisson_integral, restrict, sublinear_norm, tail_mass)
+                               poisson_integral, restrict, sublinear_norm, tail_mass,
+                               windowed_sublinear_sup)
 
 GEOM30 = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 
@@ -315,8 +316,9 @@ class TestGradedTowardZero:
 
 def _resumming_integrate_to_one(f, sharpness):
     """integrate_to_one with every pass summing from panel 1 again: the same
-    panels in u = 1 - t, closing rule and summation order."""
-    depth = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53)
+    panels in u = 1 - t, closing rule, stopping rule and summation order.
+    Returns the total of every pass; the last is the result."""
+    depth, totals = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53), []
     while True:
         acc, right = NeumaierSum(), 1.0
         for j in range(1, depth + 1):
@@ -325,21 +327,28 @@ def _resumming_integrate_to_one(f, sharpness):
             right = left
         closing = _gl_panel(f, 0.0, right)
         acc.add(closing)
-        if abs(closing) <= 1e-12 * max(abs(acc.total), 1e-300) or depth >= 53:
-            return acc.total
+        totals.append(acc.total)
+        scale = 1e-12 * max(abs(acc.total), 1e-300)
+        if (abs(closing) <= scale or depth >= 53
+                or len(totals) > 1 and abs(totals[-1] - totals[-2]) <= scale):
+            return totals
         depth = min(53, depth + 16)
 
 
 class TestIntegrateToOne:
-    # (integrand of log t, sharpness, the depth of each pass); the closing
-    # panel's share of the total is about 2**-depth times g(1) / integral,
-    # against 1e-12
+    # (integrand of log t, sharpness, the depth of each pass); a pass is the
+    # last when its closing panel holds at most 1e-12 of the total (about
+    # 2**-depth times g(1) / integral) or its total agrees with the previous
+    # pass's to 1e-12
     CASES = {
         "one-pass": (lambda log_t: (-np.expm1(log_t)) ** 4, 1.0, (12,)),
         "two-passes": (lambda log_t: -np.expm1(log_t), 1.0, (12, 28)),
-        "three-passes": (lambda log_t: np.exp(2.0 * log_t), 1.0, (12, 28, 44)),
-        "sharp-to-53": (lambda log_t: np.exp(32768.0 * log_t), 65536.0, (24, 40, 53)),
-        "never-settles": (lambda log_t: np.exp(100.0 * log_t), 1.0, (12, 28, 44, 53)),
+        "two-passes-agree": (lambda log_t: np.exp(2.0 * log_t), 1.0, (12, 28)),
+        "sharp-two-passes-agree": (lambda log_t: np.exp(32768.0 * log_t), 65536.0, (24, 40)),
+        "steep-two-passes-agree": (lambda log_t: np.exp(100.0 * log_t), 1.0, (12, 28)),
+        # the integrand's scale 2**-20 in u is 2**20 finer than sharpness 1 asks
+        "three-passes": (lambda log_t: np.exp(2.0 ** 20 * log_t), 1.0, (12, 28, 44)),
+        "to-53": (lambda log_t: np.exp(2.0 ** 48 * log_t), 2.0 ** 28, (36, 52, 53)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -353,19 +362,33 @@ class TestIntegrateToOne:
 
         got = integrate_to_one(recording, sharpness)
         resummed = []
-        assert got == _resumming_integrate_to_one(
+        totals = _resumming_integrate_to_one(
             lambda log_t: resummed.append(log_t) or f(log_t), sharpness)
+        assert got == totals[-1]
         # re-summing evaluates every panel of every pass; now each pass adds its
         # new panels and one closing panel, and no interval is evaluated twice
         assert len(resummed) == sum(d + 1 for d in depths)
         assert len(nodes) == depths[-1] + len(depths)
         assert len(set(nodes)) == len(nodes)
 
+    @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** 24])
+    def test_passes_that_disagree_deepen_until_two_agree(self, scale):
+        # t**a with a 2**20 (2**24) times the sharpness passed: the first pass's
+        # closing panel [0, 2**-12] misses the integrand's scale 1/a in u
+        totals = _resumming_integrate_to_one(lambda log_t: np.exp(scale * log_t), 1.0)
+        assert len(totals) == 3
+        assert abs(totals[1] - totals[0]) > 1e-6 * totals[1]
+        assert abs(totals[2] - totals[1]) <= 1e-12 * totals[2]
+        got = integrate_to_one(lambda log_t: np.exp(scale * log_t), 1.0)
+        assert got == totals[-1]
+        assert got == pytest.approx(1.0 / (scale + 1.0), rel=1e-13)
+
     def test_no_node_at_t_equal_one(self):
         # the depth-53 closing panel is [0, 2**-53] in u: its nodes keep u > 0
         nodes = []
-        integrate_to_one(lambda log_t: nodes.append(log_t) or np.exp(100.0 * log_t), 1.0)
-        assert len(nodes) == 53 + 4
+        integrate_to_one(lambda log_t: nodes.append(log_t) or np.exp(2.0 ** 48 * log_t),
+                         2.0 ** 28)
+        assert len(nodes) == 53 + 3
         assert max(float(v.max()) for v in nodes) < 0.0
 
 
@@ -400,6 +423,39 @@ class TestSublinear:
         # tail/eps = eps/2 -> sup on the grid at eps = 1
         assert rep.norm_s == pytest.approx(0.5)
         assert rep.vanishing_profile[-1][1] < 1e-10
+
+
+class TestWindowedSublinearSup:
+    """sup of mu([1-eps,1)) / eps over a window of eps."""
+
+    @pytest.mark.parametrize("lo, hi", [(1e-4, 0.5), (0.05, 0.2), (0.3, 0.3), (0.0, 1.0)])
+    def test_atoms_against_a_dense_grid(self, lo, hi):
+        mu = atoms([(0.6, 0.2), (0.3, 1.0), (0.07, 0.5), (0.004, 0.25), (1e-300, 1.0)])
+        got = windowed_sublinear_sup(mu, lo, hi)
+        grid = np.concatenate([np.geomspace(max(lo, 1e-6), hi, 20001), [hi]])
+        assert got >= max(tail_mass(mu, e) / e for e in grid) * (1 - 1e-12)
+        # attained at lo or at a delta in the window, where the ratio jumps up
+        assert got == pytest.approx(max(tail_mass(mu, e) / e for e in
+                                        [lo, hi] + [a.delta for a in mu.atoms]
+                                        if lo <= e <= hi and e > 0.0), rel=1e-15)
+
+    def test_atom_outside_the_window_is_unseen(self):
+        mu = atoms([(1e-300, 1.0), (0.5, 1.0)])
+        assert sublinear_norm(mu).norm_s == pytest.approx(1e300)
+        # at eps = 2**-16 only the atom at 1e-300 lies within: 1 / 2**-16
+        assert windowed_sublinear_sup(mu, 2.0 ** -16, 0.5) == 65536.0
+        assert windowed_sublinear_sup(mu, 0.0, 0.5) == sublinear_norm(mu).norm_s
+
+    def test_lebesgue_and_densities_at_the_window_ends(self):
+        assert windowed_sublinear_sup(Lebesgue(), 1e-5, 0.5) == 1.0
+        # tail / eps = eps**alpha / (alpha + 1): largest at hi for alpha > 0
+        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        assert windowed_sublinear_sup(mu, 1e-3, 0.3) == pytest.approx(0.15, rel=1e-15)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.25), (-1.0, 0.5), (0.0, 0.0), (0.5, 2.0)])
+    def test_window_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="window"):
+            windowed_sublinear_sup(Lebesgue(), lo, hi)
 
 
 class TestPoisson:

@@ -409,8 +409,9 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     if cls.is_quasi_geometric:
         bound = 3.0 * p * cls.r_sup * sup_m
         # the scales eps ~ 1 / (p lam_n) that the monomials of the prefix see:
-        # a sup attained outside them (an atom closer to 1) is no failure
-        window = [1.0 / (p * seq.exponents[-1]), min(1.0, 1.0 / (p * seq.exponents[0]))]
+        # a sup attained outside them (an atom closer to 1) is no failure;
+        # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps
+        window = [1.0 / (p * seq.exponents[-1]), 1.0 / max(1.0, p * seq.exponents[0])]
         seen = measures_mod.windowed_sublinear_sup(measure, *window)
         if sub.norm_s <= bound + 1e-12:
             status, note = "PASS", {}

@@ -424,46 +424,51 @@ class SublinearReport:
     exact: bool
 
 
+def _sublinear_sup(mu: Measure, lo: float, hi: float) -> tuple[float, float]:
+    """(sup, an eps attaining it) of mu([1-eps,1)) / eps over eps in [lo, hi].
+
+    For atoms the ratio falls between deltas, so it is taken at lo (when
+    positive) and at the deltas in the window, on one compensated running
+    tail in order of delta: exact.  Otherwise it is taken at the
+    ``_EPS_GRID`` points in the window, then at hi and lo (when positive),
+    the first of equal ratios winning: exact for Lebesgue measure and the
+    densities, where the ratio is monotone in eps, and a lower bound for a
+    restriction.
+    """
+    if isinstance(mu, AtomicMeasure):
+        # a massless stop at lo, after the atoms at lo, reads the tail there
+        walk = [(at.delta, at.mass) for at in mu.atoms] + ([(lo, 0.0)] if lo > 0.0 else [])
+        best, best_eps = 0.0, hi
+        running = NeumaierSum()
+        for delta, mass in sorted(walk, key=lambda stop: stop[0]):
+            if delta > hi:
+                break
+            running.add(mass)
+            if delta >= lo and running.total / delta > best:
+                best, best_eps = running.total / delta, delta
+        return best, best_eps
+    eps = [e for e in _EPS_GRID if lo <= e <= hi] + [e for e in (hi, lo) if e > 0.0]
+    ratio, best_eps = max(((tail_mass(mu, e) / e, e) for e in eps), key=lambda pair: pair[0])
+    return ratio, best_eps
+
+
 def sublinear_norm(mu: Measure) -> SublinearReport:
     """The sublinear norm of mu and its vanishing profile (``SublinearReport``)."""
     profile = tuple((e, tail_mass(mu, e) / e) for e in _EPS_GRID)
-    if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return SublinearReport(0.0, 1.0, profile, True)
-        # tail/eps is maximized at a breakpoint eps = delta_k
-        best, best_eps = -math.inf, 1.0
-        running = NeumaierSum()
-        for at in sorted(mu.atoms, key=lambda at: at.delta):
-            running.add(at.mass)
-            ratio = running.total / at.delta
-            if ratio > best:
-                best, best_eps = ratio, at.delta
-        return SublinearReport(best, best_eps, profile, True)
-    best_eps, best = max(profile, key=lambda p: p[1])
-    return SublinearReport(best, best_eps, profile, False)
+    norm_s, attaining = _sublinear_sup(mu, 0.0, 1.0)
+    return SublinearReport(norm_s, attaining, profile, isinstance(mu, AtomicMeasure))
 
 
 def windowed_sublinear_sup(mu: Measure, lo: float, hi: float) -> float:
     """sup of mu([1-eps,1)) / eps over eps in [lo, hi], 0 <= lo <= hi <= 1.
 
-    Taken at lo (when positive), hi and the ``_EPS_GRID`` points in the
-    window, and for atoms at the deltas in it too: exact for atoms, where
-    the ratio falls between deltas, and for Lebesgue measure and the
-    densities, where it is monotone in eps; for a restriction it is a lower
-    bound, as ``sublinear_norm``'s grid maximum is.
+    The routine behind ``sublinear_norm``, so over [0, 1] it is norm_s to
+    the last bit: exact for atoms, Lebesgue measure and the densities, a
+    lower bound for a restriction.
     """
     if not 0.0 <= lo <= hi <= 1.0 or hi == 0.0:
         raise ValueError(f"window needs 0 <= lo <= hi <= 1 and hi > 0, got [{lo}, {hi}]")
-    eps = [e for e in _EPS_GRID if lo <= e <= hi] + [hi] + ([lo] if lo > 0.0 else [])
-    if isinstance(mu, AtomicMeasure) and not mu.is_empty:
-        # every tail at once: the masses summed in order of delta
-        order = np.argsort(mu._deltas)
-        deltas, tails = mu._deltas[order], np.cumsum(mu._masses[order])
-        eps = np.concatenate([eps, deltas[(deltas >= lo) & (deltas <= hi)]])
-        k = np.searchsorted(deltas, eps, side="right")
-        with np.errstate(over="ignore"):  # a mass near 1e308 over a delta below 1
-            return float(np.max(np.where(k > 0, tails[k - 1], 0.0) / eps))
-    return max(tail_mass(mu, e) / e for e in eps)
+    return _sublinear_sup(mu, lo, hi)[0]
 
 
 @dataclass(frozen=True)

@@ -508,6 +508,12 @@ _EXTREME_INPUTS = {
                                       0, {"sublinear-vs-monomial-test": {
                                           "status": "EVIDENCE", "window": [2.0 ** -16, 0.5],
                                           "window_sup": 65536.0}}),
+    # t**0 sees every eps, so a leading exponent 0 opens the window up to 1
+    "carleson-leading-exponent-0": (["verify", "--suite", "carleson", "--seq", "explicit:0,1,2,4",
+                                     "--p", "3", "--measure", "atoms:1e-300:1,0.5:1"],
+                                    0, {"sublinear-vs-monomial-test": {
+                                        "status": "EVIDENCE", "window": [1.0 / 12.0, 1.0],
+                                        "window_sup": 12.0}}),
     # 1 / delta overflows, so the kernel integral's nodes cannot reach the atom
     "hs-subnormal-atom-delta": (["verify", "--suite", "hs", "--measure", "atoms:1e-320:1",
                                  "--seq", "geometric:1,2,8", "--N", "4"], 2,

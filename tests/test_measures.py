@@ -446,6 +446,33 @@ class TestWindowedSublinearSup:
         assert windowed_sublinear_sup(mu, 2.0 ** -16, 0.5) == 65536.0
         assert windowed_sublinear_sup(mu, 0.0, 0.5) == sublinear_norm(mu).norm_s
 
+    @pytest.mark.parametrize("mu", [
+        GEOM30,
+        atoms([(0.6, 0.2), (0.3, 1.0), (0.07, 0.5), (0.004, 0.25), (1e-300, 1.0)]),
+        # six masses 0.1 a hair apart: a plain running sum reads the sup 1 ulp off
+        atoms([(0.5 * (1 + k * 1e-12), 0.1) for k in range(6)]),
+        Lebesgue(),
+        DensityMeasure("oneminus_power", alpha=1.0),
+        restrict(Lebesgue(), 0.2, 0.9),
+    ], ids=["geometric-atoms", "five-atoms", "six-tenths", "lebesgue", "density",
+            "restriction"])
+    def test_full_window_is_norm_s_to_the_last_bit(self, mu):
+        assert windowed_sublinear_sup(mu, 0.0, 1.0) == sublinear_norm(mu).norm_s
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.floats(1e-300, 1.0), st.floats(1e-200, 1e200),
+                           min_size=1, max_size=40))
+    def test_full_window_is_norm_s_on_random_atoms(self, pairs):
+        mu = atoms(pairs.items())
+        assert windowed_sublinear_sup(mu, 0.0, 1.0) == sublinear_norm(mu).norm_s
+
+    def test_atom_at_lo_counts_in_the_tail_at_lo(self):
+        mu = atoms([(0.25, 1.0), (0.5, 1.0)])
+        # at eps = 1/4 both the window's end and the atom: 1 / (1/4)
+        assert windowed_sublinear_sup(mu, 0.25, 0.3) == 4.0
+        # between the atoms the ratio is largest at lo: 1 / 0.3
+        assert windowed_sublinear_sup(mu, 0.3, 0.4) == 1.0 / 0.3
+
     def test_lebesgue_and_densities_at_the_window_ends(self):
         assert windowed_sublinear_sup(Lebesgue(), 1e-5, 0.5) == 1.0
         # tail / eps = eps**alpha / (alpha + 1): largest at hi for alpha > 0

@@ -19,7 +19,7 @@ from .lpnorm import (amgm_probe, gm_ratio_sample, l2_norm_gram, log_lp_norms,
                      pairing_integral)
 from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
                       embedding_spectrum, essential_norm_estimate, frame_bounds,
-                      hs_criteria, prop511_value, t_mu_spectrum)
+                      prop511_value, t_mu_spectrum)
 from .examples import ExampleInstance, build_example, check_example_claims
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from . import hilbert
 from . import lpnorm
 from . import measures as measures_mod
 from . import sequences as sequences_mod
-from .logdomain import materialize
+from .logdomain import logsumexp, materialize
 
 SCHEMA = "muntzlab-report/1"
 STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
@@ -206,6 +206,24 @@ def _log_monomial_test(lam: float, log_moment: float) -> float:
     return math.log(lam) + log_moment if lam > 0.0 else -math.inf
 
 
+def _log(x: float) -> float:
+    """log x of a float x >= 0; -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _logs_within(log_a: float, log_b: float, tol: float) -> bool:
+    """|log a - log b| <= tol: a and b agree to about tol relative (both 0 agree)."""
+    return log_a == log_b or abs(log_a - log_b) <= tol
+
+
+def _ratio(log_num: float, log_den: float) -> float | None:
+    """exp(log_num - log_den); None where the denominator is 0 or inf or the
+    numerator inf, which leaves the ratio undecided."""
+    if log_num == math.inf or not -math.inf < log_den < math.inf:
+        return None
+    return materialize(log_num - log_den)
+
+
 def _verdict(ok: bool | None) -> tuple[str, dict]:
     """PASS or FAIL; EVIDENCE with a note where ok is None, undecided past the float range."""
     if ok is None:
@@ -354,28 +372,26 @@ def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
                         "hilbert.t_mu_spectrum",
                         "PASS" if chain_ok else "FAIL",
                         margin=margin, tails_safe=profile.all_safe))
-    hs, trace = spec.schatten[2.0], spec.extras["trace"]
-    hs_sq = hilbert.square(hs)
-    # past the float range on the logs, whose difference is the relative gap
-    status, note = _verdict(abs(hs_sq - trace) <= 1e-10 * max(trace, 1e-300)
-                            if max(hs_sq, trace) < math.inf
-                            else abs(2.0 * math.log(hs) - spec.extras["log_trace"]) <= 1e-10
-                            if hs < math.inf else None)
+    hs, log_trace = spec.schatten[2.0], spec.extras["log_trace"]
+    log_hs_sq = 2.0 * _log(hs)
+    # on the logs, whose difference is the relative gap; undecided where hs is inf
+    status, note = _verdict(_logs_within(log_hs_sq, log_trace, 1e-10) if hs < math.inf else None)
     checks.append(check("hilbert-schmidt-equals-trace", "hilbert.t_mu_spectrum", status,
-                        hs_squared=hs_sq, trace=trace, **note))
+                        hs_squared=materialize(log_hs_sq), trace=materialize(log_trace), **note))
     for r in hilbert.SCHATTEN_ORDERS:
         ok = spec.schatten[r] <= ob.schatten[r] + 1e-9
         checks.append(check(f"schatten-bound-r={r:g}", "dnp.operator_bounds",
                             "PASS" if ok else "FAIL",
                             spectrum=spec.schatten[r], bound=ob.schatten[r]))
-    # ||sum_j b_j t^lam_j||_{L^2(mu)} vs (sum_j |b_j|^2 D_j^2 / lam_j)^(1/2), rows b
+    # ||sum_j b_j t^lam_j||_{L^2(mu)} vs (sum_j |b_j|^2 D_j^2 / lam_j)^(1/2), rows b,
+    # summed in logs: w_j = 1/lam_j alone may overflow (lam_0 = 5e-324), and so may the sum
     b = lpnorm._uniform_rows(seed, 100, len(profile.values))
-    # w_j D_j^2 in logs: w_j = 1/lam_j alone may overflow (lam_0 = 5e-324)
-    weighted = [materialize(2.0 * math.log(d) - profile.weight.log_inv_weight(lam))
-                if d > 0.0 else 0.0 for d, lam in zip(profile.values, seq.exponents)]
-    rhs = np.sqrt((b ** 2 * weighted).sum(axis=1))
-    lhs = lpnorm.log_lp_norms(seq, b, measure, 2.0).tolist()
-    worst = max(materialize(l) - r for l, r in zip(lhs, rhs.tolist()))
+    log_wd2 = [2.0 * d - profile.weight.log_inv_weight(lam)
+               for d, lam in zip(profile.log_values, seq.exponents)]
+    with np.errstate(divide="ignore"):  # a coefficient drawn as 0 has the log -inf
+        rhs = 0.5 * logsumexp(2.0 * np.log(np.abs(b)) + log_wd2, axis=1)
+    lhs = lpnorm.log_lp_norms(seq, b, measure, 2.0)
+    worst = max(materialize(l) - materialize(r) for l, r in zip(lhs.tolist(), rhs.tolist()))
     checks.append(check("random-vector-domination", "dnp.compute_dn",
                         "PASS" if worst <= 1e-9 else "FAIL", worst_excess=worst))
     return checks
@@ -413,10 +429,14 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
         # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps
         window = [1.0 / (p * seq.exponents[-1]), 1.0 / max(1.0, p * seq.exponents[0])]
         seen = measures_mod.windowed_sublinear_sup(measure, *window)
-        if sub.norm_s <= bound + 1e-12:
+        # sides that both pass the float range decide nothing: an inf norm_s
+        # is not within an inf bound, and an inf window sup not above it
+        if sub.norm_s <= bound + 1e-12 and sub.norm_s < math.inf:
             status, note = "PASS", {}
         elif seen > bound + 1e-12:
             status, note = "FAIL", {}
+        elif seen == math.inf:
+            status, note = _verdict(None)
         else:
             status, note = "EVIDENCE", {"note": (
                 f"norm_s is attained outside eps in [{window[0]:.6g}, {window[1]:.6g}], "
@@ -473,34 +493,42 @@ def suite_compact(seq, measure, N, tol, store) -> list[dict]:
 
 
 def suite_hs(seq, measure, N, q, tol, store) -> list[dict]:
+    # every square and ratio is the float of its log and every check is decided
+    # on logs, so nothing overflows while its log is finite
     checks = []
     n = min(N, len(seq))
-    report = hilbert.hs_criteria(store.embedding(measure, n), store.synthesis(measure, n),
-                                 measure, q_values=tuple(q))
-    if not report.poisson_divergent and 2.0 in report.kernel_values:
-        kernel, poisson = report.kernel_values[2.0], report.poisson_value
-        # kernel**2 / poisson, from logs past the float range; None at 0 / 0
-        ratio = report.ratios["kernel2_sq_over_poisson"]
-        status, note = _verdict(abs(ratio - 1.0) <= 1e-9 if ratio is not None
-                                else kernel == 0.0 if poisson == 0.0 else None)
+    hs_e = store.embedding(measure, n).schatten[2.0]
+    hs_s = store.synthesis(measure, n).schatten[2.0]
+    pois = measures_mod.poisson_integral(measure)
+    kernel = {float(qv): hilbert.prop511_value(measure, qv) for qv in q}
+    # a divergent Poisson integral is inf
+    log_pois = math.inf if pois.divergent else -math.inf if pois.value.is_zero \
+        else pois.value.log
+    log_k2 = 2.0 * _log(kernel[2.0]) if 2.0 in kernel else None
+    if not pois.divergent and log_k2 is not None:
+        status, note = _verdict(_logs_within(log_k2, log_pois, 1e-9)
+                                if kernel[2.0] < math.inf else None)
         checks.append(check("kernel-double-integral-matches-poisson", "hilbert.prop511_value",
-                            status, kernel_sq=hilbert.square(kernel), poisson=poisson, **note))
+                            status, kernel_sq=materialize(log_k2),
+                            poisson=materialize(log_pois), **note))
     profile = store.dn(measure, dnp_mod.WeightScheme("inverse_lambda", 2.0), len(seq), tol)
-    # hs**2 <= sum v**2 + 1e-9 on values divided by a power of two (exactly)
-    hs = report.hs_synthesis
-    c = hilbert._pow2_scale(max(hs, *profile.values))
-    ok = (hs / c) ** 2 <= math.fsum((v / c) ** 2 for v in profile.values) + 1e-9 / c / c
-    checks.append(check("synthesis-hs-below-profile-l2", "hilbert.hs_criteria",
-                        "PASS" if ok else "FAIL", hs_squared=hilbert.square(hs),
-                        bound=math.fsum(hilbert.square(v) for v in profile.values)))
-    checks.append(check("hs-three-way", "hilbert.hs_criteria", "EVIDENCE",
-                        hs_embedding=report.hs_embedding,
-                        hs_synthesis=report.hs_synthesis,
-                        poisson_divergent=report.poisson_divergent,
-                        poisson=report.poisson_value,
-                        kernel={f"{qv:g}": v for qv, v in report.kernel_values.items()},
-                        ratios=report.ratios,
-                        note=report.expected_divergent_note))
+    log_hs_sq, log_bound = 2.0 * _log(hs_s), logsumexp(2.0 * np.array(profile.log_values))
+    status, note = _verdict(log_hs_sq <= log_bound + 1e-9 if hs_s < math.inf else None)
+    checks.append(check("synthesis-hs-below-profile-l2", "hilbert.t_mu_spectrum", status,
+                        hs_squared=materialize(log_hs_sq), bound=materialize(log_bound), **note))
+    # a quotient of two finite floats is correctly rounded and cannot raise
+    ratios = {"embedding_over_synthesis": hs_e / hs_s if 0.0 < hs_s and max(hs_e, hs_s) < math.inf
+              else None,
+              "embedding_over_sqrt_poisson": _ratio(_log(hs_e), 0.5 * log_pois),
+              "kernel2_sq_over_poisson": None if log_k2 is None else _ratio(log_k2, log_pois)}
+    checks.append(check("hs-three-way", "hilbert.embedding_spectrum", "EVIDENCE",
+                        hs_embedding=hs_e, hs_synthesis=hs_s,
+                        poisson_divergent=pois.divergent,
+                        poisson=None if pois.divergent else materialize(log_pois),
+                        kernel={f"{qv:g}": v for qv, v in kernel.items()}, ratios=ratios,
+                        note=("poisson integral divergent: truncated Hilbert-Schmidt norms "
+                              "grow with the truncation instead of converging")
+                        if pois.divergent else None))
     return checks
 
 
@@ -559,7 +587,7 @@ SUITE_IDS = tuple(_SUITES)
 def _cmd_classify(args) -> int:
     seq = parse_sequence(args.seq)
     cls = sequences_mod.classify(seq)
-    payload = {"command": "classify", "inputs": {"seq": args.seq},
+    payload = {"command": "classify", "inputs": _recorded_inputs("classify", args),
                "classification": asdict(cls), "gap": seq.gap, "length": len(seq)}
     if args.decompose is not None:
         parts = sequences_mod.decompose_quasi_lacunary(seq, args.decompose)
@@ -579,8 +607,7 @@ def _cmd_moments(args) -> int:
                      "moment_p_lambda": materialize(log_m),
                      "log_moment": None if log_m == -math.inf else log_m,
                      "monomial_test": materialize(_log_monomial_test(lam, log_m))})
-    _emit({"command": "moments", "inputs": {"seq": args.seq, "measure": args.measure,
-                                            "p": args.p}, "rows": rows},
+    _emit({"command": "moments", "inputs": _recorded_inputs("moments", args), "rows": rows},
           args, "moments", as_csv=args.format == "csv")
     return 0
 
@@ -597,8 +624,7 @@ def _cmd_dnp(args) -> int:
              "tail_flag": "ok" if profile.truncation[i].safe else "unsafe"}
             for i in range(n_count)]
     payload = {"command": "dnp",
-               "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
-                          "weight": args.weight, "n": n_count, "tol": args.tol},
+               "inputs": _recorded_inputs("dnp", args, n=n_count),
                "rows": rows,
                "bounds": {"sup": ob.sup_dn, "trailing_max": ob.limsup_estimate,
                           "window": ob.window, "rearranged": list(ob.rearranged),
@@ -626,9 +652,8 @@ def _cmd_bounds(args) -> int:
                  "log_ratio_min": br.log_ratio_min, "log_ratio_max": br.log_ratio_max}
     else:  # point_eval
         value = bounds_mod.point_eval_norm(parse_sequence(args.seq), args.p, args.t)
-    # the inputs are the options this formula reads
-    inputs = {_dest(o): getattr(args, _dest(o)) for o in _BRANCHES["bounds"][1][args.formula]}
-    _emit({"command": "bounds", "formula": formula, "inputs": inputs, "value": value},
+    _emit({"command": "bounds", "formula": formula, "inputs": _recorded_inputs("bounds", args),
+           "value": value},
           args, "bounds")
     return 0
 
@@ -640,8 +665,7 @@ def _cmd_norm(args) -> int:
         else _floats(args.coeffs)
     value = materialize(lpnorm.log_lp_norms(seq, [coeffs], mu, args.p)[0])
     payload = {"command": "norm",
-               "inputs": {"seq": args.seq, "measure": args.measure, "p": args.p,
-                          "coefficients": coeffs},
+               "inputs": _recorded_inputs("norm", args, coefficients=coeffs),
                "value": value}
     if args.p == 2.0 and isinstance(mu, measures_mod.Lebesgue):
         payload["gram_value"] = lpnorm.l2_norm_gram(seq, coeffs)
@@ -660,7 +684,7 @@ def _cmd_probe(args) -> int:
         payload = {"kind": "amgm", "norm_lower_bound": probe.norm_lower_bound,
                    "coeff_norm": probe.coeff_norm, "ratio": probe.ratio,
                    "note": "growth along widening blocks is evidence of unboundedness, not proof"}
-    _emit({"command": "probe", "inputs": {"seq": args.seq, "p": args.p}, **payload},
+    _emit({"command": "probe", "inputs": _recorded_inputs("probe", args), **payload},
           args, "probe")
     return 0
 
@@ -686,7 +710,7 @@ def _cmd_spectrum(args) -> int:
             profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
                                          n_count=n, tol=args.tol)
             payload["chain_ok"] = _chain_check(spec, profile)[1]
-    _emit({"command": "spectrum", "inputs": {"seq": args.seq, "N": args.N}, **payload},
+    _emit({"command": "spectrum", "inputs": _recorded_inputs("spectrum", args), **payload},
           args, "spectrum")
     return 0
 
@@ -705,14 +729,28 @@ def _cmd_example(args) -> int:
             row["D_n(p)"] = report.dn_values[i]
         rows.append(row)
     _emit({"command": "example",
-           "inputs": {"label": args.label, "p": args.p, "count": args.count, "q": list(q_list)},
+           "inputs": _recorded_inputs("example", args, q=list(q_list)),
            "rows": rows,
            "checks": [asdict(c) for c in report.checks],
-           "truncated": inst.truncated},
+           "truncated": inst.seq.truncated},
           args, f"example-{args.label}", as_csv=args.format == "csv")
     for c in report.checks:
         print(f"[{c.status}] {c.name}", file=sys.stderr)
     return 1 if any(c.status == "FAIL" for c in report.checks) else 0
+
+
+def _recorded_inputs(cmd: str, args, **derived) -> dict:
+    """The inputs a command records: the options it read, by dest name, with
+    their values (those of ``_COMMANDS`` and of the chosen branch of
+    ``_BRANCHES``), but --out, --format and a mutually exclusive group, which
+    the handler records as it read it; ``derived`` adds or replaces values
+    the handler derived from them."""
+    options = [o for o in _COMMAND_OPTIONS[cmd]
+               if isinstance(o, str) and o not in ("--out", "--format")]
+    if cmd in _BRANCHES:
+        key, reads = _BRANCHES[cmd]
+        options += reads[getattr(args, _dest(key))]
+    return {**{_dest(o): getattr(args, _dest(o)) for o in options}, **derived}
 
 
 def _suite_inputs(suite: str, args) -> dict:
@@ -833,6 +871,7 @@ _COMMANDS = (
     ("verify", "named verification suites", _cmd_verify, ("--out", "--suite")),
     ("report", "run a battery of suites into a directory", _cmd_report, ("--out", "--suites")),
 )
+_COMMAND_OPTIONS = {name: options for name, _, _, options in _COMMANDS}
 
 # A handler that branches on one option reads some options on some branches
 # only.  On that subcommand such an option defaults to None, so the parser

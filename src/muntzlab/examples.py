@@ -40,8 +40,6 @@ class ExampleInstance:
     seq: ExponentSequence
     mu: AtomicMeasure
     n_range: tuple[int, ...]           # construction indices (start at 2)
-    log_lambdas: tuple[float, ...]
-    truncated: bool
 
 
 def build_example(label: str, p: float, count: int) -> ExampleInstance:
@@ -60,7 +58,6 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
 
     indices: list[int] = []
     lams: list[float] = []
-    log_lams: list[float] = []
     atoms: list[Atom] = []
     lam = 1.0  # lam_2 = 1
     truncated = False
@@ -83,28 +80,26 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
             break
         indices.append(n)
         lams.append(lam)
-        log_lams.append(log_lam)
         atoms.append(Atom(delta=math.exp(log_delta), mass=math.exp(log_c)))
     if len(indices) < 3:
         raise ValueError("construction collapses below 3 usable indices")
     seq = ExponentSequence(tuple(lams),
                            requested_count=count if truncated else None)
-    return ExampleInstance(
-        label=label, p=p, gamma=gamma, seq=seq, mu=AtomicMeasure(tuple(atoms)),
-        n_range=tuple(indices), log_lambdas=tuple(log_lams), truncated=truncated,
-    )
+    return ExampleInstance(label=label, p=p, gamma=gamma, seq=seq,
+                           mu=AtomicMeasure(tuple(atoms)), n_range=tuple(indices))
 
 
 def monomial_test_values(inst: ExampleInstance, q: float) -> tuple[float, ...]:
     """M_n(q) = lam_n * integral t**(q lam_n) dmu over the instance range."""
     logs = moments(inst.mu, inst.seq.exponents, q).tolist()
-    return tuple(materialize(log_lam + m) for log_lam, m in zip(inst.log_lambdas, logs))
+    return tuple(materialize(math.log(lam) + m) for lam, m in zip(inst.seq, logs))
 
 
 def atom_power_products(inst: ExampleInstance) -> tuple[float, ...]:
-    """n * x_n**lam_n per index; tends to 1 along the construction."""
+    """n * x_n**lam_n per index; tends to 1 along the construction.  The
+    measure holds its atoms by ascending position, which is the index order."""
     vals = []
-    for n, lam, at in zip(inst.n_range, inst.seq, sorted(inst.mu.atoms, key=lambda a: -a.delta)):
+    for n, lam, at in zip(inst.n_range, inst.seq, inst.mu.atoms):
         vals.append(n * math.exp(lam * math.log1p(-at.delta)))
     return tuple(vals)
 
@@ -124,10 +119,6 @@ class ClaimReport:
     monomial_tests: dict[float, tuple[float, ...]]
     dn_values: tuple[float, ...] | None
     checks: tuple[ClaimCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks)
 
 
 def _band_check(name: str, key: str, values, band: tuple[float, float]) -> ClaimCheck:

@@ -15,10 +15,11 @@ error follows the ratio of the exponents, not N.
 
 Every result is a truncation: it carries N and an N/2 drift diagnostic
 rather than claiming a value for the underlying infinite operator.  This
-module computes spectra only; comparisons with the D_n(2) profile of
-``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten and Hilbert-Schmidt
-bounds) are made by the callers that report them, from a profile they
-compute once.
+module computes spectra and integrals only (and the Gram trace's log, the
+independent side of the Hilbert-Schmidt identity).  Every comparison, with
+the D_n(2) profile of ``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten
+and Hilbert-Schmidt bounds) or with the Poisson integral, is made by the
+caller that reports it, on logarithms where a side can pass the float range.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logdomain import LogValue, logsumexp, materialize
+from .logdomain import logsumexp, materialize
 from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
                        _cauchy_gram, _log_poisson_kernel, measure_nodes, node_log_powers,
                        poisson_integral, restrict)
@@ -125,20 +126,6 @@ def _schatten_norms(values) -> dict[float, float]:
     return {r: scale * float(np.sum((s / scale) ** r)) ** (1.0 / r) for r in SCHATTEN_ORDERS}
 
 
-def _pow2_scale(x: float) -> float:
-    """The power of two in (x / 2, x] (0.5 at 0 and inf): dividing by it is
-    exact, and no square of a value up to x so divided overflows."""
-    return math.ldexp(1.0, math.frexp(x)[1] - 1)
-
-
-def square(x: float) -> float:
-    """x ** 2, inf where the float power raises OverflowError (past 1.34e154)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _spectral_result(operator: str, n: int, leading, extras: dict) -> SpectralResult:
     """Spectrum of leading(n), with leading(m) the operator on the first m monomials.
 
@@ -186,21 +173,19 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
     The operator is the synthesis factor A = sqrt(w) t**lam_j sqrt(lam_j) on
     the nodes of mu, so its Gram A^T A has the entries sqrt(lam_j lam_k)
     times the integral of t**(lam_j + lam_k) against mu.  extras carries the
-    count of flushed factor entries and the trace of the Gram (the squared
-    Frobenius norm of the factor), which the Hilbert-Schmidt norm must equal.
-    The trace is c * c * sum (a / c)**2, c = ``_pow2_scale`` of the largest
-    entry: bit for bit the plain sum wherever that is finite, inf past it,
-    where its log (``log_trace``, -inf at 0) still decides.
+    count of flushed factor entries and ``log_trace``, the log of the trace
+    of the Gram (the squared Frobenius norm of the factor, -inf at 0), which
+    twice the log of the Hilbert-Schmidt norm must equal.  It is a
+    log-sum-exp of the entries' logs, not taken from the singular values,
+    so it stays finite past the float range and checks them independently.
     The D_n(2) profile that bounds these singular values is not computed
     here; see ``dnp.compute_dn`` and ``dnp.operator_bounds``.
     """
     a, flushed = _synthesis_factor(seq, mu, n)
-    c = _pow2_scale(float(np.abs(a).max(initial=0.0)))
-    scaled = float(np.sum((a / c) ** 2))
-    log_trace = 2.0 * math.log(c) + math.log(scaled) if scaled > 0.0 else -math.inf
+    with np.errstate(divide="ignore"):  # a flushed entry is 0: its log is -inf
+        log_trace = logsumexp(2.0 * np.log(a))
     return _spectral_result("t_mu_inverse_lambda", n, lambda m: a[:, :m],
-                            {"flushed": flushed, "trace": c * (c * scaled),
-                             "log_trace": log_trace})
+                            {"flushed": flushed, "log_trace": log_trace})
 
 
 @dataclass(frozen=True)
@@ -269,27 +254,6 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
     return CutTrend(tuple(cuts), tuple(sig), limit_proxy=sig[-1], drop_factor=drop)
 
 
-@dataclass(frozen=True)
-class HsReport:
-    """Hilbert-Schmidt criteria side by side.
-
-    hs_embedding comes from the embedding spectrum; hs_synthesis is the
-    trace-route Hilbert-Schmidt norm of the weighted synthesis operator
-    (the one the exact Schatten bound applies to); poisson and the kernel
-    double integral are the integral criteria.  ``ratios`` holds the
-    pairwise comparisons the equivalences predict to be O(1).
-    """
-
-    n: int
-    hs_embedding: float
-    hs_synthesis: float
-    poisson_divergent: bool
-    poisson_value: float | None
-    kernel_values: dict[float, float]  # q -> double-integral expression
-    ratios: dict[str, float | None]
-    expected_divergent_note: str | None
-
-
 def prop511_value(mu: Measure, q: float) -> float:
     """(integral_0^1 (integral dmu(t)/(1-st)^{2/q+1})^{q/2} ds)^{1/q}.
 
@@ -333,54 +297,3 @@ def prop511_value(mu: Measure, q: float) -> float:
         log_outer[blk] = _log_poisson_kernel(log_t, log_w, s[blk], u_s[blk], 2.0 / q + 1.0)
     log_val = logsumexp(log_w_s + 0.5 * q * log_outer - beta * np.log(u_s)) / q
     return materialize(log_val)
-
-
-def _root_ratio(x: float, den: LogValue, k: int) -> float | None:
-    """(x / sqrt(den))**k for x >= 0 and k = 1 or 2, as x / sqrt(den) or x**2 / den;
-    None where den is 0 or x is inf; from the logs where a float side is past
-    the float range, so such a pair keeps its ratio."""
-    num, d = (x, math.sqrt(den.to_float())) if k == 1 else (square(x), den.to_float())
-    if d == 0.0 or x == math.inf:
-        return None
-    return num / d if x == 0.0 or max(num, d) < math.inf \
-        else materialize(k * (math.log(x) - 0.5 * den.log))
-
-
-def hs_criteria(spec: SpectralResult, tmu: SpectralResult, mu: Measure,
-                q_values: tuple[float, ...] = (2.0,)) -> HsReport:
-    """The Hilbert-Schmidt criteria of mu beside its truncated spectra.
-
-    ``spec`` and ``tmu`` are ``embedding_spectrum`` and ``t_mu_spectrum`` of
-    mu at one truncation N, computed by the caller, which may read them
-    elsewhere too.
-    """
-    if (spec.operator, tmu.operator) != ("i_mu_embedding", "t_mu_inverse_lambda") \
-            or spec.n != tmu.n:
-        raise ValueError("hs_criteria needs the embedding and synthesis spectra of one N")
-    n = spec.n
-    pois = poisson_integral(mu)
-    kernel = {float(q): prop511_value(mu, q) for q in q_values}
-    pois_val = None if pois.divergent else pois.value.to_float()
-    hs_e, hs_s = spec.schatten[2.0], tmu.schatten[2.0]
-    ratios: dict[str, float | None] = {
-        "embedding_over_synthesis": hs_e / hs_s if 0.0 < hs_s and max(hs_e, hs_s) < math.inf
-        else None,
-        "embedding_over_sqrt_poisson": None if pois.divergent
-        else _root_ratio(hs_e, pois.value, 1),
-        "kernel2_sq_over_poisson": None if 2.0 not in kernel or pois.divergent
-        else _root_ratio(kernel[2.0], pois.value, 2),
-    }
-    note = None
-    if pois.divergent:
-        note = ("poisson integral divergent: truncated Hilbert-Schmidt norms "
-                "grow with the truncation instead of converging")
-    return HsReport(
-        n=n,
-        hs_embedding=hs_e,
-        hs_synthesis=hs_s,
-        poisson_divergent=pois.divergent,
-        poisson_value=pois_val,
-        kernel_values=kernel,
-        ratios=ratios,
-        expected_divergent_note=note,
-    )

@@ -50,11 +50,14 @@ def test_spectrum_runs_past_n_64(operator, capsys):
 def test_hs_suite_on_lebesgue_emits_json(capsys):
     code = run(["verify", "--suite", "hs", "--measure", "lebesgue"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    names = [c["name"] for c in report["checks"]]
-    assert "hs-three-way" in names
-    three_way = report["checks"][names.index("hs-three-way")]["data"]
-    assert three_way["poisson_divergent"] and three_way["note"]
+    fields = _fields(json.loads(capsys.readouterr().out))
+    three_way = fields["hs-three-way"]
+    # the Poisson integral diverges: no kernel check, no ratio to it
+    assert "kernel-double-integral-matches-poisson" not in fields
+    assert three_way["poisson_divergent"] and three_way["poisson"] is None
+    assert three_way["note"].startswith("poisson integral divergent")
+    assert three_way["ratios"]["embedding_over_sqrt_poisson"] is None
+    assert three_way["ratios"]["kernel2_sq_over_poisson"] is None
 
 
 def test_hs_kernel_matches_poisson_near_one(capsys):
@@ -64,6 +67,21 @@ def test_hs_kernel_matches_poisson_near_one(capsys):
     report = json.loads(capsys.readouterr().out)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["kernel-double-integral-matches-poisson"] == "PASS"
+
+
+# atoms at delta = 2**-k with masses 4**-k, k = 1..30: the Poisson integral is 1 - 2**-30
+_GEOMETRIC_ATOMS = "atoms:" + ",".join(f"{2.0 ** -k!r}:{4.0 ** -k!r}" for k in range(1, 31))
+
+
+def test_hs_fields_on_geometric_atoms(capsys):
+    code = run(["verify", "--suite", "hs", "--seq", "geometric:1,2,24", "--N", "12",
+                "--q", "2,4", "--measure", _GEOMETRIC_ATOMS])
+    three_way = _fields(json.loads(capsys.readouterr().out))["hs-three-way"]
+    assert code == 0 and not three_way["poisson_divergent"] and three_way["note"] is None
+    assert three_way["poisson"] == pytest.approx(1.0, abs=1e-6)
+    assert three_way["hs_embedding"] > three_way["hs_synthesis"] > 0.0
+    assert set(three_way["kernel"]) == {"2", "4"}
+    assert three_way["ratios"]["kernel2_sq_over_poisson"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_compact_suite_on_lebesgue_tail_file(tmp_path, capsys):
@@ -208,13 +226,36 @@ def test_option_another_branch_reads_is_a_usage_error(argv, capsys):
     (["bounds", "--formula", "envelope", "--seq", "explicit:1,2"], "seq", "explicit:1,2"),
     (["bounds", "--formula", "jlambda", "--r", "4"], "r", 4.0),
     (["bounds", "--formula", "jlambda"], "r", 2.0),
-    (["probe", "--trials", "3"], "trials", 3 + 16),  # the 16 canonical vectors count too
-    (["probe"], "trials", 100 + 16),
-], ids=["given-seq", "given-r", "default-r", "given-trials", "default-trials"])
+    (["probe", "--trials", "3"], "trials", 3),
+    (["probe"], "trials", 100),
+    (["probe", "--seed", "3"], "seed", 3),
+], ids=["given-seq", "given-r", "default-r", "given-trials", "default-trials", "given-seed"])
 def test_option_its_branch_reads_is_given_or_defaulted(argv, key, want, capsys):
     assert run(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert out.get("inputs", {}).get(key, out.get(key)) == want
+
+
+def test_probe_counts_the_canonical_vectors_beside_the_trials(capsys):
+    assert run(["probe", "--trials", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["inputs"]["trials"] == 3 and out["trials"] == 3 + 16
+
+
+@pytest.mark.parametrize("cmd", sorted(set(_READERS) - {"verify", "report"}))
+def test_commands_record_the_options_they_read(cmd, capsys):
+    # each option the handler reads, with its value; not where the output goes
+    # (--out, --format), nor the coefficient group, which norm records parsed
+    # as "coefficients"; dnp adds its effective n and example its effective q
+    parser = build_parser()
+    derived = {"dnp": {"n"}, "norm": {"coefficients"}}.get(cmd, set())
+    for argv in _READERS[cmd]:
+        ns = parser.parse_args([cmd, *argv])
+        rec = _Recording(vars(ns))
+        assert ns.fn(rec) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert set(inputs) == (rec.read - {"out", "format", "coeffs", "coeffs_file"}) | derived
+        assert all(inputs[d] == getattr(ns, d) for d in set(inputs) - derived - {"q"})
 
 
 @pytest.mark.parametrize("cmd", sorted(OPTIONS))
@@ -514,6 +555,28 @@ _EXTREME_INPUTS = {
                                     0, {"sublinear-vs-monomial-test": {
                                         "status": "EVIDENCE", "window": [1.0 / 12.0, 1.0],
                                         "window_sup": 12.0}}),
+    # the Poisson integral 4.1e607, kernel**2 and sum D_n**2 pass the float range
+    # (hs**2 = 1.23e308 does not): each check is decided on its logs
+    "hs-poisson-past-the-float-range": (["verify", "--suite", "hs", "--seq", "explicit:1,2",
+                                         "--N", "2", "--measure", "atoms:1e-300:4.1e307"], 0,
+                                        {"kernel-double-integral-matches-poisson": {
+                                            "status": "PASS", "kernel_sq": "inf",
+                                            "poisson": "inf"},
+                                         "synthesis-hs-below-profile-l2": {
+                                             "status": "PASS", "bound": "inf"}}),
+    # norm_s = 4.1e607 exceeds the bound 9.8e308, both inf as floats: no PASS on
+    # inf <= inf; the window sup 1.64e308 is within the bound
+    "carleson-norm-and-bound-past-the-float-range": (
+        ["verify", "--suite", "carleson", "--seq", "explicit:1,2", "--N", "2",
+         "--measure", "atoms:1e-300:4.1e307"], 0,
+        {"sublinear-vs-monomial-test": {"status": "EVIDENCE", "norm_s": "inf", "bound": "inf",
+                                        "window_sup": pytest.approx(1.64e308, rel=1e-12)}}),
+    # norm_s, the bound and the window sup 4e308 are all inf as floats: undecided
+    "carleson-window-sup-past-the-float-range": (
+        ["verify", "--suite", "carleson", "--seq", "explicit:1,2", "--N", "2",
+         "--measure", "atoms:0.1:1e308"], 0,
+        {"sublinear-vs-monomial-test": {"status": "EVIDENCE", "window_sup": "inf",
+                                        "note": "value beyond float range at this scale"}}),
     # 1 / delta overflows, so the kernel integral's nodes cannot reach the atom
     "hs-subnormal-atom-delta": (["verify", "--suite", "hs", "--measure", "atoms:1e-320:1",
                                  "--seq", "geometric:1,2,8", "--N", "4"], 2,
@@ -587,6 +650,34 @@ def test_trace_past_the_float_range_is_decided(monkeypatch, capsys):
     code = run(["verify", "--suite", "diagonal-domination", *_PAST_1E154])
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert statuses["hilbert-schmidt-equals-trace"] == "FAIL" and code == 1
+
+
+def _scaled_small_atoms(k: int) -> str:
+    """The atoms of SMALL_ATOMS with every mass times 2**k."""
+    return "atoms:" + ",".join(f"{d}:{float(m) * 2.0 ** k!r}" for d, m in
+                               (chunk.split(":") for chunk in SMALL_ATOMS[6:].split(",")))
+
+
+def _scaled_run(k: int, suite: str, capsys) -> tuple[int, dict]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["verify", "--suite", suite, *_small([suite], measure=_scaled_small_atoms(k))])
+    return code, _fields(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000, 1016, 1020])
+def test_scaled_masses_keep_the_hs_and_domination_verdicts(k, capsys):
+    # every check of both suites is invariant under scaling the measure, and
+    # so is each hs-three-way ratio; from k = 1016 on, Poisson values, kernel
+    # squares and sums of squared D_n pass the float range
+    for suite in ("hs", "diagonal-domination"):
+        (code, fields), (_, unscaled) = _scaled_run(k, suite, capsys), _scaled_run(0, suite, capsys)
+        assert code == 0, suite
+        assert {n: f["status"] for n, f in fields.items()} == \
+            {n: f["status"] for n, f in unscaled.items()}, suite
+        if suite == "hs":
+            assert fields["hs-three-way"]["ratios"] == pytest.approx(
+                unscaled["hs-three-way"]["ratios"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("measure, seen, want", [

@@ -6,7 +6,9 @@ Lebesgue measure, are log-domain sums over the terms x nodes matrix of
 ``measures.node_log_powers`` (``_node_log_norms``), except the Lebesgue
 rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
 of ``measures.integrate_to_one``, which deepens toward t = 1 until its
-closing panel is negligible or two passes agree.  Both quadratures are
+closing panel is negligible or two passes agree; each panel's monomials are
+one exp of ``measures.log_powers``, and each row is scaled by a power of two
+first, so |f|**p stays near 1.  Both quadratures are
 graded toward t = 0 by ``measures._grading_power`` and refined toward t = 1
 at least as far as p * lam_max asks.  Neither sees the kink of |f|**p at a
 sign change of f when p is not an even integer (ROADMAP.md item 7).  Every
@@ -29,16 +31,27 @@ import numpy as np
 
 from .logdomain import _exp_shifted, _signed_log_sum, logsumexp, materialize
 from .measures import (Lebesgue, Measure, _cauchy_gram, _grading_power, integrate_to_one,
-                       node_log_powers)
+                       log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
 
+_LOG2 = math.log(2.0)
 
-def _eval_poly_array(a: list[float], lam: list[float], log_t: np.ndarray) -> np.ndarray:
+
+def _eval_poly_array(a: list[float], lam: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """f(t) = sum_j a_j t**lam_j at one panel's nodes, given their log t.
+
+    The panel's monomials are one exp of the terms x nodes matrix of
+    ``measures.log_powers`` (t**0 = 1 also at t = 0); each row is scaled by
+    its a_j in place and added in term order, zero coefficients skipped, so
+    each node's value is the per-term sum of a_j * exp(lam_j log t), bit for
+    bit.  ``log_lp_norms`` passes rows scaled by a power of two, so |f| is at
+    most the number of terms.
+    """
     out = np.zeros_like(log_t, dtype=float)
-    for aj, lj in zip(a, lam):
-        if aj == 0.0:
-            continue
-        out += aj * (np.exp(lj * log_t) if lj > 0.0 else np.ones_like(log_t))
+    for aj, row in zip(a, np.exp(log_powers(log_t, lam))):
+        if aj != 0.0:
+            row *= aj
+            out += row
     return out
 
 
@@ -98,7 +111,11 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     range) and takes each row's norm from it, so a norm far below the float
     range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm.
     Lebesgue rows each take the float quadrature ``integrate_to_one`` of
-    |f|**p, where a norm whose p-th power underflows comes back zero; a row
+    |f|**p on the row scaled by 2**-e, e the frexp exponent of its largest
+    |a_j| (``_pow2_exponents``; 0 for a largest |a_j| in [0.5, 1)), and add
+    e log 2 back to the log norm, so coefficients of 1e-200 or 1e200 neither
+    underflow nor overflow in |f|**p.  The panels evaluate f through
+    ``_eval_poly_array`` on ``lam`` as one array, built once per call.  A row
     stops once two passes of its panels agree, 42 panels for a row of
     geometric:1,2,16 at p = 2, and the refusal past u = 2**-53 comes on the
     first row, so once per call.  Faster forms of that route with identical
@@ -118,24 +135,37 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     _check_p(p)
     if not isinstance(mu, Lebesgue):
         return _node_log_norms(*node_log_powers(mu, lam, p), a, p)
-    logs, sharpness = [], p * max(lam[-1], 1.0)
-    low_power = _grading_power(np.array(lam), p)
-    for row in a.tolist():
+    logs, sharpness, lam = [], p * max(lam[-1], 1.0), np.array(lam)
+    low_power = _grading_power(lam, p)
+    exps = _pow2_exponents(a)
+    for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
         val = integrate_to_one(
             lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness,
             low_power=low_power)
         if math.isnan(val):
             raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
-        logs.append(math.log(val) * (1.0 / p) if val > 0.0 else -math.inf)
+        logs.append(math.log(val) * (1.0 / p) + e * _LOG2 if val > 0.0 else -math.inf)
     return np.array(logs)
+
+
+def _pow2_exponents(a: np.ndarray) -> np.ndarray:
+    """e per row of a, with the row's largest |a_j| in [2**(e-1), 2**e): the
+    ``frexp`` exponent, 0 for an all-zero row.  Scaling a row by 2**-e is
+    exact (bar entries 2**1022 below its largest, far under one ulp of f)."""
+    return np.frexp(np.abs(a).max(axis=-1, initial=0.0))[1]
 
 
 def l2_norm_gram(seq: ExponentSequence, coeffs) -> float:
     """Exact L2(dt) norm of sum_j a_j t**lam_j through the monomial Gram:
-    sqrt(a^T G a)."""
+    sqrt(a^T G a), on a scaled by 2**-e (``_pow2_exponents``), so the form
+    neither underflows nor overflows; the root is scaled back by 2**e, and
+    is inf only past the float range."""
     a = np.array(coeffs, dtype=float)
+    e = int(_pow2_exponents(a))
+    a = np.ldexp(a, -e)
     g = _cauchy_gram(np.array(seq.exponents[:len(a)]))
-    return float(math.sqrt(max(a @ g @ a, 0.0)))
+    root = math.sqrt(max(a @ g @ a, 0.0))
+    return math.ldexp(root, e) if math.frexp(root)[1] + e <= 1024 else math.inf
 
 
 def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
@@ -227,18 +257,27 @@ class AmgmProbe:
 
 
 def amgm_probe(seq: ExponentSequence, p: float, block_start: int, block_len: int) -> AmgmProbe:
+    """The AM-GM bound n**(p+1) / sum_j q_j of a block of n terms, q_j = p lam_j + 1,
+    against the coefficient norm (sum_j 1/q_j)**(1/p).
+
+    All three are formed from logs: log q_j is log p + log lam_j where p lam_j
+    overflows, and the bound is (p + 1) log n - log sum_j q_j, so a bound past
+    the float range reads inf while the ratio, at most n**(1 - 1/p) by
+    Cauchy-Schwarz, stays finite.
+    """
     _check_p(p)
     if block_len < 1 or block_start < 0 or block_start + block_len > len(seq):
         raise ValueError("block out of range")
-    q = [p * seq[j] + 1.0 for j in range(block_start, block_start + block_len)]
-    n = float(block_len)
-    lower = n ** (p + 1.0) / math.fsum(q)
-    coeff = math.fsum(1.0 / v for v in q) ** (1.0 / p)
+    lams = seq.exponents[block_start:block_start + block_len]
+    log_q = np.array([math.log(p * lam + 1.0) if math.isfinite(p * lam)
+                      else math.log(p) + math.log(lam) for lam in lams])
+    log_lower = (p + 1.0) * math.log(block_len) - logsumexp(log_q)
+    log_coeff = logsumexp(-log_q) / p
     return AmgmProbe(
         block=(block_start, block_len),
-        norm_lower_bound=lower,
-        coeff_norm=coeff,
-        ratio=lower ** (1.0 / p) / coeff,
+        norm_lower_bound=materialize(log_lower),
+        coeff_norm=materialize(log_coeff),
+        ratio=materialize(log_lower / p - log_coeff),
     )
 
 

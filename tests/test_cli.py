@@ -472,6 +472,19 @@ def test_negative_seed_exits_2(argv, capsys):
     assert out == "" and err == "error: seed must be >= 0, got -1\n"
 
 
+def _mp_block_ratios(p: int, count: int):
+    """The blocksum suite's ratios on geometric:1,2,count, in mpmath:
+    (n**(p+1) / (sum_j q_j sum_j 1/q_j))**(1/p) over the first n = 1, 2, 4, ...
+    terms, q_j = p 2**j + 1."""
+    with mpmath.workdps(40):
+        q = [p * mpmath.mpf(2) ** j + 1 for j in range(count)]
+        lengths = [2 ** k for k in range(count.bit_length())]
+        want = [float(mpmath.root(mpmath.mpf(n) ** (p + 1)
+                                  / (mpmath.fsum(q[:n]) * mpmath.fsum(1 / v for v in q[:n])), p))
+                for n in lengths]
+    return pytest.approx(want, rel=1e-12)
+
+
 # Inputs past the float range: r_epsilon and construction B's exponents overflow
 # at p = 50 and p = 1.0001, the envelope's ratios underflow to 0 (their logs do
 # not), and the Schatten powers of values near 1e150 overflow.  Each exits 0, 1 or 2, never
@@ -581,6 +594,32 @@ _EXTREME_INPUTS = {
     "hs-subnormal-atom-delta": (["verify", "--suite", "hs", "--measure", "atoms:1e-320:1",
                                  "--seq", "geometric:1,2,8", "--N", "4"], 2,
                                 ("atom delta 1e-320",)),
+    # |f|**p and the Gram form of coefficients far from 1 underflow or overflow;
+    # the rows are scaled by a power of two (values: test_norm_of_extreme_coefficients)
+    "norm-coeffs=1e-200": (["norm", "--seq", "geometric:1,2,4", "--p", "2",
+                            "--coeffs", "1e-200"], 0, {}),
+    "norm-coeffs=1e200": (["norm", "--seq", "geometric:1,2,4", "--p", "2",
+                           "--coeffs", "1e200,1e200"], 0, {}),
+    "norm-coeffs=1e200-p=3": (["norm", "--seq", "geometric:1,2,4", "--p", "3",
+                               "--coeffs", "1e200,1e200"], 0, {}),
+    # n**(p + 1) and p * lam overflow; each ratio, at most n**(1 - 1/p), does not
+    "blocksum-p=200": (["verify", "--suite", "blocksum-probe", "--seq", "geometric:1,2,64",
+                        "--p", "200"], 0,
+                       {"block-lower-bound-growth": {"ratios": _mp_block_ratios(200, 64),
+                                                     "trend": "growing"}}),
+    "blocksum-lam-past-1e306": (["verify", "--suite", "blocksum-probe",
+                                 "--seq", "geometric:1,2,1024", "--p", "120"], 0,
+                                {"block-lower-bound-growth": {
+                                    "ratios": _mp_block_ratios(120, 1024),
+                                    "trend": "bounded"}}),
+}
+
+# the exact norms of the norm rows above: ||t||_2 = 1/sqrt(3), ||t + t**2||_2 =
+# sqrt(31/30) and ||t + t**2||_3 = (209/140)**(1/3)
+_EXTREME_NORMS = {
+    "norm-coeffs=1e-200": 1e-200 / 3 ** 0.5,
+    "norm-coeffs=1e200": 1e200 * (31 / 30) ** 0.5,
+    "norm-coeffs=1e200-p=3": 1e200 * (209 / 140) ** (1 / 3),
 }
 
 
@@ -614,6 +653,18 @@ def test_extreme_inputs_exit_with_a_message(case, capsys):
     sections = _fields(report)
     for name, fields in data.items():
         assert {k: sections[name][k] for k in fields} == fields, name
+
+
+@pytest.mark.parametrize("case", list(_EXTREME_NORMS))
+def test_norm_of_extreme_coefficients(case, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(_EXTREME_INPUTS[case][0]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    want = pytest.approx(_EXTREME_NORMS[case], rel=1e-12, abs=0.0)
+    assert report["value"] == want
+    if report["inputs"]["p"] == 2.0:
+        assert report["gram_value"] == want
 
 
 _PAST_1E154 = ["--seq", "explicit:1,1e306", "--measure", "atoms:1e-307:1e308", "--N", "2"]

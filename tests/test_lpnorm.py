@@ -75,6 +75,71 @@ class TestEval:
             log_lp_norms(ExponentSequence((1.0,)), [(1.0, 2.0)], Lebesgue(), 2.0)
 
 
+def per_term_poly(a, lam, log_t):
+    """sum_j a_j t**lam_j at the nodes log_t, one exp per term in term order,
+    zero coefficients skipped and t**0 = 1 taken as ones."""
+    out = np.zeros_like(log_t)
+    for aj, lj in zip(a, lam):
+        if aj != 0.0:
+            out += aj * (np.exp(lj * log_t) if lj > 0.0 else np.ones_like(log_t))
+    return out
+
+
+class TestPanelIntegrand:
+    @pytest.mark.parametrize("lam0", [0.0, 0.01, 1.0])
+    def test_one_exp_per_panel_is_the_per_term_sum_bit_for_bit(self, lam0):
+        # every exponent list holds one lam = 0 term; the nodes reach t = 0 and
+        # t within 2**-53 of 1
+        rng = np.random.default_rng(11)
+        lam = np.array([0.0] + [(lam0 or 1.0) * 2.0 ** j for j in range(15)])
+        log_t = np.concatenate([[-math.inf], np.log(rng.uniform(0.0, 1.0, 15)),
+                                np.log1p(-np.geomspace(2.0 ** -53, 0.5, 8))])
+        for a in rng.uniform(-1.0, 1.0, (20, 16)) * (rng.uniform(size=(20, 16)) < 0.8):
+            got = lpnorm._eval_poly_array(a.tolist(), lam, log_t)
+            assert (got == per_term_poly(a.tolist(), lam, log_t)).all()
+
+
+class TestScaledRows:
+    """Lebesgue rows are scaled by 2**-e, e the frexp exponent of their largest
+    |a_j|, and e log 2 is added back: coefficients far outside [0.5, 1) keep
+    their norm's logarithm."""
+
+    SEQ = generate_geometric(1, 2, 6)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("scale, log_scale", [
+        (2.0 ** 700, 700 * math.log(2.0)), (2.0 ** -700, -700 * math.log(2.0)),
+        (1e200, 200 * math.log(10.0)), (1e-200, -200 * math.log(10.0))],
+        ids=["2**700", "2**-700", "1e200", "1e-200"])
+    def test_scaling_a_row_moves_its_log_norm_by_that_log(self, scale, log_scale, p):
+        rows = lpnorm._uniform_rows(5, 4, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = log_lp_norms(self.SEQ, rows, Lebesgue(), p)
+            got = log_lp_norms(self.SEQ, rows * scale, Lebesgue(), p)
+        if math.frexp(scale)[0] == 0.5:
+            # a power of two scales the row exactly: only e log 2 moves
+            assert (got - base).tolist() == [log_scale] * 4
+        else:
+            # 10**200 rounds each entry; the logs, near 460, are 5.7e-14 apart
+            # in their last bit
+            tol = 1e-15 + 2.0 * math.ulp(log_scale)
+            assert np.abs(got - base - log_scale).max() <= tol
+
+    @pytest.mark.parametrize("scale", [2.0 ** 700, 2.0 ** -700], ids=["2**700", "2**-700"])
+    def test_gram_form_scales_exactly(self, scale):
+        row = lpnorm._uniform_rows(5, 1, 6)[0]
+        assert l2_norm_gram(self.SEQ, row * scale) == l2_norm_gram(self.SEQ, row) * scale
+
+    def test_gram_root_past_the_float_range_is_inf(self):
+        # sqrt(31/30) * 1.78e308 passes the largest float; the form itself does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l2_norm_gram(self.SEQ, [1.78e308, 1.78e308]) == math.inf
+            assert l2_norm_gram(self.SEQ, [1.7e308, 1.7e308]) == pytest.approx(
+                1.7e308 * (31 / 30) ** 0.5, rel=1e-15)
+
+
 class TestLpNorm:
     def test_t_minus_t2_l2(self):
         assert lp_norm(ExponentSequence((1.0, 2.0)), (1.0, -1.0), Lebesgue(), 2.0) == pytest.approx(

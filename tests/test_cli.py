@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import functools
 import importlib.util
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,7 @@ import mpmath
 import pytest
 
 import muntzlab
+from muntzlab import bounds as bounds_mod
 from muntzlab import cli
 from muntzlab import dnp as dnp_mod
 from muntzlab import examples as examples_mod
@@ -612,6 +615,19 @@ _EXTREME_INPUTS = {
                                 {"block-lower-bound-growth": {
                                     "ratios": _mp_block_ratios(120, 1024),
                                     "trend": "bounded"}}),
+    # every atom at t = 0: every moment, D_n and singular value is 0, so the
+    # embedding norm has no ratio to sup D_n(2) (it divided by 0)
+    "carleson-every-atom-at-t=0": (["verify", "--suite", "carleson", "--seq", "geometric:1,2,4",
+                                    "--measure", "atoms:1:1"], 0,
+                                   {"synthesis-norm-below-sup-profile": {
+                                       "status": "PASS", "sigma_max": 0.0, "sup_profile": 0.0},
+                                    "embedding-norm": {"ratio_to_sup_profile": None}}),
+    # one exponent has no adjacent pair and no shifted ratio
+    "pairing-one-exponent": (["verify", "--suite", "pairing-dichotomy", "--seq", "explicit:1"],
+                             2, ("pairing-dichotomy needs at least two exponents, got 1",)),
+    "isometry-one-exponent": (["verify", "--suite", "isometry-threshold", "--seq", "explicit:1",
+                               "--N", "1"], 2,
+                              ("isometry-threshold needs at least two exponents, got 1",)),
 }
 
 # the exact norms of the norm rows above: ||t||_2 = 1/sqrt(3), ||t + t**2||_2 =
@@ -701,6 +717,176 @@ def test_trace_past_the_float_range_is_decided(monkeypatch, capsys):
     code = run(["verify", "--suite", "diagonal-domination", *_PAST_1E154])
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert statuses["hilbert-schmidt-equals-trace"] == "FAIL" and code == 1
+
+
+@pytest.mark.parametrize("lhs, rhs, relation, rel_tol, want", [
+    (0.0, 0.0, "=", 0.0, "PASS"),
+    (math.log1p(0.5e-9), 0.0, "<=", 1e-9, "PASS"),
+    (math.log1p(2e-9), 0.0, "<=", 1e-9, "FAIL"),
+    (-math.log1p(2e-9), 0.0, "=", 1e-9, "FAIL"),
+    (-700.0, -700.0 - math.log1p(2e-9), "<=", 1e-9, "FAIL"),
+    (math.inf, math.inf, "<=", 0.0, "EVIDENCE"),
+    (math.inf, math.inf, "=", 0.0, "EVIDENCE"),
+    (1.0, math.inf, "<=", 0.0, "EVIDENCE"),
+    (math.nan, 0.0, "=", 0.0, "EVIDENCE"),
+    (-math.inf, math.inf, "<=", 0.0, "PASS"),
+    (-math.inf, -math.inf, "=", 0.0, "PASS"),
+    (-math.inf, 0.0, "=", 0.0, "FAIL"),
+    (0.0, -math.inf, "<=", 0.0, "FAIL"),
+    ([0.0, math.inf], [1.0, math.inf], "<=", 0.0, "EVIDENCE"),
+    ([2.0, math.inf], [1.0, math.inf], "<=", 0.0, "FAIL"),
+    ([0.0, 1.0], 1.0, "<=", 0.0, "PASS"),
+], ids=["equal", "within", "past", "below-past", "small-past", "inf-inf", "inf-eq-inf",
+        "x-inf", "nan", "zero-lhs", "two-zeros", "zero-eq-x", "x-le-zero", "one-undecided",
+        "undecided-and-failing", "broadcast"])
+def test_decide_rule(lhs, rhs, relation, rel_tol, want):
+    # relative on logs; a side with no finite log decides nothing unless a pair fails
+    status, note = cli._decide(lhs, rhs, relation, rel_tol)
+    assert status == want
+    assert note == ({"note": "value beyond float range at this scale"} if want == "EVIDENCE"
+                    else {})
+
+
+def _synthesis_scaled(factor):
+    """A patch of hilbert.t_mu_spectrum: its singular values and Schatten norms
+    times factor(spectrum, seq, mu)."""
+    def patch(real):
+        def scaled(seq, mu, n):
+            spec = real(seq, mu, n)
+            f = factor(spec, seq, mu)
+            return dataclasses.replace(spec, schatten={r: f * v for r, v in spec.schatten.items()},
+                                       singular_values=tuple(f * s for s in spec.singular_values))
+        return scaled
+    return patch
+
+
+def _profile2(seq, mu, n=None):
+    """The D_n(2) values of the first n exponents (all by default)."""
+    weight = dnp_mod.WeightScheme("inverse_lambda", 2.0)
+    return dnp_mod.compute_dn(seq, mu, weight, n_count=n).values
+
+
+# sigma_1 3e-9 relative above D*_0 = sup D_n(2), past the slack 1e-9 sigma_1
+_SIGMA1_PAST_SUP_PROFILE = _synthesis_scaled(
+    lambda spec, seq, mu: max(_profile2(seq, mu, spec.n)) * (1.0 + 3e-9) / spec.sigma_max)
+
+
+def _schatten_bounds_below_spectrum(real):
+    """A patch of dnp.operator_bounds: each Schatten bound 3e-9 relative below
+    the synthesis spectrum's norm, past the check's 1e-9."""
+    def moved(profile, mu, seq):
+        spec = hilbert.t_mu_spectrum(seq, mu, len(profile.values))
+        return dataclasses.replace(real(profile, mu, seq), schatten={
+            r: v / (1.0 + 3e-9) for r, v in spec.schatten.items()})
+    return moved
+
+
+def _returning(move):
+    """A patch: the library function with move applied to its result."""
+    return lambda real: lambda *a, **k: move(real(*a, **k))
+
+
+_NORMS_TIMES_1000 = (lpnorm, "log_lp_norms", _returning(lambda logs: logs + math.log(1000.0)))
+
+
+# One way to FAIL for every check that can read PASS or FAIL, by name with
+# each =value folded to =*: suite, option values for _small, and patches
+# (module, attribute, patch(real function)).  A patch moves the one library
+# value the check reads just past the check's tolerance, or makes the input a
+# counterexample; every check of that name must then read FAIL, and exit 1.
+_FAIL_ROUTES = {
+    "canonical-vectors-normalized": ("basis", {}, [(lpnorm, "gm_ratio_sample", _returning(
+        lambda r: dataclasses.replace(r, canonical=(1.0, 1.0 + 3e-9))))]),
+    # the hypothesis met, the frame bracket of geometric:1,2,8 is [0.008, 2.4]
+    "frame-within-eps": ("isometry-threshold", {}, [(bounds_mod, "r_epsilon",
+                                                     lambda real: lambda *a: 1.0)]),
+    # the checks without a tolerance: 1e-14 relative past the bound, which the
+    # logs of both sides resolve (one ulp may not move a log)
+    "sampled-ratios-within-eps": ("isometry-threshold", {"p": "3"}, [
+        (bounds_mod, "r_epsilon", lambda real: lambda *a: 1.0),
+        (lpnorm, "gm_ratio_sample", _returning(
+            lambda r: dataclasses.replace(r, max_ratio=1.5 * (1.0 + 1e-14))))]),
+    "crossterm-p=*-alpha=*-r=*": ("crossterm-bound", {}, [(bounds_mod, "lemma31_bound", _returning(
+        lambda res: res._replace(lhs=res.rhs * (1.0 + 1e-14))))]),
+    "pairing-above-lower-bound": ("pairing-dichotomy", {}, [(lpnorm, "pairing_integral", _returning(
+        lambda vb: (vb[1] / (1.0 + 3e-12), vb[1])))]),
+    "envelope-positive-finite-alpha=*": ("envelope", {}, [(bounds_mod, "envelope_check", _returning(
+        lambda br: br._replace(log_ratio_max=math.inf)))]),
+    "singular-values-below-rearranged-profile": ("diagonal-domination", {}, [
+        (hilbert, "t_mu_spectrum", _SIGMA1_PAST_SUP_PROFILE)]),
+    # hs**2 moved by 2e-10 relative from the trace
+    "hilbert-schmidt-equals-trace": ("diagonal-domination", {}, [
+        (hilbert, "_schatten_norms", _returning(lambda norms: {r: v * (1.0 + 1e-10)
+                                                               for r, v in norms.items()}))]),
+    "schatten-bound-r=*": ("diagonal-domination", {}, [
+        (dnp_mod, "operator_bounds", _schatten_bounds_below_spectrum)]),
+    # every norm 1000 times its value: a row's right side is no single library value
+    "random-vector-domination": ("diagonal-domination", {}, [_NORMS_TIMES_1000]),
+    # norm_s = 1e300 from the atom at 1e-300, and the window sup forced above the bound
+    "sublinear-vs-monomial-test": ("carleson", {"measure": "atoms:1e-300:1,0.5:1"}, [
+        (measures_mod, "windowed_sublinear_sup", lambda real: lambda *a: 1e300)]),
+    "synthesis-norm-below-sup-profile": ("carleson", {}, [
+        (hilbert, "t_mu_spectrum", _SIGMA1_PAST_SUP_PROFILE)]),
+    # kernel**2 moved by 2e-9 relative from the Poisson integral
+    "kernel-double-integral-matches-poisson": ("hs", {}, [
+        (hilbert, "prop511_value", _returning(lambda v: v * (1.0 + 1e-9)))]),
+    # hs**2 3e-9 relative above sum_n D_n(2)**2
+    "synthesis-hs-below-profile-l2": ("hs", {}, [
+        (hilbert, "t_mu_spectrum", _synthesis_scaled(lambda spec, seq, mu: math.sqrt(
+            math.fsum(d * d for d in _profile2(seq, mu)) * (1.0 + 3e-9)) / spec.schatten[2.0]))]),
+    # every n * (1 - delta_n)**lam_n just past the band 1 +- 0.05
+    "atom-power-approaches-1-over-n": ("ex-a", {}, [
+        (examples_mod, "atom_power_products", _returning(lambda v: (1.05 + 1e-9,) * len(v)))]),
+}
+
+
+def _folded(name: str) -> str:
+    return re.sub(r"=[^-]+", "=*", name)
+
+
+def test_every_decided_check_can_fail(monkeypatch, capsys):
+    # a check that cannot reach FAIL reads exactly like one that holds
+    decided = set()
+    for suite in SUITE_IDS:
+        code, report = _verify(capsys, suite)
+        assert code == 0, suite
+        decided |= {_folded(c["name"]) for c in report["checks"] if c["status"] in ("PASS", "FAIL")}
+    assert decided <= set(_FAIL_ROUTES), decided - set(_FAIL_ROUTES)
+    for name, (suite, values, patches) in _FAIL_ROUTES.items():
+        with monkeypatch.context() as m:
+            for module, attribute, patch in patches:
+                m.setattr(module, attribute, patch(getattr(module, attribute)))
+            code, report = _verify(capsys, suite, **values)
+        statuses = [c["status"] for c in report["checks"] if _folded(c["name"]) == name]
+        assert statuses and set(statuses) == {"FAIL"} and code == 1, (name, statuses)
+
+
+_SCALE_INFLATIONS = {
+    "spectrum": ((hilbert, "t_mu_spectrum", _synthesis_scaled(lambda *a: 1000.0)),
+                 ["singular-values-below-rearranged-profile", "schatten-bound-r=1",
+                  "schatten-bound-r=2", "schatten-bound-r=4"]),
+    "norms": (_NORMS_TIMES_1000, ["random-vector-domination"]),
+}
+
+
+@pytest.mark.parametrize("mass", [1.0, 1e-20, 1e-30])
+@pytest.mark.parametrize("inflated", [None, *_SCALE_INFLATIONS])
+def test_inflated_sides_fail_at_every_mass_scale(inflated, mass, monkeypatch, capsys):
+    # a side 1000 times too large fails at every scale of the masses; an
+    # absolute tolerance of 1e-9 let it PASS on masses of 1e-30
+    failing = []
+    if inflated is not None:
+        (module, attribute, patch), failing = _SCALE_INFLATIONS[inflated]
+        monkeypatch.setattr(module, attribute, patch(getattr(module, attribute)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["verify", "--suite", "diagonal-domination", "--seq", "geometric:1,2,8",
+                    "--N", "8", "--measure", f"atoms:0.01:{mass!r},0.001:{mass!r},0.0001:{mass!r}"])
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {n: statuses[n] for n in failing} == {n: "FAIL" for n in failing}
+    assert code == (1 if failing else 0)
+    if inflated is None:
+        assert set(statuses.values()) == {"PASS"}
 
 
 def _scaled_small_atoms(k: int) -> str:

@@ -19,9 +19,10 @@ another branch of the handler reads (``_BRANCHES``: the formula of
 of ``verify``, the suites of ``report``).  The suite table ``_SUITES`` is
 the one list of the options each suite reads: ``verify`` records exactly
 those, with the values the suite ran on, and ``report`` takes those of the
-suites it runs and refuses an unknown suite before running any.  ``norm``
-takes ``--coeffs`` or ``--coeffs-file``, not both; ``--format csv`` exists
-on moments, dnp and example.
+suites it runs and refuses an unknown suite before running any.  ``--seq``,
+``--measure`` and ``--coeffs`` take a spec string or ``file:path``; a spec
+string is shorthand for the JSON description one builder reads and checks
+(``*_from_obj``).  ``--format csv`` exists on moments, dnp and example.
 
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
 their suites one store (``_Store``) of the results that several of them
@@ -57,109 +58,131 @@ SCHEMA = "muntzlab-report/1"
 STATUSES = ("PASS", "FAIL", "EVIDENCE", "UNMET")
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """A refused input; argparse prints its message for an option's value."""
 
 
 # ---------------------------------------------------------------------------
-# input parsing
+# input parsing: a spec string is shorthand for the description its builder reads
 # ---------------------------------------------------------------------------
+
+def _finite(text: str) -> float:
+    """The value of a float option: a finite number, not NaN or +-inf."""
+    if not math.isfinite(value := float(text)):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
+
 
 def _floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+    return [_finite(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _is_number(value) -> bool:  # an int or a float within the float range; no bool
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_WANTS = {float: "a finite number", int: "an integer", list: "a list of finite numbers",
+          str: "a string", dict: "an object"}
+
+
+def _field(obj: dict, key: str, want: type, what: str):
+    """obj[key] as ``want``, as ``_WANTS`` names it, else a UsageError naming ``what``."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} description must be an object, got {obj!r}")
+    if key not in obj:
+        raise UsageError(f"{what} description missing field {key!r}")
+    value = obj[key]
+    if want is list:
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    elif want in (float, int):
+        ok = _is_number(value) and (want is float or float(value).is_integer())
+    else:
+        ok = isinstance(value, want)
+    if not ok:
+        raise UsageError(f"{what} field {key!r} must be {_WANTS[want]}, got {value!r}")
+    return want(value) if want in (float, int) else value
 
 
 def sequence_from_obj(obj) -> sequences_mod.ExponentSequence:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise UsageError("sequence description must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "geometric":
-            return sequences_mod.generate_geometric(obj["lambda0"], obj["ratio"], obj["count"])
-        if kind == "recursive_power":
-            return sequences_mod.generate_recursive_power(
-                obj["lambda_start"], obj["start_index"], obj["gamma"], obj["count"])
-        if kind == "explicit":
-            return sequences_mod.ExponentSequence(tuple(obj["values"]))
-    except KeyError as exc:
-        raise UsageError(f"sequence description missing field {exc}") from exc
+    field = functools.partial(_field, obj, what="sequence")
+    kind = field("kind", str)
+    if kind == "geometric":
+        return sequences_mod.generate_geometric(field("lambda0", float), field("ratio", float),
+                                                field("count", int))
+    if kind == "recursive_power":
+        return sequences_mod.generate_recursive_power(
+            field("lambda_start", float), field("start_index", int), field("gamma", float),
+            field("count", int))
+    if kind == "explicit":
+        return sequences_mod.ExponentSequence(tuple(field("values", list)))
     raise UsageError(f"unknown sequence kind {kind!r}")
 
 
 def parse_sequence(spec: str) -> sequences_mod.ExponentSequence:
-    """geometric:l0,r,count | recursive:start,start_index,gamma,count |
-    explicit:v1,v2,... | file:path.json"""
+    """geometric:l0,r,count | recursive:l,start,gamma,count | explicit:v1,... | file:path"""
     if spec.startswith("file:"):
         return sequence_from_obj(_load_json(spec[5:]))
     head, _, rest = spec.partition(":")
-    if head == "geometric":
-        v = _floats(rest)
-        if len(v) != 3:
-            raise UsageError("geometric needs lambda0,ratio,count")
-        return sequences_mod.generate_geometric(v[0], v[1], int(v[2]))
-    if head == "recursive":
-        v = _floats(rest)
-        if len(v) != 4:
-            raise UsageError("recursive needs lambda_start,start_index,gamma,count")
-        return sequences_mod.generate_recursive_power(v[0], int(v[1]), v[2], int(v[3]))
+    fields = {"geometric": ("lambda0", "ratio", "count"), "explicit": ("values",),
+              "recursive": ("lambda_start", "start_index", "gamma", "count")}.get(head)
+    if fields is None:
+        raise UsageError(f"unknown sequence spec {spec!r}")
+    values = _floats(rest)
     if head == "explicit":
-        return sequences_mod.ExponentSequence(tuple(_floats(rest)))
-    raise UsageError(f"unknown sequence spec {spec!r}")
+        values = [values]
+    elif len(values) != len(fields):
+        raise UsageError(f"{head} needs {','.join(fields)}")
+    kind = "recursive_power" if head == "recursive" else head
+    return sequence_from_obj({"kind": kind, **dict(zip(fields, values))})
+
+
+def _atom(entry) -> tuple[float, float]:
+    """(delta, mass) of [delta, mass], {"delta", "mass"} or {"log_delta", "mass"}."""
+    if isinstance(entry, list) and len(entry) == 2:
+        entry = {"delta": entry[0], "mass": entry[1]}
+    mass = _field(entry, "mass", float, "atom")  # refuses an entry that is no object
+    if "log_delta" in entry:
+        return materialize(_field(entry, "log_delta", float, "atom")), mass
+    return _field(entry, "delta", float, "atom"), mass
 
 
 def measure_from_obj(obj) -> measures_mod.Measure:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise UsageError("measure description must be an object with a 'kind'")
-    kind = obj["kind"]
+    field = functools.partial(_field, obj, what="measure")
+    kind = field("kind", str)
     if kind == "lebesgue":
         return measures_mod.Lebesgue()
     if kind == "atoms":
-        pairs = []
-        for entry in obj.get("atoms", []):
-            if isinstance(entry, dict):
-                if "log_delta" in entry:
-                    delta = materialize(entry["log_delta"])
-                else:
-                    delta = float(entry["delta"])
-                pairs.append((delta, float(entry["mass"])))
-            else:
-                pairs.append((float(entry[0]), float(entry[1])))
-        if not pairs:
-            raise UsageError("atoms measure needs a nonempty atom list")
-        return measures_mod.atoms(pairs)
+        if not isinstance(entries := obj.get("atoms"), list):
+            raise UsageError(f"atoms measure needs a list of atoms, got {entries!r}")
+        return measures_mod.atoms([_atom(entry) for entry in entries])
     if kind == "density":
-        params = obj.get("params", {})
-        return measures_mod.DensityMeasure(obj["name"], **params)
+        params = field("params", dict) if "params" in obj else {}
+        if unknown := sorted(set(params) - {"scale", "alpha"}):
+            raise UsageError(f"unknown density param {unknown[0]!r}; have scale, alpha")
+        return measures_mod.DensityMeasure(
+            field("name", str), **{k: _field(params, k, float, "density") for k in params})
     if kind == "restrict":
-        base = measure_from_obj(obj["base"])
-        return measures_mod.restrict(base, obj["a"], obj["b"])
+        return measures_mod.restrict(measure_from_obj(field("base", dict)), field("a", float),
+                                     field("b", float))
     raise UsageError(f"unknown measure kind {kind!r}")
 
 
 def parse_measure(spec: str) -> measures_mod.Measure:
-    """lebesgue | atoms:delta:mass,delta:mass,... | file:path.json"""
-    if spec == "lebesgue":
-        return measures_mod.Lebesgue()
+    """lebesgue | atoms:delta:mass,... | file:path.json, each read by ``measure_from_obj``"""
     if spec.startswith("file:"):
         return measure_from_obj(_load_json(spec[5:]))
-    if spec.startswith("atoms:"):
-        pairs = []
-        for chunk in spec[6:].split(","):
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise UsageError(f"bad atom chunk {chunk!r}, want delta:mass")
-            pairs.append((float(parts[0]), float(parts[1])))
-        return measures_mod.atoms(pairs)
-    raise UsageError(f"unknown measure spec {spec!r}")
+    if spec == "lebesgue":
+        return measure_from_obj({"kind": "lebesgue"})
+    if not spec.startswith("atoms:"):
+        raise UsageError(f"unknown measure spec {spec!r}")
+    return measure_from_obj({"kind": "atoms", "atoms": [
+        [float(v) for v in chunk.split(":")] for chunk in spec[6:].split(",")]})
 
 
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise UsageError(f"cannot read description file {path}: {exc}") from exc
 
 
@@ -206,8 +229,8 @@ def check(name: str, op: str, status: str, **data) -> dict:
 
 
 def _log(x: float) -> float:
-    """log x of a float x >= 0; -inf at 0."""
-    return math.log(x) if x > 0.0 else -math.inf
+    """log x of a float x >= 0; -inf at 0 and NaN at NaN, which decides nothing."""
+    return math.log(x) if x > 0.0 else x if math.isnan(x) else -math.inf
 
 
 def _ratio(log_num: float, log_den: float) -> float | None:
@@ -663,8 +686,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_norm(args) -> int:
     seq = parse_sequence(args.seq)
     mu = parse_measure(args.measure)
-    coeffs = _floats(Path(args.coeffs_file).read_text()) if args.coeffs_file \
-        else _floats(args.coeffs)
+    coeffs = _floats(Path(args.coeffs[5:]).read_text() if args.coeffs.startswith("file:")
+                     else args.coeffs)
     value = materialize(lpnorm.log_lp_norms(seq, [coeffs], mu, args.p)[0])
     payload = {"command": "norm",
                "inputs": _recorded_inputs("norm", args, coefficients=coeffs),
@@ -743,13 +766,9 @@ def _cmd_example(args) -> int:
 
 
 def _recorded_inputs(cmd: str, args, **derived) -> dict:
-    """The inputs a command records: the options it read, by dest name, with
-    their values (those of ``_COMMANDS`` and of the chosen branch of
-    ``_BRANCHES``), but --out, --format and a mutually exclusive group, which
-    the handler records as it read it; ``derived`` adds or replaces values
-    the handler derived from them."""
-    options = [o for o in _COMMAND_OPTIONS[cmd]
-               if isinstance(o, str) and o not in ("--out", "--format")]
+    """The options a command read (``_COMMANDS``, the chosen branch of ``_BRANCHES``) but
+    --out and --format, by dest name, with their values; ``derived`` adds or replaces some."""
+    options = [o for o in _COMMAND_OPTIONS[cmd] if o not in ("--out", "--format")]
     if cmd in _BRANCHES:
         key, reads = _BRANCHES[cmd]
         options += reads[getattr(args, _dest(key))]
@@ -817,25 +836,24 @@ _OPTIONS = {
                        "explicit:v1,v2,... | file:path.json"),
     "--measure": dict(default="lebesgue",
                       help="lebesgue | atoms:delta:mass,... | file:path.json"),
-    "--p": dict(type=float, default=2.0),
+    "--p": dict(type=_finite, default=2.0),
     "--q": dict(type=_floats, default=()),
     "--N": dict(type=int, default=hilbert.DEFAULT_TRUNCATION),
-    "--tol": dict(type=float, default=1e-12),
+    "--tol": dict(type=_finite, default=1e-12),
     "--seed": dict(type=int, default=0),
-    "--eps": dict(type=float, default=0.5),
+    "--eps": dict(type=_finite, default=0.5),
     "--count": dict(type=int, default=20),
     "--out": dict(default=None, help="directory for report files"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--decompose": dict(type=float, default=None,
+    "--decompose": dict(type=_finite, default=None,
                         help="also greedily split into r-lacunary parts"),
     "--weight": dict(choices=("inverse_lambda", "classical"), default="inverse_lambda"),
     "--formula": dict(required=True,
                       choices=("jlambda", "lemma31", "r_epsilon", "envelope", "point_eval")),
-    "--r": dict(type=float, default=2.0),
-    "--alpha": dict(type=float, default=1.0),
-    "--t": dict(type=float, default=0.5),
-    "--coeffs": dict(default="1"),
-    "--coeffs-file": dict(default=None),
+    "--r": dict(type=_finite, default=2.0),
+    "--alpha": dict(type=_finite, default=1.0),
+    "--t": dict(type=_finite, default=0.5),
+    "--coeffs": dict(default="1", help="c0,c1,... | file:path holding c0,c1,..."),
     "--kind": dict(choices=("gm", "amgm"), default="gm"),
     "--trials": dict(type=int, default=100),
     "--block-start": dict(type=int, default=0),
@@ -849,9 +867,7 @@ _OPTIONS = {
     "--alpha-list": dict(type=_floats, default=(0.5, 1.0, 2.0)),
 }
 
-# name, help, handler and the options the handler reads on every branch
-# (_BRANCHES adds the others); an inner tuple of options is a mutually
-# exclusive group
+# name, help, handler and the options it reads on every branch (_BRANCHES adds the rest)
 _COMMANDS = (
     ("classify", "prefix growth classification", _cmd_classify,
      ("--seq", "--decompose", "--out")),
@@ -861,7 +877,7 @@ _COMMANDS = (
      ("--seq", "--measure", "--p", "--N", "--tol", "--out", "--format", "--weight")),
     ("bounds", "closed-form constants and brackets", _cmd_bounds, ("--out", "--formula")),
     ("norm", "L^p(mu) norm of a coefficient vector", _cmd_norm,
-     ("--seq", "--measure", "--p", "--out", ("--coeffs", "--coeffs-file"))),
+     ("--seq", "--measure", "--p", "--out", "--coeffs")),
     ("probe", "ratio sampling and block probes", _cmd_probe, ("--seq", "--p", "--out", "--kind")),
     ("spectrum", "truncated operator spectra (p=2)", _cmd_spectrum,
      ("--seq", "--N", "--out", "--operator")),
@@ -933,9 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.key, sp.reads = _BRANCHES[name]
             sp.branch_options = tuple(dict.fromkeys(o for r in sp.reads.values() for o in r))
         for option in options:
-            group = sp.add_mutually_exclusive_group() if isinstance(option, tuple) else sp
-            for o in option if isinstance(option, tuple) else (option,):
-                group.add_argument(o, **_OPTIONS[o])
+            sp.add_argument(option, **_OPTIONS[option])
         for o in sp.branch_options:
             sp.add_argument(o, **{**_OPTIONS[o], "default": None})
         sp.set_defaults(fn=handler)

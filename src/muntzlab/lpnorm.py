@@ -22,6 +22,7 @@ package imports ``numpy.random``.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import warnings
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import _exp_shifted, _signed_log_sum, logsumexp, materialize
+from .logdomain import LOG_FLOAT_MAX, _exp_shifted, _signed_log_sum, logsumexp, materialize
 from .measures import (Lebesgue, Measure, _cauchy_gram, _grading_power, integrate_to_one,
                        log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
@@ -118,7 +119,9 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     ``_eval_poly_array`` on ``lam`` as one array, built once per call.  A row
     stops once two passes of its panels agree, 42 panels for a row of
     geometric:1,2,16 at p = 2, and the refusal past u = 2**-53 comes on the
-    first row, so once per call.  Faster forms of that route with identical
+    first row, so once per call.  The scaling bounds the largest |a_j|, not
+    |f|: a row whose |f|**p overflows a panel (sixteen 1s at p = 400) is
+    refused, not reported as inf.  Faster forms of that route with identical
     outputs stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero
     norm is -inf.
     """
@@ -138,13 +141,23 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     logs, sharpness, lam = [], p * max(lam[-1], 1.0), np.array(lam)
     low_power = _grading_power(lam, p)
     exps = _pow2_exponents(a)
-    for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
-        val = integrate_to_one(
-            lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p, sharpness,
-            low_power=low_power)
-        if math.isnan(val):
-            raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
-        logs.append(math.log(val) * (1.0 / p) + e * _LOG2 if val > 0.0 else -math.inf)
+    # a scaled row's |f| is at most its number of terms n, so |f|**p can overflow
+    # only where n**p comes within a factor e of the float range; only there do the
+    # rows run where an overflow raises, as numpy's errstate slows each ufunc call
+    guard = np.errstate(over="raise") if p * math.log(a.shape[1]) > LOG_FLOAT_MAX - 1.0 \
+        else contextlib.nullcontext()
+    try:
+        with guard:
+            for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
+                val = integrate_to_one(
+                    lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p,
+                    sharpness, low_power=low_power)
+                if math.isnan(val):
+                    raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
+                logs.append(math.log(val) * (1.0 / p) + e * _LOG2 if val > 0.0 else -math.inf)
+    except FloatingPointError:
+        raise ValueError(f"|f|**p at p = {p:g} overflows the float range on the Lebesgue "
+                         "panels") from None
     return np.array(logs)
 
 

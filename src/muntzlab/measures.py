@@ -185,8 +185,8 @@ class Atom:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"atom delta must be in (0,1], got {self.delta}")
-        if not self.mass > 0.0:
-            raise ValueError(f"atom mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"atom mass must be positive and finite, got {self.mass}")
 
 
 @dataclass(frozen=True)

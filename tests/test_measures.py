@@ -31,6 +31,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Atom(0.5, 0.0)
 
+    @pytest.mark.parametrize("mass", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_atom_mass_is_refused(self, mass):
+        # an infinite mass reached moments, where inf - inf warned
+        with pytest.raises(ValueError, match="atom mass must be positive and finite"):
+            Atom(0.5, mass)
+
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):
             atoms([(0.5, 1.0), (0.5, 2.0)])

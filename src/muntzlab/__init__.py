@@ -9,8 +9,8 @@ from .logdomain import LogValue
 from .sequences import (Classification, ExponentSequence, classify,
                         decompose_quasi_lacunary, generate_geometric,
                         generate_recursive_power)
-from .measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, Restriction,
-                       atoms, moments, poisson_integral, restrict, sublinear_norm)
+from .measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, atoms, moments,
+                       poisson_integral, restrict, sublinear_norm)
 from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
                   operator_bounds)
 from .bounds import (envelope_check, jlambda_upper, lemma31_bound,

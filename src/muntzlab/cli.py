@@ -835,7 +835,8 @@ _OPTIONS = {
                   help="geometric:l0,r,count | recursive:l,start,gamma,count | "
                        "explicit:v1,v2,... | file:path.json"),
     "--measure": dict(default="lebesgue",
-                      help="lebesgue | atoms:delta:mass,... | file:path.json"),
+                      help="lebesgue | atoms:delta:mass,... | file:path.json, a description "
+                           "of kind lebesgue, atoms, density or restrict"),
     "--p": dict(type=_finite, default=2.0),
     "--q": dict(type=_floats, default=()),
     "--N": dict(type=int, default=hilbert.DEFAULT_TRUNCATION),

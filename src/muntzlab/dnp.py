@@ -12,13 +12,13 @@ in the log domain, on one of three routes:
   matrix of logs and one log-sum-exp along its rows.  The denominator's log
   is log(lam_n + (1 + lam_k)), formed by logaddexp, so no exponent sum
   overflows.  This is the closed-form special case of the node route.
-- every other case (atoms, densities and restrictions at any p, Lebesgue
-  at p != 2): the node route, on the prefix x nodes matrix of
-  ``measures.node_log_powers``, the one builder of node integrals.  s at
-  every node is one log-sum-exp down its column (whole rows at a time),
-  the outer integral one along the nodes, the contiguous axis.  For atoms
-  the nodes are the atoms themselves, so at p = 2 this is the exact
-  double series, reordered.  The nodes are sized by p * lam of the last
+- every other case (atoms and densities at any p, a restriction of
+  Lebesgue measure included, Lebesgue at p != 2): the node route, on the
+  prefix x nodes matrix of ``measures.node_log_powers``, the one builder of
+  node integrals.  s at every node is one log-sum-exp down its column
+  (whole rows at a time), the outer integral one along the nodes, the
+  contiguous axis.  For atoms the nodes are the atoms themselves, so at
+  p = 2 this is the exact double series, reordered.  The nodes are sized by p * lam of the last
   prefix entry, not of the last n asked for, because the late terms of s
   live that close to t = 1, and graded toward t = 0 by the builder's one
   rule (the smallest non-integer among p * lam_k and lam_k - lam_0).
@@ -172,22 +172,18 @@ def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
 
 
 def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
-               n_count: int | None = None, tol: float = 1e-12,
-               route: str = "auto") -> DnProfile:
+               n_count: int | None = None, tol: float = 1e-12) -> DnProfile:
     """D_n(p) for n = 0..n_count-1, the inner series over the whole prefix.
 
-    route="auto" takes the module's three routes: p = 1 is one vector of
-    moments; p = 2 on Lebesgue measure is the exact double series as one
-    n x prefix log-sum-exp; every other measure and p, atoms at p = 2
-    included, takes the node route (the inner series at every node of the
-    measure, then the outer sum).  route="general" forces the node route,
-    which the tests cross-check against the other two.  The prefix must
-    extend beyond n_count for the tails to settle; ``TruncationInfo`` says
-    how far they did, by one tail rule on both series routes, and which
-    inner terms mattered at tol.
+    The module's three routes: p = 1 is one vector of moments; p = 2 on
+    Lebesgue measure is the exact double series as one n x prefix
+    log-sum-exp; every other measure and p, atoms at p = 2 included, takes
+    the node route (the inner series at every node of the measure, then the
+    outer sum), which the tests cross-check against the other two.  The
+    prefix must extend beyond n_count for the tails to settle;
+    ``TruncationInfo`` says how far they did, by one tail rule on both series
+    routes, and which inner terms mattered at tol.
     """
-    if route not in ("auto", "general"):
-        raise ValueError(f"route must be 'auto' or 'general', got {route!r}")
     n_count = len(seq) if n_count is None else n_count
     if not 1 <= n_count <= len(seq):
         raise ValueError(f"n_count {n_count} out of range 1..{len(seq)}")
@@ -197,12 +193,12 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
     lams = np.array(seq.exponents)
     inv_root = np.array([weight.log_inv_weight_root(l) for l in seq.exponents])
 
-    if p == 1.0 and route == "auto":
+    if p == 1.0:
         logs = tuple(weight.log_inv_weight(l) + m
                      for l, m in zip(seq.exponents, moments(mu, lams[:n_count]).tolist()))
         infos = tuple(TruncationInfo(cutoff=n, tail_ratio=0.0, safe=True)
                       for n in range(n_count))
-    elif p == 2.0 and route == "auto" and isinstance(mu, Lebesgue):
+    elif p == 2.0 and isinstance(mu, Lebesgue):
         logs, infos = _lebesgue_p2_route(lams, inv_root, n_count, tol)
     else:
         logs, infos = _node_route(lams, inv_root, mu, p, n_count, tol)

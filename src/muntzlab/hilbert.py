@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logdomain import logsumexp, materialize
-from .measures import (AtomicMeasure, DensityMeasure, Measure, Restriction, _atoms_within,
-                       _cauchy_gram, _log_poisson_kernel, measure_nodes, node_log_powers,
-                       poisson_integral, restrict)
+from .measures import (AtomicMeasure, DensityMeasure, Measure, _atoms_within, _cauchy_gram,
+                       _log_poisson_kernel, measure_nodes, node_log_powers, poisson_integral,
+                       restrict)
 from .sequences import ExponentSequence
 
 DEFAULT_TRUNCATION = 16
@@ -262,10 +262,11 @@ def prop511_value(mu: Measure, q: float) -> float:
     atom distance (2**-40 for other measures), the inner one over the nodes
     of mu, with 1 - st formed as u_s + s u_t.  For atoms the inner sum is
     exact, and at q = 2 the square equals the Poisson integral.  A density
-    reaching t = 1 as u**alpha makes the outer integrand behave like
+    on [a, 1), u**alpha near t = 1, makes the outer integrand behave like
     u_s**beta, beta = q*alpha/2 - 1, near s = 1: the outer nodes are those of
     the measure u**beta ds, whose closing panel is the Gauss-Jacobi rule for
-    that power, and the integrand is divided by u_s**beta.  The inner nodes
+    that power, and the integrand is divided by u_s**beta; a density ending
+    at b < 1 keeps beta = 0, the outer nodes of ds.  The inner nodes
     of a non-atomic mu go 16 halvings deeper than the outer ones, since the
     kernel varies on the scale u_s.  The value is inf when the Poisson
     integral diverges; an atom distance whose reciprocal overflows is refused.
@@ -284,10 +285,9 @@ def prop511_value(mu: Measure, q: float) -> float:
     else:
         sharp = 2.0 ** 40
         log_t, log_w = measure_nodes(mu, sharpness=sharp * _INNER_REFINE)
-        if not (isinstance(mu, Restriction) and mu.b < 1.0):
+        if mu.b == 1.0:
             # a convergent Poisson integral up to t = 1 means a density u**alpha, alpha > 0
-            base = mu.base if isinstance(mu, Restriction) else mu
-            beta = 0.5 * q * base.exponent - 1.0
+            beta = 0.5 * q * mu.exponent - 1.0
     # the nodes of u**beta ds; beta = 0 gives Lebesgue's
     log_s, log_w_s = measure_nodes(DensityMeasure("oneminus_power", alpha=beta), sharpness=sharp)
     s, u_s = np.exp(log_s), -np.expm1(log_s)

@@ -1,11 +1,14 @@
 """Finite positive measures on [0,1) and their structural functionals.
 
-Supported variants: Lebesgue, finite atomic lists, built-in densities and
-interval restrictions of these.  Every measure is represented by one set
+A measure is a finite list of atoms (``AtomicMeasure``) or a built-in
+density on an interval [a, b) within [0, 1) (``DensityMeasure``); a
+restriction of a density is the density on the intersected interval.
+Lebesgue measure is the uniform density of scale 1 on [0, 1), kept as its
+own type for its exact routes.  Every measure is represented by one set
 of quadrature nodes in u = 1 - t with log weights (``measure_nodes``):
 atoms are stored as delta = 1 - x, never as x, so x = 1 - 1e-30 keeps full
 precision (x itself would round to 1.0, the forbidden point t = 1), and the
-other measures get panels in u.  Each weight is formed as a log where it is
+densities get panels in u.  Each weight is formed as a log where it is
 made, so none underflows while its log is representable.  Integrals of the
 monomials t**lam_j (moments, L^p norms, D_n, the p = 2 node factor) take
 the terms x nodes matrix lam_j log t_k, contiguous along the nodes, and
@@ -13,10 +16,10 @@ the log weights from one builder, ``node_log_powers``: nodes sized by
 p * lam_max toward t = 1 and graded toward t = 0 by one rule
 (``_grading_power``): the smallest non-integer s among p * lam_j and
 lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
-all of them are integers.  Closed forms (Lebesgue moments, the Poisson
-integral of a density reaching t = 1) stay as the exact special cases they
-are.  The one other quadrature, ``integrate_to_one`` for Lebesgue L^p
-norms, deepens its dyadic panels toward t = 1 pass by pass until the
+all of them are integers.  Closed forms (the moments of a uniform density,
+the Poisson integral of a density reaching t = 1) stay as the exact special
+cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
+L^p norms, deepens its dyadic panels toward t = 1 pass by pass until the
 closing panel is negligible or two passes agree, and refuses exponents past
 its float panels' edge u = 2**-53 itself.
 """
@@ -229,25 +232,24 @@ class AtomicMeasure:
             return np.log1p(-self._deltas)
 
 
-@dataclass(frozen=True)
-class Lebesgue:
-    """Lebesgue measure dt on [0,1]."""
-
-
 _DENSITY_FAMILIES = ("uniform", "oneminus_power")
 
 
 @dataclass(frozen=True)
 class DensityMeasure:
-    """Built-in density g dt on [0,1), written in u = 1 - t.
+    """Built-in density g dt on [a, b) within [0, 1), written in u = 1 - t.
 
     uniform:         g = scale
     oneminus_power:  g = scale * u**alpha, alpha > -1
+
+    The interval defaults to [0, 1); ``restrict`` narrows it.
     """
 
     name: str
     scale: float = 1.0
     alpha: float = 0.0
+    a: float = 0.0
+    b: float = 1.0
 
     def __post_init__(self) -> None:
         if self.name not in _DENSITY_FAMILIES:
@@ -256,6 +258,8 @@ class DensityMeasure:
             raise ValueError("density scale must be positive")
         if self.name == "oneminus_power" and not self.alpha > -1.0:
             raise ValueError("oneminus_power needs alpha > -1 for finite mass")
+        if not 0.0 <= self.a < self.b <= 1.0:
+            raise ValueError(f"restriction needs 0 <= a < b <= 1, got [{self.a},{self.b})")
 
     @property
     def exponent(self) -> float:
@@ -269,24 +273,32 @@ class DensityMeasure:
         return math.log(self.scale) + self.exponent * np.log(u)
 
     def tail_mass(self, eps: float) -> float:
-        """mu([1-eps, 1)) in closed form."""
-        return self.scale * eps ** (self.exponent + 1.0) / (self.exponent + 1.0)
+        """mu([1-eps, 1)) in closed form: the mass over u = 1 - t in
+        [1 - b, min(1 - a, eps)).  A uniform density ending at b < 1 takes
+        the length in t, b - max(a, 1 - eps), which keeps a b near 0 that
+        1 - b would round away."""
+        e = self.exponent + 1.0
+        if e == 1.0 and self.b < 1.0:
+            return self.scale * max(self.b - max(self.a, 1.0 - eps), 0.0)
+        lo, hi = 1.0 - self.b, min(1.0 - self.a, eps)
+        return self.scale * (hi ** e - lo ** e) / e if hi > lo else 0.0
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """base measure restricted to [a, b), base Lebesgue or a density."""
+class Lebesgue(DensityMeasure):
+    """Lebesgue measure dt on [0, 1): the uniform density of scale 1.
 
-    base: Union[Lebesgue, DensityMeasure]
-    a: float
-    b: float
+    Its own type only for its three exact routes: the float quadrature of
+    its L^p norms (``lpnorm.log_lp_norms``), the p = 2 double series of
+    ``dnp.compute_dn`` and the CLI's Gram value of a p = 2 norm.  A
+    restriction of it is a plain ``DensityMeasure`` and takes the node
+    routes, which reach past the quadrature's edge u = 2**-53.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.a < self.b <= 1.0:
-            raise ValueError(f"restriction needs 0 <= a < b <= 1, got [{self.a},{self.b})")
+    def __init__(self) -> None:
+        super().__init__("uniform")
 
 
-Measure = Union[Lebesgue, AtomicMeasure, DensityMeasure, Restriction]
+Measure = Union[AtomicMeasure, DensityMeasure]
 
 
 def atoms(pairs) -> AtomicMeasure:
@@ -304,10 +316,10 @@ def atoms(pairs) -> AtomicMeasure:
 def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     """log of the integral of t**(p * a) against mu, for every a in ``exponents``.
 
-    The one moment kernel.  Lebesgue measure and its restrictions take their
-    closed forms, -log(e) and log((b**e - a0**e) / e) for [a0, b) with
-    e = p * a + 1; where p * a overflows, log e is log p + log a, since the
-    + 1 is then far below rounding.  Every other measure is one log-sum-exp
+    The one moment kernel.  A uniform density on [a0, b) takes its closed
+    form, log(scale * (b**e - a0**e) / e) with e = p * a + 1 (-log e for
+    Lebesgue measure); where p * a overflows, log e is log p + log a, since
+    the + 1 is then far below rounding.  Every other measure is one log-sum-exp
     of log w + p * a * log t over the nodes of ``node_log_powers`` for the
     exponents p * a: its exponents x nodes matrix summed in place along the
     nodes, the exact atom sum for atoms.  Those nodes need p * a in the
@@ -323,9 +335,9 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
         a = p * lam
     big = np.isinf(a)
     log_big = math.log(p) + np.log(lam[big]) if big.any() else 0.0  # log e where p * a overflows
-    if isinstance(getattr(mu, "base", mu), Lebesgue):
+    if isinstance(mu, DensityMeasure) and mu.name == "uniform":
         # log((b**e - a0**e) / e) on [a0, b), arranged for large exponents
-        a0, b = (mu.a, mu.b) if isinstance(mu, Restriction) else (0.0, 1.0)
+        a0, b = mu.a, mu.b
         e = a + 1.0
         log_e = np.log1p(a)
         log_e[big] = log_big
@@ -337,7 +349,8 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
             # e * log b without e; a0**e is then far below b**e
             with np.errstate(over="ignore"):
                 diff[big] = p * (lam[big] * math.log(b))
-        return -(log_e - diff)  # -log e on [0, 1), with its sign of zero
+        out = -(log_e - diff)  # -log e on [0, 1), with its sign of zero
+        return out + math.log(mu.scale) if mu.scale != 1.0 else out
     if big.any():
         raise ValueError("moment exponents must be finite (p * lam beyond the float range?)")
     terms, log_w = node_log_powers(mu, a)
@@ -366,41 +379,29 @@ def _atoms_within(mu: AtomicMeasure, a: float, b: float) -> np.ndarray:
 
 
 def restrict(mu: Measure, a: float, b: float) -> Measure:
-    """Restriction mu|[a,b).  Atomic restrictions may come back empty."""
+    """Restriction mu|[a,b): the atoms in [a, b), or the density on the
+    intersection of [a, b) with its interval.  It may come back empty, as
+    an empty ``AtomicMeasure``."""
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"restriction needs 0 <= a < b <= 1, got [{a},{b})")
     if isinstance(mu, AtomicMeasure):
         kept = _atoms_within(mu, a, b)
         return AtomicMeasure(tuple(at for at, keep in zip(mu.atoms, kept) if keep))
-    if isinstance(mu, Restriction):
-        lo, hi = max(a, mu.a), min(b, mu.b)
-        if lo >= hi:
-            return AtomicMeasure(())
-        return Restriction(mu.base, lo, hi)
-    return Restriction(mu, a, b)
+    lo, hi = max(a, mu.a), min(b, mu.b)
+    if lo >= hi:
+        return AtomicMeasure(())
+    return DensityMeasure(mu.name, mu.scale, mu.alpha, lo, hi)
 
 
 def tail_mass(mu: Measure, eps: float) -> float:
     """mu([1-eps, 1)) for eps in (0, 1]."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0,1], got {eps}")
-    cut = 1.0 - eps
-    if isinstance(mu, Lebesgue):
-        return eps
     if isinstance(mu, AtomicMeasure):
         if mu.is_empty:
             return 0.0
         return float(mu._masses[mu._deltas <= eps].sum())
-    if isinstance(mu, DensityMeasure):
-        return mu.tail_mass(eps)
-    if isinstance(mu, Restriction):
-        lo = max(mu.a, cut)
-        if lo >= mu.b:
-            return 0.0
-        if isinstance(mu.base, Lebesgue):
-            return mu.b - lo
-        return mu.base.tail_mass(1.0 - lo) - mu.base.tail_mass(1.0 - mu.b)
-    raise TypeError(f"not a measure: {mu!r}")
+    return mu.tail_mass(eps)
 
 
 # the eps of every vanishing profile: 1, 1/2, ..., 2**-40
@@ -431,9 +432,9 @@ def _sublinear_sup(mu: Measure, lo: float, hi: float) -> tuple[float, float]:
     positive) and at the deltas in the window, on one compensated running
     tail in order of delta: exact.  Otherwise it is taken at the
     ``_EPS_GRID`` points in the window, then at hi and lo (when positive),
-    the first of equal ratios winning: exact for Lebesgue measure and the
-    densities, where the ratio is monotone in eps, and a lower bound for a
-    restriction.
+    the first of equal ratios winning: exact for the densities on [0, 1),
+    where the ratio is monotone in eps, and a lower bound for a density on a
+    shorter interval.
     """
     if isinstance(mu, AtomicMeasure):
         # a massless stop at lo, after the atoms at lo, reads the tail there
@@ -463,8 +464,8 @@ def windowed_sublinear_sup(mu: Measure, lo: float, hi: float) -> float:
     """sup of mu([1-eps,1)) / eps over eps in [lo, hi], 0 <= lo <= hi <= 1.
 
     The routine behind ``sublinear_norm``, so over [0, 1] it is norm_s to
-    the last bit: exact for atoms, Lebesgue measure and the densities, a
-    lower bound for a restriction.
+    the last bit: exact for atoms and the densities on [0, 1), a lower bound
+    for a density on a shorter interval.
     """
     if not 0.0 <= lo <= hi <= 1.0 or hi == 0.0:
         raise ValueError(f"window needs 0 <= lo <= hi <= 1 and hi > 0, got [{lo}, {hi}]")
@@ -482,22 +483,20 @@ class PoissonResult:
 def poisson_integral(mu: Measure) -> PoissonResult:
     """Integral of 1/(1-t) against mu, exact on every branch.
 
-    A measure reaching t = 1 has density scale * u**alpha near u = 1 - t = 0
-    (alpha = 0 for Lebesgue), so the integral over [a, 1) is the closed form
+    A density on [a, 1) is scale * u**alpha near u = 1 - t = 0 (alpha = 0
+    for a uniform one), so its integral is the closed form
     scale * (1-a)**alpha / alpha, divergent when alpha <= 0.  Atoms and
-    restrictions ending at b < 1 sum w/u over ``measure_nodes``, where
+    densities ending at b < 1 sum w/u over ``measure_nodes``, where
     u >= 1 - b is bounded away from 0.
     """
-    if isinstance(mu, AtomicMeasure) or isinstance(mu, Restriction) and mu.b < 1.0:
+    if isinstance(mu, AtomicMeasure) or mu.b < 1.0:
         log_t, log_w = measure_nodes(mu, sharpness=1.0)
         log_val = logsumexp(log_w - np.log(-np.expm1(log_t)))
         return PoissonResult(LogValue.from_log(log_val), False)
-    base, lo = (mu.base, mu.a) if isinstance(mu, Restriction) else (mu, 0.0)
-    density = DensityMeasure("uniform") if isinstance(base, Lebesgue) else base
-    alpha = density.exponent
+    alpha = mu.exponent
     if alpha <= 0.0:
         return PoissonResult(None, True)
-    log_val = math.log(density.scale) + alpha * math.log1p(-lo) - math.log(alpha)
+    log_val = math.log(mu.scale) + alpha * math.log1p(-mu.a) - math.log(alpha)
     return PoissonResult(LogValue.from_log(log_val), False)
 
 
@@ -520,9 +519,9 @@ def measure_nodes(mu: Measure, sharpness: float,
 
     The one node generator; each log weight is formed where it is made.
     Atoms map to themselves (log t = log1p(-delta), the cached log masses).
-    Lebesgue, densities and their restrictions to [a, b) get Gauss-Legendre
-    panels in u = 1 - t: log t = log1p(-u), log w = log half-width + the
-    rule's log weight + log scale + alpha log u, and no node is t = 1.  The
+    A density on [a, b) gets Gauss-Legendre panels in u = 1 - t:
+    log t = log1p(-u), log w = log half-width + the rule's log weight
+    + log scale + alpha log u, and no node is t = 1.  The
     panels halve toward u = 1 - b until finer than 1/sharpness of the
     support and than 1 - b, but no finer than the float spacing at 1 - b;
     the closing panel is Gauss-Jacobi for the density's u**alpha where it
@@ -533,13 +532,7 @@ def measure_nodes(mu: Measure, sharpness: float,
     depth = _first_depth(sharpness)
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._log_masses.copy()
-    if isinstance(mu, (Lebesgue, DensityMeasure)):
-        lo, hi, base = 0.0, 1.0, mu
-    elif isinstance(mu, Restriction):
-        lo, hi, base = mu.a, mu.b, mu.base
-    else:
-        raise TypeError(f"not a measure: {mu!r}")
-    density = base if isinstance(base, DensityMeasure) else DensityMeasure("uniform")
+    lo, hi = mu.a, mu.b
     u_end = 1.0 - hi
     if u_end > 0.0:
         # u**alpha and 1/u vary on the scale u_end near the right end, and a panel
@@ -551,21 +544,21 @@ def measure_nodes(mu: Measure, sharpness: float,
     if graded is not None:
         edges = edges[:-1]  # the panel t in [0, hi / 2] is graded below
     u, log_w = (v.ravel() for v in _gl_panels(edges))
-    log_w += density.log_g(u)
+    log_w += mu.log_g(u)
     # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre; a
     # Gauss-Jacobi(alpha) rule holds the factor u**alpha in its weights
-    alpha = density.exponent if u_end == 0.0 else 0.0
+    alpha = mu.exponent if u_end == 0.0 else 0.0
     s, _, log_ws = _gauss_jacobi(alpha)
     eps = edges[0] - u_end
     u_close = u_end + eps * s
-    log_w_close = (log_ws + (alpha + 1.0) * math.log(eps) + math.log(density.scale)
-                   + (density.exponent - alpha) * np.log(u_close))
+    log_w_close = (log_ws + (alpha + 1.0) * math.log(eps) + math.log(mu.scale)
+                   + (mu.exponent - alpha) * np.log(u_close))
     log_t, log_w = np.log1p(-np.concatenate([u_close, u])), np.concatenate([log_w_close, log_w])
     if graded is None:
         return log_t, log_w
     # built in t: near t = 0, 1 - u has lost the digits of t
     t, log_wt = (v.ravel() for v in _gl_panels(graded))
-    log_wt += density.log_g(1.0 - t)
+    log_wt += mu.log_g(1.0 - t)
     return np.concatenate([log_t, np.log(t)]), np.concatenate([log_w, log_wt])
 
 

@@ -103,7 +103,9 @@ def generate_recursive_power(
     """lambda_{start_index} = lambda_start, then lambda_n = n**gamma * lambda_{n-1}.
 
     Values blow past float range quickly for large counts; the sequence is
-    then truncated at the last representable value and flagged.
+    then truncated at the last representable value and flagged.  A gamma so
+    small that n**gamma rounds to 1 gives a value that is not above the one
+    before it, which ``ExponentSequence`` refuses as soon as it appears.
     """
     if not lambda_start > 0.0:
         raise ValueError(f"lambda_start must be positive, got {lambda_start}")
@@ -119,6 +121,8 @@ def generate_recursive_power(
         if nxt > 1e306:
             break  # headroom: downstream code forms p*lam and lam_n + lam_k
         values.append(nxt)
+        if not nxt > values[-2]:
+            break
     requested = count if len(values) < count else None
     return ExponentSequence(tuple(values), requested_count=requested)
 

@@ -1051,9 +1051,9 @@ def test_report_reads_each_profile_once(monkeypatch, capsys, tmp_path):
     real = dnp_mod.compute_dn
     keys = []
 
-    def recording(seq, mu, weight, n_count=None, tol=1e-12, route="auto"):
+    def recording(seq, mu, weight, n_count=None, tol=1e-12):
         keys.append((mu, weight, n_count, tol))
-        return real(seq, mu, weight, n_count=n_count, tol=tol, route=route)
+        return real(seq, mu, weight, n_count=n_count, tol=tol)
 
     monkeypatch.setattr(dnp_mod, "compute_dn", recording)
     code = run(["report", *_small(DN_SUITES), "--suites", ",".join(DN_SUITES),
@@ -1322,6 +1322,34 @@ def test_spec_and_description_build_equal_objects(case, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(description))
     assert parse(spec) == build(description) == parse(f"file:{path}")
+
+
+_LEB = {"kind": "lebesgue"}
+_POWER = {"kind": "density", "name": "oneminus_power", "params": {"scale": 2.0, "alpha": -0.5}}
+
+
+# each JSON kind of a measure and the library call that builds the same object
+@pytest.mark.parametrize("description, want", [
+    (_LEB, lambda m: m.Lebesgue()),
+    ({"kind": "atoms", "atoms": [[0.5, 1], {"delta": 0.25, "mass": 2}]},
+     lambda m: m.atoms([(0.5, 1.0), (0.25, 2.0)])),
+    ({"kind": "density", "name": "uniform"}, lambda m: m.DensityMeasure("uniform")),
+    (_POWER, lambda m: m.DensityMeasure("oneminus_power", scale=2.0, alpha=-0.5)),
+    ({"kind": "restrict", "base": _LEB, "a": 0.25, "b": 0.75},
+     lambda m: m.restrict(m.Lebesgue(), 0.25, 0.75)),
+    ({"kind": "restrict", "base": _POWER, "a": 0.25, "b": 1},
+     lambda m: m.DensityMeasure("oneminus_power", scale=2.0, alpha=-0.5, a=0.25, b=1.0)),
+    ({"kind": "restrict", "a": 0.5, "b": 1,
+      "base": {"kind": "restrict", "base": _LEB, "a": 0.2, "b": 0.9}},
+     lambda m: m.DensityMeasure("uniform", a=0.5, b=0.9)),
+    ({"kind": "restrict", "a": 0.5, "b": 1,
+      "base": {"kind": "restrict", "base": _LEB, "a": 0.2, "b": 0.4}},
+     lambda m: m.AtomicMeasure(())),
+], ids=["lebesgue", "atoms", "uniform", "power", "restrict-lebesgue", "restrict-power",
+        "restrict-restrict", "restrict-empty"])
+def test_measure_description_builds_the_library_object(description, want):
+    got, expected = cli.measure_from_obj(description), want(measures_mod)
+    assert type(got) is type(expected) and got == expected
 
 
 def test_spec_parsers_build_through_the_description_builders():

@@ -29,6 +29,15 @@ def density_moment(a):
     return 1 / ((a + 1) * (a + 2))
 
 
+def node_route_dn(seq, mu, weight, n_count=None, tol=1e-12):
+    """compute_dn on its node route (dnp._node_route) whatever the measure
+    and p, to check the other two routes against."""
+    n_count = len(seq) if n_count is None else n_count
+    inv_root = np.array([weight.log_inv_weight_root(l) for l in seq.exponents])
+    logs, infos = dnp._node_route(np.array(seq.exponents), inv_root, mu, weight.p, n_count, tol)
+    return dnp.DnProfile(logs, weight, infos)
+
+
 def closed_dp(lams, n, p, moment):
     """D_n(p)**p over the prefix as the closed (p - 1)-fold sum of moments,
     in mpmath (p = 2 or 3, weights 1/lam)."""
@@ -99,14 +108,14 @@ class TestComputeDn:
         mu = atoms([(0.5, 1.0), (0.125, 0.7), (0.01, 0.3)])
         w = WeightScheme("inverse_lambda", 2.0)
         a = compute_dn(GEO, mu, w, n_count=10)
-        b = compute_dn(GEO, mu, w, n_count=10, route="general")
+        b = node_route_dn(GEO, mu, w, n_count=10)
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-10)
 
     def test_routes_agree_for_p2_lebesgue(self):
         w = WeightScheme("inverse_lambda", 2.0)
         a = compute_dn(GEO, Lebesgue(), w, n_count=8)
-        b = compute_dn(GEO, Lebesgue(), w, n_count=8, route="general")
+        b = node_route_dn(GEO, Lebesgue(), w, n_count=8)
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-9)
 
@@ -116,7 +125,7 @@ class TestComputeDn:
         seq = generate_geometric(0.01, 2, 20)
         w = WeightScheme(kind, 2.0)
         a = compute_dn(seq, Lebesgue(), w)
-        b = compute_dn(seq, Lebesgue(), w, route="general")
+        b = node_route_dn(seq, Lebesgue(), w)
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-12)
 
@@ -124,7 +133,7 @@ class TestComputeDn:
         seq = generate_geometric(1, 2, 60)
         w = WeightScheme("inverse_lambda", 2.0)
         a = compute_dn(seq, Lebesgue(), w)
-        b = compute_dn(seq, Lebesgue(), w, route="general")
+        b = node_route_dn(seq, Lebesgue(), w)
         for x, y in zip(a.values, b.values):
             assert y == pytest.approx(x, rel=1e-13)
 
@@ -224,8 +233,6 @@ class TestComputeDn:
             compute_dn(GEO, HALF_ATOM, w, n_count=0)
         with pytest.raises(ValueError):
             compute_dn(GEO, HALF_ATOM, w, n_count=4, tol=0.0)
-        with pytest.raises(ValueError):
-            compute_dn(GEO, HALF_ATOM, w, route="fancy")
 
 
 class TestOracle:
@@ -270,11 +277,11 @@ class TestOracle:
         assert list(prof.values) == pytest.approx(refs, rel=1e-12)
 
     @pytest.mark.parametrize("mu, moment, p, count, n_count, route", [
-        (Lebesgue(), lebesgue_moment, 3, 24, 6, "general"),
-        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6, "general"),
-        (Lebesgue(), lebesgue_moment, 2, 16, 16, "general"),
-        (Lebesgue(), lebesgue_moment, 2, 16, 16, "auto"),
-        (Lebesgue(), lebesgue_moment, 2, 40, 24, "auto"),
+        (Lebesgue(), lebesgue_moment, 3, 24, 6, node_route_dn),
+        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6, node_route_dn),
+        (Lebesgue(), lebesgue_moment, 2, 16, 16, node_route_dn),
+        (Lebesgue(), lebesgue_moment, 2, 16, 16, compute_dn),
+        (Lebesgue(), lebesgue_moment, 2, 40, 24, compute_dn),
     ], ids=["lebesgue-p3", "density-p3", "lebesgue-p2", "lebesgue-p2-auto",
             "lebesgue-p2-auto-long"])
     def test_tail_estimate_against_longer_prefix(self, mu, moment, p, count, n_count, route):
@@ -282,8 +289,7 @@ class TestOracle:
         # (here 40 more terms, enough to converge) and at most 10 times it
         seq = generate_geometric(1, 2, count)
         longer = generate_geometric(1, 2, count + 40).exponents
-        prof = compute_dn(seq, mu, WeightScheme("inverse_lambda", float(p)),
-                          n_count=n_count, route=route)
+        prof = route(seq, mu, WeightScheme("inverse_lambda", float(p)), n_count=n_count)
         for n in sorted({0, n_count // 2, n_count - 1}):
             with mp.workdps(40):
                 prefix = closed_dp(seq.exponents, n, p, moment)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muntzlab.logdomain import NeumaierSum, logsumexp
-from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, Restriction,
-                               _gl_panel, _log_poisson_kernel, atoms, integrate_to_one,
-                               log_powers, measure_nodes, moment, moments, node_log_powers,
+from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, _gl_panel,
+                               _log_poisson_kernel, atoms, integrate_to_one, log_powers,
+                               measure_nodes, moment, moments, node_log_powers,
                                poisson_integral, restrict, sublinear_norm, tail_mass,
                                windowed_sublinear_sup)
 
@@ -76,22 +76,27 @@ class TestMoments:
             assert g == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
     @pytest.mark.parametrize("mu, lo, hi", [
-        (Lebesgue(), 0.0, 1.0), (Restriction(Lebesgue(), 0.0, 0.5), 0.0, 0.5),
-        (Restriction(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
-        (Restriction(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
-    ], ids=["lebesgue", "head", "interior", "tail"])
+        (Lebesgue(), 0.0, 1.0), (restrict(Lebesgue(), 0.0, 0.5), 0.0, 0.5),
+        (restrict(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
+        (restrict(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
+        (DensityMeasure("uniform", scale=2.0), 0.0, 1.0),
+        (restrict(DensityMeasure("uniform", scale=2.0), 0.25, 0.75), 0.25, 0.75),
+    ], ids=["lebesgue", "head", "interior", "tail", "scale2", "scale2-interior"])
     def test_lebesgue_closed_forms_against_mpmath(self, mu, lo, hi):
+        # every uniform density takes the closed form, scale * (hi**e - lo**e) / e
         got = moments(mu, self.EXPONENTS)
         with mpmath.workdps(30):
             for a, g in zip(self.EXPONENTS, got):
                 e = mpmath.mpf(a) + 1
-                ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
+                ref = mpmath.log(mu.scale * (mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
                 assert g == pytest.approx(float(ref), rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("mu, lo, hi", [
-        (Lebesgue(), 0.0, 1.0), (Restriction(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
-        (Restriction(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
-    ], ids=["lebesgue", "tail", "interior"])
+        (Lebesgue(), 0.0, 1.0), (restrict(Lebesgue(), 0.5, 1.0), 0.5, 1.0),
+        (restrict(Lebesgue(), 0.25, 0.75), 0.25, 0.75),
+        (DensityMeasure("uniform", scale=2.0), 0.0, 1.0),
+        (restrict(DensityMeasure("uniform", scale=2.0), 0.25, 0.75), 0.25, 0.75),
+    ], ids=["lebesgue", "tail", "interior", "scale2", "scale2-interior"])
     def test_lebesgue_closed_forms_past_the_float_range(self, mu, lo, hi):
         # p * lam overflows at p = 400, lam = 1e306: log e from log p + log lam
         lams, p = [1.0, 1e300, 1e306], 400.0
@@ -99,7 +104,7 @@ class TestMoments:
         with mpmath.workdps(30):
             for lam, g in zip(lams, got):
                 e = p * mpmath.mpf(lam) + 1
-                ref = mpmath.log((mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
+                ref = mpmath.log(mu.scale * (mpmath.mpf(hi) ** e - mpmath.mpf(lo) ** e) / e)
                 assert g == pytest.approx(float(ref), rel=1e-14)
 
     @pytest.mark.parametrize("a", [0.01, 0.3, 0.5])
@@ -556,10 +561,47 @@ class TestRestrictAndKernel:
         assert [a.delta for a in restrict(mu, 0.5, 1.0).atoms] == [0.5]
         assert restrict(mu, 0.0, 0.5).is_empty
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.75), (0.5, 1.0)])
+    def test_restriction_of_lebesgue_is_the_uniform_density(self, a, b):
+        # a restriction of Lebesgue measure is no Lebesgue measure: it takes the node routes
+        out = restrict(Lebesgue(), a, b)
+        assert out == restrict(DensityMeasure("uniform"), a, b)
+        assert type(out) is DensityMeasure and (out.a, out.b) == (a, b)
+
+    def test_lebesgue_is_its_own_type(self):
+        # equal as densities, but Lebesgue() selects the exact routes and the
+        # uniform density the node routes, so the two are not equal
+        assert Lebesgue() != DensityMeasure("uniform")
+        assert DensityMeasure("uniform") != Lebesgue()
+        assert (Lebesgue().a, Lebesgue().b, Lebesgue().scale) == (0.0, 1.0, 1.0)
+        assert math.copysign(1.0, moments(Lebesgue(), [0.0])[0]) == -1.0  # -log 1 is -0.0
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.6, 0.5), (-0.1, 0.5), (0.5, 1.5)])
+    def test_density_interval_is_checked(self, a, b):
+        with pytest.raises(ValueError, match="restriction needs 0 <= a < b <= 1"):
+            DensityMeasure("uniform", a=a, b=b)
+
+    @pytest.mark.parametrize("mu, alpha, lo, hi", [
+        (restrict(Lebesgue(), 0.25, 0.75), 0.0, 0.25, 0.75),
+        (restrict(Lebesgue(), 0.5, 1.0), 0.0, 0.5, 1.0),
+        (restrict(Lebesgue(), 0.0, 1e-20), 0.0, 0.0, 1e-20),
+        (restrict(DensityMeasure("oneminus_power", scale=3.0, alpha=-0.5), 0.25, 1.0),
+         -0.5, 0.25, 1.0),
+        (restrict(DensityMeasure("oneminus_power", alpha=1.5), 0.1, 0.9), 1.5, 0.1, 0.9),
+    ], ids=["lebesgue-interior", "lebesgue-tail", "lebesgue-head", "power-tail",
+            "power-interior"])
+    def test_restricted_tail_mass_against_mpmath(self, mu, alpha, lo, hi):
+        # mu([1-eps, 1)) = scale * integral of u**alpha over u in [1 - hi, min(1 - lo, eps))
+        for eps in (1.0, 0.6, 0.3, 2.0 ** -3, 1e-3):
+            with mpmath.workdps(50):
+                e = mpmath.mpf(alpha) + 1
+                u_lo, u_hi = 1 - mpmath.mpf(hi), min(1 - mpmath.mpf(lo), mpmath.mpf(eps))
+                ref = mu.scale * (u_hi ** e - u_lo ** e) / e if u_hi > u_lo else 0
+            assert tail_mass(mu, eps) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
     def test_restriction_of_restriction_intersects(self):
         out = restrict(restrict(Lebesgue(), 0.2, 0.9), 0.5, 1.0)
-        assert isinstance(out, Restriction)
-        assert (out.a, out.b) == (0.5, 0.9)
+        assert out == DensityMeasure("uniform", a=0.5, b=0.9)
         empty = restrict(restrict(Lebesgue(), 0.2, 0.4), 0.5, 1.0)
         assert isinstance(empty, AtomicMeasure) and empty.is_empty
 

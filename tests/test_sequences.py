@@ -59,6 +59,20 @@ class TestGenerators:
         assert seq.truncated
         assert seq.exponents[-1] <= 1e306
 
+    def test_recursive_power_refuses_the_first_flat_step(self):
+        # n**1e-300 rounds to 1: the second value equals the first, and the
+        # generator stops there instead of running all count steps
+        class CountingPower(float):
+            steps = 0
+
+            def __rpow__(self, base):
+                CountingPower.steps += 1
+                return base ** float(self)
+
+        with pytest.raises(ValueError, match=r"strictly increasing \(1\.0 !< 1\.0\)"):
+            generate_recursive_power(1, 2, CountingPower(1e-300), 100_000)
+        assert CountingPower.steps == 1
+
     @given(st.floats(min_value=0.1, max_value=100.0),
            st.floats(min_value=1.1, max_value=10.0),
            st.integers(min_value=1, max_value=40))

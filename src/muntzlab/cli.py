@@ -11,6 +11,7 @@ is byte-identical.
 Every PASS/FAIL comparison of two numbers takes one rule, ``_decide``: a
 relative tolerance on the logarithms of both sides, so no verdict moves when
 the masses of a measure are scaled, and EVIDENCE where a side has no finite log.
+A check with no tolerance compares two finite floats directly (``_decide_le``).
 
 Each subcommand takes only the options its handler reads (``_COMMANDS``); an
 option of another subcommand is a usage error, and so is one that only
@@ -156,11 +157,15 @@ def measure_from_obj(obj) -> measures_mod.Measure:
             raise UsageError(f"atoms measure needs a list of atoms, got {entries!r}")
         return measures_mod.atoms([_atom(entry) for entry in entries])
     if kind == "density":
+        name = field("name", str)  # uniform is the density of alpha = 0
+        allowed = {"uniform": ("scale",), "oneminus_power": ("scale", "alpha")}.get(name)
+        if allowed is None:
+            raise UsageError(f"unknown density name {name!r}; have uniform, oneminus_power")
         params = field("params", dict) if "params" in obj else {}
-        if unknown := sorted(set(params) - {"scale", "alpha"}):
-            raise UsageError(f"unknown density param {unknown[0]!r}; have scale, alpha")
+        if unknown := sorted(set(params) - set(allowed)):
+            raise UsageError(f"unknown density param {unknown[0]!r}; have {', '.join(allowed)}")
         return measures_mod.DensityMeasure(
-            field("name", str), **{k: _field(params, k, float, "density") for k in params})
+            **{k: _field(params, k, float, "density") for k in params})
     if kind == "restrict":
         return measures_mod.restrict(measure_from_obj(field("base", dict)), field("a", float),
                                      field("b", float))
@@ -263,6 +268,17 @@ def _decide(log_lhs, log_rhs, relation: str, rel_tol: float) -> tuple[str, dict]
         ("EVIDENCE", {"note": "value beyond float range at this scale"})
 
 
+def _decide_le(lhs, rhs) -> tuple[str, dict]:
+    """``_decide`` of lhs <= rhs with no tolerance, on two broadcast sides of floats: a pair
+    of finite floats is compared directly, since the logs of two floats one ulp apart may
+    round to one float; a pair with an inf or NaN side takes the rule on logs."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, float), np.asarray(rhs, float))
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    if (lhs[finite] > rhs[finite]).any():
+        return "FAIL", {}
+    return _decide([_log(x) for x in lhs[~finite]], [_log(x) for x in rhs[~finite]], "<=", 0.0)
+
+
 class _Store:
     """The results of one command that several suites read, each computed once.
 
@@ -343,7 +359,7 @@ def suite_isometry(seq, p, N, eps, seed) -> list[dict]:
     low, high = edges.values()
     # [low, high] within [1 - eps, 1 + eps]: a claim only under the hypothesis,
     # and a sample can refute that bracket but never prove it
-    status, note = _decide([_log(1.0 - eps), _log(high)], [_log(low), _log(1.0 + eps)], "<=", 0.0)
+    status, note = _decide_le([1.0 - eps, high], [low, 1.0 + eps])
     if not hyp or (status == "PASS" and p != 2.0):
         status, note = "EVIDENCE", {}
     checks.append(check(name, op, status, **edges, eps=eps, **note))
@@ -389,7 +405,7 @@ def suite_crossterm(p_values, r_values, count) -> list[dict]:
             for r in r_values:
                 q = [r ** k for k in range(count)]
                 res = bounds_mod.lemma31_bound(p, alpha, q, r)
-                status, note = _decide(_log(res.lhs), _log(res.rhs), "<=", 0.0)
+                status, note = _decide_le(res.lhs, res.rhs)
                 checks.append(check(f"crossterm-p={p:g}-alpha={alpha:g}-r={r:g}",
                                     "bounds.lemma31_bound", status,
                                     lhs=res.lhs, rhs=res.rhs, **note))
@@ -836,7 +852,9 @@ _OPTIONS = {
                        "explicit:v1,v2,... | file:path.json"),
     "--measure": dict(default="lebesgue",
                       help="lebesgue | atoms:delta:mass,... | file:path.json, a description "
-                           "of kind lebesgue, atoms, density or restrict"),
+                           "of kind lebesgue, atoms, density or restrict; a density is "
+                           "uniform (params: scale) or oneminus_power, scale * (1 - t)**alpha "
+                           "(params: scale, alpha)"),
     "--p": dict(type=_finite, default=2.0),
     "--q": dict(type=_floats, default=()),
     "--N": dict(type=int, default=hilbert.DEFAULT_TRUNCATION),

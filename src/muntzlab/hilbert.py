@@ -259,9 +259,10 @@ def prop511_value(mu: Measure, q: float) -> float:
 
     Both integrals are log-domain sums over ``measure_nodes``: the outer
     one over nodes in u_s = 1 - s, refined toward s = 1 down to the smallest
-    atom distance (2**-40 for other measures), the inner one over the nodes
-    of mu, with 1 - st formed as u_s + s u_t.  For atoms the inner sum is
-    exact, and at q = 2 the square equals the Poisson integral.  A density
+    atom distance, or to 2**-40 of the distance 1 - a of a density on [a, b)
+    from t = 1, the inner one over the nodes of mu, with 1 - st formed as
+    u_s + s u_t.  For atoms the inner sum is exact, and at q = 2 the square
+    equals the Poisson integral.  A density
     on [a, 1), u**alpha near t = 1, makes the outer integrand behave like
     u_s**beta, beta = q*alpha/2 - 1, near s = 1: the outer nodes are those of
     the measure u**beta ds, whose closing panel is the Gauss-Jacobi rule for
@@ -283,13 +284,13 @@ def prop511_value(mu: Measure, q: float) -> float:
                              "kernel integral's nodes refine to 1/delta, past the float range")
         log_t, log_w = measure_nodes(mu, sharpness=sharp)
     else:
-        sharp = 2.0 ** 40
+        sharp = 2.0 ** 40 / (1.0 - mu.a)
         log_t, log_w = measure_nodes(mu, sharpness=sharp * _INNER_REFINE)
         if mu.b == 1.0:
             # a convergent Poisson integral up to t = 1 means a density u**alpha, alpha > 0
-            beta = 0.5 * q * mu.exponent - 1.0
+            beta = 0.5 * q * mu.alpha - 1.0
     # the nodes of u**beta ds; beta = 0 gives Lebesgue's
-    log_s, log_w_s = measure_nodes(DensityMeasure("oneminus_power", alpha=beta), sharpness=sharp)
+    log_s, log_w_s = measure_nodes(DensityMeasure(alpha=beta), sharpness=sharp)
     s, u_s = np.exp(log_s), -np.expm1(log_s)
     log_outer = np.empty_like(log_s)
     for k in range(0, len(log_s), _S_BLOCK):

@@ -1,14 +1,15 @@
 """Finite positive measures on [0,1) and their structural functionals.
 
-A measure is a finite list of atoms (``AtomicMeasure``) or a built-in
-density on an interval [a, b) within [0, 1) (``DensityMeasure``); a
-restriction of a density is the density on the intersected interval.
-Lebesgue measure is the uniform density of scale 1 on [0, 1), kept as its
-own type for its exact routes.  Every measure is represented by one set
-of quadrature nodes in u = 1 - t with log weights (``measure_nodes``):
-atoms are stored as delta = 1 - x, never as x, so x = 1 - 1e-30 keeps full
-precision (x itself would round to 1.0, the forbidden point t = 1), and the
-densities get panels in u.  Each weight is formed as a log where it is
+A measure is a finite list of atoms (``AtomicMeasure``) or a density
+scale * (1 - t)**alpha on an interval [a, b) within [0, 1)
+(``DensityMeasure``; alpha = 0 is the uniform density); a restriction of a
+density is the density on the intersected interval.  Lebesgue measure is
+the uniform density of scale 1 on [0, 1), kept as its own type for its exact
+routes.  Every measure is represented by one set of quadrature nodes with
+log weights (``measure_nodes``): atoms are stored as delta = 1 - x, never as
+x, so x = 1 - 1e-30 keeps full precision (x itself would round to 1.0, the
+forbidden point t = 1), and a density gets panels in the distance from its
+right end.  Each weight is formed as a log where it is
 made, so none underflows while its log is representable.  Integrals of the
 monomials t**lam_j (moments, L^p norms, D_n, the p = 2 node factor) take
 the terms x nodes matrix lam_j log t_k, contiguous along the nodes, and
@@ -17,8 +18,8 @@ p * lam_max toward t = 1 and graded toward t = 0 by one rule
 (``_grading_power``): the smallest non-integer s among p * lam_j and
 lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (the moments of a uniform density,
-the Poisson integral of a density reaching t = 1) stay as the exact special
-cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
+the tail mass and Poisson integral of every density) stay as the exact
+special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
 L^p norms, deepens its dyadic panels toward t = 1 pass by pass until the
 closing panel is negligible or two passes agree, and refuses exponents past
 its float panels' edge u = 2**-53 itself.
@@ -232,56 +233,32 @@ class AtomicMeasure:
             return np.log1p(-self._deltas)
 
 
-_DENSITY_FAMILIES = ("uniform", "oneminus_power")
-
-
 @dataclass(frozen=True)
 class DensityMeasure:
-    """Built-in density g dt on [a, b) within [0, 1), written in u = 1 - t.
+    """The density scale * u**alpha dt on [a, b) within [0, 1), u = 1 - t.
 
-    uniform:         g = scale
-    oneminus_power:  g = scale * u**alpha, alpha > -1
-
-    The interval defaults to [0, 1); ``restrict`` narrows it.
+    alpha > -1 for finite mass; alpha = 0 is the uniform density.  The
+    interval defaults to [0, 1); ``restrict`` narrows it.
     """
 
-    name: str
     scale: float = 1.0
     alpha: float = 0.0
     a: float = 0.0
     b: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.name not in _DENSITY_FAMILIES:
-            raise ValueError(f"unknown density family {self.name!r}; have {_DENSITY_FAMILIES}")
-        if not self.scale > 0.0:
-            raise ValueError("density scale must be positive")
-        if self.name == "oneminus_power" and not self.alpha > -1.0:
-            raise ValueError("oneminus_power needs alpha > -1 for finite mass")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"density scale must be positive and finite, got {self.scale}")
+        if not -1.0 < self.alpha < math.inf:
+            raise ValueError(f"density alpha must be finite and > -1, got {self.alpha}")
         if not 0.0 <= self.a < self.b <= 1.0:
             raise ValueError(f"restriction needs 0 <= a < b <= 1, got [{self.a},{self.b})")
-
-    @property
-    def exponent(self) -> float:
-        """The power of u in g: alpha, or 0 for uniform."""
-        return self.alpha if self.name == "oneminus_power" else 0.0
 
     def log_g(self, u: np.ndarray) -> np.ndarray:
         """log of the density at u = 1 - t, log scale + alpha log u; taking u
         keeps points near t = 1 exact, and the log keeps tiny u from
         underflowing."""
-        return math.log(self.scale) + self.exponent * np.log(u)
-
-    def tail_mass(self, eps: float) -> float:
-        """mu([1-eps, 1)) in closed form: the mass over u = 1 - t in
-        [1 - b, min(1 - a, eps)).  A uniform density ending at b < 1 takes
-        the length in t, b - max(a, 1 - eps), which keeps a b near 0 that
-        1 - b would round away."""
-        e = self.exponent + 1.0
-        if e == 1.0 and self.b < 1.0:
-            return self.scale * max(self.b - max(self.a, 1.0 - eps), 0.0)
-        lo, hi = 1.0 - self.b, min(1.0 - self.a, eps)
-        return self.scale * (hi ** e - lo ** e) / e if hi > lo else 0.0
+        return math.log(self.scale) + self.alpha * np.log(u)
 
 
 class Lebesgue(DensityMeasure):
@@ -295,7 +272,7 @@ class Lebesgue(DensityMeasure):
     """
 
     def __init__(self) -> None:
-        super().__init__("uniform")
+        super().__init__()
 
 
 Measure = Union[AtomicMeasure, DensityMeasure]
@@ -316,8 +293,8 @@ def atoms(pairs) -> AtomicMeasure:
 def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     """log of the integral of t**(p * a) against mu, for every a in ``exponents``.
 
-    The one moment kernel.  A uniform density on [a0, b) takes its closed
-    form, log(scale * (b**e - a0**e) / e) with e = p * a + 1 (-log e for
+    The one moment kernel.  A uniform density (alpha = 0) on [a0, b) takes its
+    closed form, log(scale * (b**e - a0**e) / e) with e = p * a + 1 (-log e for
     Lebesgue measure); where p * a overflows, log e is log p + log a, since
     the + 1 is then far below rounding.  Every other measure is one log-sum-exp
     of log w + p * a * log t over the nodes of ``node_log_powers`` for the
@@ -335,7 +312,7 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
         a = p * lam
     big = np.isinf(a)
     log_big = math.log(p) + np.log(lam[big]) if big.any() else 0.0  # log e where p * a overflows
-    if isinstance(mu, DensityMeasure) and mu.name == "uniform":
+    if isinstance(mu, DensityMeasure) and mu.alpha == 0.0:
         # log((b**e - a0**e) / e) on [a0, b), arranged for large exponents
         a0, b = mu.a, mu.b
         e = a + 1.0
@@ -390,18 +367,31 @@ def restrict(mu: Measure, a: float, b: float) -> Measure:
     lo, hi = max(a, mu.a), min(b, mu.b)
     if lo >= hi:
         return AtomicMeasure(())
-    return DensityMeasure(mu.name, mu.scale, mu.alpha, lo, hi)
+    return DensityMeasure(mu.scale, mu.alpha, lo, hi)
+
+
+def _power_factor(e: float, b: float, log_hi: float) -> float:
+    """(1 - r**e) / e, r = (1 - b) / hi given log hi: times hi**e, the integral of
+    u**(e - 1) du over u in [1 - b, hi), where it converges (e > 0 at b = 1).
+    log r is log1p(-b) - log hi, so a b near 0 keeps its digits; 0 where r >= 1."""
+    log_r = math.log1p(-b) - log_hi if b < 1.0 else -math.inf
+    if not log_r < 0.0:
+        return 0.0
+    x = e * log_r  # log r**e; -log r is the limit at x = 0
+    return -math.expm1(x) / e if x else -log_r
 
 
 def tail_mass(mu: Measure, eps: float) -> float:
-    """mu([1-eps, 1)) for eps in (0, 1]."""
+    """mu([1-eps, 1)) for eps in (0, 1]; for a density the closed form
+    scale * hi**e * (1 - r**e) / e over u = 1 - t in [1 - b, hi), hi = min(1 - a, eps),
+    e = alpha + 1 and r = (1 - b) / hi (``_power_factor``)."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0,1], got {eps}")
     if isinstance(mu, AtomicMeasure):
-        if mu.is_empty:
-            return 0.0
         return float(mu._masses[mu._deltas <= eps].sum())
-    return mu.tail_mass(eps)
+    e = mu.alpha + 1.0
+    hi, log_hi = (eps, math.log(eps)) if eps < 1.0 - mu.a else (1.0 - mu.a, math.log1p(-mu.a))
+    return mu.scale * hi ** e * _power_factor(e, mu.b, log_hi)
 
 
 # the eps of every vanishing profile: 1, 1/2, ..., 2**-40
@@ -481,22 +471,19 @@ class PoissonResult:
 
 
 def poisson_integral(mu: Measure) -> PoissonResult:
-    """Integral of 1/(1-t) against mu, exact on every branch.
-
-    A density on [a, 1) is scale * u**alpha near u = 1 - t = 0 (alpha = 0
-    for a uniform one), so its integral is the closed form
-    scale * (1-a)**alpha / alpha, divergent when alpha <= 0.  Atoms and
-    densities ending at b < 1 sum w/u over ``measure_nodes``, where
-    u >= 1 - b is bounded away from 0.
-    """
-    if isinstance(mu, AtomicMeasure) or mu.b < 1.0:
+    """Integral of 1/(1-t) against mu, exact on every branch: a sum of w/u over
+    the atoms, and for a density the closed form scale * hi**alpha * (1 - r**alpha)
+    / alpha over u in [1 - b, hi), hi = 1 - a (``_power_factor``), divergent
+    only where the density reaches t = 1 with alpha <= 0."""
+    if isinstance(mu, AtomicMeasure):
         log_t, log_w = measure_nodes(mu, sharpness=1.0)
         log_val = logsumexp(log_w - np.log(-np.expm1(log_t)))
         return PoissonResult(LogValue.from_log(log_val), False)
-    alpha = mu.exponent
-    if alpha <= 0.0:
+    if mu.b == 1.0 and mu.alpha <= 0.0:
         return PoissonResult(None, True)
-    log_val = math.log(mu.scale) + alpha * math.log1p(-mu.a) - math.log(alpha)
+    log_hi = math.log1p(-mu.a)
+    factor = _power_factor(mu.alpha, mu.b, log_hi)  # 0 on an interval empty in floats
+    log_val = math.log(mu.scale) + mu.alpha * log_hi + (math.log(factor) if factor else -math.inf)
     return PoissonResult(LogValue.from_log(log_val), False)
 
 
@@ -519,44 +506,48 @@ def measure_nodes(mu: Measure, sharpness: float,
 
     The one node generator; each log weight is formed where it is made.
     Atoms map to themselves (log t = log1p(-delta), the cached log masses).
-    A density on [a, b) gets Gauss-Legendre panels in u = 1 - t:
-    log t = log1p(-u), log w = log half-width + the rule's log weight
-    + log scale + alpha log u, and no node is t = 1.  The
-    panels halve toward u = 1 - b until finer than 1/sharpness of the
-    support and than 1 - b, but no finer than the float spacing at 1 - b;
-    the closing panel is Gauss-Jacobi for the density's u**alpha where it
-    reaches u = 0 (exact where that is singular), Gauss-Legendre otherwise.
-    A non-integer ``low_power`` (``_grading_power``) grades the panel next
-    to t = 0 toward it, in t, when the support starts there.
+    A density on [a, b) gets Gauss-Legendre panels in the distance
+    d = b - t = u - (1 - b) from its right end, on edges (b - a) * 2**-k, so
+    a b near 0 keeps its digits: log w = log half-width + the rule's log
+    weight + log scale + alpha log u at u = 1 - b + d, and log t is
+    log(b - d) where b <= 1/2, log1p(-u) elsewhere, so no node is t = 1.
+    The panels halve toward d = 0 until finer than 1/sharpness of the
+    support and than 1 - b; the closing panel is Gauss-Jacobi for the
+    density's u**alpha where it reaches u = 0 (exact where that is singular),
+    Gauss-Legendre otherwise.  A non-integer ``low_power``
+    (``_grading_power``) grades the panel next to t = 0 toward it, in t,
+    when the support starts there.
     """
     depth = _first_depth(sharpness)
     if isinstance(mu, AtomicMeasure):
         return mu._log_x.copy(), mu._log_masses.copy()
-    lo, hi = mu.a, mu.b
-    u_end = 1.0 - hi
+    a, b = mu.a, mu.b
+    u_end = 1.0 - b
     if u_end > 0.0:
-        # u**alpha and 1/u vary on the scale u_end near the right end, and a panel
-        # narrower than the float spacing at u_end would have zero weight
-        scale = int(math.log2((hi - lo) / u_end))
-        depth = min(max(depth, scale + 8), max(1, scale + 52))
-    edges = u_end + (hi - lo) * 2.0 ** -np.arange(depth, -1.0, -1.0)
-    graded = _graded_edges(low_power, hi) if lo == 0.0 else None
+        # u**alpha and 1/u vary on the scale u_end near the right end
+        depth = max(depth, int(math.log2((b - a) / u_end)) + 8)
+    edges = (b - a) * 2.0 ** -np.arange(depth, -1.0, -1.0)
+    if not edges[0] > 0.0:
+        raise ValueError(f"node sharpness {sharpness:.3e} needs panels on [{a}, {b}) narrower than "
+                         "the smallest float")
+    graded = _graded_edges(low_power, b) if a == 0.0 else None
     if graded is not None:
-        edges = edges[:-1]  # the panel t in [0, hi / 2] is graded below
-    u, log_w = (v.ravel() for v in _gl_panels(edges))
-    log_w += mu.log_g(u)
-    # closing panel [u_end, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre; a
-    # Gauss-Jacobi(alpha) rule holds the factor u**alpha in its weights
-    alpha = mu.exponent if u_end == 0.0 else 0.0
+        edges = edges[:-1]  # the panel t in [0, b / 2] is graded below
+    d, log_w = (v.ravel() for v in _gl_panels(edges))
+    log_w += mu.log_g(u_end + d)
+    # closing panel [0, edges[0]]: Gauss-Jacobi(0) is Gauss-Legendre; where
+    # u = d, a Gauss-Jacobi(alpha) rule holds the factor u**alpha in its weights
+    alpha = mu.alpha if u_end == 0.0 else 0.0
     s, _, log_ws = _gauss_jacobi(alpha)
-    eps = edges[0] - u_end
-    u_close = u_end + eps * s
-    log_w_close = (log_ws + (alpha + 1.0) * math.log(eps) + math.log(mu.scale)
-                   + (mu.exponent - alpha) * np.log(u_close))
-    log_t, log_w = np.log1p(-np.concatenate([u_close, u])), np.concatenate([log_w_close, log_w])
+    d_close = edges[0] * s
+    log_w_close = (log_ws + (alpha + 1.0) * math.log(edges[0]) + math.log(mu.scale)
+                   + (mu.alpha - alpha) * np.log(u_end + d_close))
+    d = np.concatenate([d_close, d])
+    log_t = np.log(b - d) if b <= 0.5 else np.log1p(-(u_end + d))
+    log_w = np.concatenate([log_w_close, log_w])
     if graded is None:
         return log_t, log_w
-    # built in t: near t = 0, 1 - u has lost the digits of t
+    # built in t: near t = 0, b - d has lost the digits of t
     t, log_wt = (v.ravel() for v in _gl_panels(graded))
     log_wt += mu.log_g(1.0 - t)
     return np.concatenate([log_t, np.log(t)]), np.concatenate([log_w, log_wt])

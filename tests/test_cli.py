@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -756,6 +757,25 @@ def test_decide_rule(lhs, rhs, relation, rel_tol, want):
                     else {})
 
 
+@pytest.mark.parametrize("lhs, rhs, want", [
+    (1.0, 1.0, "PASS"),
+    (math.nextafter(1.0, math.inf), 1.0, "FAIL"),
+    (1e300, math.nextafter(1e300, 0.0), "FAIL"),
+    ([-0.5, 1.0], [0.0, math.nextafter(1.0, math.inf)], "PASS"),
+    ([0.0, math.inf], [1.0, math.inf], "EVIDENCE"),
+    ([math.nextafter(1.0, math.inf), math.inf], [1.0, math.inf], "FAIL"),
+    (math.nan, 1.0, "EVIDENCE"),
+], ids=["equal", "one-ulp-past", "one-ulp-past-large", "below", "one-undecided",
+        "undecided-and-failing", "nan"])
+def test_decide_le_resolves_one_ulp(lhs, rhs, want):
+    # with no tolerance, the logs of two floats one ulp apart may be one float
+    assert math.log(math.nextafter(1e300, 0.0)) == math.log(1e300)
+    status, note = cli._decide_le(lhs, rhs)
+    assert status == want
+    assert note == ({"note": "value beyond float range at this scale"} if want == "EVIDENCE"
+                    else {})
+
+
 def _synthesis_scaled(factor):
     """A patch of hilbert.t_mu_spectrum: its singular values and Schatten norms
     times factor(spectrum, seq, mu)."""
@@ -809,14 +829,13 @@ _FAIL_ROUTES = {
     # the hypothesis met, the frame bracket of geometric:1,2,8 is [0.008, 2.4]
     "frame-within-eps": ("isometry-threshold", {}, [(bounds_mod, "r_epsilon",
                                                      lambda real: lambda *a: 1.0)]),
-    # the checks without a tolerance: 1e-14 relative past the bound, which the
-    # logs of both sides resolve (one ulp may not move a log)
+    # the checks without a tolerance: one ulp past the bound
     "sampled-ratios-within-eps": ("isometry-threshold", {"p": "3"}, [
         (bounds_mod, "r_epsilon", lambda real: lambda *a: 1.0),
         (lpnorm, "gm_ratio_sample", _returning(
-            lambda r: dataclasses.replace(r, max_ratio=1.5 * (1.0 + 1e-14))))]),
+            lambda r: dataclasses.replace(r, max_ratio=math.nextafter(1.5, math.inf))))]),
     "crossterm-p=*-alpha=*-r=*": ("crossterm-bound", {}, [(bounds_mod, "lemma31_bound", _returning(
-        lambda res: res._replace(lhs=res.rhs * (1.0 + 1e-14))))]),
+        lambda res: res._replace(lhs=math.nextafter(res.rhs, math.inf))))]),
     "pairing-above-lower-bound": ("pairing-dichotomy", {}, [(lpnorm, "pairing_integral", _returning(
         lambda vb: (vb[1] / (1.0 + 3e-12), vb[1])))]),
     "envelope-positive-finite-alpha=*": ("envelope", {}, [(bounds_mod, "envelope_check", _returning(
@@ -1234,6 +1253,56 @@ def test_hs_kernel_matches_poisson_on_density(alpha, tmp_path, capsys):
     assert code == 0 and check["status"] == "PASS", check["data"]
 
 
+def _density_sweep():
+    """(id, description, exit code) over a fixed grid: both density names with and
+    without alpha, scale 1e-300, 1 or 1e300 in turn, on the intervals of the
+    closed-form pins and on a nested restrict; alpha on uniform is refused."""
+    params = [("uniform", {}), ("uniform", {"alpha": 0.5}), ("oneminus_power", {}),
+              *(("oneminus_power", {"alpha": a}) for a in (-0.5, 0.0, 0.5, 1.5))]
+    intervals = [None, (0.0, 1.0), (0.25, 1.0), (0.25, 0.75), (0.0, 1e-10), (0.0, 1e-20),
+                 (1.0 - 2.0 ** -50, 1.0), "nested"]
+    cases, scales = [], (1e-300, 1.0, 1e300)
+    for k, ((name, extra), interval) in enumerate(itertools.product(params, intervals)):
+        scale = scales[k % 3]
+        description = {"kind": "density", "name": name, "params": {"scale": scale, **extra}}
+        if interval == "nested":
+            description = {"kind": "restrict", "a": 0.5, "b": 1.0, "base": {
+                "kind": "restrict", "a": 0.25, "b": 0.75, "base": description}}
+        elif interval is not None:
+            description = {"kind": "restrict", "a": interval[0], "b": interval[1],
+                           "base": description}
+        where = {None: "plain", "nested": "nested"}.get(interval) or "[{!r},{!r})".format(*interval)
+        cases.append((f"{name}-alpha={extra.get('alpha')}-scale={scale:g}-{where}", description,
+                      2 if name == "uniform" and extra else 0))
+    return cases
+
+
+_DENSITY_SWEEP = _density_sweep()
+
+
+@pytest.mark.parametrize("description, want", [(d, w) for _, d, w in _DENSITY_SWEEP],
+                         ids=[i for i, _, _ in _DENSITY_SWEEP])
+def test_density_descriptions_run_every_command(description, want, tmp_path, capsys):
+    # the head restriction [0, 1e-20) ended in a divide-by-zero warning on every
+    # command, and the tail 2**-50 from t = 1 read FAIL on hs
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(description))
+    for command in (["moments"], ["norm"], ["dnp"], *(["verify", "--suite", s]
+                                                     for s in ("compact", "hs", "carleson"))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*command, "--measure", f"file:{path}"])
+        out, err = capsys.readouterr()
+        assert code == want, (command, err)
+        if code == 2:
+            assert out == "" and len([l for l in err.splitlines() if "error:" in l]) == 1
+            continue
+        numbers = []  # a non-finite float is one of _sanitize's strings, never a number
+        json.loads(out, parse_float=lambda v: numbers.append(float(v)) or float(v),
+                   parse_constant=lambda v: pytest.fail(f"{command}: {v} in the JSON"))
+        assert all(math.isfinite(v) for v in numbers), command
+
+
 @pytest.mark.parametrize("argv", [
     ["dnp", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "lebesgue"],
     ["moments", "--seq", "explicit:1,1e306", "--p", "400", "--measure", "DENSITY"],
@@ -1333,19 +1402,22 @@ _POWER = {"kind": "density", "name": "oneminus_power", "params": {"scale": 2.0, 
     (_LEB, lambda m: m.Lebesgue()),
     ({"kind": "atoms", "atoms": [[0.5, 1], {"delta": 0.25, "mass": 2}]},
      lambda m: m.atoms([(0.5, 1.0), (0.25, 2.0)])),
-    ({"kind": "density", "name": "uniform"}, lambda m: m.DensityMeasure("uniform")),
-    (_POWER, lambda m: m.DensityMeasure("oneminus_power", scale=2.0, alpha=-0.5)),
+    ({"kind": "density", "name": "uniform"}, lambda m: m.DensityMeasure()),
+    (_POWER, lambda m: m.DensityMeasure(scale=2.0, alpha=-0.5)),
+    ({"kind": "density", "name": "oneminus_power", "params": {"alpha": 0}},
+     lambda m: m.DensityMeasure()),
     ({"kind": "restrict", "base": _LEB, "a": 0.25, "b": 0.75},
      lambda m: m.restrict(m.Lebesgue(), 0.25, 0.75)),
     ({"kind": "restrict", "base": _POWER, "a": 0.25, "b": 1},
-     lambda m: m.DensityMeasure("oneminus_power", scale=2.0, alpha=-0.5, a=0.25, b=1.0)),
+     lambda m: m.DensityMeasure(scale=2.0, alpha=-0.5, a=0.25, b=1.0)),
     ({"kind": "restrict", "a": 0.5, "b": 1,
       "base": {"kind": "restrict", "base": _LEB, "a": 0.2, "b": 0.9}},
-     lambda m: m.DensityMeasure("uniform", a=0.5, b=0.9)),
+     lambda m: m.DensityMeasure(a=0.5, b=0.9)),
     ({"kind": "restrict", "a": 0.5, "b": 1,
       "base": {"kind": "restrict", "base": _LEB, "a": 0.2, "b": 0.4}},
      lambda m: m.AtomicMeasure(())),
-], ids=["lebesgue", "atoms", "uniform", "power", "restrict-lebesgue", "restrict-power",
+], ids=["lebesgue", "atoms", "uniform", "power", "power-alpha=0", "restrict-lebesgue",
+        "restrict-power",
         "restrict-restrict", "restrict-empty"])
 def test_measure_description_builds_the_library_object(description, want):
     got, expected = cli.measure_from_obj(description), want(measures_mod)
@@ -1398,7 +1470,12 @@ _MALFORMED = {
                         "error: measure description missing field 'name'"),
     "density-unknown-param": (["moments", "--measure", "FILE"],
                               {"kind": "density", "name": "uniform", "params": {"bogus": 1}},
-                              "error: unknown density param 'bogus'; have scale, alpha"),
+                              "error: unknown density param 'bogus'; have scale"),
+    "density-uniform-alpha": (["moments", "--measure", "FILE"],
+                              {"kind": "density", "name": "uniform", "params": {"alpha": 5}},
+                              "error: unknown density param 'alpha'; have scale"),
+    "density-unknown-name": (["moments", "--measure", "FILE"], {"kind": "density", "name": "nope"},
+                             "error: unknown density name 'nope'; have uniform, oneminus_power"),
     "atom-one-number": (["moments", "--measure", "atoms:0.5"], {"kind": "atoms", "atoms": [[0.5]]},
                         "error: atom description must be an object, got [0.5]"),
     "atom-no-delta": (["moments", "--measure", "FILE"], {"kind": "atoms", "atoms": [{"mass": 1}]},

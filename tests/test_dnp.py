@@ -146,7 +146,7 @@ class TestComputeDn:
         # the density's estimates lie between 4e-12 and 4e-11 (DENSITY_TAILS):
         # settled at tol 1e-10, not at 1e-12
         long_geo = generate_geometric(1, 2, 34)
-        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        mu = DensityMeasure(alpha=1.0)
         assert compute_dn(long_geo, mu, w, n_count=6, tol=1e-10).all_safe
         tight = compute_dn(long_geo, mu, w, n_count=6)
         assert not any(t.safe for t in tight.truncation)
@@ -163,7 +163,7 @@ class TestComputeDn:
         # the inner series summed only that far, on the same nodes, moves D_n**p
         # by less than tol per omitted term
         seq = generate_geometric(1, 2, 34)
-        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        mu = DensityMeasure(alpha=1.0)
         p, tol = 3.0, 1e-10
         prof = compute_dn(seq, mu, WeightScheme("inverse_lambda", p), n_count=6, tol=tol)
         cutoffs = [t.cutoff for t in prof.truncation]
@@ -201,7 +201,7 @@ class TestComputeDn:
         # there to 1e-12: the tail estimates are asserted as measured, and
         # test_tail_estimate_against_longer_prefix checks them with mpmath
         long_geo = generate_geometric(1, 2, 34)
-        mu = DensityMeasure("oneminus_power", alpha=1.0)
+        mu = DensityMeasure(alpha=1.0)
         prof = compute_dn(long_geo, mu, WeightScheme("inverse_lambda", 3.0), n_count=6)
         assert all(v > 0.0 for v in prof.values)
         assert [t.tail_ratio for t in prof.truncation] == pytest.approx(DENSITY_TAILS, rel=1e-4)
@@ -278,7 +278,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("mu, moment, p, count, n_count, route", [
         (Lebesgue(), lebesgue_moment, 3, 24, 6, node_route_dn),
-        (DensityMeasure("oneminus_power", alpha=1.0), density_moment, 3, 34, 6, node_route_dn),
+        (DensityMeasure(alpha=1.0), density_moment, 3, 34, 6, node_route_dn),
         (Lebesgue(), lebesgue_moment, 2, 16, 16, node_route_dn),
         (Lebesgue(), lebesgue_moment, 2, 16, 16, compute_dn),
         (Lebesgue(), lebesgue_moment, 2, 40, 24, compute_dn),
@@ -333,7 +333,7 @@ class TestWorkingSet:
     MEASURES = {
         "lebesgue": Lebesgue(),
         "atoms-with-t0": atoms([(1.0, 0.5), (0.5, 1.0), (1e-3, 2.0), (1e-9, 0.25)]),
-        "density": DensityMeasure("oneminus_power", alpha=1.0),
+        "density": DensityMeasure(alpha=1.0),
         "restriction": restrict(Lebesgue(), 0.25, 0.75),
     }
 

@@ -48,7 +48,7 @@ def _spectrum_cases():
         "embedding-two-atoms": lambda: embedding_spectrum(GEO, TWO_ATOMS, 8).singular_values,
         "synthesis-atoms": lambda: t_mu_spectrum(GEO, GEOM_ATOMS, 12).singular_values,
         "synthesis-density": lambda: t_mu_spectrum(
-            GEO, DensityMeasure("oneminus_power", alpha=-0.5), 8).singular_values,
+            GEO, DensityMeasure(alpha=-0.5), 8).singular_values,
         "frame": lambda: frame_bounds(GEO, 16).singular_values,
     }
 
@@ -145,7 +145,7 @@ class TestEmbeddingSpectrum:
 
     def test_scaled_lebesgue_scales_sigmas(self):
         from muntzlab.measures import DensityMeasure
-        spec = embedding_spectrum(GEO, DensityMeasure("uniform", scale=0.5), 8)
+        spec = embedding_spectrum(GEO, DensityMeasure(scale=0.5), 8)
         assert max(abs(s - math.sqrt(0.5)) for s in spec.singular_values) < 1e-7
 
     @pytest.mark.parametrize("spectrum", [embedding_spectrum, t_mu_spectrum])
@@ -156,7 +156,7 @@ class TestEmbeddingSpectrum:
     @pytest.mark.parametrize("alpha", [-0.5, -0.9])
     def test_singular_density_gram(self, alpha):
         # mass piles up at t = 1 like u**alpha; the closing panel must carry it
-        mu = DensityMeasure("oneminus_power", alpha=alpha)
+        mu = DensityMeasure(alpha=alpha)
         m, _ = build_t_mu_matrix(GEO, mu, 8)
         lam = GEO.exponents[:8]
         expect = np.array([[float(mpmath.sqrt(a * b) * mpmath.beta(a + b + 1, alpha + 1))
@@ -284,7 +284,7 @@ class TestEssentialNorm:
         assert van.drop_factor > steady.drop_factor
 
     @pytest.mark.parametrize("mu", [GEOM_ATOMS, NEAR_ONE_ATOMS, MANY_ATOMS,
-                                    DensityMeasure("oneminus_power", alpha=0.5), Lebesgue()],
+                                    DensityMeasure(alpha=0.5), Lebesgue()],
                              ids=["atoms", "atoms-near-one", "atoms-200", "density", "lebesgue"])
     def test_sigma1_is_the_restricted_embedding_norm(self, mu):
         # one Cauchy factor serves every cut, and sigma_1 is bit for bit the
@@ -331,9 +331,18 @@ class TestHsCriteria:
     def test_fubini_identity_to_rounding(self, mu, poisson):
         assert prop511_value(mu, 2.0) ** 2 == pytest.approx(poisson, rel=1e-13)
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.999999, 0.9999999999999991])
+    def test_fubini_identity_on_density_tails(self, a):
+        # the outer nodes stopped at u_s = 2**-40 whatever the density's distance
+        # 1 - a from t = 1: kernel**2 read 1.4e-3 below the Poisson integral at
+        # a = 1 - 9e-16, and 1.2e-12 below at a = 0.999999
+        mu = restrict(DensityMeasure(alpha=0.5), a, 1.0)
+        poisson = poisson_integral(mu).value.to_float()
+        assert prop511_value(mu, 2.0) ** 2 == pytest.approx(poisson, rel=1e-14)
+
     @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
     def test_infinite_when_poisson_diverges(self, q):
-        assert prop511_value(DensityMeasure("uniform"), q) == math.inf
+        assert prop511_value(DensityMeasure(), q) == math.inf
 
     def test_lebesgue_hs_grows_with_truncation(self):
         h1 = embedding_spectrum(GEO, Lebesgue(), 4).schatten[2.0]

@@ -208,7 +208,7 @@ class TestLpNorm:
 
     def test_singular_density(self):
         # integral of t**2 (1-t)**-0.5 dt = B(3, 1/2) = 16/15
-        mu = DensityMeasure("oneminus_power", alpha=-0.5)
+        mu = DensityMeasure(alpha=-0.5)
         assert lp_norm(ExponentSequence((1.0,)), (1.0,), mu, 2.0) ** 2 == pytest.approx(
             16 / 15, rel=1e-13)
 
@@ -237,7 +237,7 @@ class TestLogLpNorms:
 
     MEASURES = {
         "atoms": atoms([(0.5, 1.0), (0.1, 2.0), (1e-6, 0.25), (1e-20, 0.5)]),
-        "density": DensityMeasure("oneminus_power", alpha=0.5),
+        "density": DensityMeasure(alpha=0.5),
         "restriction": restrict(Lebesgue(), 0.25, 0.75),
         "lebesgue": Lebesgue(),
     }
@@ -302,7 +302,7 @@ class TestLogLpNorms:
         calls = []
         real = lpnorm.node_log_powers
         monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
-        got = log_lp_norms(ExponentSequence((1.0, 1e13)), np.eye(2), DensityMeasure("uniform"),
+        got = log_lp_norms(ExponentSequence((1.0, 1e13)), np.eye(2), DensityMeasure(),
                            3.0)
         assert len(calls) == 1
         want = [-math.log(3.0 * lam + 1.0) / 3.0 for lam in (1.0, 1e13)]
@@ -334,7 +334,7 @@ class TestNodeLogNorms:
     MEASURES = {
         "lebesgue": Lebesgue(),
         "atoms-at-t=0": atoms([(1.0, 0.5), (0.5, 1.0), (0.1, 2.0), (1e-6, 0.25)]),
-        "density": DensityMeasure("oneminus_power", alpha=0.5),
+        "density": DensityMeasure(alpha=0.5),
     }
     SEQS = {
         "geometric:1,2,8": generate_geometric(1, 2, 8),
@@ -459,7 +459,7 @@ class TestMonomialNormsPastTheOldCap:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("lam", [1e14, 1e50, 1e300])
     @pytest.mark.parametrize("mu, closed_form", [
-        (DensityMeasure("oneminus_power", alpha=0.5), "_log_beta"),
+        (DensityMeasure(alpha=0.5), "_log_beta"),
         (restrict(Lebesgue(), 0.2, 0.7), "_log_window"),
     ], ids=["oneminus_power", "restriction"])
     def test_log_norm_within_two_ulp(self, lam, p, mu, closed_form):
@@ -497,8 +497,8 @@ class TestNormsNearTZero:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("lam0", [0.01, 0.3, 0.5])
     @pytest.mark.parametrize("mu, alpha", [(Lebesgue(), None),
-                                           (DensityMeasure("uniform"), None),
-                                           (DensityMeasure("oneminus_power", alpha=0.5), 0.5)],
+                                           (DensityMeasure(), None),
+                                           (DensityMeasure(alpha=0.5), 0.5)],
                              ids=["lebesgue", "uniform-density", "oneminus_power"])
     def test_norms_against_mpmath(self, lam0, p, mu, alpha):
         seq = generate_geometric(lam0, 3, 4)
@@ -519,6 +519,27 @@ class TestNormsNearTZero:
     def test_canonical_ratios_are_one(self, lam0, p):
         res = gm_ratio_sample(generate_geometric(lam0, 2, 16), p, trials=0)
         assert res.canonical == pytest.approx((1.0, 1.0), abs=1e-13)
+
+
+class TestNormsOnAHeadRestriction:
+    """A density on [0, b) with b near 0, whose 1 - b has lost the digits of b."""
+
+    @pytest.mark.parametrize("b", [1e-13, 1e-20])
+    def test_log_norms_against_mpmath(self, b):
+        # panels built on 1 - b + b * 2**-k had zero width at b = 1e-20
+        seq, rows = ExponentSequence((1.0, 2.5, 7.0)), [[1.0, -0.5, 0.25], [0.0, 1.0, 0.0]]
+        got = log_lp_norms(seq, rows, restrict(DensityMeasure(alpha=0.5), 0.0, b), 3.0)
+        with mpmath.workdps(40):
+            def log_norm_mp(row):
+                def g(s):  # the integrand at t = b * s, s in [0, 1]
+                    t = mpmath.mpf(b) * s
+                    f = mpmath.fsum(a * t ** mpmath.mpf(l) for a, l in zip(row, seq.exponents))
+                    return abs(f) ** 3 * (1 - t) ** mpmath.mpf(0.5)
+                # quad's error test is absolute: integrate g / g(1), of order 1
+                return float(mpmath.log(mpmath.mpf(b) * g(1) * mpmath.quad(
+                    lambda s: g(s) / g(1), [0, 1])) / 3)
+            want = [log_norm_mp(row) for row in rows]
+        assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def mp_split_norm(exps, coeffs, p):

@@ -138,25 +138,3 @@ def envelope_check(seq: ExponentSequence, alpha: float) -> EnvelopeBracket:
     return EnvelopeBracket(min(ratios), max(ratios), profile,
                            float(logs.min()), float(logs.max()))
 
-
-def point_eval_norm(seq: ExponentSequence, p: float, t: float) -> float:
-    """Dual-norm surrogate for evaluation at t: (sum lam^{p'/p} t^{p' lam})^{1/p'}
-    over the whole stored prefix.
-
-    At p = 1 the p' -> inf limit is the sup of lam * t^lam.  This is the
-    basis-side surrogate, not the exact reproducing-kernel norm of a
-    truncation.
-    """
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0,1), got {t}")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    log_t = math.log1p(t - 1.0) if t > 0.0 else -math.inf
-    lams = [l for l in seq.exponents if l > 0.0]  # lam = 0 contributes 0
-    if t == 0.0 or not lams:
-        return 0.0
-    if p == 1.0:
-        return math.exp(max(math.log(l) + l * log_t for l in lams))
-    pp = conjugate(p)
-    term_logs = [(pp / p) * math.log(l) + pp * l * log_t for l in lams]
-    return math.exp(logsumexp(term_logs) / pp)

@@ -16,11 +16,11 @@ A check with no tolerance compares two finite floats directly (``_decide_le``).
 Each subcommand takes only the options its handler reads (``_COMMANDS``); an
 option of another subcommand is a usage error, and so is one that only
 another branch of the handler reads (``_BRANCHES``: the formula of
-``bounds``, the kind of ``probe``, the operator of ``spectrum``, the suite
-of ``verify``, the suites of ``report``).  The suite table ``_SUITES`` is
-the one list of the options each suite reads: ``verify`` records exactly
-those, with the values the suite ran on, and ``report`` takes those of the
-suites it runs and refuses an unknown suite before running any.  ``--seq``,
+``bounds``, the operator of ``spectrum``, the suite of ``verify``, the
+suites of ``report``).  The suite table ``_SUITES`` is the one list of the
+options each suite reads: ``verify`` records exactly those, with the values
+the suite ran on, and ``report`` takes those of the suites it runs and
+refuses an unknown suite before running any.  ``--seq``,
 ``--measure`` and ``--coeffs`` take a spec string or ``file:path``; a spec
 string is shorthand for the JSON description one builder reads and checks
 (``*_from_obj``).  ``--format csv`` exists on moments, dnp and example.
@@ -445,13 +445,29 @@ def suite_diagonal(seq, measure, N, seed, tol, store) -> list[dict]:
 
 
 def suite_blocksum(seq, p) -> list[dict]:
-    checks = []
-    lengths = [2 ** k for k in range(len(seq).bit_length())]  # 1, 2, 4, ... <= len(seq)
-    ratios = [lpnorm.amgm_probe(seq, p, 0, length).ratio for length in lengths]
-    growing = all(b >= a * 0.99 for a, b in zip(ratios, ratios[1:])) and ratios[-1] > ratios[0] * 2
-    checks.append(check("block-lower-bound-growth", "lpnorm.amgm_probe", "EVIDENCE",
-                        lengths=lengths, ratios=ratios,
-                        trend="growing" if growing else "bounded"))
+    # Each row is a block indicator 1_[0,n), n = 1, 2, 4, ... <= len(seq), as the
+    # coefficients a_j = q_j**(-1/p), q_j = p lam_j + 1, of the normalized monomials
+    # q_j**(1/p) t**lam_j.  Its ratio ||J a||_p / ||a||_p, with ||a||_p**p = sum_{j<n}
+    # 1 / q_j, is at most ||J_Lambda||, which Props 3.2 and 3.3 bound by
+    # jlambda_upper(p, r) for r the smallest q_{j+1} / q_j of the rows' prefix: a FAIL
+    # is a counterexample.  The norms are one node-route call; Lebesgue() would take
+    # the float panels, which refuse p * lam from 2**46 on.
+    lengths = [2 ** k for k in range(len(seq).bit_length())]
+    rows = (np.arange(lengths[-1]) < np.array(lengths)[:, None]).astype(float)
+    log_norms = lpnorm.log_lp_norms(seq, rows, measures_mod.DensityMeasure(), p)
+    q = p * np.array(seq.exponents[:lengths[-1]]) + 1.0
+    log_coeff = np.logaddexp.accumulate(-np.log(q))[np.array(lengths) - 1] / p
+    log_ratios = log_norms - log_coeff
+    ratios = [materialize(v) for v in log_ratios.tolist()]
+    checks = [check("block-indicator-ratios", "lpnorm.log_lp_norms", "EVIDENCE",
+                    lengths=lengths, ratios=ratios)]
+    if len(q) > 1:
+        r = float(np.min(q[1:] / q[:-1]))
+        # r is 1 where q_j rounds to q_{j+1} (lam of 1e-17), and the bound tends to inf
+        bound = bounds_mod.jlambda_upper(p, r).upper_bound if r > 1.0 else math.inf
+        status, note = _decide(log_ratios, math.log(bound), "<=", 1e-9)
+        checks.append(check("block-ratios-below-jlambda", "bounds.jlambda_upper", status,
+                            max_ratio=max(ratios), bound=bound, min_shifted_ratio=r, **note))
     return checks
 
 
@@ -604,7 +620,7 @@ _SUITES = {
     # singular values vs rearranged D profile (p = 2)
     "diagonal-domination": (suite_diagonal,
                             _reads("--seq", "--measure", "--N", "--seed", "--tol")),
-    "blocksum-probe": (suite_blocksum, _reads("--seq", "--p")),  # block lower-bound growth
+    "blocksum-probe": (suite_blocksum, _reads("--seq", "--p")),  # block ratios vs ||J_Lambda||
     # monomial test, sublinear norm, embedding norms; the spectra (and --N)
     # only when 2 is among p or q
     "carleson": (suite_carleson, _reads("--seq", "--measure", "--p", "--q", "--N", "--tol")),
@@ -687,12 +703,10 @@ def _cmd_bounds(args) -> int:
         q = [args.r ** k for k in range(args.count)]
         res = bounds_mod.lemma31_bound(args.p, args.alpha, q, args.r)
         formula, value = "crossterm", {"lhs": res.lhs, "rhs": res.rhs}
-    elif formula == "envelope":
+    else:  # envelope
         br = bounds_mod.envelope_check(parse_sequence(args.seq), args.alpha)
         value = {"ratio_min": br.ratio_min, "ratio_max": br.ratio_max,
                  "log_ratio_min": br.log_ratio_min, "log_ratio_max": br.log_ratio_max}
-    else:  # point_eval
-        value = bounds_mod.point_eval_norm(parse_sequence(args.seq), args.p, args.t)
     _emit({"command": "bounds", "formula": formula, "inputs": _recorded_inputs("bounds", args),
            "value": value},
           args, "bounds")
@@ -715,17 +729,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    seq = parse_sequence(args.seq)
-    if args.kind == "gm":
-        res = lpnorm.gm_ratio_sample(seq, args.p, trials=args.trials, seed=args.seed)
-        payload = {"kind": "gm", "min_ratio": res.min_ratio, "max_ratio": res.max_ratio,
-                   "trials": res.trials}
-    else:
-        probe = lpnorm.amgm_probe(seq, args.p, args.block_start, args.block_len)
-        payload = {"kind": "amgm", "norm_lower_bound": probe.norm_lower_bound,
-                   "coeff_norm": probe.coeff_norm, "ratio": probe.ratio,
-                   "note": "growth along widening blocks is evidence of unboundedness, not proof"}
-    _emit({"command": "probe", "inputs": _recorded_inputs("probe", args), **payload},
+    res = lpnorm.gm_ratio_sample(parse_sequence(args.seq), args.p, trials=args.trials,
+                                 seed=args.seed)
+    _emit({"command": "probe", "inputs": _recorded_inputs("probe", args),
+           "min_ratio": res.min_ratio, "max_ratio": res.max_ratio, "trials": res.trials},
           args, "probe")
     return 0
 
@@ -868,15 +875,11 @@ _OPTIONS = {
                         help="also greedily split into r-lacunary parts"),
     "--weight": dict(choices=("inverse_lambda", "classical"), default="inverse_lambda"),
     "--formula": dict(required=True,
-                      choices=("jlambda", "lemma31", "r_epsilon", "envelope", "point_eval")),
+                      choices=("jlambda", "lemma31", "r_epsilon", "envelope")),
     "--r": dict(type=_finite, default=2.0),
     "--alpha": dict(type=_finite, default=1.0),
-    "--t": dict(type=_finite, default=0.5),
     "--coeffs": dict(default="1", help="c0,c1,... | file:path holding c0,c1,..."),
-    "--kind": dict(choices=("gm", "amgm"), default="gm"),
     "--trials": dict(type=int, default=100),
-    "--block-start": dict(type=int, default=0),
-    "--block-len": dict(type=int, default=4),
     "--operator": dict(choices=("embedding", "synthesis", "frame"), default="embedding"),
     "--label": dict(choices=("A", "B"), required=True),
     "--suite": dict(required=True, choices=SUITE_IDS),
@@ -897,7 +900,7 @@ _COMMANDS = (
     ("bounds", "closed-form constants and brackets", _cmd_bounds, ("--out", "--formula")),
     ("norm", "L^p(mu) norm of a coefficient vector", _cmd_norm,
      ("--seq", "--measure", "--p", "--out", "--coeffs")),
-    ("probe", "ratio sampling and block probes", _cmd_probe, ("--seq", "--p", "--out", "--kind")),
+    ("probe", "ratio sampling", _cmd_probe, ("--seq", "--p", "--out", "--seed", "--trials")),
     ("spectrum", "truncated operator spectra (p=2)", _cmd_spectrum,
      ("--seq", "--N", "--out", "--operator")),
     ("example", "extremal constructions A and B", _cmd_example,
@@ -917,10 +920,7 @@ _BRANCHES = {
     "bounds": ("--formula", {"jlambda": ("--p", "--r"),
                              "lemma31": ("--p", "--alpha", "--r", "--count"),
                              "r_epsilon": ("--p", "--eps"),
-                             "envelope": ("--seq", "--alpha"),
-                             "point_eval": ("--seq", "--p", "--t")}),
-    "probe": ("--kind", {"gm": ("--seed", "--trials"),
-                         "amgm": ("--block-start", "--block-len")}),
+                             "envelope": ("--seq", "--alpha")}),
     "spectrum": ("--operator", {"frame": (),
                                 "embedding": ("--measure",),
                                 "synthesis": ("--measure", "--tol")}),

@@ -253,47 +253,6 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
                         (float(ratios[:n_count].min()), float(ratios[:n_count].max())))
 
 
-@dataclass(frozen=True)
-class AmgmProbe:
-    """Block-indicator lower bound for the synthesis norm.
-
-    norm_lower_bound bounds ||J(1_A)||_p^p from below via the AM-GM
-    inequality; ratio = norm_lower_bound^{1/p} / coeff_norm.  Along
-    sequences that are not quasi-lacunary the ratio grows without bound as
-    the block length grows; finite blocks only ever exhibit the trend.
-    """
-
-    block: tuple[int, int]
-    norm_lower_bound: float
-    coeff_norm: float
-    ratio: float
-
-
-def amgm_probe(seq: ExponentSequence, p: float, block_start: int, block_len: int) -> AmgmProbe:
-    """The AM-GM bound n**(p+1) / sum_j q_j of a block of n terms, q_j = p lam_j + 1,
-    against the coefficient norm (sum_j 1/q_j)**(1/p).
-
-    All three are formed from logs: log q_j is log p + log lam_j where p lam_j
-    overflows, and the bound is (p + 1) log n - log sum_j q_j, so a bound past
-    the float range reads inf while the ratio, at most n**(1 - 1/p) by
-    Cauchy-Schwarz, stays finite.
-    """
-    _check_p(p)
-    if block_len < 1 or block_start < 0 or block_start + block_len > len(seq):
-        raise ValueError("block out of range")
-    lams = seq.exponents[block_start:block_start + block_len]
-    log_q = np.array([math.log(p * lam + 1.0) if math.isfinite(p * lam)
-                      else math.log(p) + math.log(lam) for lam in lams])
-    log_lower = (p + 1.0) * math.log(block_len) - logsumexp(log_q)
-    log_coeff = logsumexp(-log_q) / p
-    return AmgmProbe(
-        block=(block_start, block_len),
-        norm_lower_bound=materialize(log_lower),
-        coeff_norm=materialize(log_coeff),
-        ratio=materialize(log_lower / p - log_coeff),
-    )
-
-
 def pairing_integral(seq: ExponentSequence, p: float, n: int) -> tuple[float, float]:
     """Exact normalized pairing of adjacent monomials and its lower bound.
 

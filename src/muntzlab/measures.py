@@ -18,8 +18,8 @@ p * lam_max toward t = 1 and graded toward t = 0 by one rule
 (``_grading_power``): the smallest non-integer s among p * lam_j and
 lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (the moments of a uniform density,
-the tail mass and Poisson integral of every density) stay as the exact
-special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
+the tail mass, sublinear sup and Poisson integral of every density) stay as
+the exact special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
 L^p norms, deepens its dyadic panels toward t = 1 pass by pass until the
 closing panel is negligible or two passes agree, and refuses exponents past
 its float panels' edge u = 2**-53 itself.
@@ -370,15 +370,20 @@ def restrict(mu: Measure, a: float, b: float) -> Measure:
     return DensityMeasure(mu.scale, mu.alpha, lo, hi)
 
 
-def _power_factor(e: float, b: float, log_hi: float) -> float:
-    """(1 - r**e) / e, r = (1 - b) / hi given log hi: times hi**e, the integral of
-    u**(e - 1) du over u in [1 - b, hi), where it converges (e > 0 at b = 1).
-    log r is log1p(-b) - log hi, so a b near 0 keeps its digits; 0 where r >= 1."""
+def _power_factor(e: float, b: float, log_hi: float) -> tuple[float, float]:
+    """(1 - r**e) / e as a pair (num, den) of floats >= 0, r = (1 - b) / hi given
+    log hi: times hi**e, the integral of u**(e - 1) du over u in [1 - b, hi), where
+    it converges (e > 0 at b = 1).  log r is log1p(-b) - log hi, so a b near 0
+    keeps its digits; (0, 1) where r >= 1.  The pair keeps 1 / e out of floats,
+    where it overflows at a subnormal e, so the caller may take num / den or the
+    difference of their logs."""
     log_r = math.log1p(-b) - log_hi if b < 1.0 else -math.inf
     if not log_r < 0.0:
-        return 0.0
+        return 0.0, 1.0
     x = e * log_r  # log r**e; -log r is the limit at x = 0
-    return -math.expm1(x) / e if x else -log_r
+    if not x:
+        return -log_r, 1.0
+    return (-math.expm1(x), e) if e > 0.0 else (math.expm1(x), -e)
 
 
 def tail_mass(mu: Measure, eps: float) -> float:
@@ -391,10 +396,11 @@ def tail_mass(mu: Measure, eps: float) -> float:
         return float(mu._masses[mu._deltas <= eps].sum())
     e = mu.alpha + 1.0
     hi, log_hi = (eps, math.log(eps)) if eps < 1.0 - mu.a else (1.0 - mu.a, math.log1p(-mu.a))
-    return mu.scale * hi ** e * _power_factor(e, mu.b, log_hi)
+    num, den = _power_factor(e, mu.b, log_hi)
+    return mu.scale * hi ** e * (num / den)
 
 
-# the eps of every vanishing profile: 1, 1/2, ..., 2**-40
+# the eps of every vanishing profile (and of nothing else): 1, 1/2, ..., 2**-40
 _EPS_GRID = tuple(2.0 ** -k for k in range(41))
 
 
@@ -403,10 +409,8 @@ class SublinearReport:
     """sup over eps of mu([1-eps,1)) / eps, with the profile behind it.
 
     ``vanishing_profile`` holds (eps, mu([1-eps,1)) / eps) at eps = 2**-k,
-    k = 0..40.  ``exact`` is True for atomic measures, where the supremum is
-    attained at an atom's delta and enumerated exactly; otherwise the
-    reported norm is the maximum over that grid, a lower bound for the true
-    supremum.
+    k = 0..40.  The norm is exact on every measure (``_sublinear_sup``), so
+    ``exact`` is always True; it is inf on a density that is not sublinear.
     """
 
     norm_s: float
@@ -420,11 +424,16 @@ def _sublinear_sup(mu: Measure, lo: float, hi: float) -> tuple[float, float]:
 
     For atoms the ratio falls between deltas, so it is taken at lo (when
     positive) and at the deltas in the window, on one compensated running
-    tail in order of delta: exact.  Otherwise it is taken at the
-    ``_EPS_GRID`` points in the window, then at hi and lo (when positive),
-    the first of equal ratios winning: exact for the densities on [0, 1),
-    where the ratio is monotone in eps, and a lower bound for a density on a
-    shorter interval.
+    tail in order of delta: exact.  For the density scale * u**alpha on
+    [a, b), with c = 1 - b and e = alpha + 1, the ratio is 0 up to eps = c,
+    then scale * (eps**e - c**e) / (e eps) up to eps = 1 - a, then the whole
+    mass over eps, falling.  The middle piece has the derivative sign of
+    alpha eps**e + c**e: it rises for alpha >= 0, and for alpha < 0 it rises
+    up to eps* = c (-1/alpha)**(1/e) and falls past it, so at c = 0 it falls
+    from inf, the sup of a window reaching eps = 0.  The ratio thus rises and
+    then falls, and its sup over the window is its largest value at hi, 1 - a,
+    lo (when positive) and eps*, those of them in the window, the first of
+    equal ratios winning (so 1 for Lebesgue measure, at eps = 1).
     """
     if isinstance(mu, AtomicMeasure):
         # a massless stop at lo, after the atoms at lo, reads the tail there
@@ -438,24 +447,29 @@ def _sublinear_sup(mu: Measure, lo: float, hi: float) -> tuple[float, float]:
             if delta >= lo and running.total / delta > best:
                 best, best_eps = running.total / delta, delta
         return best, best_eps
-    eps = [e for e in _EPS_GRID if lo <= e <= hi] + [e for e in (hi, lo) if e > 0.0]
-    ratio, best_eps = max(((tail_mass(mu, e) / e, e) for e in eps), key=lambda pair: pair[0])
-    return ratio, best_eps
+    if mu.alpha < 0.0 and mu.b == 1.0 and lo == 0.0:
+        return math.inf, 0.0
+    eps = [hi, 1.0 - mu.a, lo]
+    if mu.alpha < 0.0 and mu.b < 1.0:
+        log_peak = math.log1p(-mu.b) - math.log(-mu.alpha) / (mu.alpha + 1.0)  # log eps*
+        if log_peak < 0.0:  # else eps* > 1, outside every window
+            eps.append(math.exp(log_peak))
+    return max(((tail_mass(mu, e) / e, e) for e in eps if lo <= e <= hi and e > 0.0),
+               key=lambda pair: pair[0])
 
 
 def sublinear_norm(mu: Measure) -> SublinearReport:
     """The sublinear norm of mu and its vanishing profile (``SublinearReport``)."""
     profile = tuple((e, tail_mass(mu, e) / e) for e in _EPS_GRID)
     norm_s, attaining = _sublinear_sup(mu, 0.0, 1.0)
-    return SublinearReport(norm_s, attaining, profile, isinstance(mu, AtomicMeasure))
+    return SublinearReport(norm_s, attaining, profile, True)
 
 
 def windowed_sublinear_sup(mu: Measure, lo: float, hi: float) -> float:
     """sup of mu([1-eps,1)) / eps over eps in [lo, hi], 0 <= lo <= hi <= 1.
 
     The routine behind ``sublinear_norm``, so over [0, 1] it is norm_s to
-    the last bit: exact for atoms and the densities on [0, 1), a lower bound
-    for a density on a shorter interval.
+    the last bit, and exact on every measure.
     """
     if not 0.0 <= lo <= hi <= 1.0 or hi == 0.0:
         raise ValueError(f"window needs 0 <= lo <= hi <= 1 and hi > 0, got [{lo}, {hi}]")
@@ -482,8 +496,9 @@ def poisson_integral(mu: Measure) -> PoissonResult:
     if mu.b == 1.0 and mu.alpha <= 0.0:
         return PoissonResult(None, True)
     log_hi = math.log1p(-mu.a)
-    factor = _power_factor(mu.alpha, mu.b, log_hi)  # 0 on an interval empty in floats
-    log_val = math.log(mu.scale) + mu.alpha * log_hi + (math.log(factor) if factor else -math.inf)
+    num, den = _power_factor(mu.alpha, mu.b, log_hi)  # 0 on an interval empty in floats
+    log_val = math.log(mu.scale) + mu.alpha * log_hi + (
+        math.log(num) - math.log(den) if num else -math.inf)
     return PoissonResult(LogValue.from_log(log_val), False)
 
 

@@ -3,8 +3,8 @@ import math
 import mpmath
 import pytest
 
-from muntzlab.bounds import (conjugate, envelope_check, jlambda_upper,
-                             lemma31_bound, point_eval_norm, r_epsilon)
+from muntzlab.bounds import conjugate, envelope_check, jlambda_upper, lemma31_bound, r_epsilon
+from muntzlab.hilbert import frame_bounds
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
 GEO50 = generate_geometric(1, 2, 50)
@@ -106,6 +106,19 @@ class TestJlambdaUpper:
         with pytest.raises(ValueError):
             jlambda_upper(2.0, 1.0)
 
+    @pytest.mark.parametrize("lambda0, ratio, count, share", [
+        (1, 2, 16, 0.715), (1, 4, 16, 0.811), (1, 1.5, 32, 0.705), (1, 16, 12, 0.900),
+        (0.01, 2, 16, 0.157), (1, 1.2, 17, 0.488), (1, 100, 8, 0.953), (1, 1e4, 8, 0.995)])
+    def test_exact_p2_norm_below_the_bound(self, lambda0, ratio, count, share):
+        # Props 3.2 and 3.3 at p = 2 against the exact synthesis norm of the prefix,
+        # sigma_max of its normalized Gram (Cholesky and SVD), r its smallest
+        # shifted ratio q_{n+1} / q_n, q_n = 2 lam_n + 1
+        seq = generate_geometric(lambda0, ratio, count)
+        q = [2.0 * lam + 1.0 for lam in seq]
+        r = min(b / a for a, b in zip(q, q[1:]))
+        got = frame_bounds(seq, count).sigma_max / jlambda_upper(2.0, r).upper_bound
+        assert got <= 1.0 and got == pytest.approx(share, abs=5e-4)
+
 
 class TestREpsilon:
     def test_plug_in_values(self):
@@ -188,34 +201,3 @@ class TestEnvelope:
             math.fsum(4.0 ** n * 0.5 ** (1e-300 * 2.0 ** n) for n in range(16)) / 4.0)
         assert br.log_ratio_min == br.log_ratio_max == pytest.approx(want, rel=1e-14)
 
-
-class TestPointEval:
-    def test_series_value(self):
-        got = point_eval_norm(GEO50, 2.0, 0.5)
-        assert got == pytest.approx(0.625097651601564, rel=1e-12)
-
-    def test_single_exponent_exact(self):
-        seq = ExponentSequence((5.0,))
-        assert point_eval_norm(seq, 2.0, 0.5) == pytest.approx(
-            math.sqrt(5.0) * 0.5 ** 5, rel=1e-14)
-
-    def test_bracket_against_singularity_scale(self):
-        # surrogate * (1-t)^{1/p} stays in a fixed band along t -> 1
-        for p in (1.5, 2.0, 4.0):
-            vals = []
-            for j in range(1, 31):
-                t = 1.0 - 2.0 ** -j
-                vals.append(point_eval_norm(GEO50, p, t) * (1.0 - t) ** (1.0 / p))
-            assert max(vals) / min(vals) < 10.0
-
-    def test_p1_sup_form(self):
-        got = point_eval_norm(GEO50, 1.0, 0.5)
-        expect = max(l * 0.5 ** l for l in GEO50)
-        assert got == pytest.approx(expect, rel=1e-13)
-
-    def test_t_zero(self):
-        assert point_eval_norm(GEO50, 2.0, 0.0) == 0.0
-
-    def test_rejects_t_one(self):
-        with pytest.raises(ValueError):
-            point_eval_norm(GEO50, 2.0, 1.0)

@@ -26,6 +26,7 @@ from muntzlab import examples as examples_mod
 from muntzlab import hilbert
 from muntzlab import lpnorm
 from muntzlab import measures as measures_mod
+from muntzlab import sequences as sequences_mod
 from muntzlab.cli import SUITE_IDS, build_parser, run
 from test_lpnorm import lp_norm, uniform_draws
 
@@ -140,9 +141,9 @@ OPTIONS = {
     "classify": {"seq", "decompose", "out"},
     "moments": {"seq", "measure", "p", "out", "format"},
     "dnp": {"seq", "measure", "p", "N", "tol", "out", "format", "weight"},
-    "bounds": {"seq", "p", "eps", "count", "out", "formula", "r", "alpha", "t"},
+    "bounds": {"seq", "p", "eps", "count", "out", "formula", "r", "alpha"},
     "norm": {"seq", "measure", "p", "out", "coeffs"},
-    "probe": {"seq", "p", "seed", "out", "kind", "trials", "block_start", "block_len"},
+    "probe": {"seq", "p", "seed", "out", "trials"},
     "spectrum": {"seq", "measure", "N", "tol", "out", "operator"},
     "example": {"p", "q", "tol", "count", "out", "format", "label"},
     "verify": _SUITE_OPTIONS | {"suite"},
@@ -155,10 +156,9 @@ _READERS = {
     "classify": [["--decompose", "2"], ["--seq", "recursive:1,2,1,8"]],
     "moments": [[], ["--measure", "atoms:0.5:1,0.1:0.5,0.001:0.25"]],
     "dnp": [["--N", "4"]],
-    "bounds": [["--formula", f] for f in ("jlambda", "lemma31", "r_epsilon", "envelope",
-                                          "point_eval")],
+    "bounds": [["--formula", f] for f in ("jlambda", "lemma31", "r_epsilon", "envelope")],
     "norm": [[]],
-    "probe": [["--trials", "3"], ["--kind", "amgm"]],
+    "probe": [["--trials", "3"]],
     "spectrum": [["--operator", "synthesis", "--N", "4"]],
     "example": [["--label", "A", "--count", "12"]],
     "verify": [["--suite", suite] for suite in SUITE_IDS],
@@ -190,14 +190,15 @@ def test_each_subcommand_accepts_exactly_the_options_its_handler_reads(tmp_path,
             read |= rec.read
         assert set(vars(ns)) - {"cmd", "fn"} == OPTIONS[cmd] == read, cmd
     capsys.readouterr()
-    assert sum(len(v) for v in OPTIONS.values()) == 75
+    assert sum(len(v) for v in OPTIONS.values()) == 71
 
 
 @pytest.mark.parametrize("argv", [
     ["probe", "--measure", "atoms:0.5:1"],  # probe samples Lebesgue norms only
     ["spectrum", "--p", "3"],               # spectra are p = 2
     ["classify", "--format", "csv"],        # classify writes JSON only
-], ids=["probe-measure", "spectrum-p", "classify-format"])
+    ["probe", "--block-len", "8"],          # probe samples ratios only
+], ids=["probe-measure", "spectrum-p", "classify-format", "probe-block-len"])
 def test_option_the_handler_would_ignore_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -210,11 +211,8 @@ def test_option_the_handler_would_ignore_is_a_usage_error(argv, capsys):
     ["spectrum", "--operator", "embedding", "--tol", "1e-6"],
     ["bounds", "--formula", "jlambda", "--seq", "explicit:1,2"],
     ["bounds", "--formula", "envelope", "--p", "3"],
-    ["probe", "--kind", "amgm", "--seed", "3"],
-    ["probe", "--kind", "amgm", "--trials", "3"],
-    ["probe", "--block-len", "8"],
 ], ids=["spectrum-frame-measure", "spectrum-embedding-tol", "bounds-jlambda-seq",
-        "bounds-envelope-p", "probe-amgm-seed", "probe-amgm-trials", "probe-gm-block-len"])
+        "bounds-envelope-p"])
 def test_option_another_branch_reads_is_a_usage_error(argv, capsys):
     # each used to print what the command prints without the option
     with pytest.raises(SystemExit) as exc:
@@ -302,7 +300,7 @@ SUITE_CHECKS = {
                             "hilbert-schmidt-equals-trace", "schatten-bound-r=1",
                             "schatten-bound-r=2", "schatten-bound-r=4",
                             "random-vector-domination"],
-    "blocksum-probe": ["block-lower-bound-growth"],
+    "blocksum-probe": ["block-indicator-ratios", "block-ratios-below-jlambda"],
     "carleson": ["monomial-test-constant", "sublinear-norm", "sublinear-vs-monomial-test",
                  "synthesis-norm-below-sup-profile", "embedding-norm"],
     "compact": ["monomial-test-decay", "vanishing-profile", "restriction-spectrum-trend",
@@ -474,17 +472,74 @@ def test_negative_seed_exits_2(argv, capsys):
     assert out == "" and err == "error: seed must be >= 0, got -1\n"
 
 
-def _mp_block_ratios(p: int, count: int):
-    """The blocksum suite's ratios on geometric:1,2,count, in mpmath:
-    (n**(p+1) / (sum_j q_j sum_j 1/q_j))**(1/p) over the first n = 1, 2, 4, ...
-    terms, q_j = p 2**j + 1."""
-    with mpmath.workdps(40):
-        q = [p * mpmath.mpf(2) ** j + 1 for j in range(count)]
-        lengths = [2 ** k for k in range(count.bit_length())]
-        want = [float(mpmath.root(mpmath.mpf(n) ** (p + 1)
-                                  / (mpmath.fsum(q[:n]) * mpmath.fsum(1 / v for v in q[:n])), p))
-                for n in lengths]
-    return pytest.approx(want, rel=1e-12)
+@functools.cache
+def _mp_block_ratios(spec: str, p: float) -> list[float]:
+    """The blocksum suite's ratios, in mpmath: ||sum_{j<n} t**lam_j||_p over
+    (sum_{j<n} 1 / q_j)**(1/p), q_j = p lam_j + 1, for n = 1, 2, 4, ... <= len(seq).
+    At p = 2 and 3 the p-th power of the norm is the sum of 1 / (lam_j + lam_k + 1)
+    (+ lam_l) over the block; at other p it is mpmath's quad on the panels split at
+    t = 1 - 2**-k, down to 2**-4 / (p lam) for the block's largest lam."""
+    seq = cli.parse_sequence(spec)
+    lengths = [2 ** k for k in range(len(seq).bit_length())]
+    depth = int(math.log2(p * seq[lengths[-1] - 1])) + 4
+    ratios = []
+    with mpmath.workdps(20):
+        lam = [mpmath.mpf(v) for v in seq.exponents]
+        edges = [0] + [1 - mpmath.mpf(2) ** -k for k in range(1, depth)] + [1]
+        for n in lengths:
+            block = lam[:n]
+            if p in (2.0, 3.0):
+                power = mpmath.fsum(1 / (sum(c) + 1)
+                                    for c in itertools.product(block, repeat=int(p)))
+            else:
+                power = mpmath.quad(lambda t: mpmath.fsum(t ** v for v in block) ** p, edges)
+            coeff = mpmath.fsum(1 / (p * v + 1) for v in block)
+            ratios.append(float((power / coeff) ** (1 / mpmath.mpf(p))))
+    return ratios
+
+
+def _blocksum(spec: str, p: float) -> dict:
+    """The blocksum suite's checks on a sequence spec, by name."""
+    return {c["name"]: {"status": c["status"], **c["data"]}
+            for c in cli.suite_blocksum(cli.parse_sequence(spec), p)}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("spec", ["geometric:1,2,16", "geometric:1,1.2,40", "geometric:0.01,2,16"])
+def test_block_ratios_are_exact(spec, p):
+    # the node norms against the exact sums (p = 2, 3) and mpmath's quad (p = 1.5)
+    checks = _blocksum(spec, p)
+    want = _mp_block_ratios(spec, p)
+    rel = 1e-12 if p == 1.5 else 1e-13
+    assert checks["block-indicator-ratios"]["ratios"] == pytest.approx(want, rel=rel, abs=0.0)
+    assert checks["block-ratios-below-jlambda"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("lambda0, ratio, count", [
+    (1, 2, 16), (1, 4, 16), (1, 1.5, 32), (1, 16, 12), (0.01, 2, 16), (1, 1.2, 17), (1, 100, 8),
+    (1, 1e4, 8)])
+def test_block_ratios_below_the_frame_norm(lambda0, ratio, count):
+    # at p = 2 each block ratio is a Rayleigh quotient of the normalized Gram of the
+    # rows' prefix, so at most its sigma_max: node norms against Cholesky and SVD
+    seq = sequences_mod.generate_geometric(lambda0, ratio, count)
+    checks = {c["name"]: c["data"] for c in cli.suite_blocksum(seq, 2.0)}
+    lengths, ratios = checks["block-indicator-ratios"].values()
+    assert max(ratios) <= hilbert.frame_bounds(seq, lengths[-1]).sigma_max * (1.0 + 1e-12)
+
+
+def test_block_ratios_grow_off_lacunarity():
+    # on 1, 2, ..., 64 every block has a larger ratio than the one before it; the
+    # bound of the shifted ratio 129/127 is still far above them
+    checks = _blocksum("explicit:" + ",".join(str(k) for k in range(1, 65)), 2.0)
+    ratios = checks["block-indicator-ratios"]["ratios"]
+    assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] == pytest.approx(6.2606, rel=1e-4)
+    assert checks["block-ratios-below-jlambda"]["bound"] == pytest.approx(22.605, rel=1e-4)
+
+
+def test_block_ratios_of_one_exponent_decide_nothing():
+    # one exponent has no shifted ratio, so no bound
+    assert list(_blocksum("explicit:3", 2.0)) == ["block-indicator-ratios"]
 
 
 # Inputs past the float range: r_epsilon and construction B's exponents overflow
@@ -612,16 +667,25 @@ _EXTREME_INPUTS = {
     "norm-p=400-alternating": (["norm", "--seq", "geometric:1,2,16", "--p", "400",
                                 "--coeffs", ",".join(["1", "-1"] * 8)], 0,
                                {"value": pytest.approx(0.49420943699423026, rel=1e-12)}),
-    # n**(p + 1) and p * lam overflow; each ratio, at most n**(1 - 1/p), does not
+    # p lam reaches 1.8e21 and |f|**p spans 200 * 63 log 2 in logs; the ratios are
+    # _mp_block_ratios's quad at p = 200 (about 2.5 min, so kept as numbers here)
     "blocksum-p=200": (["verify", "--suite", "blocksum-probe", "--seq", "geometric:1,2,64",
                         "--p", "200"], 0,
-                       {"block-lower-bound-growth": {"ratios": _mp_block_ratios(200, 64),
-                                                     "trend": "growing"}}),
+                       {"block-indicator-ratios": {"ratios": pytest.approx([
+                           1.0, 1.9919208747052908, 3.9612765535425534, 7.83612807934151,
+                           15.297087593516437, 29.04859104960774, 52.196341853926], rel=1e-12)},
+                        "block-ratios-below-jlambda": {"status": "PASS"}}),
+    # p lam + 1 is 1.0 for both exponents, so the shifted ratio r is 1 and the bound,
+    # which tends to inf as r -> 1, decides nothing
+    "blocksum-shifted-ratio-of-1": (["verify", "--suite", "blocksum-probe",
+                                     "--seq", "explicit:1e-17,2e-17"], 0,
+                                    {"block-ratios-below-jlambda": {
+                                        "status": "EVIDENCE", "bound": "inf",
+                                        "min_shifted_ratio": 1.0}}),
+    # p * lam passes the float range: every node norm refuses it
     "blocksum-lam-past-1e306": (["verify", "--suite", "blocksum-probe",
-                                 "--seq", "geometric:1,2,1024", "--p", "120"], 0,
-                                {"block-lower-bound-growth": {
-                                    "ratios": _mp_block_ratios(120, 1024),
-                                    "trend": "bounded"}}),
+                                 "--seq", "geometric:1,2,1024", "--p", "120"], 2,
+                                ("p * lam beyond the float range",)),
     # every atom at t = 0: every moment, D_n and singular value is 0, so the
     # embedding norm has no ratio to sup D_n(2) (it divided by 0)
     "carleson-every-atom-at-t=0": (["verify", "--suite", "carleson", "--seq", "geometric:1,2,4",
@@ -629,6 +693,23 @@ _EXTREME_INPUTS = {
                                    {"synthesis-norm-below-sup-profile": {
                                        "status": "PASS", "sigma_max": 0.0, "sup_profile": 0.0},
                                     "embedding-norm": {"ratio_to_sup_profile": None}}),
+    # 1 / alpha overflows at a subnormal alpha; the Poisson integral scale / alpha does not
+    # (its log is a sum of logs near -700, each rounded to 1.1e-13)
+    "compact-subnormal-alpha": (["verify", "--suite", "compact", "--measure", {
+        "kind": "density", "name": "oneminus_power", "params": {"alpha": 1e-310, "scale": 1e-300}}],
+        0, {"order-boundedness-integral": {"value": pytest.approx(
+            float(mpmath.mpf(1e-300) / mpmath.mpf(1e-310)), rel=1e-12)}}),
+    # (1 - t)**-0.5 has tail / eps = 2 eps**-0.5, unbounded as eps -> 0: norm_s is inf
+    # (it read 2**21, the ratio at the grid's last eps = 2**-40, and the check PASS);
+    # in the window [2**-64, 1/2] the sup is at 2**-64, 2**33, within the bound
+    "carleson-not-sublinear": (["verify", "--suite", "carleson", "--seq", "geometric:1,2,64",
+                                "--measure", {"kind": "density", "name": "oneminus_power",
+                                              "params": {"alpha": -0.5}}], 0,
+                               {"sublinear-norm": {"norm_s": "inf", "attained_at": 0.0,
+                                                   "exact": True},
+                                "sublinear-vs-monomial-test": {"status": "EVIDENCE",
+                                                               "norm_s": "inf",
+                                                               "window_sup": 2.0 ** 33}}),
     # one exponent has no adjacent pair and no shifted ratio
     "pairing-one-exponent": (["verify", "--suite", "pairing-dichotomy", "--seq", "explicit:1"],
                              2, ("pairing-dichotomy needs at least two exponents, got 1",)),
@@ -657,9 +738,22 @@ def _fields(report: dict) -> dict:
     return fields
 
 
+def _written(argv, tmp_path):
+    """argv with each description object in it written to a file, as its file: spelling."""
+    spelled = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"input-{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = f"file:{path}"
+        spelled.append(arg)
+    return spelled
+
+
 @pytest.mark.parametrize("case", list(_EXTREME_INPUTS))
-def test_extreme_inputs_exit_with_a_message(case, capsys):
+def test_extreme_inputs_exit_with_a_message(case, tmp_path, capsys):
     argv, want, data = _EXTREME_INPUTS[case]
+    argv = _written(argv, tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(argv)
@@ -818,6 +912,13 @@ def _returning(move):
 _NORMS_TIMES_1000 = (lpnorm, "log_lp_norms", _returning(lambda logs: logs + math.log(1000.0)))
 
 
+def _bound_below_the_largest_block_ratio(real):
+    """A patch of bounds.jlambda_upper: the bound 0.99 times the largest block ratio
+    of SMALL's sequence at p = 2, found with the real bound in place."""
+    top = max(cli.suite_blocksum(cli.parse_sequence(SMALL["seq"]), 2.0)[0]["data"]["ratios"])
+    return lambda p, r: dataclasses.replace(real(p, r), upper_bound=0.99 * top)
+
+
 # One way to FAIL for every check that can read PASS or FAIL, by name with
 # each =value folded to =*: suite, option values for _small, and patches
 # (module, attribute, patch(real function)).  A patch moves the one library
@@ -862,6 +963,8 @@ _FAIL_ROUTES = {
     "synthesis-hs-below-profile-l2": ("hs", {}, [
         (hilbert, "t_mu_spectrum", _synthesis_scaled(lambda spec, seq, mu: math.sqrt(
             math.fsum(d * d for d in _profile2(seq, mu)) * (1.0 + 3e-9)) / spec.schatten[2.0]))]),
+    "block-ratios-below-jlambda": ("blocksum-probe", {}, [
+        (bounds_mod, "jlambda_upper", _bound_below_the_largest_block_ratio)]),
     # every n * (1 - delta_n)**lam_n just past the band 1 +- 0.05
     "atom-power-approaches-1-over-n": ("ex-a", {}, [
         (examples_mod, "atom_power_products", _returning(lambda v: (1.05 + 1e-9,) * len(v)))]),

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab import lpnorm, measures
 from muntzlab.logdomain import NeumaierSum, logsumexp, materialize, signed_logsumexp
-from muntzlab.lpnorm import (_log_pth_power, _node_log_norms, amgm_probe, gm_ratio_sample,
-                             l2_norm_gram, log_lp_norms, pairing_integral)
+from muntzlab.lpnorm import (_log_pth_power, _node_log_norms, gm_ratio_sample, l2_norm_gram,
+                             log_lp_norms, pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, node_log_powers, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
@@ -841,34 +841,6 @@ class TestRatioSampleNodeRoute:
             gm_ratio_sample(GEO, 0.5, trials=1)
         with pytest.raises(ValueError, match="beyond the float range"):
             gm_ratio_sample(ExponentSequence((1.0, 1e308)), 3.0, trials=1)
-
-
-class TestAmgmProbe:
-    def test_arithmetic_block_values(self):
-        seq = ExponentSequence((1.0, 2.0, 3.0, 4.0))
-        probe = amgm_probe(seq, 2.0, 0, 4)
-        assert probe.norm_lower_bound == pytest.approx(64.0 / 24.0, rel=1e-15)
-        assert probe.coeff_norm == pytest.approx(0.8873001675315898, rel=1e-12)
-
-    def test_single_monomial_ratio_one(self):
-        probe = amgm_probe(GEO, 2.0, 3, 1)
-        # lower bound = 1/q_3 = ||1_A||^p, so the ratio collapses to 1
-        q3 = 2.0 * GEO[3] + 1.0
-        assert probe.norm_lower_bound == pytest.approx(1.0 / q3, rel=1e-15)
-        assert probe.ratio == pytest.approx(1.0, rel=1e-13)
-
-    def test_growth_along_arithmetic(self):
-        seq = ExponentSequence(tuple(float(j + 1) for j in range(64)))
-        ratios = [amgm_probe(seq, 2.0, 0, n).ratio for n in (4, 8, 16, 32, 64)]
-        assert all(b > a for a, b in zip(ratios, ratios[1:]))
-
-    def test_bounded_along_geometric(self):
-        ratios = [amgm_probe(GEO, 2.0, 0, n).ratio for n in (2, 4, 8, 16)]
-        assert max(ratios) < 2.0
-
-    def test_block_validation(self):
-        with pytest.raises(ValueError):
-            amgm_probe(GEO, 2.0, 14, 4)
 
 
 class TestPairing:

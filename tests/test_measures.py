@@ -425,8 +425,8 @@ class TestSublinear:
 
     def test_lebesgue_is_one(self):
         rep = sublinear_norm(Lebesgue())
-        assert rep.norm_s == pytest.approx(1.0)
-        assert not rep.exact
+        assert rep.norm_s == 1.0 and rep.attaining_epsilon == 1.0
+        assert rep.exact
 
     def test_two_atoms_breakpoints(self):
         rep = sublinear_norm(atoms([(0.5, 1.0), (0.25, 1.0)]))
@@ -588,10 +588,69 @@ class TestClosedForms:
         if ref is not None:
             assert res.value.to_float() == pytest.approx(float(3 * ref), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("alpha, scale", [(1e-310, 1e-300), (5e-324, 1e-300), (1e-300, 1.0)])
+    def test_poisson_integral_at_a_tiny_alpha(self, alpha, scale):
+        # scale / alpha: 1e10, 2.0e23 and 1e300, although 1 / alpha overflows at the
+        # two subnormal alphas
+        res = poisson_integral(DensityMeasure(scale=scale, alpha=alpha))
+        with mpmath.workdps(30):
+            want = mpmath.log(mpmath.mpf(scale) / mpmath.mpf(alpha))
+        assert res.value.log == pytest.approx(float(want), rel=1e-15)
+
     def test_huge_alpha_keeps_a_finite_log(self):
         # alpha * log r overflows to -inf; the factor is then 1 / e
         res = poisson_integral(DensityMeasure(alpha=1e307, b=1.0 - 2.0 ** -53))
         assert res.value.log == pytest.approx(-math.log(1e307), rel=1e-15)
+
+
+def _mp_sublinear_sup(alpha, a, b, lo, hi):
+    """max over eps in [lo, hi] of mu([1 - eps, 1)) / eps for 3 (1 - t)**alpha on [a, b),
+    mpmath: the best of 2001 points geometric from max(lo, 1e-6), then a golden-section
+    search between that point's neighbours."""
+    with mpmath.workdps(40):
+        c, e = 1 - mpmath.mpf(b), mpmath.mpf(alpha) + 1
+
+        def ratio(eps):
+            top = min(eps, 1 - mpmath.mpf(a))
+            return 3 * (top ** e - c ** e) / (e * eps) if top > c else mpmath.mpf(0)
+
+        grid = [mpmath.mpf(v) for v in np.geomspace(max(lo, 1e-6), hi, 2001)]
+        k = max(range(len(grid)), key=lambda i: ratio(grid[i]))
+        x, y = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            u, v = y - golden * (y - x), x + golden * (y - x)
+            x, y = (x, v) if ratio(u) >= ratio(v) else (u, y)
+        return max(ratio(grid[k]), ratio(x))
+
+
+class TestSublinearClosedForm:
+    """The sup of mu([1 - eps, 1)) / eps over a window, on every density."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.3, 0.6), (1e-3, 0.2)])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 1.0), (0.25, 0.75), (0.25, 0.9)],
+                             ids=["whole", "tail", "interior", "interior-peak"])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.5])
+    def test_against_mpmath_maximization(self, alpha, a, b, lo, hi):
+        # on [0.25, 0.9) at alpha = -0.5 the ratio peaks inside (c, 1 - a), at
+        # eps* = c (-1/alpha)**(1/(alpha + 1)) = 0.4
+        mu = DensityMeasure(scale=3.0, alpha=alpha, a=a, b=b)
+        got = windowed_sublinear_sup(mu, lo, hi)
+        if alpha < 0.0 and b == 1.0 and lo == 0.0:
+            assert got == math.inf  # 3 eps**alpha / (alpha + 1) near eps = 0
+            return
+        assert got == pytest.approx(float(_mp_sublinear_sup(alpha, a, b, lo, hi)), rel=1e-12)
+
+    def test_not_sublinear_reads_inf(self):
+        rep = sublinear_norm(DensityMeasure(alpha=-0.5, a=0.25))
+        assert (rep.norm_s, rep.attaining_epsilon, rep.exact) == (math.inf, 0.0, True)
+
+    def test_alpha_near_minus_one_peaks_at_c_times_e(self):
+        # (-1/alpha)**(1/(alpha + 1)) tends to e as alpha -> -1, where the ratio tends
+        # to log(eps / c) / eps, largest at eps = c e with the value 1 / (c e)
+        rep = sublinear_norm(DensityMeasure(alpha=-1.0 + 1e-15, a=0.25, b=0.75))
+        assert rep.attaining_epsilon == pytest.approx(0.25 * math.e, rel=1e-12)
+        assert rep.norm_s == pytest.approx(4.0 / math.e, rel=1e-12)
 
 
 class TestHeadRestriction:

@@ -483,8 +483,7 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
                         sup=sup_m, last=materialize(log_tests[-1]), log_last=log_tests[-1]))
     sub = measures_mod.sublinear_norm(measure)
     checks.append(check("sublinear-norm", "measures.sublinear_norm", "EVIDENCE",
-                        norm_s=sub.norm_s, attained_at=sub.attaining_epsilon,
-                        exact=sub.exact))
+                        norm_s=sub.norm_s, attained_at=sub.attaining_epsilon))
     if cls.is_quasi_geometric:
         bound = 3.0 * p * cls.r_sup * sup_m
         log_bound = math.log(3.0 * p * cls.r_sup) + max(log_tests)
@@ -645,7 +644,8 @@ def _cmd_classify(args) -> int:
     seq = parse_sequence(args.seq)
     cls = sequences_mod.classify(seq)
     payload = {"command": "classify", "inputs": _recorded_inputs("classify", args),
-               "classification": asdict(cls), "gap": seq.gap, "length": len(seq)}
+               "classification": asdict(cls), "gap": seq.gap, "length": len(seq),
+               "truncated": seq.truncated}
     if args.decompose is not None:
         parts = sequences_mod.decompose_quasi_lacunary(seq, args.decompose)
         payload["decomposition"] = {"r": args.decompose,
@@ -664,7 +664,8 @@ def _cmd_moments(args) -> int:
                      "moment_p_lambda": materialize(log_m),
                      "log_moment": None if log_m == -math.inf else log_m,
                      "monomial_test": materialize(_log(lam) + log_m)})
-    _emit({"command": "moments", "inputs": _recorded_inputs("moments", args), "rows": rows},
+    _emit({"command": "moments", "inputs": _recorded_inputs("moments", args),
+           "truncated": seq.truncated, "rows": rows},
           args, "moments", as_csv=args.format == "csv")
     return 0
 

@@ -7,21 +7,21 @@ in the log domain, on one of three routes:
 
 - p = 1: s does not enter, and D_n(1) = w_n**(-1) times one moment.  Every
   n comes from one ``measures.moments`` call.
-- p = 2 on Lebesgue measure: the exact double series
-  sum_k w_n**(-1/2) w_k**(-1/2) / (lam_n + lam_k + 1) as one n x prefix
-  matrix of logs and one log-sum-exp along its rows.  The denominator's log
-  is log(lam_n + (1 + lam_k)), formed by logaddexp, so no exponent sum
-  overflows.  This is the closed-form special case of the node route.
-- every other case (atoms and densities at any p, a restriction of
-  Lebesgue measure included, Lebesgue at p != 2): the node route, on the
-  prefix x nodes matrix of ``measures.node_log_powers``, the one builder of
-  node integrals.  s at every node is one log-sum-exp down its column
-  (whole rows at a time), the outer integral one along the nodes, the
-  contiguous axis.  For atoms the nodes are the atoms themselves, so at
-  p = 2 this is the exact double series, reordered.  The nodes are sized by p * lam of the last
-  prefix entry, not of the last n asked for, because the late terms of s
-  live that close to t = 1, and graded toward t = 0 by the builder's one
-  rule (the smallest non-integer among p * lam_k and lam_k - lam_0).
+- p = 2 on a uniform density (``measures.has_closed_form_moments``, dt
+  among them): the exact double series sum_k w_n**(-1/2) w_k**(-1/2) times
+  the moment of t**(lam_n + lam_k), from one ``moments`` call on the halved
+  sums lam_n / 2 + lam_k / 2 (finite up to lam = 1e308), as one n x prefix
+  matrix of logs and one log-sum-exp along its rows; faster than nodes.
+- every other case (atoms, densities of alpha != 0, uniform densities at
+  p != 2): the node route, on the prefix x nodes matrix of
+  ``measures.node_log_powers``, the one builder of node integrals.  s at
+  every node is one log-sum-exp down its column (whole rows at a time),
+  the outer integral one along the nodes, the contiguous axis.  For atoms
+  the nodes are the atoms themselves, so at p = 2 this is the exact double
+  series, reordered.  The nodes are sized by p * lam of the last prefix
+  entry, not of the last n asked for, because the late terms of s live
+  that close to t = 1, and graded toward t = 0 by the builder's one rule
+  (the smallest non-integer among p * lam_k and lam_k - lam_0).
 
 Both series routes report their truncation the same way (``TruncationInfo``).
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .hilbert import _schatten_norms
 from .logdomain import _log_shares, logsumexp, materialize
-from .measures import Lebesgue, Measure, moments, node_log_powers
+from .measures import Measure, has_closed_form_moments, moments, node_log_powers
 from .sequences import ExponentSequence
 
 _WINDOW_FRAC = 0.25  # operator_bounds' limsup proxy: the trailing quarter of the profile
@@ -71,9 +71,9 @@ class WeightScheme:
 @dataclass(frozen=True)
 class TruncationInfo:
     """How much of D_n**p the finite prefix may leave out, and how much of
-    the prefix it needed, by one rule on both series routes (the node route
-    and the Lebesgue p = 2 rows, where row n of the double series plays the
-    node):
+    the prefix it needed, by one rule on both series routes of
+    ``compute_dn``: the closed-form p = 2 rows on uniform densities, where
+    row n of the double series plays the node, and the node route.
       tail_ratio  the estimated relative change of D_n**p if the inner
                   series s ran on past the prefix: (p - 1) times the sum
                   over nodes of the node's share of D_n**p times tau, the
@@ -88,7 +88,7 @@ class TruncationInfo:
                   term_k / s, is at least tol; 0 if none.  The terms past
                   it change D_n**p by less than tol each.
       safe        tail_ratio < tol.
-    p = 1 has no inner series: tail_ratio 0, cutoff n, safe.
+    The p = 1 route has no inner series: tail_ratio 0, cutoff n, safe.
     """
 
     cutoff: int
@@ -115,7 +115,7 @@ class DnProfile:
 
 
 def _log_tail_over_sum(terms: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """log tau per row of ``terms`` (a node, or n on the Lebesgue p = 2 rows):
+    """log tau per row of ``terms`` (a node, or n on the closed-form p = 2 rows):
     the omitted tail of the row's series over its sum, by a geometric
     extension of the last two terms (see TruncationInfo)."""
     last = terms[:, -1]
@@ -143,13 +143,13 @@ def _log_values_and_truncation(log_dp: np.ndarray, tail: np.ndarray, share: np.n
     return logs, infos
 
 
-def _lebesgue_p2_route(lams: np.ndarray, inv_root: np.ndarray, n_count: int,
-                       tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
-    """The exact double series: row n holds the logs of
-    w_n**(-1/2) w_k**(-1/2) / (lam_n + lam_k + 1) over the prefix."""
-    with np.errstate(divide="ignore"):  # log(0) = -inf at lam_n = 0 drops out of logaddexp
-        log_den = np.logaddexp.outer(np.log(lams[:n_count]), np.log1p(lams))
-    terms = inv_root[:n_count, None] + inv_root - log_den
+def _closed_form_p2_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, n_count: int,
+                          tol: float) -> tuple[tuple[float, ...], tuple[TruncationInfo, ...]]:
+    """The exact double series: row n holds the logs of w_n**(-1/2) w_k**(-1/2)
+    times the moment of t**(lam_n + lam_k) over the prefix, from one ``moments``
+    call at p = 2 on lam_n / 2 + lam_k / 2, finite where lam_n + lam_k is not."""
+    half = lams / 2.0
+    terms = inv_root[:n_count, None] + inv_root + moments(mu, half[:n_count, None] + half, 2.0)
     log_d2, share = logsumexp(terms, axis=1, return_shares=True)
     tail = np.exp(_log_tail_over_sum(terms, log_d2))
     return _log_values_and_truncation(log_d2, tail, share, 2.0, tol)
@@ -175,8 +175,8 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
                n_count: int | None = None, tol: float = 1e-12) -> DnProfile:
     """D_n(p) for n = 0..n_count-1, the inner series over the whole prefix.
 
-    The module's three routes: p = 1 is one vector of moments; p = 2 on
-    Lebesgue measure is the exact double series as one n x prefix
+    The module's three routes, in this order: p = 1 is one vector of moments;
+    p = 2 on a uniform density is the exact double series as one n x prefix
     log-sum-exp; every other measure and p, atoms at p = 2 included, takes
     the node route (the inner series at every node of the measure, then the
     outer sum), which the tests cross-check against the other two.  The
@@ -198,8 +198,8 @@ def compute_dn(seq: ExponentSequence, mu: Measure, weight: WeightScheme,
                      for l, m in zip(seq.exponents, moments(mu, lams[:n_count]).tolist()))
         infos = tuple(TruncationInfo(cutoff=n, tail_ratio=0.0, safe=True)
                       for n in range(n_count))
-    elif p == 2.0 and isinstance(mu, Lebesgue):
-        logs, infos = _lebesgue_p2_route(lams, inv_root, n_count, tol)
+    elif p == 2.0 and has_closed_form_moments(mu):
+        logs, infos = _closed_form_p2_route(lams, inv_root, mu, n_count, tol)
     else:
         logs, infos = _node_route(lams, inv_root, mu, p, n_count, tol)
     return DnProfile(logs, weight, infos)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from .dnp import WeightScheme, compute_dn
 from .logdomain import materialize
 from .measures import Atom, AtomicMeasure, moments
-from .sequences import ExponentSequence
+from .sequences import ExponentSequence, generate_recursive_power
 
 _FIRST_INDEX = 2
 _MIN_LOG10 = -290.0  # atoms keep plain-float deltas and masses above this
-_LOG_MAX_LAMBDA = math.log(1e306)  # the construction stops before lam passes 1e306
 # check_example_claims judges a trend on the last _WINDOW values of an instance
 _WINDOW = 5
 _RATIO_BAND = (0.8, 1.2)   # construction A: M_n(p) / log n
@@ -56,37 +55,23 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
             raise ValueError("construction B needs p > 1")
         gamma = p * max(p, p / (p - 1.0))
 
-    indices: list[int] = []
+    grown = generate_recursive_power(1.0, _FIRST_INDEX, gamma, count)  # lam_2 = 1
     lams: list[float] = []
     atoms: list[Atom] = []
-    lam = 1.0  # lam_2 = 1
-    truncated = False
-    for n in range(_FIRST_INDEX, _FIRST_INDEX + count):
-        if n > _FIRST_INDEX:
-            # in logs: n**gamma alone overflows at p = 50 and p = 1.0001
-            if math.log(lam) + gamma * math.log(n) > _LOG_MAX_LAMBDA:
-                truncated = True
-                break
-            lam = lam * float(n) ** gamma
+    for n, lam in enumerate(grown, start=_FIRST_INDEX):
         log_lam = math.log(lam)
         log_n = math.log(n)
         log_delta = math.log(log_n) - log_lam
-        if label == "A":
-            log_c = p * math.log(n) + math.log(log_n) - log_lam
-        else:
-            log_c = p * math.log(n) - math.log(log_n) - log_lam
+        log_c = p * log_n + (1.0 if label == "A" else -1.0) * math.log(log_n) - log_lam
         if min(log_delta, log_c) < _MIN_LOG10 * math.log(10.0):
-            truncated = True
             break
-        indices.append(n)
         lams.append(lam)
         atoms.append(Atom(delta=math.exp(log_delta), mass=math.exp(log_c)))
-    if len(indices) < 3:
+    if len(lams) < 3:
         raise ValueError("construction collapses below 3 usable indices")
-    seq = ExponentSequence(tuple(lams),
-                           requested_count=count if truncated else None)
-    return ExampleInstance(label=label, p=p, gamma=gamma, seq=seq,
-                           mu=AtomicMeasure(tuple(atoms)), n_range=tuple(indices))
+    seq = ExponentSequence(tuple(lams), requested_count=count if len(lams) < count else None)
+    return ExampleInstance(label=label, p=p, gamma=gamma, seq=seq, mu=AtomicMeasure(tuple(atoms)),
+                           n_range=tuple(range(_FIRST_INDEX, _FIRST_INDEX + len(lams))))
 
 
 def monomial_test_values(inst: ExampleInstance, q: float) -> tuple[float, ...]:

@@ -84,7 +84,9 @@ def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
     log-sum-exp of ``_log_pth_power`` is the identity, so all such rows take
     one log-sum-exp along the nodes of their rows log_pow[j], made
     p (lam_j log t_k + log|a_j|) + log w_k: the per-row result bit for bit.
-    Every other row takes one ``_log_pth_power``; an all-zero row is -inf.
+    Every other row takes one ``_log_pth_power`` on its terms up to its last
+    nonzero coefficient, since those past it add nothing to f; an all-zero
+    row is -inf.
     """
     nonzero = np.count_nonzero(coeffs, axis=1)
     out = np.full(len(coeffs), -math.inf)
@@ -97,7 +99,8 @@ def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
         terms += log_w
         out[mono] = _exp_shifted(terms, 1)[0] / p
     for i in np.flatnonzero(nonzero > 1).tolist():
-        out[i] = _log_pth_power(log_pow, log_w, coeffs[i], p) / p
+        width = np.flatnonzero(coeffs[i])[-1] + 1
+        out[i] = _log_pth_power(log_pow[:width], log_w, coeffs[i, :width], p) / p
     return out
 
 

@@ -4,8 +4,9 @@ A measure is a finite list of atoms (``AtomicMeasure``) or a density
 scale * (1 - t)**alpha on an interval [a, b) within [0, 1)
 (``DensityMeasure``; alpha = 0 is the uniform density); a restriction of a
 density is the density on the intersected interval.  Lebesgue measure is
-the uniform density of scale 1 on [0, 1), kept as its own type for its exact
-routes.  Every measure is represented by one set of quadrature nodes with
+the uniform density of scale 1 on [0, 1), kept as its own type for two exact
+routes: the float panels of its L^p norms and ``norm``'s Gram value.  Every
+measure is represented by one set of quadrature nodes with
 log weights (``measure_nodes``): atoms are stored as delta = 1 - x, never as
 x, so x = 1 - 1e-30 keeps full precision (x itself would round to 1.0, the
 forbidden point t = 1), and a density gets panels in the distance from its
@@ -18,6 +19,7 @@ p * lam_max toward t = 1 and graded toward t = 0 by one rule
 (``_grading_power``): the smallest non-integer s among p * lam_j and
 lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (the moments of a uniform density,
+``has_closed_form_moments``, on which ``dnp`` also takes its p = 2 series;
 the tail mass, sublinear sup and Poisson integral of every density) stay as
 the exact special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
 L^p norms, deepens its dyadic panels toward t = 1 pass by pass until the
@@ -264,11 +266,10 @@ class DensityMeasure:
 class Lebesgue(DensityMeasure):
     """Lebesgue measure dt on [0, 1): the uniform density of scale 1.
 
-    Its own type only for its three exact routes: the float quadrature of
-    its L^p norms (``lpnorm.log_lp_norms``), the p = 2 double series of
-    ``dnp.compute_dn`` and the CLI's Gram value of a p = 2 norm.  A
-    restriction of it is a plain ``DensityMeasure`` and takes the node
-    routes, which reach past the quadrature's edge u = 2**-53.
+    Its own type only for its two exact routes: the float quadrature of its
+    L^p norms (``lpnorm.log_lp_norms``) and the CLI's Gram value of a p = 2
+    norm.  A restriction of it is a plain ``DensityMeasure`` and takes the
+    node routes, which reach past the quadrature's edge u = 2**-53.
     """
 
     def __init__(self) -> None:
@@ -290,18 +291,23 @@ def atoms(pairs) -> AtomicMeasure:
 # operations
 # ---------------------------------------------------------------------------
 
+def has_closed_form_moments(mu: Measure) -> bool:
+    """Whether ``moments`` takes mu's moments in closed form: a uniform density."""
+    return isinstance(mu, DensityMeasure) and mu.alpha == 0.0
+
+
 def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
     """log of the integral of t**(p * a) against mu, for every a in ``exponents``.
 
-    The one moment kernel.  A uniform density (alpha = 0) on [a0, b) takes its
-    closed form, log(scale * (b**e - a0**e) / e) with e = p * a + 1 (-log e for
-    Lebesgue measure); where p * a overflows, log e is log p + log a, since
-    the + 1 is then far below rounding.  Every other measure is one log-sum-exp
-    of log w + p * a * log t over the nodes of ``node_log_powers`` for the
-    exponents p * a: its exponents x nodes matrix summed in place along the
-    nodes, the exact atom sum for atoms.  Those nodes need p * a in the
-    float range, so a larger one is refused.  A zero moment (an empty
-    restriction) is -inf.
+    The one moment kernel.  A uniform density on [a0, b) takes its closed
+    form, log(scale * b**e * (1 - (a0 / b)**e) / e) with e = p * a + 1, on
+    ``exponents`` of any shape; where p * a overflows, log e is log p + log a,
+    since the + 1 is then far below rounding, and where e log b does, the
+    moment is zero.  Every other measure is one log-sum-exp of log w +
+    p * a * log t over the nodes of ``node_log_powers`` for the exponents
+    p * a: its exponents x nodes matrix summed in place along the nodes, the
+    exact atom sum for atoms.  Those nodes need p * a in the float range, so
+    a larger one is refused.  A zero moment (an empty restriction) is -inf.
     """
     lam = np.asarray(exponents, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -312,20 +318,18 @@ def moments(mu: Measure, exponents, p: float = 1.0) -> np.ndarray:
         a = p * lam
     big = np.isinf(a)
     log_big = math.log(p) + np.log(lam[big]) if big.any() else 0.0  # log e where p * a overflows
-    if isinstance(mu, DensityMeasure) and mu.alpha == 0.0:
+    if has_closed_form_moments(mu):
         # log((b**e - a0**e) / e) on [a0, b), arranged for large exponents
         a0, b = mu.a, mu.b
         e = a + 1.0
         log_e = np.log1p(a)
         log_e[big] = log_big
-        diff = e * math.log(b) if b < 1.0 else np.zeros_like(e)
-        if a0 > 0.0:
-            with np.errstate(invalid="ignore"):  # inf - inf where e is inf, set below
-                diff += np.log1p(-np.exp(e * math.log(a0) - diff))
-        if b < 1.0:
-            # e * log b without e; a0**e is then far below b**e
-            with np.errstate(over="ignore"):
-                diff[big] = p * (lam[big] * math.log(b))
+        with np.errstate(over="ignore"):  # an e log b past the float range is a zero moment
+            diff = e * math.log(b) if b < 1.0 else np.zeros_like(e)
+            if b < 1.0:
+                diff[big] = p * (lam[big] * math.log(b))  # e * log b without e
+            if a0 > 0.0:
+                diff += np.log1p(-np.exp(e * (math.log(a0) - math.log(b))))  # 1 - (a0 / b)**e
         out = -(log_e - diff)  # -log e on [0, 1), with its sign of zero
         return out + math.log(mu.scale) if mu.scale != 1.0 else out
     if big.any():
@@ -409,14 +413,13 @@ class SublinearReport:
     """sup over eps of mu([1-eps,1)) / eps, with the profile behind it.
 
     ``vanishing_profile`` holds (eps, mu([1-eps,1)) / eps) at eps = 2**-k,
-    k = 0..40.  The norm is exact on every measure (``_sublinear_sup``), so
-    ``exact`` is always True; it is inf on a density that is not sublinear.
+    k = 0..40.  The norm is exact on every measure (``_sublinear_sup``); it
+    is inf on a density that is not sublinear.
     """
 
     norm_s: float
     attaining_epsilon: float
     vanishing_profile: tuple[tuple[float, float], ...]
-    exact: bool
 
 
 def _sublinear_sup(mu: Measure, lo: float, hi: float) -> tuple[float, float]:
@@ -462,7 +465,7 @@ def sublinear_norm(mu: Measure) -> SublinearReport:
     """The sublinear norm of mu and its vanishing profile (``SublinearReport``)."""
     profile = tuple((e, tail_mass(mu, e) / e) for e in _EPS_GRID)
     norm_s, attaining = _sublinear_sup(mu, 0.0, 1.0)
-    return SublinearReport(norm_s, attaining, profile, True)
+    return SublinearReport(norm_s, attaining, profile)
 
 
 def windowed_sublinear_sup(mu: Measure, lo: float, hi: float) -> float:

@@ -3,7 +3,8 @@
 All properties are computed on the stored finite prefix.  Lacunarity,
 quasi-geometric bounds and super-lacunary growth are asymptotic notions, so
 the classification reports prefix statistics plus a trend label and never
-claims anything about the underlying infinite sequence.
+claims anything about the underlying infinite sequence.  The recursive
+generator is also the one that grows the constructions of ``examples``.
 """
 from __future__ import annotations
 
@@ -102,10 +103,13 @@ def generate_recursive_power(
 ) -> ExponentSequence:
     """lambda_{start_index} = lambda_start, then lambda_n = n**gamma * lambda_{n-1}.
 
-    Values blow past float range quickly for large counts; the sequence is
-    then truncated at the last representable value and flagged.  A gamma so
-    small that n**gamma rounds to 1 gives a value that is not above the one
-    before it, which ``ExponentSequence`` refuses as soon as it appears.
+    Values blow past float range quickly for large counts; each step is
+    decided in logs, so the sequence is truncated and flagged before the
+    first value past 1e306, even where n**gamma alone overflows.  A kept
+    value is the float product, or exp of its log where only n**gamma
+    overflows.  A gamma so small that n**gamma rounds to 1 gives a value that
+    is not above the one before it, which ``ExponentSequence`` refuses as
+    soon as it appears.
     """
     if not lambda_start > 0.0:
         raise ValueError(f"lambda_start must be positive, got {lambda_start}")
@@ -117,11 +121,14 @@ def generate_recursive_power(
         raise ValueError(f"count must be positive, got {count}")
     values = [float(lambda_start)]
     for n in range(start_index + 1, start_index + count):
-        nxt = values[-1] * float(n) ** exponent_power
-        if nxt > 1e306:
-            break  # headroom: downstream code forms p*lam and lam_n + lam_k
-        values.append(nxt)
-        if not nxt > values[-2]:
+        log_next = math.log(values[-1]) + exponent_power * math.log(n)
+        if log_next > math.log(1e306):
+            break  # headroom: downstream code forms p * lam and lam_n + lam_k
+        try:
+            values.append(values[-1] * float(n) ** exponent_power)
+        except OverflowError:  # n**gamma alone is past the float range
+            values.append(math.exp(log_next))
+        if not values[-1] > values[-2]:
             break
     requested = count if len(values) < count else None
     return ExponentSequence(tuple(values), requested_count=requested)

@@ -705,11 +705,25 @@ _EXTREME_INPUTS = {
     "carleson-not-sublinear": (["verify", "--suite", "carleson", "--seq", "geometric:1,2,64",
                                 "--measure", {"kind": "density", "name": "oneminus_power",
                                               "params": {"alpha": -0.5}}], 0,
-                               {"sublinear-norm": {"norm_s": "inf", "attained_at": 0.0,
-                                                   "exact": True},
+                               {"sublinear-norm": {"norm_s": "inf", "attained_at": 0.0},
                                 "sublinear-vs-monomial-test": {"status": "EVIDENCE",
                                                                "norm_s": "inf",
                                                                "window_sup": 2.0 ** 33}}),
+    # 101**160 alone is past the float range, lam_101 = 4.9e20 is not; lam_102 passes
+    # 1e306, so the generator stops there, decided in logs, with the cut flagged
+    "classify-recursive-n**gamma-past-the-float-range": (
+        ["classify", "--seq", "recursive:1e-300,100,160,3"], 0,
+        {"truncated": True, "length": 2,
+         "gap": pytest.approx(float(mpmath.mpf(1e-300) * 101 ** 160), rel=1e-13)}),
+    # 3**10002 is past the float range (construction B at p = 1.0001): lam_2 alone
+    "moments-recursive-first-step-past-1e306": (
+        ["moments", "--seq", "recursive:1,2,10002,10"], 0,
+        {"truncated": True, "rows": {"lambda_n": [1.0]}}),
+    # lam_0 + lam_1 overflows; the halved sums of the one moments call do not
+    "dnp-uniform-density-lam=1e308": (
+        ["dnp", "--seq", "explicit:1,1e308", "--measure", {"kind": "density", "name": "uniform"}],
+        0, {"rows": {"D_n": pytest.approx([3.0 ** -0.5, 0.5 ** 0.5], rel=1e-13),
+                     "tail_flag": ["ok", "unsafe"]}}),
     # one exponent has no adjacent pair and no shifted ratio
     "pairing-one-exponent": (["verify", "--suite", "pairing-dichotomy", "--seq", "explicit:1"],
                              2, ("pairing-dichotomy needs at least two exponents, got 1",)),
@@ -1525,6 +1539,20 @@ _POWER = {"kind": "density", "name": "oneminus_power", "params": {"scale": 2.0, 
 def test_measure_description_builds_the_library_object(description, want):
     got, expected = cli.measure_from_obj(description), want(measures_mod)
     assert type(got) is type(expected) and got == expected
+
+
+@pytest.mark.parametrize("seq", ["geometric:1,2,64", "explicit:1,1e308"])
+def test_dnp_at_p2_reads_both_spellings_of_dt_alike(seq, tmp_path, capsys):
+    # one closed-form series for every uniform density: the same bits, the same exit
+    reports = []
+    for measure in ("lebesgue", {"kind": "density", "name": "uniform"}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(_written(["dnp", "--seq", seq, "--measure", measure], tmp_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["inputs"]["measure"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_spec_parsers_build_through_the_description_builders():

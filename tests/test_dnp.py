@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -296,6 +297,70 @@ class TestOracle:
                 change = float(closed_dp(longer, n, p, moment) / prefix - 1)
             assert prof.values[n] ** p == pytest.approx(float(prefix), rel=1e-13)
             assert change <= prof.truncation[n].tail_ratio <= 10.0 * change
+
+
+def mp_log_dn2_uniform(lams, n, scale, a, b):
+    """log D_n(2) on the density scale dt on [a, b), weights 1/lam, as the
+    40-digit double series sum_k sqrt(lam_n lam_k) scale (b**e - a**e) / e,
+    e = lam_n + lam_k + 1, each term taken from its log."""
+    with mp.workdps(40):
+        lam = [mp.mpf(l) for l in lams]
+        log_a, log_b = (mp.log(mp.mpf(v)) if v > 0 else -mp.inf for v in (a, b))
+        terms = []
+        for k in lam:
+            e = lam[n] + k + 1
+            log_diff = e * log_b + (mp.log(-mp.expm1(e * (log_a - log_b))) if a > 0 else 0)
+            terms.append((mp.log(lam[n]) + mp.log(k)) / 2 + mp.log(scale) + log_diff - mp.log(e))
+        top = max(terms)
+        return (top + mp.log(mp.fsum(mp.exp(t - top) for t in terms))) / 2
+
+
+class TestClosedFormP2:
+    """D_n(2) on every uniform density is the double series of one moments call."""
+
+    SEQS = {"geometric:1,2,16": generate_geometric(1, 2, 16),
+            "explicit:1,1e308": ExponentSequence((1.0, 1e308))}
+    # absolute tolerance on log D_n: at lam = 1e308 each term's log is a sum of
+    # logs near 709 that cancel to about -0.7, and the ulp of 709 is 1.1e-13
+    LOG_TOL = {"geometric:1,2,16": 1e-14, "explicit:1,1e308": 2.5e-13}
+    MEASURES = {"[0,1)": (1.0, 0.0, 1.0), "[0.25,0.75)-scale-3": (3.0, 0.25, 0.75),
+                "[0,1e-20)": (1.0, 0.0, 1e-20), "scale-1e300": (1e300, 0.0, 1.0)}
+
+    @pytest.mark.parametrize("mu", list(MEASURES))
+    @pytest.mark.parametrize("seq", list(SEQS))
+    def test_against_the_mpmath_double_series(self, seq, mu):
+        exps, (scale, a, b) = self.SEQS[seq], self.MEASURES[mu]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = compute_dn(exps, DensityMeasure(scale, 0.0, a, b),
+                              WeightScheme("inverse_lambda", 2.0))
+        for n, got in enumerate(prof.log_values):
+            # log D_1 on [0, 1e-20) at lam = 1e308 is about -2.3e309: -inf as a float;
+            # rel on the log, since a log D_n near e log b carries that product's rounding
+            want = float(mp_log_dn2_uniform(exps.exponents, n, scale, a, b))
+            assert got == pytest.approx(want, rel=1e-14, abs=self.LOG_TOL[seq])
+
+    @pytest.mark.parametrize("seq", list(SEQS))
+    def test_lebesgue_and_the_uniform_density_give_the_same_bits(self, seq):
+        for kind in ("inverse_lambda", "classical"):
+            w = WeightScheme(kind, 2.0)
+            assert compute_dn(self.SEQS[seq], Lebesgue(), w) == \
+                compute_dn(self.SEQS[seq], DensityMeasure(), w)
+
+    def test_one_moments_call_of_halved_sums(self, monkeypatch):
+        calls = []
+        real = measures.moments
+        monkeypatch.setattr(dnp, "moments", lambda mu, lam, p=1.0: calls.append(
+            (np.array(lam), p)) or real(mu, lam, p))
+        mu = DensityMeasure(3.0, 0.0, 0.25, 0.75)
+        compute_dn(GEO, mu, WeightScheme("inverse_lambda", 2.0), n_count=5)
+        ((lam, p),) = calls
+        half = np.array(GEO.exponents) / 2.0
+        assert p == 2.0 and np.array_equal(lam, half[:5, None] + half)
+
+    def test_densities_of_other_alpha_keep_the_node_route(self, monkeypatch):
+        monkeypatch.setattr(dnp, "_closed_form_p2_route", None)  # any call would raise
+        compute_dn(GEO, DensityMeasure(alpha=0.5), WeightScheme("inverse_lambda", 2.0))
 
 
 def _where_log_powers(log_t, exponents):

@@ -4,6 +4,7 @@ import pytest
 
 from muntzlab.examples import (atom_power_products, build_example,
                                check_example_claims, monomial_test_values)
+from muntzlab.sequences import generate_recursive_power
 
 
 class TestBuild:
@@ -55,6 +56,16 @@ class TestBuild:
         assert inst.seq.truncated and inst.n_range == (2, 3, 4, 5, 6)
         assert inst.seq[-1] <= 1e306
         assert math.log(inst.seq[-1]) + inst.gamma * math.log(7.0) > math.log(1e306)
+
+    @pytest.mark.parametrize("label, p, count", [
+        ("A", 1.0, 20), ("A", 2.0, 20), ("A", 3.0, 400), ("A", 50.0, 20),
+        ("B", 1.5, 20), ("B", 2.0, 20), ("B", 10.0, 20)])
+    def test_exponents_are_the_recursive_generator_s(self, label, p, count):
+        # the constructions grow lam through the one generator, cut only by their atom rule
+        inst = build_example(label, p, count)
+        grown = generate_recursive_power(1.0, 2, inst.gamma, count)
+        assert inst.seq.exponents == grown.exponents[:len(inst.seq)]
+        assert inst.seq.truncated == (len(inst.seq) < count)
 
     def test_exponents_reach_extreme_scale(self):
         inst = build_example("A", 1.0, 20)

@@ -391,6 +391,21 @@ class TestNodeLogNorms:
         _node_log_norms(log_pow, log_w, self.rows(len(GEO)), 3.0)
         assert len(seen) == 7 and min(seen) >= 2  # the last 7 of ``rows``
 
+    def test_multi_term_rows_take_only_their_own_width(self, monkeypatch):
+        # the block indicators 1_[0,n) of blocksum-probe, padded to the full prefix:
+        # row n hands the kernel n term rows and n coefficients, not all 64
+        seen = []
+        real = lpnorm._log_pth_power
+        monkeypatch.setattr(lpnorm, "_log_pth_power",
+                            lambda *a: seen.append((len(a[0]), len(a[2]))) or real(*a))
+        seq = generate_geometric(1, 2, 64)
+        widths = [1, 2, 4, 8, 16, 32, 64]
+        blocks = (np.arange(64) < np.array(widths)[:, None]).astype(float)
+        got = log_lp_norms(seq, blocks, DensityMeasure(), 1.0)
+        assert seen == [(n, n) for n in widths[1:]]
+        log_pow, log_w = node_log_powers(DensityMeasure(), np.array(seq.exponents), 1.0)
+        assert got.tolist() == [per_row_log_norm(log_pow, log_w, a, 1.0) for a in blocks]
+
 
 class TestNodeNormsAgainstExactSums:
     """References that fix no summation order: mpmath at 40 digits and exact

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,21 @@ class TestGenerators:
         seq = generate_recursive_power(1, 2, 6, 400)
         assert seq.truncated
         assert seq.exponents[-1] <= 1e306
+
+    @pytest.mark.parametrize("args, want", [
+        # 101**160 alone overflows; lam_101 = 1e-300 * 101**160 does not, lam_102 passes
+        # 1e306.  lam_101 is exp of its log, a sum near 47 of two logs near 700, whose
+        # ulp is 1.1e-13: the value is within 1e-13 relative, not to the last bit
+        ((1e-300, 100, 160.0, 3), (1e-300, float(mpmath.mpf(1e-300) * 101 ** 160))),
+        # 3**10002 (construction B at p = 1.0001) is past the float range at once
+        ((1.0, 2, 10002.0, 10), (1.0,)),
+    ], ids=["n**gamma-past-the-float-range", "first-step-past-1e306"])
+    def test_recursive_power_decides_each_step_in_logs(self, args, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = generate_recursive_power(*args)
+        assert seq.truncated and seq.requested_count == args[3]
+        assert seq.exponents == pytest.approx(want, rel=1e-13)
 
     def test_recursive_power_refuses_the_first_flat_step(self):
         # n**1e-300 rounds to 1: the second value equals the first, and the

@@ -18,6 +18,6 @@ from .lpnorm import gm_ratio_sample, l2_norm_gram, log_lp_norms, pairing_integra
 from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
                       embedding_spectrum, essential_norm_estimate, frame_bounds,
                       prop511_value, t_mu_spectrum)
-from .examples import ExampleInstance, build_example, check_example_claims
+from .examples import ExampleInstance, build_example
 
 __version__ = "0.1.0"

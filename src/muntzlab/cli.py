@@ -12,6 +12,8 @@ Every PASS/FAIL comparison of two numbers takes one rule, ``_decide``: a
 relative tolerance on the logarithms of both sides, so no verdict moves when
 the masses of a measure are scaled, and EVIDENCE where a side has no finite log.
 A check with no tolerance compares two finite floats directly (``_decide_le``).
+The library returns numbers only; so do the constructions A and B, whose
+claims ``_example`` decides from their moments and closed-form brackets.
 
 Each subcommand takes only the options its handler reads (``_COMMANDS``); an
 option of another subcommand is a usage error, and so is one that only
@@ -484,25 +486,26 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     sub = measures_mod.sublinear_norm(measure)
     checks.append(check("sublinear-norm", "measures.sublinear_norm", "EVIDENCE",
                         norm_s=sub.norm_s, attained_at=sub.attaining_epsilon))
-    if cls.is_quasi_geometric:
-        bound = 3.0 * p * cls.r_sup * sup_m
-        log_bound = math.log(3.0 * p * cls.r_sup) + max(log_tests)
-        # the scales eps ~ 1 / (p lam_n) that the monomials of the prefix see:
-        # a sup attained outside them (an atom closer to 1) is no failure;
-        # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps
-        window = [1.0 / (p * seq.exponents[-1]), 1.0 / max(1.0, p * seq.exponents[0])]
-        seen = measures_mod.windowed_sublinear_sup(measure, *window)
-        # PASS on norm_s within the bound; else FAIL needs the window sup above it
-        status, note = _decide(_log(sub.norm_s), log_bound, "<=", 1e-12)
-        if status != "PASS":
-            status, note = _decide(_log(seen), log_bound, "<=", 1e-12)
-            if status == "PASS":
-                status, note = "EVIDENCE", {"note": (
-                    f"norm_s is attained outside eps in [{window[0]:.6g}, {window[1]:.6g}], the "
-                    "scales the monomials of the prefix see; the sup there is within the bound")}
-        checks.append(check("sublinear-vs-monomial-test", "measures.sublinear_norm", status,
-                            norm_s=sub.norm_s, bound=bound, big_r=cls.r_sup,
-                            window=window, window_sup=seen, **note))
+    # decided in logs, as R may overflow (a ratio of 4.9e320) where its log does
+    # not; the bound's float is the product wherever R is a float, to the last bit
+    log_bound = math.log(3.0 * p) + cls.log_r_sup + max(log_tests)
+    bound = 3.0 * p * cls.r_sup * sup_m if math.isfinite(cls.r_sup) else materialize(log_bound)
+    # the scales eps ~ 1 / (p lam_n) that the monomials of the prefix see:
+    # a sup attained outside them (an atom closer to 1) is no failure;
+    # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps
+    window = [1.0 / (p * seq.exponents[-1]), 1.0 / max(1.0, p * seq.exponents[0])]
+    seen = measures_mod.windowed_sublinear_sup(measure, *window)
+    # PASS on norm_s within the bound; else FAIL needs the window sup above it
+    status, note = _decide(_log(sub.norm_s), log_bound, "<=", 1e-12)
+    if status != "PASS":
+        status, note = _decide(_log(seen), log_bound, "<=", 1e-12)
+        if status == "PASS":
+            status, note = "EVIDENCE", {"note": (
+                f"norm_s is attained outside eps in [{window[0]:.6g}, {window[1]:.6g}], the "
+                "scales the monomials of the prefix see; the sup there is within the bound")}
+    checks.append(check("sublinear-vs-monomial-test", "measures.sublinear_norm", status,
+                        norm_s=sub.norm_s, bound=bound, big_r=cls.r_sup,
+                        window=window, window_sup=seen, **note))
     for qv in q:
         if qv <= p:
             continue
@@ -588,11 +591,66 @@ def suite_hs(seq, measure, N, q, tol, store) -> list[dict]:
     return checks
 
 
-def suite_example(label, p, q, count, tol) -> list[dict]:
+def _example(label, p, q, count, tol):
+    """Construction ``label`` at p: the instance, its rows (n, lam_n, M_n(q) per q, and
+    D_n(p) on B) and its checks, for ``suite_example`` and ``_cmd_example`` alike.
+
+    Each claim on M_n(q) is decided at every reported n on L_n <= M_n <= U_n, M_n from
+    the atoms and L_n, U_n from closed forms (``examples.log_monomial_bracket``).  A growth
+    claim also takes M_n >= lam_n c_n x_n**(q lam_n), the atom at n alone, with
+    n x_n**lam_n >= floor_n: M_n / log n >= floor_n**p (A, q = p) and M_n log n /
+    n**(p - q) >= floor_n**q (B, q < p).  A's decay at q > p is a limit (U_3 > U_2 at
+    every p), so its PASS attests the bracket.  The atom powers take their bracket
+    [floor_n, 1]; B's D_n(p) (log n)**(1/p) is EVIDENCE, at its last safe index.
+    """
     inst = examples_mod.build_example(label, p, count)
-    report = examples_mod.check_example_claims(inst, q, tol=tol)
-    return [check(c.name, "examples.check_example_claims", c.status, **c.data)
-            for c in report.checks]
+    ns = inst.n_range
+    n, log_n = ns[-1], math.log(ns[-1])
+    log_ns = np.log(np.array(ns, dtype=float))
+    rows = [{"n": k, "lambda_n": lam} for k, lam in zip(ns, inst.seq)]
+    prods, floors = examples_mod.atom_power_products(inst), examples_mod.atom_power_floors(inst)
+    log_prods, log_floors = np.array([_log(v) for v in prods]), np.log(floors)
+    status, note = _decide(np.concatenate([log_floors, log_prods]),
+                           np.concatenate([log_prods, np.zeros(len(ns))]), "<=", 1e-9)
+    checks = [check("atom-power-approaches-1-over-n", "examples.atom_power_products", status,
+                    n=n, product=prods[-1], floor=floors[-1], **note)]
+    for qv in q:
+        log_m = examples_mod.log_monomial_tests(inst, qv)
+        for row, v in zip(rows, log_m.tolist()):
+            row[f"M_n(q={qv:g})"] = materialize(v)
+        log_lower, log_upper = examples_mod.log_monomial_bracket(inst, qv)
+        m = materialize(log_m[-1])
+        if label == "A" and qv == p:
+            log_lower = np.maximum(log_lower, p * log_floors + np.log(log_ns))
+            name, value = "monomial-test-at-p-grows-like-log", {
+                "ratio": m / log_n, "floor": floors[-1] ** p}
+        elif label == "A" and qv > p:
+            name, value = f"monomial-test-decays-at-q={qv:g}", {
+                "value": m, "upper": materialize(log_upper[-1])}
+        elif label == "B" and qv < p:
+            log_lower = np.maximum(log_lower, qv * log_floors + (p - qv) * log_ns - np.log(log_ns))
+            name, value = f"monomial-test-grows-at-q={qv:g}", {
+                "scaled": m * log_n / n ** (p - qv), "floor": floors[-1] ** qv}
+        else:
+            continue
+        status, note = _decide(np.concatenate([log_lower, log_m]),
+                               np.concatenate([log_m, log_upper]), "<=", 1e-9)
+        checks.append(check(name, "examples.log_monomial_bracket", status, n=n, **value, **note))
+    if label == "B":
+        profile = dnp_mod.compute_dn(inst.seq, inst.mu, dnp_mod.WeightScheme("inverse_lambda", p),
+                                     n_count=len(ns), tol=tol)
+        for row, v in zip(rows, profile.values):
+            row["D_n(p)"] = v
+        safe = [(k, d) for k, d, t in zip(ns, profile.values, profile.truncation) if t.safe]
+        data = {"n": None, "scaled": None, "note": "no index has a safe tail"} if not safe else {
+            "n": safe[-1][0], "scaled": safe[-1][1] * math.log(safe[-1][0]) ** (1.0 / p)}
+        checks.append(check("diagonal-domination-decays-at-p", "dnp.compute_dn", "EVIDENCE",
+                            **data))
+    return inst, rows, checks
+
+
+def suite_example(label, p, q, count, tol) -> list[dict]:
+    return _example(label, p, q, count, tol)[2]
 
 
 def _reads(*options, q=None) -> dict:
@@ -724,7 +782,7 @@ def _cmd_norm(args) -> int:
                "inputs": _recorded_inputs("norm", args, coefficients=coeffs),
                "value": value}
     if args.p == 2.0 and isinstance(mu, measures_mod.Lebesgue):
-        payload["gram_value"] = lpnorm.l2_norm_gram(seq, coeffs)
+        payload["gram_value"] = float(lpnorm.l2_norm_gram(seq, [coeffs])[0])
     _emit(payload, args, "norm")
     return 0
 
@@ -768,25 +826,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_example(args) -> int:
     # with no --q, the q that verify's suite of this construction runs on
     q_list = _suite_inputs(f"ex-{args.label.lower()}", args)["q"]
-    inst = examples_mod.build_example(args.label, args.p, args.count)
-    report = examples_mod.check_example_claims(inst, q_list, tol=args.tol)
-    rows = []
-    for i, n in enumerate(inst.n_range):
-        row = {"n": n, "lambda_n": inst.seq[i]}
-        for q in report.q_values:
-            row[f"M_n(q={q:g})"] = report.monomial_tests[q][i]
-        if report.dn_values is not None:
-            row["D_n(p)"] = report.dn_values[i]
-        rows.append(row)
+    inst, rows, checks = _example(args.label, args.p, q_list, args.count, args.tol)
     _emit({"command": "example",
            "inputs": _recorded_inputs("example", args, q=list(q_list)),
-           "rows": rows,
-           "checks": [asdict(c) for c in report.checks],
-           "truncated": inst.seq.truncated},
+           "rows": rows, "checks": checks, "truncated": inst.seq.truncated},
           args, f"example-{args.label}", as_csv=args.format == "csv")
-    for c in report.checks:
-        print(f"[{c.status}] {c.name}", file=sys.stderr)
-    return 1 if any(c.status == "FAIL" for c in report.checks) else 0
+    for c in checks:
+        print(f"[{c['status']}] {c['name']}", file=sys.stderr)
+    return 1 if any(c["status"] == "FAIL" for c in checks) else 0
 
 
 def _recorded_inputs(cmd: str, args, **derived) -> dict:

@@ -128,15 +128,7 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     outputs stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero
     norm is -inf.
     """
-    a = np.array(coeffs, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("coefficients must be a vectors x terms matrix")
-    if a.shape[1] == 0:
-        raise ValueError("polynomial needs at least one coefficient")
-    if a.shape[1] > len(seq):
-        raise ValueError("more coefficients than exponents")
-    if not np.isfinite(a).all():
-        raise ValueError("coefficients must be finite")
+    a = _coefficient_matrix(seq, coeffs)
     lam = seq.exponents[:a.shape[1]]
     _check_p(p)
     if not isinstance(mu, Lebesgue):
@@ -171,17 +163,32 @@ def _pow2_exponents(a: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(a).max(axis=-1, initial=0.0))[1]
 
 
-def l2_norm_gram(seq: ExponentSequence, coeffs) -> float:
-    """Exact L2(dt) norm of sum_j a_j t**lam_j through the monomial Gram:
-    sqrt(a^T G a), on a scaled by 2**-e (``_pow2_exponents``), so the form
-    neither underflows nor overflows; the root is scaled back by 2**e, and
-    is inf only past the float range."""
+def _coefficient_matrix(seq: ExponentSequence, coeffs) -> np.ndarray:
+    """``coeffs`` as a float vectors x terms matrix of 1..len(seq) finite terms."""
     a = np.array(coeffs, dtype=float)
-    e = int(_pow2_exponents(a))
-    a = np.ldexp(a, -e)
-    g = _cauchy_gram(np.array(seq.exponents[:len(a)]))
-    root = math.sqrt(max(a @ g @ a, 0.0))
-    return math.ldexp(root, e) if math.frexp(root)[1] + e <= 1024 else math.inf
+    if a.ndim != 2:
+        raise ValueError("coefficients must be a vectors x terms matrix")
+    if a.shape[1] == 0:
+        raise ValueError("polynomial needs at least one coefficient")
+    if a.shape[1] > len(seq):
+        raise ValueError("more coefficients than exponents")
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    return a
+
+
+def l2_norm_gram(seq: ExponentSequence, coeffs) -> np.ndarray:
+    """Exact L2(dt) norm sqrt(a^T G a) of sum_j a_j t**lam_j, G the monomial Gram, for
+    every row a of the vectors x terms matrix ``coeffs``, each on a scaled by its own
+    2**-e (``_pow2_exponents``), so no form under- or overflows; the root is scaled
+    back by 2**e, exactly, and is inf only past the float range."""
+    a = _coefficient_matrix(seq, coeffs)
+    e = _pow2_exponents(a)
+    a = np.ldexp(a, -e[:, None])
+    forms = (a[:, None, :] @ _cauchy_gram(np.array(seq.exponents[:a.shape[1]]))
+             @ a[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.maximum(forms, 0.0)), e)
 
 
 def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
@@ -221,9 +228,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     vectors (ratio exactly 1 by normalization), the other ``trials`` rows are
     ``_uniform_rows(seed, trials, n)``, prefix-stable in ``trials``.  The
     bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
-    numerators are the exact Gram forms sqrt(a^T G a), one stacked matmul;
-    at every other p, ``_node_log_norms`` on one terms x nodes matrix, so
-    only p < 1 and p * lam past the float range are refused.  The
+    numerators are the exact Gram forms of ``l2_norm_gram``; at every other
+    p, ``_node_log_norms`` on one terms x nodes matrix, so only p < 1 and
+    p * lam past the float range are refused.  The
     denominators are one array expression up to the 1/p root, which each
     row takes as a float.  Warns when ``classify`` flags the prefix's ratio
     trend as non-lacunary, where the bracket may degenerate.
@@ -242,10 +249,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     lam = np.array(seq.exponents[:n_count])
     coeffs = np.vstack([np.eye(n_count), _uniform_rows(seed, trials, n_count)])
     if p == 2.0:
-        # (1 x n) @ (n x n) @ (n x 1) per row: the vector-matrix and dot
-        # products of l2_norm_gram, so each form equals its a @ g @ a
-        forms = (coeffs[:, None, :] @ _cauchy_gram(lam) @ coeffs[:, :, None])[:, 0, 0]
-        norms = np.sqrt(np.maximum(forms, 0.0))
+        norms = l2_norm_gram(seq, coeffs)
     else:
         logs = _node_log_norms(*node_log_powers(Lebesgue(), lam, p), coeffs, p)
         norms = np.array([materialize(v) for v in logs.tolist()])

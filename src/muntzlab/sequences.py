@@ -57,26 +57,28 @@ class ExponentSequence:
 class Classification:
     """Prefix ratio statistics of an exponent sequence.
 
-    ``is_lacunary`` (r_inf > 1) holds on every valid finite prefix, so it
-    cannot tell a lacunary sequence from a non-lacunary one.
-    ``trend_non_lacunary`` is the flag that can: it is set when the last
-    ratios (``super_lacunary_trend``) decrease step by step, beyond
-    rounding, as for (1, 2, 3) or the squares; ``trend_note`` says the
+    The smallest and largest consecutive ratio, as floats (``r_inf``,
+    ``r_sup``; inf where a ratio is past the float range) and as logs
+    (``log_r_inf``, ``log_r_sup``, differences of the exponents' logs, finite
+    on every prefix).  On a finite prefix every ratio exceeds 1 and is
+    finite, so the prefix is lacunary and quasi-geometric whatever the
+    sequence; ``trend_non_lacunary`` is the flag that can tell: it is set
+    when the last ratios (``super_lacunary_trend``) decrease step by step,
+    beyond rounding, as for (1, 2, 3) or the squares; ``trend_note`` says the
     same in words.
     """
 
     r_inf: float
     r_sup: float
-    is_lacunary: bool
-    is_quasi_geometric: bool
+    log_r_inf: float
+    log_r_sup: float
     super_lacunary_trend: tuple[float, ...]  # last min(5, N-1) consecutive ratios
     ratios_from_index: int  # 1 when the leading exponent is 0, else 0
     trend_note: str
     trend_non_lacunary: bool
 
     def __post_init__(self) -> None:
-        assert self.r_inf <= self.r_sup
-        assert not self.is_quasi_geometric or self.is_lacunary
+        assert self.log_r_inf <= self.log_r_sup
 
 
 def generate_geometric(lambda0: float, ratio: float, count: int) -> ExponentSequence:
@@ -163,16 +165,14 @@ def classify(seq: ExponentSequence) -> Classification:
         if len(seq) < 3:
             raise ValueError("leading exponent 0: need two positive entries for ratios")
     ratios = tuple(seq[i + 1] / seq[i] for i in range(start, len(seq) - 1))
-    r_inf = min(ratios)
-    r_sup = max(ratios)
-    lacunary = r_inf > 1.0
+    log_ratios = [math.log(seq[i + 1]) - math.log(seq[i]) for i in range(start, len(seq) - 1)]
     trend = ratios[-min(5, len(ratios)):]
     note, non_lacunary = _trend(trend)
     return Classification(
-        r_inf=r_inf,
-        r_sup=r_sup,
-        is_lacunary=lacunary,
-        is_quasi_geometric=lacunary and math.isfinite(r_sup),
+        r_inf=min(ratios),
+        r_sup=max(ratios),
+        log_r_inf=min(log_ratios),
+        log_r_sup=max(log_ratios),
         super_lacunary_trend=trend,
         ratios_from_index=start,
         trend_note=note,

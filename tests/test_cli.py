@@ -268,9 +268,8 @@ def test_subcommand_help_lists_its_options(cmd):
 
 
 # small inputs shared by the per-suite tests, by dest name: each suite runs in well
-# under a second.  count 12 keeps the example instances short but long enough for
-# their window checks (the last 5 of at least 10 indices) to be judged; below 10
-# they read UNMET (test_ex_a_short_instance_is_not_a_failure).
+# under a second.  count 12 keeps the example instances short; every count from 3 on
+# is decided (test_short_example_instances_are_decided).
 SMALL_ATOMS = "atoms:0.5:1,0.1:0.5,0.001:0.25"
 SMALL = {"seq": "geometric:1,2,8", "N": "8", "measure": SMALL_ATOMS, "count": "12"}
 
@@ -926,6 +925,17 @@ def _returning(move):
 _NORMS_TIMES_1000 = (lpnorm, "log_lp_norms", _returning(lambda logs: logs + math.log(1000.0)))
 
 
+def _last_reported_mass_scaled(inst):
+    """A construction instance with the mass of its last reported atom times 1.01."""
+    last = len(inst.n_range) - 1
+    moved = [dataclasses.replace(at, mass=at.mass * 1.01) if i == last else at
+             for i, at in enumerate(inst.mu.atoms)]
+    return dataclasses.replace(inst, mu=measures_mod.AtomicMeasure(tuple(moved)))
+
+
+_LAST_MASS_TIMES_1_01 = [(examples_mod, "build_example", _returning(_last_reported_mass_scaled))]
+
+
 def _bound_below_the_largest_block_ratio(real):
     """A patch of bounds.jlambda_upper: the bound 0.99 times the largest block ratio
     of SMALL's sequence at p = 2, found with the real bound in place."""
@@ -979,9 +989,13 @@ _FAIL_ROUTES = {
             math.fsum(d * d for d in _profile2(seq, mu)) * (1.0 + 3e-9)) / spec.schatten[2.0]))]),
     "block-ratios-below-jlambda": ("blocksum-probe", {}, [
         (bounds_mod, "jlambda_upper", _bound_below_the_largest_block_ratio)]),
-    # every n * (1 - delta_n)**lam_n just past the band 1 +- 0.05
+    # one n * x_n**lam_n, the last, just past 1: 2e-9 relative
     "atom-power-approaches-1-over-n": ("ex-a", {}, [
-        (examples_mod, "atom_power_products", _returning(lambda v: (1.05 + 1e-9,) * len(v)))]),
+        (examples_mod, "atom_power_products", _returning(lambda v: (*v[:-1], 1.0 + 2e-9)))]),
+    # the last reported atom's mass times 1.01, against the closed-form bracket
+    "monomial-test-at-p-grows-like-log": ("ex-a", {}, _LAST_MASS_TIMES_1_01),
+    "monomial-test-decays-at-q=*": ("ex-a", {}, _LAST_MASS_TIMES_1_01),
+    "monomial-test-grows-at-q=*": ("ex-b", {}, _LAST_MASS_TIMES_1_01),
 }
 
 
@@ -1150,12 +1164,58 @@ def test_basis_samples_once(monkeypatch, capsys):
     assert statuses["canonical-vectors-normalized"] == "PASS"
 
 
-def test_ex_a_short_instance_is_not_a_failure(capsys):
-    code = run(["verify", "--suite", "ex-a", "--count", "6"])
+@pytest.mark.parametrize("count", [3, 4, 5, 6])
+@pytest.mark.parametrize("suite", ["ex-a", "ex-b"])
+def test_short_example_instances_are_decided(suite, count, capsys):
+    # no window to fill: every index is decided against its bracket, so a short
+    # instance reads PASS, not UNMET; only B's D_n(p) reading is EVIDENCE
+    code = run(["verify", "--suite", suite, "--count", str(count)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses["monomial-test-at-p-grows-like-log"] == "UNMET"
+    assert statuses.pop("diagonal-domination-decays-at-p", "EVIDENCE") == "EVIDENCE"
+    assert set(statuses.values()) == {"PASS"} and len(statuses) == (3 if suite == "ex-a" else 2)
+    assert all(c["data"]["n"] == count + 1 for c in report["checks"]
+               if c["name"] != "diagonal-domination-decays-at-p")
+    if suite == "ex-b":
+        assert report["checks"][-1]["data"]["note"] == "no index has a safe tail"
+
+
+@pytest.mark.parametrize("suite, name", [("ex-a", "monomial-test-at-p-grows-like-log"),
+                                         ("ex-b", "monomial-test-grows-at-q=1")])
+def test_growth_claims_decide_their_floor(suite, name, monkeypatch, capsys):
+    # the growth side, M_N against the atom at N alone, FAILs on a floor raised by 10 %
+    # at the last index, while the closed-form bracket of M_n still holds
+    real = examples_mod.atom_power_floors
+    monkeypatch.setattr(examples_mod, "atom_power_floors",
+                        lambda inst: (*real(inst)[:-1], 1.1 * real(inst)[-1]))
+    code, report = _verify(capsys, suite)
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert code == 1 and statuses[name] == "FAIL"
+    assert {v for k, v in statuses.items() if k.startswith("monomial-test-decays")} <= {"PASS"}
+
+
+def test_ex_b_reads_d_n_at_its_last_safe_index(capsys):
+    code, report = _verify(capsys, "ex-b", "--count", "30")
+    data = report["checks"][-1]["data"]
+    inst = examples_mod.build_example("B", 2.0, 30)
+    profile = dnp_mod.compute_dn(inst.seq, inst.mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
+                                 n_count=len(inst.n_range))
+    safe = [i for i, t in enumerate(profile.truncation) if t.safe]
+    assert code == 0 and safe[-1] < len(inst.n_range) - 1  # the last indices are not safe
+    assert data["n"] == inst.n_range[safe[-1]]
+    assert data["scaled"] == pytest.approx(
+        profile.values[safe[-1]] * math.log(data["n"]) ** 0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("label, p", [("A", 1.0), ("A", 2.0), ("A", 3.0),
+                                      ("B", 1.5), ("B", 2.0), ("B", 3.0)])
+def test_example_claims_pass_at_every_count(label, p, capsys):
+    for count in range(3, 42):
+        code = run(["example", "--label", label, "--p", str(p), "--count", str(count)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, count
+        assert {c["status"] for c in out["checks"]} <= {"PASS", "EVIDENCE"}, count
 
 
 def test_spectrum_synthesis_reports_chain(capsys):
@@ -1175,7 +1235,6 @@ def test_every_suite_passes_tol_to_compute_dn(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dnp_mod, "compute_dn", recording)
-    monkeypatch.setattr(examples_mod, "compute_dn", recording)
     for suite in DN_SUITES + ("ex-b",):
         seen.clear()
         code, _ = _verify(capsys, suite, "--tol", "1e-6")
@@ -1768,6 +1827,24 @@ def test_carleson_monomial_test_below_the_float_range(tmp_path, capsys):
     assert code == 0 and report["checks"][0]["name"] == "monomial-test-constant"
     assert data["last"] == pytest.approx(math.gamma(1.5) * 1e-150, rel=1e-12)
     assert data["sup"] == pytest.approx(math.gamma(1.5) * 1e-50, rel=1e-12)
+
+
+def test_carleson_decides_a_prefix_ratio_past_the_float_range(capsys):
+    # lam = 1e-300, 4.9e20: the ratio 4.9e320 overflows, its log (738.4) does not, so
+    # the sublinear check is made, on the bound 3 p R sup M_n formed in logs
+    seq = "recursive:1e-300,100,160,3"
+    code = run(["classify", "--seq", seq])
+    cls = json.loads(capsys.readouterr().out)["classification"]
+    assert code == 0 and cls["r_sup"] == "inf"
+    assert cls["log_r_sup"] == pytest.approx(160 * math.log(101.0), rel=1e-13)
+    assert not {"is_lacunary", "is_quasi_geometric"} & set(cls)
+    code, report = _verify(capsys, "carleson", "--seq", seq)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert code == 0 and checks["sublinear-vs-monomial-test"]["status"] == "PASS"
+    # R alone is past the float range, 3 p R sup M_n on SMALL's atoms is not
+    sup = checks["monomial-test-constant"]["data"]["sup"]
+    assert checks["sublinear-vs-monomial-test"]["data"]["bound"] == pytest.approx(
+        math.exp(math.log(6.0 * sup) + cls["log_r_sup"]), rel=1e-12)
 
 
 def test_dnp_bounds_past_the_float_range():

@@ -129,15 +129,29 @@ class TestScaledRows:
     @pytest.mark.parametrize("scale", [2.0 ** 700, 2.0 ** -700], ids=["2**700", "2**-700"])
     def test_gram_form_scales_exactly(self, scale):
         row = lpnorm._uniform_rows(5, 1, 6)[0]
-        assert l2_norm_gram(self.SEQ, row * scale) == l2_norm_gram(self.SEQ, row) * scale
+        assert l2_norm_gram(self.SEQ, [row * scale])[0] == l2_norm_gram(self.SEQ, [row])[0] * scale
 
     def test_gram_root_past_the_float_range_is_inf(self):
         # sqrt(31/30) * 1.78e308 passes the largest float; the form itself does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert l2_norm_gram(self.SEQ, [1.78e308, 1.78e308]) == math.inf
-            assert l2_norm_gram(self.SEQ, [1.7e308, 1.7e308]) == pytest.approx(
+            assert l2_norm_gram(self.SEQ, [[1.78e308, 1.78e308]])[0] == math.inf
+            assert l2_norm_gram(self.SEQ, [[1.7e308, 1.7e308]])[0] == pytest.approx(
                 1.7e308 * (31 / 30) ** 0.5, rel=1e-15)
+
+    def test_gram_rows_are_the_one_row_forms(self):
+        # rows scaled by 2**700 and 2**-700 among ordinary ones: each row has its own 2**-e
+        rows = lpnorm._uniform_rows(7, 6, 6) * np.array([[1.0], [2.0 ** 700], [2.0 ** -700],
+                                                         [1.0], [1e-5], [3.0]])
+        got = l2_norm_gram(self.SEQ, rows)
+        assert got.tolist() == [l2_norm_gram(self.SEQ, [row])[0] for row in rows]
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [[]], [[1.0] * 7], [[1.0, math.nan]]],
+                             ids=["vector", "no-terms", "more-terms-than-exponents", "nan"])
+    def test_gram_checks_its_matrix_as_log_lp_norms_does(self, coeffs):
+        for norms in (l2_norm_gram, lambda seq, a: log_lp_norms(seq, a, Lebesgue(), 2.0)):
+            with pytest.raises(ValueError):
+                norms(self.SEQ, coeffs)
 
 
 class TestLpNorm:
@@ -175,7 +189,7 @@ class TestLpNorm:
         for _ in range(20):
             a = rng.uniform(-1, 1, 10)
             quad = lp_norm(seq, a, Lebesgue(), 2.0)
-            gram = l2_norm_gram(seq, a)
+            gram = l2_norm_gram(seq, [a])[0]
             assert quad == pytest.approx(gram, rel=1e-10)
 
     def test_refuses_monster_exponents_on_lebesgue(self):
@@ -678,8 +692,10 @@ def _per_row_ratios(seq, p, mu, trials, seed, n_count):
     vectors = [np.eye(n_count)[k] for k in range(n_count)]
     vectors += uniform_draws(seed, trials, n_count)
     if p == 2.0 and isinstance(mu, Lebesgue):
-        def norm(a):
-            return l2_norm_gram(seq, a)
+        gram = lpnorm._cauchy_gram(lam)
+
+        def norm(a):  # the one-row form, not l2_norm_gram, which gm_ratio_sample calls
+            return math.sqrt(a @ gram @ a)
     else:
         log_pow, log_w = node_log_powers(mu, lam, p)
 

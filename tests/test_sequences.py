@@ -104,13 +104,15 @@ class TestClassify:
     def test_constant_ratio(self):
         cls = classify(generate_geometric(1, 2, 4))
         assert cls.r_inf == 2.0 and cls.r_sup == 2.0
-        assert cls.is_lacunary and cls.is_quasi_geometric
+        # differences of logs: log 8 - log 4 is log 2 within an ulp of log 8
+        assert cls.log_r_inf == pytest.approx(math.log(2.0), abs=4e-16)
+        assert cls.log_r_sup == pytest.approx(math.log(2.0), abs=4e-16)
 
     def test_squares_prefix_lacunary_trend_down(self):
         cls = classify(ExponentSequence((1.0, 4.0, 9.0, 16.0, 25.0)))
         assert cls.super_lacunary_trend == (4.0, 2.25, 16.0 / 9.0, 25.0 / 16.0)
         assert cls.r_inf == pytest.approx(1.5625)
-        assert cls.is_lacunary
+        assert cls.log_r_inf == pytest.approx(math.log(1.5625), rel=1e-15)
         assert "trend non-lacunary" in cls.trend_note
 
     def test_super_lacunary_trend_up(self):
@@ -147,7 +149,14 @@ class TestClassify:
 
     def test_invariants(self):
         cls = classify(ExponentSequence((1.0, 1.5, 6.0)))
-        assert cls.r_inf <= cls.r_sup
+        assert cls.r_inf <= cls.r_sup and cls.log_r_inf <= cls.log_r_sup
+
+    def test_ratio_past_the_float_range_keeps_its_log(self):
+        # lam = 1e-300, 101**160 * 1e-300 = 4.9e20: the ratio 4.9e320 overflows, its log not
+        seq = generate_recursive_power(1e-300, 100, 160, 3)
+        cls = classify(seq)
+        assert cls.r_inf == cls.r_sup == math.inf
+        assert cls.log_r_inf == cls.log_r_sup == pytest.approx(160 * math.log(101), rel=1e-13)
 
 
 class TestDecompose:

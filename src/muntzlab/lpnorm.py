@@ -5,10 +5,10 @@ coefficient matrix.  Its rows, and those of ``gm_ratio_sample`` on
 Lebesgue measure, are log-domain sums over the terms x nodes matrix of
 ``measures.node_log_powers`` (``_node_log_norms``), except the Lebesgue
 rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
-of ``measures.integrate_to_one``, which deepens toward t = 1 until its
-closing panel is negligible or two passes agree; each panel's monomials are
-one exp of ``measures.log_powers``, and each row is scaled by a power of two
-first, so |f|**p stays near 1.  Both quadratures are
+of ``measures.integrate_to_one``, which deepens toward t = 1 one halving a
+pass until its closing panel is negligible or two passes agree; each
+panel's monomials are one exp of ``measures.log_powers``, and each row is
+scaled by a power of two first, so |f|**p stays near 1.  Both quadratures are
 graded toward t = 0 by ``measures._grading_power`` and refined toward t = 1
 at least as far as p * lam_max asks.  Neither sees the kink of |f|**p at a
 sign change of f when p is not an even integer (ROADMAP.md item 7).  Every
@@ -120,9 +120,10 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     e log 2 back to the log norm, so coefficients of 1e-200 or 1e200 neither
     underflow nor overflow in |f|**p.  The panels evaluate f through
     ``_eval_poly_array`` on ``lam`` as one array, built once per call.  A row
-    stops once two passes of its panels agree, 42 panels for a row of
-    geometric:1,2,16 at p = 2, and the refusal past u = 2**-53 comes on the
-    first row, so once per call.  The scaling bounds the largest |a_j|, not
+    stops once two passes of its panels agree, 27 panels for a row of
+    geometric:1,2,16 at p = 2 (passes at depths 24 and 25, each with its
+    closing panel), and the refusal past u = 2**-53 comes on the first row,
+    so once per call.  The scaling bounds the largest |a_j|, not
     |f|: a row whose |f|**p overflows a panel (sixteen 1s at p = 400) is
     refused, not reported as inf.  Faster forms of that route with identical
     outputs stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero

@@ -22,9 +22,9 @@ all of them are integers.  Closed forms (the moments of a uniform density,
 ``has_closed_form_moments``, on which ``dnp`` also takes its p = 2 series;
 the tail mass, sublinear sup and Poisson integral of every density) stay as
 the exact special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
-L^p norms, deepens its dyadic panels toward t = 1 pass by pass until the
-closing panel is negligible or two passes agree, and refuses exponents past
-its float panels' edge u = 2**-53 itself.
+L^p norms, deepens its dyadic panels toward t = 1 one halving a pass until
+the closing panel is negligible or two passes agree, and refuses exponents
+past its float panels' edge u = 2**-53 itself.
 """
 from __future__ import annotations
 
@@ -137,11 +137,16 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
     is the last when the closing panel holds at most DEFAULT_REL_TOL of that
     total, or when the total agrees with the previous pass's to
     DEFAULT_REL_TOL relative, so a closing panel that its rule already
-    takes exactly is not split again.  Otherwise the next pass adds 16
-    panels, up to depth _MAX_DEPTH = 53, to the running sum, so no panel is
-    evaluated twice; a smooth integrand ends after its second pass.  One
-    whose scale in u is finer than ``sharpness`` says deepens until two
-    passes agree, as long as the first pass's nodes see it (t**(2**40) at
+    takes exactly is not split again.  Otherwise the next pass is one
+    halving deeper, up to depth _MAX_DEPTH = 53: it adds the panel
+    [2**-(depth+1), 2**-depth] to the running sum and takes a new closing
+    panel [0, 2**-(depth+1)], so no panel is evaluated twice.  At the first
+    depth sharpness * u stays below 2**-7 on the closing panel, where its
+    rule already takes e**(-sharpness u) exactly, so a smooth integrand ends
+    after its second pass, one panel deeper.  One whose scale in u is finer
+    than ``sharpness`` says deepens one halving a pass until two passes
+    agree (t**(2**20) at sharpness 1: depths 12 to 15, 19 panel
+    evaluations), as long as the first pass's nodes see it (t**(2**40) at
     sharpness 1 reads 0 after one pass).  A first depth past _MAX_DEPTH
     (sharpness 2**46 = 7.0e13 or more) is refused before any panel: the
     package's one exponent edge.  A non-integer ``low_power``
@@ -174,7 +179,7 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
         if abs(closing) <= scale or abs(total - previous) <= scale or depth >= _MAX_DEPTH:
             return total
         previous = total
-        depth = min(_MAX_DEPTH, depth + 16)
+        depth += 1
 
 
 # ---------------------------------------------------------------------------

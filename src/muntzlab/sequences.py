@@ -65,7 +65,8 @@ class Classification:
     sequence; ``trend_non_lacunary`` is the flag that can tell: it is set
     when the last ratios (``super_lacunary_trend``) decrease step by step,
     beyond rounding, as for (1, 2, 3) or the squares; ``trend_note`` says the
-    same in words.
+    same in words.  The trend is decided on the log ratios, so a ratio past
+    the float range still counts as larger than the one before it.
     """
 
     r_inf: float
@@ -136,18 +137,21 @@ def generate_recursive_power(
     return ExponentSequence(tuple(values), requested_count=requested)
 
 
-# Ratios of a geometric prefix computed in floats differ by an ulp or two
-# (generate_geometric(2.7, 1.5, 3) gives 1.5000000000000002, 1.5); steps
-# within this many ulps of the ratio count as equal.
-_RATIO_ULPS = 4.0
+# Steps of the log ratios within this many ulps of max(1, |log lam|) count as
+# equal.  A step L_{k+2} - 2 L_{k+1} + L_k carries the rounding of its three
+# logs (an ulp each, weighted 1, 2, 1), of the two subtractions before it, and
+# of a generated lam: generate_geometric(2.7, 1.5, 3) stores the ratios
+# 1.5000000000000002 and 1.5, under an ulp of 1 apart in log.  About 7 ulps.
+_LOG_ULPS = 8.0
 
 
-def _trend(trend: tuple[float, ...]) -> tuple[str, bool]:
-    """(trend_note, trend_non_lacunary) from one comparison of the ratios."""
-    if len(trend) < 2:
+def _trend(log_ratios: list[float], log_scale: float) -> tuple[str, bool]:
+    """(trend_note, trend_non_lacunary) from one comparison of the log ratios;
+    ``log_scale`` is the largest |log lam| among the exponents they come from."""
+    if len(log_ratios) < 2:
         return "too short for a trend", False
-    tol = _RATIO_ULPS * math.ulp(max(trend))
-    diffs = [b - a for a, b in zip(trend, trend[1:])]
+    tol = _LOG_ULPS * math.ulp(max(1.0, log_scale))
+    diffs = [b - a for a, b in zip(log_ratios, log_ratios[1:])]
     if all(d > tol for d in diffs):
         return "super-lacunary trend (ratios increasing)", False
     if all(d < -tol for d in diffs):
@@ -165,15 +169,16 @@ def classify(seq: ExponentSequence) -> Classification:
         if len(seq) < 3:
             raise ValueError("leading exponent 0: need two positive entries for ratios")
     ratios = tuple(seq[i + 1] / seq[i] for i in range(start, len(seq) - 1))
-    log_ratios = [math.log(seq[i + 1]) - math.log(seq[i]) for i in range(start, len(seq) - 1)]
-    trend = ratios[-min(5, len(ratios)):]
-    note, non_lacunary = _trend(trend)
+    logs = [math.log(v) for v in seq.exponents[start:]]
+    log_ratios = [b - a for a, b in zip(logs, logs[1:])]
+    k = min(5, len(ratios))
+    note, non_lacunary = _trend(log_ratios[-k:], max(abs(v) for v in logs[-k - 1:]))
     return Classification(
         r_inf=min(ratios),
         r_sup=max(ratios),
         log_r_inf=min(log_ratios),
         log_r_sup=max(log_ratios),
-        super_lacunary_trend=trend,
+        super_lacunary_trend=ratios[-k:],
         ratios_from_index=start,
         trend_note=note,
         trend_non_lacunary=non_lacunary,

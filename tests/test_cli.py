@@ -714,6 +714,14 @@ _EXTREME_INPUTS = {
         ["classify", "--seq", "recursive:1e-300,100,160,3"], 0,
         {"truncated": True, "length": 2,
          "gap": pytest.approx(float(mpmath.mpf(1e-300) * 101 ** 160), rel=1e-13)}),
+    # the ratios 1e100 and 1e400 increase; the second is past the float range, so
+    # the trend is decided on their logs, 230 and 921 (inf has an inf ulp, so the
+    # floats would read steady)
+    "classify-ratio-past-the-float-range": (
+        ["classify", "--seq", "explicit:1e-300,1e-200,1e200"], 0,
+        {"classification": {"super_lacunary_trend": [1e100, "inf"],
+                            "trend_note": "super-lacunary trend (ratios increasing)",
+                            "trend_non_lacunary": False}}),
     # 3**10002 is past the float range (construction B at p = 1.0001): lam_2 alone
     "moments-recursive-first-step-past-1e306": (
         ["moments", "--seq", "recursive:1,2,10002,10"], 0,

@@ -17,6 +17,7 @@ from muntzlab.lpnorm import (_log_pth_power, _node_log_norms, gm_ratio_sample, l
                              log_lp_norms, pairing_integral)
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, node_log_powers, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
+from test_measures import _resumming_integrate_to_one
 
 GEO = generate_geometric(1, 2, 16)
 
@@ -604,9 +605,9 @@ class TestReportDefaultRows:
     and, against mpmath, at p = 3 too."""
 
     @pytest.mark.parametrize("seed", [0, 41])
-    def test_at_most_42_panels_per_row(self, seed, monkeypatch):
-        # passes at depths 24 and 40: 40 panels and 2 closing panels; the totals
-        # of the two passes agree, so no third pass re-splits the closing panel
+    def test_27_panels_per_row(self, seed, monkeypatch):
+        # passes at depths 24 and 25: 25 panels and 2 closing panels; the first
+        # closing panel is already exact, so the two totals agree
         integrands = []  # one integrand per row; kept, so no id is reused
 
         def counting(f, lo, hi):
@@ -617,7 +618,18 @@ class TestReportDefaultRows:
         monkeypatch.setattr(measures, "_gl_panel", counting)
         log_lp_norms(GEO, lpnorm._uniform_rows(seed, 100, 16), Lebesgue(), 2.0)
         per_row = collections.Counter(map(id, integrands))
-        assert len(per_row) == 100 and max(per_row.values()) <= 42
+        assert len(per_row) == 100 and set(per_row.values()) == {27}
+
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_one_halving_step_keeps_the_16_panel_norms(self, seed, monkeypatch):
+        # a pass one halving deeper stops where one 16 halvings deeper did, on
+        # the same total: the closing panel it splits is already exact
+        rows = lpnorm._uniform_rows(seed, 100, 16)
+        got = [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (1.5, 2.0, 3.0)]
+        monkeypatch.setattr(
+            lpnorm, "integrate_to_one", lambda f, sharpness, low_power=None:
+            _resumming_integrate_to_one(f, sharpness, 16, low_power)[-1])
+        assert got == [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (1.5, 2.0, 3.0)]
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_five_rows_against_mpmath(self, p):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab.logdomain import NeumaierSum, logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, _gl_panel,
-                               _log_poisson_kernel, atoms, integrate_to_one, log_powers,
-                               measure_nodes, moment, moments, node_log_powers,
-                               poisson_integral, restrict, sublinear_norm, tail_mass,
-                               windowed_sublinear_sup)
+                               _gl_panels, _graded_edges, _log_poisson_kernel, atoms,
+                               integrate_to_one, log_powers, measure_nodes, moment, moments,
+                               node_log_powers, poisson_integral, restrict, sublinear_norm,
+                               tail_mass, windowed_sublinear_sup)
 
 GEOM30 = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 
@@ -338,16 +338,23 @@ class TestGradedTowardZero:
         assert integrate_to_one(f, 9.0, low_power=3.0) == integrate_to_one(f, 9.0)
 
 
-def _resumming_integrate_to_one(f, sharpness):
-    """integrate_to_one with every pass summing from panel 1 again: the same
-    panels in u = 1 - t, closing rule, stopping rule and summation order.
-    Returns the total of every pass; the last is the result."""
+def _resumming_integrate_to_one(f, sharpness, step, low_power=None):
+    """integrate_to_one with every pass summing from panel 1 again and the
+    next pass ``step`` halvings deeper: the same panels in u = 1 - t (panel 1
+    graded toward t = 0 for a non-integer ``low_power``), closing rule,
+    stopping rule and summation order.  Returns the total of every pass; the
+    last is the result."""
     depth, totals = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53), []
+    graded = _graded_edges(low_power, 1.0)
     while True:
         acc, right = NeumaierSum(), 1.0
         for j in range(1, depth + 1):
             left = 2.0 ** (-j)
-            acc.add(_gl_panel(f, left, right))
+            if j == 1 and graded is not None:
+                for t, log_w in zip(*_gl_panels(graded)):
+                    acc.add(float(np.dot(np.exp(log_w), f(np.log(t)))))
+            else:
+                acc.add(_gl_panel(f, left, right))
             right = left
         closing = _gl_panel(f, 0.0, right)
         acc.add(closing)
@@ -356,23 +363,26 @@ def _resumming_integrate_to_one(f, sharpness):
         if (abs(closing) <= scale or depth >= 53
                 or len(totals) > 1 and abs(totals[-1] - totals[-2]) <= scale):
             return totals
-        depth = min(53, depth + 16)
+        depth = min(53, depth + step)
 
 
 class TestIntegrateToOne:
     # (integrand of log t, sharpness, the depth of each pass); a pass is the
     # last when its closing panel holds at most 1e-12 of the total (about
     # 2**-depth times g(1) / integral) or its total agrees with the previous
-    # pass's to 1e-12
+    # pass's to 1e-12; the next pass is one halving deeper
     CASES = {
         "one-pass": (lambda log_t: (-np.expm1(log_t)) ** 4, 1.0, (12,)),
-        "two-passes": (lambda log_t: -np.expm1(log_t), 1.0, (12, 28)),
-        "two-passes-agree": (lambda log_t: np.exp(2.0 * log_t), 1.0, (12, 28)),
-        "sharp-two-passes-agree": (lambda log_t: np.exp(32768.0 * log_t), 65536.0, (24, 40)),
-        "steep-two-passes-agree": (lambda log_t: np.exp(100.0 * log_t), 1.0, (12, 28)),
+        "two-passes": (lambda log_t: -np.expm1(log_t), 1.0, (12, 13)),
+        "two-passes-agree": (lambda log_t: np.exp(2.0 * log_t), 1.0, (12, 13)),
+        "sharp-two-passes-agree": (lambda log_t: np.exp(32768.0 * log_t), 65536.0, (24, 25)),
+        "steep-two-passes-agree": (lambda log_t: np.exp(100.0 * log_t), 1.0, (12, 13)),
         # the integrand's scale 2**-20 in u is 2**20 finer than sharpness 1 asks
-        "three-passes": (lambda log_t: np.exp(2.0 ** 20 * log_t), 1.0, (12, 28, 44)),
-        "to-53": (lambda log_t: np.exp(2.0 ** 48 * log_t), 2.0 ** 28, (36, 52, 53)),
+        "four-passes": (lambda log_t: np.exp(2.0 ** 20 * log_t), 1.0, (12, 13, 14, 15)),
+        "eight-passes": (lambda log_t: np.exp(2.0 ** 48 * log_t), 2.0 ** 28,
+                         tuple(range(36, 44))),
+        # the first depth log2(2**45) + 8 is the last one
+        "to-53": (lambda log_t: np.exp(2.0 ** 48 * log_t), 2.0 ** 45, (53,)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -387,22 +397,23 @@ class TestIntegrateToOne:
         got = integrate_to_one(recording, sharpness)
         resummed = []
         totals = _resumming_integrate_to_one(
-            lambda log_t: resummed.append(log_t) or f(log_t), sharpness)
+            lambda log_t: resummed.append(log_t) or f(log_t), sharpness, 1)
         assert got == totals[-1]
         # re-summing evaluates every panel of every pass; now each pass adds its
-        # new panels and one closing panel, and no interval is evaluated twice
+        # new panel and one closing panel, and no interval is evaluated twice
         assert len(resummed) == sum(d + 1 for d in depths)
         assert len(nodes) == depths[-1] + len(depths)
         assert len(set(nodes)) == len(nodes)
 
-    @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** 24])
-    def test_passes_that_disagree_deepen_until_two_agree(self, scale):
+    @pytest.mark.parametrize("scale, passes", [(2.0 ** 20, 4), (2.0 ** 24, 8)])
+    def test_passes_that_disagree_deepen_until_two_agree(self, scale, passes):
         # t**a with a 2**20 (2**24) times the sharpness passed: the first pass's
         # closing panel [0, 2**-12] misses the integrand's scale 1/a in u
-        totals = _resumming_integrate_to_one(lambda log_t: np.exp(scale * log_t), 1.0)
-        assert len(totals) == 3
+        totals = _resumming_integrate_to_one(lambda log_t: np.exp(scale * log_t), 1.0, 1)
+        assert len(totals) == passes
         assert abs(totals[1] - totals[0]) > 1e-6 * totals[1]
-        assert abs(totals[2] - totals[1]) <= 1e-12 * totals[2]
+        assert all(abs(b - a) > 1e-12 * b for a, b in zip(totals[:-2], totals[1:-1]))
+        assert abs(totals[-1] - totals[-2]) <= 1e-12 * totals[-1]
         got = integrate_to_one(lambda log_t: np.exp(scale * log_t), 1.0)
         assert got == totals[-1]
         assert got == pytest.approx(1.0 / (scale + 1.0), rel=1e-13)
@@ -411,8 +422,8 @@ class TestIntegrateToOne:
         # the depth-53 closing panel is [0, 2**-53] in u: its nodes keep u > 0
         nodes = []
         integrate_to_one(lambda log_t: nodes.append(log_t) or np.exp(2.0 ** 48 * log_t),
-                         2.0 ** 28)
-        assert len(nodes) == 53 + 3
+                         2.0 ** 45)
+        assert len(nodes) == 53 + 1
         assert max(float(v.max()) for v in nodes) < 0.0
 
 

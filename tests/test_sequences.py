@@ -122,13 +122,22 @@ class TestClassify:
                                          cls.super_lacunary_trend[1:]))
         assert "super-lacunary" in cls.trend_note
 
+    def test_trend_up_across_orders_of_magnitude(self):
+        # decided on the log ratios: four ulps of the largest ratio, 64, exceed
+        # the first step 3 - 2, so the floats would read steady (a ratio past
+        # the float range: classify-ratio-past-the-float-range in test_cli)
+        cls = classify(ExponentSequence((1.0, 2.0, 6.0, 6e17)))
+        assert cls.super_lacunary_trend == (2.0, 3.0, 1e17)
+        assert cls.trend_note == "super-lacunary trend (ratios increasing)"
+        assert not cls.trend_non_lacunary
+
     def test_trend_flag_set_for_decreasing_ratios(self):
         cls = classify(ExponentSequence((1.0, 1.1, 1.2, 1.3)))
         assert cls.trend_non_lacunary
         assert "trend non-lacunary" in cls.trend_note
 
     @pytest.mark.parametrize("args", [(2.7, 1.5, 3), (2.7, 1.5, 4), (0.3, 1.7, 3),
-                                      (1, 2, 16), (1, 2, 64)])
+                                      (1, 2, 16), (1, 2, 60), (1, 2, 64)])
     def test_trend_flag_ignores_rounded_geometric_ratios(self, args):
         # the first three have computed ratios an ulp apart, e.g.
         # (1.5000000000000002, 1.5, 1.4999999999999998) for (2.7, 1.5, 4)

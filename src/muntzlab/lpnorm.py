@@ -7,10 +7,13 @@ Lebesgue measure, are log-domain sums over the terms x nodes matrix of
 rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
 of ``measures.integrate_to_one``, which deepens toward t = 1 one halving a
 pass until its closing panel is negligible or two passes agree; each
-panel's monomials are one exp of ``measures.log_powers``, and each row is
-scaled by a power of two first, so |f|**p stays near 1.  Both quadratures are
-graded toward t = 0 by ``measures._grading_power`` and refined toward t = 1
-at least as far as p * lam_max asks.  Neither sees the kink of |f|**p at a
+panel's monomials are one exp of ``measures.log_powers`` per call, shared
+by all its rows (each row still adds its terms one at a time; that loop as
+one array reduction, and rows batched on a panel, stay parked on peak
+memory, ROADMAP.md item 1), and each row is scaled by a power of two first,
+so |f|**p stays near 1.  Both quadratures are graded toward t = 0 by
+``measures._grading_power`` and refined toward t = 1 at least as far as
+p * lam_max asks.  Neither sees the kink of |f|**p at a
 sign change of f when p is not an even integer (ROADMAP.md item 7).  Every
 norm refuses p < 1 (``_check_p``); beyond that each route refuses only what
 it cannot represent: the nodes, in u = 1 - t and in logs, p * lam past the
@@ -38,21 +41,21 @@ from .sequences import ExponentSequence, classify
 _LOG2 = math.log(2.0)
 
 
-def _eval_poly_array(a: list[float], lam: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """f(t) = sum_j a_j t**lam_j at one panel's nodes, given their log t.
+def _eval_poly_array(a: list[float], powers: np.ndarray) -> np.ndarray:
+    """f(t) = sum_j a_j t**lam_j at one panel's nodes, given its monomials.
 
-    The panel's monomials are one exp of the terms x nodes matrix of
-    ``measures.log_powers`` (t**0 = 1 also at t = 0); each row is scaled by
-    its a_j in place and added in term order, zero coefficients skipped, so
-    each node's value is the per-term sum of a_j * exp(lam_j log t), bit for
-    bit.  ``log_lp_norms`` passes rows scaled by a power of two, so |f| is at
-    most the number of terms.
+    ``powers`` is the panel's terms x nodes matrix of t_k**lam_j, one exp of
+    ``measures.log_powers`` (t**0 = 1 also at t = 0), which ``log_lp_norms``
+    builds once per panel and shares among its rows, so it is read, never
+    written: each row is scaled by its a_j into a new array and added in term
+    order, zero coefficients skipped, so each node's value is the per-term sum
+    of a_j * exp(lam_j log t), bit for bit.  ``log_lp_norms`` passes rows
+    scaled by a power of two, so |f| is at most the number of terms.
     """
-    out = np.zeros_like(log_t, dtype=float)
-    for aj, row in zip(a, np.exp(log_powers(log_t, lam))):
+    out = np.zeros(powers.shape[1])
+    for aj, row in zip(a, powers):
         if aj != 0.0:
-            row *= aj
-            out += row
+            out += row * aj
     return out
 
 
@@ -119,15 +122,21 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     |a_j| (``_pow2_exponents``; 0 for a largest |a_j| in [0.5, 1)), and add
     e log 2 back to the log norm, so coefficients of 1e-200 or 1e200 neither
     underflow nor overflow in |f|**p.  The panels evaluate f through
-    ``_eval_poly_array`` on ``lam`` as one array, built once per call.  A row
-    stops once two passes of its panels agree, 27 panels for a row of
-    geometric:1,2,16 at p = 2 (passes at depths 24 and 25, each with its
-    closing panel), and the refusal past u = 2**-53 comes on the first row,
-    so once per call.  The scaling bounds the largest |a_j|, not
-    |f|: a row whose |f|**p overflows a panel (sixteen 1s at p = 400) is
-    refused, not reported as inf.  Faster forms of that route with identical
-    outputs stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero
-    norm is -inf.
+    ``_eval_poly_array`` on the panel's monomials, one exp of
+    ``measures.log_powers`` per panel and call: the first row to reach a
+    panel builds its terms x nodes matrix, keyed by the bytes of the log t
+    that ``integrate_to_one`` hands it (a function of the panel alone, graded
+    panels included), and every later row reads it, so the 100 rows of
+    report-default take 27 exps, not 2,700, and each norm is the one-row
+    call's bit for bit.  A row stops once two passes of its panels agree, 27
+    panels for a row of geometric:1,2,16 at p = 2 (passes at depths 24 and
+    25, each with its closing panel), and the refusal past u = 2**-53 comes
+    on the first row, so once per call.  The scaling bounds the largest
+    |a_j|, not |f|: a row whose |f|**p overflows a panel (sixteen 1s at
+    p = 400) is refused, not reported as inf.  Faster forms of that route
+    with identical outputs, the term loop of each row as one array reduction
+    and rows batched on each panel, stay parked on peak memory (ROADMAP.md
+    items 1 and 2).  A zero norm is -inf.
     """
     a = _coefficient_matrix(seq, coeffs)
     lam = seq.exponents[:a.shape[1]]
@@ -142,11 +151,22 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     # rows run where an overflow raises, as numpy's errstate slows each ufunc call
     guard = np.errstate(over="raise") if p * math.log(a.shape[1]) > LOG_FLOAT_MAX - 1.0 \
         else contextlib.nullcontext()
+    # each panel's monomials, keyed by the bytes of its log t (exact, graded
+    # panels included), built on the first row that reaches it and shared by the rest
+    panels: dict[bytes, np.ndarray] = {}
+
+    def monomials(log_t: np.ndarray) -> np.ndarray:
+        key = log_t.tobytes()
+        powers = panels.get(key)
+        if powers is None:
+            powers = panels[key] = np.exp(log_powers(log_t, lam))
+        return powers
+
     try:
         with guard:
             for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
                 val = integrate_to_one(
-                    lambda log_t, b=row: np.abs(_eval_poly_array(b, lam, log_t)) ** p,
+                    lambda log_t, b=row: np.abs(_eval_poly_array(b, monomials(log_t))) ** p,
                     sharpness, low_power=low_power)
                 if math.isnan(val):
                     raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
@@ -237,9 +257,11 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     trend as non-lacunary, where the bracket may degenerate.
     """
     _check_p(p)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     n_count = len(seq) if n_count is None else n_count
     if not 1 <= n_count <= len(seq):
-        raise ValueError("n_count out of range")
+        raise ValueError(f"n_count {n_count} out of range 1..{len(seq)}")
     # classify needs two positive exponents; a leading 0 has no ratio
     if len(seq) >= (3 if seq[0] == 0.0 else 2) and classify(seq).trend_non_lacunary:
         warnings.warn("ratio sampling on a non-lacunary prefix; the bracket "

@@ -24,7 +24,9 @@ the tail mass, sublinear sup and Poisson integral of every density) stay as
 the exact special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
 L^p norms, deepens its dyadic panels toward t = 1 one halving a pass until
 the closing panel is negligible or two passes agree, and refuses exponents
-past its float panels' edge u = 2**-53 itself.
+past its float panels' edge u = 2**-53 itself.  The log t it hands the
+integrand on a panel depends on that panel alone, so ``lpnorm.log_lp_norms``
+builds each panel's monomials once per call and shares them among its rows.
 """
 from __future__ import annotations
 
@@ -130,7 +132,8 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
     The float quadrature of Lebesgue L^p norms; f receives log t = log1p(-u)
-    at the nodes and returns g there.  Panel j covers u in [2**-j, 2**(1-j)]
+    at the nodes and returns g there; the same panel hands f the same log t,
+    bit for bit, on every call.  Panel j covers u in [2**-j, 2**(1-j)]
     and a closing panel [0, 2**-depth], so no node is t = 1.  The first
     depth is ``_first_depth`` of ``sharpness`` (a for t**a).  A pass ends
     with the total of the running compensated sum and its closing panel; it

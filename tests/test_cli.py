@@ -737,6 +737,12 @@ _EXTREME_INPUTS = {
     "isometry-one-exponent": (["verify", "--suite", "isometry-threshold", "--seq", "explicit:1",
                                "--N", "1"], 2,
                               ("isometry-threshold needs at least two exponents, got 1",)),
+    # a negative row count reached random.randbytes ("number of bits must be
+    # non-negative"), and a prefix of 0 terms was refused naming neither its
+    # length nor the range, which dnp's refusal names
+    "probe-trials=-1": (["probe", "--trials", "-1"], 2, ("trials must be >= 0, got -1",)),
+    "basis-N=0": (["verify", "--suite", "basis", "--N", "0"], 2,
+                  ("n_count 0 out of range 1..16",)),
 }
 
 # the exact norms of the norm rows above: ||t||_2 = 1/sqrt(3), ||t + t**2||_2 =

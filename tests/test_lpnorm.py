@@ -95,9 +95,55 @@ class TestPanelIntegrand:
         lam = np.array([0.0] + [(lam0 or 1.0) * 2.0 ** j for j in range(15)])
         log_t = np.concatenate([[-math.inf], np.log(rng.uniform(0.0, 1.0, 15)),
                                 np.log1p(-np.geomspace(2.0 ** -53, 0.5, 8))])
+        powers = np.exp(measures.log_powers(log_t, lam))
+        shared = powers.copy()
         for a in rng.uniform(-1.0, 1.0, (20, 16)) * (rng.uniform(size=(20, 16)) < 0.8):
-            got = lpnorm._eval_poly_array(a.tolist(), lam, log_t)
+            got = lpnorm._eval_poly_array(a.tolist(), powers)
             assert (got == per_term_poly(a.tolist(), lam, log_t)).all()
+        # the rows of a call share the matrix: no row writes to it
+        assert (powers == shared).all()
+
+
+class TestSharedPanels:
+    """The Lebesgue rows of one ``log_lp_norms`` call share each panel's
+    monomials: one exp of ``log_powers`` per panel and call, and every row's
+    norm the one-row call's bit for bit."""
+
+    @pytest.mark.parametrize("lam0", [0.01, 1.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_each_row_is_its_one_row_call_and_the_per_term_reference(self, p, lam0):
+        # at lam0 = 0.01 panel 1 is graded toward t = 0, so graded panels are shared too
+        seq = generate_geometric(lam0, 2, 16)
+        lam = np.array(seq.exponents)
+        rows = lpnorm._uniform_rows(41, 100, 16)
+        got = log_lp_norms(seq, rows, Lebesgue(), p).tolist()
+        assert got == [log_lp_norms(seq, [row], Lebesgue(), p)[0] for row in rows]
+        low_power = measures._grading_power(lam, p)
+        for norm, row in zip(got, rows):
+            e = math.frexp(np.abs(row).max())[1]
+            b = np.ldexp(row, -e).tolist()
+            val = measures.integrate_to_one(
+                lambda log_t: np.abs(per_term_poly(b, lam, log_t)) ** p,
+                p * max(lam[-1], 1.0), low_power=low_power)
+            assert norm == math.log(val) * (1.0 / p) + e * math.log(2.0)
+
+    @pytest.mark.parametrize("count", [1, 7, 100])
+    @pytest.mark.parametrize("lam0, panels", [(1.0, 27), (0.01, 60)])
+    def test_one_exp_per_panel_and_call(self, lam0, panels, count, monkeypatch):
+        # geometric:1,2,16 at p = 2 takes 27 panels (test_27_panels_per_row);
+        # geometric:0.01,2,16 takes 41 graded panels for panel 1, panels 2 to
+        # 18 and two closing panels (passes at depths 17 and 18)
+        calls = []
+
+        def counting(log_t, lam):
+            calls.append(log_t.tobytes())
+            return log_powers(log_t, lam)
+
+        log_powers = lpnorm.log_powers
+        monkeypatch.setattr(lpnorm, "log_powers", counting)
+        log_lp_norms(generate_geometric(lam0, 2, 16), lpnorm._uniform_rows(0, count, 16),
+                     Lebesgue(), 2.0)
+        assert len(calls) == len(set(calls)) == panels
 
 
 class TestScaledRows:

@@ -13,8 +13,9 @@ from .measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, atoms, mom
                        poisson_integral, restrict, sublinear_norm)
 from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
                   operator_bounds)
-from .bounds import envelope_check, jlambda_upper, lemma31_bound, r_epsilon
-from .lpnorm import gm_ratio_sample, l2_norm_gram, log_lp_norms, pairing_integral
+from .bounds import (envelope_check, jlambda_upper, lemma31_bound, log_shifted_ratios,
+                     r_epsilon)
+from .lpnorm import gm_ratio_sample, l2_norm_gram, log_lp_norms
 from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
                       embedding_spectrum, essential_norm_estimate, frame_bounds,
                       prop511_value, t_mu_spectrum)

@@ -1,7 +1,9 @@
 """Closed-form constants and analytic brackets for weighted monomial systems.
 
 The closed forms are ordinary float arithmetic (all magnitudes moderate);
-only the series that involve t**lam go through the log domain.
+only the series that involve t**lam go through the log domain, and so do
+the shifted ratios q_{n+1} / q_n, q = p lam + 1, the one way the lacunary
+estimates see the exponents (``log_shifted_ratios``).
 """
 from __future__ import annotations
 
@@ -59,8 +61,8 @@ def lemma31_bound(p: float, alpha: float, q_seq, r: float) -> Lemma31Bound:
 class NormBoundReport:
     """Upper bound for the synthesis-operator norm from the lacunarity ratio.
 
-    ``r`` is the lacunarity ratio of (p*lam_n + 1), not of lam_n itself;
-    callers compute it by classifying the shifted sequence.
+    ``r`` is the lacunarity ratio of (p*lam_n + 1), not of lam_n itself:
+    the smallest shifted ratio, whose logs ``log_shifted_ratios`` gives.
     """
 
     p: float
@@ -72,7 +74,21 @@ class NormBoundReport:
         assert self.upper_bound >= 1.0
 
 
+def log_shifted_ratios(seq: ExponentSequence, p: float) -> np.ndarray:
+    """log rho_n = log q_{n+1} - log q_n, q = p lam + 1, for each adjacent pair:
+    all that Props 3.2 and 3.3, r_eps and the pairing of adjacent normalized
+    monomials see of the exponents.  Each log q is log1p(p lam), or log p +
+    log lam past the float range (as ``dnp.WeightScheme("classical")``)."""
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    log_q = [math.log1p(p * lam) if math.isfinite(p * lam) else math.log(p) + math.log(lam)
+             for lam in seq]
+    return np.diff(log_q)
+
+
 def jlambda_upper(p: float, r: float) -> NormBoundReport:
+    """Props 3.2 (p >= 2) and 3.3 (p <= 2): the bound on ||J_Lambda|| when every
+    shifted ratio (``log_shifted_ratios``) is at least r > 1."""
     if not r > 1.0:
         raise ValueError(f"r must exceed 1, got {r}")
     if p < 1.0:

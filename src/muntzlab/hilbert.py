@@ -209,20 +209,10 @@ def frame_bounds(seq: ExponentSequence, n: int) -> FrameBounds:
                        singular_values=tuple(float(s) for s in sigma))
 
 
-@dataclass(frozen=True)
-class CutTrend:
-    """sigma_1 of the embedding over restrictions to [a_j, 1)."""
-
-    cuts: tuple[float, ...]
-    sigma1: tuple[float, ...]
-    limit_proxy: float
-    drop_factor: float  # first/last, inf when the last value is 0
-
-
 def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
-                            cut_grid) -> CutTrend:
+                            cut_grid) -> tuple[float, ...]:
     """sigma_1 of the embedding of the first n monomials into L2 of each
-    restriction of mu to [a, 1), a in ``cut_grid``.
+    restriction of mu to [a, 1), one per a in ``cut_grid``, in its order.
 
     The Cauchy Gram is factored once for all cuts.  On atoms the nodes of
     every restriction are a subset of mu's own, so the embedding is formed
@@ -250,8 +240,7 @@ def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,
                 # exponent the nodes refuse is reported before a Gram it breaks
                 low = _cauchy_factor(np.array(seq.exponents[:n]))
             sig.append(float(_singular_values(_embedding(low, v, n))[0]))
-    drop = math.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
-    return CutTrend(tuple(cuts), tuple(sig), limit_proxy=sig[-1], drop_factor=drop)
+    return tuple(sig)
 
 
 def prop511_value(mu: Measure, q: float) -> float:

@@ -229,9 +229,9 @@ def _uniform_rows(seed: int, rows: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RatioBracket:
-    """min and max of the sampled ratios and how many there were (``trials``,
-    canonical rows included); ``canonical`` is (min, max) over the canonical
-    rows alone."""
+    """min and max of the sampled ratios over all rows, how many random rows
+    there were (``trials``, as asked), and (min, max) over the canonical rows
+    alone (``canonical``)."""
 
     min_ratio: float
     max_ratio: float
@@ -279,21 +279,5 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit
     ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])
-    return RatioBracket(float(ratios.min()), float(ratios.max()), len(ratios),
+    return RatioBracket(float(ratios.min()), float(ratios.max()), trials,
                         (float(ratios[:n_count].min()), float(ratios[:n_count].max())))
-
-
-def pairing_integral(seq: ExponentSequence, p: float, n: int) -> tuple[float, float]:
-    """Exact normalized pairing of adjacent monomials and its lower bound.
-
-    value = q_{n+1}^{1/p} q_n^{1/p'} / ((p-1) lam_n + lam_{n+1} + 1) with
-    q = p lam + 1; lower bound q_n / q_{n+1}.  The value tends to 0
-    exactly along super-lacunary growth and stays bounded below otherwise.
-    """
-    _check_p(p)
-    if not 0 <= n < len(seq) - 1:
-        raise ValueError(f"need n and n+1 within the prefix, got n={n}")
-    qn = p * seq[n] + 1.0
-    qn1 = p * seq[n + 1] + 1.0
-    value = qn1 ** (1.0 / p) * qn ** (1.0 - 1.0 / p) / ((p - 1.0) * seq[n] + seq[n + 1] + 1.0)
-    return value, qn / qn1

@@ -3,7 +3,8 @@ import math
 import mpmath
 import pytest
 
-from muntzlab.bounds import conjugate, envelope_check, jlambda_upper, lemma31_bound, r_epsilon
+from muntzlab.bounds import (conjugate, envelope_check, jlambda_upper, lemma31_bound,
+                             log_shifted_ratios, r_epsilon)
 from muntzlab.hilbert import frame_bounds
 from muntzlab.sequences import ExponentSequence, generate_geometric
 
@@ -77,6 +78,36 @@ class TestLemma31Loop:
         want = _lemma31_lhs_by_loop(p, alpha, q)
         assert res.lhs == pytest.approx(want, rel=1e-15, abs=0.0)
         assert (res.lhs <= res.rhs) == (want <= res.rhs)
+
+
+class TestLogShiftedRatios:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 400.0])
+    @pytest.mark.parametrize("seq", [generate_geometric(1, 2, 16),
+                                     generate_geometric(0.01, 1.2, 40),
+                                     ExponentSequence((0.0, 1e-17, 1.0, 1e300))],
+                             ids=["geometric:1,2,16", "geometric:0.01,1.2,40", "wide"])
+    def test_logs_of_the_shifted_ratios(self, seq, p):
+        # log(q_{n+1} / q_n), q = p lam + 1, in 30 digits from the same floats
+        with mpmath.workdps(30):
+            q = [mpmath.mpf(p) * mpmath.mpf(lam) + 1 for lam in seq]
+            want = [float(mpmath.log(b / a)) for a, b in zip(q, q[1:])]
+        got = log_shifted_ratios(seq, p)
+        assert got.shape == (len(seq) - 1,)
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-30)
+
+    def test_past_the_float_range(self):
+        # 3 * 1e308 is no float; its log is log 3 + log 1e308, the + 1 far below rounding
+        with mpmath.workdps(30):
+            want = float(mpmath.log((3 * mpmath.mpf(1e308) + 1) / 4))
+        assert log_shifted_ratios(ExponentSequence((1.0, 1e308)), 3.0).tolist() == \
+            pytest.approx([want], rel=1e-15)
+
+    def test_one_exponent_has_no_ratio(self):
+        assert log_shifted_ratios(ExponentSequence((2.0,)), 2.0).tolist() == []
+
+    def test_refuses_p_below_1(self):
+        with pytest.raises(ValueError, match="p must be >= 1, got 0.5"):
+            log_shifted_ratios(generate_geometric(1, 2, 4), 0.5)
 
 
 class TestJlambdaUpper:

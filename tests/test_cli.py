@@ -1,8 +1,10 @@
 import ast
+import csv
 import dataclasses
 import functools
 import importlib.util
 import inspect
+import io
 import itertools
 import json
 import math
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import muntzlab
 from muntzlab import bounds as bounds_mod
@@ -236,10 +239,12 @@ def test_option_its_branch_reads_is_given_or_defaulted(argv, key, want, capsys):
     assert out.get("inputs", {}).get(key, out.get(key)) == want
 
 
-def test_probe_counts_the_canonical_vectors_beside_the_trials(capsys):
-    assert run(["probe", "--trials", "3"]) == 0
+@pytest.mark.parametrize("trials", [0, 3])
+def test_probe_trials_count_the_random_rows(trials, capsys):
+    # the 16 canonical rows were counted too: --trials 0 wrote "trials": 16
+    assert run(["probe", "--trials", str(trials)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["inputs"]["trials"] == 3 and out["trials"] == 3 + 16
+    assert out["inputs"]["trials"] == out["trials"] == trials
 
 
 @pytest.mark.parametrize("cmd", sorted(set(_READERS) - {"verify", "report"}))
@@ -541,6 +546,70 @@ def test_block_ratios_of_one_exponent_decide_nothing():
     assert list(_blocksum("explicit:3", 2.0)) == ["block-indicator-ratios"]
 
 
+def _mp_pairing(lam0, lam1, p):
+    """The normalized pairing q1**(1/p) q0**(1/p') / ((p - 1) lam0 + lam1 + 1) of two
+    exponents, q = p lam + 1, in 30 digits from the floats."""
+    with mpmath.workdps(30):
+        lam0, lam1, p = mpmath.mpf(lam0), mpmath.mpf(lam1), mpmath.mpf(p)
+        q0, q1 = p * lam0 + 1, p * lam1 + 1
+        return float(q1 ** (1 / p) * q0 ** (1 - 1 / p) / ((p - 1) * lam0 + lam1 + 1))
+
+
+def _pairing(seq, p):
+    """The values and bounds of the pairing-dichotomy suite on seq at p."""
+    data = cli.suite_pairing(seq, p)[0]["data"]
+    return data["values"], data["bounds"]
+
+
+class TestPairing:
+    def test_exact_small_case(self):
+        values, bounds = _pairing(sequences_mod.ExponentSequence((1.0, 2.0)), 2.0)
+        assert values[0] == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
+        assert bounds[0] == pytest.approx(0.6)
+
+    def test_value_matches_brute_integral(self):
+        # f_{n+1} f_n**(p-1) has an elementary antiderivative; compare p = 3
+        seq = sequences_mod.ExponentSequence((2.0, 5.0))
+        p = 3.0
+        values, _ = _pairing(seq, p)
+        q0, q1 = p * 2.0 + 1.0, p * 5.0 + 1.0
+        brute = q1 ** (1 / p) * q0 ** (1 - 1 / p) / ((p - 1) * 2.0 + 5.0 + 1.0)
+        assert values[0] == pytest.approx(brute, rel=1e-15)
+        quad = mpmath.quad(lambda t: q1 ** (1 / p) * t ** 5 * (q0 ** (1 / p) * t ** 2) ** (p - 1),
+                           [0, 1])
+        assert values[0] == pytest.approx(float(quad), rel=1e-14)
+
+    def test_super_lacunary_decays(self):
+        seq = sequences_mod.ExponentSequence(tuple(2.0 ** (n * n) for n in range(8)))
+        values, _ = _pairing(seq, 2.0)
+        assert len(values) == 7
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert values[-1] < 0.05
+
+    def test_geometric_stays_above_bound(self):
+        values, bounds = _pairing(sequences_mod.generate_geometric(1, 2, 14), 2.0)
+        assert len(values) == 13
+        assert all(value >= bound >= 0.45 for value, bound in zip(values, bounds))
+
+    @given(st.floats(min_value=1.0, max_value=6.0))
+    @settings(max_examples=40)
+    def test_value_at_least_bound(self, p):
+        values, bounds = _pairing(sequences_mod.generate_geometric(0.5, 1.7, 12), p)
+        assert all(value >= bound - 1e-12 for value, bound in zip(values, bounds))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 400.0])
+    @pytest.mark.parametrize("spec", ["geometric:1,2,16", "geometric:0.01,1.2,40",
+                                      "recursive:1,2,12,3"])
+    def test_values_are_the_pairings_of_the_exponents(self, spec, p):
+        # g(rho) of the shifted ratio alone is the pairing of the two exponents
+        seq = cli.parse_sequence(spec)
+        values, bounds = _pairing(seq, p)
+        assert values == pytest.approx([_mp_pairing(a, b, p) for a, b in zip(seq, seq[1:])],
+                                       rel=1e-13, abs=0.0)
+        assert bounds == pytest.approx([(p * a + 1.0) / (p * b + 1.0)
+                                        for a, b in zip(seq, seq[1:])], rel=1e-13, abs=0.0)
+
+
 # Inputs past the float range: r_epsilon and construction B's exponents overflow
 # at p = 50 and p = 1.0001, the envelope's ratios underflow to 0 (their logs do
 # not), and the Schatten powers of values near 1e150 overflow.  Each exits 0, 1 or 2, never
@@ -743,6 +812,47 @@ _EXTREME_INPUTS = {
     "probe-trials=-1": (["probe", "--trials", "-1"], 2, ("trials must be >= 0, got -1",)),
     "basis-N=0": (["verify", "--suite", "basis", "--N", "0"], 2,
                   ("n_count 0 out of range 1..16",)),
+    # 0 was a sentinel for the whole prefix (60 rows here); every --N reader refuses it
+    "dnp-N=0": (["dnp", "--seq", "geometric:1,2,60", "--N", "0"], 2,
+                ("n_count 0 out of range 1..60",)),
+    "spectrum-N=0": (["spectrum", "--N", "0"], 2, ("truncation 0 out of range 1..16",)),
+    # p lam = 3e308 is past the float range: the float pairing read inf, labeled
+    # "bounded", and its bound 0 <= inf read PASS
+    "pairing-lam=1e308-p=3": (
+        ["verify", "--suite", "pairing-dichotomy", "--seq", "explicit:1,1e308", "--p", "3"], 0,
+        {"pairing-above-lower-bound": {"status": "EVIDENCE", "values": pytest.approx(
+            [_mp_pairing(1.0, 1e308, 3.0)], rel=1e-12, abs=0.0)},
+         "pairing-trend": {"first": pytest.approx(1.6868653306034985e-205, rel=1e-12)}}),
+    # the refusals of each input reader and closed form
+    "bounds-jlambda-p=0.5": (["bounds", "--formula", "jlambda", "--p", "0.5"], 2,
+                             ("p must be >= 1, got 0.5",)),
+    "bounds-lemma31-r=1": (["bounds", "--formula", "lemma31", "--r", "1"], 2,
+                           ("r must exceed 1, got 1.0",)),
+    "bounds-r_epsilon-p=1": (["bounds", "--formula", "r_epsilon", "--p", "1"], 2,
+                             ("p must exceed 1, got 1.0",)),
+    "sequence-spec-unknown": (["moments", "--seq", "foo:1"], 2,
+                              ("unknown sequence spec 'foo:1'",)),
+    "sequence-spec-short": (["moments", "--seq", "geometric:1,2"], 2,
+                            ("geometric needs lambda0,ratio,count",)),
+    "sequence-kind-unknown": (["moments", "--seq", {"kind": "foo"}], 2,
+                              ("unknown sequence kind 'foo'",)),
+    "recursive-lambda_start=0": (["moments", "--seq", "recursive:0,2,3,4"], 2,
+                                 ("lambda_start must be positive, got 0.0",)),
+    "recursive-start_index=1": (["moments", "--seq", "recursive:1,1,3,4"], 2,
+                                ("start_index must be >= 2, got 1",)),
+    "recursive-gamma=0": (["moments", "--seq", "recursive:1,2,0,4"], 2,
+                          ("exponent_power must be positive, got 0.0",)),
+    "recursive-count=0": (["moments", "--seq", "recursive:1,2,3,0"], 2,
+                          ("count must be positive, got 0",)),
+    "measure-spec-unknown": (["moments", "--measure", "foo"], 2, ("unknown measure spec 'foo'",)),
+    "measure-kind-unknown": (["moments", "--measure", {"kind": "foo"}], 2,
+                             ("unknown measure kind 'foo'",)),
+    "atoms-without-a-list": (["moments", "--measure", {"kind": "atoms"}], 2,
+                             ("atoms measure needs a list of atoms, got None",)),
+    "report-without-out": (["report"], 2, ("report needs --out DIRECTORY",)),
+    "example-A-p=0.5": (["example", "--label", "A", "--p", "0.5"], 2,
+                        ("construction A needs p >= 1",)),
+    "hs-q=-1": (["verify", "--suite", "hs", "--q", "-1"], 2, ("q must be positive, got -1.0",)),
 }
 
 # the exact norms of the norm rows above: ||t||_2 = 1/sqrt(3), ||t + t**2||_2 =
@@ -975,8 +1085,6 @@ _FAIL_ROUTES = {
             lambda r: dataclasses.replace(r, max_ratio=math.nextafter(1.5, math.inf))))]),
     "crossterm-p=*-alpha=*-r=*": ("crossterm-bound", {}, [(bounds_mod, "lemma31_bound", _returning(
         lambda res: res._replace(lhs=math.nextafter(res.rhs, math.inf))))]),
-    "pairing-above-lower-bound": ("pairing-dichotomy", {}, [(lpnorm, "pairing_integral", _returning(
-        lambda vb: (vb[1] / (1.0 + 3e-12), vb[1])))]),
     "envelope-positive-finite-alpha=*": ("envelope", {}, [(bounds_mod, "envelope_check", _returning(
         lambda br: br._replace(log_ratio_max=math.inf)))]),
     "singular-values-below-rearranged-profile": ("diagonal-domination", {}, [
@@ -1545,7 +1653,7 @@ def test_compact_keeps_an_atom_next_to_one(capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     trend = next(c["data"] for c in checks if c["name"] == "restriction-spectrum-trend")
     assert code == 0
-    assert trend["limit_proxy"] > 0.0 and 0.0 not in trend["sigma1"]
+    assert trend["sigma1"][-1] > 0.0 and 0.0 not in trend["sigma1"]
 
 
 def test_atom_log_delta_past_the_float_range_is_refused(tmp_path, capsys):
@@ -1731,6 +1839,26 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert len(lines) == 1  # both spellings print the same line
 
 
+@pytest.mark.parametrize("argv, name", [
+    # against the atom at t = 0, lam_0 = 0 has moment 1 and every other lam moment 0:
+    # a log_moment of None, an empty CSV cell
+    (["moments", "--seq", "explicit:0,1,2", "--measure", "atoms:1:1"], "moments"),
+    (["dnp", "--N", "6"], "dnp"),
+    (["example", "--label", "B", "--p", "3", "--count", "8"], "example-B"),
+], ids=["moments", "dnp", "example"])
+def test_csv_table_is_the_json_rows(argv, name, tmp_path, capsys):
+    run([*argv, "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    run([*argv, "--format", "csv", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert (tmp_path / f"{name}.csv").read_bytes().decode() == out
+    header, *table = csv.reader(io.StringIO(out))
+    # the JSON keys are sorted; the CSV columns keep the order of the rows' fields
+    assert sorted(header) == list(rows[0]) and len(set(header)) == len(header)
+    assert [dict(zip(header, cells)) for cells in table] == \
+        [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
+
+
 def test_coeffs_file_reads_as_the_inline_coefficients(tmp_path, capsys):
     path = tmp_path / "coeffs.txt"
     path.write_text("1,-0.5,0.25\n")
@@ -1746,12 +1874,13 @@ def test_coeffs_file_reads_as_the_inline_coefficients(tmp_path, capsys):
 
 def test_nan_side_reads_evidence(monkeypatch, capsys):
     # _log(nan) was -inf, which is <= any side: a NaN bound read PASS
-    real = lpnorm.pairing_integral
-    monkeypatch.setattr(lpnorm, "pairing_integral",
-                        lambda seq, p, n: (real(seq, p, n)[0], math.nan))
-    assert run(["verify", "--suite", "pairing-dichotomy"]) == 0
+    monkeypatch.setattr(bounds_mod, "lemma31_bound", _returning(
+        lambda res: res._replace(rhs=math.nan))(bounds_mod.lemma31_bound))
+    assert run(["verify", "--suite", "crossterm-bound"]) == 0
     checks = _fields(json.loads(capsys.readouterr().out))
-    assert checks["pairing-above-lower-bound"]["status"] == "EVIDENCE"
+    assert {c["status"] for c in checks.values()} == {"EVIDENCE"}
+    for log_lhs, log_rhs in [(0.0, math.nan), (math.nan, 0.0)]:
+        assert cli._decide(log_lhs, log_rhs, "<=", 1e-12)[0] == "EVIDENCE"
 
 
 def test_basis_past_the_old_cap_runs_on_the_nodes(capsys):

@@ -268,20 +268,25 @@ class TestFrameBounds:
 class TestEssentialNorm:
     def test_finite_support_hits_zero(self):
         mu = atoms([(0.5, 1.0), (0.3, 2.0)])
-        trend = essential_norm_estimate(GEO, mu, 8, [0.2, 0.6, 0.9])
-        assert trend.sigma1[-1] == 0.0
-        assert trend.limit_proxy == 0.0
+        sigma1 = essential_norm_estimate(GEO, mu, 8, [0.2, 0.6, 0.9])
+        assert len(sigma1) == 3 and sigma1[-1] == 0.0
 
     def test_requires_increasing_cuts(self):
         with pytest.raises(ValueError):
             essential_norm_estimate(GEO, GEOM_ATOMS, 8, [0.5, 0.5])
+
+    @pytest.mark.parametrize("cuts", [[-0.5, 0.5], [0.5, 1.0]])
+    def test_refuses_cuts_outside_0_to_1(self, cuts):
+        with pytest.raises(ValueError, match=r"cuts must lie in \[0,1\)"):
+            essential_norm_estimate(GEO, GEOM_ATOMS, 8, cuts)
 
     def test_vanishing_vs_steady(self):
         cuts = [1.0 - 2.0 ** -j for j in range(1, 9)]
         van = essential_norm_estimate(GEO, GEOM_ATOMS, 12, cuts)
         steady = essential_norm_estimate(
             GEO, atoms([(2.0 ** -k, 2.0 ** -k) for k in range(1, 31)]), 12, cuts)
-        assert van.drop_factor > steady.drop_factor
+        # first over last cut, cross-multiplied, so a last sigma_1 of 0 needs no division
+        assert van[0] * steady[-1] > steady[0] * van[-1]
 
     @pytest.mark.parametrize("mu", [GEOM_ATOMS, NEAR_ONE_ATOMS, MANY_ATOMS,
                                     DensityMeasure(alpha=0.5), Lebesgue()],
@@ -290,8 +295,7 @@ class TestEssentialNorm:
         # one Cauchy factor serves every cut, and sigma_1 is bit for bit the
         # leading singular value of the embedding of each restriction
         cuts = [0.0, 0.5, 0.9, 1.0 - 2.0 ** -20]
-        trend = essential_norm_estimate(GEO, mu, 12, cuts)
-        assert trend.sigma1 == tuple(
+        assert essential_norm_estimate(GEO, mu, 12, cuts) == tuple(
             embedding_spectrum(GEO, restrict(mu, a, 1.0), 12).sigma_max for a in cuts)
 
     def test_atoms_take_row_slices_of_one_embedding(self, monkeypatch):
@@ -305,10 +309,10 @@ class TestEssentialNorm:
 
             monkeypatch.setattr(hilbert, name, counting)
         cuts = [1.0 - 2.0 ** -j for j in range(1, 11)]
-        trend = essential_norm_estimate(GEO, NEAR_ONE_ATOMS, 12, cuts)
+        sigma1 = essential_norm_estimate(GEO, NEAR_ONE_ATOMS, 12, cuts)
         assert calls == {"_node_factor": 1, "_embedding": 1, "restrict": 0}
         # the atom at delta = 1e-20 lies in every cut
-        assert trend.limit_proxy > 0.0
+        assert sigma1[-1] > 0.0
 
     def test_factors_the_cauchy_gram_once(self, monkeypatch):
         calls = []

@@ -23,6 +23,11 @@ def test_zero_flag():
     assert not LogValue.from_log(math.log(2.0)).is_zero
 
 
+def test_from_log_refuses_nan():
+    with pytest.raises(ValueError, match="LogValue log magnitude is NaN"):
+        LogValue.from_log(math.nan)
+
+
 class TestMaterialize:
     """The one float edge: exp itself up to the largest float, inf only past it."""
 

@@ -781,6 +781,11 @@ class TestRestrictAndKernel:
         assert tail_mass(GEOM30, 2.0 ** -3) == pytest.approx(
             sum(4.0 ** -k for k in range(3, 31)), rel=1e-14)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5])
+    def test_tail_mass_refuses_eps_outside_0_to_1(self, eps):
+        with pytest.raises(ValueError, match=r"eps must be in \(0,1\]"):
+            tail_mass(GEOM30, eps)
+
     def test_kernel_integral_atoms_exact(self):
         mu = atoms([(0.5, 2.0)])
         got = math.exp(_log_kernel(mu, 0.5, 2.0))

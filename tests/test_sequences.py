@@ -168,6 +168,13 @@ class TestClassify:
         assert cls.log_r_inf == cls.log_r_sup == pytest.approx(160 * math.log(101), rel=1e-13)
 
 
+@pytest.mark.parametrize("values", [(0.0, 1.0, 4.0), (1.0, -2.0, 4.0)], ids=["zero", "negative"])
+def test_is_r_lacunary_is_false_on_a_nonpositive_entry(values):
+    # a ratio to or from a nonpositive entry says nothing about lacunarity
+    assert not is_r_lacunary(values, 2.0)
+    assert is_r_lacunary([v for v in values if v > 0.0], 2.0)
+
+
 class TestDecompose:
     def test_two_geometric_strands(self):
         merged = ExponentSequence((1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0))

@@ -16,9 +16,8 @@ from .dnp import (DnProfile, WeightScheme, compute_dn, decreasing_rearrangement,
 from .bounds import (envelope_check, jlambda_upper, lemma31_bound, log_shifted_ratios,
                      r_epsilon)
 from .lpnorm import gm_ratio_sample, l2_norm_gram, log_lp_norms
-from .hilbert import (ConditioningError, FrameBounds, SpectralResult,
-                      embedding_spectrum, essential_norm_estimate, frame_bounds,
-                      prop511_value, t_mu_spectrum)
+from .hilbert import (SpectralResult, embedding_spectrum, essential_norm_estimate,
+                      frame_bounds, prop511_value, t_mu_spectrum)
 from .examples import ExampleInstance, build_example
 
 __version__ = "0.1.0"

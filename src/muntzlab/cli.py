@@ -257,9 +257,9 @@ def _decide(log_lhs, log_rhs, relation: str, rel_tol: float) -> tuple[str, dict]
     """Status and note of lhs <= rhs (relation "<=") or lhs = rhs ("=") for every pair of
     two broadcast sides of logs, within log1p(rel_tol): FAIL where a pair that can be
     decided does not hold, else EVIDENCE where a side is +inf or NaN (no finite log),
-    else PASS.  Two -inf sides are equal and a -inf lhs is <= any rhs; >= swaps sides."""
+    else PASS.  Two -inf sides are equal, a -inf lhs is <= any rhs but NaN; >= swaps sides."""
     lhs, rhs = np.broadcast_arrays(np.asarray(log_lhs, float), np.asarray(log_rhs, float))
-    zero = (lhs == -math.inf) & ((relation == "<=") | (rhs == -math.inf))
+    zero = (lhs == -math.inf) & ((relation == "<=") & ~np.isnan(rhs) | (rhs == -math.inf))
     with np.errstate(invalid="ignore"):  # inf - inf
         gap = lhs - rhs if relation == "<=" else np.abs(lhs - rhs)
         decided = zero | (lhs + rhs < math.inf)
@@ -495,12 +495,16 @@ def suite_carleson(seq, measure, p, q, N, tol, store) -> list[dict]:
     bound = 3.0 * p * cls.r_sup * sup_m if math.isfinite(cls.r_sup) else materialize(log_bound)
     # the scales eps ~ 1 / (p lam_n) that the monomials of the prefix see:
     # a sup attained outside them (an atom closer to 1) is no failure;
-    # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps
+    # min(1, 1 / (p lam_0)) as 1 / max(1, p lam_0), since t**0 sees every eps;
+    # empty where p lam_N < 1, as no monomial of the prefix sees an eps in (0, 1]
     window = [1.0 / (p * seq.exponents[-1]), 1.0 / max(1.0, p * seq.exponents[0])]
-    seen = measures_mod.windowed_sublinear_sup(measure, *window)
+    seen = None if window[0] > window[1] else measures_mod.windowed_sublinear_sup(measure, *window)
     # PASS on norm_s within the bound; else FAIL needs the window sup above it
     status, note = _decide(_log(sub.norm_s), log_bound, "<=", 1e-12)
-    if status != "PASS":
+    if status != "PASS" and seen is None:
+        status, note = "EVIDENCE", {"note": f"norm_s is not within the bound, and the window is "
+                                            f"empty: p lam_N = {p * seq.exponents[-1]:.6g} < 1"}
+    elif status != "PASS":
         status, note = _decide(_log(seen), log_bound, "<=", 1e-12)
         if status == "PASS":
             status, note = "EVIDENCE", {"note": (
@@ -799,24 +803,20 @@ def _cmd_spectrum(args) -> int:
     seq = parse_sequence(args.seq)
     n = min(args.N, len(seq))
     if args.operator == "frame":
-        fb = hilbert.frame_bounds(seq, n)
-        payload = {"operator": "frame", "N": n,
-                   "sigma": list(fb.singular_values),
-                   "sigma_min": fb.sigma_min, "sigma_max": fb.sigma_max}
+        spec = hilbert.frame_bounds(seq, n)
     else:
         mu = parse_measure(args.measure)
         fn = hilbert.embedding_spectrum if args.operator == "embedding" \
             else hilbert.t_mu_spectrum
         spec = fn(seq, mu, n)
-        payload = {"operator": spec.operator, "N": spec.n,
-                   "sigma": list(spec.singular_values),
-                   "schatten": {f"{r:g}": v for r, v in spec.schatten.items()},
-                   "drift": spec.drift}
-        if args.operator == "synthesis":
-            profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
-                                         n_count=n, tol=args.tol)
-            # None where the chain is undecided past the float range
-            payload["chain_ok"] = {"PASS": True, "FAIL": False}.get(_chain_check(spec, profile)[1])
+    payload = {"operator": spec.operator, "N": spec.n, "sigma": list(spec.singular_values),
+               "schatten": {f"{r:g}": v for r, v in spec.schatten.items()},
+               "drift": spec.drift}
+    if args.operator == "synthesis":
+        profile = dnp_mod.compute_dn(seq, mu, dnp_mod.WeightScheme("inverse_lambda", 2.0),
+                                     n_count=n, tol=args.tol)
+        # None where the chain is undecided past the float range
+        payload["chain_ok"] = {"PASS": True, "FAIL": False}.get(_chain_check(spec, profile)[1])
     _emit({"command": "spectrum", "inputs": _recorded_inputs("spectrum", args), **payload},
           args, "spectrum")
     return 0
@@ -1032,7 +1032,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # UsageError and ConditioningError are ValueErrors
+    except (ValueError, OSError) as exc:  # UsageError and a Gram that does not factor among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,16 +10,17 @@ Cauchy Gram 1/(lam_i + lam_j + 1) of Lebesgue measure enters through its
 Cholesky factor (``_cauchy_factor``, numpy's), factored once per call:
 ``essential_norm_estimate`` solves every cut's node factor against the same
 one (on atoms, one node factor serves every cut).  A Gram that numpy cannot
-factor is refused as a ConditioningError naming N.  N has no other cap: the
-error follows the ratio of the exponents, not N.
+factor is refused as a ValueError naming N.  N has no other cap: the error
+follows the ratio of the exponents, not N.
 
-Every result is a truncation: it carries N and an N/2 drift diagnostic
-rather than claiming a value for the underlying infinite operator.  This
-module computes spectra and integrals only (and the Gram trace's log, the
-independent side of the Hilbert-Schmidt identity).  Every comparison, with
-the D_n(2) profile of ``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten
-and Hilbert-Schmidt bounds) or with the Poisson integral, is made by the
-caller that reports it, on logarithms where a side can pass the float range.
+Every spectrum (the embedding V L^-T, the synthesis operator, the frame D L)
+is one ``SpectralResult`` and a truncation: it carries N, Schatten norms and
+an N/2 drift diagnostic, not a value for the infinite operator.  This module
+computes spectra and integrals only (and the Gram trace's log, the independent
+side of the Hilbert-Schmidt identity).  Every comparison, with the D_n(2)
+profile of ``dnp`` (the chain sigma_{k+1} <= D*_k, the Schatten and
+Hilbert-Schmidt bounds) or with the Poisson integral, is made by the caller
+that reports it, on logarithms where a side can pass the float range.
 """
 from __future__ import annotations
 
@@ -43,16 +44,6 @@ _S_BLOCK = 64  # s-nodes per block of the s x atoms kernel matrix
 _INNER_REFINE = 2.0 ** 16
 
 
-class ConditioningError(ValueError):
-    """The Cauchy Gram of the first n exponents does not factor; carries n."""
-
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(
-            f"the Cauchy Gram of the first N = {n} exponents is not numerically "
-            f"positive definite (exponents too dense for this truncation)")
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     operator: str
@@ -65,6 +56,10 @@ class SpectralResult:
     @property
     def sigma_max(self) -> float:
         return self.singular_values[0]
+
+    @property
+    def sigma_min(self) -> float:
+        return self.singular_values[-1]
 
 
 def _check_truncation(seq: ExponentSequence, n: int) -> None:
@@ -97,11 +92,13 @@ def _synthesis_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.nd
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """numpy's lower Cholesky factor of a; ConditioningError where it fails."""
+    """numpy's lower Cholesky factor of a; a ValueError naming N where it fails."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise ConditioningError(len(a)) from None
+        raise ValueError(f"the Cauchy Gram of the first N = {len(a)} exponents is not "
+                         "numerically positive definite (exponents too dense for this "
+                         "truncation)") from None
 
 
 def _embedding(low: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
@@ -188,25 +185,14 @@ def t_mu_spectrum(seq: ExponentSequence, mu: Measure,
                             {"flushed": flushed, "log_trace": log_trace})
 
 
-@dataclass(frozen=True)
-class FrameBounds:
-    """Extreme singular values of the normalized monomial Gram."""
-
-    n: int
-    sigma_min: float
-    sigma_max: float
-    singular_values: tuple[float, ...]
-
-
-def frame_bounds(seq: ExponentSequence, n: int) -> FrameBounds:
-    """Square roots of the eigenvalues of the normalized monomial Gram D G D,
-    D = diag(sqrt(2 lam + 1)): with G = L L^T, the singular values of D L."""
+def frame_bounds(seq: ExponentSequence, n: int) -> SpectralResult:
+    """Singular values of D L, D = diag(sqrt(2 lam + 1)), G = L L^T: their squares are
+    the eigenvalues of the normalized monomial Gram D G D, and the ends sigma_min and
+    sigma_max bracket the near-isometry with l2.  D L's leading blocks give the drift."""
     _check_truncation(seq, n)
     lam = np.array(seq.exponents[:n])
-    low = _cauchy_factor(lam)
-    sigma = _singular_values(np.sqrt(2.0 * lam + 1.0)[:, None] * low)
-    return FrameBounds(n=n, sigma_min=float(sigma[-1]), sigma_max=float(sigma[0]),
-                       singular_values=tuple(float(s) for s in sigma))
+    frame = np.sqrt(2.0 * lam + 1.0)[:, None] * _cauchy_factor(lam)
+    return _spectral_result("frame", n, lambda m: frame[:m, :m], {})
 
 
 def essential_norm_estimate(seq: ExponentSequence, mu: Measure, n: int,

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LOG_FLOAT_MAX, _exp_shifted, _signed_log_sum, logsumexp, materialize
-from .measures import (Lebesgue, Measure, _cauchy_gram, _grading_power, integrate_to_one,
-                       log_powers, node_log_powers)
+from .measures import (DensityMeasure, Lebesgue, Measure, _cauchy_gram, _grading_power,
+                       integrate_to_one, log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
 
 _LOG2 = math.log(2.0)
@@ -250,8 +250,8 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     ``_uniform_rows(seed, trials, n)``, prefix-stable in ``trials``.  The
     bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
     numerators are the exact Gram forms of ``l2_norm_gram``; at every other
-    p, ``_node_log_norms`` on one terms x nodes matrix, so only p < 1 and
-    p * lam past the float range are refused.  The
+    p, ``log_lp_norms`` on the nodes of ``DensityMeasure()``, one terms x nodes
+    matrix, so only p < 1 and p * lam past the float range are refused.  The
     denominators are one array expression up to the 1/p root, which each
     row takes as a float.  Warns when ``classify`` flags the prefix's ratio
     trend as non-lacunary, where the bracket may degenerate.
@@ -274,7 +274,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     if p == 2.0:
         norms = l2_norm_gram(seq, coeffs)
     else:
-        logs = _node_log_norms(*node_log_powers(Lebesgue(), lam, p), coeffs, p)
+        logs = log_lp_norms(seq, coeffs, DensityMeasure(), p)
         norms = np.array([materialize(v) for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit

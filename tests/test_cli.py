@@ -55,6 +55,28 @@ def test_spectrum_runs_past_n_64(operator, capsys):
     assert len(json.loads(out)["sigma"]) == 256
 
 
+def test_spectrum_operators_write_one_payload(capsys):
+    # every operator is one SpectralResult; only synthesis adds its chain verdict
+    payloads = {}
+    for operator in ("frame", "embedding", "synthesis"):
+        assert run(["spectrum", "--operator", operator, "--seq", "geometric:1,2,8"]) == 0
+        payloads[operator] = json.loads(capsys.readouterr().out)
+    keys = {op: set(payload) - {"chain_ok"} for op, payload in payloads.items()}
+    assert keys["frame"] == keys["embedding"] == keys["synthesis"]
+    assert "chain_ok" in payloads["synthesis"]
+    for field in ("schatten", "drift"):
+        assert len({tuple(payload[field]) for payload in payloads.values()}) == 1, field
+
+
+@pytest.mark.parametrize("seq", ["geometric:1,2,16", "geometric:1,1.5,32", "geometric:1000,300,8"])
+def test_frame_hs_norm_is_sqrt_n(seq, capsys):
+    # the normalized Gram has a unit diagonal: its trace, the squared HS norm, is N
+    n = int(seq.rsplit(",", 1)[1])
+    assert run(["spectrum", "--operator", "frame", "--seq", seq, "--N", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schatten"]["2"] == pytest.approx(math.sqrt(n), rel=1e-12)
+
+
 def test_hs_suite_on_lebesgue_emits_json(capsys):
     code = run(["verify", "--suite", "hs", "--measure", "lebesgue"])
     assert code == 0
@@ -693,6 +715,23 @@ _EXTREME_INPUTS = {
                                     0, {"sublinear-vs-monomial-test": {
                                         "status": "EVIDENCE", "window": [1.0 / 12.0, 1.0],
                                         "window_sup": 12.0}}),
+    # p lam_N < 1 puts lo = 1 / (p lam_N) past 1: the window is empty (it was refused),
+    # so norm_s alone decides, within the bound 2.67 here, and there is no window sup
+    "carleson-empty-window": (["verify", "--suite", "carleson", "--seq", "explicit:0.2,0.4"], 0,
+                              {"sublinear-vs-monomial-test": {
+                                  "status": "PASS", "norm_s": 1.0, "window": [1.25, 1.0],
+                                  "window_sup": None}}),
+    # norm_s = 1 is above the bound 0.444, but the monomials see no eps: no FAIL
+    "carleson-empty-window-p=1": (["verify", "--suite", "carleson", "--seq",
+                                   "geometric:0.01,2,4", "--p", "1"], 0,
+                                  {"sublinear-vs-monomial-test": {
+                                      "status": "EVIDENCE", "window_sup": None,
+                                      "bound": pytest.approx(4.0 / 9.0, rel=1e-12)}}),
+    # p lam_N = 3.8e-298 at p = 3, and the bound 2.3e-297 is below norm_s = 1
+    "carleson-empty-window-lam0=1e-300": (["verify", "--suite", "carleson", "--seq",
+                                           "geometric:1e-300,2,8", "--p", "3", "--q", "4"], 0,
+                                          {"sublinear-vs-monomial-test": {
+                                              "status": "EVIDENCE", "window_sup": None}}),
     # the Poisson integral 4.1e607, kernel**2 and sum D_n**2 pass the float range
     # (hs**2 = 1.23e308 does not): each check is decided on its logs
     "hs-poisson-past-the-float-range": (["verify", "--suite", "hs", "--seq", "explicit:1,2",
@@ -1879,7 +1918,8 @@ def test_nan_side_reads_evidence(monkeypatch, capsys):
     assert run(["verify", "--suite", "crossterm-bound"]) == 0
     checks = _fields(json.loads(capsys.readouterr().out))
     assert {c["status"] for c in checks.values()} == {"EVIDENCE"}
-    for log_lhs, log_rhs in [(0.0, math.nan), (math.nan, 0.0)]:
+    for log_lhs, log_rhs in [(0.0, math.nan), (math.nan, 0.0), (-math.inf, math.nan),
+                             (math.nan, -math.inf)]:
         assert cli._decide(log_lhs, log_rhs, "<=", 1e-12)[0] == "EVIDENCE"
 
 

@@ -6,9 +6,8 @@ import pytest
 
 from muntzlab import hilbert
 from muntzlab.dnp import WeightScheme, compute_dn, decreasing_rearrangement
-from muntzlab.hilbert import (ConditioningError, cholesky_lower, embedding_spectrum,
-                              essential_norm_estimate, frame_bounds, prop511_value,
-                              t_mu_spectrum)
+from muntzlab.hilbert import (cholesky_lower, embedding_spectrum, essential_norm_estimate,
+                              frame_bounds, prop511_value, t_mu_spectrum)
 from muntzlab.measures import (DensityMeasure, Lebesgue, atoms, poisson_integral,
                                restrict)
 from muntzlab.sequences import ExponentSequence, generate_geometric
@@ -85,9 +84,8 @@ class TestSchattenNorms:
 class TestCholesky:
     def test_failure_names_n(self):
         lam = np.array([1.0 + k * 1e-6 for k in range(24)])
-        with pytest.raises(ConditioningError) as err:
+        with pytest.raises(ValueError, match="first N = 24 exponents"):
             cholesky_lower(1.0 / (lam[:, None] + lam[None, :] + 1.0))
-        assert err.value.n == 24 and "first N = 24 exponents" in str(err.value)
 
 
 class TestMatrices:
@@ -240,6 +238,14 @@ class TestFrameBounds:
     def test_single_vector(self):
         fb = frame_bounds(GEO, 1)
         assert fb.sigma_min == fb.sigma_max == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seq", [generate_geometric(1, 2, 16), generate_geometric(1, 1.5, 32),
+                                     generate_geometric(1000, 300, 8)])
+    def test_hs_norm_is_sqrt_n(self, seq):
+        # the normalized Gram has a unit diagonal: its trace, the squared HS norm, is N
+        fb = frame_bounds(seq, len(seq))
+        assert fb.schatten[2.0] == pytest.approx(math.sqrt(len(seq)), rel=1e-12)
+        assert (fb.sigma_min, fb.sigma_max) == (fb.singular_values[-1], fb.singular_values[0])
 
     def test_large_ratio_near_isometry(self):
         fb = frame_bounds(generate_geometric(1000, 300, 8), 8)

@@ -77,7 +77,11 @@ def _finite(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    return [_finite(v) for v in text.split(",") if v.strip() != ""]
+    """Comma-separated ``_finite`` numbers: blank text is none, an empty entry an error."""
+    entries = text.split(",") if text.strip() else []
+    if not all(v.strip() for v in entries):
+        raise UsageError(f"empty entry in the list {text.strip()!r}")
+    return [_finite(v) for v in entries]
 
 
 def _is_number(value) -> bool:  # an int or a float within the float range; no bool
@@ -455,8 +459,8 @@ def suite_blocksum(seq, p) -> list[dict]:
     # 1 / q_j, is at most ||J_Lambda||, which Props 3.2 and 3.3 bound by
     # jlambda_upper(p, r) for r the smallest shifted ratio q_{j+1} / q_j of the rows'
     # prefix (``bounds.log_shifted_ratios``): a FAIL is a counterexample.  The norms
-    # are one node-route call; Lebesgue() would take the float panels, which refuse
-    # p * lam from 2**46 on.
+    # are one node-route call; Lebesgue() would send smooth rows to the slower float
+    # panels (so would gm_ratio_sample, report-p3's basis rows among them).
     lengths = [2 ** k for k in range(len(seq).bit_length())]
     rows = (np.arange(lengths[-1]) < np.array(lengths)[:, None]).astype(float)
     log_norms = lpnorm.log_lp_norms(seq, rows, measures_mod.DensityMeasure(), p)

@@ -57,7 +57,7 @@ class WeightScheme:
         """log of w**(-1) = lam or p*lam + 1."""
         if self.kind == "inverse_lambda":
             if not lam > 0.0:
-                raise ValueError("inverse_lambda weights need positive exponents")
+                raise ValueError(f"weights 1/lam need positive exponents, got lam = {lam:g}")
             return math.log(lam)
         inv = self.p * lam + 1.0
         # past the float range the + 1 is far below rounding

@@ -86,7 +86,7 @@ def _node_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray
 def _synthesis_factor(seq: ExponentSequence, mu: Measure, n: int) -> tuple[np.ndarray, int]:
     """V diag(sqrt(lam)): the synthesis operator with weights 1/lam."""
     if not seq[0] > 0.0:
-        raise ValueError("weights 1/lam need a positive first exponent")
+        raise ValueError(f"weights 1/lam need positive exponents, got lam = {seq[0]:g}")
     v, flushed = _node_factor(seq, mu, n)
     return v * np.sqrt(np.array(seq.exponents[:n])), flushed
 

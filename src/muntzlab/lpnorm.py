@@ -1,31 +1,31 @@
 """Evaluation of weighted monomial polynomials and their L^p(mu) norms.
 
 ``log_lp_norms`` is the one entry point for norms, validated once per
-coefficient matrix.  Its rows, and those of ``gm_ratio_sample`` on
-Lebesgue measure, are log-domain sums over the terms x nodes matrix of
-``measures.node_log_powers`` (``_node_log_norms``), except the Lebesgue
-rows of ``log_lp_norms``, which add |f|**p in floats over the dyadic panels
-of ``measures.integrate_to_one``, which deepens toward t = 1 one halving a
-pass until its closing panel is negligible or two passes agree; each
-panel's monomials are one exp of ``measures.log_powers`` per call, shared
-by all its rows (each row still adds its terms one at a time; that loop as
-one array reduction, and rows batched on a panel, stay parked on peak
-memory, ROADMAP.md item 1), and each row is scaled by a power of two first,
-so |f|**p stays near 1.  Both quadratures are graded toward t = 0 by
+coefficient matrix.  Its rows, and those of ``gm_ratio_sample``, are
+log-domain sums over the terms x nodes matrix of
+``measures.node_log_powers`` (``_node_log_norms``), graded toward t = 0 by
 ``measures._grading_power`` and refined toward t = 1 at least as far as
-p * lam_max asks.  Neither sees the kink of |f|**p at a
-sign change of f when p is not an even integer (ROADMAP.md item 7).  Every
-norm refuses p < 1 (``_check_p``); beyond that each route refuses only what
-it cannot represent: the nodes, in u = 1 - t and in logs, p * lam past the
-float range, and the float panels, which stop at u = 2**-53, p * lam from
-about 2**46 = 7.0e13 on.  No refusal is keyed on lam alone.  The random
-rows of ``gm_ratio_sample`` and of the diagonal-domination suite come from
-``_uniform_rows``, on the standard library's generator: no module of the
-package imports ``numpy.random``.
+p * lam_max asks.  The one exception is a Lebesgue row that the float
+panels take as they are: nothing to grade toward t = 0, |f|**p within the
+float range and p * lam_max below their edge 2**46.  Such a row adds
+|f|**p in floats over the dyadic panels of ``measures.integrate_to_one``,
+which deepens toward t = 1 one halving a pass until its closing panel is
+negligible or two passes agree; each panel's monomials are one exp of
+``measures.log_powers`` per call, shared by all its rows (each row still
+adds its terms one at a time; that loop as one array reduction, and rows
+batched on a panel, stay parked on peak memory, ROADMAP.md item 1), and
+each row is scaled by a power of two first, so |f|**p stays near 1.  Every
+other Lebesgue row takes the nodes of the uniform density, so both
+spellings of dt give one value.  Neither route sees the kink of |f|**p at
+a sign change of f when p is not an even integer (ROADMAP.md item 7).
+Every norm refuses p < 1 (``_check_p``) and p * lam past the float range,
+which the nodes, in u = 1 - t and in logs, cannot represent; no refusal is
+keyed on lam alone.  The random rows of ``gm_ratio_sample`` and of the
+diagonal-domination suite come from ``_uniform_rows``, on the standard
+library's generator: no module of the package imports ``numpy.random``.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import random
 import warnings
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LOG_FLOAT_MAX, _exp_shifted, _signed_log_sum, logsumexp, materialize
-from .measures import (DensityMeasure, Lebesgue, Measure, _cauchy_gram, _grading_power,
-                       integrate_to_one, log_powers, node_log_powers)
+from .measures import (_PANEL_EDGE, DensityMeasure, Lebesgue, Measure, _cauchy_gram,
+                       _grading_power, integrate_to_one, log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
 
 _LOG2 = math.log(2.0)
@@ -112,47 +112,46 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
 
     The one entry point for norms, one vector being a one-row matrix.  The
     vectors x terms matrix is checked once (nonempty rows, no more terms
-    than exponents, finite entries), and so is p >= 1.  Every measure but
-    Lebesgue builds one node set and one terms x nodes matrix
-    (``measures.node_log_powers``, which refuses p * lam past the float
-    range) and takes each row's norm from it, so a norm far below the float
-    range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its logarithm.
-    Lebesgue rows each take the float quadrature ``integrate_to_one`` of
-    |f|**p on the row scaled by 2**-e, e the frexp exponent of its largest
-    |a_j| (``_pow2_exponents``; 0 for a largest |a_j| in [0.5, 1)), and add
-    e log 2 back to the log norm, so coefficients of 1e-200 or 1e200 neither
-    underflow nor overflow in |f|**p.  The panels evaluate f through
-    ``_eval_poly_array`` on the panel's monomials, one exp of
+    than exponents, finite entries), and so is p >= 1.  The rows take one
+    node set and one terms x nodes matrix (``measures.node_log_powers``,
+    which refuses p * lam past the float range), so a norm far below the
+    float range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its
+    logarithm.  Lebesgue rows take the float quadrature ``integrate_to_one``
+    instead where its panels need no grading toward t = 0
+    (``_grading_power`` is None), p log n is at least 1 below the log of the
+    largest float (n terms, and n**p bounds a scaled row's |f|**p), and
+    p * lam_max is below the panels' edge ``measures._PANEL_EDGE`` = 2**46.
+    Every other Lebesgue row (geometric:0.01,2,16, sixteen 1s at p = 400,
+    lam = 1e300) takes the nodes as ``DensityMeasure()`` does, bit for bit.
+    On the panels each row is scaled by 2**-e, e the frexp exponent of its
+    largest |a_j| (``_pow2_exponents``; 0 for a largest |a_j| in [0.5, 1)),
+    and e log 2 is added back to the log norm, so coefficients of 1e-200 or
+    1e200 neither underflow nor overflow in |f|**p.  The panels evaluate f
+    through ``_eval_poly_array`` on the panel's monomials, one exp of
     ``measures.log_powers`` per panel and call: the first row to reach a
     panel builds its terms x nodes matrix, keyed by the bytes of the log t
-    that ``integrate_to_one`` hands it (a function of the panel alone, graded
-    panels included), and every later row reads it, so the 100 rows of
-    report-default take 27 exps, not 2,700, and each norm is the one-row
-    call's bit for bit.  A row stops once two passes of its panels agree, 27
-    panels for a row of geometric:1,2,16 at p = 2 (passes at depths 24 and
-    25, each with its closing panel), and the refusal past u = 2**-53 comes
-    on the first row, so once per call.  The scaling bounds the largest
-    |a_j|, not |f|: a row whose |f|**p overflows a panel (sixteen 1s at
-    p = 400) is refused, not reported as inf.  Faster forms of that route
-    with identical outputs, the term loop of each row as one array reduction
-    and rows batched on each panel, stay parked on peak memory (ROADMAP.md
-    items 1 and 2).  A zero norm is -inf.
+    that ``integrate_to_one`` hands it (a function of the panel alone), and
+    every later row reads it, so the 100 rows of report-default take 27
+    exps, not 2,700, and each norm is the one-row call's bit for bit.  A row
+    stops once two passes of its panels agree, 27 panels for a row of
+    geometric:1,2,16 at p = 2 (passes at depths 24 and 25, each with its
+    closing panel).  Faster forms of that route with identical outputs, the
+    term loop of each row as one array reduction and rows batched on each
+    panel, stay parked on peak memory (ROADMAP.md items 1 and 2).  A zero
+    norm is -inf.
     """
     a = _coefficient_matrix(seq, coeffs)
-    lam = seq.exponents[:a.shape[1]]
+    lam = np.array(seq.exponents[:a.shape[1]])
     _check_p(p)
-    if not isinstance(mu, Lebesgue):
+    sharpness = p * max(float(lam[-1]), 1.0)  # a float product: inf past the range, no warning
+    # a scaled row's |f| is at most its number of terms n, so n**p below the float
+    # range bounds |f|**p on the panels
+    if not (isinstance(mu, Lebesgue) and _grading_power(lam, p) is None
+            and p * math.log(a.shape[1]) <= LOG_FLOAT_MAX - 1.0 and sharpness < _PANEL_EDGE):
         return _node_log_norms(*node_log_powers(mu, lam, p), a, p)
-    logs, sharpness, lam = [], p * max(lam[-1], 1.0), np.array(lam)
-    low_power = _grading_power(lam, p)
-    exps = _pow2_exponents(a)
-    # a scaled row's |f| is at most its number of terms n, so |f|**p can overflow
-    # only where n**p comes within a factor e of the float range; only there do the
-    # rows run where an overflow raises, as numpy's errstate slows each ufunc call
-    guard = np.errstate(over="raise") if p * math.log(a.shape[1]) > LOG_FLOAT_MAX - 1.0 \
-        else contextlib.nullcontext()
-    # each panel's monomials, keyed by the bytes of its log t (exact, graded
-    # panels included), built on the first row that reaches it and shared by the rest
+    logs, exps = [], _pow2_exponents(a)
+    # each panel's monomials, keyed by the bytes of its log t (exact), built on
+    # the first row that reaches it and shared by the rest
     panels: dict[bytes, np.ndarray] = {}
 
     def monomials(log_t: np.ndarray) -> np.ndarray:
@@ -162,18 +161,12 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
             powers = panels[key] = np.exp(log_powers(log_t, lam))
         return powers
 
-    try:
-        with guard:
-            for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
-                val = integrate_to_one(
-                    lambda log_t, b=row: np.abs(_eval_poly_array(b, monomials(log_t))) ** p,
-                    sharpness, low_power=low_power)
-                if math.isnan(val):
-                    raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
-                logs.append(math.log(val) * (1.0 / p) + e * _LOG2 if val > 0.0 else -math.inf)
-    except FloatingPointError:
-        raise ValueError(f"|f|**p at p = {p:g} overflows the float range on the Lebesgue "
-                         "panels") from None
+    for row, e in zip(np.ldexp(a, -exps[:, None]).tolist(), exps.tolist()):
+        val = integrate_to_one(
+            lambda log_t, b=row: np.abs(_eval_poly_array(b, monomials(log_t))) ** p, sharpness)
+        if math.isnan(val):
+            raise ValueError(f"the quadrature of |f|**{p:g} is NaN")
+        logs.append(math.log(val) * (1.0 / p) + e * _LOG2 if val > 0.0 else -math.inf)
     return np.array(logs)
 
 
@@ -251,7 +244,8 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
     numerators are the exact Gram forms of ``l2_norm_gram``; at every other
     p, ``log_lp_norms`` on the nodes of ``DensityMeasure()``, one terms x nodes
-    matrix, so only p < 1 and p * lam past the float range are refused.  The
+    matrix (``Lebesgue()`` would send smooth rows to the slower float panels),
+    so only p < 1 and p * lam past the float range are refused.  The
     denominators are one array expression up to the 1/p root, which each
     row takes as a float.  Warns when ``classify`` flags the prefix's ratio
     trend as non-lacunary, where the bracket may degenerate.

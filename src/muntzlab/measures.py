@@ -5,7 +5,7 @@ scale * (1 - t)**alpha on an interval [a, b) within [0, 1)
 (``DensityMeasure``; alpha = 0 is the uniform density); a restriction of a
 density is the density on the intersected interval.  Lebesgue measure is
 the uniform density of scale 1 on [0, 1), kept as its own type for two exact
-routes: the float panels of its L^p norms and ``norm``'s Gram value.  Every
+routes: the float panels of its smooth L^p norms and ``norm``'s Gram value.  Every
 measure is represented by one set of quadrature nodes with
 log weights (``measure_nodes``): atoms are stored as delta = 1 - x, never as
 x, so x = 1 - 1e-30 keeps full precision (x itself would round to 1.0, the
@@ -21,12 +21,13 @@ lam_j - lam_0 adds ceil(40 / (1 + s)) panels, and none are added when
 all of them are integers.  Closed forms (the moments of a uniform density,
 ``has_closed_form_moments``, on which ``dnp`` also takes its p = 2 series;
 the tail mass, sublinear sup and Poisson integral of every density) stay as
-the exact special cases they are.  The one other quadrature, ``integrate_to_one`` for Lebesgue
-L^p norms, deepens its dyadic panels toward t = 1 one halving a pass until
-the closing panel is negligible or two passes agree, and refuses exponents
-past its float panels' edge u = 2**-53 itself.  The log t it hands the
-integrand on a panel depends on that panel alone, so ``lpnorm.log_lp_norms``
-builds each panel's monomials once per call and shares them among its rows.
+the exact special cases they are.  The one other quadrature,
+``integrate_to_one``, takes the Lebesgue L^p norms of smooth rows in range
+(``lpnorm.log_lp_norms``), deepening its dyadic panels toward t = 1 one
+halving a pass until the closing panel is negligible or two passes agree.
+The log t it hands the integrand on a panel depends on that panel alone,
+so ``lpnorm.log_lp_norms`` builds each panel's monomials once per call and
+shares them among its rows.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ from .logdomain import LogValue, NeumaierSum, _exp_shifted, logsumexp
 GL_ORDER = 24
 DEFAULT_REL_TOL = 1e-12
 _MAX_DEPTH = 53
+# the sharpness from which ``_first_depth`` passes _MAX_DEPTH: the float panels' edge
+_PANEL_EDGE = 2.0 ** (_MAX_DEPTH - 7)
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +123,18 @@ def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_depth(sharpness: float) -> int:
     """The depth in halvings of u to which panels first refine toward t = 1
-    for ``sharpness``: log2(sharpness) + 8, at least 12."""
+    for ``sharpness``: floor(log2(sharpness)) + 8, at least 12, taken from the
+    exact frexp exponent, so it passes _MAX_DEPTH exactly from _PANEL_EDGE on."""
     if not math.isfinite(sharpness):
         raise ValueError(f"node sharpness must be finite, got {sharpness} "
                          "(p * lam beyond the float range?)")
-    return max(12, int(math.log2(max(sharpness, 1.0))) + 8)
+    return max(12, math.frexp(max(sharpness, 1.0))[1] + 7)
 
 
-def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
-                     low_power: float | None = None) -> float:
+def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float quadrature of Lebesgue L^p norms; f receives log t = log1p(-u)
+    The float quadrature of smooth Lebesgue L^p norms; f receives log t = log1p(-u)
     at the nodes and returns g there; the same panel hands f the same log t,
     bit for bit, on every call.  Panel j covers u in [2**-j, 2**(1-j)]
     and a closing panel [0, 2**-depth], so no node is t = 1.  The first
@@ -151,27 +154,22 @@ def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float,
     agree (t**(2**20) at sharpness 1: depths 12 to 15, 19 panel
     evaluations), as long as the first pass's nodes see it (t**(2**40) at
     sharpness 1 reads 0 after one pass).  A first depth past _MAX_DEPTH
-    (sharpness 2**46 = 7.0e13 or more) is refused before any panel: the
-    package's one exponent edge.  A non-integer ``low_power``
-    (``_grading_power``) grades panel 1 toward t = 0, with log t of t itself.
+    (sharpness ``_PANEL_EDGE`` = 2**46 = 7.0e13 or more) is refused before
+    any panel.  Every panel is Gauss-Legendre in u, so an integrand not
+    smooth at t = 0 (t**s, s no integer) is left to the graded nodes of
+    ``measure_nodes``, as is one past the edge.
     """
     depth = _first_depth(sharpness)
-    if depth > _MAX_DEPTH:
+    if sharpness >= _PANEL_EDGE:
         raise ValueError(
             f"p * lam = {sharpness:.3e} needs Lebesgue panels below u = 2**-{_MAX_DEPTH}, the "
-            "edge of the float quadrature (a uniform density takes the node route)")
+            "edge of the float quadrature (log_lp_norms takes such rows on the nodes)")
     # previous is the last pass's total; the first pass agrees with no NaN
     acc, right, summed, previous = NeumaierSum(), 1.0, 0, math.nan
-    graded = _graded_edges(low_power, 1.0)
     while True:
         for j in range(summed + 1, depth + 1):
             left = 2.0 ** (-j)
-            if j == 1 and graded is not None:
-                t, log_w = _gl_panels(graded)
-                for t_k, log_w_k in zip(t, log_w):
-                    acc.add(float(np.dot(np.exp(log_w_k), f(np.log(t_k)))))
-            else:
-                acc.add(_gl_panel(f, left, right))
+            acc.add(_gl_panel(f, left, right))
             right = left
         summed = depth
         closing = _gl_panel(f, 0.0, right)
@@ -274,10 +272,11 @@ class DensityMeasure:
 class Lebesgue(DensityMeasure):
     """Lebesgue measure dt on [0, 1): the uniform density of scale 1.
 
-    Its own type only for its two exact routes: the float quadrature of its
-    L^p norms (``lpnorm.log_lp_norms``) and the CLI's Gram value of a p = 2
-    norm.  A restriction of it is a plain ``DensityMeasure`` and takes the
-    node routes, which reach past the quadrature's edge u = 2**-53.
+    Its own type only for its two exact routes: the float quadrature of the
+    L^p norms of its smooth, in-range rows (``lpnorm.log_lp_norms``; every
+    other row takes the nodes of ``DensityMeasure()``, bit for bit) and the
+    CLI's Gram value of a p = 2 norm.  A restriction of it is a plain
+    ``DensityMeasure`` and takes the node routes.
     """
 
     def __init__(self) -> None:

@@ -766,11 +766,12 @@ _EXTREME_INPUTS = {
                            "--coeffs", "1e200,1e200"], 0, {}),
     "norm-coeffs=1e200-p=3": (["norm", "--seq", "geometric:1,2,4", "--p", "3",
                                "--coeffs", "1e200,1e200"], 0, {}),
-    # the scaling bounds the largest |a_j|, not |f|: |f|**400 of sixteen 1s overflows
-    # the Lebesgue panels (ROADMAP.md item 2) and is refused, never reported as inf;
-    # the alternating row, sup |f| = 0.5, is no overflow and keeps its value
+    # the scaling bounds the largest |a_j|, not |f|: |f|**400 of sixteen 1s would
+    # overflow the Lebesgue panels, so the row takes the nodes, in logs, and keeps
+    # the value of the uniform density; the alternating row, sup |f| = 0.5, too
     "norm-p=400-ones": (["norm", "--seq", "geometric:1,2,16", "--p", "400",
-                         "--coeffs", ",".join(["1"] * 16)], 2, ("p = 400",)),
+                         "--coeffs", ",".join(["1"] * 16)], 0,
+                        {"value": pytest.approx(15.438172191504238, rel=1e-12)}),
     "norm-p=400-alternating": (["norm", "--seq", "geometric:1,2,16", "--p", "400",
                                 "--coeffs", ",".join(["1", "-1"] * 8)], 0,
                                {"value": pytest.approx(0.49420943699423026, rel=1e-12)}),
@@ -892,6 +893,14 @@ _EXTREME_INPUTS = {
     "example-A-p=0.5": (["example", "--label", "A", "--p", "0.5"], 2,
                         ("construction A needs p >= 1",)),
     "hs-q=-1": (["verify", "--suite", "hs", "--q", "-1"], 2, ("q must be positive, got -1.0",)),
+    # weights 1/lam have no value at lam_0 = 0: one refusal in dnp and hilbert alike
+    **{f"inverse-lambda-lam0=0-{cmd[-1]}": (
+        [*cmd, "--seq", "explicit:0,1,2"], 2,
+        ("weights 1/lam need positive exponents, got lam = 0",))
+       for cmd in (["verify", "--suite", "basis"], ["verify", "--suite", "compact"], ["dnp"],
+                   ["verify", "--suite", "diagonal-domination"],
+                   ["verify", "--suite", "carleson"], ["verify", "--suite", "hs"],
+                   ["spectrum", "--operator", "synthesis"])},
 }
 
 # the exact norms of the norm rows above: ||t||_2 = 1/sqrt(3), ||t + t**2||_2 =
@@ -1662,18 +1671,27 @@ def test_exponent_beyond_float_range_is_refused(argv, tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    # p * lam = 7.04e13 just past 2**46: the float panels would pass u = 2**-53
-    (["--seq", "explicit:1,3.52e13"],
-     "p * lam = 7.040e+13 needs Lebesgue panels below u = 2**-53"),
     (["--p", "0.5"], "p must be >= 1, got 0.5"),
     (["--seq", "explicit:1,1e308", "--measure", "atoms:0.5:1"], "node sharpness must be finite"),
     (["--p", "1e308"], "node sharpness must be finite"),
-], ids=["quadrature-limit", "p-below-1", "overflow-atoms", "overflow-lebesgue"])
+], ids=["p-below-1", "overflow-atoms", "overflow-lebesgue"])
 def test_norm_refusals_exit_2(extra, message, capsys):
     code = run(["norm", "--coeffs", "1,1", "--seq", "explicit:1,2", *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {message}")
+
+
+def test_norm_past_the_quadrature_limit_takes_the_nodes_once(monkeypatch, capsys):
+    # p * lam = 7.04e13 just past 2**46: the float panels would pass u = 2**-53,
+    # so the Lebesgue row takes one node set, as on the uniform density
+    calls = []
+    real = lpnorm.node_log_powers
+    monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
+    code = run(["norm", "--coeffs", "1,1", "--seq", "explicit:1,3.52e13"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(calls) == 1
+    assert report["value"] == pytest.approx(report["gram_value"], rel=1e-14)
 
 
 def test_domination_takes_one_node_set_and_no_polynomial(monkeypatch, capsys):
@@ -1843,6 +1861,13 @@ _MALFORMED = {
                                   "maximum recursion depth exceeded"),
     "coeffs-nan": (["norm", "--coeffs", "1,nan"], "1,nan",
                    "error: expected a finite number, got 'nan'"),
+    # an empty entry was skipped: 1,,2 read as the coefficients 1, 2
+    "coeffs-empty-entry": (["norm", "--coeffs", "1,,2", "--seq", "explicit:1,2,3"], "1,,2",
+                           "error: empty entry in the list '1,,2'"),
+    "seq-empty-entry": (["norm", "--seq", "explicit:1,,2"], None,
+                        "error: empty entry in the list '1,,2'"),
+    "q-empty-entry": (["verify", "--suite", "hs", "--q", "2,,4"], None,
+                      "error: argument --q: empty entry in the list '2,,4'"),
     "moments-p=nan": (["moments", "--p", "nan"], None,
                       "error: argument --p: expected a finite number, got 'nan'"),
     "moments-p=inf": (["moments", "--p", "inf"], None,
@@ -1949,17 +1974,14 @@ def test_isometry_threshold_at_its_own_scale(p, seq, capsys):
 
 @pytest.mark.parametrize("p", ["1", "1.5", "3"])
 def test_norm_at_the_lebesgue_panel_edge(p, capsys):
-    # the float panels take p * lam below 2**46 and refuse it above
-    below, above = (2.0 ** 46 / float(p) * (1.0 + s * 1e-12) for s in (-1, 1))
-    code = run(["norm", "--coeffs", "1", "--p", p, "--seq", f"explicit:{below!r}"])
-    value = json.loads(capsys.readouterr().out)["value"]
-    assert code == 0
-    assert value == pytest.approx((float(p) * below + 1.0) ** (-1.0 / float(p)), rel=1e-14)
-    code = run(["norm", "--coeffs", "1", "--p", p, "--seq", f"explicit:{above!r}"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: p * lam = 7.037e+13 needs Lebesgue panels below u = 2**-53, the edge of the "
-        "float quadrature (a uniform density takes the node route)\n")
+    # p * lam from 2**46 on would pass the float panels' edge u = 2**-53: the
+    # nodes take it, so both sides of the edge keep the closed form
+    for s in (-1, 1):
+        lam = 2.0 ** 46 / float(p) * (1.0 + s * 1e-12)
+        code = run(["norm", "--coeffs", "1", "--p", p, "--seq", f"explicit:{lam!r}"])
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert code == 0
+        assert value == pytest.approx((float(p) * lam + 1.0) ** (-1.0 / float(p)), rel=1e-14)
 
 
 def test_bounds_envelope_writes_the_logs_of_the_edges(capsys):

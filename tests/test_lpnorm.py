@@ -104,35 +104,42 @@ class TestPanelIntegrand:
         assert (powers == shared).all()
 
 
+def _counted(monkeypatch) -> dict:
+    """The calls of ``log_lp_norms`` to p's check and to each route's entry, counted."""
+    calls = {"_check_p": 0, "integrate_to_one": 0, "node_log_powers": 0}
+    for name in calls:
+        real = getattr(lpnorm, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lpnorm, name, counting)
+    return calls
+
+
 class TestSharedPanels:
     """The Lebesgue rows of one ``log_lp_norms`` call share each panel's
     monomials: one exp of ``log_powers`` per panel and call, and every row's
-    norm the one-row call's bit for bit."""
+    norm the one-row call's bit for bit.  Rows the panels would grade toward
+    t = 0 take the nodes instead."""
 
-    @pytest.mark.parametrize("lam0", [0.01, 1.0])
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_each_row_is_its_one_row_call_and_the_per_term_reference(self, p, lam0):
-        # at lam0 = 0.01 panel 1 is graded toward t = 0, so graded panels are shared too
-        seq = generate_geometric(lam0, 2, 16)
-        lam = np.array(seq.exponents)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_each_row_is_its_one_row_call_and_the_per_term_reference(self, p):
+        lam = np.array(GEO.exponents)
         rows = lpnorm._uniform_rows(41, 100, 16)
-        got = log_lp_norms(seq, rows, Lebesgue(), p).tolist()
-        assert got == [log_lp_norms(seq, [row], Lebesgue(), p)[0] for row in rows]
-        low_power = measures._grading_power(lam, p)
+        got = log_lp_norms(GEO, rows, Lebesgue(), p).tolist()
+        assert got == [log_lp_norms(GEO, [row], Lebesgue(), p)[0] for row in rows]
         for norm, row in zip(got, rows):
             e = math.frexp(np.abs(row).max())[1]
             b = np.ldexp(row, -e).tolist()
             val = measures.integrate_to_one(
-                lambda log_t: np.abs(per_term_poly(b, lam, log_t)) ** p,
-                p * max(lam[-1], 1.0), low_power=low_power)
+                lambda log_t: np.abs(per_term_poly(b, lam, log_t)) ** p, p * lam[-1])
             assert norm == math.log(val) * (1.0 / p) + e * math.log(2.0)
 
     @pytest.mark.parametrize("count", [1, 7, 100])
-    @pytest.mark.parametrize("lam0, panels", [(1.0, 27), (0.01, 60)])
-    def test_one_exp_per_panel_and_call(self, lam0, panels, count, monkeypatch):
-        # geometric:1,2,16 at p = 2 takes 27 panels (test_27_panels_per_row);
-        # geometric:0.01,2,16 takes 41 graded panels for panel 1, panels 2 to
-        # 18 and two closing panels (passes at depths 17 and 18)
+    def test_one_exp_per_panel_and_call(self, count, monkeypatch):
+        # geometric:1,2,16 at p = 2 takes 27 panels (test_27_panels_per_row)
         calls = []
 
         def counting(log_t, lam):
@@ -141,9 +148,16 @@ class TestSharedPanels:
 
         log_powers = lpnorm.log_powers
         monkeypatch.setattr(lpnorm, "log_powers", counting)
-        log_lp_norms(generate_geometric(lam0, 2, 16), lpnorm._uniform_rows(0, count, 16),
-                     Lebesgue(), 2.0)
-        assert len(calls) == len(set(calls)) == panels
+        log_lp_norms(GEO, lpnorm._uniform_rows(0, count, 16), Lebesgue(), 2.0)
+        assert len(calls) == len(set(calls)) == 27
+
+    @pytest.mark.parametrize("lam0, p", [(0.01, 1.5), (0.01, 2.0), (0.01, 3.0), (1.0, 1.5)])
+    def test_graded_rows_take_the_nodes(self, lam0, p, monkeypatch):
+        # a non-integer p * lam_j or lam_j - lam_0 grades the nodes toward t = 0
+        calls = _counted(monkeypatch)
+        log_lp_norms(generate_geometric(lam0, 2, 16), lpnorm._uniform_rows(0, 100, 16),
+                     Lebesgue(), p)
+        assert calls == {"_check_p": 1, "integrate_to_one": 0, "node_log_powers": 1}
 
 
 class TestScaledRows:
@@ -153,17 +167,20 @@ class TestScaledRows:
 
     SEQ = generate_geometric(1, 2, 6)
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    # at p = 1.5 on 2, 4, ..., 64, whose 1.5 lam_j and lam_j - lam_0 are integers,
+    # so the rows take the float panels there too
+    @pytest.mark.parametrize("p, seq", [(1.5, generate_geometric(2, 2, 6)), (2.0, SEQ),
+                                        (3.0, SEQ)], ids=["1.5", "2.0", "3.0"])
     @pytest.mark.parametrize("scale, log_scale", [
         (2.0 ** 700, 700 * math.log(2.0)), (2.0 ** -700, -700 * math.log(2.0)),
         (1e200, 200 * math.log(10.0)), (1e-200, -200 * math.log(10.0))],
         ids=["2**700", "2**-700", "1e200", "1e-200"])
-    def test_scaling_a_row_moves_its_log_norm_by_that_log(self, scale, log_scale, p):
+    def test_scaling_a_row_moves_its_log_norm_by_that_log(self, scale, log_scale, p, seq):
         rows = lpnorm._uniform_rows(5, 4, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            base = log_lp_norms(self.SEQ, rows, Lebesgue(), p)
-            got = log_lp_norms(self.SEQ, rows * scale, Lebesgue(), p)
+            base = log_lp_norms(seq, rows, Lebesgue(), p)
+            got = log_lp_norms(seq, rows * scale, Lebesgue(), p)
         if math.frexp(scale)[0] == 0.5:
             # a power of two scales the row exactly: only e log 2 moves
             assert (got - base).tolist() == [log_scale] * 4
@@ -239,11 +256,11 @@ class TestLpNorm:
             gram = l2_norm_gram(seq, [a])[0]
             assert quad == pytest.approx(gram, rel=1e-10)
 
-    def test_refuses_monster_exponents_on_lebesgue(self):
-        # p * lam = 2e14 needs float panels below u = 2**-53
+    def test_monster_exponents_on_lebesgue_take_the_nodes(self):
+        # p * lam = 2e14 would need float panels below u = 2**-53: the nodes take it
         seq = ExponentSequence((1e14,))
-        with pytest.raises(ValueError, match=r"below u = 2\*\*-53"):
-            lp_norm(seq, (1.0,), Lebesgue(), 2.0)
+        assert lp_norm(seq, (1.0,), Lebesgue(), 2.0) == pytest.approx(
+            (2e14 + 1.0) ** -0.5, rel=1e-14)
         # the same polynomial against atoms stays exact; its norm 2**-1e14
         # is below every float, so the check is on the logarithm
         assert log_norm(seq, (1.0,), atoms([(0.5, 1.0)]), 2.0) == pytest.approx(
@@ -334,29 +351,27 @@ class TestLogLpNorms:
         assert len(got) == 40 and len(calls) == 1
 
     @pytest.mark.parametrize("exps, mu, p, match", [
-        # p * lam just past 2**46: the first panel depth would pass 53
-        ((1.0, 2.0 ** 46 / 3.0 * (1.0 + 1e-12)), Lebesgue(), 3.0, r"below u = 2\*\*-53"),
         ((1.0, 2.0), atoms([(0.5, 1.0)]), 0.5, "p must be >= 1"),
         ((1.0, 2.0), Lebesgue(), 0.5, "p must be >= 1"),
         ((1.0, 1e308), atoms([(0.5, 1.0)]), 2.0, "beyond the float range"),
         ((1.0, 2.0), Lebesgue(), 1e308, "beyond the float range"),
-    ], ids=["limit-lebesgue", "p-atoms", "p-lebesgue", "overflow-atoms", "overflow-lebesgue"])
+    ], ids=["p-atoms", "p-lebesgue", "overflow-atoms", "overflow-lebesgue"])
     def test_refusals_are_made_once_per_call(self, exps, mu, p, match, monkeypatch):
-        # p is checked once, and the route that refuses is entered at most once:
-        # the first Lebesgue row's quadrature refuses before any panel
-        calls = {"_check_p": 0, "integrate_to_one": 0, "node_log_powers": 0}
-        for name in calls:
-            real = getattr(lpnorm, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(lpnorm, name, counting)
+        # p is checked once, and the route that refuses is entered at most once
+        calls = _counted(monkeypatch)
         with pytest.raises(ValueError, match=match):
             log_lp_norms(ExponentSequence(exps), np.ones((50, 2)), mu, p)
         assert calls["_check_p"] == 1
         assert calls["integrate_to_one"] + calls["node_log_powers"] <= 1
+
+    def test_lebesgue_past_the_panel_edge_takes_the_nodes_once(self, monkeypatch):
+        # p * lam just past 2**46: the first panel depth would pass 53
+        calls = _counted(monkeypatch)
+        lam = 2.0 ** 46 / 3.0 * (1.0 + 1e-12)
+        got = log_lp_norms(ExponentSequence((1.0, lam)), np.eye(2), Lebesgue(), 3.0)
+        assert calls == {"_check_p": 1, "integrate_to_one": 0, "node_log_powers": 1}
+        assert got.tolist() == pytest.approx([-math.log(3.0 * v + 1.0) / 3.0 for v in (1.0, lam)],
+                                             rel=1e-14)
 
     def test_density_past_the_old_cap_takes_one_node_set(self, monkeypatch):
         # lam = 1e13 was refused on every non-atomic measure; the nodes have no such edge
@@ -378,6 +393,34 @@ class TestLogLpNorms:
     def test_matrix_is_checked_like_a_polynomial(self, coeffs, match):
         with pytest.raises(ValueError, match=match):
             log_lp_norms(GEO, coeffs, Lebesgue(), 2.0)
+
+
+class TestBothSpellingsOfDt:
+    """Lebesgue() and the uniform ``DensityMeasure()`` are one measure: every
+    row the float panels give up (graded toward t = 0, |f|**p past the float
+    range, p * lam past their edge 2**46) takes the nodes of both, bit for bit."""
+
+    CASES = {
+        **{f"geometric:{l0},{r},{n}-p={p:g}": (generate_geometric(l0, r, n),
+                                               lpnorm._uniform_rows(7, 20, n), p)
+           for l0, r, n in [(0.01, 2, 16), (0.3, 3, 4)] for p in (1.0, 1.5, 3.0)},
+        "p=400-ones": (GEO, np.ones((1, 16)), 400.0),
+        "p=400-alternating": (GEO, np.array([[1.0, -1.0] * 8]), 400.0),
+        **{f"past-the-edge-p={p:g}": (ExponentSequence((2.0 ** 46 / p * (1.0 + 1e-12),)),
+                                      np.ones((1, 1)), p) for p in (1.0, 1.5, 3.0)},
+        "lam=1e300": (ExponentSequence((1e300,)), np.ones((1, 1)), 2.0),
+        "46-ones": (generate_geometric(1, 2, 46), np.ones((1, 46)), 2.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_log_norms_agree_bit_for_bit(self, case):
+        seq, rows, p = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_lp_norms(seq, rows, Lebesgue(), p)
+            want = log_lp_norms(seq, rows, DensityMeasure(), p)
+        assert np.isfinite(got).all()
+        assert got.tolist() == want.tolist()
 
 
 def per_row_log_norm(log_pow, log_w, a, p):
@@ -545,7 +588,7 @@ class TestMonomialNormsPastTheOldCap:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_lebesgue_just_below_the_panel_edge(self, p):
-        # the float panels take p * lam up to 2**46, the first depth then 53
+        # p * lam just below 2**46 is no integer, so the monomial takes the nodes
         lam = 2.0 ** 46 / p * (1.0 - 1e-12)
         got = lp_norm(ExponentSequence((lam,)), (1.0,), Lebesgue(), p)
         assert got == pytest.approx((p * lam + 1.0) ** (-1.0 / p), rel=1e-14)
@@ -671,11 +714,10 @@ class TestReportDefaultRows:
         # a pass one halving deeper stops where one 16 halvings deeper did, on
         # the same total: the closing panel it splits is already exact
         rows = lpnorm._uniform_rows(seed, 100, 16)
-        got = [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (1.5, 2.0, 3.0)]
-        monkeypatch.setattr(
-            lpnorm, "integrate_to_one", lambda f, sharpness, low_power=None:
-            _resumming_integrate_to_one(f, sharpness, 16, low_power)[-1])
-        assert got == [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (1.5, 2.0, 3.0)]
+        got = [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (2.0, 3.0)]
+        monkeypatch.setattr(lpnorm, "integrate_to_one", lambda f, sharpness:
+                            _resumming_integrate_to_one(f, sharpness, 16)[-1])
+        assert got == [log_lp_norms(GEO, rows, Lebesgue(), p).tolist() for p in (2.0, 3.0)]
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_five_rows_against_mpmath(self, p):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab.logdomain import NeumaierSum, logsumexp
 from muntzlab.measures import (Atom, AtomicMeasure, DensityMeasure, Lebesgue, _gl_panel,
-                               _gl_panels, _graded_edges, _log_poisson_kernel, atoms,
-                               integrate_to_one, log_powers, measure_nodes, moment, moments,
-                               node_log_powers, poisson_integral, restrict, sublinear_norm,
-                               tail_mass, windowed_sublinear_sup)
+                               _log_poisson_kernel, atoms, integrate_to_one, log_powers,
+                               measure_nodes, moment, moments, node_log_powers,
+                               poisson_integral, restrict, sublinear_norm, tail_mass,
+                               windowed_sublinear_sup)
 
 GEOM30 = atoms([(2.0 ** -k, 4.0 ** -k) for k in range(1, 31)])
 
@@ -314,8 +314,6 @@ class TestGradedTowardZero:
         w = np.exp(log_w)
         assert math.fsum(w) == pytest.approx(1.0, rel=1e-14)
         assert float(np.dot(w, np.exp(s * log_t))) == pytest.approx(1.0 / (1.0 + s), rel=1e-15)
-        assert integrate_to_one(lambda lt: np.exp(s * lt), 96.0, low_power=s) == \
-            pytest.approx(1.0 / (1.0 + s), rel=1e-15)
 
     def test_nodes_near_zero_keep_their_digits(self):
         # the closing panel reaches t ~ 2**-45; log t from 1 - u would read
@@ -331,30 +329,18 @@ class TestGradedTowardZero:
         assert float(np.dot(np.exp(log_w), np.exp(s * log_t))) == pytest.approx(
             0.5 ** (1.0 + s) / (1.0 + s), rel=1e-15)
 
-    def test_integer_power_keeps_integrate_to_one_bit_for_bit(self):
-        def f(lt):
-            return np.abs(np.exp(lt) - 0.5 * np.exp(3.0 * lt)) ** 3.0
 
-        assert integrate_to_one(f, 9.0, low_power=3.0) == integrate_to_one(f, 9.0)
-
-
-def _resumming_integrate_to_one(f, sharpness, step, low_power=None):
+def _resumming_integrate_to_one(f, sharpness, step):
     """integrate_to_one with every pass summing from panel 1 again and the
-    next pass ``step`` halvings deeper: the same panels in u = 1 - t (panel 1
-    graded toward t = 0 for a non-integer ``low_power``), closing rule,
-    stopping rule and summation order.  Returns the total of every pass; the
-    last is the result."""
+    next pass ``step`` halvings deeper: the same panels in u = 1 - t, closing
+    rule, stopping rule and summation order.  Returns the total of every
+    pass; the last is the result."""
     depth, totals = min(max(12, int(math.log2(max(sharpness, 1.0))) + 8), 53), []
-    graded = _graded_edges(low_power, 1.0)
     while True:
         acc, right = NeumaierSum(), 1.0
         for j in range(1, depth + 1):
             left = 2.0 ** (-j)
-            if j == 1 and graded is not None:
-                for t, log_w in zip(*_gl_panels(graded)):
-                    acc.add(float(np.dot(np.exp(log_w), f(np.log(t)))))
-            else:
-                acc.add(_gl_panel(f, left, right))
+            acc.add(_gl_panel(f, left, right))
             right = left
         closing = _gl_panel(f, 0.0, right)
         acc.add(closing)
@@ -425,6 +411,16 @@ class TestIntegrateToOne:
                          2.0 ** 45)
         assert len(nodes) == 53 + 1
         assert max(float(v.max()) for v in nodes) < 0.0
+
+    def test_the_panel_edge_is_exact(self):
+        # math.log2 rounds the largest float below 2**46 up to 46.0; its frexp
+        # exponent does not, so that sharpness still starts at depth 53
+        below = math.nextafter(2.0 ** 46, 0.0)
+        nodes = []
+        integrate_to_one(lambda log_t: nodes.append(log_t) or np.exp(below * log_t), below)
+        assert len(nodes) == 53 + 1
+        with pytest.raises(ValueError, match=r"below u = 2\*\*-53, the edge"):
+            integrate_to_one(np.exp, 2.0 ** 46)
 
 
 class TestSublinear:

@@ -88,17 +88,24 @@ def log_shifted_ratios(seq: ExponentSequence, p: float) -> np.ndarray:
 
 def jlambda_upper(p: float, r: float) -> NormBoundReport:
     """Props 3.2 (p >= 2) and 3.3 (p <= 2): the bound on ||J_Lambda|| when every
-    shifted ratio (``log_shifted_ratios``) is at least r > 1."""
+    shifted ratio (``log_shifted_ratios``) is at least r > 1.
+
+    The denominators r**(1/(p(p-1))) - 1 and sqrt(r) - 1 are expm1 of their
+    exponents times log r, so r near 1 and large p keep their digits.  Where
+    that exponent underflows to 0 (p(p-1) past the float range, p = 1e300), the
+    bound is inf, as ``r_epsilon`` is past the float range.
+    """
     if not r > 1.0:
         raise ValueError(f"r must exceed 1, got {r}")
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if p >= 2.0:
-        inner = 1.0 + 2.0 * p ** (1.0 / (p - 1.0)) / (r ** (1.0 / (p * (p - 1.0))) - 1.0)
+        num, den = 2.0 * p ** (1.0 / (p - 1.0)), math.expm1(math.log(r) / (p * (p - 1.0)))
         formula = "prop32"
     else:
-        inner = 1.0 + 4.0 / (math.sqrt(r) - 1.0)
+        num, den = 4.0, math.expm1(0.5 * math.log(r))
         formula = "prop33"
+    inner = 1.0 + num / den if den > 0.0 else math.inf
     exponent = 0.0 if p == 1.0 else 1.0 / conjugate(p)
     return NormBoundReport(p=p, r=r, upper_bound=inner ** exponent, formula_id=formula)
 

@@ -25,7 +25,8 @@ the suite ran on, and ``report`` takes those of the suites it runs and
 refuses an unknown suite before running any.  ``--seq``,
 ``--measure`` and ``--coeffs`` take a spec string or ``file:path``; a spec
 string is shorthand for the JSON description one builder reads and checks
-(``*_from_obj``).  ``--format csv`` exists on moments, dnp and example.
+(``*_from_obj``), refusing a field that the description's kind does not
+read.  ``--format csv`` exists on moments, dnp and example.
 
 ``report`` and ``verify`` parse ``--seq`` and ``--measure`` once and give
 their suites one store (``_Store``) of the results that several of them
@@ -110,9 +111,22 @@ def _field(obj: dict, key: str, want: type, what: str):
     return want(value) if want in (float, int) else value
 
 
+def _only(obj: dict, fields: tuple[str, ...], what: str) -> None:
+    """Refuse a field of a description that its kind does not read, naming those it reads."""
+    if unknown := sorted(set(obj) - set(fields)):
+        raise UsageError(f"unknown {what} field {unknown[0]!r}; it reads {', '.join(fields)}")
+
+
+_SEQUENCE_FIELDS = {"geometric": ("lambda0", "ratio", "count"), "explicit": ("values",),
+                    "recursive_power": ("lambda_start", "start_index", "gamma", "count")}
+
+
 def sequence_from_obj(obj) -> sequences_mod.ExponentSequence:
     field = functools.partial(_field, obj, what="sequence")
     kind = field("kind", str)
+    if kind not in _SEQUENCE_FIELDS:
+        raise UsageError(f"unknown sequence kind {kind!r}")
+    _only(obj, ("kind", *_SEQUENCE_FIELDS[kind]), f"{kind} sequence")
     if kind == "geometric":
         return sequences_mod.generate_geometric(field("lambda0", float), field("ratio", float),
                                                 field("count", int))
@@ -120,9 +134,7 @@ def sequence_from_obj(obj) -> sequences_mod.ExponentSequence:
         return sequences_mod.generate_recursive_power(
             field("lambda_start", float), field("start_index", int), field("gamma", float),
             field("count", int))
-    if kind == "explicit":
-        return sequences_mod.ExponentSequence(tuple(field("values", list)))
-    raise UsageError(f"unknown sequence kind {kind!r}")
+    return sequences_mod.ExponentSequence(tuple(field("values", list)))  # explicit
 
 
 def parse_sequence(spec: str) -> sequences_mod.ExponentSequence:
@@ -148,14 +160,22 @@ def _atom(entry) -> tuple[float, float]:
     if isinstance(entry, list) and len(entry) == 2:
         entry = {"delta": entry[0], "mass": entry[1]}
     mass = _field(entry, "mass", float, "atom")  # refuses an entry that is no object
+    _only(entry, ("log_delta" if "log_delta" in entry else "delta", "mass"), "atom")
     if "log_delta" in entry:
         return materialize(_field(entry, "log_delta", float, "atom")), mass
     return _field(entry, "delta", float, "atom"), mass
 
 
+_MEASURE_FIELDS = {"lebesgue": (), "atoms": ("atoms",), "density": ("name", "params"),
+                   "restrict": ("base", "a", "b")}
+
+
 def measure_from_obj(obj) -> measures_mod.Measure:
     field = functools.partial(_field, obj, what="measure")
     kind = field("kind", str)
+    if kind not in _MEASURE_FIELDS:
+        raise UsageError(f"unknown measure kind {kind!r}")
+    _only(obj, ("kind", *_MEASURE_FIELDS[kind]), f"{kind} measure")
     if kind == "lebesgue":
         return measures_mod.Lebesgue()
     if kind == "atoms":
@@ -172,10 +192,8 @@ def measure_from_obj(obj) -> measures_mod.Measure:
             raise UsageError(f"unknown density param {unknown[0]!r}; have {', '.join(allowed)}")
         return measures_mod.DensityMeasure(
             **{k: _field(params, k, float, "density") for k in params})
-    if kind == "restrict":
-        return measures_mod.restrict(measure_from_obj(field("base", dict)), field("a", float),
-                                     field("b", float))
-    raise UsageError(f"unknown measure kind {kind!r}")
+    return measures_mod.restrict(measure_from_obj(field("base", dict)), field("a", float),
+                                 field("b", float))  # restrict
 
 
 def parse_measure(spec: str) -> measures_mod.Measure:
@@ -459,8 +477,8 @@ def suite_blocksum(seq, p) -> list[dict]:
     # 1 / q_j, is at most ||J_Lambda||, which Props 3.2 and 3.3 bound by
     # jlambda_upper(p, r) for r the smallest shifted ratio q_{j+1} / q_j of the rows'
     # prefix (``bounds.log_shifted_ratios``): a FAIL is a counterexample.  The norms
-    # are one node-route call; Lebesgue() would send smooth rows to the slower float
-    # panels (so would gm_ratio_sample, report-p3's basis rows among them).
+    # are one ``log_lp_norms`` call on dt, whose smooth rows take the float panels,
+    # as ``norm`` on dt does.
     lengths = [2 ** k for k in range(len(seq).bit_length())]
     rows = (np.arange(lengths[-1]) < np.array(lengths)[:, None]).astype(float)
     log_norms = lpnorm.log_lp_norms(seq, rows, measures_mod.DensityMeasure(), p)
@@ -766,7 +784,11 @@ def _cmd_bounds(args) -> int:
     elif formula == "r_epsilon":
         value = bounds_mod.r_epsilon(args.p, args.eps)
     elif formula == "lemma31":
-        q = [args.r ** k for k in range(args.count)]
+        try:
+            q = [args.r ** k for k in range(args.count)]
+        except OverflowError:
+            raise UsageError(f"r**(count - 1) = {args.r:g}**{args.count - 1} is beyond the "
+                             "float range") from None
         res = bounds_mod.lemma31_bound(args.p, args.alpha, q, args.r)
         formula, value = "crossterm", {"lhs": res.lhs, "rhs": res.rhs}
     else:  # envelope
@@ -788,7 +810,7 @@ def _cmd_norm(args) -> int:
     payload = {"command": "norm",
                "inputs": _recorded_inputs("norm", args, coefficients=coeffs),
                "value": value}
-    if args.p == 2.0 and isinstance(mu, measures_mod.Lebesgue):
+    if args.p == 2.0 and mu == measures_mod.DensityMeasure():
         payload["gram_value"] = float(lpnorm.l2_norm_gram(seq, [coeffs])[0])
     _emit(payload, args, "norm")
     return 0
@@ -910,9 +932,10 @@ _OPTIONS = {
                        "explicit:v1,v2,... | file:path.json"),
     "--measure": dict(default="lebesgue",
                       help="lebesgue | atoms:delta:mass,... | file:path.json, a description "
-                           "of kind lebesgue, atoms, density or restrict; a density is "
-                           "uniform (params: scale) or oneminus_power, scale * (1 - t)**alpha "
-                           "(params: scale, alpha)"),
+                           "of kind lebesgue, atoms, density or restrict, with only the fields "
+                           "its kind reads; a density is uniform (params: scale) or "
+                           "oneminus_power, scale * (1 - t)**alpha (params: scale, alpha); "
+                           "lebesgue is the uniform density of scale 1"),
     "--p": dict(type=_finite, default=2.0),
     "--q": dict(type=_floats, default=()),
     "--N": dict(type=int, default=hilbert.DEFAULT_TRUNCATION),

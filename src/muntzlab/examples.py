@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import logsumexp
+from .logdomain import LOG_FLOAT_MAX, logsumexp
 from .measures import Atom, AtomicMeasure, moments
 from .sequences import ExponentSequence, generate_recursive_power
 
@@ -46,7 +46,8 @@ class ExampleInstance:
 
 def build_example(label: str, p: float, count: int) -> ExampleInstance:
     """Construction ``label`` at p with ``count`` reported indices, fewer where lam_n
-    would pass 1e306 or an atom's delta or mass 1e-290, and the atom one index past."""
+    would pass 1e306, an atom's delta or mass fall below 1e-290 or its mass pass the
+    float range, and the atom one index past."""
     if label not in ("A", "B"):
         raise ValueError(f"label must be 'A' or 'B', got {label!r}")
     if count < 3:
@@ -68,7 +69,7 @@ def build_example(label: str, p: float, count: int) -> ExampleInstance:
         log_n = math.log(n)
         log_delta = math.log(log_n) - log_lam
         log_c = p * log_n + (1.0 if label == "A" else -1.0) * math.log(log_n) - log_lam
-        if min(log_delta, log_c) < _MIN_LOG10 * math.log(10.0):
+        if min(log_delta, log_c) < _MIN_LOG10 * math.log(10.0) or log_c > LOG_FLOAT_MAX:
             break
         lams.append(lam)
         atoms.append(Atom(delta=math.exp(log_delta), mass=math.exp(log_c)))

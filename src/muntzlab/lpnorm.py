@@ -5,9 +5,10 @@ coefficient matrix.  Its rows, and those of ``gm_ratio_sample``, are
 log-domain sums over the terms x nodes matrix of
 ``measures.node_log_powers`` (``_node_log_norms``), graded toward t = 0 by
 ``measures._grading_power`` and refined toward t = 1 at least as far as
-p * lam_max asks.  The one exception is a Lebesgue row that the float
-panels take as they are: nothing to grade toward t = 0, |f|**p within the
-float range and p * lam_max below their edge 2**46.  Such a row adds
+p * lam_max asks.  The one exception is a row on dt, the value
+``DensityMeasure()`` (``Lebesgue()`` returns it), that the float panels take
+as they are: nothing to grade toward t = 0, |f|**p within the float range
+and p * lam_max below their edge 2**46.  Such a row adds
 |f|**p in floats over the dyadic panels of ``measures.integrate_to_one``,
 which deepens toward t = 1 one halving a pass until its closing panel is
 negligible or two passes agree; each panel's monomials are one exp of
@@ -15,9 +16,10 @@ negligible or two passes agree; each panel's monomials are one exp of
 adds its terms one at a time; that loop as one array reduction, and rows
 batched on a panel, stay parked on peak memory, ROADMAP.md item 1), and
 each row is scaled by a power of two first, so |f|**p stays near 1.  Every
-other Lebesgue row takes the nodes of the uniform density, so both
-spellings of dt give one value.  Neither route sees the kink of |f|**p at
-a sign change of f when p is not an even integer (ROADMAP.md item 7).
+other row on dt takes the nodes.  The route is keyed on the measure's value,
+not on its type, so every spelling of dt takes it alike.  Neither route sees
+the kink of |f|**p at a sign change of f when p is not an even integer
+(ROADMAP.md item 7).
 Every norm refuses p < 1 (``_check_p``) and p * lam past the float range,
 which the nodes, in u = 1 - t and in logs, cannot represent; no refusal is
 keyed on lam alone.  The random rows of ``gm_ratio_sample`` and of the
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LOG_FLOAT_MAX, _exp_shifted, _signed_log_sum, logsumexp, materialize
-from .measures import (_PANEL_EDGE, DensityMeasure, Lebesgue, Measure, _cauchy_gram,
-                       _grading_power, integrate_to_one, log_powers, node_log_powers)
+from .measures import (_PANEL_EDGE, DensityMeasure, Measure, _cauchy_gram, _grading_power,
+                       integrate_to_one, log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
 
 _LOG2 = math.log(2.0)
@@ -116,13 +118,13 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     node set and one terms x nodes matrix (``measures.node_log_powers``,
     which refuses p * lam past the float range), so a norm far below the
     float range (t**1e13 at x = 1/2, t**1000 on [0, 1/2)) keeps its
-    logarithm.  Lebesgue rows take the float quadrature ``integrate_to_one``
-    instead where its panels need no grading toward t = 0
-    (``_grading_power`` is None), p log n is at least 1 below the log of the
-    largest float (n terms, and n**p bounds a scaled row's |f|**p), and
-    p * lam_max is below the panels' edge ``measures._PANEL_EDGE`` = 2**46.
-    Every other Lebesgue row (geometric:0.01,2,16, sixteen 1s at p = 400,
-    lam = 1e300) takes the nodes as ``DensityMeasure()`` does, bit for bit.
+    logarithm.  Rows on dt (``mu == DensityMeasure()``, however it is spelled)
+    take the float quadrature ``integrate_to_one`` instead where its panels
+    need no grading toward t = 0 (``_grading_power`` is None), p log n is at
+    least 1 below the log of the largest float (n terms, and n**p bounds a
+    scaled row's |f|**p), and p * lam_max is below the panels' edge
+    ``measures._PANEL_EDGE`` = 2**46.  Every other row on dt
+    (geometric:0.01,2,16, sixteen 1s at p = 400, lam = 1e300) takes the nodes.
     On the panels each row is scaled by 2**-e, e the frexp exponent of its
     largest |a_j| (``_pow2_exponents``; 0 for a largest |a_j| in [0.5, 1)),
     and e log 2 is added back to the log norm, so coefficients of 1e-200 or
@@ -146,7 +148,7 @@ def log_lp_norms(seq: ExponentSequence, coeffs, mu: Measure, p: float) -> np.nda
     sharpness = p * max(float(lam[-1]), 1.0)  # a float product: inf past the range, no warning
     # a scaled row's |f| is at most its number of terms n, so n**p below the float
     # range bounds |f|**p on the panels
-    if not (isinstance(mu, Lebesgue) and _grading_power(lam, p) is None
+    if not (mu == DensityMeasure() and _grading_power(lam, p) is None
             and p * math.log(a.shape[1]) <= LOG_FLOAT_MAX - 1.0 and sharpness < _PANEL_EDGE):
         return _node_log_norms(*node_log_powers(mu, lam, p), a, p)
     logs, exps = [], _pow2_exponents(a)
@@ -243,9 +245,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     ``_uniform_rows(seed, trials, n)``, prefix-stable in ``trials``.  The
     bracket spans all rows; ``canonical`` spans the first n.  At p = 2 the
     numerators are the exact Gram forms of ``l2_norm_gram``; at every other
-    p, ``log_lp_norms`` on the nodes of ``DensityMeasure()``, one terms x nodes
-    matrix (``Lebesgue()`` would send smooth rows to the slower float panels),
-    so only p < 1 and p * lam past the float range are refused.  The
+    p, ``_node_log_norms`` on the nodes of ``DensityMeasure()``, one terms x nodes
+    matrix (``log_lp_norms`` would send smooth rows on dt to the slower float
+    panels), so only p < 1 and p * lam past the float range are refused.  The
     denominators are one array expression up to the 1/p root, which each
     row takes as a float.  Warns when ``classify`` flags the prefix's ratio
     trend as non-lacunary, where the bracket may degenerate.
@@ -268,7 +270,7 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     if p == 2.0:
         norms = l2_norm_gram(seq, coeffs)
     else:
-        logs = log_lp_norms(seq, coeffs, DensityMeasure(), p)
+        logs = _node_log_norms(*node_log_powers(DensityMeasure(), lam, p), coeffs, p)
         norms = np.array([materialize(v) for v in logs.tolist()])
     sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit

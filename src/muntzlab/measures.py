@@ -3,12 +3,13 @@
 A measure is a finite list of atoms (``AtomicMeasure``) or a density
 scale * (1 - t)**alpha on an interval [a, b) within [0, 1)
 (``DensityMeasure``; alpha = 0 is the uniform density); a restriction of a
-density is the density on the intersected interval.  Lebesgue measure is
-the uniform density of scale 1 on [0, 1), kept as its own type for two exact
-routes: the float panels of its smooth L^p norms and ``norm``'s Gram value.  Every
-measure is represented by one set of quadrature nodes with
-log weights (``measure_nodes``): atoms are stored as delta = 1 - x, never as
-x, so x = 1 - 1e-30 keeps full precision (x itself would round to 1.0, the
+density is the density on the intersected interval.  Lebesgue measure dt is
+the uniform density of scale 1 on [0, 1), the value ``DensityMeasure()``, which
+``Lebesgue()`` returns; the float panels of its smooth L^p norms and ``norm``'s
+Gram value are keyed on that value, so no route depends on how dt is spelled.
+Every measure is represented by one set of quadrature nodes with log weights
+(``measure_nodes``): atoms are stored as delta = 1 - x, never as x, so
+x = 1 - 1e-30 keeps full precision (x itself would round to 1.0, the
 forbidden point t = 1), and a density gets panels in the distance from its
 right end.  Each weight is formed as a log where it is
 made, so none underflows while its log is representable.  Integrals of the
@@ -22,7 +23,7 @@ all of them are integers.  Closed forms (the moments of a uniform density,
 ``has_closed_form_moments``, on which ``dnp`` also takes its p = 2 series;
 the tail mass, sublinear sup and Poisson integral of every density) stay as
 the exact special cases they are.  The one other quadrature,
-``integrate_to_one``, takes the Lebesgue L^p norms of smooth rows in range
+``integrate_to_one``, takes the L^p norms on dt of smooth rows in range
 (``lpnorm.log_lp_norms``), deepening its dyadic panels toward t = 1 one
 halving a pass until the closing panel is negligible or two passes agree.
 The log t it hands the integrand on a panel depends on that panel alone,
@@ -134,10 +135,11 @@ def _first_depth(sharpness: float) -> int:
 def integrate_to_one(f: Callable[[np.ndarray], np.ndarray], sharpness: float) -> float:
     """Integrate g over [0, 1] on dyadic panels in u = 1 - t refined toward u = 0.
 
-    The float quadrature of smooth Lebesgue L^p norms; f receives log t = log1p(-u)
-    at the nodes and returns g there; the same panel hands f the same log t,
-    bit for bit, on every call.  Panel j covers u in [2**-j, 2**(1-j)]
-    and a closing panel [0, 2**-depth], so no node is t = 1.  The first
+    The float quadrature of smooth L^p norms on dt, ``DensityMeasure()`` however it
+    is spelled; f receives log t = log1p(-u) at the nodes and returns g there;
+    the same panel hands f the same log t, bit for bit, on every call.  Panel
+    j covers u in [2**-j, 2**(1-j)] and a closing panel [0, 2**-depth], so no
+    node is t = 1.  The first
     depth is ``_first_depth`` of ``sharpness`` (a for t**a).  A pass ends
     with the total of the running compensated sum and its closing panel; it
     is the last when the closing panel holds at most DEFAULT_REL_TOL of that
@@ -269,18 +271,9 @@ class DensityMeasure:
         return math.log(self.scale) + self.alpha * np.log(u)
 
 
-class Lebesgue(DensityMeasure):
-    """Lebesgue measure dt on [0, 1): the uniform density of scale 1.
-
-    Its own type only for its two exact routes: the float quadrature of the
-    L^p norms of its smooth, in-range rows (``lpnorm.log_lp_norms``; every
-    other row takes the nodes of ``DensityMeasure()``, bit for bit) and the
-    CLI's Gram value of a p = 2 norm.  A restriction of it is a plain
-    ``DensityMeasure`` and takes the node routes.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
+def Lebesgue() -> DensityMeasure:
+    """Lebesgue measure dt on [0, 1): the uniform density of scale 1, ``DensityMeasure()``."""
+    return DensityMeasure()
 
 
 Measure = Union[AtomicMeasure, DensityMeasure]

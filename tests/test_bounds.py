@@ -137,6 +137,22 @@ class TestJlambdaUpper:
         with pytest.raises(ValueError):
             jlambda_upper(2.0, 1.0)
 
+    @pytest.mark.parametrize("p, r", [(1000.0, 2.0), (1e4, 2.0), (1e5, 2.0),
+                                      (3.0, 1.0 + 1e-7), (1.5, 1.0 + 1e-7)])
+    def test_matches_mpmath_at_large_p_and_r_near_one(self, p, r):
+        # r**(1/(p(p-1))) - 1 and sqrt(r) - 1 by subtraction were off by 9.6e-11 to 4.5e-7
+        with mpmath.workdps(50):
+            mp, mr = mpmath.mpf(p), mpmath.mpf(r)
+            den = mr ** (1 / (mp * (mp - 1))) - 1 if p >= 2 else mpmath.sqrt(mr) - 1
+            num = 2 * mp ** (1 / (mp - 1)) if p >= 2 else 4
+            want = float((1 + num / den) ** ((mp - 1) / mp))
+        assert jlambda_upper(p, r).upper_bound == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.3e154, 1e200, 1e300])
+    def test_inf_past_the_float_range(self, p):
+        # about 2 p**2 / log r: 4.9e308 at p = 1.3e154; r**(1/(p(p-1))) - 1 is 0 in floats
+        assert jlambda_upper(p, 2.0).upper_bound == math.inf
+
     @pytest.mark.parametrize("lambda0, ratio, count, share", [
         (1, 2, 16, 0.715), (1, 4, 16, 0.811), (1, 1.5, 32, 0.705), (1, 16, 12, 0.900),
         (0.01, 2, 16, 0.157), (1, 1.2, 17, 0.488), (1, 100, 8, 0.953), (1, 1e4, 8, 0.995)])

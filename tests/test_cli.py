@@ -643,6 +643,20 @@ _EXTREME_INPUTS = {
     "isometry-p=1.0001": (["verify", "--suite", "isometry-threshold", "--p", "1.0001"], 0,
                           {"shifted-ratio-meets-threshold": {"r_epsilon": "inf"}}),
     "r_epsilon-p=50": (["bounds", "--formula", "r_epsilon", "--p", "50"], 0, {}),
+    # r**(1/(p(p-1))) - 1 underflows to 0 at p = 1e300: the bound is inf, not a
+    # division by zero, and the block ratios are not decided against it
+    "jlambda-p=1e300": (["bounds", "--formula", "jlambda", "--p", "1e300", "--r", "2"], 0, {}),
+    "blocksum-p=1e300": (["verify", "--suite", "blocksum-probe", "--p", "1e300"], 0,
+                         {"block-ratios-below-jlambda": {"status": "EVIDENCE", "bound": "inf"}}),
+    # r**k and an atom's mass past the float range were OverflowError tracebacks
+    "lemma31-r=1e10-count=40": (["bounds", "--formula", "lemma31", "--r", "1e10",
+                                 "--count", "40"], 2,
+                                ("r**(count - 1) = 1e+10**39 is beyond the float range",)),
+    **{f"example-{label}-p={p}": (["example", "--label", label, "--p", p, "--count", "5"], 2,
+                                  ("collapses below 3 usable indices",))
+       for label, p in (("A", "1e300"), ("B", "1e10"))},
+    "ex-a-p=1e300": (["verify", "--suite", "ex-a", "--p", "1e300"], 2,
+                     ("collapses below 3 usable indices",)),
     "ex-b-p=50": (["verify", "--suite", "ex-b", "--p", "50"], 2, {}),
     "ex-b-p=1.0001": (["verify", "--suite", "ex-b", "--p", "1.0001"], 2, {}),
     # the alpha = 2 ratios lie below the smallest float, so ratio_min reads 0; the
@@ -1793,6 +1807,27 @@ def test_dnp_at_p2_reads_both_spellings_of_dt_alike(seq, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_norm_reads_both_spellings_of_dt_alike(p, tmp_path, capsys):
+    # dt is one value, so both spellings take the same route, and at p = 2 both
+    # print the exact Gram value: sqrt(1/30) for t - t**2
+    reports = []
+    for measure in ("lebesgue", {"kind": "density", "name": "uniform"}):
+        argv = ["norm", "--coeffs", "1,-1", "--p", p, "--measure", measure]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(_written(argv, tmp_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["inputs"]["measure"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    if p == "2":
+        assert reports[0]["gram_value"] == 0.18257418583505536
+        assert reports[0]["value"] == pytest.approx(30 ** -0.5, rel=1e-15)
+    else:
+        assert "gram_value" not in reports[0]
+
+
 def test_spec_parsers_build_through_the_description_builders():
     # one construction path: the spec parsers name no constructor of the library
     for parse in (cli.parse_sequence, cli.parse_measure):
@@ -1859,6 +1894,28 @@ _MALFORMED = {
                                   '{"kind": "restrict", "a": 0, "b": 1, "base": ' * 5000
                                   + '{"kind": "lebesgue"}' + "}" * 5000,
                                   "maximum recursion depth exceeded"),
+    # a field its kind does not read was ignored: alpha outside params read as the
+    # uniform density, and an atom with both delta and log_delta took log_delta
+    "geometric-lamda0": (["moments", "--seq", "FILE"],
+                         {"kind": "geometric", "lamda0": 2, "lambda0": 1, "ratio": 2,
+                          "count": 4},
+                         "error: unknown geometric sequence field 'lamda0'; it reads kind, "
+                         "lambda0, ratio, count"),
+    "density-alpha-outside-params": (["moments", "--measure", "FILE", "--seq", "explicit:1"],
+                                     {"kind": "density", "name": "oneminus_power",
+                                      "alpha": 0.5},
+                                     "error: unknown density measure field 'alpha'; it reads "
+                                     "kind, name, params"),
+    "lebesgue-scale": (["moments", "--measure", "FILE"], {"kind": "lebesgue", "scale": 2},
+                       "error: unknown lebesgue measure field 'scale'; it reads kind"),
+    "restrict-alpha": (["moments", "--measure", "FILE"],
+                       {"kind": "restrict", "base": {"kind": "lebesgue"}, "a": 0, "b": 0.5,
+                        "alpha": 1},
+                       "error: unknown restrict measure field 'alpha'; it reads kind, base, a, b"),
+    "atom-delta-and-log_delta": (["moments", "--measure", "FILE"],
+                                 {"kind": "atoms",
+                                  "atoms": [{"delta": 0.5, "log_delta": -4, "mass": 1}]},
+                                 "error: unknown atom field 'delta'; it reads log_delta, mass"),
     "coeffs-nan": (["norm", "--coeffs", "1,nan"], "1,nan",
                    "error: expected a finite number, got 'nan'"),
     # an empty entry was skipped: 1,,2 read as the coefficients 1, 2

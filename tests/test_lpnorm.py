@@ -374,14 +374,16 @@ class TestLogLpNorms:
                                              rel=1e-14)
 
     def test_density_past_the_old_cap_takes_one_node_set(self, monkeypatch):
-        # lam = 1e13 was refused on every non-atomic measure; the nodes have no such edge
+        # lam = 1e13 was refused on every non-atomic measure; the nodes have no such
+        # edge.  At p = 3, lam = 3e13 is past the float panels' edge (p * lam = 9e13 >
+        # 2**46), so dt takes the nodes there
         calls = []
         real = lpnorm.node_log_powers
         monkeypatch.setattr(lpnorm, "node_log_powers", lambda *a: calls.append(1) or real(*a))
-        got = log_lp_norms(ExponentSequence((1.0, 1e13)), np.eye(2), DensityMeasure(),
+        got = log_lp_norms(ExponentSequence((1.0, 3e13)), np.eye(2), DensityMeasure(),
                            3.0)
         assert len(calls) == 1
-        want = [-math.log(3.0 * lam + 1.0) / 3.0 for lam in (1.0, 1e13)]
+        want = [-math.log(3.0 * lam + 1.0) / 3.0 for lam in (1.0, 3e13)]
         assert got.tolist() == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("coeffs, match", [
@@ -791,7 +793,7 @@ def _per_row_ratios(seq, p, mu, trials, seed, n_count):
     lam = np.array(seq.exponents[:n_count])
     vectors = [np.eye(n_count)[k] for k in range(n_count)]
     vectors += uniform_draws(seed, trials, n_count)
-    if p == 2.0 and isinstance(mu, Lebesgue):
+    if p == 2.0 and mu == DensityMeasure():
         gram = lpnorm._cauchy_gram(lam)
 
         def norm(a):  # the one-row form, not l2_norm_gram, which gm_ratio_sample calls

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logdomain import LOG_FLOAT_MAX, logsumexp
+from .logdomain import LOG_FLOAT_MAX, logsumexp, materialize
 from .sequences import ExponentSequence, is_r_lacunary
 
 
@@ -36,7 +36,10 @@ def lemma31_bound(p: float, alpha: float, q_seq, r: float) -> Lemma31Bound:
 
     lhs = max over n of sum_{k != n} (q_n^{1/p} q_k^{1/p'} / (q_n/p + q_k/p'))^alpha,
     rhs = p'^alpha/(r^{alpha/p} - 1) + p^alpha/(r^{alpha/p'} - 1).
-    The q sequence must be r-lacunary.
+    The q sequence must be r-lacunary.  Each ratio off the diagonal is below 1
+    (weighted AM-GM), and the diagonal is zeroed before the power, so no term
+    overflows; each part of rhs is ``_over_power_less_one``, in floats within
+    the float range and from its logarithm past it.
     """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -49,12 +52,23 @@ def lemma31_bound(p: float, alpha: float, q_seq, r: float) -> Lemma31Bound:
         raise ValueError("q sequence is not r-lacunary for the given r")
     pp = conjugate(p)
     # row n, column k: the (n, k) term; the diagonal k = n is left out
-    terms = (np.multiply.outer(q ** (1.0 / p), q ** (1.0 / pp))
-             / np.add.outer(q / p, q / pp)) ** alpha
-    np.fill_diagonal(terms, 0.0)
-    lhs = float(terms.sum(axis=1).max(initial=0.0))
-    rhs = pp ** alpha / (r ** (alpha / p) - 1.0) + p ** alpha / (r ** (alpha / pp) - 1.0)
+    ratios = np.multiply.outer(q ** (1.0 / p), q ** (1.0 / pp)) / np.add.outer(q / p, q / pp)
+    np.fill_diagonal(ratios, 0.0)
+    lhs = float((ratios ** alpha).sum(axis=1).max(initial=0.0))
+    rhs = _over_power_less_one(pp, alpha, p, r) + _over_power_less_one(p, alpha, pp, r)
     return Lemma31Bound(lhs, rhs)
+
+
+def _over_power_less_one(c: float, alpha: float, d: float, r: float) -> float:
+    """c**alpha / (r**(alpha/d) - 1) for c, d >= 1 and r > 1: the float formula
+    where c**alpha and r**(alpha/d) lie within the float range, decided in
+    logs as ``r_epsilon`` does, else the exp of
+    alpha (log c - log r / d) - log(1 - r**(-alpha/d)), 0 or inf past the range."""
+    log_c, log_r = math.log(c), math.log(r)
+    log_power = alpha / d * log_r
+    if max(alpha * log_c, log_power) < LOG_FLOAT_MAX:
+        return c ** alpha / (r ** (alpha / d) - 1.0)
+    return materialize(alpha * (log_c - log_r / d) - math.log(-math.expm1(-log_power)))
 
 
 @dataclass(frozen=True)

@@ -142,16 +142,14 @@ def parse_sequence(spec: str) -> sequences_mod.ExponentSequence:
     if spec.startswith("file:"):
         return sequence_from_obj(_load_json(spec[5:]))
     head, _, rest = spec.partition(":")
-    fields = {"geometric": ("lambda0", "ratio", "count"), "explicit": ("values",),
-              "recursive": ("lambda_start", "start_index", "gamma", "count")}.get(head)
-    if fields is None:
+    kind = "recursive_power" if head == "recursive" else head
+    if head == "recursive_power" or kind not in _SEQUENCE_FIELDS:
         raise UsageError(f"unknown sequence spec {spec!r}")
-    values = _floats(rest)
+    fields, values = _SEQUENCE_FIELDS[kind], _floats(rest)
     if head == "explicit":
         values = [values]
     elif len(values) != len(fields):
         raise UsageError(f"{head} needs {','.join(fields)}")
-    kind = "recursive_power" if head == "recursive" else head
     return sequence_from_obj({"kind": kind, **dict(zip(fields, values))})
 
 

@@ -166,8 +166,9 @@ def _node_route(lams: np.ndarray, inv_root: np.ndarray, mu: Measure, p: float,
     tau = np.exp(_log_tail_over_sum(last, inner))
     head += (p - 1.0) * inner + log_w
     log_dp = _log_shares(head, axis=1)  # head now holds each node's share of D_n**p
-    tail = (p - 1.0) * (head @ tau)
-    share = (p - 1.0) * (head @ terms.T)
+    with np.errstate(over="ignore"):  # inf at p = 1e300: an unsafe tail, as it reads
+        tail = (p - 1.0) * (head @ tau)
+        share = (p - 1.0) * (head @ terms.T)
     return _log_values_and_truncation(log_dp, tail, share, p, tol)
 
 

@@ -3,9 +3,11 @@
 ``log_lp_norms`` is the one entry point for norms, validated once per
 coefficient matrix.  Its rows, and those of ``gm_ratio_sample``, are
 log-domain sums over the terms x nodes matrix of
-``measures.node_log_powers`` (``_node_log_norms``), graded toward t = 0 by
+``measures.node_log_powers``, graded toward t = 0 by
 ``measures._grading_power`` and refined toward t = 1 at least as far as
-p * lam_max asks.  The one exception is a row on dt, the value
+p * lam_max asks: ``_node_log_norms`` takes each row on its own support,
+one signed log-sum-exp down the terms and one log-sum-exp over the nodes,
+monomial rows and sums alike.  The one exception is a row on dt, the value
 ``DensityMeasure()`` (``Lebesgue()`` returns it), that the float panels take
 as they are: nothing to grade toward t = 0, |f|**p within the float range
 and p * lam_max below their edge 2**46.  Such a row adds
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_FLOAT_MAX, _exp_shifted, _signed_log_sum, logsumexp, materialize
+from .logdomain import LOG_FLOAT_MAX, _signed_log_sum, logsumexp, materialize
 from .measures import (_PANEL_EDGE, DensityMeasure, Measure, _cauchy_gram, _grading_power,
                        integrate_to_one, log_powers, node_log_powers)
 from .sequences import ExponentSequence, classify
@@ -66,46 +68,27 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be >= 1, got {p}")
 
 
-def _log_pth_power(log_pow: np.ndarray, log_w: np.ndarray, a: np.ndarray, p: float) -> float:
-    """log sum_k w_k |f(t_k)|**p for f = sum_j a_j t**lam_j, given the terms x
-    nodes matrix log_pow of lam_j log t_k and the log weights log_w.
-
-    log|f(t_k)| is a signed log-sum-exp down each node's column of
-    log|a_j| + log_pow (whole-row operations along the nodes), then one
-    log-sum-exp over the nodes; no step leaves the log domain.  The one
-    array it allocates, log|a_j| + log_pow, is overwritten in place by the
-    signed kernel (``signed_logsumexp`` on a copy).
-    """
-    with np.errstate(divide="ignore"):
-        logs = log_pow + np.log(np.abs(a))[:, None]
-    return logsumexp(log_w + p * _signed_log_sum(logs, a[:, None], axis=0)[0])
-
-
 def _node_log_norms(log_pow: np.ndarray, log_w: np.ndarray, coeffs: np.ndarray,
                     p: float) -> np.ndarray:
-    """log ||f||_p of each row of coeffs on the nodes of ``node_log_powers``.
+    """log ||f||_p of each row of coeffs on the nodes of ``node_log_powers``,
+    given its terms x nodes matrix log_pow of lam_j log t_k and the log
+    weights log_w.
 
-    A row with one nonzero coefficient a_j is a monomial, on which the signed
-    log-sum-exp of ``_log_pth_power`` is the identity, so all such rows take
-    one log-sum-exp along the nodes of their rows log_pow[j], made
-    p (lam_j log t_k + log|a_j|) + log w_k: the per-row result bit for bit.
-    Every other row takes one ``_log_pth_power`` on its terms up to its last
-    nonzero coefficient, since those past it add nothing to f; an all-zero
-    row is -inf.
+    Each row takes only its support, from its first to its last nonzero
+    coefficient a_j, since the terms outside it add nothing to f.  log|f(t_k)|
+    is a signed log-sum-exp down each node's column of log|a_j| + log_pow
+    (whole-row operations along the nodes, on that one array, overwritten in
+    place), then log ||f||_p**p is one log-sum-exp over the nodes; no step
+    leaves the log domain.  An all-zero row is -inf.
     """
-    nonzero = np.count_nonzero(coeffs, axis=1)
     out = np.full(len(coeffs), -math.inf)
-    mono = np.flatnonzero(nonzero == 1)
-    if mono.size:
-        cols = np.argmax(coeffs[mono] != 0.0, axis=1)
-        terms = log_pow[cols]
-        terms += np.log(np.abs(coeffs[mono, cols]))[:, None]
-        terms *= p
-        terms += log_w
-        out[mono] = _exp_shifted(terms, 1)[0] / p
-    for i in np.flatnonzero(nonzero > 1).tolist():
-        width = np.flatnonzero(coeffs[i])[-1] + 1
-        out[i] = _log_pth_power(log_pow[:width], log_w, coeffs[i, :width], p) / p
+    for i in np.flatnonzero(coeffs.any(axis=1)).tolist():
+        support = np.flatnonzero(coeffs[i])
+        lo, hi = support[0], support[-1] + 1
+        a = coeffs[i, lo:hi]
+        with np.errstate(divide="ignore"):
+            logs = log_pow[lo:hi] + np.log(np.abs(a))[:, None]
+        out[i] = logsumexp(log_w + p * _signed_log_sum(logs, a[:, None], axis=0)[0]) / p
     return out
 
 
@@ -249,7 +232,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     matrix (``log_lp_norms`` would send smooth rows on dt to the slower float
     panels), so only p < 1 and p * lam past the float range are refused.  The
     denominators are one array expression up to the 1/p root, which each
-    row takes as a float.  Warns when ``classify`` flags the prefix's ratio
+    row takes as a float: each row is divided by its largest |a_j| inside the
+    sum, (|a_j| / max|a|)**p / q_j, and the root multiplied by that max, so
+    the sum keeps a term 1/q_j and never underflows to 0 (p = 1e300).  Warns when ``classify`` flags the prefix's ratio
     trend as non-lacunary, where the bracket may degenerate.
     """
     _check_p(p)
@@ -272,8 +257,9 @@ def gm_ratio_sample(seq: ExponentSequence, p: float, trials: int = 100, seed: in
     else:
         logs = _node_log_norms(*node_log_powers(DensityMeasure(), lam, p), coeffs, p)
         norms = np.array([materialize(v) for v in logs.tolist()])
-    sums = np.sum(np.abs(coeffs) ** p / (p * lam + 1.0), axis=1)
+    tops = np.abs(coeffs).max(axis=1)
+    sums = np.sum((np.abs(coeffs) / tops[:, None]) ** p / (p * lam + 1.0), axis=1)
     # a float root: numpy's vectorised power can differ from it in the last bit
-    ratios = norms / np.array([s ** (1.0 / p) for s in sums.tolist()])
+    ratios = norms / np.array([m * s ** (1.0 / p) for m, s in zip(tops.tolist(), sums.tolist())])
     return RatioBracket(float(ratios.min()), float(ratios.max()), trials,
                         (float(ratios[:n_count].min()), float(ratios[:n_count].max())))

@@ -46,6 +46,19 @@ class TestLemma31:
             res = lemma31_bound(p, alpha, q, r)
             assert res.lhs <= res.rhs
 
+    # p'**alpha, p**alpha or r**(alpha/p) past the float range: the right side
+    # from its logarithm, against 40-digit mpmath; 2**5000 / (2**2500 - 1) twice is inf
+    @pytest.mark.parametrize("p, alpha, r", [(2.0, 2000.0, 2.0), (3.0, 1500.0, 4.0),
+                                             (1.5, 800.0, 16.0), (2.0, 5000.0, 2.0)])
+    def test_rhs_past_the_float_range_against_mpmath(self, p, alpha, r):
+        with mpmath.workdps(40):
+            mp, ma, mr = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(r)
+            mpp = mp / (mp - 1)
+            want = mpp ** ma / (mr ** (ma / mp) - 1) + mp ** ma / (mr ** (ma / mpp) - 1)
+        res = lemma31_bound(p, alpha, [r ** k for k in range(20)], r)
+        assert res.rhs == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert 0.0 < res.lhs <= res.rhs
+
 
 def _lemma31_lhs_by_loop(p, alpha, q):
     """max_n sum_{k != n} (q_n^{1/p} q_k^{1/p'} / (q_n/p + q_k/p'))^alpha term by

@@ -648,6 +648,31 @@ _EXTREME_INPUTS = {
     "jlambda-p=1e300": (["bounds", "--formula", "jlambda", "--p", "1e300", "--r", "2"], 0, {}),
     "blocksum-p=1e300": (["verify", "--suite", "blocksum-probe", "--p", "1e300"], 0,
                          {"block-ratios-below-jlambda": {"status": "EVIDENCE", "bound": "inf"}}),
+    # every |a_j|**p / q_j of a random row underflowed to 0 at p = 1e300, and its
+    # ratio was a division by zero; each row is now scaled by its largest |a_j|
+    # first, and D_n's tail estimate (p - 1) * ... reads inf: an unsafe tail
+    "probe-p=1e300": (["probe", "--p", "1e300"], 0,
+                      {"max_ratio": pytest.approx(6.787422933337027, rel=1e-12),
+                       "min_ratio": pytest.approx(0.33329863910445534, rel=1e-12)}),
+    "basis-p=1e300": (["verify", "--suite", "basis", "--p", "1e300"], 0,
+                      {"ratio-sample-bracket": {
+                          "max_ratio": pytest.approx(6.787422933337027, rel=1e-12)},
+                       "canonical-vectors-normalized": {"status": "PASS", "min_ratio": 1.0,
+                                                        "max_ratio": 1.0},
+                       "lebesgue-diagonal-bounded": {"tails_safe": False}}),
+    "isometry-p=1e300": (["verify", "--suite", "isometry-threshold", "--p", "1e300"], 0,
+                         {"sampled-ratios-within-eps": {
+                             "min_ratio": pytest.approx(0.33329863910445534, rel=1e-12)}}),
+    # p'**alpha = 2**2000 overflowed a float power; the right side is taken from
+    # its logarithm, 2**2001 / (2**1000 - 1) at p = r = 2
+    "lemma31-alpha=2000": (["bounds", "--formula", "lemma31", "--alpha", "2000"], 0,
+                           {"value": {"rhs": pytest.approx(
+                               float(2 * mpmath.mpf(2) ** 2000 / (mpmath.mpf(2) ** 1000 - 1)),
+                               rel=1e-12, abs=0.0)}}),
+    # the diagonal ratios, 1 up to rounding, overflowed at the power 1e300
+    "lemma31-r=1e10-alpha=1e300": (["bounds", "--formula", "lemma31", "--r", "1e10",
+                                    "--count", "31", "--alpha", "1e300"], 0,
+                                   {"value": {"lhs": 0.0, "rhs": 0.0}}),
     # r**k and an atom's mass past the float range were OverflowError tracebacks
     "lemma31-r=1e10-count=40": (["bounds", "--formula", "lemma31", "--r", "1e10",
                                  "--count", "40"], 2,
@@ -888,6 +913,11 @@ _EXTREME_INPUTS = {
                               ("unknown sequence spec 'foo:1'",)),
     "sequence-spec-short": (["moments", "--seq", "geometric:1,2"], 2,
                             ("geometric needs lambda0,ratio,count",)),
+    # a spec's head is recursive, its kind recursive_power: one table of fields
+    "sequence-spec-recursive-short": (["moments", "--seq", "recursive:1,2,3"], 2,
+                                      ("recursive needs lambda_start,start_index,gamma,count",)),
+    "sequence-spec-kind-as-head": (["moments", "--seq", "recursive_power:1,2,3,4"], 2,
+                                   ("unknown sequence spec 'recursive_power:1,2,3,4'",)),
     "sequence-kind-unknown": (["moments", "--seq", {"kind": "foo"}], 2,
                               ("unknown sequence kind 'foo'",)),
     "recursive-lambda_start=0": (["moments", "--seq", "recursive:0,2,3,4"], 2,
@@ -964,7 +994,7 @@ def test_extreme_inputs_exit_with_a_message(case, tmp_path, capsys):
         return
     assert err == ""
     report = json.loads(out, parse_constant=_refuse_constant)
-    if argv[0] == "bounds":
+    if argv[0] == "bounds" and "value" not in data:
         assert report["value"] == "inf"
     sections = _fields(report)
     for name, fields in data.items():

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab import lpnorm, measures
 from muntzlab.logdomain import NeumaierSum, logsumexp, materialize, signed_logsumexp
-from muntzlab.lpnorm import (_log_pth_power, _node_log_norms, gm_ratio_sample, l2_norm_gram,
-                             log_lp_norms)
+from muntzlab.lpnorm import _node_log_norms, gm_ratio_sample, l2_norm_gram, log_lp_norms
 from muntzlab.measures import DensityMeasure, Lebesgue, atoms, node_log_powers, restrict
 from muntzlab.sequences import ExponentSequence, generate_geometric
 from test_measures import _resumming_integrate_to_one
@@ -435,7 +434,7 @@ def per_row_log_norm(log_pow, log_w, a, p):
 
 
 class TestNodeLogNorms:
-    """Monomial rows as one log-sum-exp over the nodes, the others row by row."""
+    """Each row on its own support: the full-width per-row kernel bit for bit."""
 
     MEASURES = {
         "lebesgue": Lebesgue(),
@@ -459,6 +458,9 @@ class TestNodeLogNorms:
             eye[0] - 2.0 * eye[n - 1],               # two nonzero, the rest zero
             1e-300 * eye[1] + eye[3],
             np.random.default_rng(8).uniform(-1.0, 1.0, (4, n)),
+            np.where(np.arange(n) < 3, 0.0, np.linspace(1.0, -1.0, n)),  # leading zeros
+            eye[2] - 0.5 * eye[4],                   # leading, inner and trailing zeros
+            -1e-300 * eye[n - 2] + eye[n - 1],
         ])
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
@@ -484,31 +486,20 @@ class TestNodeLogNorms:
         assert got[1] == pytest.approx(0.5 * (2001 * math.log(0.5) - math.log(2001)),
                                        rel=1e-14)
 
-    def test_per_row_kernel_only_for_rows_with_two_nonzero_terms(self, monkeypatch):
-        # report-p3's basis sample: 24 canonical rows and 100 random ones
-        seen = []
-        real = lpnorm._log_pth_power
-        monkeypatch.setattr(lpnorm, "_log_pth_power",
-                            lambda *a: seen.append(np.count_nonzero(a[2])) or real(*a))
-        gm_ratio_sample(generate_geometric(1, 2, 60), 3.0, trials=100, n_count=24)
-        assert len(seen) == 100 and min(seen) >= 2
-        seen.clear()
-        log_pow, log_w = node_log_powers(Lebesgue(), np.array(GEO.exponents), 3.0)
-        _node_log_norms(log_pow, log_w, self.rows(len(GEO)), 3.0)
-        assert len(seen) == 7 and min(seen) >= 2  # the last 7 of ``rows``
-
     def test_multi_term_rows_take_only_their_own_width(self, monkeypatch):
         # the block indicators 1_[0,n) of blocksum-probe, padded to the full prefix:
-        # row n hands the kernel n term rows and n coefficients, not all 64
+        # row n hands the signed kernel n term rows and n signs, not all 64; a
+        # row nonzero on columns 3 to 5 alone hands it 3
         seen = []
-        real = lpnorm._log_pth_power
-        monkeypatch.setattr(lpnorm, "_log_pth_power",
-                            lambda *a: seen.append((len(a[0]), len(a[2]))) or real(*a))
+        real = lpnorm._signed_log_sum
+        monkeypatch.setattr(lpnorm, "_signed_log_sum",
+                            lambda *a, **k: seen.append((len(a[0]), len(a[1]))) or real(*a, **k))
         seq = generate_geometric(1, 2, 64)
         widths = [1, 2, 4, 8, 16, 32, 64]
-        blocks = (np.arange(64) < np.array(widths)[:, None]).astype(float)
+        blocks = np.vstack([(np.arange(64) < np.array(widths)[:, None]).astype(float),
+                            ((3 <= np.arange(64)) & (np.arange(64) <= 5)) * -1.5])
         got = log_lp_norms(seq, blocks, DensityMeasure(), 1.0)
-        assert seen == [(n, n) for n in widths[1:]]
+        assert seen == [(n, n) for n in widths] + [(3, 3)]
         log_pow, log_w = node_log_powers(DensityMeasure(), np.array(seq.exponents), 1.0)
         assert got.tolist() == [per_row_log_norm(log_pow, log_w, a, 1.0) for a in blocks]
 
@@ -802,9 +793,12 @@ def _per_row_ratios(seq, p, mu, trials, seed, n_count):
         log_pow, log_w = node_log_powers(mu, lam, p)
 
         def norm(a):
-            return math.exp(_log_pth_power(log_pow, log_w, a, p) / p)
-    return [norm(a) / float(np.sum(np.abs(a) ** p / (p * lam + 1.0)) ** (1.0 / p))
-            for a in vectors]
+            return math.exp(_node_log_norms(log_pow, log_w, a[None, :], p)[0])
+
+    def weighted(a):  # the row scaled by its largest |a_j|, which the root multiplies back
+        top = float(np.abs(a).max())
+        return top * float(np.sum((np.abs(a) / top) ** p / (p * lam + 1.0))) ** (1.0 / p)
+    return [norm(a) / weighted(a) for a in vectors]
 
 
 class TestUniformRows:
@@ -909,7 +903,7 @@ class TestRatioSampleNodeRoute:
             exact = math.fsum(
                 a[i] * a[j] * a[k] * a[m] / (lam[i] + lam[j] + lam[k] + lam[m] + 1.0)
                 for i, j, k, m in itertools.product(range(len(lam)), repeat=4))
-            got = math.exp(_log_pth_power(log_pow, log_w, a, 4.0))
+            got = math.exp(4.0 * _node_log_norms(log_pow, log_w, a[None, :], 4.0)[0])
             assert got == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("mu", [Lebesgue()], ids=["lebesgue"])
